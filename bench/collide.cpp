@@ -6,16 +6,16 @@
 // contiguous-tile partition one worker with most of the collision work.
 // Three measurements, mirroring bench/tile_balance.cpp:
 //
-//  1. Bit-determinism self-check: the collision-enabled Stealing step
-//     must produce identical particle bytes and field energy at 2 and 4
+//  1. Bit-determinism self-check: the collision-enabled tiled step
+//     must produce identical particle bytes and field energy at 1 and 4
 //     workers (voxel-keyed RNG streams make the scatter sequence a pure
 //     function of the step, not the schedule). Exits nonzero on any
 //     divergence.
-//  2. Collision phase cost: an untiled Graph run times every phase; the
+//  2. Collision phase cost: an untiled run times every phase; the
 //     summed collide[...] seconds give the absolute cost per step and
 //     the fraction of the whole step the collision operator adds.
 //  3. Modeled makespans: per-tile collide task costs are *measured*
-//     serially (Deterministic tiled mode times every phase), then
+//     serially (a one-worker pool times each phase alone), then
 //     replayed through a static contiguous-tile partition vs the
 //     stealing executor's LPT/greedy placement at several virtual
 //     worker counts — the repo's modeled-metric idiom, host-independent
@@ -89,8 +89,8 @@ bool bitwise_equal(core::Simulation& a, core::Simulation& b) {
   return true;
 }
 
-/// Measured per-tile collision costs: Deterministic tiled mode times
-/// every phase serially; take, per tile, the min-across-steps of the
+/// Measured per-tile collision costs: a one-worker pool times every
+/// phase serially; take, per tile, the min-across-steps of the
 /// per-step sum of that tile's collide phases (min-of-reps denoiser).
 std::vector<double> measure_collide_costs(core::Simulation& sim, int nt,
                                           int steps) {
@@ -168,32 +168,31 @@ int main(int argc, char** argv) {
       p.nx, p.ny, p.nz, p.ppc, static_cast<double>(p.clump), p.tiles, p.nu0,
       smoke ? " (smoke)" : "");
 
-  // -- 1. bit-determinism self-check (2 vs 4 stealing workers) ----------
+  // -- 1. bit-determinism self-check (1 vs 4 stealing workers) ----------
   {
     Params small = p;
     small.nx = std::min(p.nx, 12);
     small.nz = std::min(p.nz, 8);
     small.ppc = std::min(p.ppc, 4);
-    core::Simulation w2 = make_colliding(small);
+    core::Simulation w1 = make_colliding(small);
     core::Simulation w4 = make_colliding(small);
-    for (auto* s : {&w2, &w4}) {
+    for (auto* s : {&w1, &w4}) {
       s->config().tiles.enabled = true;
       s->config().tiles.count = 4;
-      s->config().tiles.exec = core::TileExec::Stealing;
     }
-    w2.config().tiles.workers = 2;
+    w1.config().tiles.workers = 1;
     w4.config().tiles.workers = 4;
     const int check_steps = smoke ? 15 : 30;  // crosses the sort interval
-    w2.run(check_steps);
+    w1.run(check_steps);
     w4.run(check_steps);
-    if (!bitwise_equal(w2, w4)) {
+    if (!bitwise_equal(w1, w4)) {
       std::fprintf(stderr,
-                   "collide: stealing step diverged between 2 and 4 workers "
+                   "collide: tiled step diverged between 1 and 4 workers "
                    "— collision bit-determinism broken\n");
       return 1;
     }
     std::printf(
-        "bit-determinism check: 2 == 4 stealing workers over %d steps OK\n\n",
+        "bit-determinism check: 1 == 4 stealing workers over %d steps OK\n\n",
         check_steps);
   }
 
@@ -202,7 +201,6 @@ int main(int argc, char** argv) {
   std::uint64_t pairs = 0;
   {
     core::Simulation sim = make_colliding(p);
-    sim.config().scheduler = core::StepScheduler::Graph;
     auto* col =
         static_cast<core::CollisionModule*>(sim.find_module("collide"));
     sim.run(2);  // warmup
@@ -227,7 +225,7 @@ int main(int argc, char** argv) {
   core::Simulation sim = make_colliding(p);
   sim.config().tiles.enabled = true;
   sim.config().tiles.count = p.tiles;
-  sim.config().tiles.exec = core::TileExec::Deterministic;
+  sim.config().tiles.workers = 1;  // phases run one at a time
   sim.run(2);  // warmup: first touch, bucketing
   const int nt = sim.tile_map().count();
   const std::vector<double> cost = measure_collide_costs(sim, nt, p.steps);

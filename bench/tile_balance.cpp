@@ -6,12 +6,12 @@
 // uniform, so a static contiguous-tile partition hands one worker most of
 // the work. Three measurements:
 //
-//  1. Bit-identity self-check: the tiled Deterministic mode must
-//     reproduce the untiled Sequential step exactly (fields, particles,
-//     energy series) on the clumped deck — the bench exits nonzero on
-//     any divergence, like step_overlap's physics check.
+//  1. Bit-determinism self-check: the tiled step must produce identical
+//     fields, particles and energy series at 1 and 4 stealing workers on
+//     the clumped deck — the bench exits nonzero on any divergence, like
+//     step_overlap's physics check.
 //  2. Modeled makespans: per-tile task costs are *measured* serially
-//     (Deterministic mode times every per-tile push phase), then replayed
+//     (a one-worker pool times each per-tile push phase alone), then replayed
 //     deterministically through the two placement policies — a static
 //     contiguous tile partition vs the stealing executor's LPT/greedy
 //     placement — at several virtual worker counts. This is the repo's
@@ -65,8 +65,8 @@ core::Simulation make_clumped(const Params& p) {
   return core::decks::make_lpi(lp);
 }
 
-/// Fields + particles + energy series must match bit for bit between the
-/// tiled Deterministic mode and the untiled Sequential step.
+/// Fields + particles + energy series must match bit for bit between two
+/// tiled runs at different worker counts.
 bool bitwise_equal(core::Simulation& a, core::Simulation& b) {
   const auto& fa = a.fields();
   const auto& fb = b.fields();
@@ -101,8 +101,8 @@ bool bitwise_equal(core::Simulation& a, core::Simulation& b) {
   return true;
 }
 
-/// Measured per-tile costs: run the Deterministic tiled mode (which times
-/// every phase serially) and take, per tile, the min-across-steps of the
+/// Measured per-tile costs: run the tiled step on a one-worker pool (which
+/// times every phase serially) and take, per tile, the min-across-steps of the
 /// per-step sum of that tile's push phases — min-of-reps is the repo's
 /// standard denoiser.
 std::vector<double> measure_tile_costs(core::Simulation& sim, int nt,
@@ -182,36 +182,39 @@ int main(int argc, char** argv) {
       p.nx, p.ny, p.nz, p.ppc, static_cast<double>(p.clump), p.tiles,
       smoke ? " (smoke)" : "");
 
-  // -- 1. bit-identity self-check (Deterministic tiled vs untiled) ------
+  // -- 1. bit-determinism self-check (1 vs 4 stealing workers) ----------
   {
     Params small = p;
     small.nx = std::min(p.nx, 12);
     small.nz = std::min(p.nz, 8);
     small.ppc = std::min(p.ppc, 4);
-    core::Simulation tiled = make_clumped(small);
-    core::Simulation ref = make_clumped(small);
-    tiled.config().tiles.enabled = true;
-    tiled.config().tiles.count = std::min(small.nz, 4);
-    tiled.config().tiles.exec = core::TileExec::Deterministic;
-    ref.config().scheduler = core::StepScheduler::Sequential;
+    core::Simulation w1 = make_clumped(small);
+    core::Simulation w4 = make_clumped(small);
+    for (auto* s : {&w1, &w4}) {
+      s->config().tiles.enabled = true;
+      s->config().tiles.count = std::min(small.nz, 4);
+    }
+    w1.config().tiles.workers = 1;
+    w4.config().tiles.workers = 4;
     const int check_steps = smoke ? 25 : 50;  // crosses the sort interval
-    tiled.run(check_steps);
-    ref.run(check_steps);
-    if (!bitwise_equal(tiled, ref)) {
+    w1.run(check_steps);
+    w4.run(check_steps);
+    if (!bitwise_equal(w1, w4)) {
       std::fprintf(stderr,
-                   "tile_balance: Deterministic tiled mode diverged from the "
-                   "untiled Sequential step — bit-identity broken\n");
+                   "tile_balance: tiled step diverged between 1 and 4 "
+                   "workers — bit-determinism broken\n");
       return 1;
     }
-    std::printf("bit-identity check: tiled == untiled over %d steps OK\n\n",
-                check_steps);
+    std::printf(
+        "bit-determinism check: 1 == 4 stealing workers over %d steps OK\n\n",
+        check_steps);
   }
 
   // -- 2. measured per-tile costs, modeled schedules --------------------
   core::Simulation sim = make_clumped(p);
   sim.config().tiles.enabled = true;
   sim.config().tiles.count = p.tiles;
-  sim.config().tiles.exec = core::TileExec::Deterministic;
+  sim.config().tiles.workers = 1;  // phases run one at a time
   sim.run(2);  // warmup: first touch, bucketing
   const int nt = sim.tile_map().count();
   const std::vector<double> cost = measure_tile_costs(sim, nt, p.steps);
@@ -245,7 +248,6 @@ int main(int argc, char** argv) {
   core::Simulation steal_sim = make_clumped(p);
   steal_sim.config().tiles.enabled = true;
   steal_sim.config().tiles.count = p.tiles;
-  steal_sim.config().tiles.exec = core::TileExec::Stealing;
   steal_sim.config().tiles.workers = 4;
   const auto t0 = std::chrono::steady_clock::now();
   steal_sim.run(p.steps);

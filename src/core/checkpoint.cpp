@@ -453,34 +453,66 @@ std::uint64_t Simulation::config_fingerprint() const {
   return fp.value();
 }
 
-std::uint64_t Simulation::checkpoint(const std::string& path) {
-  prof::ScopedRegion r("ckpt");
+/// One checkpoint's state, detached from the live simulation: the encoded
+/// sections plus, for an incremental ring generation, the delta plan
+/// against the previous generation. Copyable, so the async writer can
+/// carry it to the background instance.
+struct Simulation::Snapshot {
+  std::shared_ptr<ckpt::FileWriter> writer;
+  std::shared_ptr<const elastic::GenerationPlan> plan;  // null: plain file
+  std::shared_ptr<ElasticStatsShared> stats;            // set with plan
+  std::uint64_t fingerprint = 0;
+  std::int64_t step = 0;
+
+  /// Commit the file; returns its size in bytes.
+  std::uint64_t write(const std::string& path) const {
+    if (!plan) return writer->commit(path, fingerprint, step);
+    const elastic::GenStats st = elastic::write_generation(
+        path, writer->sections(), *plan, fingerprint, step);
+    stats->record(st);
+    return st.file_bytes;
+  }
+};
+
+Simulation::Snapshot Simulation::snapshot(const std::string& path) {
   const std::int64_t gen =
       cfg_.checkpoint_incremental ? ring_generation_of(path) : -1;
-  ckpt::FileWriter w;
+  Snapshot s;
+  s.writer = std::make_shared<ckpt::FileWriter>();
   {
+    // This encode IS the snapshot: encode_view deep-copies every payload,
+    // so once it returns the writer is independent of the live state and
+    // stepping may continue while the file is written behind it.
     prof::ScopedRegion enc("ckpt_encode");
-    add_engine_sections(w, fields_, interp_, acc_, species_, gen >= 0);
-    add_history_sections(w, energy_history_);
-    add_module_sections(w, modules_);
+    add_engine_sections(*s.writer, fields_, interp_, acc_, species_,
+                        gen >= 0);
+    add_history_sections(*s.writer, energy_history_);
+    add_module_sections(*s.writer, modules_);
   }
-  std::uint64_t bytes;
+  s.fingerprint = config_fingerprint();
+  s.step = step_count_;
   if (gen >= 0) {
+    // The incremental plan (hash/diff against the previous generation) is
+    // part of the snapshot: it runs here, on the stepping thread, so it
+    // observes generations in order. Only the codec + commit work can be
+    // hidden behind the background instance.
     if (!elastic_tracker_)
       elastic_tracker_ = std::make_shared<elastic::DeltaTracker>(
           std::max(1, cfg_.checkpoint_full_every));
     if (!elastic_stats_)
       elastic_stats_ = std::make_shared<ElasticStatsShared>();
-    const elastic::GenerationPlan plan = elastic_tracker_->plan(
-        w.sections(), gen,
-        static_cast<elastic::Codec>(cfg_.checkpoint_codec));
-    const elastic::GenStats st = elastic::write_generation(
-        path, w.sections(), plan, config_fingerprint(), step_count_);
-    elastic_stats_->record(st);
-    bytes = st.file_bytes;
-  } else {
-    bytes = w.commit(path, config_fingerprint(), step_count_);
+    s.plan = std::make_shared<const elastic::GenerationPlan>(
+        elastic_tracker_->plan(
+            s.writer->sections(), gen,
+            static_cast<elastic::Codec>(cfg_.checkpoint_codec)));
+    s.stats = elastic_stats_;
   }
+  return s;
+}
+
+std::uint64_t Simulation::checkpoint(const std::string& path) {
+  prof::ScopedRegion r("ckpt");
+  const std::uint64_t bytes = snapshot(path).write(path);
   ++ckpt_written_;
   for (const auto& m : modules_) m->on_checkpoint(*this);
   return bytes;
@@ -494,58 +526,18 @@ void Simulation::checkpoint_async(const std::string& path) {
   // (bounding memory at 2x the engine state).
   if (ckpt_inflight_->load(std::memory_order_acquire) >= 2)
     ckpt_instance_->fence();
-
-  const std::int64_t gen =
-      cfg_.checkpoint_incremental ? ring_generation_of(path) : -1;
-  auto w = std::make_shared<ckpt::FileWriter>();
-  {
-    // This encode IS the snapshot: encode_view deep-copies every payload,
-    // so once it returns the writer is independent of the live state and
-    // stepping may continue while the file is written behind it.
-    prof::ScopedRegion enc("ckpt_encode");
-    add_engine_sections(*w, fields_, interp_, acc_, species_, gen >= 0);
-    add_history_sections(*w, energy_history_);
-    add_module_sections(*w, modules_);
-  }
-  const std::uint64_t fp = config_fingerprint();
-  const std::int64_t step = step_count_;
+  Snapshot snap = snapshot(path);
   ckpt_inflight_->fetch_add(1, std::memory_order_acq_rel);
-  auto inflight = ckpt_inflight_;
-  if (gen >= 0) {
-    // Incremental: the plan (hash/diff against the previous generation)
-    // runs NOW, on the stepping thread — it is part of the snapshot and
-    // must observe generations in order. Only the codec + commit work is
-    // hidden behind the background instance.
-    if (!elastic_tracker_)
-      elastic_tracker_ = std::make_shared<elastic::DeltaTracker>(
-          std::max(1, cfg_.checkpoint_full_every));
-    if (!elastic_stats_)
-      elastic_stats_ = std::make_shared<ElasticStatsShared>();
-    auto plan = std::make_shared<const elastic::GenerationPlan>(
-        elastic_tracker_->plan(
-            w->sections(), gen,
-            static_cast<elastic::Codec>(cfg_.checkpoint_codec)));
-    auto stats = elastic_stats_;
-    pk::async(*ckpt_instance_, "ckpt_write",
-              [w, path, fp, step, inflight, plan, stats] {
-                struct Done {
-                  std::shared_ptr<std::atomic<int>> c;
-                  ~Done() { c->fetch_sub(1, std::memory_order_acq_rel); }
-                } done{inflight};
-                stats->record(elastic::write_generation(path, w->sections(),
-                                                        *plan, fp, step));
-              });
-  } else {
-    pk::async(*ckpt_instance_, "ckpt_write", [w, path, fp, step, inflight] {
-      // Decrement even when commit throws (the exception is deferred to
-      // the next fence, pk::Instance semantics).
-      struct Done {
-        std::shared_ptr<std::atomic<int>> c;
-        ~Done() { c->fetch_sub(1, std::memory_order_acq_rel); }
-      } done{inflight};
-      w->commit(path, fp, step);
-    });
-  }
+  pk::async(*ckpt_instance_, "ckpt_write",
+            [snap = std::move(snap), path, inflight = ckpt_inflight_] {
+              // Decrement even when the write throws (the exception is
+              // deferred to the next fence, pk::Instance semantics).
+              struct Done {
+                std::shared_ptr<std::atomic<int>> c;
+                ~Done() { c->fetch_sub(1, std::memory_order_acq_rel); }
+              } done{inflight};
+              snap.write(path);
+            });
   ++ckpt_written_;
   for (const auto& m : modules_) m->on_checkpoint(*this);
 }

@@ -7,24 +7,14 @@
 namespace vpic::core {
 
 void StepComposer::add(StepPhase p) {
-  const std::string name = p.name;
   for (const auto& r : p.reads) resources_.insert(r);
   for (const auto& r : p.writes) resources_.insert(r);
   g_.add_phase(std::move(p));
-  if (serial_) {
-    if (!last_added_.empty()) g_.add_edge(last_added_, name);
-    last_added_ = name;
-  }
 }
 
 void StepComposer::add_spine(StepPhase p) {
   const std::string name = p.name;
-  add(std::move(p));
-  if (!serial_) {
-    if (!tail_.empty()) g_.add_edge(tail_, name);
-    for (const auto& j : pending_)
-      if (j != tail_) g_.add_edge(j, name);
-  }
+  add_branch(std::move(p));
   pending_.clear();
   tail_ = name;
 }
@@ -32,20 +22,17 @@ void StepComposer::add_spine(StepPhase p) {
 void StepComposer::add_branch(StepPhase p) {
   const std::string name = p.name;
   add(std::move(p));
-  if (!serial_) {
-    if (!tail_.empty()) g_.add_edge(tail_, name);
-    for (const auto& j : pending_)
-      if (j != tail_) g_.add_edge(j, name);
-  }
+  if (!tail_.empty()) g_.add_edge(tail_, name);
+  for (const auto& j : pending_)
+    if (j != tail_) g_.add_edge(j, name);
 }
 
 void StepComposer::edge(const std::string& before, const std::string& after) {
-  if (serial_ || before.empty() || after.empty()) return;
+  if (before.empty() || after.empty()) return;
   g_.add_edge(before, after);
 }
 
 void StepComposer::join(std::string phase) {
-  if (serial_) return;
   if (std::find(pending_.begin(), pending_.end(), phase) == pending_.end())
     pending_.push_back(std::move(phase));
 }

@@ -8,9 +8,9 @@
 // counter-based RNG stream requirements. The core pipeline itself
 // (interpolate, push, accumulate, field advance, injection, diagnostics,
 // sort, checkpoint) is registered through the same interface
-// (core/pipeline_modules.cpp), so build_step_graph / build_tiled_step_graph
-// are generic composition: one source of truth for all three execution
-// shapes (Sequential, Graph, tiled Deterministic/Stealing).
+// (core/pipeline_modules.cpp), so Simulation::build_step_graph is generic
+// composition: one source of truth for both step shapes (untiled, run on
+// the calling thread; tiled, run on the work-stealing pool).
 //
 // This is the seam the plugin-registry PIC architectures (PIConGPU's
 // plugin system, chombo-discharge's physics layers) use to absorb new
@@ -41,7 +41,7 @@ class TileMap;
 
 /// Canonical position of a module's phases in the step. Modules plan in
 /// ascending stage order (ties keep registration order), which is what
-/// makes the serial-chain (Deterministic) schedule physically sensible
+/// makes the insertion order the untiled step runs in physically sensible
 /// without any module knowing its neighbors.
 enum class StepStage : std::uint8_t {
   Gather = 0,       // fields -> interpolator, accumulator clear
@@ -84,12 +84,11 @@ struct ModuleRng {
 /// Build-time context handed to PhysicsModule::plan(): which step is being
 /// built and under which execution shape. `poll` is the tile-granular
 /// preemption hook (docs/FARM.md) — tiled phase bodies call it at entry so
-/// a farm yield request is observed within one tile task; it is a no-op in
-/// the untiled shapes.
+/// a farm yield request is observed within one tile task; it is empty in
+/// the untiled shape.
 struct ModuleStepContext {
   std::int64_t next_step = 0;  // step count once this step completes
   bool tiled = false;
-  bool stealing = false;             // tiled Stealing (vs Deterministic)
   const TileMap* tiles = nullptr;    // valid when tiled
   std::function<void()> poll;        // no-op when untiled
 };
@@ -208,19 +207,17 @@ class PhysicsModule {
 
 /// The surface modules plan phases against. Wraps the step's StepGraph
 /// with the composition conventions that keep a multi-module step both
-/// valid (every declared conflict path-ordered) and bit-reproducible:
+/// valid (every declared conflict path-ordered) and bit-reproducible.
+/// Every edge runs from an earlier-added phase to a later one, so the
+/// insertion order the untiled step runs in is a topological order
+/// (execute_serial checks it):
 ///
-///  * serial-chain mode (tiled Deterministic): add() chains every phase to
-///    the previous one — insertion order IS the schedule — and edge()/
-///    join() are no-ops. A module that plans in registry order needs no
-///    mode-specific logic to be correct here.
-///  * spine/branch/join (untiled Graph + tiled Stealing): add_spine()
-///    appends to the step's serial spine (ordered after the current tail
-///    and every pending join, then becomes the tail); add_branch() hangs
-///    off the tail without becoming it; join() parks a phase for the next
-///    spine phase to order after (how per-species sorts rejoin before the
-///    checkpoint, and how side phases like tracers order before the next
-///    spine stage).
+///  * spine/branch/join: add_spine() appends to the step's serial spine
+///    (ordered after the current tail and every pending join, then
+///    becomes the tail); add_branch() hangs off the tail without becoming
+///    it; join() parks a phase for the next spine phase to order after
+///    (how per-species sorts rejoin before the checkpoint, and how side
+///    phases like tracers order before the next spine stage).
 ///  * anchors: well-known phase names published by earlier modules
 ///    ("interp_ready", "acc_ready") so later modules can order against
 ///    them without knowing which phase implements them in this shape.
@@ -230,11 +227,9 @@ class PhysicsModule {
 ///    builders maintained).
 class StepComposer {
  public:
-  StepComposer(StepGraph& g, bool serial_chain)
-      : g_(g), serial_(serial_chain) {}
+  explicit StepComposer(StepGraph& g) : g_(g) {}
 
-  /// Add a phase; ordering is the caller's job via edge()/anchors (in
-  /// serial-chain mode the phase is chained to the previous one instead).
+  /// Add a phase; ordering is the caller's job via edge()/anchors.
   void add(StepPhase p);
 
   /// Add a phase on the step spine: after tail + pending joins, becomes
@@ -245,8 +240,8 @@ class StepComposer {
   /// becoming the tail (pending joins stay pending).
   void add_branch(StepPhase p);
 
-  /// Directed edge (no-op in serial-chain mode). Empty names are ignored,
-  /// so `c.edge(c.anchor("..."), name)` is safe when the anchor is unset.
+  /// Directed edge. Empty names are ignored, so
+  /// `c.edge(c.anchor("..."), name)` is safe when the anchor is unset.
   void edge(const std::string& before, const std::string& after);
 
   /// Park `phase` for the next add_spine() to order after.
@@ -269,14 +264,11 @@ class StepComposer {
     return {resources_.begin(), resources_.end()};
   }
 
-  [[nodiscard]] bool serial_chain() const { return serial_; }
   [[nodiscard]] StepGraph& graph() { return g_; }
 
  private:
   StepGraph& g_;
-  bool serial_;
-  std::string last_added_;          // serial-chain predecessor
-  std::string tail_;                // spine tail
+  std::string tail_;               // spine tail
   std::vector<std::string> pending_;  // parked joins
   std::map<std::string, std::string> anchors_;
   std::set<std::string> resources_;

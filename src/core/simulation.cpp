@@ -74,81 +74,60 @@ PhysicsModule* Simulation::find_module(std::string_view id) {
 
 // ---- step execution --------------------------------------------------
 
+// Two step shapes, each with one executor. Untiled: the registry-composed
+// phase graph runs on the calling thread in insertion order, which by
+// construction (stage-ordered modules, spine composition) is the serial
+// reference sequence. Tiled (docs/TILES.md): the domain is
+// over-decomposed into z-slab tiles, each (phase x tile) pair is a task,
+// and the graph runs on the work-stealing pool; tile-private accumulator
+// blocks merged in fixed tile order keep results bit-deterministic
+// run-to-run and across worker counts.
 void Simulation::step() {
-  if (cfg_.tiles.enabled) {
-    step_tiled();
-  } else {
-    step_untiled();
-  }
-}
-
-// Both untiled schedulers run the same registry-composed graph: the
-// Sequential scheduler unrolls it on the calling thread in insertion
-// order — which by construction (stage-ordered modules, spine
-// composition) is the legacy serial sequence — and Graph runs it over the
-// async instance pool. Bit-identical either way: every conflicting phase
-// pair is path-ordered to match the serial order
-// (tests/test_step_graph.cpp).
-void Simulation::step_untiled() {
   prof::ScopedRegion step_region("step");
+  const bool tiled = cfg_.tiles.enabled;
+  if (tiled) ensure_tiles();
   StepGraph g = build_step_graph(step_count_ + 1);
   g.validate();
   // Phase bodies' interval seeds and record timestamps read step_count_
-  // post-increment, exactly like the legacy tail.
+  // post-increment.
   ++step_count_;
-  const bool sequential = cfg_.scheduler == StepScheduler::Sequential;
-  if (sequential) {
-    g.execute_serial();
+  if (tiled) {
+    tile_stats_.steal = g.execute_stealing(*steal_pool_);
   } else {
-    g.execute(cfg_.graph_instances);
+    g.execute_serial();
   }
-  for (const PhaseStats& st : g.last_stats()) {
-    if (st.name.starts_with("push[")) {
-      push_seconds_ += st.seconds;
-    } else if (st.name.starts_with("sort[")) {
-      sort_seconds_ += st.seconds;
-    }
-  }
-  if (!sequential) {
-    // The Sequential scheduler keeps the legacy contract of publishing no
-    // per-phase stats (tests/test_step_graph.cpp).
-    last_phase_stats_ = g.last_stats();
-    last_concurrency_peak_ = g.last_concurrency_peak();
-  }
+  last_phase_stats_ = g.last_stats();
+  last_concurrency_peak_ = g.last_concurrency_peak();
+  if (tiled) finish_tiled_step();
 }
 
 StepGraph Simulation::build_step_graph(std::int64_t next_step) {
   StepGraph g;
-  StepComposer c(g, /*serial_chain=*/false);
+  StepComposer c(g);
   ModuleStepContext ctx;
   ctx.next_step = next_step;
+  if (cfg_.tiles.enabled) {
+    ctx.tiled = true;
+    ctx.tiles = &tile_map_;
+    ctx.poll = [this] {
+      if (phase_poll_) phase_poll_();
+    };
+  }
   for (const auto& m : modules_) m->plan(*this, ctx, c);
   return g;
 }
 
-// ---------------------------------------------------------------------
-// Tiled step (docs/TILES.md): the domain is over-decomposed into z-slab
-// tiles, each (phase x tile) pair is a StepGraph task with declared
-// read/write sets, and the graph runs either serially in the reference
-// order (Deterministic: bit-identical to the untiled Sequential step for
-// Auto/Guided) or on the work-stealing pool (Stealing: tile-private
-// accumulator blocks merged in fixed tile order keep results
-// bit-deterministic run-to-run and across worker counts).
-// ---------------------------------------------------------------------
-
 void Simulation::ensure_tiles() {
-  const bool stealing = cfg_.tiles.exec == TileExec::Stealing;
   const int workers = std::max(1, cfg_.tiles.workers);
   const int want =
       cfg_.tiles.count > 0
           ? std::clamp(cfg_.tiles.count, 1, fields_.grid.nz)
           : TileMap::auto_count(fields_.grid, workers);
-  const bool pool_ok =
-      !stealing || (steal_pool_ && steal_pool_->workers() == workers);
+  const bool pool_ok = steal_pool_ && steal_pool_->workers() == workers;
   const bool blocks_ok =
-      !stealing || (tile_acc_.size() == species_.size() &&
-                    (species_.empty() ||
-                     static_cast<int>(tile_acc_.front().size()) == want));
+      tile_acc_.size() == species_.size() &&
+      (species_.empty() ||
+       static_cast<int>(tile_acc_.front().size()) == want);
   if (!tiles_dirty_ && tile_map_.count() == want && pool_ok && blocks_ok)
     return;
 
@@ -161,71 +140,27 @@ void Simulation::ensure_tiles() {
   tile_map_ = TileMap(fields_.grid, want);
   for (auto& sp : species_) bucket_by_tile(sp, tile_map_);
   tile_acc_.clear();
-  if (stealing) {
-    tile_acc_.resize(species_.size());
-    for (auto& per_sp : tile_acc_) {
-      per_sp.reserve(static_cast<std::size_t>(want));
-      for (int t = 0; t < want; ++t)
-        per_sp.emplace_back(fields_.grid, tile_map_, t);
-    }
-    if (!steal_pool_ || steal_pool_->workers() != workers)
-      steal_pool_ =
-          std::make_unique<pk::StealPool>(workers, cfg_.tiles.steal_seed);
+  tile_acc_.resize(species_.size());
+  for (auto& per_sp : tile_acc_) {
+    per_sp.reserve(static_cast<std::size_t>(want));
+    for (int t = 0; t < want; ++t)
+      per_sp.emplace_back(fields_.grid, tile_map_, t);
   }
+  if (!pool_ok)
+    steal_pool_ =
+        std::make_unique<pk::StealPool>(workers, cfg_.tiles.steal_seed);
   tiles_dirty_ = false;
 }
 
-StepGraph Simulation::build_tiled_step_graph(std::int64_t next_step) {
-  StepGraph g;
-  const bool stealing = cfg_.tiles.exec == TileExec::Stealing;
-  // Deterministic mode is the serial reference order: the composer chains
-  // every phase to its predecessor so insertion order IS the schedule
-  // (and validate() passes trivially). Stealing mode composes the real
-  // partial order from the modules' spine/branch/anchor declarations.
-  StepComposer c(g, /*serial_chain=*/!stealing);
-  ModuleStepContext ctx;
-  ctx.next_step = next_step;
-  ctx.tiled = true;
-  ctx.stealing = stealing;
-  ctx.tiles = &tile_map_;
-  ctx.poll = [this] {
-    if (phase_poll_) phase_poll_();
-  };
-  for (const auto& m : modules_) m->plan(*this, ctx, c);
-  return g;
-}
-
-void Simulation::step_tiled() {
-  prof::ScopedRegion step_region("step");
-  ensure_tiles();
-  last_push_paths_.resize(species_.size());
-  tile_push_plans_.assign(species_.size(), {});
-  StepGraph g = build_tiled_step_graph(step_count_ + 1);
-  g.validate();
-  ++step_count_;
-  if (cfg_.tiles.exec == TileExec::Deterministic) {
-    g.execute_serial();
-    tile_stats_.steal = {};
-  } else {
-    tile_stats_.steal = g.execute_stealing(*steal_pool_);
-    // Resolve how per-tile AutoDetect dispatch went (bit per species, set
-    // by any tile that took the run-aware path).
-    if (tiled_runs_used_ && tiled_runs_used_->size() == species_.size())
-      for (std::size_t s = 0; s < species_.size(); ++s)
-        last_push_paths_[s] =
-            (*tiled_runs_used_)[s].load(std::memory_order_relaxed)
-                ? PushPath::RunAware
-                : PushPath::Generic;
-  }
-  last_phase_stats_ = g.last_stats();
-  last_concurrency_peak_ = g.last_concurrency_peak();
-  for (const PhaseStats& st : last_phase_stats_) {
-    if (st.name.starts_with("push[")) {
-      push_seconds_ += st.seconds;
-    } else if (st.name.starts_with("sort")) {
-      sort_seconds_ += st.seconds;
-    }
-  }
+void Simulation::finish_tiled_step() {
+  // Resolve how per-tile AutoDetect dispatch went (bit per species, set
+  // by any tile that took the run-aware path).
+  if (tiled_runs_used_ && tiled_runs_used_->size() == species_.size())
+    for (std::size_t s = 0; s < species_.size(); ++s)
+      last_push_paths_[s] =
+          (*tiled_runs_used_)[s].load(std::memory_order_relaxed)
+              ? PushPath::RunAware
+              : PushPath::Generic;
   // A hook that appended particles leaves them outside every tile range:
   // force a re-bucket before the next step.
   for (const auto& sp : species_)

@@ -55,53 +55,13 @@ double push_cost_per_particle(core::ParticleLayout layout);
 
 namespace vpic::core {
 
-/// How Simulation::step() is executed (docs/ASYNC.md). When
-/// SimulationConfig::tiles.enabled is set the tiled path
-/// (docs/TILES.md) supersedes this knob.
-///   Graph      — the step is built as a validated StepGraph and run over
-///                asynchronous execution instances; independent phases
-///                (interpolator load vs accumulator clear, per-species
-///                sorts) overlap. Bit-identical to Sequential by
-///                construction: every conflicting phase pair is ordered
-///                to match the serial sequence.
-///   Sequential — the legacy straight-line phase sequence, kept as the
-///                reference schedule the equivalence tests compare
-///                against.
-enum class StepScheduler : std::uint8_t { Graph, Sequential };
+// Single-valued and read by nothing: bench/anatomy/step_anatomy.cpp
+// assigns StepScheduler::Sequential, and that benchmark stays unedited.
+enum class StepScheduler : std::uint8_t { Sequential };
 
-inline const char* to_string(StepScheduler s) noexcept {
-  switch (s) {
-    case StepScheduler::Graph:
-      return "graph";
-    case StepScheduler::Sequential:
-      return "sequential";
-  }
-  return "?";
-}
-
-/// How the tiled step executes its (phase x tile) task graph
-/// (docs/TILES.md).
-///   Deterministic — every task runs on the calling thread in the serial
-///                   reference order with deposits into the global
-///                   accumulator: bit-identical to the untiled
-///                   Sequential step (for the per-particle-independent
-///                   Auto/Guided strategies).
-///   Stealing      — tasks run on the work-stealing pool with deposits
-///                   into tile-private accumulator blocks merged in
-///                   fixed tile order: bit-deterministic run-to-run and
-///                   across worker counts, but not bit-identical to the
-///                   sequential order (different float-add grouping).
-enum class TileExec : std::uint8_t { Deterministic, Stealing };
-
-inline const char* to_string(TileExec e) noexcept {
-  switch (e) {
-    case TileExec::Deterministic:
-      return "deterministic";
-    case TileExec::Stealing:
-      return "stealing";
-  }
-  return "?";
-}
+// Single-valued and read by nothing: bench/anatomy/step_anatomy.cpp
+// assigns TileExec::Stealing, and that benchmark stays unedited.
+enum class TileExec : std::uint8_t { Stealing };
 
 /// Tile decomposition of the step (docs/TILES.md). Excluded from
 /// config_fingerprint(): tiling changes scheduling and memory grouping,
@@ -110,8 +70,9 @@ inline const char* to_string(TileExec e) noexcept {
 struct TileConfig {
   bool enabled = false;
   int count = 0;  // z-slab tiles; 0 = auto (4 x workers, clamped to nz)
-  TileExec exec = TileExec::Deterministic;
-  int workers = 2;             // stealing-pool threads (Stealing mode)
+  // Unread; kept because bench/anatomy/step_anatomy.cpp assigns it.
+  TileExec exec = TileExec::Stealing;
+  int workers = 2;             // stealing-pool threads
   std::uint64_t steal_seed = 0x9e3779b97f4a7c15ull;  // victim RNG streams
 };
 
@@ -133,12 +94,8 @@ struct SimulationConfig {
   std::uint32_t sort_tile = 0; // tiled-strided tile size (0: pick default)
   int energy_interval = 0;     // record energies every N steps (0: off)
   std::uint64_t seed = 42;
-  // Step execution: dependency-graph scheduler by default; Sequential is
-  // the legacy reference order (docs/ASYNC.md).
-  StepScheduler scheduler = StepScheduler::Graph;
-  // Concurrent phase limit (pk::Instance pool size) for the Graph
-  // scheduler.
-  std::size_t graph_instances = 2;
+  // Unread; kept because bench/anatomy/step_anatomy.cpp assigns it.
+  StepScheduler scheduler = StepScheduler::Sequential;
   // Periodic checkpointing (docs/CHECKPOINT.md), off by default: every
   // `checkpoint_every` steps write a generation "<checkpoint_path>.g<N>"
   // keeping the newest `checkpoint_keep_last` files. With
@@ -163,7 +120,8 @@ struct SimulationConfig {
   // (docs/MODULES.md, "Tracers").
   std::string tracer_csv_path;
   // Tile-level task decomposition (docs/TILES.md). When enabled, step()
-  // takes the tiled path regardless of `scheduler`.
+  // runs the (phase x tile) graph on the work-stealing pool; otherwise it
+  // runs the phase graph on the calling thread (docs/ASYNC.md).
   TileConfig tiles;
 };
 
@@ -189,7 +147,7 @@ struct TileStepStats {
   int tiles = 0;                    // tile count of the map
   double imbalance = 1.0;           // max/mean particles per tile (worst
                                     // species) at the last bucketing
-  pk::StealStats steal;             // zeroed in Deterministic mode
+  pk::StealStats steal;
   std::size_t concurrency_peak = 0; // phases in flight at once
 };
 
@@ -276,24 +234,6 @@ class Simulation {
     return last_push_paths_;
   }
 
-  /// Time spent in advance_species since construction (seconds) — the
-  /// "particle push" runtime metric of the paper's Figs. 4/7.
-  ///
-  /// Deprecated: this accessor is kept source-compatible for the existing
-  /// benches/tests, but the measurement now comes from the vpic::prof
-  /// "push" region instrumenting step() (docs/PROFILING.md). New code
-  /// should read prof::report() — it has per-region count/min/max/self
-  /// time, and per-kernel breakdowns when VPIC_PROF is enabled.
-  [[nodiscard]] double push_seconds() const { return push_seconds_; }
-
-  /// Time spent re-sorting particles since construction (seconds), kept
-  /// separate from push_seconds() so the sort-interval sweeps can report
-  /// sort cost and push cost independently.
-  ///
-  /// Deprecated: thin wrapper over the prof "sort" region, like
-  /// push_seconds().
-  [[nodiscard]] double sort_seconds() const { return sort_seconds_; }
-
   /// Snapshot of the global profiling state (regions, kernels, view
   /// allocations) — JSON via Report::to_json(), human table via
   /// Report::human_table(). Populated when profiling is enabled
@@ -311,14 +251,16 @@ class Simulation {
     return energy_history_;
   }
 
-  /// Per-phase timings/placements of the most recent Graph-scheduled
-  /// step; empty under the Sequential scheduler.
+  /// Per-phase timings/placements of the most recent step, tiled or not,
+  /// in phase insertion order. Summing the "push[" entries gives the
+  /// step's push time.
   [[nodiscard]] const std::vector<PhaseStats>& last_phase_stats() const {
     return last_phase_stats_;
   }
 
   /// Peak number of phases in flight simultaneously during the most
-  /// recent Graph-scheduled step (>= 2 shows real overlap happened).
+  /// recent step: 1 untiled (phases run one by one on the calling
+  /// thread), up to the worker count tiled.
   [[nodiscard]] std::size_t last_concurrency_peak() const {
     return last_concurrency_peak_;
   }
@@ -337,11 +279,12 @@ class Simulation {
     return tile_stats_;
   }
 
-  /// Tile-granular poll hook: invoked at every phase boundary of the
-  /// tiled step (both executors), on the stepping thread. The farm wires
-  /// its preemption check here so a yield request is *observed* within
-  /// one tile task instead of one whole step; the step still completes —
-  /// a checkpointable boundary — before run_until() actually yields
+  /// Tile-granular poll hook: invoked at the entry of every tiled phase,
+  /// on whichever StealPool worker runs it (so it must be thread-safe);
+  /// the untiled step never calls it. The farm wires its preemption
+  /// check here so a yield request is *observed* within one tile task
+  /// instead of one whole step; the step still completes — a
+  /// checkpointable boundary — before run_until() actually yields
   /// (docs/FARM.md).
   void set_phase_poll(std::function<void()> poll) {
     phase_poll_ = std::move(poll);
@@ -418,8 +361,8 @@ class Simulation {
 
   /// FNV-1a fingerprint of the physics-defining configuration (grid, dt,
   /// strategy, sort plan, seed, species identities). Execution details
-  /// (scheduler, instance counts, checkpoint knobs) are excluded so a
-  /// restore may change them.
+  /// (tiling, checkpoint knobs) are excluded so a restore may change
+  /// them.
   [[nodiscard]] std::uint64_t config_fingerprint() const;
 
   /// Checkpoints committed by this simulation (sync + async) so far.
@@ -439,16 +382,23 @@ class Simulation {
   // use the public accessors instead.
   friend struct PipelineAccess;
 
-  void step_untiled();
-  void step_tiled();
   /// (Re)build the tile map, bucket every species by tile, and size the
   /// per-(species, tile) accumulator blocks + stealing pool. Idempotent
   /// while clean; restore()/injection growth set tiles_dirty_.
   void ensure_tiles();
+  /// Compose this step's graph from the registered modules: per-phase
+  /// when untiled, per (phase x tile) when tiled.
   [[nodiscard]] StepGraph build_step_graph(std::int64_t next_step);
-  [[nodiscard]] StepGraph build_tiled_step_graph(std::int64_t next_step);
+  /// Tiled-step bookkeeping after the graph ran: push paths, re-bucket
+  /// flag, tile telemetry.
+  void finish_tiled_step();
   /// Write the next ring generation per the config (sync or async).
   void checkpoint_to_ring();
+  /// The state of one checkpoint, detached from the live simulation
+  /// (core/checkpoint.cpp): checkpoint() writes it at once,
+  /// checkpoint_async() on the background instance.
+  struct Snapshot;
+  [[nodiscard]] Snapshot snapshot(const std::string& path);
   [[nodiscard]] bool checkpoint_due(std::int64_t at_step) const {
     return cfg_.checkpoint_every > 0 && !cfg_.checkpoint_path.empty() &&
            at_step % cfg_.checkpoint_every == 0;
@@ -462,31 +412,18 @@ class Simulation {
   std::function<void(Simulation&)> injection_hook_;
   EnergyHistory energy_history_;
   std::int64_t step_count_ = 0;
-  // Accumulated by the prof::ScopedRegion sinks in step(); see the
-  // deprecation notes on push_seconds()/sort_seconds().
-  double push_seconds_ = 0;
-  double sort_seconds_ = 0;
   std::vector<PhaseStats> last_phase_stats_;
   std::size_t last_concurrency_peak_ = 0;
   // ---- tile decomposition state (docs/TILES.md) ----------------------
   TileMap tile_map_;
   // Tile-private deposit blocks, [species][tile] — each owned exclusively
-  // by its (species, tile) push task. Only built in Stealing mode;
-  // Deterministic mode deposits straight into acc_.
+  // by its (species, tile) push task.
   std::vector<std::vector<TileAccumulator>> tile_acc_;
   std::unique_ptr<pk::StealPool> steal_pool_;  // pool is non-movable
   bool tiles_dirty_ = true;
   TileStepStats tile_stats_;
   std::function<void()> phase_poll_;
-  // Per-species push plan of the Deterministic tiled step: the GLOBAL
-  // dispatch decision + global run partition, so the per-tile serial
-  // pushes reproduce the untiled kernels' flush grouping bit for bit.
-  struct TilePushPlan {
-    bool use_runs = false;
-    std::vector<std::size_t> run_lo;  // run_lo[t]..run_lo[t+1] of push_runs
-  };
-  std::vector<TilePushPlan> tile_push_plans_;
-  // Stealing-mode "any tile took the run-aware path" bits (one atomic per
+  // Tiled-step "any tile took the run-aware path" bits (one atomic per
   // species), reset by the push module's plan() each tiled step and read
   // after execution to resolve last_push_paths_. Heap-shared because the
   // phase closures outlive neither but Simulation must stay movable.

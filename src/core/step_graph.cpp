@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
 
-#include "pk/instance.hpp"
 #include "prof/prof.hpp"
 
 namespace vpic::core {
@@ -125,102 +123,15 @@ void StepGraph::validate() const {
   validated_ = true;
 }
 
-void StepGraph::execute(std::size_t num_instances) {
-  validate();
-  const std::size_t n = nodes_.size();
-  stats_.assign(n, PhaseStats{});
-  for (std::size_t i = 0; i < n; ++i) stats_[i].name = nodes_[i].phase.name;
-  concurrency_peak_ = 0;
-  if (n == 0) return;
-  num_instances = std::max<std::size_t>(1, std::min(num_instances, n));
-
-  std::vector<pk::Instance<>> pool(num_instances);
-
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<std::size_t> indeg(n, 0);
-  for (const Node& node : nodes_)
-    for (std::size_t v : node.succ) ++indeg[v];
-  // Ready phases kept sorted by insertion id: dispatch order is
-  // deterministic (results never depend on it — validate() proved
-  // conflicting pairs ordered — but stable traces are easier to read).
-  std::vector<std::size_t> ready;
-  for (std::size_t i = 0; i < n; ++i)
-    if (indeg[i] == 0) ready.push_back(i);
-  std::vector<bool> busy(num_instances, false);
-  std::size_t completed = 0, in_flight = 0;
-  std::exception_ptr error;
-
-  std::unique_lock lk(mu);
-  for (;;) {
-    // Dispatch everything currently possible.
-    while (!error && !ready.empty()) {
-      const auto idle =
-          std::find(busy.begin(), busy.end(), false);
-      if (idle == busy.end()) break;
-      const std::size_t slot =
-          static_cast<std::size_t>(idle - busy.begin());
-      const std::size_t id = ready.front();
-      ready.erase(ready.begin());
-      busy[slot] = true;
-      ++in_flight;
-      concurrency_peak_ = std::max(concurrency_peak_, in_flight);
-      Node& node = nodes_[id];
-      stats_[id].instance_id = pool[slot].id();
-      pk::async(pool[slot], node.phase.name.c_str(), [&, id, slot] {
-        const auto t0 = std::chrono::steady_clock::now();
-        std::exception_ptr phase_error;
-        try {
-          prof::ScopedRegion region(nodes_[id].phase.name.c_str());
-          nodes_[id].phase.fn();
-        } catch (...) {
-          phase_error = std::current_exception();
-        }
-        const double secs = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count();
-        std::lock_guard inner(mu);
-        stats_[id].seconds = secs;
-        busy[slot] = false;
-        --in_flight;
-        ++completed;
-        if (phase_error) {
-          if (!error) error = phase_error;
-        } else {
-          for (std::size_t v : nodes_[id].succ)
-            if (--indeg[v] == 0)
-              ready.insert(std::lower_bound(ready.begin(), ready.end(), v),
-                           v);
-        }
-        cv.notify_all();
-      });
-    }
-    if (completed == n) break;
-    if (error && in_flight == 0) break;
-    if (!error && ready.empty() && in_flight == 0)
-      throw std::logic_error("StepGraph: scheduler stalled");  // unreachable
-    cv.wait(lk);
-  }
-  lk.unlock();
-
-  // Quiesce the pool before the instances (and captured state) die; also
-  // surfaces any InstanceImpl-level deferred error.
-  for (auto& inst : pool) inst.fence();
-  if (error) std::rethrow_exception(error);
-}
-
 void StepGraph::execute_serial() {
   validate();
   const std::size_t n = nodes_.size();
   stats_.assign(n, PhaseStats{});
   concurrency_peak_ = n ? 1 : 0;
-  // Insertion order is the legacy serial sequence (drivers add phases in
-  // that order) and always a topological order: add_edge with a
-  // later-before-earlier pair would have made execute() differ from the
-  // serial step, which the bit-identity tests forbid. validate() has
-  // already proven acyclicity; here we additionally require the insertion
-  // order to respect every edge so "serial mode" is *the* reference
-  // order, not merely *a* valid one.
+  // Insertion order is the serial reference sequence (drivers add phases
+  // in that order). validate() has already proven acyclicity; here we
+  // additionally require the insertion order to respect every edge so
+  // the serial order is *the* reference order, not merely *a* valid one.
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t v : nodes_[i].succ)
       if (v < i)

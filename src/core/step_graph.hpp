@@ -13,18 +13,16 @@
 //     an undeclared race is a construction-time std::logic_error, not a
 //     nondeterministic result.
 //
-// execute() then runs the graph over a pool of asynchronous execution
-// instances (pk/instance.hpp): whenever two phases are unordered they may
-// run concurrently on different instances. Because every conflicting pair
-// is ordered — and ordered edges are inserted to match the legacy serial
-// sequence — a graph-scheduled step is bit-identical to the sequential
-// one (tests/test_step_graph.cpp proves this on the LPI deck); the graph
-// only exposes concurrency that cannot change results (e.g. the
-// interpolator load against the accumulator clear, or per-species sorts).
+// Two executors run a validated graph, one per step shape:
+// execute_serial() runs the phases on the calling thread in insertion
+// order (the untiled step, and the serial reference order), and
+// execute_stealing() runs them on a pk::StealPool, where unordered phases
+// may overlap (the tiled step, docs/TILES.md). Because every conflicting
+// pair is ordered, the stealing executor only exposes concurrency the
+// declarations prove safe.
 //
 // This is the shape the task-based PIC ports take (ZPIC on OmpSs-2
-// expresses the step loop as data-dependent tasks) and the enabling layer
-// for the comm/compute overlap of DistributedSimulation (docs/ASYNC.md).
+// expresses the step loop as data-dependent tasks).
 #pragma once
 
 #include <cstdint>
@@ -41,7 +39,7 @@ namespace vpic::core {
 /// One schedulable unit of a step. `reads`/`writes` name abstract
 /// resources (any strings; conventionally "fields.eb", "fields.j",
 /// "interp", "acc", "particles.<species>"). The body runs exactly once
-/// per execute(), on an arbitrary execution instance.
+/// per execution, on the calling thread or a pool worker.
 struct StepPhase {
   std::string name;                 // unique, non-empty
   std::vector<std::string> reads;
@@ -53,11 +51,11 @@ struct StepPhase {
   double cost = 1.0;
 };
 
-/// Per-phase record of the most recent execute().
+/// Per-phase record of the most recent execution.
 struct PhaseStats {
   std::string name;
   double seconds = 0;          // wall time of the phase body
-  std::uint32_t instance_id = 0;  // pk instance that ran it
+  std::uint32_t instance_id = 0;  // StealPool worker that ran it (0 serial)
 };
 
 class StepGraph {
@@ -74,19 +72,14 @@ class StepGraph {
   /// Prove the graph schedulable: acyclic, and every conflicting pair
   /// ordered by a path. Throws std::logic_error naming the offending
   /// cycle member or the racing phase pair and resource. Idempotent;
-  /// execute() calls it if it has not run since the last mutation.
+  /// both executors call it if it has not run since the last mutation.
   void validate() const;
 
-  /// Run all phases respecting the edges, up to `num_instances` phases
-  /// concurrently on separate pk::Instance queues. Rethrows the first
-  /// phase exception after quiescing (remaining phases are not started).
-  void execute(std::size_t num_instances = 2);
-
   /// Run all phases on the CALLING thread, in phase insertion order
-  /// (which by construction is the legacy serial sequence). This is the
-  /// bit-identical deterministic mode of the tiled step: no pool, no
-  /// scheduler, no concurrency — just the validated graph unrolled.
-  /// Still validates and records PhaseStats (instance_id = 0).
+  /// (which by construction is the serial reference sequence). This is
+  /// the untiled step's executor: no pool, no scheduler, no concurrency —
+  /// just the validated graph unrolled. Records PhaseStats
+  /// (instance_id = 0).
   void execute_serial();
 
   /// Run all phases on a work-stealing pool (pk/stealing.hpp). Initially
@@ -101,15 +94,14 @@ class StepGraph {
 
   [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
 
-  /// Wall time + placement of each phase in the most recent execute(),
-  /// in phase insertion order. The driver aggregates these into its
-  /// legacy push/sort second counters.
+  /// Wall time + placement of each phase in the most recent execution,
+  /// in phase insertion order.
   [[nodiscard]] const std::vector<PhaseStats>& last_stats() const noexcept {
     return stats_;
   }
 
   /// Peak number of phases that were in flight simultaneously during the
-  /// most recent execute() — the overlap telemetry for benches/tests.
+  /// most recent execution — the overlap telemetry for benches/tests.
   [[nodiscard]] std::size_t last_concurrency_peak() const noexcept {
     return concurrency_peak_;
   }

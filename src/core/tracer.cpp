@@ -174,8 +174,8 @@ void TracerModule::plan(Simulation& sim, const ModuleStepContext& ctx,
                 },
                 0.0});
   c.edge(c.anchor("interp_ready"), "tracer");
-  if (ctx.tiled && ctx.stealing) {
-    // Stealing mode has no spine tail yet at the Push stage: order the
+  if (ctx.tiled) {
+    // The tiled step has no spine tail yet at the Push stage: order the
     // particle-read conflict against the source species' tile pushes
     // explicitly.
     for (int t = 0; t < ctx.tiles->count(); ++t)

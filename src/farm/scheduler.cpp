@@ -233,7 +233,6 @@ SliceOutcome Scheduler::run_slice(Job& j, bool restore_from_ring,
       if (workers > 0) {
         auto& t = j.sim->config().tiles;
         t.enabled = true;
-        t.exec = core::TileExec::Stealing;
         t.workers = workers;
         if (tiles > 0) t.count = tiles;
         prof::counter_add("farm.rescale_applied");

@@ -186,10 +186,17 @@ StealStats StealPool::run() {
   }
   im.first_error = nullptr;
 
+  // Tasks run under the caller's prof counter prefix, so counters fired
+  // inside them land where the caller's own do (a farm job's
+  // "job.<name>." namespace).
+  const std::string prefix = vpic::prof::counter_prefix();
   const int n = workers();
   for (int w = 0; w < n; ++w)
     pk::async(im.instances[static_cast<std::size_t>(w)], "steal.drain",
-              [&im, w] { im.drain(w); });
+              [&im, &prefix, w] {
+                const vpic::prof::CounterScope scope(prefix);
+                im.drain(w);
+              });
   for (int w = 0; w < n; ++w) im.instances[static_cast<std::size_t>(w)].fence();
 
   StealStats s;

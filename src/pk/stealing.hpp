@@ -18,12 +18,13 @@
 // Determinism note: the pool never promises an execution *order* — tiled
 // physics stays bit-deterministic because deposits go to tile-private
 // accumulator blocks merged in fixed tile order, not because of anything
-// the scheduler does. The bit-identical sequential mode bypasses this
-// pool entirely (StepGraph::execute_serial).
+// the scheduler does. The untiled step bypasses this pool entirely
+// (StepGraph::execute_serial).
 //
 // Counters (fired from run(), on the caller's thread, so a farm job's
 // prof::CounterScope prefix applies): steal.attempts, steal.hits,
-// steal.tasks_moved, steal.idle_us, steal.tasks_run.
+// steal.tasks_moved, steal.idle_us, steal.tasks_run. Tasks run under the
+// caller's counter prefix too, for the duration of the round.
 
 #include <cstdint>
 #include <deque>

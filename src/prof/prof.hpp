@@ -22,7 +22,6 @@
 // per region or dispatch.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -88,29 +87,13 @@ class CounterScope {
   std::string prev_;
 };
 
-/// RAII region. The optional `sink` accumulates the region's wall time
-/// even when profiling is off — it is how Simulation keeps its legacy
-/// push_seconds()/sort_seconds() accessors live at zero configuration.
+/// RAII region: push_region on construction, pop_region on destruction.
 class ScopedRegion {
  public:
-  explicit ScopedRegion(const char* name, double* sink = nullptr)
-      : sink_(sink) {
-    if (sink_) start_ = std::chrono::steady_clock::now();
-    push_region(name);
-  }
-  ~ScopedRegion() {
-    pop_region();
-    if (sink_)
-      *sink_ += std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start_)
-                    .count();
-  }
+  explicit ScopedRegion(const char* name) { push_region(name); }
+  ~ScopedRegion() { pop_region(); }
   ScopedRegion(const ScopedRegion&) = delete;
   ScopedRegion& operator=(const ScopedRegion&) = delete;
-
- private:
-  double* sink_;
-  std::chrono::steady_clock::time_point start_{};
 };
 
 /// Aggregated statistics for one region path.
@@ -162,8 +145,7 @@ struct Report {
 void reset();
 
 /// Total inclusive seconds of every region whose path's last segment (or
-/// whole path) equals `name` — the "thin wrapper" backing for legacy
-/// accessors like Simulation::push_seconds.
+/// whole path) equals `name`.
 [[nodiscard]] double region_total_seconds(const std::string& name);
 
 /// Serialize the collected trace in chrome://tracing "Trace Event" JSON.

@@ -38,9 +38,8 @@ class PkEnv : public ::testing::Environment {
  public:
   // One kernel thread: the bit-identity suites compare raw bytes, and
   // with >1 OpenMP threads the float-atomic current deposits are
-  // nondeterministic even between two sequential runs. Instance worker
-  // threads (graph scheduler, async checkpoint writer) are independent of
-  // this setting.
+  // nondeterministic even between two sequential runs. The async
+  // checkpoint writer's instance thread is independent of this setting.
   void SetUp() override { pk::initialize(1); }
 };
 [[maybe_unused]] const auto* const env =
@@ -683,14 +682,13 @@ TEST(SimCkpt, AsyncWriteFailureSurfacesAtWait) {
   EXPECT_THROW(sim.checkpoint_wait(), ckpt::RestoreError);
 }
 
-TEST(SimCkpt, PeriodicRingUnderBothSchedulers) {
-  for (auto sched :
-       {core::StepScheduler::Sequential, core::StepScheduler::Graph}) {
-    SCOPED_TRACE(core::to_string(sched));
-    const auto dir =
-        scratch(std::string("periodic_") + core::to_string(sched));
+TEST(SimCkpt, PeriodicRingUnderBothStepShapes) {
+  for (const bool tiled : {false, true}) {
+    const std::string shape = tiled ? "tiled" : "untiled";
+    SCOPED_TRACE(shape);
+    const auto dir = scratch("periodic_" + shape);
     auto sim = make_lpi_small();
-    sim.config().scheduler = sched;
+    sim.config().tiles.enabled = tiled;
     sim.config().checkpoint_every = 5;
     sim.config().checkpoint_path = (dir / "ck").string();
     sim.config().checkpoint_keep_last = 2;
@@ -701,7 +699,7 @@ TEST(SimCkpt, PeriodicRingUnderBothSchedulers) {
     EXPECT_EQ(ring.generations(), (std::vector<std::uint64_t>{2, 3}));
 
     auto fresh = make_lpi_small();
-    fresh.config().scheduler = sched;
+    fresh.config().tiles.enabled = tiled;
     const auto used = fresh.restore_latest((dir / "ck").string());
     EXPECT_EQ(used, ring.path_for(3));
     EXPECT_EQ(fresh.step_count(), 20);
@@ -737,24 +735,21 @@ TEST(SimCkpt, PeriodicRingAsyncKeepsEveryGenerationDistinct) {
   EXPECT_EQ(fresh.step_count(), 10);
 }
 
-TEST(SimCkpt, GraphCkptPhaseResumeIsBitIdentical) {
-  // The graph-scheduled "ckpt" phase (declared read set, validated
-  // race-free by StepGraph::validate inside step()) must capture exactly
-  // the sequential tail's state: resume from a mid-run graph checkpoint
-  // and land bit-identical to an uninterrupted graph run.
-  const auto dir = scratch("graph_resume");
+TEST(SimCkpt, CkptPhaseResumeIsBitIdentical) {
+  // The "ckpt" phase (declared read set, validated race-free by
+  // StepGraph::validate inside step()) must capture exactly the state at
+  // the end of its step: resume from a mid-run periodic checkpoint and
+  // land bit-identical to an uninterrupted run.
+  const auto dir = scratch("ckpt_phase_resume");
   auto ref = make_lpi_small();
-  ref.config().scheduler = core::StepScheduler::Graph;
   ref.run(40);
 
   auto victim = make_lpi_small();
-  victim.config().scheduler = core::StepScheduler::Graph;
   victim.config().checkpoint_every = 20;
   victim.config().checkpoint_path = (dir / "ck").string();
   victim.run(25);
 
   auto resumed = make_lpi_small();
-  resumed.config().scheduler = core::StepScheduler::Graph;
   const auto used = resumed.restore_latest((dir / "ck").string());
   EXPECT_EQ(used, (dir / "ck.g0").string());
   EXPECT_EQ(resumed.step_count(), 20);

@@ -272,7 +272,6 @@ TEST(CollisionModule, BitDeterministicAcrossWorkerCounts) {
   for (const int workers : {1, 2, 4, 8}) {
     auto sim = make_colliding_lpi();
     sim.config().tiles.enabled = true;
-    sim.config().tiles.exec = core::TileExec::Stealing;
     sim.config().tiles.workers = workers;
     sim.config().tiles.count = 4;  // fixed: the tile cut is part of the key
     sim.run(30);
@@ -297,9 +296,8 @@ TEST(CollisionModule, BitDeterministicAcrossWorkerCounts) {
   }
 }
 
-TEST(CollisionModule, GraphSchedulerRunsCollidePhases) {
+TEST(CollisionModule, UntiledStepPublishesCollidePhases) {
   auto sim = make_colliding_lpi();
-  sim.config().scheduler = core::StepScheduler::Graph;
   sim.step();
   bool saw_collide = false;
   for (const auto& st : sim.last_phase_stats())

@@ -587,6 +587,11 @@ TEST(FarmProf, JobsRecordScopedSliceCounters) {
   ASSERT_EQ(st->state, farm::JobState::Completed);
   EXPECT_GE(prof::counter_value("job.ctrjob.farm.slice"),
             static_cast<std::uint64_t>(st->slices));
+  // The untiled step runs its phases on the job's worker thread, inside
+  // the slice's CounterScope, so the push dispatch counters are the job's.
+  EXPECT_GE(prof::counter_value("job.ctrjob.push.dispatch.generic") +
+                prof::counter_value("job.ctrjob.push.dispatch.run_aware"),
+            1u);
 }
 
 TEST(FarmProf, TiledStealingJobExportsStealCountersInStatusPayload) {
@@ -601,7 +606,6 @@ TEST(FarmProf, TiledStealingJobExportsStealCountersInStatusPayload) {
     auto sim = make_lpi_small(7);
     sim.config().tiles.enabled = true;
     sim.config().tiles.count = 2;
-    sim.config().tiles.exec = core::TileExec::Stealing;
     sim.config().tiles.workers = 2;
     return sim;
   };
@@ -611,10 +615,14 @@ TEST(FarmProf, TiledStealingJobExportsStealCountersInStatusPayload) {
   ASSERT_TRUE(st.has_value());
   ASSERT_EQ(st->state, farm::JobState::Completed) << st->error;
   // StealPool::run() reports steal.* on the calling (stepping) thread,
-  // inside the slice's CounterScope — so pool telemetry for a tiled job
-  // lands in the job's namespace without any farm-side plumbing.
+  // inside the slice's CounterScope, and runs its workers under the same
+  // prefix — so pool telemetry and the counters fired inside tile tasks
+  // land in the job's namespace without any farm-side plumbing.
   EXPECT_GE(prof::counter_value("job.tiledjob.steal.tasks_run"), 1u);
   EXPECT_GE(prof::counter_value("job.tiledjob.tiles.step"), 12u);
+  EXPECT_GE(prof::counter_value("job.tiledjob.push.dispatch.generic") +
+                prof::counter_value("job.tiledjob.push.dispatch.run_aware"),
+            1u);
   // And the status envelope carries them per job (prefix stripped).
   farm::StatusBus bus(s, 0);
   const std::string payload = bus.handle_command("status");

@@ -1,10 +1,9 @@
 // Tests for the composable physics-module registry (core/module.hpp,
 // docs/MODULES.md): registration semantics (stage ordering, duplicate
-// rejection, lookup), the headline refactor guarantee — the
-// registry-composed step is bit-identical across the Sequential, Graph,
-// and tiled execution shapes exactly as the pre-registry builders were —
-// plus the TracerModule plug-in (composition in every shape, trajectory
-// sampling, checkpoint round-trip) and module-section forward
+// rejection, lookup), the registry-composed tiled step's bit-determinism
+// across worker counts, the TracerModule plug-in (composition in both
+// step shapes, trajectory sampling, checkpoint round-trip) and
+// module-section forward
 // compatibility (unknown sections skip with a typed report; files that
 // predate a module clear its state).
 #include <gtest/gtest.h>
@@ -155,59 +154,27 @@ TEST(ModuleRegistry, ModuleRngIsPerModuleAndSeeded) {
 }
 
 // ----------------------------------------------------------------------
-// The refactor guarantee: generic composition reproduces the legacy step
-// bit-for-bit in every execution shape (100 LPI steps, energies +
+// The composition guarantee of the tiled shape: 100 registry-composed LPI
+// steps are bit-identical at 1, 2 and 4 stealing workers (energies +
 // particle bytes).
 // ----------------------------------------------------------------------
 
-TEST(ModuleStep, SequentialAndGraphBitIdentical100Steps) {
-  auto ref = make_lpi_small();
-  ref.config().scheduler = core::StepScheduler::Sequential;
-  auto graph = make_lpi_small();
-  graph.config().scheduler = core::StepScheduler::Graph;
-  for (int i = 0; i < 100; ++i) {
-    ref.step();
-    graph.step();
+TEST(ModuleStep, TiledStepBitIdenticalAcrossWorkerCounts100Steps) {
+  const auto run = [](int workers) {
+    auto sim = make_lpi_small();
+    sim.config().tiles.enabled = true;
+    sim.config().tiles.count = 4;
+    sim.config().tiles.workers = workers;
+    sim.run(100);
+    return sim;
+  };
+  auto ref = run(1);
+  for (const int workers : {2, 4}) {
+    auto sim = run(workers);
+    EXPECT_TRUE(same_particles(ref, sim)) << workers << " workers";
+    EXPECT_EQ(ref.energies().field, sim.energies().field)
+        << workers << " workers";
   }
-  EXPECT_TRUE(same_particles(ref, graph));
-  const auto ea = ref.energies(), eb = graph.energies();
-  EXPECT_EQ(ea.field, eb.field);
-  ASSERT_EQ(ea.species.size(), eb.species.size());
-  for (std::size_t s = 0; s < ea.species.size(); ++s)
-    EXPECT_EQ(ea.species[s], eb.species[s]);
-}
-
-TEST(ModuleStep, TiledShapesBitIdentical100Steps) {
-  auto ref = make_lpi_small();
-  ref.config().scheduler = core::StepScheduler::Sequential;
-
-  auto det = make_lpi_small();
-  det.config().tiles.enabled = true;
-  det.config().tiles.exec = core::TileExec::Deterministic;
-
-  auto steal2 = make_lpi_small();
-  steal2.config().tiles.enabled = true;
-  steal2.config().tiles.exec = core::TileExec::Stealing;
-  steal2.config().tiles.workers = 2;
-
-  auto steal4 = make_lpi_small();
-  steal4.config().tiles.enabled = true;
-  steal4.config().tiles.exec = core::TileExec::Stealing;
-  steal4.config().tiles.workers = 4;
-
-  for (int i = 0; i < 100; ++i) {
-    ref.step();
-    det.step();
-    steal2.step();
-    steal4.step();
-  }
-  // Deterministic tiling is the untiled reference order re-cut into tile
-  // tasks: bit-identical to Sequential. Stealing is bit-deterministic
-  // across worker counts.
-  EXPECT_TRUE(same_particles(ref, det));
-  EXPECT_TRUE(same_particles(steal2, steal4));
-  EXPECT_EQ(det.energies().field, ref.energies().field);
-  EXPECT_EQ(steal2.energies().field, steal4.energies().field);
 }
 
 // ----------------------------------------------------------------------
@@ -258,47 +225,33 @@ TEST(TracerModule, BitIdenticalAcrossExecutionShapes) {
   tp.max_tracers = 16;
   tp.sample_interval = 1;
 
-  auto seq = make_lpi_small();
-  seq.config().scheduler = core::StepScheduler::Sequential;
-  auto& t_seq = seq.add_module<core::TracerModule>(tp);
-
-  auto graph = make_lpi_small();
-  auto& t_graph = graph.add_module<core::TracerModule>(tp);
-
-  auto det = make_lpi_small();
-  det.config().tiles.enabled = true;
-  auto& t_det = det.add_module<core::TracerModule>(tp);
-
-  auto steal2 = make_lpi_small();
-  steal2.config().tiles.enabled = true;
-  steal2.config().tiles.exec = core::TileExec::Stealing;
-  steal2.config().tiles.workers = 2;
-  auto& t_steal2 = steal2.add_module<core::TracerModule>(tp);
-
-  auto steal4 = make_lpi_small();
-  steal4.config().tiles.enabled = true;
-  steal4.config().tiles.exec = core::TileExec::Stealing;
-  steal4.config().tiles.workers = 4;
-  auto& t_steal4 = steal4.add_module<core::TracerModule>(tp);
-
-  for (int i = 0; i < 40; ++i) {
-    seq.step();
-    graph.step();
-    det.step();
-    steal2.step();
-    steal4.step();
+  // Tiled: the tracers shadow a plasma that is bit-identical at every
+  // worker count, so their samples are too.
+  std::vector<std::byte> ref;
+  for (const int workers : {1, 2, 4}) {
+    auto sim = make_lpi_small();
+    sim.config().tiles.enabled = true;
+    sim.config().tiles.count = 4;
+    sim.config().tiles.workers = workers;
+    auto& tracer = sim.add_module<core::TracerModule>(tp);
+    sim.run(40);
+    if (workers == 1) {
+      ref = tracer_bytes(tracer);
+    } else {
+      EXPECT_EQ(ref, tracer_bytes(tracer)) << workers << " workers";
+    }
   }
-  // Sequential, Graph, and Deterministic tiling run the same float
-  // stream; Stealing's block-merged deposits differ in the last ulp from
-  // the untiled step, so its guarantee is determinism across worker
-  // counts, not cross-shape identity (docs/TILES.md).
-  const auto ref = tracer_bytes(t_seq);
   EXPECT_FALSE(ref.empty());
-  EXPECT_EQ(ref, tracer_bytes(t_graph));
-  EXPECT_EQ(ref, tracer_bytes(t_det));
-  EXPECT_EQ(tracer_bytes(t_steal2), tracer_bytes(t_steal4));
-  // The plasma itself is untouched by passive tracers.
-  EXPECT_TRUE(same_particles(seq, graph));
+
+  // Untiled: as many tracers and samples, and the plasma itself is
+  // untouched by passive tracers.
+  auto with = make_lpi_small();
+  auto& t_untiled = with.add_module<core::TracerModule>(tp);
+  auto without = make_lpi_small();
+  with.run(40);
+  without.run(40);
+  EXPECT_EQ(tracer_bytes(t_untiled).size(), ref.size());
+  EXPECT_TRUE(same_particles(with, without));
 }
 
 // ----------------------------------------------------------------------

@@ -3,7 +3,8 @@
 // unbalanced/open region accounting, chrome://tracing output
 // well-formedness (parsed with a minimal JSON parser below), the <1%
 // disabled-dispatch overhead contract of pk/prof_hooks.hpp, and View
-// allocation event pairing / pk::view_alloc_count delegation.
+// allocation event pairing / pk::view_alloc_count delegation, and the
+// untiled step's phase regions nesting under "step".
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -14,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "core/decks.hpp"
+#include "core/simulation.hpp"
 #include "pk/pk.hpp"
 #include "prof/prof.hpp"
 
@@ -276,17 +279,23 @@ TEST(ProfRegions, OpenRegionsAreReported) {
   EXPECT_EQ(prof::report().open_regions, 0u);
 }
 
-TEST(ProfRegions, SinkAccumulatesWithProfilingOff) {
-  prof::disable();
-  prof::reset();  // drop stats accumulated by earlier tests
-  double sink = 0;
-  {
-    prof::ScopedRegion r("legacy_timer", &sink);
-    busy_wait(1e-3);
-  }
-  EXPECT_GE(sink, 0.9e-3);
-  // And nothing was recorded, since no handlers are installed.
-  EXPECT_EQ(prof::report().regions.size(), 0u);
+TEST(ProfRegions, UntiledStepNestsPhasesUnderStep) {
+  // The untiled step runs its phases on the calling thread, so each phase
+  // region nests under the "step" region that opened it.
+  setenv("VPIC_TUNE", "off", 1);
+  vpic::core::decks::LpiParams p;
+  p.nx = 8;
+  p.ny = 4;
+  p.nz = 4;
+  p.ppc = 2;
+  vpic::core::Simulation sim = vpic::core::decks::make_lpi(p);
+  ProfSession session(prof::Mode::Summary);
+  sim.step();
+  const prof::Report r = prof::report();
+  const auto* push = find_region(r, "step/push[electron]");
+  ASSERT_NE(push, nullptr);
+  EXPECT_EQ(push->count, 1u);
+  EXPECT_NE(find_region(r, "step/field_advance"), nullptr);
 }
 
 TEST(ProfRegions, RegionTotalSecondsMatchesLastSegment) {

@@ -2,15 +2,16 @@
 // docs/TILES.md): tile geometry, bucket/sort equivalence with the global
 // stable voxel sort, seam correctness of tile-private accumulator blocks
 // (boundary, corner, reflecting-wall crossings vs the untiled reference),
-// the work-stealing pool, the stealing StepGraph executor, and the two
-// headline guarantees — the Deterministic tiled mode is bit-identical to
-// the untiled Sequential step over 100 LPI steps, and the Stealing mode
-// is bit-deterministic across worker counts.
+// the work-stealing pool, the serial and stealing StepGraph executors,
+// and the tiled step's two guarantees — bit-deterministic across 1, 2 and
+// 4 workers over 100 steps, and within a stated tolerance of the untiled
+// step (docs/ASYNC.md, "Determinism").
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <thread>
 #include <map>
@@ -84,8 +85,9 @@ void expect_bitwise_equal(core::Simulation& a, core::Simulation& b) {
 // 4-ulp comparison, not bitwise: this test TU inlines move_p twice (once
 // per accumulator type) and -ffp-contract=fast may fuse multiply-adds
 // differently in each expansion. The production push TU instantiates both
-// paths together, and its bit-identity is proven end-to-end by the
-// TiledStep.*BitIdentical* tests below; here we verify the *seam physics*
+// paths together; the end-to-end check is
+// TiledStep.MatchesUntiledWithinTolerance below. Here we verify the
+// *seam physics*
 // (deposits in the right voxels with the right values).
 void expect_acc_equal(const core::AccumulatorArray& x,
                       const core::AccumulatorArray& y) {
@@ -189,9 +191,8 @@ TEST(BucketByTile, PartitionsByTileStably) {
 }
 
 TEST(BucketByTile, AscendingVoxelOrderIsIdentityPermutation) {
-  // The bit-identity guarantee of the Deterministic mode rests on this:
-  // decks load particles in ascending voxel order, so the initial bucket
-  // must not move anything.
+  // Decks load particles in ascending voxel order, so the initial bucket
+  // must not move anything: a tiled run starts from the untiled order.
   const core::Grid g(4, 4, 8, 4, 4, 8, 0.1f);
   const core::TileMap tm(g, 3);
   core::Species sp("e", -1.0f, 1.0f, 600);
@@ -548,84 +549,95 @@ TEST(ClumpedDeck, ClumpingConcentratesParticlesNotCharge) {
 }
 
 // ----------------------------------------------------------------------
-// Tiled simulation: determinism-mode bit-identity, stealing-mode
-// bit-determinism across worker counts, telemetry, per-tile staleness.
+// Tiled simulation: bit-determinism across worker counts, agreement with
+// the untiled step, telemetry, per-tile staleness.
 // ----------------------------------------------------------------------
 
-TEST(TiledStep, DeterministicModeBitIdenticalToUntiledOver100Steps) {
-  core::decks::LpiParams p;
-  p.nx = 12;
-  p.ny = 6;
-  p.nz = 6;
-  p.ppc = 4;
-  core::Simulation tiled = core::decks::make_lpi(p);
-  core::Simulation ref = core::decks::make_lpi(p);
-  tiled.config().tiles.enabled = true;
-  tiled.config().tiles.count = 3;
-  tiled.config().tiles.exec = core::TileExec::Deterministic;
-  tiled.config().energy_interval = 10;
-  ref.config().scheduler = core::StepScheduler::Sequential;
-  ref.config().energy_interval = 10;
+namespace {
 
-  // 100 steps crosses the sort interval (20) several times, so the tiled
-  // bucket + per-tile sort path is exercised against the global sort.
-  tiled.run(100);
-  ref.run(100);
-  EXPECT_EQ(tiled.step_count(), 100);
-  expect_bitwise_equal(tiled, ref);
+struct TiledDeck {
+  const char* name;
+  core::decks::LpiParams params;
+  int tiles;
+};
 
-  const auto& ha = tiled.energy_history();
-  const auto& hb = ref.energy_history();
-  ASSERT_EQ(ha.size(), hb.size());
-  ASSERT_GT(ha.size(), 0u);
-  for (std::size_t i = 0; i < ha.size(); ++i) {
-    EXPECT_EQ(ha.step(i), hb.step(i));
-    EXPECT_EQ(ha.field(i), hb.field(i));
-    EXPECT_EQ(ha.kinetic(i), hb.kinetic(i));
+// The 12x6x6 LPI deck, and a clumped one whose uneven tiles make the pool
+// steal.
+std::vector<TiledDeck> tiled_decks() {
+  core::decks::LpiParams lpi;
+  lpi.nx = 12;
+  lpi.ny = 6;
+  lpi.nz = 6;
+  lpi.ppc = 4;
+  core::decks::LpiParams clumped;
+  clumped.nx = 8;
+  clumped.ny = 4;
+  clumped.nz = 8;
+  clumped.ppc = 4;
+  clumped.clump_factor = 4.0f;
+  return {{"lpi", lpi, 3}, {"clumped", clumped, 4}};
+}
+
+// 100 steps cross the sort interval (20) several times, so bucketing and
+// the per-tile sorts run, and energy_interval = 10 samples the history.
+// workers = 0 runs the untiled step.
+core::Simulation run_100(const TiledDeck& d, int workers) {
+  core::Simulation sim = core::decks::make_lpi(d.params);
+  sim.config().energy_interval = 10;
+  if (workers > 0) {
+    sim.config().tiles.enabled = true;
+    sim.config().tiles.count = d.tiles;
+    sim.config().tiles.workers = workers;
+  }
+  sim.run(100);
+  return sim;
+}
+
+}  // namespace
+
+TEST(TiledStep, BitDeterministicAcrossWorkerCounts) {
+  for (const TiledDeck& d : tiled_decks()) {
+    SCOPED_TRACE(d.name);
+    core::Simulation ref = run_100(d, 1);
+    const auto& ha = ref.energy_history();
+    ASSERT_GT(ha.size(), 0u);
+    for (const int workers : {2, 4}) {
+      SCOPED_TRACE(std::to_string(workers) + " workers");
+      core::Simulation sim = run_100(d, workers);
+      EXPECT_GT(sim.last_tile_stats().steal.tasks_run, 0u);
+      expect_bitwise_equal(ref, sim);
+      const auto& hb = sim.energy_history();
+      ASSERT_EQ(ha.size(), hb.size());
+      for (std::size_t i = 0; i < ha.size(); ++i) {
+        EXPECT_EQ(ha.step(i), hb.step(i));
+        EXPECT_EQ(ha.field(i), hb.field(i));
+        EXPECT_EQ(ha.kinetic(i), hb.kinetic(i));
+      }
+    }
   }
 }
 
-TEST(TiledStep, DeterministicModeBitIdenticalOnClumpedDeck) {
-  core::decks::LpiParams p;
-  p.nx = 8;
-  p.ny = 4;
-  p.nz = 8;
-  p.ppc = 4;
-  p.clump_factor = 4.0f;
-  core::Simulation tiled = core::decks::make_lpi(p);
-  core::Simulation ref = core::decks::make_lpi(p);
-  tiled.config().tiles.enabled = true;
-  tiled.config().tiles.count = 4;
-  tiled.config().tiles.exec = core::TileExec::Deterministic;
-  ref.config().scheduler = core::StepScheduler::Sequential;
-  tiled.run(40);
-  ref.run(40);
-  expect_bitwise_equal(tiled, ref);
-}
-
-TEST(TiledStep, StealingModeBitDeterministicAcrossWorkerCounts) {
-  core::decks::LpiParams p;
-  p.nx = 8;
-  p.ny = 4;
-  p.nz = 8;
-  p.ppc = 4;
-  p.clump_factor = 4.0f;
-
-  auto run_with = [&p](int workers) {
-    core::Simulation sim = core::decks::make_lpi(p);
-    sim.config().tiles.enabled = true;
-    sim.config().tiles.count = 4;
-    sim.config().tiles.exec = core::TileExec::Stealing;
-    sim.config().tiles.workers = workers;
-    sim.run(40);
-    return sim;
+TEST(TiledStep, MatchesUntiledWithinTolerance) {
+  // Tile-private blocks add the deposits in another float grouping than
+  // the untiled step, so the shapes agree to a tolerance, not bit for bit
+  // (docs/ASYNC.md, "Determinism").
+  const auto rel = [](double a, double b) {
+    return std::abs(a - b) / std::abs(b);
   };
-  core::Simulation a = run_with(2);
-  core::Simulation b = run_with(4);
-  core::Simulation c = run_with(2);  // same worker count, fresh run
-  expect_bitwise_equal(a, b);
-  expect_bitwise_equal(a, c);
-  EXPECT_GT(a.last_tile_stats().steal.tasks_run, 0u);
+  for (const TiledDeck& d : tiled_decks()) {
+    SCOPED_TRACE(d.name);
+    core::Simulation untiled = run_100(d, 0);
+    core::Simulation tiled = run_100(d, 2);
+    ASSERT_EQ(tiled.num_species(), untiled.num_species());
+    for (std::size_t s = 0; s < untiled.num_species(); ++s)
+      EXPECT_EQ(tiled.species(s).np, untiled.species(s).np);
+    const core::EnergyReport eu = untiled.energies();
+    const core::EnergyReport et = tiled.energies();
+    EXPECT_LT(rel(et.field, eu.field), 1e-5);
+    for (std::size_t s = 0; s < eu.species.size(); ++s)
+      EXPECT_LT(rel(et.species[s], eu.species[s]), 1e-5) << "species " << s;
+    EXPECT_LT(rel(et.total(), eu.total()), 1e-6);
+  }
 }
 
 TEST(TiledStep, PublishesTileTelemetry) {
@@ -638,7 +650,6 @@ TEST(TiledStep, PublishesTileTelemetry) {
   core::Simulation sim = core::decks::make_lpi(p);
   sim.config().tiles.enabled = true;
   sim.config().tiles.count = 4;
-  sim.config().tiles.exec = core::TileExec::Stealing;
   sim.config().tiles.workers = 2;
   sim.step();
   const auto& st = sim.last_tile_stats();
@@ -664,7 +675,6 @@ TEST(TiledStep, PerTileSortednessAgesAndResetsAtSortSteps) {
   core::Simulation sim = core::decks::make_lpi(p);
   sim.config().tiles.enabled = true;
   sim.config().tiles.count = 3;
-  sim.config().tiles.exec = core::TileExec::Stealing;
   sim.config().tiles.workers = 2;
   sim.config().sort_interval = 5;
 
@@ -687,7 +697,6 @@ TEST(TiledStep, PhasePollFiresAtTileGranularity) {
   core::Simulation sim = core::decks::make_lpi(p);
   sim.config().tiles.enabled = true;
   sim.config().tiles.count = 4;
-  sim.config().tiles.exec = core::TileExec::Deterministic;
   std::atomic<int> polls{0};
   sim.set_phase_poll([&polls] { polls++; });
   sim.step();
