@@ -1,25 +1,31 @@
 #include "pk/config.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <thread>
 
 namespace vpic::pk {
 
 namespace {
-int g_threads = 0;  // 0 = uninitialized
+std::atomic<int> g_threads{0};  // 0 = uninitialized
 }
 
 int concurrency() noexcept {
 #if PK_HAVE_OPENMP
-  return omp_get_max_threads();
+  // An initialized count binds every thread's kernels, not only the
+  // caller's: OpenMP keeps omp_set_num_threads per thread, so farm
+  // workers, minimpi ranks and instance threads would otherwise size
+  // their teams from the environment.
+  const int bound = g_threads.load(std::memory_order_relaxed);
+  return bound > 0 ? bound : omp_get_max_threads();
 #else
   return std::max(1u, std::thread::hardware_concurrency());
 #endif
 }
 
 void initialize() noexcept {
-  if (g_threads > 0) return;
+  if (g_threads.load(std::memory_order_relaxed) > 0) return;
   // Honor OMP_NUM_THREADS if set; else use all hardware threads.
   const char* env = std::getenv("OMP_NUM_THREADS");
   int nt = env ? std::atoi(env) : 0;
@@ -28,12 +34,13 @@ void initialize() noexcept {
 }
 
 void initialize(int num_threads) noexcept {
-  g_threads = std::max(1, num_threads);
+  const int nt = std::max(1, num_threads);
+  g_threads.store(nt, std::memory_order_relaxed);
 #if PK_HAVE_OPENMP
-  omp_set_num_threads(g_threads);
+  omp_set_num_threads(nt);
 #endif
 }
 
-void finalize() noexcept { g_threads = 0; }
+void finalize() noexcept { g_threads.store(0, std::memory_order_relaxed); }
 
 }  // namespace vpic::pk

@@ -47,11 +47,13 @@
 
 namespace vpic::pk {
 
-/// Number of hardware threads the OpenMP host backend will use.
+/// Number of threads each OpenMP host kernel uses: once initialized, the
+/// initialize() count on every thread that launches one; before that, the
+/// calling thread's omp_get_max_threads().
 int concurrency() noexcept;
 
-/// Runtime initialization (mirrors Kokkos::initialize; binds thread count).
-/// Safe to call multiple times.
+/// Runtime initialization (mirrors Kokkos::initialize; binds the kernel
+/// thread count of every thread). Safe to call multiple times.
 void initialize() noexcept;
 void initialize(int num_threads) noexcept;
 

@@ -22,9 +22,10 @@ struct Serial {
 
 struct OpenMP {
   static constexpr const char* name() noexcept { return "OpenMP"; }
+  /// Team size of every OpenMP kernel, on whichever thread launches it.
   static int concurrency() noexcept {
 #if PK_HAVE_OPENMP
-    return omp_get_max_threads();
+    return pk::concurrency();
 #else
     return 1;
 #endif

@@ -39,7 +39,7 @@ PK_INLINE void for_impl(const RangePolicy<Serial>& p, const Functor& f) {
 template <class Functor>
 PK_INLINE void for_impl(const RangePolicy<OpenMP>& p, const Functor& f) {
 #if PK_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) num_threads(OpenMP::concurrency())
   for (index_t i = p.begin; i < p.end; ++i) f(i);
 #else
   PK_IVDEP
@@ -56,7 +56,8 @@ PK_INLINE void for_impl(const MDRangePolicy2<Serial>& p, const Functor& f) {
 template <class Functor>
 PK_INLINE void for_impl(const MDRangePolicy2<OpenMP>& p, const Functor& f) {
 #if PK_HAVE_OPENMP
-#pragma omp parallel for collapse(2) schedule(static)
+#pragma omp parallel for collapse(2) schedule(static) \
+    num_threads(OpenMP::concurrency())
   for (index_t i = p.begin0; i < p.end0; ++i)
     for (index_t j = p.begin1; j < p.end1; ++j) f(i, j);
 #else
@@ -75,7 +76,8 @@ PK_INLINE void for_impl(const MDRangePolicy3<Serial>& p, const Functor& f) {
 template <class Functor>
 PK_INLINE void for_impl(const MDRangePolicy3<OpenMP>& p, const Functor& f) {
 #if PK_HAVE_OPENMP
-#pragma omp parallel for collapse(2) schedule(static)
+#pragma omp parallel for collapse(2) schedule(static) \
+    num_threads(OpenMP::concurrency())
   for (index_t i = p.begin0; i < p.end0; ++i)
     for (index_t j = p.begin1; j < p.end1; ++j)
       for (index_t k = p.begin2; k < p.end2; ++k) f(i, j, k);
@@ -95,7 +97,7 @@ PK_INLINE void for_impl(const TeamPolicy<Serial>& p, const Functor& f) {
 template <class Functor>
 PK_INLINE void for_impl(const TeamPolicy<OpenMP>& p, const Functor& f) {
 #if PK_HAVE_OPENMP
-#pragma omp parallel for schedule(dynamic, 1)
+#pragma omp parallel for schedule(dynamic, 1) num_threads(OpenMP::concurrency())
   for (index_t lr = 0; lr < p.league_size; ++lr)
     f(TeamMember(lr, p.league_size, 0, 1));
 #else
@@ -188,7 +190,7 @@ PK_INLINE void reduce_impl(const RangePolicy<OpenMP>& p, const Functor& f,
   const int nt = OpenMP::concurrency();
   std::vector<typename Reducer::value_type> partial(
       static_cast<std::size_t>(nt), Reducer::identity());
-#pragma omp parallel
+#pragma omp parallel num_threads(nt)
   {
     const int tid = omp_get_thread_num();
     auto acc = Reducer::identity();
@@ -273,7 +275,7 @@ PK_INLINE void scan_impl(const RangePolicy<OpenMP>& p, const Functor& f,
     return;
   }
   std::vector<T> chunk_sum(static_cast<std::size_t>(nt) + 1, T{});
-#pragma omp parallel
+#pragma omp parallel num_threads(nt)
   {
     const int tid = omp_get_thread_num();
     const index_t lo = p.begin + n * tid / nt;

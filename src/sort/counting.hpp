@@ -169,7 +169,7 @@ template <class K>
 void counting_fill_keys(const index_t* PK_RESTRICT bucket_ends, index_t bound,
                         K* PK_RESTRICT keys_out) {
 #if PK_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) num_threads(pk::OpenMP::concurrency())
   for (index_t b = 0; b < bound; ++b) {
     const index_t lo = b > 0 ? bucket_ends[b - 1] : index_t{0};
     std::fill(keys_out + lo, keys_out + bucket_ends[b], static_cast<K>(b));

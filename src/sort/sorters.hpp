@@ -77,7 +77,7 @@ void key_minmax_ptr(const K* keys, index_t n, K& min_out, K& max_out) {
   K mx = std::numeric_limits<K>::lowest();
 #if PK_HAVE_OPENMP
 #pragma omp parallel for reduction(min : mn) reduction(max : mx) \
-    schedule(static)
+    schedule(static) num_threads(pk::OpenMP::concurrency())
 #endif
   for (index_t i = 0; i < n; ++i) {
     const K k = keys[i];
@@ -93,7 +93,8 @@ template <class K>
 K key_max_ptr(const K* keys, index_t n) {
   K mx = std::numeric_limits<K>::lowest();
 #if PK_HAVE_OPENMP
-#pragma omp parallel for reduction(max : mx) schedule(static)
+#pragma omp parallel for reduction(max : mx) schedule(static) \
+    num_threads(pk::OpenMP::concurrency())
 #endif
   for (index_t i = 0; i < n; ++i)
     if (keys[i] > mx) mx = keys[i];

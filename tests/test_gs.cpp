@@ -77,17 +77,31 @@ TEST(GsHost, GatherScatterCombined) {
 }
 
 TEST(GsHost, Stencil5SumsNeighborsAndScatters) {
-  const index_t n = 8;
-  pk::View<std::uint32_t, 1> keys("k", n);
-  for (index_t i = 0; i < n; ++i) keys(i) = 4;  // all at center 4
-  pk::View<double, 1> data("d", 16), out("o", n);
-  for (index_t i = 0; i < 16; ++i) data(i) = static_cast<double>(i);
   const index_t stride = 3;
   const double expected = 4.0 + 3.0 + 5.0 + 1.0 + 7.0;  // c, ±1, ±stride
-  gs::run_stencil5(keys, data, out, stride);
-  // First access sees the pristine table; later ones see scattered adds.
-  EXPECT_DOUBLE_EQ(out(0), expected);
-  EXPECT_GT(data(4), 4.0);  // scatter phase accumulated into the center
+  const auto run = [&](index_t n, pk::View<double, 1>& data) {
+    pk::View<std::uint32_t, 1> keys("k", n);
+    for (index_t i = 0; i < n; ++i) keys(i) = 4;  // all at center 4
+    pk::View<double, 1> out("o", n);
+    for (index_t i = 0; i < 16; ++i) data(i) = static_cast<double>(i);
+    gs::run_stencil5(keys, data, out, stride);
+    return out;
+  };
+  // One access sees the pristine table and scatters a quarter of its sum
+  // into the center.
+  pk::View<double, 1> data("d", 16);
+  EXPECT_DOUBLE_EQ(run(1, data)(0), expected);
+  EXPECT_DOUBLE_EQ(data(4), 4.0 + 0.25 * expected);
+  // Many accesses: threads interleave the gathers and scatters, so which
+  // access sees which table depends on the schedule. Scatters only add,
+  // and each lands exactly once (all sums here are exact in double).
+  const auto out = run(8, data);
+  double sum = 0;
+  for (index_t i = 0; i < out.size(); ++i) {
+    EXPECT_GE(out(i), expected);
+    sum += out(i);
+  }
+  EXPECT_DOUBLE_EQ(data(4), 4.0 + 0.25 * sum);
 }
 
 namespace {

@@ -219,7 +219,7 @@ TEST(TracerModule, RingBufferEvictsOldest) {
   EXPECT_EQ(traj.back().step, 10);
 }
 
-TEST(TracerModule, BitIdenticalAcrossExecutionShapes) {
+TEST(TracerModule, DeterministicInBothStepShapes) {
   core::TracerParams tp;
   tp.stride = 8;
   tp.max_tracers = 16;
@@ -243,14 +243,20 @@ TEST(TracerModule, BitIdenticalAcrossExecutionShapes) {
   }
   EXPECT_FALSE(ref.empty());
 
-  // Untiled: as many tracers and samples, and the plasma itself is
-  // untouched by passive tracers.
+  // Untiled at one kernel thread: two runs sample bit-identically, as
+  // many samples as the tiled runs, and the plasma itself is untouched by
+  // passive tracers.
   auto with = make_lpi_small();
   auto& t_untiled = with.add_module<core::TracerModule>(tp);
+  auto again = make_lpi_small();
+  auto& t_again = again.add_module<core::TracerModule>(tp);
   auto without = make_lpi_small();
   with.run(40);
+  again.run(40);
   without.run(40);
-  EXPECT_EQ(tracer_bytes(t_untiled).size(), ref.size());
+  const auto untiled = tracer_bytes(t_untiled);
+  EXPECT_EQ(untiled.size(), ref.size());
+  EXPECT_EQ(untiled, tracer_bytes(t_again));
   EXPECT_TRUE(same_particles(with, without));
 }
 

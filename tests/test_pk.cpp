@@ -340,6 +340,26 @@ TEST(ScopeGuard, InitializesAndFences) {
   pk::initialize(2);
 }
 
+#if PK_HAVE_OPENMP
+TEST(Initialize, BindsKernelTeamsOnEveryThread) {
+  // OpenMP keeps omp_set_num_threads per thread; pk::initialize binds the
+  // count for kernels launched from any thread (farm workers, ranks).
+  pk::initialize(3);
+  int team = 0, reported = 0;
+  std::thread other([&] {
+    reported = pk::concurrency();
+    pk::parallel_reduce<pk::Max<int>>(
+        pk::RangePolicy<>(64),
+        [](index_t, int& acc) { acc = std::max(acc, omp_get_num_threads()); },
+        team);
+  });
+  other.join();
+  EXPECT_EQ(reported, 3);
+  EXPECT_EQ(team, 3);
+  pk::initialize(2);
+}
+#endif
+
 TEST(Subview, RowOfLayoutRight) {
   pk::View<double, 2, pk::LayoutRight> m("m", 4, 6);
   for (index_t i = 0; i < 4; ++i)
