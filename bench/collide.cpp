@@ -13,7 +13,10 @@
 //     divergence.
 //  2. Collision phase cost: an untiled run times every phase; the
 //     summed collide[...] seconds give the absolute cost per step and
-//     the fraction of the whole step the collision operator adds.
+//     the fraction of the whole step the collision operator adds. The
+//     untiled phase runs its cells on the OpenMP kernel team, so it is
+//     also *measured* at 1, 2 and 4 kernel threads (collide_ms_<n>t,
+//     collide_speedup_4t); these are host-dependent and carry no bar.
 //  3. Modeled makespans: per-tile collide task costs are *measured*
 //     serially (a one-worker pool times each phase alone), then
 //     replayed through a static contiguous-tile partition vs the
@@ -89,6 +92,35 @@ bool bitwise_equal(core::Simulation& a, core::Simulation& b) {
   return true;
 }
 
+struct PhaseCost {
+  double collide_ms = 0;  // summed collide[...] phases per step
+  double frac = 0;        // of the whole step
+  std::uint64_t pairs = 0;  // per step
+};
+
+/// Untiled run at `threads` kernel threads, every phase timed.
+PhaseCost measure_phase(const Params& p, int threads) {
+  pk::initialize(threads);
+  core::Simulation sim = make_colliding(p);
+  auto* col = static_cast<core::CollisionModule*>(sim.find_module("collide"));
+  sim.run(2);  // warmup
+  const std::uint64_t pairs0 = col->pairs_scattered();
+  double collide_s = 0, total_s = 0;
+  for (int s = 0; s < p.steps; ++s) {
+    sim.step();
+    for (const auto& ps : sim.last_phase_stats()) {
+      total_s += ps.seconds;
+      if (ps.name.rfind("collide[", 0) == 0) collide_s += ps.seconds;
+    }
+  }
+  PhaseCost c;
+  c.collide_ms = collide_s * 1e3 / p.steps;
+  c.frac = total_s > 0 ? collide_s / total_s : 0;
+  c.pairs = (col->pairs_scattered() - pairs0) /
+            static_cast<std::uint64_t>(p.steps);
+  return c;
+}
+
 /// Measured per-tile collision costs: a one-worker pool times every
 /// phase serially; take, per tile, the min-across-steps of the
 /// per-step sum of that tile's collide phases (min-of-reps denoiser).
@@ -160,8 +192,9 @@ int main(int argc, char** argv) {
   // bench::flag is integer-only; the collision frequency comes in milli
   // units (--nu0_milli=50 -> nu0 = 0.05).
   p.nu0 = static_cast<double>(bench::flag(argc, argv, "nu0_milli", 50)) / 1e3;
-  pk::initialize(
-      static_cast<int>(bench::flag(argc, argv, "kernel_threads", 1)));
+  const int kernel_threads =
+      static_cast<int>(bench::flag(argc, argv, "kernel_threads", 1));
+  pk::initialize(kernel_threads);
 
   std::printf(
       "collision bench: %dx%dx%d ppc=%d clump=%.1f tiles=%d nu0=%.2g%s\n\n",
@@ -197,29 +230,22 @@ int main(int argc, char** argv) {
   }
 
   // -- 2. collision phase cost (untiled, every phase timed) -------------
-  double collide_s = 0, total_s = 0;
-  std::uint64_t pairs = 0;
-  {
-    core::Simulation sim = make_colliding(p);
-    auto* col =
-        static_cast<core::CollisionModule*>(sim.find_module("collide"));
-    sim.run(2);  // warmup
-    const std::uint64_t pairs0 = col->pairs_scattered();
-    for (int s = 0; s < p.steps; ++s) {
-      sim.step();
-      for (const auto& ps : sim.last_phase_stats()) {
-        total_s += ps.seconds;
-        if (ps.name.rfind("collide[", 0) == 0) collide_s += ps.seconds;
-      }
-    }
-    pairs = (col->pairs_scattered() - pairs0) /
-            static_cast<std::uint64_t>(p.steps);
-  }
-  const double collide_ms = collide_s * 1e3 / p.steps;
-  const double frac = total_s > 0 ? collide_s / total_s : 0;
+  const PhaseCost cost_kt = measure_phase(p, kernel_threads);
   std::printf(
       "collision phase: %.3f ms/step, %.1f%% of the step, %llu pairs/step\n\n",
-      collide_ms, 100 * frac, static_cast<unsigned long long>(pairs));
+      cost_kt.collide_ms, 100 * cost_kt.frac,
+      static_cast<unsigned long long>(cost_kt.pairs));
+  const auto ms_at = [&](int n) {
+    return n == kernel_threads ? cost_kt.collide_ms
+                               : measure_phase(p, n).collide_ms;
+  };
+  const double ms_1t = ms_at(1), ms_2t = ms_at(2), ms_4t = ms_at(4);
+  pk::initialize(kernel_threads);
+  const double speedup_4t = ms_4t > 0 ? ms_1t / ms_4t : 0;
+  std::printf(
+      "collision phase, measured: %.3f / %.3f / %.3f ms/step at 1/2/4 "
+      "kernel threads (%.2fx at 4)\n\n",
+      ms_1t, ms_2t, ms_4t, speedup_4t);
 
   // -- 3. measured per-tile collide costs, modeled schedules ------------
   core::Simulation sim = make_colliding(p);
@@ -257,9 +283,13 @@ int main(int argc, char** argv) {
       .field("summary", 1)
       .field("tiles", nt)
       .field("clump_factor", static_cast<double>(p.clump))
-      .field("collide_ms_per_step", collide_ms)
-      .field("collide_frac", frac)
-      .field("pairs_per_step", static_cast<double>(pairs))
+      .field("collide_ms_per_step", cost_kt.collide_ms)
+      .field("collide_frac", cost_kt.frac)
+      .field("pairs_per_step", static_cast<double>(cost_kt.pairs))
+      .field("collide_ms_1t", ms_1t)
+      .field("collide_ms_2t", ms_2t)
+      .field("collide_ms_4t", ms_4t)
+      .field("collide_speedup_4t", speedup_4t)
       .field("speedup_4w", speedup_4w)
       .field("bit_identical", 1)
       .print();

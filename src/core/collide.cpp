@@ -2,12 +2,18 @@
 
 #include "core/collide.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <map>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/rng.hpp"
 #include "core/simulation.hpp"
+#include "pk/pk.hpp"
 #include "prof/prof.hpp"
+#include "sort/counting.hpp"
 
 namespace vpic::core {
 
@@ -60,25 +66,180 @@ bool scatter_pair(Particle& pa, Particle& pb, double ma, double mb,
 }
 
 /// Deterministic Fisher–Yates off a counter-based stream.
-void shuffle(std::vector<index_t>& v, std::uint64_t seed) {
-  for (std::size_t i = v.size(); i > 1; --i) {
+void shuffle(index_t* v, std::size_t n, std::uint64_t seed) {
+  for (std::size_t i = n; i > 1; --i) {
     const auto j = static_cast<std::size_t>(
         uniform01(seed, i - 1) * static_cast<double>(i));
     std::swap(v[i - 1], v[j < i ? j : i - 1]);
   }
 }
 
-/// Voxel -> particle indices for an index range, scanning in index order
-/// (layout-independent). std::map iterates in ascending voxel order, so
-/// the cell visit order is deterministic too.
-std::map<std::int32_t, std::vector<index_t>> cell_lists(const Species& sp,
-                                                        index_t begin,
-                                                        index_t end) {
-  std::map<std::int32_t, std::vector<index_t>> cells;
-  dispatch_layout(sp.p, [&](auto a) {
-    for (index_t i = begin; i < end; ++i) cells[a.cell(i)].push_back(i);
+/// Flat cell index of the particle range [begin, end): a stable counting
+/// argsort of its voxel keys, rebased to the range's lowest voxel so a
+/// tile's histogram spans only its own slab. Cell c (voxel base + c) is the
+/// slice idx[first(c), last(c)) of range-local indices, ascending — the
+/// index-order scan, hence layout-independent — and cells ascend by voxel.
+/// Scratch is per call: concurrent tile tasks of one species each build
+/// their own.
+template <class Space>
+struct CellIndex {
+  index_t begin = 0;
+  std::int32_t base = 0;
+  index_t ncells = 0;
+  int nthreads = 1;
+  std::unique_ptr<index_t[]> idx;
+  std::unique_ptr<index_t[]> offsets;  // counting-sort histogram rows
+
+  CellIndex() = default;
+  CellIndex(const Species& sp, index_t b, index_t e) : begin(b) {
+    const index_t n = e - b;
+    if (n <= 0) return;
+    const auto keys =
+        std::make_unique_for_overwrite<std::uint32_t[]>(
+            static_cast<std::size_t>(n));
+    std::uint32_t* const k = keys.get();
+    dispatch_layout(sp.p, [&](auto a) {
+      pk::MinMaxValue<std::int32_t> mm{};
+      pk::parallel_reduce<pk::MinMax<std::int32_t>>(
+          "collide/cell_keys", pk::RangePolicy<Space>(n),
+          [=](index_t i, pk::MinMaxValue<std::int32_t>& r) {
+            const std::int32_t v = a.cell(b + i);
+            k[i] = static_cast<std::uint32_t>(v);
+            if (v < r.min_val) r.min_val = v;
+            if (v > r.max_val) r.max_val = v;
+          },
+          mm);
+      base = mm.min_val;
+      ncells = static_cast<index_t>(mm.max_val) - base + 1;
+    });
+    const auto shift = static_cast<std::uint32_t>(base);
+    pk::parallel_for("collide/cell_rebase", pk::RangePolicy<Space>(n),
+                     [=](index_t i) { k[i] -= shift; });
+    nthreads = Space::concurrency();
+    offsets = std::make_unique_for_overwrite<index_t[]>(
+        sort::detail::counting_hist_cells(nthreads, ncells));
+    idx = std::make_unique_for_overwrite<index_t[]>(
+        static_cast<std::size_t>(n));
+    sort::detail::counting_offsets(k, n, ncells, offsets.get(), nthreads);
+    sort::detail::counting_scatter_index(k, n, ncells, offsets.get(),
+                                         nthreads, idx.get());
+  }
+
+  // The scatter leaves the last thread's histogram row at each cell's
+  // one-past-the-end slot (sort::detail::counting_fill_keys).
+  [[nodiscard]] index_t last(index_t c) const {
+    return offsets[static_cast<std::size_t>(nthreads - 1) *
+                       static_cast<std::size_t>(ncells) +
+                   static_cast<std::size_t>(c)];
+  }
+  [[nodiscard]] index_t first(index_t c) const {
+    return c > 0 ? last(c - 1) : 0;
+  }
+  /// Cell of `voxel` (possibly empty), or -1 outside the indexed span.
+  [[nodiscard]] index_t find(std::int32_t voxel) const {
+    const index_t c = static_cast<index_t>(voxel) - base;
+    return c >= 0 && c < ncells ? c : -1;
+  }
+};
+
+/// Cells per dynamically scheduled chunk. Work follows the (possibly
+/// clumped) population, not the voxel count, so chunks are handed out on
+/// demand rather than split statically.
+constexpr index_t kCellChunk = 64;
+
+/// collide_range on `Space`: the cells of [a_begin, a_end) are independent
+/// (disjoint particles, voxel-keyed streams), so they run in parallel with
+/// bit-identical results at any thread count. Tile tasks pass pk::Serial —
+/// never a nested OpenMP team inside a stealing worker.
+template <class Space>
+CollisionStats collide_on(Species& sa, Species& sb, const Grid& g,
+                          const CollisionParams& prm, index_t a_begin,
+                          index_t a_end, index_t b_begin, index_t b_end,
+                          std::uint64_t step, std::uint64_t pair_key,
+                          const ModuleRng& rng) {
+  const bool self = &sa == &sb;
+  const double nu0_dt = prm.nu0 * static_cast<double>(g.dt);
+  CellIndex<Space> ca(sa, a_begin, a_end);
+  CellIndex<Space> cb;
+  if (!self) cb = CellIndex<Space>(sb, b_begin, b_end);
+  const index_t nchunks = (ca.ncells + kCellChunk - 1) / kCellChunk;
+  std::vector<CollisionStats> chunk_st(static_cast<std::size_t>(nchunks));
+
+  dispatch_layout(sa.p, [&](auto aa) {
+    dispatch_layout(sb.p, [&](auto ab) {
+      const auto cell = [&](index_t c, CollisionStats& st) {
+        const index_t a0 = ca.first(c);
+        index_t* const la = ca.idx.get() + a0;
+        const auto na = static_cast<std::size_t>(ca.last(c) - a0);
+        const std::int32_t voxel = ca.base + static_cast<std::int32_t>(c);
+        index_t* lb = nullptr;
+        std::size_t nb = 0;
+        if (!self) {
+          const index_t cbi = cb.find(voxel);
+          if (cbi < 0) return;
+          const index_t b0 = cb.first(cbi);
+          lb = cb.idx.get() + b0;
+          nb = static_cast<std::size_t>(cb.last(cbi) - b0);
+        }
+        // A cell with nothing to pair returns before any draw: the streams
+        // are counter-based, so skipping them changes no other cell.
+        const std::size_t npair = self ? na / 2 : std::min(na, nb);
+        if (npair == 0) return;
+        const std::uint64_t seed_cell =
+            rng.stream(step, pair_key, static_cast<std::uint64_t>(voxel));
+        const std::uint64_t seed_theta = hash64(seed_cell ^ 2);
+        const std::uint64_t seed_phi = hash64(seed_cell ^ 3);
+        shuffle(la, na, hash64(seed_cell ^ 1));
+        if (self) {
+          for (std::size_t k = 0; k < npair; ++k) {
+            const index_t i0 = ca.begin + la[2 * k];
+            const index_t i1 = ca.begin + la[2 * k + 1];
+            Particle pa = aa.load(i0);
+            Particle pb = aa.load(i1);
+            if (scatter_pair(pa, pb, sa.m, sa.m, sa.q, sa.q, nu0_dt,
+                             prm.u_floor, normal(seed_theta, k),
+                             uniform01(seed_phi, k))) {
+              aa.store(i0, pa);
+              aa.store(i1, pb);
+              ++st.pairs;
+            }
+          }
+        } else {
+          shuffle(lb, nb, hash64(seed_cell ^ 4));
+          for (std::size_t k = 0; k < npair; ++k) {
+            const index_t ia = ca.begin + la[k];
+            const index_t ib = cb.begin + lb[k];
+            Particle pa = aa.load(ia);
+            Particle pb = ab.load(ib);
+            if (scatter_pair(pa, pb, sa.m, sb.m, sa.q, sb.q, nu0_dt,
+                             prm.u_floor, normal(seed_theta, k),
+                             uniform01(seed_phi, k))) {
+              aa.store(ia, pa);
+              ab.store(ib, pb);
+              ++st.pairs;
+            }
+          }
+        }
+        ++st.cells;
+      };
+      pk::parallel_for(
+          "collide/cells", pk::TeamPolicy<Space>(nchunks, 1),
+          [&](const pk::TeamMember& m) {
+            const index_t c0 = m.league_rank() * kCellChunk;
+            const index_t c1 = std::min(ca.ncells, c0 + kCellChunk);
+            CollisionStats st;  // local: neighbouring chunks share a line
+            for (index_t c = c0; c < c1; ++c) cell(c, st);
+            chunk_st[static_cast<std::size_t>(m.league_rank())] = st;
+          });
+    });
   });
-  return cells;
+
+  CollisionStats st;
+  for (const CollisionStats& s : chunk_st) {
+    st.pairs += s.pairs;
+    st.cells += s.cells;
+  }
+  return st;
 }
 
 }  // namespace
@@ -88,60 +249,9 @@ CollisionStats collide_range(Species& sa, Species& sb, const Grid& g,
                              index_t a_end, index_t b_begin, index_t b_end,
                              std::uint64_t step, std::uint64_t pair_key,
                              const ModuleRng& rng) {
-  CollisionStats st;
-  const bool self = &sa == &sb;
-  const double nu0_dt = prm.nu0 * static_cast<double>(g.dt);
-  auto cells_a = cell_lists(sa, a_begin, a_end);
-  auto cells_b =
-      self ? std::map<std::int32_t, std::vector<index_t>>{}
-           : cell_lists(sb, b_begin, b_end);
-
-  dispatch_layout(sa.p, [&](auto aa) {
-    dispatch_layout(sb.p, [&](auto ab) {
-      for (auto& [voxel, la] : cells_a) {
-        const std::uint64_t seed_cell =
-            rng.stream(step, pair_key, static_cast<std::uint64_t>(voxel));
-        const std::uint64_t seed_shuffle = hash64(seed_cell ^ 1);
-        const std::uint64_t seed_theta = hash64(seed_cell ^ 2);
-        const std::uint64_t seed_phi = hash64(seed_cell ^ 3);
-        shuffle(la, seed_shuffle);
-        std::size_t npair = 0;
-        if (self) {
-          npair = la.size() / 2;
-          for (std::size_t k = 0; k < npair; ++k) {
-            Particle pa = aa.load(la[2 * k]);
-            Particle pb = aa.load(la[2 * k + 1]);
-            if (scatter_pair(pa, pb, sa.m, sa.m, sa.q, sa.q, nu0_dt,
-                             prm.u_floor, normal(seed_theta, k),
-                             uniform01(seed_phi, k))) {
-              aa.store(la[2 * k], pa);
-              aa.store(la[2 * k + 1], pb);
-              ++st.pairs;
-            }
-          }
-        } else {
-          const auto itb = cells_b.find(voxel);
-          if (itb == cells_b.end()) continue;
-          auto& lb = itb->second;
-          shuffle(lb, hash64(seed_cell ^ 4));
-          npair = la.size() < lb.size() ? la.size() : lb.size();
-          for (std::size_t k = 0; k < npair; ++k) {
-            Particle pa = aa.load(la[k]);
-            Particle pb = ab.load(lb[k]);
-            if (scatter_pair(pa, pb, sa.m, sb.m, sa.q, sb.q, nu0_dt,
-                             prm.u_floor, normal(seed_theta, k),
-                             uniform01(seed_phi, k))) {
-              aa.store(la[k], pa);
-              ab.store(lb[k], pb);
-              ++st.pairs;
-            }
-          }
-        }
-        if (npair) ++st.cells;
-      }
-    });
-  });
-  return st;
+  return collide_on<pk::DefaultExecSpace>(sa, sb, g, prm, a_begin, a_end,
+                                          b_begin, b_end, step, pair_key,
+                                          rng);
 }
 
 void CollisionModule::attach(Simulation& sim) {
@@ -151,11 +261,17 @@ void CollisionModule::attach(Simulation& sim) {
 void CollisionModule::plan(Simulation& sim, const ModuleStepContext& ctx,
                            StepComposer& c) {
   if (prm_.interval <= 0 || ctx.next_step % prm_.interval != 0) return;
+  const std::size_t ns = sim.num_species();
   std::vector<std::pair<std::size_t, std::size_t>> pairs = prm_.pairs;
+  for (const auto& [a, b] : pairs)
+    if (a >= ns || b >= ns)
+      throw std::invalid_argument(
+          "CollisionModule: species pair (" + std::to_string(a) + ", " +
+          std::to_string(b) + ") is out of range for " + std::to_string(ns) +
+          " species");
   if (pairs.empty())
-    for (std::size_t a = 0; a < sim.num_species(); ++a)
-      for (std::size_t b = a; b < sim.num_species(); ++b)
-        pairs.emplace_back(a, b);
+    for (std::size_t a = 0; a < ns; ++a)
+      for (std::size_t b = a; b < ns; ++b) pairs.emplace_back(a, b);
 
   const auto phase_body = [this, &sim](std::size_t a, std::size_t b, int t,
                                        std::int64_t next_step) {
@@ -171,9 +287,14 @@ void CollisionModule::plan(Simulation& sim, const ModuleStepContext& ctx,
       be = slot_b.end;
     }
     const std::uint64_t pair_key = a * 1024 + b;
-    const CollisionStats st = collide_range(
-        sa, sb, sim.grid(), prm_, ab, ae, bb, be,
-        static_cast<std::uint64_t>(next_step), pair_key, rng_);
+    const auto step = static_cast<std::uint64_t>(next_step);
+    // Tile tasks already run in parallel on the stealing pool: their cells
+    // run serially on the worker.
+    const CollisionStats st =
+        t >= 0 ? collide_on<pk::Serial>(sa, sb, sim.grid(), prm_, ab, ae, bb,
+                                        be, step, pair_key, rng_)
+               : collide_range(sa, sb, sim.grid(), prm_, ab, ae, bb, be,
+                               step, pair_key, rng_);
     pairs_.fetch_add(st.pairs, std::memory_order_relaxed);
     cells_.fetch_add(st.cells, std::memory_order_relaxed);
     prof::counter_add("collide.pairs", st.pairs);

@@ -11,11 +11,14 @@
 //
 // Determinism (docs/MODULES.md, "RNG streams"): every random draw comes
 // from a counter-based stream keyed by (step, species-pair, voxel) under
-// the module's RNG domain, and pairing scans particles in index order —
-// never in layout or schedule order. Results are therefore bit-identical
-// across worker counts, tile schedules, and AoS/SoA/AoSoA layouts; only
-// the tile count (which fixes how stray particles are partitioned into
-// cell lists between sorts) is part of the answer.
+// the module's RNG domain, and each cell pairs its particles in index
+// order — never in layout, schedule or thread order. Cells touch disjoint
+// particles, so the untiled phase runs them in parallel on the OpenMP
+// kernel team, while each tile task runs its cells serially on its
+// stealing worker. Results are therefore bit-identical across OpenMP
+// thread counts, worker counts, tile schedules, and AoS/SoA/AoSoA
+// layouts; only the tile count (which fixes how stray particles are
+// partitioned into cell lists between sorts) is part of the answer.
 #pragma once
 
 #include <atomic>
@@ -47,8 +50,10 @@ struct CollisionStats {
 /// and [b_begin, b_end) of `sb` (pass the same species and range twice for
 /// intra-species). Pure function of the particle data and the RNG keys —
 /// `step` and `pair_key` select the per-step, per-pair stream; cell
-/// streams are keyed by global voxel. Exposed separately from the module
-/// so physics tests can drive it without field dynamics.
+/// streams are keyed by global voxel. Runs the cells in parallel on
+/// pk::DefaultExecSpace; the result does not depend on the thread count.
+/// Exposed separately from the module so physics tests can drive it
+/// without field dynamics.
 CollisionStats collide_range(Species& sa, Species& sb, const Grid& g,
                              const CollisionParams& prm, index_t a_begin,
                              index_t a_end, index_t b_begin, index_t b_end,
@@ -58,6 +63,8 @@ CollisionStats collide_range(Species& sa, Species& sb, const Grid& g,
 /// The registry module: plans one phase per species pair (per tile when
 /// tiled), ordered into the step at StepStage::Collide — after injection,
 /// before diagnostics/sort — and checkpoints its cumulative counters.
+/// plan() throws std::invalid_argument for a pair naming a species the
+/// simulation does not have.
 class CollisionModule final : public PhysicsModule {
  public:
   explicit CollisionModule(CollisionParams prm = {}) : prm_(std::move(prm)) {}

@@ -112,8 +112,8 @@ inline void boris(float& ux, float& uy, float& uz, float hax, float hay,
 
 /// The per-particle generic push body, shared verbatim by the parallel
 /// Auto kernel, the scalar tails of the blocked strategies, and the
-/// serial tile-range path — one definition so the tiled sequential mode
-/// is bit-identical to the untiled kernels by construction.
+/// serial tile-range path — one definition, so a tile pushes each particle
+/// exactly as the untiled kernels do.
 template <class A, class AccA>
 inline void push_one(const A& a, index_t n, const InterpolatorArray& interp,
                      AccA& acc, const Grid& g, const MoverOptions& opts,
@@ -692,19 +692,18 @@ void push_manual_runs(Species& sp, const A& a,
       });
 }
 
+}  // namespace
+
 // ----------------------------------------------------------------------
 // Serial tile-task kernels (docs/TILES.md): one tile's index range or run
-// sublist, executed in order on the calling thread, depositing into
-// either the global array (deterministic sequential mode) or a
-// tile-private TileAccumulator block (stealing mode).
+// sublist, executed in order on the calling thread, depositing into the
+// tile-private TileAccumulator block.
 // ----------------------------------------------------------------------
 
-template <class AccA>
-void advance_range_serial_impl(Species& sp, const InterpolatorArray& interp,
-                               AccA& acc, const Grid& g,
-                               VectorStrategy strategy,
-                               const MoverOptions& opts, index_t n0,
-                               index_t n1) {
+void advance_range_serial(Species& sp, const InterpolatorArray& interp,
+                          TileAccumulator& acc, const Grid& g,
+                          VectorStrategy strategy, const MoverOptions& opts,
+                          index_t n0, index_t n1) {
   if (n0 >= n1) return;
   const PushConsts c = make_consts(sp, g);
   dispatch_layout(sp.p, [&](auto a) {
@@ -736,13 +735,11 @@ void advance_range_serial_impl(Species& sp, const InterpolatorArray& interp,
   });
 }
 
-template <class AccA>
-void advance_runs_serial_impl(Species& sp, const InterpolatorArray& interp,
-                              AccA& acc, const Grid& g,
-                              VectorStrategy strategy,
-                              const MoverOptions& opts,
-                              const std::vector<sort::CellRun>& runs,
-                              std::size_t r0, std::size_t r1) {
+void advance_runs_serial(Species& sp, const InterpolatorArray& interp,
+                         TileAccumulator& acc, const Grid& g,
+                         VectorStrategy strategy, const MoverOptions& opts,
+                         const std::vector<sort::CellRun>& runs,
+                         std::size_t r0, std::size_t r1) {
   if (strategy == VectorStrategy::AdHoc)
     throw std::invalid_argument(
         "advance_runs_serial: AdHoc has no run-aware variant");
@@ -766,8 +763,6 @@ void advance_runs_serial_impl(Species& sp, const InterpolatorArray& interp,
     }
   });
 }
-
-}  // namespace
 
 bool run_aware_profitable(const Species& sp) {
   // Gates are autotuned per host and per layout (src/tune; defaults in
@@ -889,36 +884,6 @@ void advance_species_runs(Species& sp, const InterpolatorArray& interp,
         break;  // unreachable: thrown above
     }
   });
-}
-
-void advance_range_serial(Species& sp, const InterpolatorArray& interp,
-                          AccumulatorArray& acc, const Grid& g,
-                          VectorStrategy strategy, const MoverOptions& opts,
-                          index_t n0, index_t n1) {
-  advance_range_serial_impl(sp, interp, acc, g, strategy, opts, n0, n1);
-}
-
-void advance_range_serial(Species& sp, const InterpolatorArray& interp,
-                          TileAccumulator& acc, const Grid& g,
-                          VectorStrategy strategy, const MoverOptions& opts,
-                          index_t n0, index_t n1) {
-  advance_range_serial_impl(sp, interp, acc, g, strategy, opts, n0, n1);
-}
-
-void advance_runs_serial(Species& sp, const InterpolatorArray& interp,
-                         AccumulatorArray& acc, const Grid& g,
-                         VectorStrategy strategy, const MoverOptions& opts,
-                         const std::vector<sort::CellRun>& runs,
-                         std::size_t r0, std::size_t r1) {
-  advance_runs_serial_impl(sp, interp, acc, g, strategy, opts, runs, r0, r1);
-}
-
-void advance_runs_serial(Species& sp, const InterpolatorArray& interp,
-                         TileAccumulator& acc, const Grid& g,
-                         VectorStrategy strategy, const MoverOptions& opts,
-                         const std::vector<sort::CellRun>& runs,
-                         std::size_t r0, std::size_t r1) {
-  advance_runs_serial_impl(sp, interp, acc, g, strategy, opts, runs, r0, r1);
 }
 
 bool run_aware_profitable_range(const Species& sp, index_t n0, index_t n1,

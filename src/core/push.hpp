@@ -144,13 +144,10 @@ void advance_species_runs(Species& sp, const InterpolatorArray& interp,
 // Tile-task entry points (core/tiles.hpp, docs/TILES.md). A tile task
 // pushes its contiguous index range SERIALLY on whichever worker the
 // stealing scheduler lands it on — parallelism comes from tiles, not from
-// lanes inside a tile — and deposits either into the global
-// AccumulatorArray (deterministic sequential mode: bit-identical to the
-// untiled kernels for the per-particle-independent Auto/Guided
-// strategies) or into a tile-private TileAccumulator block (stealing
-// mode: plain non-atomic adds, merged deterministically afterwards).
-// None of these age the species' sortedness — the step driver does that
-// once per step, per tile.
+// lanes inside a tile — and deposits into its tile-private
+// TileAccumulator block (plain non-atomic adds, merged deterministically
+// afterwards). Neither ages the species' sortedness — the step driver
+// does that once per step, per tile.
 // ----------------------------------------------------------------------
 
 class TileAccumulator;
@@ -161,10 +158,6 @@ class TileAccumulator;
 /// AdHoc runs the scalar pipeline (its 4-wide transpose path is not
 /// range-rebasable).
 void advance_range_serial(Species& sp, const InterpolatorArray& interp,
-                          AccumulatorArray& acc, const Grid& g,
-                          VectorStrategy strategy, const MoverOptions& opts,
-                          index_t n0, index_t n1);
-void advance_range_serial(Species& sp, const InterpolatorArray& interp,
                           TileAccumulator& acc, const Grid& g,
                           VectorStrategy strategy, const MoverOptions& opts,
                           index_t n0, index_t n1);
@@ -172,11 +165,6 @@ void advance_range_serial(Species& sp, const InterpolatorArray& interp,
 /// Serial run-aware push of runs [r0, r1) of `runs` (same per-run bodies
 /// as the parallel variants, executed in run order). AdHoc throws like
 /// advance_species_runs.
-void advance_runs_serial(Species& sp, const InterpolatorArray& interp,
-                         AccumulatorArray& acc, const Grid& g,
-                         VectorStrategy strategy, const MoverOptions& opts,
-                         const std::vector<sort::CellRun>& runs,
-                         std::size_t r0, std::size_t r1);
 void advance_runs_serial(Species& sp, const InterpolatorArray& interp,
                          TileAccumulator& acc, const Grid& g,
                          VectorStrategy strategy, const MoverOptions& opts,

@@ -20,10 +20,6 @@
 //     ascending tile order by a single task, making the summed currents
 //     bit-deterministic across runs AND worker counts (the merge order is
 //     fixed; float addition order never depends on scheduling).
-//
-// The deterministic sequential mode bypasses the private blocks entirely
-// and deposits straight into the global array in tile order — which is
-// exactly the untiled particle order, hence bit-identical physics.
 #pragma once
 
 #include <map>

@@ -1,14 +1,17 @@
 // Tests for the Takizuka–Abe collision module (core/collide.hpp):
 // conservation laws and Maxwellianization of the collide_range operator
-// (driven directly, no field dynamics), bit-determinism across particle
-// layouts and stealing worker counts, and checkpoint round-trips of a
-// collision-enabled run — including the module's counters — across
+// (driven directly, no field dynamics), bit-identity with a serial
+// std::map reference at 1 and 4 OpenMP threads, bit-determinism across
+// particle layouts and stealing worker counts, and checkpoint round-trips
+// of a collision-enabled run — including the module's counters — across
 // layouts.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "core/collide.hpp"
@@ -129,6 +132,141 @@ core::Simulation make_colliding_lpi(
   return sim;
 }
 
+// ----------------------------------------------------------------------
+// Reference oracle: collide_range as first written — serial, with
+// std::map<voxel, std::vector<index>> cell lists. Cells are visited in
+// ascending voxel order and each list holds its particles in index order.
+// ----------------------------------------------------------------------
+
+namespace ref {
+
+bool scatter_pair(core::Particle& pa, core::Particle& pb, double ma,
+                  double mb, double qa, double qb, double nu0_dt,
+                  double u_floor, double delta_n, double phi_u) {
+  const double gx = static_cast<double>(pa.ux) - pb.ux;
+  const double gy = static_cast<double>(pa.uy) - pb.uy;
+  const double gz = static_cast<double>(pa.uz) - pb.uz;
+  const double g2 = gx * gx + gy * gy + gz * gz;
+  if (g2 <= 0) return false;
+  const double g = std::sqrt(g2);
+  const double m_ab = ma * mb / (ma + mb);
+  const double g_eff = g > u_floor ? g : u_floor;
+  const double var =
+      nu0_dt * (qa * qa * qb * qb) / (m_ab * m_ab * g_eff * g_eff * g_eff);
+  const double delta = delta_n * std::sqrt(var);
+  const double d2 = delta * delta;
+  const double sin_t = 2.0 * delta / (1.0 + d2);
+  const double omc = 2.0 * d2 / (1.0 + d2);
+  const double phi = 2.0 * 3.14159265358979323846 * phi_u;
+  const double stc = sin_t * std::cos(phi);
+  const double sts = sin_t * std::sin(phi);
+  const double g_perp = std::sqrt(gx * gx + gy * gy);
+  double dgx, dgy, dgz;
+  if (g_perp > 1e-30 * g) {
+    dgx = (gx / g_perp) * gz * stc - (gy / g_perp) * g * sts - gx * omc;
+    dgy = (gy / g_perp) * gz * stc + (gx / g_perp) * g * sts - gy * omc;
+    dgz = -g_perp * stc - gz * omc;
+  } else {
+    dgx = g * stc;
+    dgy = g * sts;
+    dgz = -g * omc;
+  }
+  pa.ux = static_cast<float>(pa.ux + (m_ab / ma) * dgx);
+  pa.uy = static_cast<float>(pa.uy + (m_ab / ma) * dgy);
+  pa.uz = static_cast<float>(pa.uz + (m_ab / ma) * dgz);
+  pb.ux = static_cast<float>(pb.ux - (m_ab / mb) * dgx);
+  pb.uy = static_cast<float>(pb.uy - (m_ab / mb) * dgy);
+  pb.uz = static_cast<float>(pb.uz - (m_ab / mb) * dgz);
+  return true;
+}
+
+void shuffle(std::vector<index_t>& v, std::uint64_t seed) {
+  for (std::size_t i = v.size(); i > 1; --i) {
+    const auto j = static_cast<std::size_t>(
+        core::uniform01(seed, i - 1) * static_cast<double>(i));
+    std::swap(v[i - 1], v[j < i ? j : i - 1]);
+  }
+}
+
+std::map<std::int32_t, std::vector<index_t>> cell_lists(
+    const core::Species& sp, index_t begin, index_t end) {
+  std::map<std::int32_t, std::vector<index_t>> cells;
+  core::dispatch_layout(sp.p, [&](auto a) {
+    for (index_t i = begin; i < end; ++i) cells[a.cell(i)].push_back(i);
+  });
+  return cells;
+}
+
+core::CollisionStats collide_range(core::Species& sa, core::Species& sb,
+                                   const core::Grid& g,
+                                   const core::CollisionParams& prm,
+                                   index_t a_begin, index_t a_end,
+                                   index_t b_begin, index_t b_end,
+                                   std::uint64_t step, std::uint64_t pair_key,
+                                   const core::ModuleRng& rng) {
+  core::CollisionStats st;
+  const bool self = &sa == &sb;
+  const double nu0_dt = prm.nu0 * static_cast<double>(g.dt);
+  auto cells_a = cell_lists(sa, a_begin, a_end);
+  auto cells_b = self ? std::map<std::int32_t, std::vector<index_t>>{}
+                      : cell_lists(sb, b_begin, b_end);
+  core::dispatch_layout(sa.p, [&](auto aa) {
+    core::dispatch_layout(sb.p, [&](auto ab) {
+      for (auto& [voxel, la] : cells_a) {
+        const std::uint64_t seed_cell =
+            rng.stream(step, pair_key, static_cast<std::uint64_t>(voxel));
+        const std::uint64_t seed_theta = core::hash64(seed_cell ^ 2);
+        const std::uint64_t seed_phi = core::hash64(seed_cell ^ 3);
+        shuffle(la, core::hash64(seed_cell ^ 1));
+        std::size_t npair = 0;
+        if (self) {
+          npair = la.size() / 2;
+          for (std::size_t k = 0; k < npair; ++k) {
+            core::Particle pa = aa.load(la[2 * k]);
+            core::Particle pb = aa.load(la[2 * k + 1]);
+            if (scatter_pair(pa, pb, sa.m, sa.m, sa.q, sa.q, nu0_dt,
+                             prm.u_floor, core::normal(seed_theta, k),
+                             core::uniform01(seed_phi, k))) {
+              aa.store(la[2 * k], pa);
+              aa.store(la[2 * k + 1], pb);
+              ++st.pairs;
+            }
+          }
+        } else {
+          const auto itb = cells_b.find(voxel);
+          if (itb == cells_b.end()) continue;
+          auto& lb = itb->second;
+          shuffle(lb, core::hash64(seed_cell ^ 4));
+          npair = la.size() < lb.size() ? la.size() : lb.size();
+          for (std::size_t k = 0; k < npair; ++k) {
+            core::Particle pa = aa.load(la[k]);
+            core::Particle pb = ab.load(lb[k]);
+            if (scatter_pair(pa, pb, sa.m, sb.m, sa.q, sb.q, nu0_dt,
+                             prm.u_floor, core::normal(seed_theta, k),
+                             core::uniform01(seed_phi, k))) {
+              aa.store(la[k], pa);
+              ab.store(lb[k], pb);
+              ++st.pairs;
+            }
+          }
+        }
+        if (npair) ++st.cells;
+      }
+    });
+  });
+  return st;
+}
+
+}  // namespace ref
+
+/// A fresh species holding a copy of `src`'s live particles, same layout.
+core::Species clone(const core::Species& src) {
+  core::Species out(src.name, src.q, src.m, src.np, src.p.layout());
+  for (index_t i = 0; i < src.np; ++i) out.p.set(i, src.p.get(i));
+  out.np = src.np;
+  return out;
+}
+
 fs::path scratch(const std::string& tag) {
   const fs::path dir = fs::path(::testing::TempDir()) / ("vpic_col_" + tag);
   fs::remove_all(dir);
@@ -241,6 +379,87 @@ TEST(CollideRange, BitIdenticalAcrossLayouts) {
   }
 }
 
+TEST(CollideRange, MatchesSerialReferenceAtAnyThreadCount) {
+  // A multi-cell deck with an odd ppc (self pairs leave one particle
+  // over), stepped at one thread so the particles are out of cell order.
+  std::vector<core::Simulation> decks;
+  decks.reserve(core::kNumParticleLayouts);
+  for (const auto layout : core::kAllParticleLayouts) {
+    core::decks::LpiParams p;
+    p.nx = 16;
+    p.ny = 8;
+    p.nz = 8;
+    p.ppc = 5;
+    p.layout = layout;
+    decks.push_back(core::decks::make_lpi(p));
+    decks.back().run(7);
+    const core::Species& e = decks.back().species(0);
+    bool unsorted = false;
+    for (index_t i = 1; i < e.np && !unsorted; ++i)
+      unsorted = e.p.cell(i) < e.p.cell(i - 1);
+    ASSERT_TRUE(unsorted);
+  }
+  core::CollisionParams prm;
+  prm.nu0 = 5e-2;
+  const core::ModuleRng rng{core::hash64(77)};
+
+  // Restores the suite's one thread however the test exits.
+  struct OneThreadAfter {
+    ~OneThreadAfter() { pk::initialize(1); }
+  } restore;
+  for (const int threads : {1, 4}) {
+    pk::initialize(threads);
+    for (std::size_t li = 0; li < decks.size(); ++li) {
+      core::Simulation& sim = decks[li];
+      const index_t ne = sim.species(0).np, ni = sim.species(1).np;
+      struct Case {
+        std::size_t a, b;
+        index_t a0, a1, b0, b1;
+      };
+      // Whole ranges, then sub-ranges: the tile-task shape.
+      const Case cases[] = {
+          {0, 0, 0, ne, 0, ne},
+          {0, 1, 0, ne, 0, ni},
+          {1, 1, ni / 3, 2 * ni / 3, 0, 0},
+          {0, 1, ne / 4, 3 * ne / 4, ni / 3, ni},
+      };
+      for (const Case& c : cases) {
+        SCOPED_TRACE(testing::Message()
+                     << threads << " threads, layout "
+                     << core::to_string(core::kAllParticleLayouts[li])
+                     << ", pair " << c.a << ":" << c.b << " [" << c.a0 << ", "
+                     << c.a1 << ")");
+        core::Species ra = clone(sim.species(c.a));
+        core::Species rb = clone(sim.species(c.b));
+        core::Species ga = clone(sim.species(c.a));
+        core::Species gb = clone(sim.species(c.b));
+        const bool self = c.a == c.b;
+        const std::uint64_t key = c.a * 1024 + c.b;
+        const core::CollisionStats want =
+            ref::collide_range(ra, self ? ra : rb, sim.grid(), prm, c.a0,
+                               c.a1, c.b0, c.b1, 3, key, rng);
+        const core::CollisionStats got =
+            core::collide_range(ga, self ? ga : gb, sim.grid(), prm, c.a0,
+                                c.a1, c.b0, c.b1, 3, key, rng);
+        ASSERT_GT(want.pairs, 0u);
+        ASSERT_GT(want.cells, 1u);
+        EXPECT_EQ(got.pairs, want.pairs);
+        EXPECT_EQ(got.cells, want.cells);
+        const auto want_a = canon(ra), got_a = canon(ga);
+        EXPECT_EQ(std::memcmp(got_a.data(), want_a.data(),
+                              got_a.size() * sizeof(core::Particle)),
+                  0);
+        if (!self) {
+          const auto want_b = canon(rb), got_b = canon(gb);
+          EXPECT_EQ(std::memcmp(got_b.data(), want_b.data(),
+                                got_b.size() * sizeof(core::Particle)),
+                    0);
+        }
+      }
+    }
+  }
+}
+
 // ----------------------------------------------------------------------
 // CollisionModule in the step pipeline.
 // ----------------------------------------------------------------------
@@ -264,6 +483,20 @@ TEST(CollisionModule, ChangesDynamicsAndCountsPairs) {
   EXPECT_GT(col.pairs_scattered(), 0u);
   EXPECT_EQ(col.steps_applied(), 10u);
   EXPECT_FALSE(same_particles(with, without));
+}
+
+TEST(CollisionModule, RejectsOutOfRangeSpeciesPair) {
+  core::decks::LpiParams p;
+  p.nx = 8;
+  p.ny = 4;
+  p.nz = 4;
+  p.ppc = 2;
+  auto sim = core::decks::make_lpi(p);
+  ASSERT_EQ(sim.num_species(), 2u);
+  core::CollisionParams cp;
+  cp.pairs = {{0, 2}};
+  sim.add_module<core::CollisionModule>(cp);
+  EXPECT_THROW(sim.step(), std::invalid_argument);
 }
 
 TEST(CollisionModule, BitDeterministicAcrossWorkerCounts) {
