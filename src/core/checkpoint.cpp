@@ -13,12 +13,13 @@
 // a bit-identity requirement.
 //
 // Restore order is validate-then-mutate: the file envelope, the config
-// fingerprint, and every payload CRC are checked before a single byte of
-// live state changes, so a corrupt file throws a typed RestoreError and
-// leaves the simulation untouched (the generation-ring fallback then
-// tries the previous file).
+// fingerprint, every payload CRC and the module manifest are checked
+// before a single byte of live state changes, so a corrupt file throws a
+// typed RestoreError and leaves the simulation untouched (the
+// generation-ring fallback then tries the previous file).
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <cctype>
 #include <cstdio>
@@ -305,32 +306,44 @@ void add_module_sections(
   w.add_bytes("mod.index", index.data(), index.size());
 }
 
+using ModuleIndex = std::vector<std::pair<std::string, std::uint32_t>>;
+
+/// Parse the "mod.index" manifest. It touches no live state, so restore
+/// runs it before applying anything: a malformed line throws a typed
+/// RestoreError with the simulation unchanged, and the ring falls back to
+/// the previous generation. A pre-registry file has no mod.index and holds
+/// no module state, which reads as an empty manifest.
+ModuleIndex parse_module_index(ckpt::SectionSource& f) {
+  ModuleIndex in_file;
+  if (!f.has("mod.index")) return in_file;
+  const ckpt::EncodedSection& s = f.section("mod.index");
+  const std::string_view text(reinterpret_cast<const char*>(s.payload.data()),
+                              s.payload.size());
+  for (std::size_t at = 0; at < text.size();) {
+    const std::size_t eol = std::min(text.find('\n', at), text.size());
+    const std::string_view line = text.substr(at, eol - at);
+    at = eol + 1;
+    if (line.empty()) continue;
+    const auto colon = line.rfind(':');
+    const char* const end = line.data() + line.size();
+    std::uint32_t ver = 0;
+    std::from_chars_result r{end, std::errc::invalid_argument};
+    if (colon != std::string_view::npos)
+      r = std::from_chars(line.data() + colon + 1, end, ver);
+    if (r.ec != std::errc() || r.ptr != end)
+      throw ckpt::RestoreError(ckpt::RestoreErrorKind::SectionCorrupt,
+                               "malformed mod.index line '" +
+                                   std::string(line) + "'");
+    in_file.emplace_back(std::string(line.substr(0, colon)), ver);
+  }
+  return in_file;
+}
+
 void read_module_sections(
-    ckpt::SectionSource& f,
+    ckpt::SectionSource& f, const ModuleIndex& in_file,
     const std::vector<std::unique_ptr<PhysicsModule>>& modules,
     std::vector<ModuleSectionSkip>& skips) {
   skips.clear();
-  // Parse the manifest; a pre-registry file has no mod.index and holds no
-  // module state, which reads as an empty manifest.
-  std::vector<std::pair<std::string, std::uint32_t>> in_file;
-  if (f.has("mod.index")) {
-    const ckpt::EncodedSection& s = f.section("mod.index");
-    std::string line;
-    for (std::size_t i = 0; i <= s.payload.size(); ++i) {
-      if (i < s.payload.size() &&
-          static_cast<char>(s.payload[i]) != '\n') {
-        line += static_cast<char>(s.payload[i]);
-        continue;
-      }
-      const auto colon = line.rfind(':');
-      if (colon != std::string::npos)
-        in_file.emplace_back(
-            line.substr(0, colon),
-            static_cast<std::uint32_t>(
-                std::stoul(line.substr(colon + 1))));
-      line.clear();
-    }
-  }
   const std::vector<std::string> names = f.section_names();
   auto prefix_count = [&names](const std::string& prefix) {
     std::size_t n = 0;
@@ -550,9 +563,10 @@ void Simulation::restore(const std::string& path) {
   prof::ScopedRegion r("ckpt_restore");
   const auto apply = [this](ckpt::SectionSource& f) {
     f.require_fingerprint(config_fingerprint());
+    const ModuleIndex module_index = parse_module_index(f);
     read_engine_sections(f, fields_, interp_, acc_, species_);
     read_history_sections(f, energy_history_);
-    read_module_sections(f, modules_, last_restore_skips_);
+    read_module_sections(f, module_index, modules_, last_restore_skips_);
     step_count_ = f.step();
   };
   if (elastic::ChainReader::is_chain_file(path)) {

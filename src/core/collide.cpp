@@ -300,10 +300,13 @@ void CollisionModule::plan(Simulation& sim, const ModuleStepContext& ctx,
     prof::counter_add("collide.pairs", st.pairs);
   };
 
-  auto part_res = [&sim](std::size_t s, int t) {
-    std::string r = "particles." + sim.species(s).name;
-    if (t >= 0) r += ".t" + std::to_string(t);
-    return r;
+  // Both species' particles: all of them untiled, tile t's range tiled.
+  auto writes = [&sim, &ctx](std::size_t a, std::size_t b, int t) {
+    std::vector<std::string> wr = ctx.particles(sim.species(a).name, t);
+    if (b != a)
+      for (std::string& r : ctx.particles(sim.species(b).name, t))
+        wr.push_back(std::move(r));
+    return wr;
   };
   auto pair_name = [&sim](std::size_t a, std::size_t b, int t) {
     std::string n =
@@ -314,11 +317,9 @@ void CollisionModule::plan(Simulation& sim, const ModuleStepContext& ctx,
 
   if (!ctx.tiled) {
     for (const auto& [a, b] : pairs) {
-      std::vector<std::string> wr{part_res(a, -1)};
-      if (b != a) wr.push_back(part_res(b, -1));
       c.add_spine({pair_name(a, b, -1),
                    {},
-                   std::move(wr),
+                   writes(a, b, -1),
                    [phase_body, a = a, b = b, ns = ctx.next_step] {
                      phase_body(a, b, -1, ns);
                    }});
@@ -335,8 +336,6 @@ void CollisionModule::plan(Simulation& sim, const ModuleStepContext& ctx,
       for (std::size_t pi = 0; pi < pairs.size(); ++pi) {
         const auto [a, b] = pairs[pi];
         const std::string name = pair_name(a, b, t);
-        std::vector<std::string> wr{part_res(a, t)};
-        if (b != a) wr.push_back(part_res(b, t));
         const double cost =
             static_cast<double>(
                 sim.species(a).tiles[static_cast<std::size_t>(t)].count() +
@@ -344,7 +343,7 @@ void CollisionModule::plan(Simulation& sim, const ModuleStepContext& ctx,
             2e-8;
         c.add_branch({name,
                       {},
-                      std::move(wr),
+                      writes(a, b, t),
                       [phase_body, poll, a = a, b = b, t,
                        ns = ctx.next_step] {
                         poll();

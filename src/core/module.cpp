@@ -4,7 +4,20 @@
 
 #include <algorithm>
 
+#include "core/tiles.hpp"
+
 namespace vpic::core {
+
+std::vector<std::string> ModuleStepContext::particles(
+    const std::string& species, int t) const {
+  const std::string whole = "particles." + species;
+  if (!tiled) return {whole};
+  if (t >= 0) return {whole + ".t" + std::to_string(t)};
+  std::vector<std::string> r;
+  for (int k = 0; k < tiles->count(); ++k)
+    r.push_back(whole + ".t" + std::to_string(k));
+  return r;
+}
 
 void StepComposer::add(StepPhase p) {
   for (const auto& r : p.reads) resources_.insert(r);
@@ -28,7 +41,6 @@ void StepComposer::add_branch(StepPhase p) {
 }
 
 void StepComposer::edge(const std::string& before, const std::string& after) {
-  if (before.empty() || after.empty()) return;
   g_.add_edge(before, after);
 }
 

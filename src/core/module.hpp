@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <set>
 #include <string>
 #include <string_view>
@@ -91,6 +90,13 @@ struct ModuleStepContext {
   bool tiled = false;
   const TileMap* tiles = nullptr;    // valid when tiled
   std::function<void()> poll;        // no-op when untiled
+
+  /// Particle resources a phase declares for `species`: tile `t`'s range
+  /// when tiled and t >= 0, else all of the species in this shape —
+  /// "particles.<species>" untiled, one "particles.<species>.t<k>" per
+  /// tile when tiled.
+  [[nodiscard]] std::vector<std::string> particles(const std::string& species,
+                                                   int t = -1) const;
 };
 
 /// Prefix-scoped writer for a module's checkpoint sections: every section
@@ -218,9 +224,8 @@ class PhysicsModule {
 ///    it; join() parks a phase for the next spine phase to order after
 ///    (how per-species sorts rejoin before the checkpoint, and how side
 ///    phases like tracers order before the next spine stage).
-///  * anchors: well-known phase names published by earlier modules
-///    ("interp_ready", "acc_ready") so later modules can order against
-///    them without knowing which phase implements them in this shape.
+///  * the Gather stage's "interpolate" and "acc_clear" phases are the
+///    same in both shapes, so later modules order against them by name.
 ///  * all_resources(): every resource declared by any phase so far — the
 ///    conservative write set of hooks that receive the whole Simulation&
 ///    (replaces the hand-rolled "everything" lists the pre-registry
@@ -229,7 +234,7 @@ class StepComposer {
  public:
   explicit StepComposer(StepGraph& g) : g_(g) {}
 
-  /// Add a phase; ordering is the caller's job via edge()/anchors.
+  /// Add a phase; ordering is the caller's job via edge().
   void add(StepPhase p);
 
   /// Add a phase on the step spine: after tail + pending joins, becomes
@@ -240,8 +245,7 @@ class StepComposer {
   /// becoming the tail (pending joins stay pending).
   void add_branch(StepPhase p);
 
-  /// Directed edge. Empty names are ignored, so
-  /// `c.edge(c.anchor("..."), name)` is safe when the anchor is unset.
+  /// Directed edge.
   void edge(const std::string& before, const std::string& after);
 
   /// Park `phase` for the next add_spine() to order after.
@@ -249,15 +253,6 @@ class StepComposer {
 
   void set_tail(std::string phase) { tail_ = std::move(phase); }
   [[nodiscard]] const std::string& tail() const { return tail_; }
-
-  void set_anchor(const std::string& key, std::string phase) {
-    anchors_[key] = std::move(phase);
-  }
-  /// Phase name registered under `key`; "" when unset.
-  [[nodiscard]] std::string anchor(const std::string& key) const {
-    const auto it = anchors_.find(key);
-    return it == anchors_.end() ? std::string() : it->second;
-  }
 
   /// Every resource any phase has declared so far (sorted, deduped).
   [[nodiscard]] std::vector<std::string> all_resources() const {
@@ -270,7 +265,6 @@ class StepComposer {
   StepGraph& g_;
   std::string tail_;               // spine tail
   std::vector<std::string> pending_;  // parked joins
-  std::map<std::string, std::string> anchors_;
   std::set<std::string> resources_;
 };
 

@@ -4,7 +4,8 @@
 // (docs/MODULES.md): interpolate, push, accumulate, field advance,
 // injection, diagnostics, sort, checkpoint. Simulation::build_step_graph
 // is generic composition over these — one source of truth for the
-// untiled and the tiled step shapes.
+// untiled and the tiled step shapes, which differ only where tiling
+// changes the work: the push into tile-private blocks and their merge.
 
 #include "core/simulation.hpp"
 
@@ -54,10 +55,6 @@ constexpr double kVoxelCost = 1e-9;
 
 std::string tile_suffix(int t) { return ".t" + std::to_string(t); }
 
-std::string part_res(const Species& sp) { return "particles." + sp.name; }
-std::string part_res(const Species& sp, int t) {
-  return "particles." + sp.name + tile_suffix(t);
-}
 std::string blk_res(const Species& sp, int t) {
   return "acc." + sp.name + tile_suffix(t);
 }
@@ -67,9 +64,9 @@ std::string push_name(const Species& sp, int t) {
 }
 
 // ---------------------------------------------------------------------
-// Gather: interpolator load (per tile when tiled) + accumulator clear.
-// Publishes the "interp_ready" / "acc_ready" anchors later stages order
-// against.
+// Gather: interpolator load + accumulator clear, one phase each in both
+// shapes. A tile's particles may have drifted anywhere since the last
+// bucketing, so every tiled push reads the whole interpolator anyway.
 // ---------------------------------------------------------------------
 class GatherModule final : public PhysicsModule {
  public:
@@ -78,52 +75,25 @@ class GatherModule final : public PhysicsModule {
 
   void plan(Simulation& sim, const ModuleStepContext& ctx,
             StepComposer& c) override {
-    if (!ctx.tiled) {
-      c.add({"interpolate",
-             {"fields.eb"},
-             {"interp"},
-             [&sim] { A::interp(sim).load(A::fields(sim)); }});
-      c.add({"acc_clear", {}, {"acc"}, [&sim] { A::acc(sim).clear(); }});
-      c.set_anchor("interp_ready", "interpolate");
-      c.set_anchor("acc_ready", "acc_clear");
-      return;
-    }
-    const TileMap& tm = *ctx.tiles;
-    const int nt = tm.count();
     const auto poll = ctx.poll;
-    for (int t = 0; t < nt; ++t) {
-      const std::string name = "interp[t" + std::to_string(t) + "]";
-      const int z0 = tm.z_lo(t), z1 = tm.z_hi(t);
-      c.add({name,
-             {"fields.eb"},
-             {"interp" + tile_suffix(t)},
-             [&sim, z0, z1, poll] {
-               poll();
-               A::interp(sim).load_planes(A::fields(sim), z0, z1);
-             },
-             static_cast<double>(z1 - z0 + 1) *
-                 static_cast<double>(tm.plane_voxels()) * kVoxelCost});
-    }
-    // Fan-in barrier: a tile's particles may have drifted arbitrarily
-    // far since the last bucketing, so every push conservatively reads
-    // the whole interpolator (declared as the "interp" resource).
-    std::vector<std::string> rd;
-    rd.reserve(static_cast<std::size_t>(nt));
-    for (int t = 0; t < nt; ++t) rd.push_back("interp" + tile_suffix(t));
-    c.add({"interp_done", std::move(rd), {"interp"}, [poll] { poll(); },
-           0.0});
-    for (int t = 0; t < nt; ++t)
-      c.edge("interp[t" + std::to_string(t) + "]", "interp_done");
-    c.set_anchor("interp_ready", "interp_done");
+    const double nv_cost =
+        static_cast<double>(A::fields(sim).grid.nv()) * kVoxelCost;
+    c.add({"interpolate",
+           {"fields.eb"},
+           {"interp"},
+           [&sim, poll] {
+             if (poll) poll();
+             A::interp(sim).load(A::fields(sim));
+           },
+           nv_cost});
     c.add({"acc_clear",
            {},
            {"acc"},
            [&sim, poll] {
-             poll();
+             if (poll) poll();
              A::acc(sim).clear();
            },
-           static_cast<double>(A::fields(sim).grid.nv()) * kVoxelCost});
-    c.set_anchor("acc_ready", "acc_clear");
+           nv_cost});
   }
 };
 
@@ -147,9 +117,11 @@ class PushModule final : public PhysicsModule {
       std::string prev;
       for (std::size_t s = 0; s < ns; ++s) {
         const std::string name = push_name(species[s]);
+        std::vector<std::string> wr = ctx.particles(species[s].name);
+        wr.push_back("acc");
         c.add({name,
                {"interp"},
-               {"acc", part_res(species[s])},
+               std::move(wr),
                [&sim, s] {
                  auto& cfg = A::cfg(sim);
                  A::last_push_paths(sim)[s] = advance_species(
@@ -157,14 +129,14 @@ class PushModule final : public PhysicsModule {
                      A::fields(sim).grid, cfg.strategy, {}, cfg.push_path);
                }});
         if (s == 0) {
-          c.edge(c.anchor("interp_ready"), name);
-          c.edge(c.anchor("acc_ready"), name);
+          c.edge("interpolate", name);
+          c.edge("acc_clear", name);
         } else {
           c.edge(prev, name);
         }
         prev = name;
       }
-      c.set_tail(ns ? prev : c.anchor("acc_ready"));
+      c.set_tail(ns ? prev : "acc_clear");
       return;
     }
 
@@ -186,9 +158,11 @@ class PushModule final : public PhysicsModule {
             static_cast<double>(
                 species[s].tiles[static_cast<std::size_t>(t)].count()) *
             push_pp[s];
+        std::vector<std::string> wr = ctx.particles(species[s].name, t);
+        wr.push_back(blk_res(species[s], t));
         c.add({name,
                {"interp"},
-               {blk_res(species[s], t), part_res(species[s], t)},
+               std::move(wr),
                [&sim, s, t, runs_used, poll] {
                  poll();
                  auto& cfg = A::cfg(sim);
@@ -237,7 +211,7 @@ class PushModule final : public PhysicsModule {
                  }
                },
                cost});
-        c.edge(c.anchor("interp_ready"), name);
+        c.edge("interpolate", name);
       }
     }
   }
@@ -290,13 +264,13 @@ class AccumulateModule final : public PhysicsModule {
                  for (auto& blk : per_sp) blk.merge_into(A::acc(sim));
              },
              nv_cost});
-      c.edge(c.anchor("acc_ready"), "acc_merge");
+      c.edge("acc_clear", "acc_merge");
       for (std::size_t s = 0; s < ns; ++s)
         for (int t = 0; t < nt; ++t)
           c.edge(push_name(species[s], t), "acc_merge");
       c.set_tail("acc_merge");
     } else {
-      c.set_tail(c.anchor("acc_ready"));
+      c.set_tail("acc_clear");
     }
     c.add_spine({"accumulate",
                  {"acc"},
@@ -347,7 +321,7 @@ class FieldModule final : public PhysicsModule {
     // Orders the fields.eb read-write conflict against the interpolator
     // load directly; with species the push chain already implies it,
     // without species it is load-bearing.
-    c.edge(c.anchor("interp_ready"), "field_advance");
+    c.edge("interpolate", "field_advance");
   }
 };
 
@@ -393,14 +367,8 @@ class DiagnosticsModule final : public PhysicsModule {
       return;
     auto& species = A::species(sim);
     std::vector<std::string> rd{"fields.eb"};
-    for (const auto& sp : species) {
-      if (!ctx.tiled) {
-        rd.push_back(part_res(sp));
-      } else {
-        for (int t = 0; t < ctx.tiles->count(); ++t)
-          rd.push_back(part_res(sp, t));
-      }
-    }
+    for (const auto& sp : species)
+      for (std::string& r : ctx.particles(sp.name)) rd.push_back(std::move(r));
     const auto poll = ctx.poll;
     c.add_spine({"diagnostics",
                  std::move(rd),
@@ -416,9 +384,11 @@ class DiagnosticsModule final : public PhysicsModule {
 };
 
 // ---------------------------------------------------------------------
-// Sort: per-species re-sorts on the configured interval. Untiled: one
-// phase per species, mutually unordered. Tiled: bucket-by-tile, per-tile
-// counting sorts, one finishing swap per species.
+// Sort: per-species re-sorts on the configured interval, one phase per
+// species in both shapes. Each touches only its own species, so the
+// phases are mutually unordered. Tiled, the phase then re-buckets the
+// species by tile (a no-op after a Standard sort, which leaves the array
+// tile-major) and passes a cell-sorted species' freshness to its tiles.
 // ---------------------------------------------------------------------
 class SortModule final : public PhysicsModule {
  public:
@@ -430,77 +400,33 @@ class SortModule final : public PhysicsModule {
     const auto& cfg = A::cfg(sim);
     if (cfg.sort_interval <= 0 || ctx.next_step % cfg.sort_interval != 0)
       return;
-    auto& species = A::species(sim);
-    if (!ctx.tiled) {
-      std::uint32_t tile = cfg.sort_tile;
-      if (tile == 0)
-        tile =
-            static_cast<std::uint32_t>(pk::DefaultExecSpace::concurrency());
-      // Each sort touches only its own species: the phases are mutually
-      // unordered and run concurrently on separate instances.
-      for (std::size_t s = 0; s < species.size(); ++s) {
-        const std::string name = "sort[" + species[s].name + "]";
-        c.add_branch({name,
-                      {},
-                      {part_res(species[s])},
-                      [&sim, s, tile] {
-                        const auto& cfg2 = A::cfg(sim);
-                        sort_particles(
-                            A::species(sim)[s], cfg2.sort_order, tile,
-                            cfg2.seed + static_cast<std::uint64_t>(
-                                            A::step_count(sim)),
-                            A::fields(sim).grid.nv());
-                      }});
-        c.join(name);
-      }
-      return;
-    }
-    const int nt = ctx.tiles->count();
+    std::uint32_t tile = cfg.sort_tile;
+    if (tile == 0)
+      tile = static_cast<std::uint32_t>(pk::DefaultExecSpace::concurrency());
+    const bool tiled = ctx.tiled;
     const auto poll = ctx.poll;
+    auto& species = A::species(sim);
     for (std::size_t s = 0; s < species.size(); ++s) {
-      const std::string bname = "sort_bucket[" + species[s].name + "]";
-      std::vector<std::string> wr;
-      wr.reserve(static_cast<std::size_t>(nt));
-      for (int t = 0; t < nt; ++t) wr.push_back(part_res(species[s], t));
-      c.add_branch({bname,
+      const std::string name = "sort[" + species[s].name + "]";
+      c.add_branch({name,
                     {},
-                    std::move(wr),
-                    [&sim, s, poll] {
-                      poll();
-                      bucket_by_tile(A::species(sim)[s], A::tile_map(sim));
+                    ctx.particles(species[s].name),
+                    [&sim, s, tile, tiled, poll] {
+                      if (poll) poll();
+                      const auto& cfg2 = A::cfg(sim);
+                      Species& sp = A::species(sim)[s];
+                      sort_particles(
+                          sp, cfg2.sort_order, tile,
+                          cfg2.seed +
+                              static_cast<std::uint64_t>(A::step_count(sim)),
+                          A::fields(sim).grid.nv());
+                      if (!tiled) return;
+                      bucket_by_tile(sp, A::tile_map(sim));
+                      if (sp.cell_sorted_hint)
+                        for (TileSlot& slot : sp.tiles) slot.mark_sorted();
                     },
                     static_cast<double>(species[s].np) * kVoxelCost});
-      for (int t = 0; t < nt; ++t) {
-        const std::string name =
-            "sort[" + species[s].name + tile_suffix(t) + "]";
-        c.add({name,
-               {},
-               {part_res(species[s], t)},
-               [&sim, s, t, poll] {
-                 poll();
-                 sort_tile(A::species(sim)[s], A::tile_map(sim), t);
-               },
-               static_cast<double>(
-                   species[s].tiles[static_cast<std::size_t>(t)].count()) *
-                   kVoxelCost});
-        c.edge(bname, name);
-      }
-      const std::string fname = "sort_finish[" + species[s].name + "]";
-      std::vector<std::string> fwr;
-      fwr.reserve(static_cast<std::size_t>(nt));
-      for (int t = 0; t < nt; ++t) fwr.push_back(part_res(species[s], t));
-      c.add({fname,
-             {},
-             std::move(fwr),
-             [&sim, s, poll] {
-               poll();
-               finish_tile_sort(A::species(sim)[s]);
-               prof::counter_add("tiles.sort");
-             },
-             0.0});
-      for (int t = 0; t < nt; ++t)
-        c.edge("sort[" + species[s].name + tile_suffix(t) + "]", fname);
-      c.join(fname);
+      c.join(name);
     }
   }
 };

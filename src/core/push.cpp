@@ -765,22 +765,8 @@ void advance_runs_serial(Species& sp, const InterpolatorArray& interp,
 }
 
 bool run_aware_profitable(const Species& sp) {
-  // Gates are autotuned per host and per layout (src/tune; defaults in
-  // core/push_tuning.hpp): below min_particles the per-run overhead and
-  // segmentation pass dominate; beyond max_stale steps since the last
-  // cell sort the probe is not worth running every step; the probe gates
-  // on the estimated mean run length covering the per-run overhead
-  // (hoisted 18-float load + 12-atomic flush amortized over the run).
-  const PushGates& gates = active_push_gates(sp.p.layout());
-  if (sp.np < gates.min_particles) return false;
-  if (!sp.cell_sorted_hint || sp.steps_since_sort < 0) return false;
-  if (sp.steps_since_sort == 0) return true;  // fresh from sort_particles
-  if (sp.steps_since_sort > gates.max_stale) return false;
-  return dispatch_layout(sp.p, [&](auto a) {
-    const auto probe =
-        sort::probe_runs(sp.np, [a](index_t i) { return a.cell(i); });
-    return probe.mean_run_estimate() >= gates.min_mean_run;
-  });
+  return run_aware_profitable_range(sp, 0, sp.np, sp.cell_sorted_hint,
+                                    sp.steps_since_sort);
 }
 
 PushPath advance_species(Species& sp, const InterpolatorArray& interp,
@@ -888,12 +874,18 @@ void advance_species_runs(Species& sp, const InterpolatorArray& interp,
 
 bool run_aware_profitable_range(const Species& sp, index_t n0, index_t n1,
                                 bool sorted_hint, int steps_since_sort) {
+  // Gates are autotuned per host and per layout (src/tune; defaults in
+  // core/push_tuning.hpp): below min_particles the per-run overhead and
+  // segmentation pass dominate; beyond max_stale steps since the last
+  // cell sort the probe is not worth running every step; the probe gates
+  // on the estimated mean run length covering the per-run overhead
+  // (hoisted 18-float load + 12-atomic flush amortized over the run).
   const index_t n = n1 - n0;
   if (n <= 0) return false;
   const PushGates& gates = active_push_gates(sp.p.layout());
   if (n < gates.min_particles) return false;
   if (!sorted_hint || steps_since_sort < 0) return false;
-  if (steps_since_sort == 0) return true;  // fresh from the tile sort
+  if (steps_since_sort == 0) return true;  // fresh from a sort
   if (steps_since_sort > gates.max_stale) return false;
   return dispatch_layout(sp.p, [&](auto a) {
     const auto probe = sort::probe_runs(

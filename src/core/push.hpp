@@ -137,7 +137,8 @@ void advance_species_runs(Species& sp, const InterpolatorArray& interp,
 
 /// The AutoDetect heuristic, exposed for tests and benches: true when the
 /// species' sortedness tracking (fresh or recently-stale cell-sorted hint)
-/// plus a sampled run probe predict the run-aware path will pay off.
+/// plus a sampled run probe predict the run-aware path will pay off —
+/// run_aware_profitable_range over [0, np), so an empty species is false.
 [[nodiscard]] bool run_aware_profitable(const Species& sp);
 
 // ----------------------------------------------------------------------
@@ -171,11 +172,11 @@ void advance_runs_serial(Species& sp, const InterpolatorArray& interp,
                          const std::vector<sort::CellRun>& runs,
                          std::size_t r0, std::size_t r1);
 
-/// Per-tile AutoDetect gate: run_aware_profitable evaluated on the
-/// subrange [n0, n1) with the tile's own sortedness state (per-tile
-/// staleness is what makes per-tile dispatch differ from global — a busy
-/// tile churning does not veto a quiet tile's fast path, and a sparse
-/// tile below min_particles falls back to generic on its own).
+/// The AutoDetect gate on the subrange [n0, n1) with that range's own
+/// sortedness state; false for an empty range. Per-tile staleness is what
+/// makes per-tile dispatch differ from global: a busy tile churning does
+/// not veto a quiet tile's fast path, and a sparse tile below
+/// min_particles falls back to generic on its own.
 [[nodiscard]] bool run_aware_profitable_range(const Species& sp, index_t n0,
                                               index_t n1, bool sorted_hint,
                                               int steps_since_sort);

@@ -131,12 +131,6 @@ void Simulation::ensure_tiles() {
   if (!tiles_dirty_ && tile_map_.count() == want && pool_ok && blocks_ok)
     return;
 
-  if (cfg_.sort_order != sort::SortOrder::Standard)
-    throw std::logic_error(
-        "tiled step: the per-tile counting sort produces Standard "
-        "(voxel-ascending) order; set SimulationConfig::sort_order = "
-        "Standard");
-
   tile_map_ = TileMap(fields_.grid, want);
   for (auto& sp : species_) bucket_by_tile(sp, tile_map_);
   tile_acc_.clear();

@@ -1,9 +1,7 @@
 #include "core/tiles.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
-#include <stdexcept>
 
 #include "prof/prof.hpp"
 #include "sort/counting.hpp"
@@ -73,26 +71,6 @@ void bucket_by_tile(Species& sp, const TileMap& tm) {
   const int nt = tm.count();
   sp.tiles.resize(static_cast<std::size_t>(nt));
   const index_t n = sp.np;
-  if (n <= 1) {
-    // Degenerate: no permute needed (matches the untiled sort's n <= 1
-    // early-out, keeping the ping-pong parity identical). The single
-    // particle, if any, ranges into its owning tile.
-    int home = 0;
-    if (n == 1)
-      home = dispatch_layout(sp.p, [&](auto a) {
-        return tm.tile_of_voxel(static_cast<index_t>(a.cell(0)));
-      });
-    index_t pos = 0;
-    for (int t = 0; t < nt; ++t) {
-      TileSlot& slot = sp.tiles[static_cast<std::size_t>(t)];
-      slot.begin = pos;
-      if (t == home) pos += n;
-      slot.end = pos;
-      slot.sorted_hint = false;
-      slot.steps_since_sort = -1;
-    }
-    return;
-  }
   prof::ScopedRegion region("bucket_by_tile");
   sort::SortWorkspace& ws = sp.sort_ws;
   ws.reserve_pairs(n);
@@ -117,6 +95,9 @@ void bucket_by_tile(Species& sp, const TileMap& tm) {
     slot.sorted_hint = false;
     slot.steps_since_sort = -1;
   }
+  // Already tile-major (a Standard sort or a deck's ascending-voxel load
+  // leaves it so): the stable partition is the identity, skip the permute.
+  if (std::is_sorted(tkeys, tkeys + n)) return;
   index_t* const perm = ws.perm.data();
   sort::detail::counting_scatter_index(tkeys, n, bound, offsets, 1, perm);
 
@@ -129,43 +110,6 @@ void bucket_by_tile(Species& sp, const TileMap& tm) {
   });
   std::swap(sp.p, sp.p_scratch);
   prof::counter_add("tiles.bucket");
-}
-
-void sort_tile(Species& sp, const TileMap& tm, int t) {
-  TileSlot& slot = sp.tiles.at(static_cast<std::size_t>(t));
-  const index_t b = slot.begin, n = slot.count();
-  ParticleStore& scratch = sp.sort_scratch();
-  if (n <= 0) return;
-  const index_t v0 = tm.v_lo(t);
-  const index_t bound = tm.v_hi(t) - v0;
-  slot.keys.resize(static_cast<std::size_t>(n));
-  slot.perm.resize(static_cast<std::size_t>(n));
-  slot.offsets.resize(sort::detail::counting_hist_cells(1, bound));
-  std::uint32_t* keys = slot.keys.data();
-  dispatch_layout(sp.p, [&](auto a) {
-    for (index_t i = 0; i < n; ++i) {
-      index_t k = static_cast<index_t>(a.cell(b + i)) - v0;
-      // Live particles sit inside the tile's interval after bucketing;
-      // the clamp only guards the histogram against corrupted cells.
-      keys[i] = static_cast<std::uint32_t>(std::clamp(k, index_t{0},
-                                                      bound - 1));
-    }
-  });
-  sort::detail::counting_offsets(keys, n, bound, slot.offsets.data(), 1);
-  sort::detail::counting_scatter_index(keys, n, bound, slot.offsets.data(), 1,
-                                       slot.perm.data());
-  const index_t* perm = slot.perm.data();
-  dispatch_layout(sp.p, [&](auto sa) {
-    dispatch_layout(scratch, [&](auto da) {
-      for (index_t i = 0; i < n; ++i) da.store(b + i, sa.load(b + perm[i]));
-    });
-  });
-}
-
-void finish_tile_sort(Species& sp) {
-  std::swap(sp.p, sp.p_scratch);
-  sp.mark_sorted(true);
-  for (TileSlot& slot : sp.tiles) slot.mark_sorted();
 }
 
 double tile_imbalance(const Species& sp) {

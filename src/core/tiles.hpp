@@ -3,9 +3,10 @@
 // Tile-level domain over-decomposition (docs/TILES.md). The grid's
 // interior z-planes are split into T contiguous slabs ("tiles"); because
 // the voxel index is (iz * sy + iy) * sx + ix, a tile is a contiguous
-// voxel interval and a cell-sorted particle array is tile-major — so a
-// stable bucket-by-tile plus per-tile stable voxel sorts reproduce the
-// untiled stable voxel sort bit for bit.
+// voxel interval and a cell-sorted particle array is tile-major — so
+// bucketing after the untiled stable voxel sort moves nothing, and the
+// tiled step sorts with the untiled step's sort (any SortOrder) followed
+// by a stable bucket-by-tile.
 //
 // Tiles exist to turn each (phase x tile) pair into a StepGraph task for
 // the work-stealing executor (pk/stealing.hpp):
@@ -115,21 +116,10 @@ class TileAccumulator {
 /// Stable-partition sp's live particles by tile id (serial counting sort
 /// over tile ids through the ping-pong scratch) and record each tile's
 /// [begin, end) index range in sp.tiles. Because tile ids are monotone in
-/// the voxel index, bucketing a cell-sorted array is the identity
-/// permutation, and bucket + per-tile voxel sorts == the untiled stable
-/// voxel sort. Per-tile sortedness is reset to "bucketed, not sorted".
+/// the voxel index, a cell-sorted array is already tile-major: then the
+/// permute is skipped and `sp.p` keeps its buffer and contents. Per-tile
+/// sortedness is reset to "bucketed, not sorted".
 void bucket_by_tile(Species& sp, const TileMap& tm);
-
-/// Serial stable counting sort by voxel of tile t's range, gathering into
-/// sp's scratch store at the same offsets (keys rebased to the tile's
-/// voxel interval; scratch buffers live in the tile's TileSlot so tiles
-/// sort concurrently). finish_tile_sort() swaps the ping-pong buffers
-/// once every tile of the species has sorted.
-void sort_tile(Species& sp, const TileMap& tm, int t);
-
-/// Swap the ping-pong stores and mark the species (globally and per tile)
-/// freshly cell-sorted. Call after sort_tile() ran for every tile.
-void finish_tile_sort(Species& sp);
 
 /// Load-imbalance factor of the current tile ranges: max tile particle
 /// count over mean tile particle count (1.0 = perfectly balanced).

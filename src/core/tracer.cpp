@@ -157,13 +157,8 @@ void TracerModule::plan(Simulation& sim, const ModuleStepContext& ctx,
   csv_path_ = sim.config().tracer_csv_path;
   if (prm_.species >= sim.num_species()) return;
   const Species& sp = sim.species(prm_.species);
-  std::vector<std::string> rd{"interp"};
-  if (!ctx.tiled) {
-    rd.push_back("particles." + sp.name);
-  } else {
-    for (int t = 0; t < ctx.tiles->count(); ++t)
-      rd.push_back("particles." + sp.name + ".t" + std::to_string(t));
-  }
+  std::vector<std::string> rd = ctx.particles(sp.name);
+  rd.push_back("interp");
   const auto poll = ctx.poll;
   c.add_branch({"tracer",
                 std::move(rd),
@@ -173,7 +168,7 @@ void TracerModule::plan(Simulation& sim, const ModuleStepContext& ctx,
                   run(sim, ns);
                 },
                 0.0});
-  c.edge(c.anchor("interp_ready"), "tracer");
+  c.edge("interpolate", "tracer");
   if (ctx.tiled) {
     // The tiled step has no spine tail yet at the Push stage: order the
     // particle-read conflict against the source species' tile pushes

@@ -101,58 +101,100 @@ K key_max_ptr(const K* keys, index_t n) {
   return mx;
 }
 
+/// Occurrence numbering shared by Algorithms 1 and 2, in index order: the
+/// k-th element holding a key is that key's occurrence k, which is the
+/// 1-thread result at any thread count (an atomic fetch-add per element
+/// would hand occurrences out in thread arrival order instead). The keys
+/// split into `nthreads` contiguous chunks; each chunk histograms its keys
+/// into its own row of `counts`, and an exclusive scan over the rows turns
+/// row c into the first occurrence chunk c owns of every key, as
+/// counting_offsets does for the counting sort. `counts` must hold
+/// counting_hist_cells(nthreads, span) entries; on return row `nthreads`
+/// holds the key multiplicities.
+template <class K>
+void occurrence_offsets(const K* keys, index_t n, K min_k, index_t span,
+                        int nthreads, K* counts) {
+  const index_t chunks = nthreads;
+  std::fill(counts, counts + counting_hist_cells(nthreads, span), K{0});
+  pk::parallel_for(chunks, [=](index_t c) {
+    K* const row = counts + c * span;
+    for (index_t i = n * c / chunks; i < n * (c + 1) / chunks; ++i)
+      ++row[keys[i] - min_k];
+  });
+  K* const totals = counts + chunks * span;
+  pk::parallel_for(span, [=](index_t b) {
+    K running = 0;
+    for (index_t c = 0; c < chunks; ++c) {
+      K& cell = counts[c * span + b];
+      const K count = cell;
+      cell = running;
+      running = static_cast<K>(running + count);
+    }
+    totals[b] = running;
+  });
+}
+
+/// out[i] = rekey(keys[i], occurrence of element i), over the chunks
+/// occurrence_offsets prepared (consumes rows [0, nthreads) of `counts`).
+template <class K, class Rekey>
+void occurrence_assign(const K* keys, index_t n, K min_k, index_t span,
+                       int nthreads, K* counts, K* out, Rekey rekey) {
+  const index_t chunks = nthreads;
+  pk::parallel_for(chunks, [=](index_t c) {
+    K* const next = counts + c * span;
+    for (index_t i = n * c / chunks; i < n * (c + 1) / chunks; ++i)
+      out[i] = rekey(keys[i], next[keys[i] - min_k]++);
+  });
+}
+
 /// Algorithm 1, lines 1-7, on raw storage:
-/// out[i] = (keys[i] - min_k) + occurrence * span, occurrence counted
-/// atomically per key. `counts` must span max_k - min_k + 1 entries (they
-/// are zeroed here; on return they hold the key multiplicities). Returns
-/// the exclusive upper bound on the rewritten keys: span * max multiplicity.
+/// out[i] = (keys[i] - min_k) + occurrence * span, occurrences numbered in
+/// index order. `counts` must hold counting_hist_cells(nthreads, span)
+/// entries for span = max_k - min_k + 1. Returns the exclusive upper bound
+/// on the rewritten keys: span * max multiplicity.
 template <class K>
 std::uint64_t strided_rewrite(const K* keys, index_t n, K min_k, K max_k,
-                              K* counts, K* out) {
+                              int nthreads, K* counts, K* out) {
   const index_t span =
       static_cast<index_t>(max_k) - static_cast<index_t>(min_k) + 1;
-  std::fill(counts, counts + span, K{0});
+  occurrence_offsets(keys, n, min_k, span, nthreads, counts);
+  const K max_mult = key_max_ptr(counts + nthreads * span, span);
   const K span_k = static_cast<K>(span);
-  pk::parallel_for(n, [=](index_t i) {
-    const K key = keys[i];
-    const K occ = pk::atomic_fetch_add(&counts[key - min_k], K{1});
-    out[i] = static_cast<K>((key - min_k) + occ * span_k);
-  });
-  const K max_mult = key_max_ptr(counts, span);
+  occurrence_assign(keys, n, min_k, span, nthreads, counts, out,
+                    [=](K key, K occ) {
+                      return static_cast<K>((key - min_k) + occ * span_k);
+                    });
   return static_cast<std::uint64_t>(span) * max_mult;
 }
 
-/// Algorithm 2, lines 1-15, on raw storage. `counts` must span
-/// max_k - min_k + 1 entries (zeroed and reused internally). Returns the
-/// exclusive upper bound on the composite keys.
+/// Algorithm 2, lines 1-15, on raw storage. `counts` must hold
+/// counting_hist_cells(nthreads, span) entries for span = max_k - min_k + 1.
+/// Returns the exclusive upper bound on the composite keys.
 template <class K>
 std::uint64_t tiled_rewrite(const K* keys, index_t n, K min_k, K max_k,
-                            K tile_sz, K* counts, K* out) {
+                            K tile_sz, int nthreads, K* counts, K* out) {
   if (tile_sz < 1) tile_sz = 1;
   const index_t span =
       static_cast<index_t>(max_k) - static_cast<index_t>(min_k) + 1;
 
   // Lines 4-6: histogram of key multiplicities.
-  std::fill(counts, counts + span, K{0});
-  pk::parallel_for(n,
-                   [=](index_t i) { pk::atomic_inc(&counts[keys[i] - min_k]); });
+  occurrence_offsets(keys, n, min_k, span, nthreads, counts);
 
   // Line 7: max multiplicity determines tiles per chunk.
-  const K max_r = key_max_ptr(counts, span);
+  const K max_r = key_max_ptr(counts + nthreads * span, span);
 
   // Line 8: chunk_sz = TileSz * max_r  (key slots per chunk).
   const K chunk_sz = static_cast<K>(tile_sz * max_r);
 
-  // Line 9: reset the counting array.
-  std::fill(counts, counts + span, K{0});
-
-  // Lines 10-15: assign each element a (chunk, tile, id) composite key.
-  pk::parallel_for(n, [=](index_t i) {
-    const K id = static_cast<K>(keys[i] - min_k);
-    const K tile = pk::atomic_fetch_add(&counts[id], K{1});
-    const K chunk = static_cast<K>(keys[i] / tile_sz);
-    out[i] = static_cast<K>(chunk * chunk_sz + tile * tile_sz + id);
-  });
+  // Lines 9-15: each element's (chunk, tile, id) composite key; its tile
+  // is its occurrence.
+  occurrence_assign(keys, n, min_k, span, nthreads, counts, out,
+                    [=](K key, K tile) {
+                      const K id = static_cast<K>(key - min_k);
+                      const K chunk = static_cast<K>(key / tile_sz);
+                      return static_cast<K>(chunk * chunk_sz +
+                                            tile * tile_sz + id);
+                    });
 
   // Largest possible composite: max chunk, last tile, largest id.
   return static_cast<std::uint64_t>(max_k / tile_sz) * chunk_sz +
@@ -176,10 +218,14 @@ pk::View<K, 1> make_strided_keys(const pk::View<K, 1>& keys,
   }
   K min_k, max_k;
   detail::key_minmax_ptr(keys.data(), n, min_k, max_k);
-  pk::View<K, 1> key_counts("key_counts", static_cast<index_t>(max_k) -
-                                              static_cast<index_t>(min_k) + 1);
-  const std::uint64_t bound = detail::strided_rewrite(
-      keys.data(), n, min_k, max_k, key_counts.data(), new_keys.data());
+  const int nthreads = pk::DefaultExecSpace::concurrency();
+  pk::View<K, 1> key_counts(
+      "key_counts",
+      static_cast<index_t>(detail::counting_hist_cells(
+          nthreads, static_cast<index_t>(max_k) - min_k + 1)));
+  const std::uint64_t bound =
+      detail::strided_rewrite(keys.data(), n, min_k, max_k, nthreads,
+                              key_counts.data(), new_keys.data());
   if (key_bound_out) *key_bound_out = bound;
   return new_keys;
 }
@@ -198,10 +244,13 @@ pk::View<K, 1> make_tiled_strided_keys(const pk::View<K, 1>& keys, K tile_sz,
   }
   K min_k, max_k;
   detail::key_minmax_ptr(keys.data(), n, min_k, max_k);
-  pk::View<K, 1> key_counts("key_counts", static_cast<index_t>(max_k) -
-                                              static_cast<index_t>(min_k) + 1);
+  const int nthreads = pk::DefaultExecSpace::concurrency();
+  pk::View<K, 1> key_counts(
+      "key_counts",
+      static_cast<index_t>(detail::counting_hist_cells(
+          nthreads, static_cast<index_t>(max_k) - min_k + 1)));
   const std::uint64_t bound =
-      detail::tiled_rewrite(keys.data(), n, min_k, max_k, tile_sz,
+      detail::tiled_rewrite(keys.data(), n, min_k, max_k, tile_sz, nthreads,
                             key_counts.data(), new_keys.data());
   if (key_bound_out) *key_bound_out = bound;
   return new_keys;

@@ -23,7 +23,7 @@ struct SortWorkspace {
   pk::View<std::uint32_t, 1> keys_alt;  // rewritten keys / radix ping-pong
   pk::View<index_t, 1> perm;            // permutation (radix argsort path)
   pk::View<index_t, 1> perm_alt;        // radix ping-pong partner of perm
-  pk::View<std::uint32_t, 1> counts;    // per-key multiplicities (key span)
+  pk::View<std::uint32_t, 1> counts;    // per-chunk key occurrence counts
   std::vector<index_t> histogram;       // per-thread scatter offsets
 
   /// Number of times any buffer here was (re)allocated. Steady state must
@@ -41,12 +41,12 @@ struct SortWorkspace {
     ++grow_count;
   }
 
-  /// Ensure the key-multiplicity buffer spans `span` distinct keys.
+  /// Ensure the key-occurrence buffer holds `cells` entries.
   /// Contents are NOT zeroed; the key-rewrite kernels reset what they use.
-  std::uint32_t* reserve_counts(index_t span) {
-    if (counts.size() < span) {
-      counts =
-          pk::View<std::uint32_t, 1>("sort_ws_counts", grown(counts.size(), span));
+  std::uint32_t* reserve_counts(index_t cells) {
+    if (counts.size() < cells) {
+      counts = pk::View<std::uint32_t, 1>("sort_ws_counts",
+                                          grown(counts.size(), cells));
       ++grow_count;
     }
     return counts.data();

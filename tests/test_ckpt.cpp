@@ -654,6 +654,46 @@ TEST(SimCkpt, RestoreLatestFallsBackPastCorruptGeneration) {
             ckpt::RestoreErrorKind::SectionCorrupt);
 }
 
+TEST(SimCkpt, MalformedModuleIndexIsTypedAndChangesNothing) {
+  const auto dir = scratch("bad_mod_index");
+  const std::string base = (dir / "ck").string();
+  ckpt::GenerationRing ring(base, 3);
+  auto sim = make_lpi_small();
+  sim.run(10);
+  sim.checkpoint(ring.path_for(0));
+  sim.run(10);
+  sim.checkpoint(ring.path_for(1));
+  sim.run(5);  // sim is now *past* both checkpoints
+  auto twin = make_lpi_small();
+  twin.run(25);
+  // A CRC-valid newest generation whose manifest does not parse: a
+  // non-numeric version, then one past 2^32.
+  for (const std::string bad : {"collide:abc\n", "collide:4294967296\n"}) {
+    SCOPED_TRACE(bad);
+    {
+      ckpt::FileReader in(ring.path_for(1));
+      ckpt::FileWriter out;
+      for (const std::string& name : in.section_names()) {
+        ckpt::EncodedSection sec = in.section(name);
+        if (name == "mod.index") {
+          sec.payload.resize(bad.size());
+          std::memcpy(sec.payload.data(), bad.data(), bad.size());
+          sec.extents[0] = static_cast<std::int64_t>(bad.size());
+        }
+        out.add(std::move(sec));
+      }
+      out.commit(ring.path_for(2), in.fingerprint(), in.step());
+    }
+    EXPECT_EQ(thrown_kind([&] { sim.restore(ring.path_for(2)); }),
+              ckpt::RestoreErrorKind::SectionCorrupt);
+    // Validate-then-mutate: the failed restore changed nothing.
+    expect_bit_identical(sim, twin);
+    auto fresh = make_lpi_small();
+    EXPECT_EQ(fresh.restore_latest(base), ring.path_for(1));
+    EXPECT_EQ(fresh.step_count(), 20);
+  }
+}
+
 TEST(SimCkpt, AsyncMatchesSyncBytesAndIsolatesSnapshot) {
   const auto dir = scratch("async");
   const std::string sync_path = (dir / "sync.ckpt").string();

@@ -385,6 +385,11 @@ TEST(PushDispatch, StaleOrTinyPopulationsFallBackToGeneric) {
   sp.np = 100;  // below the minimum population
   EXPECT_FALSE(core::run_aware_profitable(sp));
 
+  // An empty species is generic under any gates, even freshly sorted.
+  core::active_push_gates(sp.p.layout()).min_particles = 0;
+  sp.np = 0;
+  EXPECT_FALSE(core::run_aware_profitable(sp));
+
   core::active_push_gates(sp.p.layout()) = tuned;
 }
 

@@ -218,6 +218,36 @@ TEST(TiledStridedSort, KeysGroupedInChunks) {
   for (int i = 6; i < 12; ++i) EXPECT_GE(keys(i), 2u) << i;
 }
 
+TEST(StridedKeys, OccurrencesInIndexOrderAtFourThreads) {
+  // Few distinct keys over 2^20 elements: every key recurs in every
+  // thread's chunk, so numbering occurrences in thread arrival order would
+  // show. The rewrites must equal the serial occurrence-rank reference.
+  pk::initialize(4);
+  const index_t n = index_t{1} << 20;
+  pk::View<std::uint32_t, 1> keys("k", n);
+  std::mt19937_64 rng(2718);
+  const std::uint32_t values[4] = {7, 8, 9, 12};
+  for (index_t i = 0; i < n; ++i) keys(i) = values[rng() % 4];
+  const std::uint32_t min_k = 7, span = 12 - 7 + 1, tile_sz = 4;
+  std::vector<std::uint32_t> occ(static_cast<std::size_t>(n));
+  std::vector<std::uint32_t> seen(span, 0);
+  for (index_t i = 0; i < n; ++i)
+    occ[static_cast<std::size_t>(i)] = seen[keys(i) - min_k]++;
+  const std::uint32_t max_mult = *std::max_element(seen.begin(), seen.end());
+
+  const auto strided = vs::make_strided_keys(keys);
+  const auto tiled = vs::make_tiled_strided_keys(keys, tile_sz);
+  for (index_t i = 0; i < n; ++i) {
+    const std::uint32_t id = keys(i) - min_k;
+    const std::uint32_t o = occ[static_cast<std::size_t>(i)];
+    ASSERT_EQ(strided(i), id + o * span) << "element " << i;
+    ASSERT_EQ(tiled(i),
+              keys(i) / tile_sz * (tile_sz * max_mult) + o * tile_sz + id)
+        << "element " << i;
+  }
+  pk::finalize();
+}
+
 TEST(RandomShuffle, DeterministicPermutation) {
   auto k1 = iota_values(500);
   auto v1 = iota_values(500);
