@@ -66,11 +66,15 @@ struct StealPool::Impl {
 
   void push(int home, std::function<void()> task) {
     Worker& wk = *workers[static_cast<std::size_t>(home)];
+    // Count the task before any worker can see it: counted after the
+    // enqueue, a thief could run and retire a spawned task first, drop
+    // `pending` to zero while its spawner still runs, and let idle
+    // workers leave the round with tasks still to come on their deques.
+    pending.fetch_add(1, std::memory_order_release);
     {
       std::lock_guard<std::mutex> lk(wk.mu);
       wk.dq.push_back(std::move(task));
     }
-    pending.fetch_add(1, std::memory_order_release);
     cv.notify_one();
   }
 
