@@ -1,35 +1,32 @@
-// layout_autotune — per-particle-layout push and sort timings, plus the
-// startup autotuner's derived dispatch crossovers (src/tune). For each of
-// AoS / SoA / AoSoA it times, on the same cell-sorted LPI deck the
-// push_pipeline bench uses:
+// layout_dispatch — per-particle-layout push and sort timings on both
+// sides of each dispatch crossover, and the side the dispatch constants
+// pick. For each of AoS / SoA / AoSoA it times, on the same cell-sorted
+// LPI deck the push_pipeline bench uses:
 //
 //   * the generic vs run-aware Manual push, and the path AutoDetect picks
-//     under the probe-derived gates (core::active_push_gates);
-//   * the counting vs radix sort pipeline, and the path the measured
-//     sort::active_sort_model() picks;
+//     under the fixed gates (core::kPushGates);
+//   * the counting vs radix sort pipeline, and the backend the default
+//     sort::SortDispatchModel picks;
 //
-// and emits one JSON record per layout into BENCH_layout_autotune.json
-// (schema vpic-bench-v1) with the tuned gate values alongside the raw
-// timings, so a reader can audit the crossovers against the measurements.
+// and emits one JSON record per layout into BENCH_layout_dispatch.json
+// (schema vpic-bench-v1) with the constants alongside the raw timings, so
+// a reader can audit the crossovers against the measurements.
 //
 // Flags: --nx/--ny/--nz/--ppc (deck size), --reps, --smoke. With --smoke
-// the bench exits non-zero if the autotuned dispatch picks a path
-// measurably slower (> kSmokeTolerance) than the alternative it rejected —
-// the CI guard that a bad calibration cannot regress the hot path.
+// the bench exits non-zero if the constants pick a path measurably slower
+// (> kSmokeTolerance) than the alternative they rejected — the CI guard
+// that the constants still fit the host they run on.
 #include <cstdio>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/core.hpp"
-#include "prof/prof.hpp"
 #include "sort/runs.hpp"
-#include "tune/tune.hpp"
 
 namespace {
 
 namespace core = vpic::core;
 namespace bench = vpic::bench;
-namespace tune = vpic::tune;
 namespace pk = vpic::pk;
 using pk::index_t;
 
@@ -73,15 +70,16 @@ int main(int argc, char** argv) {
   const int reps = static_cast<int>(bench::flag(argc, argv, "reps", 5));
   const bool smoke = bench::has_flag(argc, argv, "smoke");
 
-  // Calibrate before anything is timed (the Simulation constructor would
-  // do it anyway; doing it here makes the provenance printable).
-  const tune::TuneState& ts = tune::ensure_initialized();
+  const core::PushGates& gates = core::kPushGates;
+  const vpic::sort::SortDispatchModel model;
   std::printf(
-      "== layout_autotune: per-layout push/sort timings under autotuned "
-      "dispatch ==\nLPI deck %dx%dx%d, ppc %d, %d reps\n"
-      "tuner: source=%s fingerprint=\"%s\"\n\n",
-      nx, ny, nz, ppc, reps, tune::to_string(ts.source),
-      ts.fingerprint.c_str());
+      "== layout_dispatch: per-layout push/sort timings under the dispatch "
+      "constants ==\nLPI deck %dx%dx%d, ppc %d, %d reps\n"
+      "push gates: min_particles=%lld max_stale=%d min_mean_run=%g; "
+      "sort model: cells_per_n=%g cells_floor=%g\n\n",
+      nx, ny, nz, ppc, reps, static_cast<long long>(gates.min_particles),
+      gates.max_stale, gates.min_mean_run, model.cells_per_n,
+      model.cells_floor);
 
   bench::Table t({"layout", "particles", "generic (ms)", "run-aware (ms)",
                   "auto picks", "sort count (ms)", "sort radix (ms)",
@@ -135,23 +133,17 @@ int main(int argc, char** argv) {
     const bench::Timing tm_gen = time_push(core::PushPath::Generic);
     const bench::Timing tm_run = time_push(core::PushPath::RunAware);
 
-    // The AutoDetect decision under the tuned gates, observed through the
-    // prof counters every dispatch fires.
+    // The AutoDetect decision under the gates.
     restore_snapshot(sim, sorted);
     for (std::size_t s = 0; s < sim.num_species(); ++s)
       sim.species(s).mark_sorted(true);
     acc.clear();
-    const std::uint64_t run_before =
-        vpic::prof::counter_value("push.dispatch.run_aware");
     core::PushPath auto_path = core::PushPath::Generic;
     for (std::size_t s = 0; s < sim.num_species(); ++s)
       auto_path = core::advance_species(sim.species(s), interp, acc,
                                         sim.grid(),
                                         core::VectorStrategy::Manual, {},
                                         core::PushPath::AutoDetect);
-    const bool counters_saw_run_aware =
-        vpic::prof::counter_value("push.dispatch.run_aware") > run_before;
-    (void)counters_saw_run_aware;
 
     const double auto_ms = (auto_path == core::PushPath::RunAware
                                 ? tm_run.min_s
@@ -162,10 +154,8 @@ int main(int argc, char** argv) {
     const bool push_ok = auto_ms <= push_best_ms * kSmokeTolerance;
 
     // Sort: time the full sort_particles pipeline with the dispatch model
-    // pinned to each side of the crossover, then restore the tuned model
-    // and record which side it picks for this (n, nv, threads).
-    const vpic::sort::SortDispatchModel tuned =
-        vpic::sort::active_sort_model();
+    // pinned to each side of the crossover, then restore the default model
+    // and record which side it picks for each species' (n, nv, threads).
     auto time_sort = [&](const vpic::sort::SortDispatchModel& m) {
       vpic::sort::active_sort_model() = m;
       auto tm = bench::time_reps(
@@ -177,7 +167,7 @@ int main(int argc, char** argv) {
                                    nv);
           },
           [&](int) { restore_snapshot(sim, mixed); });
-      vpic::sort::active_sort_model() = tuned;
+      vpic::sort::active_sort_model() = model;
       return tm;
     };
     vpic::sort::SortDispatchModel always_counting;
@@ -189,8 +179,12 @@ int main(int argc, char** argv) {
     const bench::Timing tm_count = time_sort(always_counting);
     const bench::Timing tm_radix = time_sort(never_counting);
 
-    const bool model_counting = vpic::sort::counting_sort_applicable(
-        total_np, static_cast<std::uint64_t>(nv), nthreads);
+    bool model_counting = true;
+    for (std::size_t s = 0; s < sim.num_species(); ++s)
+      model_counting = model_counting &&
+                       vpic::sort::counting_sort_applicable(
+                           sim.species(s).np, static_cast<std::uint64_t>(nv),
+                           nthreads);
     const double sort_chosen_ms =
         (model_counting ? tm_count.min_s : tm_radix.min_s) * 1e3;
     const double sort_best_ms =
@@ -199,7 +193,6 @@ int main(int argc, char** argv) {
 
     ok = ok && push_ok && sort_ok;
 
-    const core::PushGates gates = core::active_push_gates(layout);
     t.row({core::to_string(layout), std::to_string(total_np),
            bench::fmt("%.3f", tm_gen.min_s * 1e3),
            bench::fmt("%.3f", tm_run.min_s * 1e3),
@@ -209,10 +202,9 @@ int main(int argc, char** argv) {
            model_counting ? "counting" : "radix",
            (push_ok && sort_ok) ? "yes" : "NO"});
 
-    bench::Json j("layout_autotune");
+    bench::Json j("layout_dispatch");
     j.field("layout", core::to_string(layout))
         .field("particles", static_cast<std::int64_t>(total_np))
-        .field("tune_source", tune::to_string(ts.source))
         .timing("push_generic", tm_gen)
         .timing("push_run_aware", tm_run)
         .field("push_speedup", tm_gen.min_s / tm_run.min_s)
@@ -222,28 +214,28 @@ int main(int argc, char** argv) {
         .timing("sort_radix", tm_radix)
         .field("sort_model_path", model_counting ? "counting" : "radix")
         .field("sort_dispatch_ok", sort_ok ? 1 : 0)
-        .field("tuned_min_particles",
+        .field("gate_min_particles",
                static_cast<std::int64_t>(gates.min_particles))
-        .field("tuned_max_stale", gates.max_stale)
-        .field("tuned_min_mean_run", gates.min_mean_run)
-        .field("tuned_cells_per_n", tuned.cells_per_n)
-        .field("tuned_cells_floor", tuned.cells_floor);
+        .field("gate_max_stale", gates.max_stale)
+        .field("gate_min_mean_run", gates.min_mean_run)
+        .field("sort_cells_per_n", model.cells_per_n)
+        .field("sort_cells_floor", model.cells_floor);
     j.print();
   }
 
   std::printf("\n");
   t.print();
-  const std::string path = bench::emit_bench_json("layout_autotune");
+  const std::string path = bench::emit_bench_json("layout_dispatch");
   if (!path.empty()) std::printf("\nwrote %s\n", path.c_str());
 
   if (smoke && !ok) {
     std::fprintf(stderr,
-                 "\nsmoke FAILED: autotuned dispatch picked a path > %.0f%% "
-                 "slower than the rejected alternative\n",
+                 "\nsmoke FAILED: the dispatch constants picked a path > "
+                 "%.0f%% slower than the rejected alternative\n",
                  (kSmokeTolerance - 1.0) * 100);
     return 1;
   }
-  std::printf("\nautotuned dispatch %s\n",
+  std::printf("\ndispatch constants %s\n",
               ok ? "picked the faster path everywhere"
                  : "picked a slower path somewhere (informational without "
                    "--smoke)");

@@ -4,7 +4,6 @@
 
 #include "core/move_p.hpp"
 #include "core/rng.hpp"
-#include "core/simulation.hpp"  // tune::ensure_initialized forward decl
 #include "prof/prof.hpp"
 
 namespace vpic::core {
@@ -44,11 +43,7 @@ DistributedSimulation::DistributedSimulation(const DomainConfig& cfg,
       z_offset_(comm.rank() * (cfg.nz / comm.size())),
       fields_(make_local_grid(cfg, comm.size(), comm.rank())),
       interp_(fields_.grid),
-      acc_(fields_.grid) {
-  // Same startup calibration hook as Simulation (simulation.hpp) — ranks
-  // share the process, so only the first constructor actually probes.
-  tune::ensure_initialized();
-}
+      acc_(fields_.grid) {}
 
 std::size_t DistributedSimulation::add_species(std::string name, float q,
                                                float m,

@@ -16,8 +16,8 @@
 // plugin system, chombo-discharge's physics layers) use to absorb new
 // physics without touching the scheduler: a new module — collisions
 // (core/collide.hpp), tracer particles (core/tracer.hpp) — composes with
-// the StepGraph validator, the StealPool tiling, checkpoint/restore, the
-// vpic::tune cost models, and farm preemption for free, because each of
+// the StepGraph validator, the StealPool tiling, checkpoint/restore and
+// farm preemption for free, because each of
 // those consumes the module's declarations instead of a hand-maintained
 // list.
 #pragma once

@@ -7,8 +7,8 @@
 // the vector-width-tiled AoSoA compromise are all affine relabelings of
 // the same logical (particle, field) array. This header is deliberately
 // tiny and dependency-free so both the storage layer (ParticleStore) and
-// the tuning layer (core/push_tuning.hpp, src/tune) can name layouts
-// without pulling in the engine.
+// the GPU traffic model (gpusim/push_model.hpp) can name layouts without
+// pulling in the engine.
 #pragma once
 
 #include <cstdint>

@@ -46,11 +46,12 @@ namespace {
 
 using A = PipelineAccess;
 
-// Cost model of the tiled (phase x tile) tasks: tune-probed generic-push
-// seconds/particle (fallback to a nominal value when unprobed) scales tile
-// population into expected task cost; field/interp work scales with
-// voxels. Only relative magnitudes matter — LPT placement ranks tasks, it
-// doesn't time them.
+// Cost model of the tiled (phase x tile) tasks: generic-push seconds per
+// particle scales tile population into expected task cost; field/interp
+// work scales with voxels. Only relative magnitudes matter — LPT placement
+// ranks tasks, it doesn't time them. kPushCost is the generic Manual push
+// measured on the reference host (3.5-4.2e-8 s/particle on every layout).
+constexpr double kPushCost = 4e-8;
 constexpr double kVoxelCost = 1e-9;
 
 std::string tile_suffix(int t) { return ".t" + std::to_string(t); }
@@ -143,11 +144,6 @@ class PushModule final : public PhysicsModule {
     const TileMap& tm = *ctx.tiles;
     const int nt = tm.count();
     const auto poll = ctx.poll;
-    std::vector<double> push_pp(ns);
-    for (std::size_t s = 0; s < ns; ++s) {
-      push_pp[s] = tune::push_cost_per_particle(species[s].layout());
-      if (push_pp[s] <= 0) push_pp[s] = 5e-9;
-    }
     auto runs_used =
         std::make_shared<std::vector<std::atomic<std::uint32_t>>>(ns);
     A::tiled_runs_used(sim) = runs_used;
@@ -157,7 +153,7 @@ class PushModule final : public PhysicsModule {
         const double cost =
             static_cast<double>(
                 species[s].tiles[static_cast<std::size_t>(t)].count()) *
-            push_pp[s];
+            kPushCost;
         std::vector<std::string> wr = ctx.particles(species[s].name, t);
         wr.push_back(blk_res(species[s], t));
         c.add({name,
@@ -173,26 +169,13 @@ class PushModule final : public PhysicsModule {
                  blk.clear();
                  const index_t b = slot.begin, e = slot.end;
                  if (b >= e) return;
-                 bool use_runs = false;
-                 switch (cfg.push_path) {
-                   case PushPath::Generic:
-                     break;
-                   case PushPath::RunAware:
-                     use_runs = cfg.strategy != VectorStrategy::AdHoc;
-                     break;
-                   case PushPath::AutoDetect:
-                     // Per-tile dispatch off the tile's OWN sortedness:
-                     // a churning tile goes generic without vetoing its
-                     // quiet neighbors' run-aware path.
-                     use_runs = cfg.strategy != VectorStrategy::AdHoc &&
-                                run_aware_profitable_range(
-                                    sp, b, e, slot.sorted_hint,
-                                    slot.steps_since_sort);
-                     break;
-                 }
-                 prof::counter_add(use_runs ? "push.dispatch.run_aware"
-                                            : "push.dispatch.generic");
-                 if (use_runs) {
+                 // Per-tile dispatch off the tile's OWN sortedness: a
+                 // churning tile goes generic without vetoing its quiet
+                 // neighbors' run-aware path.
+                 if (resolve_push_path(sp, cfg.strategy, cfg.push_path, b, e,
+                                       slot.sorted_hint,
+                                       slot.steps_since_sort) ==
+                     PushPath::RunAware) {
                    (*runs_used)[s].store(1, std::memory_order_relaxed);
                    dispatch_layout(sp.p, [&](auto a) {
                      sort::segment_runs(

@@ -5,10 +5,8 @@
 // (core/particle_store.hpp: load/store/cell + load_vecs) and instantiated
 // per ParticleLayout by dispatch_layout() — the layout switch happens once
 // per advance_species call, never inside a particle loop. The structural
-// tuning constants (block size, vector widths) come from
-// core/push_tuning.hpp; the AutoDetect dispatch gates are read from the
-// active_push_gates() registry, which the startup autotuner (src/tune)
-// calibrates per host and per layout.
+// constants (block size, vector widths) and the AutoDetect dispatch gates
+// come from core/push_tuning.hpp.
 #include "core/push.hpp"
 
 #include <algorithm>
@@ -16,6 +14,7 @@
 #include <stdexcept>
 #include <type_traits>
 
+#include "core/boris.hpp"
 #include "core/move_p.hpp"
 #include "core/tiles.hpp"
 #include "core/push_tuning.hpp"
@@ -84,30 +83,6 @@ inline void finish_move(Particle& p, float dispx, float dispy, float dispz,
     }
     p.i = -1;  // tombstone; compact_exited() removes it
   }
-}
-
-/// Scalar Boris rotation + half-accelerations. Returns updated momentum.
-inline void boris(float& ux, float& uy, float& uz, float hax, float hay,
-                  float haz, float cbx, float cby, float cbz, float qdt2m) {
-  ux += hax;
-  uy += hay;
-  uz += haz;
-  const float gmi = 1.0f / std::sqrt(1.0f + ux * ux + uy * uy + uz * uz);
-  const float tx = qdt2m * cbx * gmi;
-  const float ty = qdt2m * cby * gmi;
-  const float tz = qdt2m * cbz * gmi;
-  const float t2 = tx * tx + ty * ty + tz * tz;
-  const float sfac = 2.0f / (1.0f + t2);
-  const float sx = tx * sfac, sy = ty * sfac, sz = tz * sfac;
-  const float wx = ux + (uy * tz - uz * ty);
-  const float wy = uy + (uz * tx - ux * tz);
-  const float wz = uz + (ux * ty - uy * tx);
-  ux += wy * sz - wz * sy;
-  uy += wz * sx - wx * sz;
-  uz += wx * sy - wy * sx;
-  ux += hax;
-  uy += hay;
-  uz += haz;
 }
 
 /// The per-particle generic push body, shared verbatim by the parallel
@@ -781,22 +756,10 @@ PushPath advance_species(Species& sp, const InterpolatorArray& interp,
         "default execution space is concurrent (unlocked push_back from "
         "parallel mover lanes is a data race)");
 
-  bool use_runs = false;
-  switch (path) {
-    case PushPath::Generic:
-      break;
-    case PushPath::RunAware:
-      use_runs = strategy != VectorStrategy::AdHoc;  // AdHoc has no variant
-      break;
-    case PushPath::AutoDetect:
-      use_runs =
-          strategy != VectorStrategy::AdHoc && run_aware_profitable(sp);
-      break;
-  }
-  prof::counter_add(use_runs ? "push.dispatch.run_aware"
-                             : "push.dispatch.generic");
-
-  if (use_runs) {
+  const PushPath taken =
+      resolve_push_path(sp, strategy, path, 0, sp.np, sp.cell_sorted_hint,
+                        sp.steps_since_sort);
+  if (taken == PushPath::RunAware) {
     {
       prof::ScopedRegion seg("segment_runs");
       dispatch_layout(sp.p, [&](auto a) {
@@ -839,7 +802,7 @@ PushPath advance_species(Species& sp, const InterpolatorArray& interp,
   }
   // Pushing moves particles across cells: age the sortedness hint.
   sp.mark_order_degraded();
-  return use_runs ? PushPath::RunAware : PushPath::Generic;
+  return taken;
 }
 
 void advance_species_runs(Species& sp, const InterpolatorArray& interp,
@@ -874,24 +837,43 @@ void advance_species_runs(Species& sp, const InterpolatorArray& interp,
 
 bool run_aware_profitable_range(const Species& sp, index_t n0, index_t n1,
                                 bool sorted_hint, int steps_since_sort) {
-  // Gates are autotuned per host and per layout (src/tune; defaults in
-  // core/push_tuning.hpp): below min_particles the per-run overhead and
-  // segmentation pass dominate; beyond max_stale steps since the last
+  // Gates (core/push_tuning.hpp): below min_particles the per-run overhead
+  // and segmentation pass dominate; beyond max_stale steps since the last
   // cell sort the probe is not worth running every step; the probe gates
   // on the estimated mean run length covering the per-run overhead
   // (hoisted 18-float load + 12-atomic flush amortized over the run).
   const index_t n = n1 - n0;
   if (n <= 0) return false;
-  const PushGates& gates = active_push_gates(sp.p.layout());
-  if (n < gates.min_particles) return false;
+  if (n < kPushGates.min_particles) return false;
   if (!sorted_hint || steps_since_sort < 0) return false;
   if (steps_since_sort == 0) return true;  // fresh from a sort
-  if (steps_since_sort > gates.max_stale) return false;
+  if (steps_since_sort > kPushGates.max_stale) return false;
   return dispatch_layout(sp.p, [&](auto a) {
     const auto probe = sort::probe_runs(
         n, [a, n0](index_t i) { return a.cell(n0 + i); });
-    return probe.mean_run_estimate() >= gates.min_mean_run;
+    return probe.mean_run_estimate() >= kPushGates.min_mean_run;
   });
+}
+
+PushPath resolve_push_path(const Species& sp, VectorStrategy strategy,
+                           PushPath path, index_t n0, index_t n1,
+                           bool sorted_hint, int steps_since_sort) {
+  bool use_runs = false;
+  switch (path) {
+    case PushPath::Generic:
+      break;
+    case PushPath::RunAware:
+      use_runs = strategy != VectorStrategy::AdHoc;  // AdHoc has no variant
+      break;
+    case PushPath::AutoDetect:
+      use_runs = strategy != VectorStrategy::AdHoc &&
+                 run_aware_profitable_range(sp, n0, n1, sorted_hint,
+                                            steps_since_sort);
+      break;
+  }
+  prof::counter_add(use_runs ? "push.dispatch.run_aware"
+                             : "push.dispatch.generic");
+  return use_runs ? PushPath::RunAware : PushPath::Generic;
 }
 
 index_t compact_exited(Species& sp) {

@@ -181,6 +181,17 @@ void advance_runs_serial(Species& sp, const InterpolatorArray& interp,
                                               index_t n1, bool sorted_hint,
                                               int steps_since_sort);
 
+/// The push-path decision of advance_species and of the tiled push tasks:
+/// resolve `path` to Generic or RunAware for `strategy` on the particles
+/// [n0, n1) with that range's own sortedness state, and count the outcome
+/// as push.dispatch.run_aware or push.dispatch.generic. AdHoc has no
+/// run-aware variant, so it always resolves to Generic.
+[[nodiscard]] PushPath resolve_push_path(const Species& sp,
+                                         VectorStrategy strategy,
+                                         PushPath path, index_t n0,
+                                         index_t n1, bool sorted_hint,
+                                         int steps_since_sort);
+
 /// Remove particles marked exited (i < 0), preserving order of survivors.
 /// Returns the number removed.
 index_t compact_exited(Species& sp);

@@ -1,37 +1,25 @@
 // core/push_tuning.hpp
 //
-// Single source of truth for the hot-path dispatch parameters. Before this
-// header existed, kBlock = 256 and the vector widths W = 8 / W = 4 were
-// re-declared four times across core/push.cpp, and the AutoDetect push
-// gates plus the counting-vs-radix crossover were hand-picked literals
-// buried in core/push.cpp and sort/counting.hpp. Now:
+// Single source of truth for the hot-path dispatch parameters: the
+// structural constants (block size, kernel vector widths, AoSoA tile
+// width) and the run-aware push gates. The gates are fixed constants, one
+// set for every particle layout, measured on the reference host
+// (docs/LAYOUT.md, "Dispatch constants"); the counting-vs-radix sort
+// crossover lives with the sort library (sort/dispatch_model.hpp).
 //
-//  * the *structural* constants (block size, kernel vector widths, AoSoA
-//    tile width) are named once here, and
-//  * the *measured* dispatch models (PushGates, SortDispatchModel) live in
-//    mutable process-wide registries, seeded with the legacy defaults and
-//    overwritten at startup by the autotuner (src/tune) with probe-derived
-//    values per host and per particle layout.
-//
-// Header-only and dependency-free (core/particle_layout.hpp only) so the
-// sort library, the push engine and the tuner can all read the same
-// registries without layering cycles: core depends on nothing here, tune
-// depends on core and *writes* these registries.
+// Header-only and dependency-free (pk/layout.hpp only) so the particle
+// store and the push engine read the same constants without layering
+// cycles.
 #pragma once
 
-#include <algorithm>
-#include <cstdint>
-
-#include "core/particle_layout.hpp"
 #include "pk/layout.hpp"
-#include "sort/dispatch_model.hpp"
 
 namespace vpic::core {
 
 using pk::index_t;
 
 // ---------------------------------------------------------------------------
-// Structural constants (compile-time; not autotuned).
+// Structural constants.
 // ---------------------------------------------------------------------------
 
 /// Particles per guided-strategy block: large enough to amortize the
@@ -54,40 +42,24 @@ inline constexpr int kAdHocVecWidth = 4;
 inline constexpr int kAosoaTileWidth = kManualVecWidth;
 
 // ---------------------------------------------------------------------------
-// Measured dispatch models (runtime; autotuned).
+// Run-aware push gates.
 // ---------------------------------------------------------------------------
 
 /// Gates for PushPath::AutoDetect: run-aware push is chosen when the
-/// species has at least `min_particles`, was cell-sorted at most
-/// `max_stale` steps ago, and the probed mean same-cell run length is at
-/// least `min_mean_run`. The defaults are the legacy hand-picked values;
-/// the autotuner replaces them with probe-derived ones per layout.
+/// species (or tile range) has at least `min_particles`, was cell-sorted
+/// at most `max_stale` steps ago, and the probed mean same-cell run
+/// length is at least `min_mean_run`.
 struct PushGates {
-  index_t min_particles = 512;
-  int max_stale = 64;
-  double min_mean_run = 4.0;
+  index_t min_particles;
+  int max_stale;
+  double min_mean_run;
 };
 
-/// The counting-vs-radix sort cost model lives with the sort library
-/// (sort/dispatch_model.hpp) so sort_by_key shares it; re-exported here
-/// because the tuner treats it as one registry set with the push gates.
-using sort::SortDispatchModel;
-using sort::active_sort_model;
-
-/// Process-wide active push gates, one slot per particle layout. The
-/// engine reads these on every AutoDetect dispatch; the autotuner (or a
-/// test pinning behavior) writes them.
-inline PushGates& active_push_gates(ParticleLayout l) noexcept {
-  static PushGates gates[kNumParticleLayouts] = {};
-  return gates[static_cast<int>(l)];
-}
-
-/// Reset all registries to the built-in defaults (test hygiene; also the
-/// fallback when the tune cache is corrupt).
-inline void reset_tuning_defaults() noexcept {
-  for (ParticleLayout l : kAllParticleLayouts)
-    active_push_gates(l) = PushGates{};
-  active_sort_model() = SortDispatchModel{};
-}
+/// The gates for every layout, measured on the reference 4-core x86 host:
+/// the rounded medians of repeated timings of the generic and run-aware
+/// kernels at long and short cell runs. Whole LPI and Weibel steps time
+/// the same within noise anywhere in those timings' spread
+/// (docs/LAYOUT.md, "Dispatch constants").
+inline constexpr PushGates kPushGates{350, 120, 2.5};
 
 }  // namespace vpic::core

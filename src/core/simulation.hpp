@@ -42,17 +42,6 @@ namespace vpic::elastic {
 class DeltaTracker;
 }  // namespace vpic::elastic
 
-namespace vpic::tune {
-// Startup autotuning hook (src/tune/tune.hpp). Forward-declared so core —
-// which the tune library links against — can trigger it without an include
-// cycle; the symbol resolves when the final binary links vpic_tune.
-struct TuneState;
-const TuneState& ensure_initialized();
-// Probed generic-push cost (s/particle) for tile-task cost seeding; 0
-// when unknown. Defined in src/tune/tune.cpp, resolved at final link.
-double push_cost_per_particle(core::ParticleLayout layout);
-}  // namespace vpic::tune
-
 namespace vpic::core {
 
 // Single-valued and read by nothing: bench/anatomy/step_anatomy.cpp
@@ -168,9 +157,6 @@ class Simulation {
         fields_(cfg.grid),
         interp_(cfg.grid),
         acc_(cfg.grid) {
-    // Calibrate (or load) the hot-path dispatch models before the first
-    // step so AutoDetect pushes and sort dispatch run with measured gates.
-    tune::ensure_initialized();
     // The step pipeline itself is a set of registered physics modules
     // (docs/MODULES.md); decks and users add more with add_module().
     register_core_pipeline(*this);

@@ -10,9 +10,9 @@
 //    persistent SortWorkspace (grown geometrically, reused thereafter);
 //  * cell keys are bounded by grid.nv(), so the sort is a single-pass
 //    counting sort (histogram + scan + stable scatter) rather than a
-//    multi-pass radix sort whenever the *measured* dispatch model
-//    (core/push_tuning.hpp: active_sort_model(), calibrated by src/tune)
-//    says the histogram traffic is cheap relative to np. For AoS the
+//    multi-pass radix sort whenever the measured dispatch model
+//    (sort/dispatch_model.hpp: active_sort_model()) says the histogram
+//    traffic is cheap relative to np. For AoS the
 //    scatter moves the 32-byte particle records directly with no
 //    intermediate permutation array; SoA/AoSoA scatter a permutation and
 //    gather through the layout accessor (a record is not one contiguous
@@ -25,7 +25,6 @@
 #pragma once
 
 #include "core/particle.hpp"
-#include "core/push_tuning.hpp"
 #include "prof/prof.hpp"
 #include "sort/counting.hpp"
 #include "sort/order_checks.hpp"
@@ -129,7 +128,7 @@ inline void sort_particles(Species& sp, sort::SortOrder order,
 
   // Counting-vs-radix dispatch: the hard applicability limits stay
   // structural inside counting_sort_applicable; the cost crossover is the
-  // measured sort::active_sort_model() the autotuner calibrates.
+  // measured sort::active_sort_model().
   const bool use_counting = sort::counting_sort_applicable(n, bound, nthreads);
   prof::counter_add(use_counting ? "sort.dispatch.counting"
                                  : "sort.dispatch.radix");

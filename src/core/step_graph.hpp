@@ -46,7 +46,7 @@ struct StepPhase {
   std::vector<std::string> writes;
   std::function<void()> fn;
   // Relative expected wall time, in any consistent unit (the tiled step
-  // seeds it from tune-probed ns/particle * tile population). Only the
+  // seeds it from measured s/particle * tile population). Only the
   // stealing executor reads it, for LPT initial placement.
   double cost = 1.0;
 };

@@ -6,64 +6,21 @@
 #include <filesystem>
 #include <fstream>
 
+#include "core/boris.hpp"
 #include "core/interpolator.hpp"
+#include "core/move_p.hpp"
 #include "core/simulation.hpp"
 
 namespace vpic::core {
 
 namespace {
 
-/// move_p's face-splitting walk without the current deposit: advance a
-/// passive particle by a cell-local displacement, wrapping periodically
-/// at domain faces.
-void move_tracer(Particle& p, float dispx, float dispy, float dispz,
-                 const Grid& g) {
-  for (int guard = 0; guard < 16; ++guard) {
-    float f = 1.0f;
-    int axis = -1, dir = 0;
-    auto consider = [&](float pos, float disp, int ax) {
-      if (disp > 0) {
-        const float fa = (1.0f - pos) / disp;
-        if (fa < f) {
-          f = fa;
-          axis = ax;
-          dir = +1;
-        }
-      } else if (disp < 0) {
-        const float fa = (-1.0f - pos) / disp;
-        if (fa < f) {
-          f = fa;
-          axis = ax;
-          dir = -1;
-        }
-      }
-    };
-    consider(p.dx, dispx, 0);
-    consider(p.dy, dispy, 1);
-    consider(p.dz, dispz, 2);
-    if (f >= 1.0f) {
-      f = 1.0f;
-      axis = -1;
-    }
-    p.dx += dispx * f;
-    p.dy += dispy * f;
-    p.dz += dispz * f;
-    dispx -= dispx * f;
-    dispy -= dispy * f;
-    dispz -= dispz * f;
-    if (axis < 0) return;
-
-    int ix, iy, iz;
-    g.cell_of(p.i, ix, iy, iz);
-    int c[3] = {ix, iy, iz};
-    float* local[3] = {&p.dx, &p.dy, &p.dz};
-    *local[axis] = static_cast<float>(-dir);
-    c[axis] += dir;
-    const int n_axis = (axis == 0) ? g.nx : (axis == 1) ? g.ny : g.nz;
-    c[axis] = Grid::wrap(c[axis], n_axis);
-    p.i = static_cast<std::int32_t>(g.voxel(c[0], c[1], c[2]));
-  }
-}
+/// move_p deposit sink that drops the current: tracers are passive and
+/// never feed J.
+struct DiscardDeposits {
+  Accumulator scratch{};
+  Accumulator& a(index_t) { return scratch; }
+};
 
 }  // namespace
 
@@ -95,38 +52,19 @@ void TracerModule::run(Simulation& sim, std::int64_t next_step) {
   const bool sample =
       prm_.sample_interval > 0 && next_step % prm_.sample_interval == 0;
 
+  DiscardDeposits sink;
   for (TracerParticle& t : tracers_) {
     Particle& p = t.p;
-    // Same gather + Boris float math as the species push (push.cpp), so a
-    // tracer that starts on a species particle shadows it until their
+    // Same gather, Boris and periodic move as the species push (push.cpp),
+    // so a tracer that starts on a species particle shadows it until their
     // trajectories decorrelate.
     const FieldsAtPoint f = interpolate(interp(p.i), p.dx, p.dy, p.dz);
-    const float hax = qdt2m * f.ex, hay = qdt2m * f.ey, haz = qdt2m * f.ez;
-    float ux = p.ux + hax;
-    float uy = p.uy + hay;
-    float uz = p.uz + haz;
-    const float gmi =
-        1.0f / std::sqrt(1.0f + ux * ux + uy * uy + uz * uz);
-    const float tx = qdt2m * f.bx * gmi;
-    const float ty = qdt2m * f.by * gmi;
-    const float tz = qdt2m * f.bz * gmi;
-    const float sfac = 2.0f / (1.0f + (tx * tx + ty * ty + tz * tz));
-    const float sx = tx * sfac, sy = ty * sfac, sz = tz * sfac;
-    const float wx = ux + (uy * tz - uz * ty);
-    const float wy = uy + (uz * tx - ux * tz);
-    const float wz = uz + (ux * ty - uy * tx);
-    ux += wy * sz - wz * sy;
-    uy += wz * sx - wx * sz;
-    uz += wx * sy - wy * sx;
-    ux += hax;
-    uy += hay;
-    uz += haz;
-    p.ux = ux;
-    p.uy = uy;
-    p.uz = uz;
+    boris(p.ux, p.uy, p.uz, qdt2m * f.ex, qdt2m * f.ey, qdt2m * f.ez, f.bx,
+          f.by, f.bz, qdt2m);
     const float rg =
-        1.0f / std::sqrt(1.0f + ux * ux + uy * uy + uz * uz);
-    move_tracer(p, cdtdx2 * ux * rg, cdtdy2 * uy * rg, cdtdz2 * uz * rg, g);
+        1.0f / std::sqrt(1.0f + p.ux * p.ux + p.uy * p.uy + p.uz * p.uz);
+    move_p<false>(p, cdtdx2 * p.ux * rg, cdtdy2 * p.uy * rg,
+                  cdtdz2 * p.uz * rg, 0.0f, sink, g);
 
     if (sample) {
       TracerSample s;

@@ -3,8 +3,8 @@
 // Tagged tracer particles as a plug-in PhysicsModule (docs/MODULES.md).
 // At its first step the module tags every `stride`-th particle of the
 // source species (a snapshot copy — tracers are passive test particles
-// from then on, moved by the module's own Boris push + periodic mover,
-// never depositing current or perturbing the plasma). Each sampled step
+// from then on, moved by the push's Boris update and periodic move_p with
+// the deposit dropped, never perturbing the plasma). Each sampled step
 // appends every tracer's phase-space point to a bounded trajectory ring
 // buffer — the in-memory diagnostic stream, flushed under the step's
 // "diag" resource so it composes with the diagnostics phase ordering.

@@ -223,7 +223,7 @@ SliceOutcome Scheduler::run_slice(Job& j, bool restore_from_ring,
   SliceOutcome out;
   try {
     // Every engine counter fired during this slice (sort/push dispatch,
-    // tune cache events, ...) lands under the job's namespace.
+    // checkpoint events, ...) lands under the job's namespace.
     prof::CounterScope scope("job." + j.spec.name + ".");
     if (!j.sim) {
       j.sim.emplace(j.spec.make());

@@ -88,7 +88,8 @@ class World {
           if (msg.size() > capacity)
             throw std::length_error(
                 "minimpi: message larger than recv buffer");
-          std::memcpy(buf, msg.data(), msg.size());
+          // An empty message has a null data(), which memcpy must not see.
+          if (!msg.empty()) std::memcpy(buf, msg.data(), msg.size());
           return msg.size();
         }
         mail_cv_.wait_until(lk, front.ready);
@@ -108,7 +109,7 @@ class World {
     it->second.pop_front();
     if (msg.size() > capacity)
       throw std::length_error("minimpi: message larger than recv buffer");
-    std::memcpy(buf, msg.data(), msg.size());
+    if (!msg.empty()) std::memcpy(buf, msg.data(), msg.size());
     got = msg.size();
     return true;
   }

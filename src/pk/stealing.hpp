@@ -9,7 +9,7 @@
 // same queue.
 //
 // The pool is built for core::StepGraph's tiled step: tasks are seeded
-// onto specific deques by a cost model (tune-probed ns/particle * tile
+// onto specific deques by a cost model (measured s/particle * tile
 // population) so the *expected* load starts balanced, and stealing only
 // pays for the residual imbalance the model missed. Tasks may spawn
 // further tasks from inside a task (dependency-graph continuations); a

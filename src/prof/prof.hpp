@@ -56,16 +56,15 @@ void pop_region();
 /// Named event counters. Unlike regions these are *always on* (a counter
 /// costs one short critical section, and callers fire them per dispatch
 /// decision, not per particle), so rare events — which path the push
-/// dispatcher chose, whether the sort went counting or radix, whether the
-/// autotune cache hit / was corrupt — stay observable even with VPIC_PROF
-/// unset. Counters appear in Report::counters, to_json() and the summary
+/// dispatcher chose, whether the sort went counting or radix — stay
+/// observable even with VPIC_PROF unset. Counters appear in Report::counters, to_json() and the summary
 /// table; reset() clears them.
 void counter_add(const char* name, std::uint64_t delta = 1) noexcept;
 [[nodiscard]] std::uint64_t counter_value(const std::string& name);
 
 /// Thread-local counter namespace: while set, every counter_add on the
 /// calling thread records under "<prefix><name>". This is how the farm
-/// scheduler scopes the engine's dispatch/tune counters per job — a worker
+/// scheduler scopes the engine's dispatch counters per job — a worker
 /// sets "job.<name>." around each slice, so one global counter table keeps
 /// per-tenant columns without threading a context handle through every
 /// call site (docs/FARM.md). Empty string (the default) means unscoped.

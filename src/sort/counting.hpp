@@ -39,10 +39,8 @@ inline constexpr std::uint64_t kMaxCountingBound = std::uint64_t{1} << 30;
 /// scatter's write-stream spread (one open cache line per bucket, vs 256
 /// per radix pass). The hard limits (n > 0, bound fits the histogram) are
 /// structural; the cost crossover itself is the measured
-/// sort::active_sort_model() (dispatch_model.hpp), seeded with the legacy
-/// n/8-budget / 2^18-floor defaults and calibrated per host by the
-/// autotuner (src/tune). PIC cell keys (ppc >= 8, so nv <= n/8) stay
-/// comfortably inside the winning regime under any sane calibration.
+/// sort::active_sort_model() (dispatch_model.hpp). PIC cell keys (ppc >= 8,
+/// so nv <= n/8) stay comfortably inside the counting regime.
 inline bool counting_sort_applicable(index_t n, std::uint64_t key_bound,
                                      int nthreads) noexcept {
   if (n <= 0 || key_bound == 0 || key_bound > kMaxCountingBound) return false;

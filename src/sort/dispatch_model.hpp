@@ -1,13 +1,9 @@
 // sort/dispatch_model.hpp
 //
-// The counting-vs-radix dispatch cost model, as *data* rather than as
-// hard-coded literals. Historically the crossover lived as magic numbers
-// inside counting_sort_applicable (n/8 histogram budget, 2^18 cell
-// floor); now the same inequality reads its coefficients from a mutable
-// process-wide registry seeded with those legacy defaults and calibrated
-// at startup by the autotuner (src/tune) from timed micro-probes on the
-// actual host. Header-only and pk-only so both the sort library and the
-// engine share one model with no layering cycle.
+// The counting-vs-radix dispatch cost model, as data: one inequality whose
+// two coefficients were measured on the reference host (docs/SORTING.md,
+// docs/LAYOUT.md "Dispatch constants"). Header-only and pk-only so both
+// the sort library and the engine share one model with no layering cycle.
 #pragma once
 
 #include <algorithm>
@@ -22,12 +18,11 @@ using pk::index_t;
 /// Cost model for the counting-vs-radix sort dispatch: counting sort is
 /// expected to win when the histogram work, (nthreads + 1) * key_bound
 /// cells, stays within max(n * cells_per_n, cells_floor). The defaults
-/// encode the legacy hand-picked n/8 budget with a 2^18-cell floor; the
-/// autotuner re-derives both from timed probes (clamped to
-/// [1/64, 1] and [2^14, 2^22] respectively).
+/// are the measured crossover: one histogram cell per particle, with a
+/// 2^17-cell floor below which the radix passes cost more whatever n is.
 struct SortDispatchModel {
-  double cells_per_n = 1.0 / 8.0;
-  double cells_floor = static_cast<double>(index_t{1} << 18);
+  double cells_per_n = 1.0;
+  double cells_floor = static_cast<double>(index_t{1} << 17);
 
   [[nodiscard]] bool counting_applicable(index_t n, std::uint64_t key_bound,
                                          int nthreads) const noexcept {
@@ -40,8 +35,8 @@ struct SortDispatchModel {
 };
 
 /// Process-wide active model. sort_by_key and core::sort_particles read
-/// it on every dispatch; the autotuner (or a test pinning behavior)
-/// writes it.
+/// it on every dispatch; bench/layout_dispatch.cpp pins it to each side of
+/// the crossover to time both sort backends.
 inline SortDispatchModel& active_sort_model() noexcept {
   static SortDispatchModel model = {};
   return model;

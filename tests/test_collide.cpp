@@ -29,14 +29,7 @@ namespace {
 
 class PkEnv : public ::testing::Environment {
  public:
-  void SetUp() override {
-    // Built-in tune defaults: a probed cache carries per-layout push
-    // gates, and a dispatch decision that differs across layouts changes
-    // the deposit grouping — which would break the cross-layout
-    // bit-identity this suite asserts.
-    setenv("VPIC_TUNE", "off", 1);
-    pk::initialize(1);
-  }
+  void SetUp() override { pk::initialize(1); }
 };
 [[maybe_unused]] const auto* const env =
     ::testing::AddGlobalTestEnvironment(new PkEnv);

@@ -46,13 +46,8 @@ class PkEnv : public ::testing::Environment {
  public:
   // One kernel thread: the bit-identity suites compare raw bytes, and
   // with >1 OpenMP threads the float-atomic current deposits are
-  // nondeterministic. The tune cache is pinned off: a stale
-  // .vpic_tune.json can flip sort/push dispatch between the runs being
-  // compared.
-  void SetUp() override {
-    setenv("VPIC_TUNE", "off", 1);
-    pk::initialize(1);
-  }
+  // nondeterministic.
+  void SetUp() override { pk::initialize(1); }
 };
 [[maybe_unused]] const auto* const env =
     ::testing::AddGlobalTestEnvironment(new PkEnv);

@@ -45,13 +45,8 @@ class PkEnv : public ::testing::Environment {
  public:
   // One kernel thread: the bit-identity test compares checkpoint bytes,
   // and float-atomic deposits are nondeterministic with wider teams. Farm
-  // worker threads are independent of this setting. The tune cache is
-  // pinned off: a stale .vpic_tune.json can flip sort/push dispatch
-  // between the interrupted and uninterrupted runs being compared.
-  void SetUp() override {
-    setenv("VPIC_TUNE", "off", 1);
-    pk::initialize(1);
-  }
+  // worker threads are independent of this setting.
+  void SetUp() override { pk::initialize(1); }
 };
 [[maybe_unused]] const auto* const env =
     ::testing::AddGlobalTestEnvironment(new PkEnv);

@@ -116,6 +116,29 @@ TEST(MiniMpi, TestNonBlocking) {
   });
 }
 
+TEST(MiniMpi, EmptyMessageRoundTrips) {
+  // An empty span has a null data pointer on both sides. The distributed
+  // step posts empty exit batches, so a zero-length message must complete
+  // through the blocking recv and through test() alike, and must not
+  // disturb the next message on the same tag.
+  mpi::run(2, [](mpi::Comm& c) {
+    std::vector<int> none;
+    if (c.rank() == 0) {
+      c.isend(1, 60, std::span<const int>(none)).wait();
+      c.isend(1, 61, std::span<const int>(none)).wait();
+      c.isend(1, 60, 7).wait();
+    } else {
+      EXPECT_EQ(c.probe_bytes(0, 60), 0u);
+      c.irecv(0, 60, std::span<int>(none)).wait();
+      auto req = c.irecv(0, 61, std::span<int>(none));
+      while (!req.test()) std::this_thread::yield();
+      int after = 0;
+      c.irecv(0, 60, after).wait();
+      EXPECT_EQ(after, 7);
+    }
+  });
+}
+
 TEST(MiniMpi, OversizedMessageThrows) {
   EXPECT_THROW(mpi::run(2,
                         [](mpi::Comm& c) {

@@ -29,13 +29,8 @@ namespace {
 class PkEnv : public ::testing::Environment {
  public:
   // One kernel thread: bit-identity comparisons need a fixed particle
-  // visit order; multi-thread float-atomic deposits reorder sums. Tune
-  // defaults: probed per-layout push gates could flip dispatch between
-  // compared runs.
-  void SetUp() override {
-    setenv("VPIC_TUNE", "off", 1);
-    pk::initialize(1);
-  }
+  // visit order; multi-thread float-atomic deposits reorder sums.
+  void SetUp() override { pk::initialize(1); }
 };
 [[maybe_unused]] const auto* const env =
     ::testing::AddGlobalTestEnvironment(new PkEnv);

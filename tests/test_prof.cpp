@@ -282,7 +282,6 @@ TEST(ProfRegions, OpenRegionsAreReported) {
 TEST(ProfRegions, UntiledStepNestsPhasesUnderStep) {
   // The untiled step runs its phases on the calling thread, so each phase
   // region nests under the "step" region that opened it.
-  setenv("VPIC_TUNE", "off", 1);
   vpic::core::decks::LpiParams p;
   p.nx = 8;
   p.ny = 4;

@@ -372,12 +372,6 @@ TEST(PushDispatch, StaleOrTinyPopulationsFallBackToGeneric) {
   auto& sp = sim.species(0);
   core::sort_particles(sp, vs::SortOrder::Standard, 0, 1, sim.grid().nv());
 
-  // This test exercises the gate *logic*, so pin the gates to the built-in
-  // defaults — the autotuner (run by the Simulation constructor) installs
-  // host-measured values that may legally admit smaller populations.
-  const core::PushGates tuned = core::active_push_gates(sp.p.layout());
-  core::active_push_gates(sp.p.layout()) = core::PushGates{};
-
   sp.steps_since_sort = 1000;  // far past the staleness window
   EXPECT_FALSE(core::run_aware_profitable(sp));
 
@@ -385,12 +379,9 @@ TEST(PushDispatch, StaleOrTinyPopulationsFallBackToGeneric) {
   sp.np = 100;  // below the minimum population
   EXPECT_FALSE(core::run_aware_profitable(sp));
 
-  // An empty species is generic under any gates, even freshly sorted.
-  core::active_push_gates(sp.p.layout()).min_particles = 0;
+  // An empty species is generic, even freshly sorted.
   sp.np = 0;
   EXPECT_FALSE(core::run_aware_profitable(sp));
-
-  core::active_push_gates(sp.p.layout()) = tuned;
 }
 
 TEST(PushDispatch, StaleHintReprobesActualOrder) {
@@ -407,6 +398,76 @@ TEST(PushDispatch, StaleHintReprobesActualOrder) {
   sp.cell_sorted_hint = true;
   sp.steps_since_sort = 10;
   EXPECT_FALSE(core::run_aware_profitable(sp));
+}
+
+// ----------------------------------------------------------------------
+// The dispatch the benchmark decks get: bench/anatomy's lpi (and
+// lpi_ckpt), clumped_tiled and weibel_collide workloads at full size. The
+// constants in core/push_tuning.hpp and sort/dispatch_model.hpp must send
+// them down the fast paths.
+// ----------------------------------------------------------------------
+
+core::decks::LpiParams anatomy_lpi() {
+  core::decks::LpiParams p;
+  p.nx = 48;
+  p.ny = 24;
+  p.nz = 24;
+  p.ppc = 16;
+  return p;
+}
+
+TEST(BenchDeckDispatch, CountingSortForEverySpeciesAtOneToFourThreads) {
+  core::decks::LpiParams clumped;
+  clumped.nx = 32;
+  clumped.ny = 16;
+  clumped.nz = 32;
+  clumped.ppc = 16;
+  clumped.clump_factor = 8;
+  core::decks::WeibelParams weibel;
+  weibel.nx = weibel.ny = weibel.nz = 20;
+  weibel.ppc = 16;
+
+  auto lpi = core::decks::make_lpi(anatomy_lpi());
+  ASSERT_EQ(lpi.grid().nv(), 33800);
+  for (std::size_t s = 0; s < lpi.num_species(); ++s)
+    ASSERT_EQ(lpi.species(s).np, 267264);
+
+  auto check = [](core::Simulation& sim, const char* deck) {
+    const auto nv = static_cast<std::uint64_t>(sim.grid().nv());
+    for (std::size_t s = 0; s < sim.num_species(); ++s)
+      for (const int threads : {1, 2, 4})
+        EXPECT_TRUE(
+            vs::counting_sort_applicable(sim.species(s).np, nv, threads))
+            << deck << " species " << sim.species(s).name << " at "
+            << threads << " threads";
+  };
+  check(lpi, "lpi");
+  auto clumped_sim = core::decks::make_lpi(clumped);
+  check(clumped_sim, "clumped_tiled");
+  auto weibel_sim = core::decks::make_weibel(weibel);
+  check(weibel_sim, "weibel_collide");
+}
+
+TEST(BenchDeckDispatch, LpiRunAwareWhenSortedGenericWhenScrambled) {
+  auto sim = core::decks::make_lpi(anatomy_lpi());
+  auto& sp = sim.species(0);
+  const index_t nv = sim.grid().nv();
+  sim.interpolator().load(sim.fields());
+  auto push = [&] {
+    sim.accumulator().clear();
+    return core::advance_species(sp, sim.interpolator(), sim.accumulator(),
+                                 sim.grid(), core::VectorStrategy::Auto);
+  };
+
+  core::sort_particles(sp, vs::SortOrder::Standard, 0, 1, nv);
+  EXPECT_EQ(push(), core::PushPath::RunAware);
+  // One step after the sort the run probe decides, and still sees runs.
+  EXPECT_EQ(push(), core::PushPath::RunAware);
+
+  adversarial_order(sp, nv);
+  sp.cell_sorted_hint = true;
+  sp.steps_since_sort = 1;
+  EXPECT_EQ(push(), core::PushPath::Generic);
 }
 
 // ----------------------------------------------------------------------

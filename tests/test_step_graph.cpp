@@ -20,13 +20,9 @@ namespace {
 
 class PkEnv : public ::testing::Environment {
  public:
-  // One kernel thread and the tune cache pinned off, so the deck steps
-  // here are reproducible: float-atomic deposits reorder sums on wider
-  // teams, and a stale .vpic_tune.json can flip dispatch decisions.
-  void SetUp() override {
-    setenv("VPIC_TUNE", "off", 1);
-    pk::initialize(1);
-  }
+  // One kernel thread, so the deck steps here are reproducible:
+  // float-atomic deposits reorder sums on wider teams.
+  void SetUp() override { pk::initialize(1); }
 };
 [[maybe_unused]] const auto* const env =
     ::testing::AddGlobalTestEnvironment(new PkEnv);

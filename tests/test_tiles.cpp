@@ -41,13 +41,8 @@ class PkEnv : public ::testing::Environment {
   // the *untiled* reference path are nondeterministic, which would mask
   // what this suite is about — tile decomposition and task scheduling.
   // StealPool worker threads are independent of this setting, so the
-  // stealing tests still exercise real parallelism. The tune cache is
-  // pinned off: a stale .vpic_tune.json can flip sort/push dispatch
-  // per-layout, breaking the bit-identity comparisons.
-  void SetUp() override {
-    setenv("VPIC_TUNE", "off", 1);
-    pk::initialize(1);
-  }
+  // stealing tests still exercise real parallelism.
+  void SetUp() override { pk::initialize(1); }
 };
 [[maybe_unused]] const auto* const env =
     ::testing::AddGlobalTestEnvironment(new PkEnv);
