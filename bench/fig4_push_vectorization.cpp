@@ -39,13 +39,13 @@ int main(int argc, char** argv) {
   const int nz = static_cast<int>(bench::flag(argc, argv, "nz", 12));
   const int ppc = static_cast<int>(bench::flag(argc, argv, "ppc", 24));
   const int reps = static_cast<int>(bench::flag(argc, argv, "reps", 10));
-  // Particle storage layout under test (--layout=aos|soa|aosoa): the
+  // Particle storage layout under test (--layout=aos|soa): the
   // strategies are compiled once and instantiated per layout, so Fig. 4
-  // can be replayed on any of them.
+  // can be replayed on either.
   const std::string layout_s = bench::flag_str(argc, argv, "layout", "aos");
   const auto layout_opt = core::parse_particle_layout(layout_s);
   if (!layout_opt) {
-    std::fprintf(stderr, "unknown --layout=%s (aos|soa|aosoa)\n",
+    std::fprintf(stderr, "unknown --layout=%s (aos|soa)\n",
                  layout_s.c_str());
     return 1;
   }

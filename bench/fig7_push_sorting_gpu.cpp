@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
     }
     // Run-aware pipeline on the standard (cell-sorted) order, per particle
     // layout: the run-segmentation key sweep streams a full 32 B record
-    // through AoS but only the 4 B cell plane for SoA/AoSoA
+    // through AoS but only the 4 B cell plane for SoA
     // (core/particle_layout.hpp), so the layouts model differently here.
     for (const core::ParticleLayout layout : core::kAllParticleLayouts) {
       gpusim::PushModelParams pm;

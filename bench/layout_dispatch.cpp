@@ -1,6 +1,6 @@
 // layout_dispatch — per-particle-layout push and sort timings on both
 // sides of each dispatch crossover, and the side the dispatch constants
-// pick. For each of AoS / SoA / AoSoA it times, on the same cell-sorted
+// pick. For each of AoS and SoA it times, on the same cell-sorted
 // LPI deck the push_pipeline bench uses:
 //
 //   * the generic vs run-aware Manual push, and the path AutoDetect picks
@@ -21,6 +21,7 @@
 
 #include "bench_common.hpp"
 #include "core/core.hpp"
+#include "core/push_tuning.hpp"
 #include "sort/runs.hpp"
 
 namespace {

@@ -136,7 +136,7 @@ void add_engine_sections(ckpt::FileWriter& w, const FieldArray& f,
     // Prefix-encode: only the np live records, not the slack capacity.
     // The on-disk particle stream is the canonical packed AoS record for
     // every layout, so the file format (and its CRCs) is layout-invariant
-    // and a checkpoint round-trips across AoS/SoA/AoSoA stores.
+    // and a checkpoint round-trips across AoS/SoA stores.
     if (!chunked) {
       if (sp.p.layout() == ParticleLayout::AoS) {
         w.add_view(pfx + "p", sp.p.aos_view(), sp.np);

@@ -16,7 +16,7 @@
 // particles, so the untiled phase runs them in parallel on the OpenMP
 // kernel team, while each tile task runs its cells serially on its
 // stealing worker. Results are therefore bit-identical across OpenMP
-// thread counts, worker counts, tile schedules, and AoS/SoA/AoSoA
+// thread counts, worker counts, tile schedules, and AoS/SoA
 // layouts; only the tile count (which fixes how stray particles are
 // partitioned into cell lists between sorts) is part of the answer.
 #pragma once

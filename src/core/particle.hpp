@@ -4,8 +4,8 @@
 // records (dx, dy, dz, voxel, ux, uy, uz, w); that record is now the
 // *canonical* format of a layout-polymorphic ParticleStore
 // (core/particle_store.hpp) which can also hold the same fields as SoA
-// planes or SIMD-width AoSoA tiles, selected per species by the
-// ParticleLayout policy in SimulationConfig.
+// planes, selected per species by the ParticleLayout policy in
+// SimulationConfig.
 #pragma once
 
 #include <cstdint>
@@ -134,7 +134,7 @@ struct Species {
 
   /// Write the voxel indices (the sorting keys) of the live particles into
   /// the first `np` entries of caller-provided storage. Allocation-free.
-  /// For SoA/AoSoA this reads only the dense cell lanes (~4 B/particle of
+  /// For SoA this reads only the dense cell plane (~4 B/particle of
   /// traffic); AoS streams whole records (see particle_key_read_bytes).
   void cell_keys(pk::View<std::uint32_t, 1>& out) const {
     assert(out.size() >= np);

@@ -1,28 +1,25 @@
 // core/particle_store.hpp
 //
 // Layout-polymorphic particle storage. A ParticleStore is the same logical
-// (particle, field) array under one of three physical layouts
-// (core/particle_layout.hpp):
+// (particle, field) array under one of two physical layouts
+// (core/particle_layout.hpp), both plain strided pk::Views:
 //
-//  * AoS   — pk::View<Particle, 1>: the seed's packed 32-byte record.
-//  * SoA   — pk::View<float, 2, LayoutLeft> (particle, field): one dense
-//            plane per field.
-//  * AoSoA — pk::View<float, 2, LayoutAoSoA<kAosoaTileWidth>>: SoA within
-//            SIMD-width tiles, tiles in particle order. A tile row is one
-//            vector register's worth of one field, contiguous, so the
-//            manual push kernel loads it directly instead of reconstituting
-//            it from AoS records with an 8x8 register transpose.
+//  * AoS — pk::View<Particle, 1>: the seed's packed 32-byte record; the
+//          manual push kernel reconstitutes SoA registers from it with an
+//          8x8 register transpose.
+//  * SoA — pk::View<float, 2, LayoutLeft> (particle, field): one dense
+//          plane per field, loaded straight into registers.
 //
-// The voxel index (field 3) is an int32 stored in float lanes for the two
-// flat-float layouts; every access goes through std::memcpy (compiles to a
-// plain mov) so no float load ever touches the integer bit pattern —
-// the same strict-aliasing discipline the manual kernels already use.
+// The voxel index (field 3) is an int32 stored in a float plane for SoA;
+// every access goes through std::memcpy (compiles to a plain mov) so no
+// float load ever touches the integer bit pattern — the same
+// strict-aliasing discipline the manual kernels already use.
 //
 // Hot-path kernels never switch per element: dispatch_layout() switches
 // ONCE per kernel invocation and hands the kernel a typed accessor
-// (AosAccessor / SoaAccessor / AosoaAccessor) with inlineable scalar
-// load/store/cell and a W-wide vector block load. Kernels are written once
-// against the accessor concept and instantiated three times.
+// (AosAccessor / SoaAccessor) with inlineable scalar load/store/cell and
+// a W-wide vector block load. Kernels are written once against the
+// accessor concept and instantiated once per layout.
 #pragma once
 
 #include <cassert>
@@ -32,12 +29,13 @@
 #include <utility>
 
 #include "core/particle_layout.hpp"
-#include "core/push_tuning.hpp"
 #include "pk/pk.hpp"
 #include "simd/transpose.hpp"
 #include "simd/vec.hpp"
 
 namespace vpic::core {
+
+using pk::index_t;
 
 struct Particle {
   float dx, dy, dz;   // cell-local position in [-1, 1]
@@ -151,88 +149,12 @@ struct SoaAccessor {
   }
 };
 
-struct AosoaAccessor {
-  static constexpr ParticleLayout layout = ParticleLayout::AoSoA;
-  static constexpr int TW = kAosoaTileWidth;
-  float* base = nullptr;
-
-  PK_INLINE index_t off(index_t n, int f) const noexcept {
-    return (n / TW) * (kParticleFields * TW) + f * TW + (n % TW);
-  }
-
-  PK_INLINE Particle load(index_t n) const noexcept {
-    const float* lane = base + off(n, 0);
-    Particle q;
-    q.dx = lane[kFieldDx * TW];
-    q.dy = lane[kFieldDy * TW];
-    q.dz = lane[kFieldDz * TW];
-    std::memcpy(&q.i, lane + kFieldCell * TW, sizeof(q.i));
-    q.ux = lane[kFieldUx * TW];
-    q.uy = lane[kFieldUy * TW];
-    q.uz = lane[kFieldUz * TW];
-    q.w = lane[kFieldW * TW];
-    return q;
-  }
-  PK_INLINE void store(index_t n, const Particle& q) const noexcept {
-    float* lane = base + off(n, 0);
-    lane[kFieldDx * TW] = q.dx;
-    lane[kFieldDy * TW] = q.dy;
-    lane[kFieldDz * TW] = q.dz;
-    std::memcpy(lane + kFieldCell * TW, &q.i, sizeof(q.i));
-    lane[kFieldUx * TW] = q.ux;
-    lane[kFieldUy * TW] = q.uy;
-    lane[kFieldUz * TW] = q.uz;
-    lane[kFieldW * TW] = q.w;
-  }
-  PK_INLINE std::int32_t cell(index_t n) const noexcept {
-    std::int32_t ci;
-    std::memcpy(&ci, base + off(n, kFieldCell), sizeof(ci));
-    return ci;
-  }
-
-  /// Tile-aligned W == TW blocks are straight dense loads (this is the
-  /// whole point of AoSoA); unaligned starts (run-aware kernels begin at
-  /// arbitrary run boundaries) fall back to a lane gather.
-  template <int W>
-  PK_INLINE ParticleVecs<W> load_vecs(index_t n0) const noexcept {
-    using F = simd::simd<float, W>;
-    ParticleVecs<W> v;
-    if constexpr (W == TW) {
-      if (n0 % TW == 0) {
-        const float* tile = base + (n0 / TW) * (kParticleFields * TW);
-        v.dx = F::load(tile + kFieldDx * TW);
-        v.dy = F::load(tile + kFieldDy * TW);
-        v.dz = F::load(tile + kFieldDz * TW);
-        v.ux = F::load(tile + kFieldUx * TW);
-        v.uy = F::load(tile + kFieldUy * TW);
-        v.uz = F::load(tile + kFieldUz * TW);
-        v.w = F::load(tile + kFieldW * TW);
-        std::memcpy(v.cell, tile + kFieldCell * TW, sizeof(v.cell));
-        return v;
-      }
-    }
-    v.dx = F([&](int l) { return base[off(n0 + l, kFieldDx)]; });
-    v.dy = F([&](int l) { return base[off(n0 + l, kFieldDy)]; });
-    v.dz = F([&](int l) { return base[off(n0 + l, kFieldDz)]; });
-    v.ux = F([&](int l) { return base[off(n0 + l, kFieldUx)]; });
-    v.uy = F([&](int l) { return base[off(n0 + l, kFieldUy)]; });
-    v.uz = F([&](int l) { return base[off(n0 + l, kFieldUz)]; });
-    v.w = F([&](int l) { return base[off(n0 + l, kFieldW)]; });
-    for (int l = 0; l < W; ++l)
-      std::memcpy(&v.cell[l], base + off(n0 + l, kFieldCell),
-                  sizeof(v.cell[0]));
-    return v;
-  }
-};
-
 // ---------------------------------------------------------------------------
 // ParticleStore
 // ---------------------------------------------------------------------------
 
 class ParticleStore {
  public:
-  using aosoa_layout = pk::LayoutAoSoA<kAosoaTileWidth>;
-
   ParticleStore() = default;
 
   ParticleStore(std::string label, index_t capacity,
@@ -244,10 +166,6 @@ class ParticleStore {
         break;
       case ParticleLayout::SoA:
         soa_ = pk::View<float, 2, pk::LayoutLeft>(label_, capacity,
-                                                  index_t{kParticleFields});
-        break;
-      case ParticleLayout::AoSoA:
-        aosoa_ = pk::View<float, 2, aosoa_layout>(label_, capacity,
                                                   index_t{kParticleFields});
         break;
     }
@@ -263,8 +181,6 @@ class ParticleStore {
         return aos_.size();
       case ParticleLayout::SoA:
         return soa_.extent(0);
-      case ParticleLayout::AoSoA:
-        return aosoa_.extent(0);
     }
     return 0;
   }
@@ -275,8 +191,6 @@ class ParticleStore {
         return aos_.allocated();
       case ParticleLayout::SoA:
         return soa_.allocated();
-      case ParticleLayout::AoSoA:
-        return aosoa_.allocated();
     }
     return false;
   }
@@ -315,8 +229,6 @@ class ParticleStore {
         return aos_(n);
       case ParticleLayout::SoA:
         return soa_accessor().load(n);
-      case ParticleLayout::AoSoA:
-        return aosoa_accessor().load(n);
     }
     return Particle{};
   }
@@ -329,9 +241,6 @@ class ParticleStore {
       case ParticleLayout::SoA:
         soa_accessor().store(n, q);
         return;
-      case ParticleLayout::AoSoA:
-        aosoa_accessor().store(n, q);
-        return;
     }
   }
 
@@ -341,8 +250,6 @@ class ParticleStore {
         return aos_(n).i;
       case ParticleLayout::SoA:
         return soa_accessor().cell(n);
-      case ParticleLayout::AoSoA:
-        return aosoa_accessor().cell(n);
     }
     return -1;
   }
@@ -355,11 +262,6 @@ class ParticleStore {
       case ParticleLayout::SoA:
         std::memcpy(soa_accessor().plane(kFieldCell) + n, &ci, sizeof(ci));
         return;
-      case ParticleLayout::AoSoA: {
-        auto a = aosoa_accessor();
-        std::memcpy(a.base + a.off(n, kFieldCell), &ci, sizeof(ci));
-        return;
-      }
     }
   }
 
@@ -373,10 +275,6 @@ class ParticleStore {
     assert(layout_ == ParticleLayout::SoA);
     return SoaAccessor{soa_.data(), soa_.extent(0)};
   }
-  [[nodiscard]] AosoaAccessor aosoa_accessor() const noexcept {
-    assert(layout_ == ParticleLayout::AoSoA);
-    return AosoaAccessor{aosoa_.data()};
-  }
 
   // --- Canonical-format conversion (checkpoint serialization, layout
   // migration). The canonical particle stream is the AoS record. ----------
@@ -389,11 +287,6 @@ class ParticleStore {
         return;
       case ParticleLayout::SoA: {
         const auto a = soa_accessor();
-        for (index_t n = 0; n < count; ++n) dst[n] = a.load(n);
-        return;
-      }
-      case ParticleLayout::AoSoA: {
-        const auto a = aosoa_accessor();
         for (index_t n = 0; n < count; ++n) dst[n] = a.load(n);
         return;
       }
@@ -411,11 +304,6 @@ class ParticleStore {
         for (index_t n = 0; n < count; ++n) a.store(n, src[n]);
         return;
       }
-      case ParticleLayout::AoSoA: {
-        const auto a = aosoa_accessor();
-        for (index_t n = 0; n < count; ++n) a.store(n, src[n]);
-        return;
-      }
     }
   }
 
@@ -424,23 +312,15 @@ class ParticleStore {
   std::string label_;
   pk::View<Particle, 1> aos_;
   pk::View<float, 2, pk::LayoutLeft> soa_;
-  pk::View<float, 2, aosoa_layout> aosoa_;
 };
 
 /// Switch once per kernel invocation, handing `f` the typed accessor for
-/// the store's layout. `f` is instantiated three times; the layout branch
-/// never appears inside the particle loop.
+/// the store's layout. `f` is instantiated once per layout; the layout
+/// branch never appears inside the particle loop.
 template <class F>
 decltype(auto) dispatch_layout(const ParticleStore& s, F&& f) {
-  switch (s.layout()) {
-    case ParticleLayout::SoA:
-      return f(s.soa_accessor());
-    case ParticleLayout::AoSoA:
-      return f(s.aosoa_accessor());
-    case ParticleLayout::AoS:
-    default:
-      return f(s.aos_accessor());
-  }
+  if (s.layout() == ParticleLayout::SoA) return f(s.soa_accessor());
+  return f(s.aos_accessor());
 }
 
 /// Copy `count` live particles between stores of any layout pair.

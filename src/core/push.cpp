@@ -206,8 +206,8 @@ void push_guided(Species& sp, const A& a, const InterpolatorArray& interp,
 // ----------------------------------------------------------------------
 // Manual: portable SIMD library. 8-lane blocks (the particle record is 8
 // floats), vector Boris, scalar mover. The block load is the accessor's
-// load_vecs: an 8x8 register transpose for AoS, straight dense plane /
-// tile-row loads for SoA / AoSoA.
+// load_vecs: an 8x8 register transpose for AoS, straight dense plane
+// loads for SoA.
 // ----------------------------------------------------------------------
 /// One full W-wide Manual block starting at n0: vector Boris off a
 /// load_vecs transpose, scalar movers. Used by the parallel kernel (lane
@@ -592,8 +592,7 @@ inline void run_body_manual(const A& a, const sort::CellRun& run,
         const index_t rend = run.begin + run.count;
         const index_t nfull = run.begin + (run.count / W) * W;
         for (index_t n0 = run.begin; n0 < nfull; n0 += W) {
-          // Runs start at arbitrary offsets; the accessor's load_vecs
-          // handles the unaligned AoSoA case with a lane gather.
+          // Runs start at arbitrary offsets; load_vecs takes any n0.
           const ParticleVecs<W> v = a.template load_vecs<W>(n0);
           const F dx = v.dx, dy = v.dy, dz = v.dz;
           F ux = v.ux, uy = v.uy, uz = v.uz;

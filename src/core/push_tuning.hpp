@@ -1,15 +1,15 @@
 // core/push_tuning.hpp
 //
 // Single source of truth for the hot-path dispatch parameters: the
-// structural constants (block size, kernel vector widths, AoSoA tile
-// width) and the run-aware push gates. The gates are fixed constants, one
-// set for every particle layout, measured on the reference host
-// (docs/LAYOUT.md, "Dispatch constants"); the counting-vs-radix sort
-// crossover lives with the sort library (sort/dispatch_model.hpp).
+// structural constants (block size, kernel vector widths) and the
+// run-aware push gates. The gates are fixed constants, one set for both
+// particle layouts, measured on the reference host (docs/LAYOUT.md,
+// "Dispatch constants"); the counting-vs-radix sort crossover lives with
+// the sort library (sort/dispatch_model.hpp).
 //
-// Header-only and dependency-free (pk/layout.hpp only) so the particle
-// store and the push engine read the same constants without layering
-// cycles.
+// Header-only and dependency-free (pk/layout.hpp only) so the push
+// engine, its tests and the dispatch bench read the same constants
+// without layering cycles.
 #pragma once
 
 #include "pk/layout.hpp"
@@ -36,11 +36,6 @@ inline constexpr int kManualVecWidth = 8;
 /// VPIC 1.2 four-wide pipeline.
 inline constexpr int kAdHocVecWidth = 4;
 
-/// AoSoA tile width: lanes of one field stored contiguously per tile.
-/// Equal to kManualVecWidth so a tile row feeds the manual kernel's
-/// registers with plain dense loads (no transpose).
-inline constexpr int kAosoaTileWidth = kManualVecWidth;
-
 // ---------------------------------------------------------------------------
 // Run-aware push gates.
 // ---------------------------------------------------------------------------
@@ -55,7 +50,7 @@ struct PushGates {
   double min_mean_run;
 };
 
-/// The gates for every layout, measured on the reference 4-core x86 host:
+/// The gates for both layouts, measured on the reference 4-core x86 host:
 /// the rounded medians of repeated timings of the generic and run-aware
 /// kernels at long and short cell runs. Whole LPI and Weibel steps time
 /// the same within noise anywhere in those timings' spread

@@ -69,7 +69,7 @@ struct SimulationConfig {
   Grid grid;
   VectorStrategy strategy = VectorStrategy::Auto;
   // Physical particle layout for every species added through add_species
-  // (AoS / SoA / AoSoA, see core/particle_store.hpp and docs/LAYOUT.md).
+  // (AoS / SoA, see core/particle_store.hpp and docs/LAYOUT.md).
   // Excluded from config_fingerprint(): the layout changes memory
   // placement, not physics, so a checkpoint written under one layout
   // restores under any other.

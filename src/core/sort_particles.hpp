@@ -14,8 +14,8 @@
 //    (sort/dispatch_model.hpp: active_sort_model()) says the histogram
 //    traffic is cheap relative to np. For AoS the
 //    scatter moves the 32-byte particle records directly with no
-//    intermediate permutation array; SoA/AoSoA scatter a permutation and
-//    gather through the layout accessor (a record is not one contiguous
+//    intermediate permutation array; SoA scatters a permutation and
+//    gathers through the layout accessor (a record is not one contiguous
 //    32-byte span there);
 //  * the reorder gathers into the species' scratch particle buffer which
 //    is then swapped with `p` (ping-pong), eliminating the copy-back pass.
@@ -56,8 +56,8 @@ inline void sort_particles(Species& sp, sort::SortOrder order,
   ParticleStore& scratch = sp.sort_scratch();
 
   // Layout-generic permutation gather: dst[i] = src[perm[i]]. AoS moves
-  // whole records through the raw pointers; SoA/AoSoA go through the
-  // accessor pair (still one pass, 8 lane moves per particle).
+  // whole records through the raw pointers; SoA goes through the
+  // accessor pair (still one pass, 8 plane moves per particle).
   auto gather_perm = [&](const char* kernel, const index_t* perm) {
     dispatch_layout(sp.p, [&](auto sa) {
       dispatch_layout(scratch, [&](auto da) {

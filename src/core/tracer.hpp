@@ -10,7 +10,7 @@
 // "diag" resource so it composes with the diagnostics phase ordering.
 //
 // Tracers live in a module-owned AoS vector regardless of the species
-// layout, so trajectories are bit-identical across AoS/SoA/AoSoA and
+// layout, so trajectories are bit-identical across AoS/SoA and
 // across the untiled/tiled execution shapes (the module plans a single
 // phase ordered after the interpolator load). State (tracer particles,
 // ring, counters) round-trips through the module checkpoint sections.

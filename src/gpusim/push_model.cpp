@@ -69,7 +69,7 @@ PushResult model_push(const DeviceSpec& dev,
 
   // Run-aware only: the segmentation sweep that finds same-cell runs reads
   // every particle's cell index once — a full extra record stream through
-  // AoS, a dense 4 B/particle plane for SoA/AoSoA (the honesty fix the
+  // AoS, a dense 4 B/particle plane for SoA (the honesty fix the
   // layout work makes visible; core/particle_layout.hpp).
   StreamStats keyscan{};
   if (params.run_aware)

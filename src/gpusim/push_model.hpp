@@ -41,7 +41,7 @@ struct PushModelParams {
   // particle_record_bytes(layout) both ways regardless of layout, but the
   // run-segmentation sweep of the run-aware pipeline reads ONLY the cell
   // index — 32 B/particle through an AoS record, ~4 B/particle for the
-  // densely packed SoA/AoSoA cell planes.
+  // densely packed SoA cell plane.
   core::ParticleLayout layout = core::ParticleLayout::AoS;
   int interp_stride = 80;         // padded interpolator stride
   int interp_record = 72;         // bytes actually read

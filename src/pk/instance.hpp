@@ -3,17 +3,17 @@
 // Asynchronous execution-space instances, modeled on Kokkos' execution
 // space instances (and, below them, CUDA streams): an Instance<ExecSpace>
 // is an independent FIFO work queue backed by a dedicated worker thread.
-// Work submitted through the instance-taking overloads of
-// parallel_for/parallel_reduce/parallel_scan/deep_copy returns to the
-// caller immediately and executes in submission order on the instance's
-// worker; two different instances execute concurrently with each other and
-// with the submitting thread.
+// A task submitted with pk::async returns to the caller immediately and
+// executes in submission order on the instance's worker; two different
+// instances execute concurrently with each other and with the submitting
+// thread. Its two users are the StealPool workers (pk/stealing.hpp) and
+// the background checkpoint writer (core/checkpoint.cpp).
 //
 //   pk::Instance<> a, b;
-//   pk::parallel_for(a, "halo_pack", n, pack);     // returns immediately
-//   pk::parallel_for(b, "interior", m, push);      // runs concurrently
-//   a.fence();                                     // wait for the pack
-//   pk::fence();                                   // wait for everything
+//   pk::async(a, "pack", [&] { pack(); });      // returns immediately
+//   pk::async(b, "encode", [&] { encode(); });  // runs concurrently
+//   a.fence();                                  // wait for the pack
+//   pk::fence();                                // wait for everything
 //
 // Semantics mirrored from Kokkos:
 //   * FIFO per instance — tasks on one instance never reorder or overlap.
@@ -21,16 +21,16 @@
 //     the free pk::fence() waits on every live instance (config.hpp).
 //   * Instances are cheap shareable handles (shared_ptr semantics); the
 //     last handle fences the queue and joins the worker on destruction.
-//   * parallel_reduce/scan results and everything captured by reference
-//     must stay alive (and must not be read) until the instance is fenced.
+//   * everything a task captures by reference must stay alive (and must
+//     not be read) until the instance is fenced.
 //
 // Exceptions thrown by asynchronous work are captured and rethrown from
 // the next fence() on that instance (or from the global pk::fence()),
 // like asynchronous CUDA errors surfacing at the next synchronization.
 //
 // Observability: every asynchronous submission fires an async_dispatch
-// event with the instance id and queue depth, the worker fires the usual
-// begin/end_parallel events when the task actually runs, and fences fire
+// event with the instance id and queue depth, kernels a task dispatches
+// fire the usual begin/end_parallel events on the worker, and fences fire
 // begin/end_fence — so a trace shows both the submit timeline and the
 // per-instance execution timeline (docs/ASYNC.md, docs/PROFILING.md).
 #pragma once
@@ -45,17 +45,16 @@
 #include <thread>
 #include <utility>
 
-#include "pk/parallel.hpp"
+#include "pk/execution.hpp"
 #include "pk/prof_hooks.hpp"
-#include "pk/view.hpp"
 
 namespace vpic::pk {
 
 namespace detail {
 
 /// Type-erased FIFO worker queue behind Instance<ExecSpace>. Non-template
-/// so the queue/worker machinery lives in instance.cpp; the typed dispatch
-/// wrappers below enqueue closures.
+/// so the queue/worker machinery lives in instance.cpp; pk::async below
+/// enqueues closures.
 class InstanceImpl {
  public:
   explicit InstanceImpl(const char* space_name);
@@ -126,119 +125,8 @@ class Instance {
   std::shared_ptr<detail::InstanceImpl> impl_;
 };
 
-// ----------------------------------------------------------------------
-// Instance-taking dispatch overloads. Each enqueues the exact synchronous
-// dispatch path (same instrumentation, same backend loops) onto the
-// instance's worker and returns immediately. Kernel `name` must be a
-// string literal or otherwise outlive the fence, as in Kokkos.
-// ----------------------------------------------------------------------
-
-template <template <class> class Policy, class ExecSpace, class Functor>
-void parallel_for(const Instance<ExecSpace>& inst, const char* name,
-                  const Policy<ExecSpace>& p, Functor f) {
-  detail::InstanceImpl& q = inst.impl();
-  const std::uint64_t depth = q.enqueue([name, p, f = std::move(f)] {
-    const std::uint64_t kid = prof::begin_parallel(
-        "parallel_for", name, ExecSpace::name(), detail::policy_work(p));
-    detail::for_impl(p, f);
-    prof::end_parallel("parallel_for", kid);
-  });
-  prof::notify_async_dispatch("parallel_for", name, q.id(), depth);
-}
-
-template <template <class> class Policy, class ExecSpace, class Functor>
-void parallel_for(const Instance<ExecSpace>& inst, const Policy<ExecSpace>& p,
-                  const Functor& f) {
-  parallel_for(inst, nullptr, p, f);
-}
-
-/// Convenience range form on the instance's space.
-template <class ExecSpace, class Functor>
-void parallel_for(const Instance<ExecSpace>& inst, const char* name,
-                  index_t n, const Functor& f) {
-  parallel_for(inst, name, RangePolicy<ExecSpace>(n), f);
-}
-
-template <class ExecSpace, class Functor>
-void parallel_for(const Instance<ExecSpace>& inst, index_t n,
-                  const Functor& f) {
-  parallel_for(inst, nullptr, RangePolicy<ExecSpace>(n), f);
-}
-
-/// Asynchronous reduce: `result` is written on the worker thread — do not
-/// read it (or let it go out of scope) before fencing the instance.
-template <class Reducer, class ExecSpace, class Functor>
-void parallel_reduce(const Instance<ExecSpace>& inst, const char* name,
-                     const RangePolicy<ExecSpace>& p, Functor f,
-                     typename Reducer::value_type& result) {
-  detail::InstanceImpl& q = inst.impl();
-  const std::uint64_t depth =
-      q.enqueue([name, p, f = std::move(f), &result] {
-        const std::uint64_t kid = prof::begin_parallel(
-            "parallel_reduce", name, ExecSpace::name(),
-            detail::policy_work(p));
-        detail::reduce_impl<Reducer>(p, f, result);
-        prof::end_parallel("parallel_reduce", kid);
-      });
-  prof::notify_async_dispatch("parallel_reduce", name, q.id(), depth);
-}
-
-template <class ExecSpace, class Functor, class T>
-void parallel_reduce(const Instance<ExecSpace>& inst, const char* name,
-                     const RangePolicy<ExecSpace>& p, const Functor& f,
-                     T& result) {
-  parallel_reduce<Sum<T>>(inst, name, p, f, result);
-}
-
-template <class ExecSpace, class Functor, class T>
-void parallel_reduce(const Instance<ExecSpace>& inst, const char* name,
-                     index_t n, const Functor& f, T& result) {
-  parallel_reduce<Sum<T>>(inst, name, RangePolicy<ExecSpace>(n), f, result);
-}
-
-/// Asynchronous exclusive scan; same result-lifetime rule as reduce.
-template <class ExecSpace, class Functor, class T>
-void parallel_scan(const Instance<ExecSpace>& inst, const char* name,
-                   const RangePolicy<ExecSpace>& p, Functor f, T& total) {
-  detail::InstanceImpl& q = inst.impl();
-  const std::uint64_t depth =
-      q.enqueue([name, p, f = std::move(f), &total] {
-        const std::uint64_t kid = prof::begin_parallel(
-            "parallel_scan", name, ExecSpace::name(),
-            detail::policy_work(p));
-        detail::scan_impl(p, f, total);
-        prof::end_parallel("parallel_scan", kid);
-      });
-  prof::notify_async_dispatch("parallel_scan", name, q.id(), depth);
-}
-
-/// Asynchronous view-to-view copy on the instance (Kokkos'
-/// deep_copy(exec, dst, src)). Both views are handle copies, so the
-/// underlying buffers stay alive until the copy runs.
-template <class ExecSpace, class T, int R, class LD, class MD, class LS,
-          class MS>
-void deep_copy(const Instance<ExecSpace>& inst, const View<T, R, LD, MD>& dst,
-               const View<T, R, LS, MS>& src) {
-  detail::InstanceImpl& q = inst.impl();
-  const std::uint64_t depth =
-      q.enqueue([dst, src] { deep_copy(dst, src); });
-  prof::notify_async_dispatch("deep_copy", dst.label().c_str(), q.id(),
-                              depth);
-}
-
-/// Asynchronous fill.
-template <class ExecSpace, class T, int R, class L, class M>
-void deep_copy(const Instance<ExecSpace>& inst, const View<T, R, L, M>& dst,
-               const T& value) {
-  detail::InstanceImpl& q = inst.impl();
-  const std::uint64_t depth =
-      q.enqueue([dst, value] { deep_copy(dst, value); });
-  prof::notify_async_dispatch("deep_copy", dst.label().c_str(), q.id(),
-                              depth);
-}
-
-/// Run an arbitrary host task on the instance's queue (the step-graph
-/// scheduler submits phase bodies through this).
+/// Run an arbitrary host task on the instance's queue. Fires an
+/// async_dispatch event with the instance id and the queue depth.
 template <class ExecSpace>
 void async(const Instance<ExecSpace>& inst, const char* name,
            std::function<void()> task) {

@@ -51,54 +51,4 @@ struct LayoutLeft {
   }
 };
 
-/// Array-of-Structures-of-Arrays (Cabana's AoSoA, LLAMA's blocked SoA):
-/// rank-2 views only, indexed (element, field). Elements are grouped into
-/// tiles of `TileW` consecutive elements; within a tile the layout is SoA
-/// (field-major), so lane l of field f of tile t lives at
-///
-///   offset(i, f) = t * (nfields * TileW) + f * TileW + l,
-///   t = i / TileW, l = i % TileW.
-///
-/// A tile of one field is `TileW` contiguous values — exactly one SIMD
-/// register's worth when TileW matches vpic::simd's native width — so a
-/// vector kernel loads SoA rows straight from memory with no register
-/// transpose, while a whole element's fields still sit within one tile
-/// (nfields * TileW values) for cache locality. The last tile is padded:
-/// span() rounds the element extent up to a tile multiple.
-///
-/// This layout is not expressible as per-dimension strides (the element
-/// index decomposes into tile and lane), so it provides the non-affine
-/// mapping interface (`is_affine = false`, offset()/span()) that pk::View
-/// detects instead of strides().
-template <int TileW>
-struct LayoutAoSoA {
-  static_assert(TileW >= 2 && (TileW & (TileW - 1)) == 0,
-                "AoSoA tile width must be a power-of-two >= 2");
-  static constexpr bool is_affine = false;
-  static constexpr index_t tile_width = TileW;
-
-  static constexpr const char* name() noexcept { return "LayoutAoSoA"; }
-
-  /// Number of (padded) tiles covering `elements`.
-  static constexpr index_t tile_count(index_t elements) noexcept {
-    return (elements + TileW - 1) / TileW;
-  }
-
-  /// Allocated elements: extents rounded up so every tile is whole.
-  template <int Rank>
-  static constexpr index_t span(const std::array<index_t, Rank>& ext) noexcept {
-    static_assert(Rank == 2, "LayoutAoSoA is a rank-2 (element, field) map");
-    return tile_count(ext[0]) * ext[1] * TileW;
-  }
-
-  template <int Rank>
-  static constexpr index_t offset(const std::array<index_t, Rank>& ext,
-                                  const std::array<index_t, Rank>& idx) noexcept {
-    static_assert(Rank == 2, "LayoutAoSoA is a rank-2 (element, field) map");
-    const index_t tile = idx[0] / TileW;
-    const index_t lane = idx[0] % TileW;
-    return tile * (ext[1] * TileW) + idx[1] * TileW + lane;
-  }
-};
-
 }  // namespace vpic::pk

@@ -43,11 +43,11 @@ struct EventHooks {
   void (*begin_fence)(const char* name, std::uint32_t instance_id,
                       std::uint64_t* handle) = nullptr;
   void (*end_fence)(std::uint64_t handle) = nullptr;
-  /// An asynchronous dispatch was enqueued on an instance (fires on the
-  /// submitting thread; the matching begin/end_parallel fire later on the
-  /// instance's worker). `queue_depth` counts tasks pending on the instance
-  /// including this one — traces built from these events show queue
-  /// occupancy over time.
+  /// An asynchronous task was enqueued on an instance (fires on the
+  /// submitting thread; kernels the task dispatches fire begin/end_parallel
+  /// later on the instance's worker). `queue_depth` counts tasks pending
+  /// on the instance including this one — traces built from these events
+  /// show queue occupancy over time.
   void (*async_dispatch)(const char* kind, const char* name,
                          std::uint32_t instance_id,
                          std::uint64_t queue_depth) = nullptr;

@@ -26,7 +26,32 @@ std::uint64_t xorshift(std::uint64_t& s) {
   return s;
 }
 
+// splitmix64 (Steele, Lea and Flood): a bijection on 64-bit words whose
+// outputs for consecutive inputs are statistically independent.
+std::uint64_t splitmix64(std::uint64_t z) {
+  z += 0x9e3779b97f4a7c15ull;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
 }  // namespace
+
+namespace detail {
+
+std::uint64_t steal_rng_state(std::uint64_t seed, int w) noexcept {
+  const std::uint64_t s = splitmix64(seed + static_cast<std::uint64_t>(w));
+  // splitmix64 is a bijection, so exactly one input maps to 0.
+  return s != 0 ? s : 0x9e3779b97f4a7c15ull;
+}
+
+int steal_victim(std::uint64_t& state, int self, int n) noexcept {
+  const int victim =
+      static_cast<int>(xorshift(state) % static_cast<std::uint64_t>(n));
+  return victim == self ? (victim + 1) % n : victim;
+}
+
+}  // namespace detail
 
 struct StealPool::Impl {
   struct Worker {
@@ -57,9 +82,7 @@ struct StealPool::Impl {
     instances.reserve(static_cast<std::size_t>(n));
     for (int w = 0; w < n; ++w) {
       workers.push_back(std::make_unique<Worker>());
-      // splitmix-style stream separation so victim sequences differ.
-      workers.back()->rng =
-          seed ^ (0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(w + 1));
+      workers.back()->rng = detail::steal_rng_state(seed, w);
       instances.emplace_back();
     }
   }
@@ -85,9 +108,7 @@ struct StealPool::Impl {
     if (n < 2) return nullptr;
     Worker& me = *workers[static_cast<std::size_t>(self)];
     for (int probe = 0; probe + 1 < n; ++probe) {
-      int victim =
-          static_cast<int>(xorshift(me.rng) % static_cast<std::uint64_t>(n));
-      if (victim == self) victim = (victim + 1) % n;
+      const int victim = detail::steal_victim(me.rng, self, n);
       Worker& vk = *workers[static_cast<std::size_t>(victim)];
       std::vector<std::function<void()>> loot;
       {

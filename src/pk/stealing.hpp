@@ -42,6 +42,19 @@ struct StealStats {
   std::uint64_t idle_us = 0;        // summed worker wait time (all workers)
 };
 
+namespace detail {
+
+/// Initial victim-RNG state of worker `w` under pool seed `seed`:
+/// splitmix64 of `seed + w`, so nearby workers draw unrelated streams.
+/// Never 0: a zero xorshift state stays 0 and would pin every draw.
+std::uint64_t steal_rng_state(std::uint64_t seed, int w) noexcept;
+
+/// Draw the next victim for worker `self` of an `n`-worker pool (n >= 2),
+/// advancing `state`. Never returns `self`.
+int steal_victim(std::uint64_t& state, int self, int n) noexcept;
+
+}  // namespace detail
+
 /// Persistent pool of `workers` threads executing std::function tasks
 /// with per-worker deques and randomized steal-half balancing.
 class StealPool {

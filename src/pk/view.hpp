@@ -43,20 +43,6 @@ struct DeviceSimSpace {
   static constexpr const char* name() noexcept { return "DeviceSimSpace"; }
 };
 
-namespace detail {
-
-/// Affine layouts expose per-dimension strides(); non-affine layouts (e.g.
-/// LayoutAoSoA) declare `is_affine = false` and provide offset()/span()
-/// instead. Absence of the member means affine (LayoutRight/LayoutLeft
-/// predate the distinction).
-template <class L, class = void>
-struct layout_is_affine : std::true_type {};
-template <class L>
-struct layout_is_affine<L, std::void_t<decltype(L::is_affine)>>
-    : std::bool_constant<L::is_affine> {};
-
-}  // namespace detail
-
 template <class T, int Rank, class Layout = LayoutRight,
           class MemSpace = HostSpace>
 class View {
@@ -69,14 +55,11 @@ class View {
   using layout_type = Layout;
   using memory_space = MemSpace;
   static constexpr int rank = Rank;
-  static constexpr bool is_affine = detail::layout_is_affine<Layout>::value;
 
   View() = default;
 
   /// Allocating constructor. Extents are per-dimension element counts; the
-  /// label is carried for diagnostics (mirrors Kokkos labels). Non-affine
-  /// layouts may allocate more than size() elements (span(): e.g. AoSoA
-  /// pads the last tile).
+  /// label is carried for diagnostics (mirrors Kokkos labels).
   template <class... Ext,
             class = std::enable_if_t<sizeof...(Ext) == std::size_t(Rank)>>
   explicit View(std::string label, Ext... exts)
@@ -84,9 +67,9 @@ class View {
     for ([[maybe_unused]] auto e : ext_)
       assert(e >= 0 && "negative extent");
     init_map();
-    T* raw = new T[static_cast<std::size_t>(span_)]();
+    T* raw = new T[static_cast<std::size_t>(size_)]();
     const auto bytes =
-        static_cast<std::uint64_t>(span_) * static_cast<std::uint64_t>(sizeof(T));
+        static_cast<std::uint64_t>(size_) * static_cast<std::uint64_t>(sizeof(T));
     // The deleter fires the matching deallocate event when the last owner
     // releases the buffer (alloc/dealloc pairing is asserted in
     // tests/test_prof.cpp).
@@ -99,7 +82,6 @@ class View {
   }
 
   /// Unmanaged wrapper around caller-owned memory (Kokkos unmanaged views).
-  /// For non-affine layouts the pointer must cover span() elements.
   template <class... Ext,
             class = std::enable_if_t<sizeof...(Ext) == std::size_t(Rank)>>
   View(T* ptr, Ext... exts)
@@ -118,12 +100,6 @@ class View {
   [[nodiscard]] index_t size() const noexcept { return size_; }
   [[nodiscard]] index_t size_bytes() const noexcept {
     return size_ * static_cast<index_t>(sizeof(T));
-  }
-  /// Allocated elements — equals size() for affine layouts, may exceed it
-  /// for padded layouts (AoSoA rounds the element extent up to whole tiles).
-  [[nodiscard]] index_t span() const noexcept { return span_; }
-  [[nodiscard]] index_t span_bytes() const noexcept {
-    return span_ * static_cast<index_t>(sizeof(T));
   }
   [[nodiscard]] T* data() const noexcept { return data_.get(); }
   [[nodiscard]] bool allocated() const noexcept {
@@ -161,27 +137,18 @@ class View {
              ii[static_cast<std::size_t>(d)] < ext_[static_cast<std::size_t>(d)] &&
              "pk::View index out of bounds");
     }
-    if constexpr (is_affine) {
-      index_t off = 0;
-      for (int d = 0; d < Rank; ++d)
-        off += ii[static_cast<std::size_t>(d)] *
-               strides_[static_cast<std::size_t>(d)];
-      return off;
-    } else {
-      return Layout::template offset<Rank>(ext_, ii);
-    }
+    index_t off = 0;
+    for (int d = 0; d < Rank; ++d)
+      off += ii[static_cast<std::size_t>(d)] *
+             strides_[static_cast<std::size_t>(d)];
+    return off;
   }
 
  private:
   void init_map() noexcept {
     size_ = 1;
     for (auto e : ext_) size_ *= e;
-    if constexpr (is_affine) {
-      strides_ = Layout::template strides<Rank>(ext_);
-      span_ = size_;
-    } else {
-      span_ = Layout::template span<Rank>(ext_);
-    }
+    strides_ = Layout::template strides<Rank>(ext_);
   }
 
   std::string label_;
@@ -189,7 +156,6 @@ class View {
   std::array<index_t, Rank> ext_{};
   std::array<index_t, Rank> strides_{};
   index_t size_ = 0;
-  index_t span_ = 0;
 };
 
 /// Tag selecting a whole dimension in subview() (Kokkos::ALL).
@@ -240,34 +206,14 @@ View<T, 1, LayoutRight, M> subview(const View<T, 3, LayoutRight, M>& v,
       v, i * v.stride(0) + j * v.stride(1), v.extent(2));
 }
 
-/// One whole tile of a rank-2 AoSoA view as a contiguous rank-1 slice of
-/// extent(1) * TileW values — field-major (TileW lanes of field 0, then
-/// field 1, ...). The slice shares ownership with the parent; this is the
-/// hook that lets vector kernels hand a tile straight to simd loads.
-template <int W, class T, class M>
-View<T, 1, LayoutRight, M> tile_subview(const View<T, 2, LayoutAoSoA<W>, M>& v,
-                                        index_t tile) {
-  assert(tile >= 0 && tile < LayoutAoSoA<W>::tile_count(v.extent(0)));
-  const index_t tile_elems = v.extent(1) * W;
-  const index_t off = tile * tile_elems;
-  std::shared_ptr<T[]> sp(v.data_ptr(), v.data() + off);
-  View<T, 1, LayoutRight, M> out(v.data() + off, tile_elems);
-  out.adopt_ownership(std::move(sp));
-  return out;
-}
-
 /// deep_copy between views of identical shape (layouts may differ).
 template <class T, int R, class LD, class MD, class LS, class MS>
 void deep_copy(const View<T, R, LD, MD>& dst, const View<T, R, LS, MS>& src) {
   assert(dst.size() == src.size());
   for (int d = 0; d < R; ++d) assert(dst.extent(d) == src.extent(d));
   if constexpr (std::is_same_v<LD, LS>) {
-    // span_bytes, not size_bytes: identical shape + layout means identical
-    // padding too, and copying the padded tail keeps tombstoned pad lanes
-    // (AoSoA) intact.
-    assert(dst.span() == src.span());
     std::memcpy(dst.data(), src.data(),
-                static_cast<std::size_t>(src.span_bytes()));
+                static_cast<std::size_t>(src.size_bytes()));
   } else {
     // Transposing copy: iterate logical indices.
     if constexpr (R == 1) {

@@ -545,8 +545,8 @@ TEST(CollisionModule, CheckpointRoundTripsAcrossLayouts) {
   // The checkpoint restores bit-identically under every particle layout
   // (the file stores the canonical AoS stream; collisions scan in index
   // order, never layout order) — counters included.
-  for (const int li : {0, 1, 2}) {
-    auto restored = make_colliding_lpi(core::kAllParticleLayouts[li]);
+  for (const auto layout : core::kAllParticleLayouts) {
+    auto restored = make_colliding_lpi(layout);
     restored.restore((dir / "a.ckpt").string());
     EXPECT_TRUE(restored.last_restore_skips().empty());
     auto* rcol =
@@ -555,7 +555,7 @@ TEST(CollisionModule, CheckpointRoundTripsAcrossLayouts) {
     EXPECT_EQ(rcol->pairs_scattered(), pairs_at_ckpt);
     restored.run(15);
     EXPECT_TRUE(same_particles(sim, restored))
-        << "layout " << core::to_string(core::kAllParticleLayouts[li]);
+        << "layout " << core::to_string(layout);
     EXPECT_EQ(rcol->pairs_scattered(), col->pairs_scattered());
   }
 }

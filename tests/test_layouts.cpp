@@ -1,14 +1,14 @@
-// Layout determinism suite (docs/LAYOUT.md): the AoS / SoA / AoSoA
-// particle stores are different *addresses* for the same logical record,
-// so on one kernel thread the physics must be bit-identical across all
-// three — same field bytes, same canonical particle stream, same energy
-// diagnostics — on a multi-step LPI run, and a checkpoint written by a
-// non-AoS species must restore into any layout and continue identically.
+// Layout determinism suite (docs/LAYOUT.md): the AoS and SoA particle
+// stores are different *addresses* for the same logical record, so on one
+// kernel thread the physics must be bit-identical across both — same
+// field bytes, same canonical particle stream, same energy diagnostics —
+// on a multi-step LPI run, and a checkpoint written by a SoA species must
+// restore into either layout and continue identically.
 //
-// Also pins the storage machinery itself: AoSoA tile offsets, get/set
-// round trips, export/import through the canonical AoS stream,
-// copy_particles over every layout pair, and load_vecs lane agreement
-// with scalar loads (including the AoSoA unaligned gather path).
+// Also pins the storage machinery itself: get/set round trips,
+// export/import through the canonical AoS stream, copy_particles over
+// every layout pair, and load_vecs lane agreement with scalar loads
+// (including blocks that start off the vector alignment).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -18,6 +18,7 @@
 
 #include "ckpt/ckpt.hpp"
 #include "core/core.hpp"
+#include "core/push_tuning.hpp"
 
 namespace core = vpic::core;
 namespace pk = vpic::pk;
@@ -98,26 +99,8 @@ INSTANTIATE_TEST_SUITE_P(Layouts, LayoutStore,
 
 // ---- storage machinery -----------------------------------------------
 
-TEST(AosoaOffsets, TileMathMatchesDefinition) {
-  // offset(n, f) = tile_base + field_row + lane: fields of one tile's
-  // particles are contiguous W-wide rows (the manual kernel's load unit).
-  constexpr int TW = core::kAosoaTileWidth;
-  const core::AosoaAccessor a{nullptr};
-  for (index_t n : {index_t{0}, index_t{TW - 1}, index_t{TW}, index_t{19}}) {
-    for (int f = 0; f < core::kParticleFields; ++f) {
-      EXPECT_EQ(a.off(n, f), (n / TW) * (core::kParticleFields * TW) +
-                                 static_cast<index_t>(f) * TW + n % TW);
-    }
-  }
-  // Within a tile, one field's lanes are adjacent...
-  EXPECT_EQ(a.off(1, core::kFieldUx), a.off(0, core::kFieldUx) + 1);
-  // ...and crossing a tile boundary jumps a full tile of floats.
-  EXPECT_EQ(a.off(TW, 0) - a.off(TW - 1, 0),
-            static_cast<index_t>((core::kParticleFields - 1) * TW + 1));
-}
-
 TEST_P(LayoutStore, GetSetCellRoundTrip) {
-  const index_t n = 37;  // deliberately not a tile multiple
+  const index_t n = 37;  // deliberately not a vector-width multiple
   core::ParticleStore s("s", n, layout());
   EXPECT_EQ(s.layout(), layout());
   EXPECT_EQ(s.size(), n);
@@ -126,7 +109,7 @@ TEST_P(LayoutStore, GetSetCellRoundTrip) {
     EXPECT_TRUE(same_record(s.get(i), probe_particle(i))) << i;
     EXPECT_EQ(s.cell(i), probe_particle(i).i) << i;
   }
-  // set_cell touches only the cell plane/lane.
+  // set_cell touches only the cell field.
   s.set_cell(5, 4242);
   core::Particle expect = probe_particle(5);
   expect.i = 4242;
@@ -173,8 +156,8 @@ TEST_P(LayoutStore, LoadVecsAgreesWithScalarLoads) {
   core::ParticleStore s("s", n, layout());
   for (index_t i = 0; i < n; ++i) s.set(i, probe_particle(i));
 
-  // n0 = W hits every fast path; n0 = W/2 forces the AoSoA per-lane
-  // gather (tile-straddling) and the unaligned SoA loads.
+  // n0 = W is vector-aligned; n0 = W/2 is not, as at the arbitrary run
+  // starts of the run-aware kernels (unaligned SoA plane loads).
   for (const index_t n0 : {index_t{W}, index_t{W / 2}}) {
     SCOPED_TRACE(n0);
     const auto vecs = core::dispatch_layout(
@@ -210,28 +193,20 @@ TEST(LayoutDeterminism, BitIdenticalPhysicsAcrossAllLayouts) {
   // a physics change.
   auto ref = make_lpi(core::ParticleLayout::AoS);
   ref.run(40);
-  const auto ref_p = canon(ref.species(0));
-  const auto ref_ex = view_bytes(ref.fields().ex);
-  const auto ref_by = view_bytes(ref.fields().by);
-  const auto ref_jz = view_bytes(ref.fields().jz);
-  const std::string ref_csv = ref.energy_history().to_csv();
+  auto sim = make_lpi(core::ParticleLayout::SoA);
+  sim.run(40);
 
-  for (const auto layout :
-       {core::ParticleLayout::SoA, core::ParticleLayout::AoSoA}) {
-    SCOPED_TRACE(core::to_string(layout));
-    auto sim = make_lpi(layout);
-    sim.run(40);
-    ASSERT_EQ(sim.species(0).np, ref.species(0).np);
-    const auto p = canon(sim.species(0));
-    EXPECT_EQ(std::memcmp(p.data(), ref_p.data(),
-                          p.size() * sizeof(core::Particle)),
-              0)
-        << "particle stream diverged";
-    EXPECT_EQ(view_bytes(sim.fields().ex), ref_ex);
-    EXPECT_EQ(view_bytes(sim.fields().by), ref_by);
-    EXPECT_EQ(view_bytes(sim.fields().jz), ref_jz);
-    EXPECT_EQ(sim.energy_history().to_csv(), ref_csv);
-  }
+  ASSERT_EQ(sim.species(0).np, ref.species(0).np);
+  const auto p = canon(sim.species(0));
+  const auto ref_p = canon(ref.species(0));
+  EXPECT_EQ(std::memcmp(p.data(), ref_p.data(),
+                        p.size() * sizeof(core::Particle)),
+            0)
+      << "particle stream diverged";
+  EXPECT_EQ(view_bytes(sim.fields().ex), view_bytes(ref.fields().ex));
+  EXPECT_EQ(view_bytes(sim.fields().by), view_bytes(ref.fields().by));
+  EXPECT_EQ(view_bytes(sim.fields().jz), view_bytes(ref.fields().jz));
+  EXPECT_EQ(sim.energy_history().to_csv(), ref.energy_history().to_csv());
 }
 
 TEST(LayoutDeterminism, EveryStrategyMatchesAcrossLayouts) {
@@ -265,21 +240,21 @@ TEST(LayoutDeterminism, EveryStrategyMatchesAcrossLayouts) {
 }
 
 TEST(LayoutDeterminism, NonAosCheckpointRestoresIntoAnyLayout) {
-  // A checkpoint written by an AoSoA run must restore into every layout
-  // and continue bit-identically with the uninterrupted AoSoA reference:
-  // the file stores the canonical stream, the layout only re-addresses it.
+  // A checkpoint written by a SoA run must restore into every layout and
+  // continue bit-identically with the uninterrupted SoA reference: the
+  // file stores the canonical stream, the layout only re-addresses it.
   const fs::path dir =
       fs::path(::testing::TempDir()) / "vpic_layout_ckpt";
   fs::remove_all(dir);
   fs::create_directories(dir);
   const std::string path = (dir / "mid.ckpt").string();
 
-  auto ref = make_lpi(core::ParticleLayout::AoSoA);
+  auto ref = make_lpi(core::ParticleLayout::SoA);
   ref.run(30);
   const auto ref_p = canon(ref.species(0));
   const std::string ref_csv = ref.energy_history().to_csv();
 
-  auto writer = make_lpi(core::ParticleLayout::AoSoA);
+  auto writer = make_lpi(core::ParticleLayout::SoA);
   writer.run(15);
   ASSERT_GT(writer.checkpoint(path), 0u);
 

@@ -461,15 +461,6 @@ TEST(Instance, FifoOrderOnOneInstance) {
   for (int t = 0; t < 8; ++t) EXPECT_EQ(order[static_cast<std::size_t>(t)], t);
 }
 
-TEST(Instance, ParallelForRunsAsynchronously) {
-  pk::Instance<> q;
-  pk::View<int, 1> v("v", 1000);
-  pk::parallel_for(q, "fill", pk::RangePolicy<>(0, 1000),
-                   [&](index_t i) { v(i) = static_cast<int>(i); });
-  q.fence();
-  for (index_t i = 0; i < 1000; ++i) EXPECT_EQ(v(i), static_cast<int>(i));
-}
-
 TEST(Instance, FenceWaitsForCompletion) {
   pk::Instance<> q;
   std::atomic<bool> done{false};
@@ -479,41 +470,6 @@ TEST(Instance, FenceWaitsForCompletion) {
   });
   q.fence();
   EXPECT_TRUE(done.load());
-}
-
-TEST(Instance, ReduceResultVisibleAfterFence) {
-  pk::Instance<> q;
-  long sum = 0;
-  pk::parallel_reduce(q, "sum", pk::RangePolicy<>(1, 101),
-                      [](index_t i, long& acc) { acc += static_cast<long>(i); },
-                      sum);
-  q.fence();
-  EXPECT_EQ(sum, 5050);
-}
-
-TEST(Instance, ScanOnInstance) {
-  pk::Instance<> q;
-  pk::View<long, 1> out("out", 10);
-  long total = 0;
-  pk::parallel_scan(q, "scan", pk::RangePolicy<>(0, 10),
-                    [&](index_t i, long& partial, bool final_pass) {
-                      partial += static_cast<long>(i + 1);
-                      if (final_pass) out(i) = partial;
-                    },
-                    total);
-  q.fence();
-  EXPECT_EQ(out(0), 1);
-  EXPECT_EQ(out(9), 55);  // 1 + 2 + ... + 10
-  EXPECT_EQ(total, 55);
-}
-
-TEST(Instance, DeepCopyOnInstance) {
-  pk::Instance<> q;
-  pk::View<float, 1> a("a", 64), b("b", 64);
-  pk::deep_copy(q, a, 2.5f);
-  pk::deep_copy(q, b, a);
-  q.fence();
-  for (index_t i = 0; i < 64; ++i) EXPECT_EQ(b(i), 2.5f);
 }
 
 TEST(Instance, DeferredExceptionRethrownAtFence) {
@@ -578,11 +534,12 @@ TEST(Instance, ConcurrentStress) {
   for (int t = 0; t < kTasks; ++t) {
     const int slot = t % kInstances;
     auto v = views[static_cast<std::size_t>(slot)];
-    pk::parallel_for(pool[static_cast<std::size_t>(slot)], "stress",
-                     pk::RangePolicy<>(0, 256), [v, &total](index_t i) {
-                       v(i) += 1;
-                       total.fetch_add(1, std::memory_order_relaxed);
-                     });
+    pk::async(pool[static_cast<std::size_t>(slot)], "stress", [v, &total] {
+      for (index_t i = 0; i < 256; ++i) {
+        v(i) += 1;
+        total.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
   }
   pk::fence();
   EXPECT_EQ(total.load(), static_cast<long>(kTasks) * 256);

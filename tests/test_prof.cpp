@@ -305,7 +305,8 @@ TEST(ProfRegions, RegionTotalSecondsMatchesLastSegment) {
     prof::ScopedRegion b("rts_inner");
     busy_wait(1e-3);
   }
-  const auto* inner = find_region(prof::report(), "rts_outer/rts_inner");
+  const prof::Report r = prof::report();  // find_region points into it
+  const auto* inner = find_region(r, "rts_outer/rts_inner");
   ASSERT_NE(inner, nullptr);
   EXPECT_DOUBLE_EQ(prof::region_total_seconds("rts_inner"), inner->total_s);
   EXPECT_DOUBLE_EQ(prof::region_total_seconds("rts_outer/rts_inner"),
@@ -527,16 +528,14 @@ TEST(ProfAlloc, ViewAllocCountDelegatesAndCountsWhenOff) {
 TEST(ProfInstance, CountsFencesAndAsyncDispatches) {
   ProfSession session(prof::Mode::Summary);
   pk::Instance<> q;
-  pk::View<int, 1> v("v", 128);
-  pk::parallel_for(q, "hooked_fill", pk::RangePolicy<>(0, 128),
-                   [&](pk::index_t i) { v(i) = 1; });
-  pk::async(q, "hooked_task", [] {});
+  pk::async(q, "hooked_a", [] {});
+  pk::async(q, "hooked_b", [] {});
   q.fence();
   pk::fence();  // global fence also reports through begin_fence
 
   const prof::Report r = prof::report();
   EXPECT_GE(r.fences, 2u) << "instance + global fence";
-  EXPECT_GE(r.async_dispatches, 2u) << "parallel_for + async submission";
+  EXPECT_GE(r.async_dispatches, 2u) << "two async submissions";
 }
 
 TEST(ProfAlloc, AllocCountExactUnderParallelConstruction) {

@@ -248,7 +248,7 @@ std::string equivalence_name(
     const ::testing::TestParamInfo<std::tuple<int, int, int>>& info) {
   static const char* strats[] = {"Auto", "Guided", "Manual"};
   static const char* orders[] = {"Sorted", "Random", "Adversarial"};
-  static const char* layouts[] = {"AoS", "SoA", "AoSoA"};
+  static const char* layouts[] = {"AoS", "SoA"};
   return std::string(strats[std::get<0>(info.param)]) +
          orders[std::get<1>(info.param)] + layouts[std::get<2>(info.param)];
 }

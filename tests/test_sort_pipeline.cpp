@@ -203,7 +203,7 @@ TEST(CountingSort, EmptyAndSingle) {
 // ----------------------------------------------------------------------
 // Ping-pong sort_particles invariants — the whole pipeline section runs
 // once per particle layout (the gather/scatter paths differ: AoS moves
-// records directly, SoA/AoSoA go through a permutation + accessor pass).
+// records directly, SoA goes through a permutation + accessor pass).
 // ----------------------------------------------------------------------
 
 class SortPipelineLayouts : public ::testing::TestWithParam<int> {

@@ -351,6 +351,30 @@ TEST(StealPool, RunsEverySeededTaskExactlyOnce) {
   for (int k = 0; k < kTasks; ++k) EXPECT_EQ(ran[static_cast<std::size_t>(k)].load(), 1) << k;
 }
 
+TEST(StealPool, EveryWorkerProbesEveryOtherUnderTheDefaultSeed) {
+  // A zero xorshift state stays 0, and a victim stream stuck on one
+  // worker cannot balance load away from the others: under the default
+  // seed every worker must draw every other worker, and never itself.
+  constexpr int kWorkers = 4;
+  const std::uint64_t kDefaultSeed = core::TileConfig{}.steal_seed;
+  for (int self = 0; self < kWorkers; ++self) {
+    std::uint64_t state = pk::detail::steal_rng_state(kDefaultSeed, self);
+    EXPECT_NE(state, 0u) << "worker " << self;
+    std::vector<int> hits(kWorkers, 0);
+    for (int draw = 0; draw < 64; ++draw)
+      ++hits[static_cast<std::size_t>(
+          pk::detail::steal_victim(state, self, kWorkers))];
+    for (int v = 0; v < kWorkers; ++v) {
+      const int h = hits[static_cast<std::size_t>(v)];
+      if (v == self) {
+        EXPECT_EQ(h, 0) << "worker " << self << " probes itself";
+      } else {
+        EXPECT_GT(h, 0) << "worker " << self << " never probes " << v;
+      }
+    }
+  }
+}
+
 TEST(StealPool, StealsWhenSeedingIsLopsided) {
   pk::StealPool pool(4);
   std::atomic<int> ran{0};
@@ -772,9 +796,7 @@ TEST(TiledStep, SortPhaseMatchesBucketThenTileSortOracle) {
   // before the sort phase: it snapshots every species there and sorts the
   // copy with the oracle. The step's own sort phase must match it byte
   // for byte, and leave each tile's range holding exactly its particles.
-  for (const auto layout : {core::ParticleLayout::AoS,
-                            core::ParticleLayout::SoA,
-                            core::ParticleLayout::AoSoA}) {
+  for (const auto layout : core::kAllParticleLayouts) {
     SCOPED_TRACE(core::to_string(layout));
     core::decks::LpiParams p = tiled_decks().back().params;
     p.layout = layout;
