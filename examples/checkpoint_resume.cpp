@@ -3,9 +3,9 @@
 // kill the process, restart the binary, resume from the newest valid
 // generation, and land bit-identical to a run that never stopped.
 //
-//   ./checkpoint_resume run       <base> <total_steps> [every]
-//   ./checkpoint_resume resume    <base> <total_steps>
-//   ./checkpoint_resume roundtrip <base> <total_steps> [every]
+//   ./checkpoint_resume run       <base> <total_steps> [every] [--tiles=T]
+//   ./checkpoint_resume resume    <base> <total_steps> [--tiles=T]
+//   ./checkpoint_resume roundtrip <base> <total_steps> [every] [--tiles=T]
 //
 // `run` steps a fresh deck to total_steps, checkpointing every `every`
 // steps (0 disables). `resume` restores a fresh process from the ring and
@@ -16,10 +16,14 @@
 //
 // is the kill-and-resume acceptance check CI runs. `roundtrip` does the
 // same comparison in-process and exits nonzero on any divergence.
+// --tiles=T runs the tiled step with T z-slab tiles on 2 workers
+// (docs/TILES.md); 0, the default, runs the untiled step. Pass the same
+// T to every invocation of one comparison.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "ckpt/ckpt.hpp"
 #include "core/core.hpp"
@@ -30,6 +34,8 @@ namespace pk = vpic::pk;
 
 namespace {
 
+int g_tiles = 0;  // --tiles=T
+
 core::Simulation make_deck() {
   core::decks::LpiParams p;
   p.nx = 12;
@@ -39,6 +45,9 @@ core::Simulation make_deck() {
   p.sort_interval = 10;
   auto sim = core::decks::make_lpi(p);
   sim.config().energy_interval = 5;
+  sim.config().tiles.enabled = g_tiles > 0;
+  sim.config().tiles.count = g_tiles;
+  sim.config().tiles.workers = 2;
   return sim;
 }
 
@@ -79,17 +88,25 @@ std::string history_string(core::Simulation& sim) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 4) {
+  std::vector<const char*> args;
+  for (int i = 0; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--tiles=", 8) == 0) {
+      g_tiles = std::atoi(argv[i] + 8);
+    } else {
+      args.push_back(argv[i]);
+    }
+  }
+  if (args.size() < 4) {
     std::fprintf(stderr,
                  "usage: %s run|resume|roundtrip <base> <total_steps> "
-                 "[every]\n",
+                 "[every] [--tiles=T]\n",
                  argv[0]);
     return 2;
   }
-  const std::string mode = argv[1];
-  const std::string base = argv[2];
-  const int total_steps = std::atoi(argv[3]);
-  const int every = argc > 4 ? std::atoi(argv[4]) : 10;
+  const std::string mode = args[1];
+  const std::string base = args[2];
+  const int total_steps = std::atoi(args[3]);
+  const int every = args.size() > 4 ? std::atoi(args[4]) : 10;
 
   // One kernel thread: cross-process bit-identity requires deterministic
   // current deposits (see docs/CHECKPOINT.md).

@@ -64,9 +64,9 @@ struct AccumulatorArray {
 /// displacement in cell-local units; qw = particle charge * weight.
 /// This is VPIC's ACCUMULATE_J form, including the uy*uz/3 correction term
 /// that makes the deposit exactly charge-conserving.
-inline void accumulate_j(Accumulator& acc, float qw, float mx, float my,
-                         float mz, float ux, float uy, float uz,
-                         bool atomic = true) {
+PK_FORCEINLINE void accumulate_j(Accumulator& acc, float qw, float mx,
+                                 float my, float mz, float ux, float uy,
+                                 float uz, bool atomic = true) {
   const float one = 1.0f;
   // Shared charge-conservation correction (VPIC's v5): the covariance of
   // the two transverse trilinear weights along the straight segment. With
@@ -76,7 +76,8 @@ inline void accumulate_j(Accumulator& acc, float qw, float mx, float my,
   // components' deposits with the (+,-,-,+) sign pattern.
   const float v5 = qw * ux * uy * uz * (1.0f / 12.0f);
 
-  auto dep = [&](float* j, float disp, float ma, float mb) {
+  auto dep = [&](float* j, float disp, float ma,
+                 float mb) PK_FORCEINLINE_LAMBDA {
     // disp: segment displacement along this component; (ma, mb): segment
     // midpoint offsets in the two transverse directions.
     const float f = qw * disp;

@@ -5,9 +5,10 @@
 //
 // What a checkpoint holds: the nine Yee field components, the
 // interpolator and accumulator arrays, every species' live particle
-// records (prefix-encoded to np) plus its sortedness metadata, the
-// energy-history diagnostics, and the step count — everything needed for
-// a restored run to continue bit-identically to one that never stopped.
+// records (prefix-encoded to np) plus its sortedness metadata and, when
+// tiled, its tile ranges, the energy-history diagnostics, and the step
+// count — everything needed for a restored run to continue
+// bit-identically to one that never stopped.
 // Interpolators/accumulators are recomputed at the top of every step, so
 // serializing them is belt-and-braces for mid-phase captures rather than
 // a bit-identity requirement.
@@ -75,21 +76,9 @@ constexpr index_t kChunkParticles = 16384;
 /// element size.
 std::vector<std::pair<index_t, index_t>> particle_chunks(const Species& sp) {
   std::vector<std::pair<index_t, index_t>> r;
-  if (!sp.tiles.empty()) {
-    index_t at = 0;
-    bool contiguous = true;
-    for (const TileSlot& t : sp.tiles) {
-      if (t.begin != at || t.end < t.begin) {
-        contiguous = false;
-        break;
-      }
-      at = t.end;
-    }
-    if (contiguous && at == sp.np) {
-      for (const TileSlot& t : sp.tiles) r.emplace_back(t.begin, t.end);
-      if (r.empty()) r.emplace_back(0, 0);
-      return r;
-    }
+  if (tiles_cover(sp, sp.tiles.size())) {
+    for (const TileSlot& t : sp.tiles) r.emplace_back(t.begin, t.end);
+    return r;
   }
   for (index_t at = 0; at < sp.np; at += kChunkParticles)
     r.emplace_back(at, std::min(sp.np, at + kChunkParticles));
@@ -99,7 +88,8 @@ std::vector<std::pair<index_t, index_t>> particle_chunks(const Species& sp) {
 
 // The engine-state section set is shared between the single-node and the
 // per-rank distributed checkpoints: fields, interpolator, accumulator,
-// and every species (particles + metadata + name). With `chunked` set
+// and every species (particles + metadata + name, and "sp<i>.tiles", the
+// T + 1 tile range bounds, while its tile ranges cover it). With `chunked` set
 // (the incremental path, docs/ELASTIC.md) each species' particle payload
 // is split into "sp<i>.c<k>.p" chunk sections plus an "sp<i>.nchunks"
 // count instead of the monolithic "sp<i>.p" — elastic::ChainReader
@@ -133,6 +123,11 @@ void add_engine_sections(ckpt::FileWriter& w, const FieldArray& f,
     meta.steps_since_sort = sp.steps_since_sort;
     meta.cell_sorted_hint = sp.cell_sorted_hint ? 1 : 0;
     w.add_pod(pfx + "meta", meta);
+    if (tiles_cover(sp, sp.tiles.size())) {
+      std::vector<std::int64_t> bounds{0};
+      for (const TileSlot& t : sp.tiles) bounds.push_back(t.end);
+      w.add_vector(pfx + "tiles", bounds);
+    }
     // Prefix-encode: only the np live records, not the slack capacity.
     // The on-disk particle stream is the canonical packed AoS record for
     // every layout, so the file format (and its CRCs) is layout-invariant
@@ -176,9 +171,15 @@ void add_engine_sections(ckpt::FileWriter& w, const FieldArray& f,
   }
 }
 
+/// `adopt_tiles` > 0: the restoring simulation is tiled with that many
+/// tiles, and a species whose checkpoint holds exactly that many ranges
+/// covering its particles takes them as its tile ranges (docs/TILES.md).
+/// Every other species ends with no ranges, so the next tiled step
+/// re-buckets it.
 void read_engine_sections(ckpt::SectionSource& f, FieldArray& fld,
                           InterpolatorArray& interp, AccumulatorArray& acc,
-                          std::vector<Species>& species) {
+                          std::vector<Species>& species,
+                          std::size_t adopt_tiles = 0) {
   const auto nsp = f.pod<std::uint64_t>("nspecies");
   if (nsp != species.size())
     throw ckpt::RestoreError(
@@ -233,6 +234,17 @@ void read_engine_sections(ckpt::SectionSource& f, FieldArray& fld,
     sp.cell_sorted_hint = meta.cell_sorted_hint != 0;
     // The reorder scratch and run segmentation are rebuilt on demand.
     sp.push_runs.clear();
+    sp.tiles.clear();
+    const std::string tiles = pfx + "tiles";
+    if (adopt_tiles == 0 || !f.has(tiles)) continue;
+    const auto bounds = f.vector<std::int64_t>(tiles);
+    if (bounds.size() != adopt_tiles + 1) continue;
+    sp.tiles.resize(adopt_tiles);
+    for (std::size_t t = 0; t < adopt_tiles; ++t) {
+      sp.tiles[t].begin = bounds[t];
+      sp.tiles[t].end = bounds[t + 1];
+    }
+    if (!tiles_cover(sp, adopt_tiles)) sp.tiles.clear();
   }
 }
 
@@ -564,7 +576,9 @@ void Simulation::restore(const std::string& path) {
   const auto apply = [this](ckpt::SectionSource& f) {
     f.require_fingerprint(config_fingerprint());
     const ModuleIndex module_index = parse_module_index(f);
-    read_engine_sections(f, fields_, interp_, acc_, species_);
+    read_engine_sections(
+        f, fields_, interp_, acc_, species_,
+        cfg_.tiles.enabled ? static_cast<std::size_t>(tile_count()) : 0);
     read_history_sections(f, energy_history_);
     read_module_sections(f, module_index, modules_, last_restore_skips_);
     step_count_ = f.step();
@@ -584,8 +598,8 @@ void Simulation::restore(const std::string& path) {
   // The on-disk chain no longer matches the tracker's hash bookkeeping
   // (restore may land on any generation): start a fresh chain.
   if (elastic_tracker_) elastic_tracker_->invalidate();
-  // The restored particle arrays replace whatever the tile ranges pointed
-  // at: force a re-bucket before the next tiled step (docs/TILES.md).
+  // Rebuild the tile map and blocks before the next tiled step; it
+  // re-buckets every species that adopted no tile ranges (docs/TILES.md).
   tiles_dirty_ = true;
 }
 

@@ -294,8 +294,8 @@ void DistributedSimulation::step_overlapped() {
       opts.periodic_mask = 0b011;
       opts.exits = &exits[s];
       opts.exits_mutex = &exits_mutex;
-      advance_species_runs(sp, interp_, acc_, g, cfg_.strategy, opts,
-                           interior);
+      push_runs_on<pk::DefaultExecSpace>(sp, interp_, acc_, g, cfg_.strategy,
+                                         opts, interior);
     }
   }
 
@@ -311,8 +311,8 @@ void DistributedSimulation::step_overlapped() {
     opts.exits_mutex = &exits_mutex;
     {
       prof::ScopedRegion r("boundary_push");
-      advance_species_runs(sp, interp_, acc_, g, cfg_.strategy, opts,
-                           boundary_runs[s]);
+      push_runs_on<pk::DefaultExecSpace>(sp, interp_, acc_, g, cfg_.strategy,
+                                         opts, boundary_runs[s]);
     }
     sp.mark_order_degraded();  // once per step, as advance_species does
     compact_exited(sp);

@@ -6,6 +6,12 @@
 // (core/particle_store.hpp) which can also hold the same fields as SoA
 // planes, selected per species by the ParticleLayout policy in
 // SimulationConfig.
+//
+// A Species also carries the one sortedness hint the push dispatches on
+// (docs/PUSH.md) — untiled over the whole array, tiled per tile range,
+// every tile reading the same hint — and, under the tiled step, the
+// tiles' index ranges (TileSlot, docs/TILES.md), which a tiled
+// checkpoint stores and a tiled restore adopts.
 #pragma once
 
 #include <cstdint>
@@ -22,31 +28,18 @@
 namespace vpic::core {
 
 /// Per-tile slice of a species under the tile decomposition
-/// (core/tiles.hpp): the contiguous index range the tile owns, its OWN
-/// sortedness tracking (a global counter would let one busy tile's churn
-/// veto the run-aware fast path everywhere — per-tile staleness is what
-/// drives per-tile AutoDetect dispatch), and the per-tile run scratch
-/// buffer so tile tasks never share mutable state.
+/// (core/tiles.hpp): the contiguous index range the tile owns, and the
+/// tile's run-segmentation scratch so tile tasks never share mutable
+/// state. A tile dispatches its push off the species' sortedness hint
+/// plus its own run probe; it keeps no sortedness of its own.
 struct TileSlot {
   index_t begin = 0, end = 0;  // [begin, end) into the particle array
-  bool sorted_hint = false;    // range is voxel-sorted
-  int steps_since_sort = -1;   // -1: never tile-sorted
 
   // Run-segmentation scratch of the tile's run-aware push, reused so
   // steady-state pushes allocate nothing.
   std::vector<sort::CellRun> runs;
 
   [[nodiscard]] index_t count() const noexcept { return end - begin; }
-
-  void mark_sorted() noexcept {
-    sorted_hint = true;
-    steps_since_sort = 0;
-  }
-  void mark_order_degraded() noexcept {
-    if (steps_since_sort >= 0 &&
-        steps_since_sort < std::numeric_limits<int>::max())
-      ++steps_since_sort;
-  }
 };
 
 struct Species {
@@ -66,14 +59,15 @@ struct Species {
   // Sortedness tracking for the run-aware push fast path (docs/PUSH.md):
   // sort_particles(Standard) marks the array cell-sorted; every push or
   // exchange append degrades the order by the few particles that changed
-  // cell, tracked by steps_since_sort. advance_species dispatches its
-  // run-aware path off this hint plus a sampled run probe.
+  // cell, tracked by steps_since_sort. The push dispatches its run-aware
+  // path off this hint plus a sampled run probe — untiled over the whole
+  // array, tiled per tile range (the tiles share this one hint).
   bool cell_sorted_hint = false;
   int steps_since_sort = -1;  // -1: never cell-sorted
   std::vector<sort::CellRun> push_runs;  // reused run-segmentation scratch
 
   // Tile decomposition state (core/tiles.hpp): one slot per tile with the
-  // owned index range and per-tile sortedness. Empty when untiled.
+  // owned index range. Empty when untiled.
   std::vector<TileSlot> tiles;
 
   /// Called by sort_particles after a reorder: Standard order is the

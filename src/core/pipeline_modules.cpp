@@ -101,8 +101,8 @@ class GatherModule final : public PhysicsModule {
 // ---------------------------------------------------------------------
 // Push: per-species particle advance. Untiled: chained per-species phases
 // (they share the accumulator and float atomics are not associative).
-// Tiled: per-tile dispatch off the tile's own sortedness, deposits into
-// tile-private blocks.
+// Tiled: one serial push_on per tile range, dispatched off the species'
+// sortedness plus the tile's own run probe, into tile-private blocks.
 // ---------------------------------------------------------------------
 class PushModule final : public PhysicsModule {
  public:
@@ -167,31 +167,12 @@ class PushModule final : public PhysicsModule {
                  TileAccumulator& blk =
                      A::tile_acc(sim)[s][static_cast<std::size_t>(t)];
                  blk.clear();
-                 const index_t b = slot.begin, e = slot.end;
-                 if (b >= e) return;
-                 // Per-tile dispatch off the tile's OWN sortedness: a
-                 // churning tile goes generic without vetoing its quiet
-                 // neighbors' run-aware path.
-                 if (resolve_push_path(sp, cfg.strategy, cfg.push_path, b, e,
-                                       slot.sorted_hint,
-                                       slot.steps_since_sort) ==
-                     PushPath::RunAware) {
+                 if (push_on<pk::Serial>(sp, A::interp(sim), blk,
+                                         A::fields(sim).grid, cfg.strategy,
+                                         {}, cfg.push_path, slot.begin,
+                                         slot.end, slot.runs) ==
+                     PushPath::RunAware)
                    (*runs_used)[s].store(1, std::memory_order_relaxed);
-                   dispatch_layout(sp.p, [&](auto a) {
-                     sort::segment_runs(
-                         e - b,
-                         [a, b](index_t i) { return a.cell(b + i); },
-                         slot.runs);
-                   });
-                   for (auto& r : slot.runs) r.begin += b;
-                   advance_runs_serial(sp, A::interp(sim), blk,
-                                       A::fields(sim).grid, cfg.strategy,
-                                       {}, slot.runs, 0, slot.runs.size());
-                 } else {
-                   advance_range_serial(sp, A::interp(sim), blk,
-                                        A::fields(sim).grid, cfg.strategy,
-                                        {}, b, e);
-                 }
                },
                cost});
         c.edge("interpolate", name);
@@ -265,10 +246,7 @@ class AccumulateModule final : public PhysicsModule {
                    // Sortedness ages once per step, like the untiled
                    // advance_species — here, after every push task and
                    // before any sort phase resets the counters.
-                   for (auto& sp : A::species(sim)) {
-                     sp.mark_order_degraded();
-                     for (auto& slot : sp.tiles) slot.mark_order_degraded();
-                   }
+                   for (auto& sp : A::species(sim)) sp.mark_order_degraded();
                  },
                  nv_cost});
   }
@@ -371,7 +349,7 @@ class DiagnosticsModule final : public PhysicsModule {
 // species in both shapes. Each touches only its own species, so the
 // phases are mutually unordered. Tiled, the phase then re-buckets the
 // species by tile (a no-op after a Standard sort, which leaves the array
-// tile-major) and passes a cell-sorted species' freshness to its tiles.
+// tile-major); the tiles dispatch off the freshness the sort just set.
 // ---------------------------------------------------------------------
 class SortModule final : public PhysicsModule {
  public:
@@ -403,10 +381,7 @@ class SortModule final : public PhysicsModule {
                           cfg2.seed +
                               static_cast<std::uint64_t>(A::step_count(sim)),
                           A::fields(sim).grid.nv());
-                      if (!tiled) return;
-                      bucket_by_tile(sp, A::tile_map(sim));
-                      if (sp.cell_sorted_hint)
-                        for (TileSlot& slot : sp.tiles) slot.mark_sorted();
+                      if (tiled) bucket_by_tile(sp, A::tile_map(sim));
                     },
                     static_cast<double>(species[s].np) * kVoxelCost});
       c.join(name);

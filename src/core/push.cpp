@@ -4,9 +4,13 @@
 // Every kernel is written ONCE against the particle-accessor concept
 // (core/particle_store.hpp: load/store/cell + load_vecs) and instantiated
 // per ParticleLayout by dispatch_layout() — the layout switch happens once
-// per advance_species call, never inside a particle loop. The structural
-// constants (block size, vector widths) and the AutoDetect dispatch gates
-// come from core/push_tuning.hpp.
+// per push_on call, never inside a particle loop. Each strategy has one
+// body, templated on where a particle's interpolator record comes from
+// (GatheredRecord or HoistedRecord) and how its move finishes (MoveFinish
+// or RunFinish); push_on is the one entry that picks the path and
+// launches the body on an execution space. The structural constants
+// (block size, vector widths) and the AutoDetect dispatch gates come from
+// core/push_tuning.hpp.
 #include "core/push.hpp"
 
 #include <algorithm>
@@ -85,330 +89,6 @@ inline void finish_move(Particle& p, float dispx, float dispy, float dispz,
   }
 }
 
-/// The per-particle generic push body, shared verbatim by the parallel
-/// Auto kernel, the scalar tails of the blocked strategies, and the
-/// serial tile-range path — one definition, so a tile pushes each particle
-/// exactly as the untiled kernels do.
-template <class A, class AccA>
-inline void push_one(const A& a, index_t n, const InterpolatorArray& interp,
-                     AccA& acc, const Grid& g, const MoverOptions& opts,
-                     const PushConsts& c) {
-  Particle p = a.load(n);
-  const Interpolator& ip = interp(p.i);
-  const FieldsAtPoint f = interpolate(ip, p.dx, p.dy, p.dz);
-  boris(p.ux, p.uy, p.uz, c.qdt2m * f.ex, c.qdt2m * f.ey, c.qdt2m * f.ez,
-        f.bx, f.by, f.bz, c.qdt2m);
-  const float rg =
-      1.0f / std::sqrt(1.0f + p.ux * p.ux + p.uy * p.uy + p.uz * p.uz);
-  const float dispx = c.cdtdx2 * p.ux * rg;
-  const float dispy = c.cdtdy2 * p.uy * rg;
-  const float dispz = c.cdtdz2 * p.uz * rg;
-  finish_move(p, dispx, dispy, dispz, c.qw_sign * p.w, acc, g, opts);
-  a.store(n, p);
-}
-
-/// Shared scalar push over [n0, n1): the remainder tail of the blocked
-/// Manual/AdHoc strategies (one implementation instead of two copies).
-/// Runs under its own prof region so summaries attribute tail work
-/// separately from the vector kernels.
-template <class A, class AccA>
-void push_scalar_range(const A& a, const InterpolatorArray& interp,
-                       AccA& acc, const Grid& g, const MoverOptions& opts,
-                       const PushConsts& c, index_t n0, index_t n1) {
-  if (n0 >= n1) return;
-  prof::ScopedRegion tail("push_scalar_tail");
-  for (index_t n = n0; n < n1; ++n) push_one(a, n, interp, acc, g, opts, c);
-}
-
-// ----------------------------------------------------------------------
-// Auto: one loop over particles, written the portable way, vectorization
-// left to the compiler (it will not vectorize through move_p).
-// ----------------------------------------------------------------------
-template <class A>
-void push_auto(Species& sp, const A& a, const InterpolatorArray& interp,
-               AccumulatorArray& acc, const Grid& g,
-               const MoverOptions& opts) {
-  const PushConsts c = make_consts(sp, g);
-  pk::parallel_for("advance_p[auto]", sp.np, [&](index_t n) {
-    push_one(a, n, interp, acc, g, opts, c);
-  });
-}
-
-// ----------------------------------------------------------------------
-// Guided: kernel split. Phase 1 (forced-SIMD): gather + Boris + new
-// momenta + displacements into block-local arrays. Phase 2 (scalar): the
-// branchy mover. The split is the paper's "separate difficult-to-
-// vectorize" refactoring; #pragma omp simd is the guided pragma.
-// ----------------------------------------------------------------------
-/// One Guided block [n0, n1), n1 - n0 <= kPushBlock: forced-SIMD compute
-/// phase into stack arrays, then the scalar mover phase. Per-particle
-/// results are independent of the blocking, so the serial tile-range path
-/// reuses this with tile-local block bases and stays bit-identical.
-template <class A, class AccA>
-inline void push_guided_block(const A& a, const InterpolatorArray& interp,
-                              AccA& acc, const Grid& g,
-                              const MoverOptions& opts, const PushConsts& c,
-                              index_t n0, index_t n1) {
-  constexpr index_t kBlock = kPushBlock;
-  const int cnt = static_cast<int>(n1 - n0);
-  float dispx[kBlock], dispy[kBlock], dispz[kBlock];
-  float nux[kBlock], nuy[kBlock], nuz[kBlock];
-
-  PK_OMP_SIMD
-    for (int k = 0; k < cnt; ++k) {
-      const Particle p = a.load(n0 + k);
-      const Interpolator& ip = interp(p.i);
-      const float ex =
-          ip.ex + p.dy * ip.dexdy + p.dz * (ip.dexdz + p.dy * ip.d2exdydz);
-      const float ey =
-          ip.ey + p.dz * ip.deydz + p.dx * (ip.deydx + p.dz * ip.d2eydzdx);
-      const float ez =
-          ip.ez + p.dx * ip.dezdx + p.dy * (ip.dezdy + p.dx * ip.d2ezdxdy);
-      const float cbx = ip.cbx + p.dx * ip.dcbxdx;
-      const float cby = ip.cby + p.dy * ip.dcbydy;
-      const float cbz = ip.cbz + p.dz * ip.dcbzdz;
-      float ux = p.ux, uy = p.uy, uz = p.uz;
-      boris(ux, uy, uz, c.qdt2m * ex, c.qdt2m * ey, c.qdt2m * ez, cbx, cby,
-            cbz, c.qdt2m);
-      const float rg = 1.0f / std::sqrt(1.0f + ux * ux + uy * uy + uz * uz);
-      nux[k] = ux;
-      nuy[k] = uy;
-      nuz[k] = uz;
-      dispx[k] = c.cdtdx2 * ux * rg;
-      dispy[k] = c.cdtdy2 * uy * rg;
-      dispz[k] = c.cdtdz2 * uz * rg;
-    }
-  for (int k = 0; k < cnt; ++k) {
-    Particle p = a.load(n0 + k);
-    p.ux = nux[k];
-    p.uy = nuy[k];
-    p.uz = nuz[k];
-    finish_move(p, dispx[k], dispy[k], dispz[k], c.qw_sign * p.w, acc, g,
-                opts);
-    a.store(n0 + k, p);
-  }
-}
-
-template <class A>
-void push_guided(Species& sp, const A& a, const InterpolatorArray& interp,
-                 AccumulatorArray& acc, const Grid& g,
-                 const MoverOptions& opts) {
-  constexpr index_t kBlock = kPushBlock;
-  const PushConsts c = make_consts(sp, g);
-  const index_t nblocks = (sp.np + kBlock - 1) / kBlock;
-  pk::parallel_for("advance_p[guided]", nblocks, [&](index_t b) {
-    const index_t n0 = b * kBlock;
-    const index_t n1 = std::min(sp.np, n0 + kBlock);
-    push_guided_block(a, interp, acc, g, opts, c, n0, n1);
-  });
-}
-
-// ----------------------------------------------------------------------
-// Manual: portable SIMD library. 8-lane blocks (the particle record is 8
-// floats), vector Boris, scalar mover. The block load is the accessor's
-// load_vecs: an 8x8 register transpose for AoS, straight dense plane
-// loads for SoA.
-// ----------------------------------------------------------------------
-/// One full W-wide Manual block starting at n0: vector Boris off a
-/// load_vecs transpose, scalar movers. Used by the parallel kernel (lane
-/// bases aligned to the array) and the serial tile-range path (lane bases
-/// aligned to the tile range — same physics, few-ulp when misaligned).
-template <class A, class AccA>
-inline void push_manual_block(const A& a, const InterpolatorArray& interp,
-                              AccA& acc, const Grid& g,
-                              const MoverOptions& opts, const PushConsts& c,
-                              index_t n0) {
-  constexpr int W = kManualVecWidth;
-  using F = simd::simd<float, W>;
-  {
-    const ParticleVecs<W> v = a.template load_vecs<W>(n0);
-    const F dx = v.dx, dy = v.dy, dz = v.dz;
-    F ux = v.ux, uy = v.uy, uz = v.uz;
-    // Interpolator gathers, one field at a time.
-    auto gf = [&](auto member) {
-      return F([&](int l) { return interp(v.cell[l]).*member; });
-    };
-    const F ex = gf(&Interpolator::ex) + dy * gf(&Interpolator::dexdy) +
-                 dz * (gf(&Interpolator::dexdz) +
-                       dy * gf(&Interpolator::d2exdydz));
-    const F ey = gf(&Interpolator::ey) + dz * gf(&Interpolator::deydz) +
-                 dx * (gf(&Interpolator::deydx) +
-                       dz * gf(&Interpolator::d2eydzdx));
-    const F ez = gf(&Interpolator::ez) + dx * gf(&Interpolator::dezdx) +
-                 dy * (gf(&Interpolator::dezdy) +
-                       dx * gf(&Interpolator::d2ezdxdy));
-    const F cbx = gf(&Interpolator::cbx) + dx * gf(&Interpolator::dcbxdx);
-    const F cby = gf(&Interpolator::cby) + dy * gf(&Interpolator::dcbydy);
-    const F cbz = gf(&Interpolator::cbz) + dz * gf(&Interpolator::dcbzdz);
-
-    const F qdt2m(c.qdt2m);
-    const F hax = qdt2m * ex, hay = qdt2m * ey, haz = qdt2m * ez;
-    ux += hax;
-    uy += hay;
-    uz += haz;
-    const F one(1.0f);
-    const F gmi = simd::rsqrt(one + ux * ux + uy * uy + uz * uz);
-    const F tx = qdt2m * cbx * gmi;
-    const F ty = qdt2m * cby * gmi;
-    const F tz = qdt2m * cbz * gmi;
-    const F sfac = F(2.0f) / (one + tx * tx + ty * ty + tz * tz);
-    const F wx = ux + (uy * tz - uz * ty);
-    const F wy = uy + (uz * tx - ux * tz);
-    const F wz = uz + (ux * ty - uy * tx);
-    ux += (wy * tz - wz * ty) * sfac + hax;
-    uy += (wz * tx - wx * tz) * sfac + hay;
-    uz += (wx * ty - wy * tx) * sfac + haz;
-
-    const F rg = simd::rsqrt(one + ux * ux + uy * uy + uz * uz);
-    const F dispx = F(c.cdtdx2) * ux * rg;
-    const F dispy = F(c.cdtdy2) * uy * rg;
-    const F dispz = F(c.cdtdz2) * uz * rg;
-
-    for (int l = 0; l < W; ++l) {
-      Particle p;
-      p.dx = dx[l];
-      p.dy = dy[l];
-      p.dz = dz[l];
-      p.i = v.cell[l];
-      p.ux = ux[l];
-      p.uy = uy[l];
-      p.uz = uz[l];
-      p.w = v.w[l];
-      finish_move(p, dispx[l], dispy[l], dispz[l], c.qw_sign * p.w, acc, g,
-                  opts);
-      a.store(n0 + l, p);
-    }
-  }
-}
-
-template <class A>
-void push_manual(Species& sp, const A& a, const InterpolatorArray& interp,
-                 AccumulatorArray& acc, const Grid& g,
-                 const MoverOptions& opts) {
-  constexpr int W = kManualVecWidth;
-  const PushConsts c = make_consts(sp, g);
-  const index_t nfull = sp.np / W;
-
-  pk::parallel_for("advance_p[manual]", nfull, [&](index_t b) {
-    push_manual_block(a, interp, acc, g, opts, c, b * W);
-  });
-
-  push_scalar_range(a, interp, acc, g, opts, c, nfull * W, sp.np);
-}
-
-// ----------------------------------------------------------------------
-// AdHoc: VPIC 1.2 style — the per-ISA v4 intrinsics library, 4-particle
-// blocks, two 4x4 register transposes per load. The transposes want the
-// packed AoS record; non-AoS layouts stage each block into a local AoS
-// scratch tile first (the historical pipeline simply was not built for
-// them — AdHoc exists as the paper's legacy baseline).
-// ----------------------------------------------------------------------
-template <class A>
-void push_adhoc(Species& sp, const A& a, const InterpolatorArray& interp,
-                AccumulatorArray& acc, const Grid& g,
-                const MoverOptions& opts) {
-  using V = v4::vfloat4;
-  constexpr int W = kAdHocVecWidth;
-  const PushConsts c = make_consts(sp, g);
-  const index_t nfull = sp.np / W;
-
-  pk::parallel_for("advance_p[adhoc]", nfull, [&](index_t b) {
-    const index_t n0 = b * W;
-    Particle staged[W];
-    const float* base;
-    if constexpr (A::layout == ParticleLayout::AoS) {
-      base = reinterpret_cast<const float*>(a.p + n0);
-    } else {
-      for (int l = 0; l < W; ++l) staged[l] = a.load(n0 + l);
-      base = reinterpret_cast<const float*>(staged);
-    }
-    // Transpose positions (fields 0-3) and momenta+weight (fields 4-7).
-    V dx = V::load(base + 0), dy = V::load(base + 8), dz = V::load(base + 16),
-      ci = V::load(base + 24);
-    V::transpose(dx, dy, dz, ci);
-    V ux = V::load(base + 4), uy = V::load(base + 12), uz = V::load(base + 20),
-      w = V::load(base + 28);
-    V::transpose(ux, uy, uz, w);
-
-    std::int32_t cell[W];
-    {
-      float tmp[W];
-      ci.store(tmp);
-      std::memcpy(cell, tmp, sizeof(cell));
-    }
-    auto gf = [&](auto member) {
-      V r;
-      for (int l = 0; l < W; ++l) r.set(l, interp(cell[l]).*member);
-      return r;
-    };
-    const V ex = gf(&Interpolator::ex) + dy * gf(&Interpolator::dexdy) +
-                 dz * (gf(&Interpolator::dexdz) +
-                       dy * gf(&Interpolator::d2exdydz));
-    const V ey = gf(&Interpolator::ey) + dz * gf(&Interpolator::deydz) +
-                 dx * (gf(&Interpolator::deydx) +
-                       dz * gf(&Interpolator::d2eydzdx));
-    const V ez = gf(&Interpolator::ez) + dx * gf(&Interpolator::dezdx) +
-                 dy * (gf(&Interpolator::dezdy) +
-                       dx * gf(&Interpolator::d2ezdxdy));
-    const V cbx = gf(&Interpolator::cbx) + dx * gf(&Interpolator::dcbxdx);
-    const V cby = gf(&Interpolator::cby) + dy * gf(&Interpolator::dcbydy);
-    const V cbz = gf(&Interpolator::cbz) + dz * gf(&Interpolator::dcbzdz);
-
-    const V qdt2m(c.qdt2m);
-    const V hax = qdt2m * ex, hay = qdt2m * ey, haz = qdt2m * ez;
-    ux = ux + hax;
-    uy = uy + hay;
-    uz = uz + haz;
-    const V one(1.0f);
-    const V gmi = V::rsqrt(one + ux * ux + uy * uy + uz * uz);
-    const V tx = qdt2m * cbx * gmi;
-    const V ty = qdt2m * cby * gmi;
-    const V tz = qdt2m * cbz * gmi;
-    const V sfac = V(2.0f) / (one + tx * tx + ty * ty + tz * tz);
-    const V wx = ux + (uy * tz - uz * ty);
-    const V wy = uy + (uz * tx - ux * tz);
-    const V wz = uz + (ux * ty - uy * tx);
-    ux = ux + (wy * tz - wz * ty) * sfac + hax;
-    uy = uy + (wz * tx - wx * tz) * sfac + hay;
-    uz = uz + (wx * ty - wy * tx) * sfac + haz;
-
-    const V rg = V::rsqrt(one + ux * ux + uy * uy + uz * uz);
-    const V dispx = V(c.cdtdx2) * ux * rg;
-    const V dispy = V(c.cdtdy2) * uy * rg;
-    const V dispz = V(c.cdtdz2) * uz * rg;
-
-    for (int l = 0; l < W; ++l) {
-      Particle p;
-      p.dx = dx[l];
-      p.dy = dy[l];
-      p.dz = dz[l];
-      p.i = cell[l];
-      p.ux = ux[l];
-      p.uy = uy[l];
-      p.uz = uz[l];
-      p.w = w[l];
-      finish_move(p, dispx[l], dispy[l], dispz[l], c.qw_sign * p.w, acc, g,
-                  opts);
-      a.store(n0 + l, p);
-    }
-  });
-
-  push_scalar_range(a, interp, acc, g, opts, c, nfull * W, sp.np);
-}
-
-// ======================================================================
-// Run-aware variants (docs/PUSH.md). The particle array is segmented into
-// maximal same-cell runs; each run
-//   * broadcasts its cell's 18-float interpolator record into registers
-//     once (replacing W x 14 per-lane gathers with 14 scalar loads), and
-//   * accumulates its current into a stack-local Accumulator with plain
-//     adds, deposited into the global array with ONE batch of 12 atomics
-//     per (run, home cell) instead of 12 per particle.
-// Particles whose displacement leaves the cell fall back to the exact
-// move_p path (atomic deposits per sub-segment), so physics is identical
-// to the generic strategies on any particle order.
-// ======================================================================
-
 /// Merge a run's local accumulation into the global record. Other runs
 /// (same cell appearing twice in unsorted input, or movers crossing in
 /// from neighbor runs) may target the same record concurrently, so the
@@ -437,10 +117,10 @@ inline void flush_run_accumulator(const Accumulator& local, Accumulator& g,
 /// finish_move/move_p path. The stay predicate and deposit reproduce
 /// move_p's f >= 1 branch exactly (same midpoint, same += update).
 template <class AccA>
-inline void finish_move_run(Particle& p, float dispx, float dispy,
-                            float dispz, float qw, Accumulator& local,
-                            AccA& acc, const Grid& g,
-                            const MoverOptions& opts) {
+PK_FORCEINLINE void finish_move_run(Particle& p, float dispx, float dispy,
+                                    float dispz, float qw, Accumulator& local,
+                                    AccA& acc, const Grid& g,
+                                    const MoverOptions& opts) {
   const float nx = p.dx + dispx;
   const float ny = p.dy + dispy;
   const float nz = p.dz + dispz;
@@ -457,385 +137,421 @@ inline void finish_move_run(Particle& p, float dispx, float dispy,
   finish_move(p, dispx, dispy, dispz, qw, acc, g, opts);
 }
 
-/// Scalar run body: push particles [n0, n1) of the run whose hoisted
-/// interpolator is `ip`. Shared by the Auto variant and by the ragged
-/// sub-W tails of the vectorized variants.
-template <class A, class AccA>
-inline void push_run_scalar(const A& a, const Interpolator& ip,
-                            const PushConsts& c, index_t n0, index_t n1,
-                            Accumulator& local, AccA& acc,
-                            const Grid& g, const MoverOptions& opts) {
-  for (index_t n = n0; n < n1; ++n) {
-    Particle p = a.load(n);
-    const FieldsAtPoint f = interpolate(ip, p.dx, p.dy, p.dz);
-    boris(p.ux, p.uy, p.uz, c.qdt2m * f.ex, c.qdt2m * f.ey, c.qdt2m * f.ez,
-          f.bx, f.by, f.bz, c.qdt2m);
-    const float rg =
-        1.0f / std::sqrt(1.0f + p.ux * p.ux + p.uy * p.uy + p.uz * p.uz);
-    finish_move_run(p, c.cdtdx2 * p.ux * rg, c.cdtdy2 * p.uy * rg,
-                    c.cdtdz2 * p.uz * rg, c.qw_sign * p.w, local, acc, g,
-                    opts);
-    a.store(n, p);
+// ----------------------------------------------------------------------
+// The two push paths (docs/PUSH.md). Each strategy body below is written
+// once and templated on the two things the paths differ in: where a
+// particle's interpolator record comes from (a record source, passed by
+// value so a hoisted record is a loop-invariant local), and how its move
+// finishes (a finish).
+// ----------------------------------------------------------------------
+
+/// Generic source: each particle gathers its own cell's record.
+struct GatheredRecord {
+  const InterpolatorArray* interp;
+
+  PK_FORCEINLINE const Interpolator& operator()(std::int32_t cell) const {
+    return (*interp)(cell);
   }
+  /// Field `m` of the W lanes' cells: one indexed gather per lane.
+  template <class F>
+  PK_FORCEINLINE F lanes(const std::int32_t* cell,
+                         float Interpolator::*m) const {
+    F r;
+    for (int l = 0; l < F::size(); ++l) r.set(l, (*interp)(cell[l]).*m);
+    return r;
+  }
+};
+
+/// Run-aware source: the run's one record, hoisted once — 14 scalar
+/// loads broadcast to every lane instead of W x 14 gathers.
+struct HoistedRecord {
+  Interpolator ip;
+
+  PK_FORCEINLINE const Interpolator& operator()(std::int32_t) const {
+    return ip;
+  }
+  template <class F>
+  PK_FORCEINLINE F lanes(const std::int32_t*, float Interpolator::*m) const {
+    return F(ip.*m);
+  }
+};
+
+/// Generic finish: every move goes through move_p into the sink.
+template <class AccA>
+struct MoveFinish {
+  AccA& acc;
+  const Grid& g;
+  const MoverOptions& opts;
+
+  PK_FORCEINLINE void operator()(Particle& p, float dispx, float dispy,
+                                 float dispz, float qw) const {
+    finish_move(p, dispx, dispy, dispz, qw, acc, g, opts);
+  }
+};
+
+/// Run-aware finish: a particle that stays in its cell deposits into the
+/// run-local record with plain adds (flushed once per run); a crosser
+/// takes move_p into the sink.
+template <class AccA>
+struct RunFinish {
+  Accumulator& local;
+  AccA& acc;
+  const Grid& g;
+  const MoverOptions& opts;
+
+  PK_FORCEINLINE void operator()(Particle& p, float dispx, float dispy,
+                                 float dispz, float qw) const {
+    finish_move_run(p, dispx, dispy, dispz, qw, local, acc, g, opts);
+  }
+};
+
+// ----------------------------------------------------------------------
+// Scalar body: one particle. It is the Auto strategy, the scalar tail of
+// the blocked Manual and AdHoc strategies, and AdHoc in a tile.
+// ----------------------------------------------------------------------
+template <class A, class Rec, class Fin>
+PK_FORCEINLINE void push_one(const A& a, index_t n, Rec rec, const Fin& fin,
+                             const PushConsts& c) {
+  Particle p = a.load(n);
+  const FieldsAtPoint f = interpolate(rec(p.i), p.dx, p.dy, p.dz);
+  boris(p.ux, p.uy, p.uz, c.qdt2m * f.ex, c.qdt2m * f.ey, c.qdt2m * f.ez,
+        f.bx, f.by, f.bz, c.qdt2m);
+  const float rg =
+      1.0f / std::sqrt(1.0f + p.ux * p.ux + p.uy * p.uy + p.uz * p.uz);
+  fin(p, c.cdtdx2 * p.ux * rg, c.cdtdy2 * p.uy * rg, c.cdtdz2 * p.uz * rg,
+      c.qw_sign * p.w);
+  a.store(n, p);
 }
 
-/// One whole run, Auto style: hoisted interpolator, scalar body, one
-/// flush. Shared by the parallel kernel and the serial run-range path.
-template <class A, class AccA>
-inline void run_body_auto(const A& a, const sort::CellRun& run,
-                          const InterpolatorArray& interp, AccA& acc,
-                          const Grid& g, const MoverOptions& opts,
-                          const PushConsts& c) {
-  const Interpolator ip = interp(run.cell);  // hoisted: once per run
-  Accumulator local{};
-  push_run_scalar(a, ip, c, run.begin, run.begin + run.count, local, acc, g,
-                  opts);
-  flush_run_accumulator(local, acc.a(run.cell), kAtomicDeposit<AccA>);
-}
-
-template <class A>
-void push_auto_runs(Species& sp, const A& a, const InterpolatorArray& interp,
-                    AccumulatorArray& acc, const Grid& g,
-                    const MoverOptions& opts,
-                    const std::vector<sort::CellRun>& runs) {
-  const PushConsts c = make_consts(sp, g);
-  pk::parallel_for(
-      "advance_p[auto_runs]", static_cast<index_t>(runs.size()),
-      [&](index_t r) {
-        run_body_auto(a, runs[static_cast<std::size_t>(r)], interp, acc, g,
-                      opts, c);
-      });
-}
-
-/// One whole run, Guided style (blocked forced-SIMD compute + scalar
-/// movers). Shared by the parallel kernel and the serial run-range path.
-template <class A, class AccA>
-inline void run_body_guided(const A& a, const sort::CellRun& run,
-                            const InterpolatorArray& interp, AccA& acc,
-                            const Grid& g, const MoverOptions& opts,
-                            const PushConsts& c) {
+// ----------------------------------------------------------------------
+// Guided body: kernel split. Phase 1 (forced-SIMD): gather + Boris + new
+// momenta + displacements into block-local arrays. Phase 2 (scalar): the
+// branchy mover. The split is the paper's "separate difficult-to-
+// vectorize" refactoring; #pragma omp simd is the guided pragma. One
+// block [n0, n1), n1 - n0 <= kPushBlock; per-particle results are
+// independent of where blocks start.
+// ----------------------------------------------------------------------
+template <class A, class Rec, class Fin>
+inline void push_guided_block(const A& a, Rec rec, const Fin& fin,
+                              const PushConsts& c, index_t n0, index_t n1) {
   constexpr index_t kBlock = kPushBlock;
-  {
-        const Interpolator ip = interp(run.cell);
-        Accumulator local{};
-        float dispx[kBlock], dispy[kBlock], dispz[kBlock];
-        float nux[kBlock], nuy[kBlock], nuz[kBlock];
-        const index_t rend = run.begin + run.count;
-        for (index_t n0 = run.begin; n0 < rend; n0 += kBlock) {
-          const int cnt = static_cast<int>(std::min(rend - n0, kBlock));
-          PK_OMP_SIMD
-          for (int k = 0; k < cnt; ++k) {
-            const Particle p = a.load(n0 + k);
-            // Interpolation off broadcast scalars: the compiler hoists the
-            // 14 ip loads out of the simd loop — no per-lane gather.
-            const float ex = ip.ex + p.dy * ip.dexdy +
-                             p.dz * (ip.dexdz + p.dy * ip.d2exdydz);
-            const float ey = ip.ey + p.dz * ip.deydz +
-                             p.dx * (ip.deydx + p.dz * ip.d2eydzdx);
-            const float ez = ip.ez + p.dx * ip.dezdx +
-                             p.dy * (ip.dezdy + p.dx * ip.d2ezdxdy);
-            const float cbx = ip.cbx + p.dx * ip.dcbxdx;
-            const float cby = ip.cby + p.dy * ip.dcbydy;
-            const float cbz = ip.cbz + p.dz * ip.dcbzdz;
-            float ux = p.ux, uy = p.uy, uz = p.uz;
-            boris(ux, uy, uz, c.qdt2m * ex, c.qdt2m * ey, c.qdt2m * ez, cbx,
-                  cby, cbz, c.qdt2m);
-            const float rg =
-                1.0f / std::sqrt(1.0f + ux * ux + uy * uy + uz * uz);
-            nux[k] = ux;
-            nuy[k] = uy;
-            nuz[k] = uz;
-            dispx[k] = c.cdtdx2 * ux * rg;
-            dispy[k] = c.cdtdy2 * uy * rg;
-            dispz[k] = c.cdtdz2 * uz * rg;
-          }
-          for (int k = 0; k < cnt; ++k) {
-            Particle p = a.load(n0 + k);
-            p.ux = nux[k];
-            p.uy = nuy[k];
-            p.uz = nuz[k];
-            finish_move_run(p, dispx[k], dispy[k], dispz[k],
-                            c.qw_sign * p.w, local, acc, g, opts);
-            a.store(n0 + k, p);
-          }
-        }
-        flush_run_accumulator(local, acc.a(run.cell), kAtomicDeposit<AccA>);
+  const int cnt = static_cast<int>(n1 - n0);
+  float dispx[kBlock], dispy[kBlock], dispz[kBlock];
+  float nux[kBlock], nuy[kBlock], nuz[kBlock];
+
+  PK_OMP_SIMD
+    for (int k = 0; k < cnt; ++k) {
+      const Particle p = a.load(n0 + k);
+      // On the run path the record is the hoisted one: the compiler lifts
+      // its 14 loads out of the simd loop — no per-lane gather.
+      const Interpolator& ip = rec(p.i);
+      const float ex =
+          ip.ex + p.dy * ip.dexdy + p.dz * (ip.dexdz + p.dy * ip.d2exdydz);
+      const float ey =
+          ip.ey + p.dz * ip.deydz + p.dx * (ip.deydx + p.dz * ip.d2eydzdx);
+      const float ez =
+          ip.ez + p.dx * ip.dezdx + p.dy * (ip.dezdy + p.dx * ip.d2ezdxdy);
+      const float cbx = ip.cbx + p.dx * ip.dcbxdx;
+      const float cby = ip.cby + p.dy * ip.dcbydy;
+      const float cbz = ip.cbz + p.dz * ip.dcbzdz;
+      float ux = p.ux, uy = p.uy, uz = p.uz;
+      boris(ux, uy, uz, c.qdt2m * ex, c.qdt2m * ey, c.qdt2m * ez, cbx, cby,
+            cbz, c.qdt2m);
+      const float rg = 1.0f / std::sqrt(1.0f + ux * ux + uy * uy + uz * uz);
+      nux[k] = ux;
+      nuy[k] = uy;
+      nuz[k] = uz;
+      dispx[k] = c.cdtdx2 * ux * rg;
+      dispy[k] = c.cdtdy2 * uy * rg;
+      dispz[k] = c.cdtdz2 * uz * rg;
+    }
+  for (int k = 0; k < cnt; ++k) {
+    Particle p = a.load(n0 + k);
+    p.ux = nux[k];
+    p.uy = nuy[k];
+    p.uz = nuz[k];
+    fin(p, dispx[k], dispy[k], dispz[k], c.qw_sign * p.w);
+    a.store(n0 + k, p);
   }
 }
 
-template <class A>
-void push_guided_runs(Species& sp, const A& a,
-                      const InterpolatorArray& interp, AccumulatorArray& acc,
-                      const Grid& g, const MoverOptions& opts,
-                      const std::vector<sort::CellRun>& runs) {
-  const PushConsts c = make_consts(sp, g);
-  pk::parallel_for(
-      "advance_p[guided_runs]", static_cast<index_t>(runs.size()),
-      [&](index_t r) {
-        run_body_guided(a, runs[static_cast<std::size_t>(r)], interp, acc, g,
-                        opts, c);
-      });
-}
-
-/// One whole run, Manual style (W-wide SIMD blocks + ragged scalar tail).
-/// Shared by the parallel kernel and the serial run-range path.
-template <class A, class AccA>
-inline void run_body_manual(const A& a, const sort::CellRun& run,
-                            const InterpolatorArray& interp, AccA& acc,
-                            const Grid& g, const MoverOptions& opts,
-                            const PushConsts& c) {
+// ----------------------------------------------------------------------
+// Manual body: portable SIMD library. One full W-wide block starting at
+// n0 (the particle record is 8 floats), vector Boris, scalar mover. The
+// block load is the accessor's load_vecs, which takes any n0: an 8x8
+// register transpose for AoS, straight dense plane loads for SoA.
+// ----------------------------------------------------------------------
+template <class A, class Rec, class Fin>
+inline void push_manual_block(const A& a, Rec rec, const Fin& fin,
+                              const PushConsts& c, index_t n0) {
   constexpr int W = kManualVecWidth;
   using F = simd::simd<float, W>;
-  {
-        const Interpolator ip = interp(run.cell);
-        Accumulator local{};
-        const index_t rend = run.begin + run.count;
-        const index_t nfull = run.begin + (run.count / W) * W;
-        for (index_t n0 = run.begin; n0 < nfull; n0 += W) {
-          // Runs start at arbitrary offsets; load_vecs takes any n0.
-          const ParticleVecs<W> v = a.template load_vecs<W>(n0);
-          const F dx = v.dx, dy = v.dy, dz = v.dz;
-          F ux = v.ux, uy = v.uy, uz = v.uz;
-          // Broadcast the hoisted interpolator: 14 scalar-load broadcasts
-          // replacing the generic path's W x 14 indexed gathers.
-          const F ex = F(ip.ex) + dy * F(ip.dexdy) +
-                       dz * (F(ip.dexdz) + dy * F(ip.d2exdydz));
-          const F ey = F(ip.ey) + dz * F(ip.deydz) +
-                       dx * (F(ip.deydx) + dz * F(ip.d2eydzdx));
-          const F ez = F(ip.ez) + dx * F(ip.dezdx) +
-                       dy * (F(ip.dezdy) + dx * F(ip.d2ezdxdy));
-          const F cbx = F(ip.cbx) + dx * F(ip.dcbxdx);
-          const F cby = F(ip.cby) + dy * F(ip.dcbydy);
-          const F cbz = F(ip.cbz) + dz * F(ip.dcbzdz);
+  const ParticleVecs<W> v = a.template load_vecs<W>(n0);
+  const F dx = v.dx, dy = v.dy, dz = v.dz;
+  F ux = v.ux, uy = v.uy, uz = v.uz;
+  // Interpolator fields, one at a time: per-lane gathers on the generic
+  // path, broadcasts of the hoisted record on the run path.
+  auto gf = [&](float Interpolator::*m) PK_FORCEINLINE_LAMBDA {
+    return rec.template lanes<F>(v.cell, m);
+  };
+  const F ex = gf(&Interpolator::ex) + dy * gf(&Interpolator::dexdy) +
+               dz * (gf(&Interpolator::dexdz) +
+                     dy * gf(&Interpolator::d2exdydz));
+  const F ey = gf(&Interpolator::ey) + dz * gf(&Interpolator::deydz) +
+               dx * (gf(&Interpolator::deydx) +
+                     dz * gf(&Interpolator::d2eydzdx));
+  const F ez = gf(&Interpolator::ez) + dx * gf(&Interpolator::dezdx) +
+               dy * (gf(&Interpolator::dezdy) +
+                     dx * gf(&Interpolator::d2ezdxdy));
+  const F cbx = gf(&Interpolator::cbx) + dx * gf(&Interpolator::dcbxdx);
+  const F cby = gf(&Interpolator::cby) + dy * gf(&Interpolator::dcbydy);
+  const F cbz = gf(&Interpolator::cbz) + dz * gf(&Interpolator::dcbzdz);
 
-          const F qdt2m(c.qdt2m);
-          const F hax = qdt2m * ex, hay = qdt2m * ey, haz = qdt2m * ez;
-          ux += hax;
-          uy += hay;
-          uz += haz;
-          const F one(1.0f);
-          const F gmi = simd::rsqrt(one + ux * ux + uy * uy + uz * uz);
-          const F tx = qdt2m * cbx * gmi;
-          const F ty = qdt2m * cby * gmi;
-          const F tz = qdt2m * cbz * gmi;
-          const F sfac = F(2.0f) / (one + tx * tx + ty * ty + tz * tz);
-          const F wx = ux + (uy * tz - uz * ty);
-          const F wy = uy + (uz * tx - ux * tz);
-          const F wz = uz + (ux * ty - uy * tx);
-          ux += (wy * tz - wz * ty) * sfac + hax;
-          uy += (wz * tx - wx * tz) * sfac + hay;
-          uz += (wx * ty - wy * tx) * sfac + haz;
+  const F qdt2m(c.qdt2m);
+  const F hax = qdt2m * ex, hay = qdt2m * ey, haz = qdt2m * ez;
+  ux += hax;
+  uy += hay;
+  uz += haz;
+  const F one(1.0f);
+  const F gmi = simd::rsqrt(one + ux * ux + uy * uy + uz * uz);
+  const F tx = qdt2m * cbx * gmi;
+  const F ty = qdt2m * cby * gmi;
+  const F tz = qdt2m * cbz * gmi;
+  const F sfac = F(2.0f) / (one + tx * tx + ty * ty + tz * tz);
+  const F wx = ux + (uy * tz - uz * ty);
+  const F wy = uy + (uz * tx - ux * tz);
+  const F wz = uz + (ux * ty - uy * tx);
+  ux += (wy * tz - wz * ty) * sfac + hax;
+  uy += (wz * tx - wx * tz) * sfac + hay;
+  uz += (wx * ty - wy * tx) * sfac + haz;
 
-          const F rg = simd::rsqrt(one + ux * ux + uy * uy + uz * uz);
-          const F dispx = F(c.cdtdx2) * ux * rg;
-          const F dispy = F(c.cdtdy2) * uy * rg;
-          const F dispz = F(c.cdtdz2) * uz * rg;
+  const F rg = simd::rsqrt(one + ux * ux + uy * uy + uz * uz);
+  const F dispx = F(c.cdtdx2) * ux * rg;
+  const F dispy = F(c.cdtdy2) * uy * rg;
+  const F dispz = F(c.cdtdz2) * uz * rg;
 
-          for (int l = 0; l < W; ++l) {
-            Particle p;
-            p.dx = dx[l];
-            p.dy = dy[l];
-            p.dz = dz[l];
-            p.i = v.cell[l];
-            p.ux = ux[l];
-            p.uy = uy[l];
-            p.uz = uz[l];
-            p.w = v.w[l];
-            finish_move_run(p, dispx[l], dispy[l], dispz[l],
-                            c.qw_sign * p.w, local, acc, g, opts);
-            a.store(n0 + l, p);
-          }
-        }
-        // Ragged sub-W tail of the run.
-        push_run_scalar(a, ip, c, nfull, rend, local, acc, g, opts);
-        flush_run_accumulator(local, acc.a(run.cell), kAtomicDeposit<AccA>);
+  for (int l = 0; l < W; ++l) {
+    Particle p;
+    p.dx = dx[l];
+    p.dy = dy[l];
+    p.dz = dz[l];
+    p.i = v.cell[l];
+    p.ux = ux[l];
+    p.uy = uy[l];
+    p.uz = uz[l];
+    p.w = v.w[l];
+    fin(p, dispx[l], dispy[l], dispz[l], c.qw_sign * p.w);
+    a.store(n0 + l, p);
   }
 }
 
-template <class A>
-void push_manual_runs(Species& sp, const A& a,
-                      const InterpolatorArray& interp, AccumulatorArray& acc,
-                      const Grid& g, const MoverOptions& opts,
-                      const std::vector<sort::CellRun>& runs) {
-  const PushConsts c = make_consts(sp, g);
-  pk::parallel_for(
-      "advance_p[manual_runs]", static_cast<index_t>(runs.size()),
-      [&](index_t r) {
-        run_body_manual(a, runs[static_cast<std::size_t>(r)], interp, acc, g,
-                        opts, c);
-      });
-}
-
-}  // namespace
-
-// ----------------------------------------------------------------------
-// Serial tile-task kernels (docs/TILES.md): one tile's index range or run
-// sublist, executed in order on the calling thread, depositing into the
-// tile-private TileAccumulator block.
-// ----------------------------------------------------------------------
-
-void advance_range_serial(Species& sp, const InterpolatorArray& interp,
-                          TileAccumulator& acc, const Grid& g,
-                          VectorStrategy strategy, const MoverOptions& opts,
-                          index_t n0, index_t n1) {
-  if (n0 >= n1) return;
-  const PushConsts c = make_consts(sp, g);
-  dispatch_layout(sp.p, [&](auto a) {
-    switch (strategy) {
-      case VectorStrategy::Auto:
-        for (index_t n = n0; n < n1; ++n)
-          push_one(a, n, interp, acc, g, opts, c);
-        break;
-      case VectorStrategy::Guided:
-        for (index_t b = n0; b < n1; b += kPushBlock)
-          push_guided_block(a, interp, acc, g, opts, c, b,
-                            std::min(n1, b + kPushBlock));
-        break;
-      case VectorStrategy::Manual: {
-        constexpr int W = kManualVecWidth;
-        const index_t nfull = n0 + ((n1 - n0) / W) * W;
-        for (index_t b = n0; b < nfull; b += W)
-          push_manual_block(a, interp, acc, g, opts, c, b);
-        push_scalar_range(a, interp, acc, g, opts, c, nfull, n1);
-        break;
-      }
-      case VectorStrategy::AdHoc:
-        // The 4-wide transpose pipeline reads whole AoS blocks from a
-        // fixed base; per-tile rebasing has no exact equivalent, so tiles
-        // run the scalar pipeline (same physics within rsqrt ulps).
-        push_scalar_range(a, interp, acc, g, opts, c, n0, n1);
-        break;
-    }
-  });
-}
-
-void advance_runs_serial(Species& sp, const InterpolatorArray& interp,
-                         TileAccumulator& acc, const Grid& g,
-                         VectorStrategy strategy, const MoverOptions& opts,
-                         const std::vector<sort::CellRun>& runs,
-                         std::size_t r0, std::size_t r1) {
-  if (strategy == VectorStrategy::AdHoc)
-    throw std::invalid_argument(
-        "advance_runs_serial: AdHoc has no run-aware variant");
-  const PushConsts c = make_consts(sp, g);
-  dispatch_layout(sp.p, [&](auto a) {
-    for (std::size_t r = r0; r < r1 && r < runs.size(); ++r) {
-      const sort::CellRun& run = runs[r];
-      switch (strategy) {
-        case VectorStrategy::Auto:
-          run_body_auto(a, run, interp, acc, g, opts, c);
-          break;
-        case VectorStrategy::Guided:
-          run_body_guided(a, run, interp, acc, g, opts, c);
-          break;
-        case VectorStrategy::Manual:
-          run_body_manual(a, run, interp, acc, g, opts, c);
-          break;
-        case VectorStrategy::AdHoc:
-          break;  // unreachable: thrown above
-      }
-    }
-  });
-}
-
-bool run_aware_profitable(const Species& sp) {
-  return run_aware_profitable_range(sp, 0, sp.np, sp.cell_sorted_hint,
-                                    sp.steps_since_sort);
-}
-
-PushPath advance_species(Species& sp, const InterpolatorArray& interp,
-                         AccumulatorArray& acc, const Grid& g,
-                         VectorStrategy strategy, const MoverOptions& opts,
-                         PushPath path) {
-  prof::ScopedRegion region("advance_species");
-  if (opts.exits != nullptr && opts.exits_mutex == nullptr &&
-      pk::DefaultExecSpace::concurrency() > 1)
-    throw std::logic_error(
-        "advance_species: opts.exits requires opts.exits_mutex when the "
-        "default execution space is concurrent (unlocked push_back from "
-        "parallel mover lanes is a data race)");
-
-  const PushPath taken =
-      resolve_push_path(sp, strategy, path, 0, sp.np, sp.cell_sorted_hint,
-                        sp.steps_since_sort);
-  if (taken == PushPath::RunAware) {
-    {
-      prof::ScopedRegion seg("segment_runs");
-      dispatch_layout(sp.p, [&](auto a) {
-        sort::segment_runs(sp.np, [a](index_t i) { return a.cell(i); },
-                           sp.push_runs);
-      });
-    }
-    dispatch_layout(sp.p, [&](auto a) {
-      switch (strategy) {
-        case VectorStrategy::Auto:
-          push_auto_runs(sp, a, interp, acc, g, opts, sp.push_runs);
-          break;
-        case VectorStrategy::Guided:
-          push_guided_runs(sp, a, interp, acc, g, opts, sp.push_runs);
-          break;
-        case VectorStrategy::Manual:
-          push_manual_runs(sp, a, interp, acc, g, opts, sp.push_runs);
-          break;
-        case VectorStrategy::AdHoc:
-          break;  // unreachable: filtered above
-      }
-    });
+/// Strategy S over particles [n0, n1): Auto one particle at a time;
+/// Guided in kPushBlock blocks from n0; Manual in W-wide blocks from n0,
+/// then the scalar body for the sub-W tail. The run-aware path pushes
+/// each run this way, and the generic path its sub-W tails (as Auto).
+template <VectorStrategy S, class A, class Rec, class Fin>
+inline void push_span(const A& a, Rec rec, const Fin& fin,
+                      const PushConsts& c, index_t n0, index_t n1) {
+  if constexpr (S == VectorStrategy::Guided) {
+    for (index_t b = n0; b < n1; b += kPushBlock)
+      push_guided_block(a, rec, fin, c, b, std::min(n1, b + kPushBlock));
+  } else if constexpr (S == VectorStrategy::Manual) {
+    constexpr int W = kManualVecWidth;
+    const index_t nfull = n0 + ((n1 - n0) / W) * W;
+    for (index_t b = n0; b < nfull; b += W)
+      push_manual_block(a, rec, fin, c, b);
+    for (index_t n = nfull; n < n1; ++n) push_one(a, n, rec, fin, c);
   } else {
-    dispatch_layout(sp.p, [&](auto a) {
-      switch (strategy) {
-        case VectorStrategy::Auto:
-          push_auto(sp, a, interp, acc, g, opts);
-          break;
-        case VectorStrategy::Guided:
-          push_guided(sp, a, interp, acc, g, opts);
-          break;
-        case VectorStrategy::Manual:
-          push_manual(sp, a, interp, acc, g, opts);
-          break;
-        case VectorStrategy::AdHoc:
-          push_adhoc(sp, a, interp, acc, g, opts);
-          break;
-      }
-    });
+    for (index_t n = n0; n < n1; ++n) push_one(a, n, rec, fin, c);
   }
-  // Pushing moves particles across cells: age the sortedness hint.
-  sp.mark_order_degraded();
-  return taken;
 }
 
-void advance_species_runs(Species& sp, const InterpolatorArray& interp,
-                          AccumulatorArray& acc, const Grid& g,
-                          VectorStrategy strategy, const MoverOptions& opts,
-                          const std::vector<sort::CellRun>& runs) {
-  prof::ScopedRegion region("advance_species_runs");
+// ----------------------------------------------------------------------
+// AdHoc: VPIC 1.2 style — the per-ISA v4 intrinsics library, 4-particle
+// blocks, two 4x4 register transposes per load. The transposes want the
+// packed AoS record; non-AoS layouts stage each block into a local AoS
+// scratch tile first (the historical pipeline simply was not built for
+// them — AdHoc exists as the paper's legacy baseline). It is generic
+// only, and runs into the shared array only: a tile runs the scalar body.
+// ----------------------------------------------------------------------
+template <class A, class Fin>
+inline void push_adhoc_block(const A& a, GatheredRecord rec,
+                             const Fin& fin, const PushConsts& c,
+                             index_t b0) {
+  using V = v4::vfloat4;
+  constexpr int W = kAdHocVecWidth;
+  Particle staged[W];
+  const float* base;
+  if constexpr (A::layout == ParticleLayout::AoS) {
+    base = reinterpret_cast<const float*>(a.p + b0);
+  } else {
+    for (int l = 0; l < W; ++l) staged[l] = a.load(b0 + l);
+    base = reinterpret_cast<const float*>(staged);
+  }
+  // Transpose positions (fields 0-3) and momenta+weight (fields 4-7).
+  V dx = V::load(base + 0), dy = V::load(base + 8), dz = V::load(base + 16),
+    ci = V::load(base + 24);
+  V::transpose(dx, dy, dz, ci);
+  V ux = V::load(base + 4), uy = V::load(base + 12), uz = V::load(base + 20),
+    w = V::load(base + 28);
+  V::transpose(ux, uy, uz, w);
+
+  std::int32_t cell[W];
+  {
+    float tmp[W];
+    ci.store(tmp);
+    std::memcpy(cell, tmp, sizeof(cell));
+  }
+  auto gf = [&](float Interpolator::*member) PK_FORCEINLINE_LAMBDA {
+    V r;
+    for (int l = 0; l < W; ++l) r.set(l, rec(cell[l]).*member);
+    return r;
+  };
+  const V ex = gf(&Interpolator::ex) + dy * gf(&Interpolator::dexdy) +
+               dz * (gf(&Interpolator::dexdz) +
+                     dy * gf(&Interpolator::d2exdydz));
+  const V ey = gf(&Interpolator::ey) + dz * gf(&Interpolator::deydz) +
+               dx * (gf(&Interpolator::deydx) +
+                     dz * gf(&Interpolator::d2eydzdx));
+  const V ez = gf(&Interpolator::ez) + dx * gf(&Interpolator::dezdx) +
+               dy * (gf(&Interpolator::dezdy) +
+                     dx * gf(&Interpolator::d2ezdxdy));
+  const V cbx = gf(&Interpolator::cbx) + dx * gf(&Interpolator::dcbxdx);
+  const V cby = gf(&Interpolator::cby) + dy * gf(&Interpolator::dcbydy);
+  const V cbz = gf(&Interpolator::cbz) + dz * gf(&Interpolator::dcbzdz);
+
+  const V qdt2m(c.qdt2m);
+  const V hax = qdt2m * ex, hay = qdt2m * ey, haz = qdt2m * ez;
+  ux = ux + hax;
+  uy = uy + hay;
+  uz = uz + haz;
+  const V one(1.0f);
+  const V gmi = V::rsqrt(one + ux * ux + uy * uy + uz * uz);
+  const V tx = qdt2m * cbx * gmi;
+  const V ty = qdt2m * cby * gmi;
+  const V tz = qdt2m * cbz * gmi;
+  const V sfac = V(2.0f) / (one + tx * tx + ty * ty + tz * tz);
+  const V wx = ux + (uy * tz - uz * ty);
+  const V wy = uy + (uz * tx - ux * tz);
+  const V wz = uz + (ux * ty - uy * tx);
+  ux = ux + (wy * tz - wz * ty) * sfac + hax;
+  uy = uy + (wz * tx - wx * tz) * sfac + hay;
+  uz = uz + (wx * ty - wy * tx) * sfac + haz;
+
+  const V rg = V::rsqrt(one + ux * ux + uy * uy + uz * uz);
+  const V dispx = V(c.cdtdx2) * ux * rg;
+  const V dispy = V(c.cdtdy2) * uy * rg;
+  const V dispz = V(c.cdtdz2) * uz * rg;
+
+  for (int l = 0; l < W; ++l) {
+    Particle p;
+    p.dx = dx[l];
+    p.dy = dy[l];
+    p.dz = dz[l];
+    p.i = cell[l];
+    p.ux = ux[l];
+    p.uy = uy[l];
+    p.uz = uz[l];
+    p.w = w[l];
+    fin(p, dispx[l], dispy[l], dispz[l], c.qw_sign * p.w);
+    a.store(b0 + l, p);
+  }
+}
+
+// ----------------------------------------------------------------------
+// Launches on an execution space. pk::DefaultExecSpace runs the untiled
+// step's static RangePolicy kernels; pk::Serial runs one tile inside its
+// stealing task, never a nested OpenMP team.
+// ----------------------------------------------------------------------
+
+constexpr const char* kGenericKernel[] = {
+    "advance_p[auto]", "advance_p[guided]", "advance_p[manual]",
+    "advance_p[adhoc]"};
+constexpr const char* kRunKernel[] = {
+    "advance_p[auto_runs]", "advance_p[guided_runs]", "advance_p[manual_runs]",
+    nullptr};
+
+/// Generic path over [n0, n1): Auto launches one particle per iteration
+/// and Guided one kPushBlock block; Manual and AdHoc launch their full
+/// W-wide blocks, then push the sub-W tail with the scalar body on the
+/// calling thread.
+template <class Space, VectorStrategy S, class A, class Fin>
+void push_generic(const A& a, GatheredRecord rec, const Fin& fin,
+                  const PushConsts& c, index_t n0, index_t n1) {
+  constexpr index_t G = S == VectorStrategy::Auto     ? 1
+                        : S == VectorStrategy::Guided ? kPushBlock
+                        : S == VectorStrategy::Manual ? kManualVecWidth
+                                                      : kAdHocVecWidth;
+  constexpr bool kBlocked =
+      S == VectorStrategy::Manual || S == VectorStrategy::AdHoc;
+  const index_t nchunks = kBlocked ? (n1 - n0) / G : (n1 - n0 + G - 1) / G;
+  pk::parallel_for(
+      kGenericKernel[static_cast<int>(S)], pk::RangePolicy<Space>(nchunks),
+      [&](index_t k) {
+        const index_t b = n0 + k * G;
+        if constexpr (S == VectorStrategy::Auto)
+          push_one(a, b, rec, fin, c);
+        else if constexpr (S == VectorStrategy::Guided)
+          push_guided_block(a, rec, fin, c, b, std::min(n1, b + G));
+        else if constexpr (S == VectorStrategy::Manual)
+          push_manual_block(a, rec, fin, c, b);
+        else
+          push_adhoc_block(a, rec, fin, c, b);
+      });
+  if constexpr (kBlocked)
+    push_span<VectorStrategy::Auto>(a, rec, fin, c, n0 + nchunks * G, n1);
+}
+
+/// Run-aware path: one whole run per iteration, flushed once.
+template <class Space, VectorStrategy S, class A, class AccA>
+void push_runs(const A& a, const InterpolatorArray& interp, AccA& acc,
+               const Grid& g, const MoverOptions& opts, const PushConsts& c,
+               const std::vector<sort::CellRun>& runs) {
+  pk::parallel_for(
+      kRunKernel[static_cast<int>(S)],
+      pk::RangePolicy<Space>(static_cast<index_t>(runs.size())),
+      [&](index_t r) {
+        const sort::CellRun& run = runs[static_cast<std::size_t>(r)];
+        Accumulator local{};
+        push_span<S>(a, HoistedRecord{interp(run.cell)},
+                     RunFinish<AccA>{local, acc, g, opts}, c, run.begin,
+                     run.begin + run.count);
+        flush_run_accumulator(local, acc.a(run.cell), kAtomicDeposit<AccA>);
+      });
+}
+
+template <VectorStrategy S>
+using StrategyTag = std::integral_constant<VectorStrategy, S>;
+
+/// The push's one strategy switch: calls f with the strategy as a
+/// compile-time tag.
+template <class F>
+void with_strategy(VectorStrategy s, F&& f) {
+  switch (s) {
+    case VectorStrategy::Auto:
+      return f(StrategyTag<VectorStrategy::Auto>{});
+    case VectorStrategy::Guided:
+      return f(StrategyTag<VectorStrategy::Guided>{});
+    case VectorStrategy::Manual:
+      return f(StrategyTag<VectorStrategy::Manual>{});
+    case VectorStrategy::AdHoc:
+      return f(StrategyTag<VectorStrategy::AdHoc>{});
+  }
+}
+
+/// The exit queue is a plain vector: concurrent mover lanes need its
+/// mutex. A serial launch (one tile) never races.
+template <class Space>
+void require_guarded_exits(const MoverOptions& opts) {
   if (opts.exits != nullptr && opts.exits_mutex == nullptr &&
-      pk::DefaultExecSpace::concurrency() > 1)
+      Space::concurrency() > 1)
     throw std::logic_error(
-        "advance_species_runs: opts.exits requires opts.exits_mutex when "
-        "the default execution space is concurrent");
-  if (strategy == VectorStrategy::AdHoc)
-    throw std::invalid_argument(
-        "advance_species_runs: AdHoc has no run-aware variant");
-  dispatch_layout(sp.p, [&](auto a) {
-    switch (strategy) {
-      case VectorStrategy::Auto:
-        push_auto_runs(sp, a, interp, acc, g, opts, runs);
-        break;
-      case VectorStrategy::Guided:
-        push_guided_runs(sp, a, interp, acc, g, opts, runs);
-        break;
-      case VectorStrategy::Manual:
-        push_manual_runs(sp, a, interp, acc, g, opts, runs);
-        break;
-      case VectorStrategy::AdHoc:
-        break;  // unreachable: thrown above
-    }
-  });
+        "push: opts.exits requires opts.exits_mutex when the execution "
+        "space is concurrent (unlocked push_back from parallel mover lanes "
+        "is a data race)");
 }
 
-bool run_aware_profitable_range(const Species& sp, index_t n0, index_t n1,
-                                bool sorted_hint, int steps_since_sort) {
+bool run_aware_profitable_range(const Species& sp, index_t n0, index_t n1) {
   // Gates (core/push_tuning.hpp): below min_particles the per-run overhead
   // and segmentation pass dominate; beyond max_stale steps since the last
   // cell sort the probe is not worth running every step; the probe gates
@@ -844,9 +560,9 @@ bool run_aware_profitable_range(const Species& sp, index_t n0, index_t n1,
   const index_t n = n1 - n0;
   if (n <= 0) return false;
   if (n < kPushGates.min_particles) return false;
-  if (!sorted_hint || steps_since_sort < 0) return false;
-  if (steps_since_sort == 0) return true;  // fresh from a sort
-  if (steps_since_sort > kPushGates.max_stale) return false;
+  if (!sp.cell_sorted_hint || sp.steps_since_sort < 0) return false;
+  if (sp.steps_since_sort == 0) return true;  // fresh from a sort
+  if (sp.steps_since_sort > kPushGates.max_stale) return false;
   return dispatch_layout(sp.p, [&](auto a) {
     const auto probe = sort::probe_runs(
         n, [a, n0](index_t i) { return a.cell(n0 + i); });
@@ -854,25 +570,115 @@ bool run_aware_profitable_range(const Species& sp, index_t n0, index_t n1,
   });
 }
 
+/// The push-path decision: resolve `path` to Generic or RunAware for
+/// `strategy` on particles [n0, n1) from the species' sortedness and a
+/// run probe of the range, and count the outcome as
+/// push.dispatch.run_aware or push.dispatch.generic. AdHoc has no
+/// run-aware variant, so it always resolves to Generic.
 PushPath resolve_push_path(const Species& sp, VectorStrategy strategy,
-                           PushPath path, index_t n0, index_t n1,
-                           bool sorted_hint, int steps_since_sort) {
+                           PushPath path, index_t n0, index_t n1) {
   bool use_runs = false;
   switch (path) {
     case PushPath::Generic:
       break;
     case PushPath::RunAware:
-      use_runs = strategy != VectorStrategy::AdHoc;  // AdHoc has no variant
+      use_runs = strategy != VectorStrategy::AdHoc;
       break;
     case PushPath::AutoDetect:
       use_runs = strategy != VectorStrategy::AdHoc &&
-                 run_aware_profitable_range(sp, n0, n1, sorted_hint,
-                                            steps_since_sort);
+                 run_aware_profitable_range(sp, n0, n1);
       break;
   }
   prof::counter_add(use_runs ? "push.dispatch.run_aware"
                              : "push.dispatch.generic");
   return use_runs ? PushPath::RunAware : PushPath::Generic;
+}
+
+}  // namespace
+
+template <class Space, class AccA>
+void push_runs_on(Species& sp, const InterpolatorArray& interp, AccA& acc,
+                  const Grid& g, VectorStrategy strategy,
+                  const MoverOptions& opts,
+                  const std::vector<sort::CellRun>& runs) {
+  require_guarded_exits<Space>(opts);
+  const PushConsts c = make_consts(sp, g);
+  dispatch_layout(sp.p, [&](auto a) {
+    with_strategy(strategy, [&](auto s) {
+      constexpr VectorStrategy S = decltype(s)::value;
+      if constexpr (S == VectorStrategy::AdHoc)
+        throw std::invalid_argument(
+            "push_runs_on: AdHoc has no run-aware variant");
+      else
+        push_runs<Space, S>(a, interp, acc, g, opts, c, runs);
+    });
+  });
+}
+
+template <class Space, class AccA>
+PushPath push_on(Species& sp, const InterpolatorArray& interp, AccA& acc,
+                 const Grid& g, VectorStrategy strategy,
+                 const MoverOptions& opts, PushPath path, index_t n0,
+                 index_t n1, std::vector<sort::CellRun>& runs) {
+  require_guarded_exits<Space>(opts);
+  const PushPath taken = resolve_push_path(sp, strategy, path, n0, n1);
+  if (taken == PushPath::RunAware) {
+    {
+      prof::ScopedRegion seg("segment_runs");
+      dispatch_layout(sp.p, [&](auto a) {
+        sort::segment_runs(
+            n1 - n0, [a, n0](index_t i) { return a.cell(n0 + i); }, runs);
+      });
+      if (n0 > 0)
+        for (sort::CellRun& r : runs) r.begin += n0;
+    }
+    push_runs_on<Space>(sp, interp, acc, g, strategy, opts, runs);
+    return taken;
+  }
+  const PushConsts c = make_consts(sp, g);
+  const GatheredRecord rec{&interp};
+  const MoveFinish<AccA> fin{acc, g, opts};
+  dispatch_layout(sp.p, [&](auto a) {
+    with_strategy(strategy, [&](auto s) {
+      constexpr VectorStrategy S = decltype(s)::value;
+      // AdHoc's v4 pipeline runs into the shared array only; a tile's
+      // block gets the scalar body.
+      if constexpr (S != VectorStrategy::AdHoc || kAtomicDeposit<AccA>)
+        push_generic<Space, S>(a, rec, fin, c, n0, n1);
+      else
+        push_generic<Space, VectorStrategy::Auto>(a, rec, fin, c, n0, n1);
+    });
+  });
+  return taken;
+}
+
+template PushPath push_on<pk::DefaultExecSpace>(
+    Species&, const InterpolatorArray&, AccumulatorArray&, const Grid&,
+    VectorStrategy, const MoverOptions&, PushPath, index_t, index_t,
+    std::vector<sort::CellRun>&);
+template PushPath push_on<pk::Serial>(Species&, const InterpolatorArray&,
+                                      TileAccumulator&, const Grid&,
+                                      VectorStrategy, const MoverOptions&,
+                                      PushPath, index_t, index_t,
+                                      std::vector<sort::CellRun>&);
+template void push_runs_on<pk::DefaultExecSpace>(
+    Species&, const InterpolatorArray&, AccumulatorArray&, const Grid&,
+    VectorStrategy, const MoverOptions&, const std::vector<sort::CellRun>&);
+
+PushPath advance_species(Species& sp, const InterpolatorArray& interp,
+                         AccumulatorArray& acc, const Grid& g,
+                         VectorStrategy strategy, const MoverOptions& opts,
+                         PushPath path) {
+  prof::ScopedRegion region("advance_species");
+  const PushPath taken = push_on<pk::DefaultExecSpace>(
+      sp, interp, acc, g, strategy, opts, path, 0, sp.np, sp.push_runs);
+  // Pushing moves particles across cells: age the sortedness hint.
+  sp.mark_order_degraded();
+  return taken;
+}
+
+bool run_aware_profitable(const Species& sp) {
+  return run_aware_profitable_range(sp, 0, sp.np);
 }
 
 index_t compact_exited(Species& sp) {

@@ -27,7 +27,11 @@
 // is deposited with one batch of atomics per run instead of twelve per
 // particle. Cell-crossing particles fall back to the exact move_p path,
 // so the run-aware variants are correct on any particle order and merely
-// fast on sorted ones. advance_species auto-dispatches using the species'
+// fast on sorted ones. Each strategy has ONE body, written against the
+// path (generic: per-particle gather and move_p; run-aware: hoisted
+// record and run-local deposit), and push_on is the one entry — the
+// untiled step, the tile tasks and the ranks all launch through it, on
+// their own execution space. It auto-dispatches using the species'
 // sortedness tracking plus a sampled run probe.
 #pragma once
 
@@ -107,7 +111,9 @@ struct MoverOptions {
 ///
 /// `path` selects the pipeline (see PushPath); the return value is the
 /// pipeline actually taken (Generic or RunAware), which AutoDetect
-/// resolves per call from the species' sortedness state.
+/// resolves per call from the species' sortedness state. This is
+/// push_on over [0, np) on the default execution space, followed by one
+/// aging of the species' sortedness hint.
 ///
 /// Throws std::logic_error when opts.exits is set without opts.exits_mutex
 /// while the default execution space is concurrent: the unlocked
@@ -118,79 +124,54 @@ PushPath advance_species(Species& sp, const InterpolatorArray& interp,
                          const MoverOptions& opts = {},
                          PushPath path = PushPath::AutoDetect);
 
-/// Push exactly the particles covered by `runs` (maximal same-cell
-/// segments from sort::segment_runs) with the run-aware kernel of
-/// `strategy`. This is the building block of the overlapped distributed
-/// step: the caller partitions the run list at the subdomain boundary and
-/// pushes interior runs while the halo exchange is in flight, then the
-/// boundary runs once it lands. Unlike advance_species this does NOT age
-/// the species' sortedness hint — the caller does that once after all
-/// partial pushes of the step.
-///
-/// Throws std::invalid_argument for VectorStrategy::AdHoc (it has no
-/// run-aware variant; callers fall back to the fenced path) and the same
-/// std::logic_error as advance_species for an unguarded exit queue.
-void advance_species_runs(Species& sp, const InterpolatorArray& interp,
-                          AccumulatorArray& acc, const Grid& g,
-                          VectorStrategy strategy, const MoverOptions& opts,
-                          const std::vector<sort::CellRun>& runs);
-
 /// The AutoDetect heuristic, exposed for tests and benches: true when the
 /// species' sortedness tracking (fresh or recently-stale cell-sorted hint)
-/// plus a sampled run probe predict the run-aware path will pay off —
-/// run_aware_profitable_range over [0, np), so an empty species is false.
+/// plus a sampled run probe predict the run-aware path will pay off.
+/// False for an empty species.
 [[nodiscard]] bool run_aware_profitable(const Species& sp);
 
-// ----------------------------------------------------------------------
-// Tile-task entry points (core/tiles.hpp, docs/TILES.md). A tile task
-// pushes its contiguous index range SERIALLY on whichever worker the
-// stealing scheduler lands it on — parallelism comes from tiles, not from
-// lanes inside a tile — and deposits into its tile-private
-// TileAccumulator block (plain non-atomic adds, merged deterministically
-// afterwards). Neither ages the species' sortedness — the step driver
-// does that once per step, per tile.
-// ----------------------------------------------------------------------
+/// The one push entry (docs/PUSH.md): push particles [n0, n1) of `sp` on
+/// execution space `Space`, depositing into `acc`. It resolves `path`
+/// from the species' sortedness hint plus a run probe of [n0, n1)
+/// (AutoDetect), segments the range into `runs` (the caller's reusable
+/// scratch) on the run-aware path, and launches the strategy's body —
+/// per particle or block on the generic path, per run on the run-aware
+/// path. Returns the path taken. It does not age the sortedness hint;
+/// the step does that once per step.
+///
+/// Two instantiations exist:
+///   * pk::DefaultExecSpace into the shared AccumulatorArray (atomic
+///     deposits): the untiled step (advance_species) and the ranks;
+///   * pk::Serial into a tile-private TileAccumulator block (plain adds):
+///     one tile task of the tiled step (core/tiles.hpp). A range that
+///     does not start on a multiple of the Manual width W is few-ulp from
+///     the untiled Manual push; Auto and Guided are bitwise. AdHoc runs
+///     its v4 pipeline into the shared array only, and the scalar body
+///     into a tile block.
+///
+/// Throws std::logic_error like advance_species for an unguarded exit
+/// queue on a concurrent space.
+template <class Space, class AccA>
+PushPath push_on(Species& sp, const InterpolatorArray& interp, AccA& acc,
+                 const Grid& g, VectorStrategy strategy,
+                 const MoverOptions& opts, PushPath path, index_t n0,
+                 index_t n1, std::vector<sort::CellRun>& runs);
 
-class TileAccumulator;
-
-/// Serial generic push of particles [n0, n1). Auto/Guided reproduce the
-/// untiled kernels bit for bit on the same iteration order; Manual blocks
-/// W-wide lanes from n0 (few-ulp vs untiled when n0 is not lane-aligned);
-/// AdHoc runs the scalar pipeline (its 4-wide transpose path is not
-/// range-rebasable).
-void advance_range_serial(Species& sp, const InterpolatorArray& interp,
-                          TileAccumulator& acc, const Grid& g,
-                          VectorStrategy strategy, const MoverOptions& opts,
-                          index_t n0, index_t n1);
-
-/// Serial run-aware push of runs [r0, r1) of `runs` (same per-run bodies
-/// as the parallel variants, executed in run order). AdHoc throws like
-/// advance_species_runs.
-void advance_runs_serial(Species& sp, const InterpolatorArray& interp,
-                         TileAccumulator& acc, const Grid& g,
-                         VectorStrategy strategy, const MoverOptions& opts,
-                         const std::vector<sort::CellRun>& runs,
-                         std::size_t r0, std::size_t r1);
-
-/// The AutoDetect gate on the subrange [n0, n1) with that range's own
-/// sortedness state; false for an empty range. Per-tile staleness is what
-/// makes per-tile dispatch differ from global: a busy tile churning does
-/// not veto a quiet tile's fast path, and a sparse tile below
-/// min_particles falls back to generic on its own.
-[[nodiscard]] bool run_aware_profitable_range(const Species& sp, index_t n0,
-                                              index_t n1, bool sorted_hint,
-                                              int steps_since_sort);
-
-/// The push-path decision of advance_species and of the tiled push tasks:
-/// resolve `path` to Generic or RunAware for `strategy` on the particles
-/// [n0, n1) with that range's own sortedness state, and count the outcome
-/// as push.dispatch.run_aware or push.dispatch.generic. AdHoc has no
-/// run-aware variant, so it always resolves to Generic.
-[[nodiscard]] PushPath resolve_push_path(const Species& sp,
-                                         VectorStrategy strategy,
-                                         PushPath path, index_t n0,
-                                         index_t n1, bool sorted_hint,
-                                         int steps_since_sort);
+/// push_on's run-aware launch alone, over `runs` (maximal same-cell
+/// segments from sort::segment_runs) that the caller segmented and
+/// partitioned itself: the overlapped distributed step pushes its
+/// interior runs while the halo exchange is in flight, then its
+/// boundary runs once it lands. Instantiated for pk::DefaultExecSpace
+/// into the shared AccumulatorArray.
+///
+/// Throws std::invalid_argument for VectorStrategy::AdHoc (it has no
+/// run-aware variant; the distributed step falls back to fenced) and the
+/// same std::logic_error as push_on for an unguarded exit queue.
+template <class Space, class AccA>
+void push_runs_on(Species& sp, const InterpolatorArray& interp, AccA& acc,
+                  const Grid& g, VectorStrategy strategy,
+                  const MoverOptions& opts,
+                  const std::vector<sort::CellRun>& runs);
 
 /// Remove particles marked exited (i < 0), preserving order of survivors.
 /// Returns the number removed.

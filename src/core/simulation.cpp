@@ -117,12 +117,16 @@ StepGraph Simulation::build_step_graph(std::int64_t next_step) {
   return g;
 }
 
+int Simulation::tile_count() const {
+  return cfg_.tiles.count > 0
+             ? std::clamp(cfg_.tiles.count, 1, fields_.grid.nz)
+             : TileMap::auto_count(fields_.grid,
+                                   std::max(1, cfg_.tiles.workers));
+}
+
 void Simulation::ensure_tiles() {
   const int workers = std::max(1, cfg_.tiles.workers);
-  const int want =
-      cfg_.tiles.count > 0
-          ? std::clamp(cfg_.tiles.count, 1, fields_.grid.nz)
-          : TileMap::auto_count(fields_.grid, workers);
+  const int want = tile_count();
   const bool pool_ok = steal_pool_ && steal_pool_->workers() == workers;
   const bool blocks_ok =
       tile_acc_.size() == species_.size() &&
@@ -132,7 +136,12 @@ void Simulation::ensure_tiles() {
     return;
 
   tile_map_ = TileMap(fields_.grid, want);
-  for (auto& sp : species_) bucket_by_tile(sp, tile_map_);
+  // Ranges that still cover the live particles stay as they are: a
+  // restore that adopted its checkpoint's ranges resumes the particle
+  // order the uninterrupted run has (docs/TILES.md).
+  for (auto& sp : species_)
+    if (!tiles_cover(sp, static_cast<std::size_t>(want)))
+      bucket_by_tile(sp, tile_map_);
   tile_acc_.clear();
   tile_acc_.resize(species_.size());
   for (auto& per_sp : tile_acc_) {

@@ -337,7 +337,9 @@ class Simulation {
   /// must be built from the same deck/config: the checkpoint's config
   /// fingerprint is verified first. Throws ckpt::RestoreError (typed,
   /// see ckpt/format.hpp) on any mismatch or corruption; the simulation
-  /// is only mutated after the file fully validates.
+  /// is only mutated after the file fully validates. A tiled simulation
+  /// with the checkpoint's tile count adopts its tile ranges, so a tiled
+  /// run resumes bit-identically (docs/TILES.md).
   void restore(const std::string& path);
 
   /// Restore from the newest valid generation of the ring at `base`
@@ -368,10 +370,14 @@ class Simulation {
   // use the public accessors instead.
   friend struct PipelineAccess;
 
-  /// (Re)build the tile map, bucket every species by tile, and size the
-  /// per-(species, tile) accumulator blocks + stealing pool. Idempotent
-  /// while clean; restore()/injection growth set tiles_dirty_.
+  /// (Re)build the tile map, bucket every species whose tile ranges do
+  /// not cover its live particles, and size the per-(species, tile)
+  /// accumulator blocks + stealing pool. Idempotent while clean;
+  /// restore()/injection growth set tiles_dirty_.
   void ensure_tiles();
+  /// Tiles the tiled step runs with: tiles.count clamped to nz, or the
+  /// auto count for tiles.workers.
+  [[nodiscard]] int tile_count() const;
   /// Compose this step's graph from the registered modules: per-phase
   /// when untiled, per (phase x tile) when tiled.
   [[nodiscard]] StepGraph build_step_graph(std::int64_t next_step);

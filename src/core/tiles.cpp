@@ -92,8 +92,6 @@ void bucket_by_tile(Species& sp, const TileMap& tm) {
     TileSlot& slot = sp.tiles[static_cast<std::size_t>(t)];
     slot.begin = offsets[t];
     slot.end = t + 1 < nt ? offsets[t + 1] : n;
-    slot.sorted_hint = false;
-    slot.steps_since_sort = -1;
   }
   // Already tile-major (a Standard sort or a deck's ascending-voxel load
   // leaves it so): the stable partition is the identity, skip the permute.
@@ -110,6 +108,16 @@ void bucket_by_tile(Species& sp, const TileMap& tm) {
   });
   std::swap(sp.p, sp.p_scratch);
   prof::counter_add("tiles.bucket");
+}
+
+bool tiles_cover(const Species& sp, std::size_t nt) {
+  if (nt == 0 || sp.tiles.size() != nt) return false;
+  index_t at = 0;
+  for (const TileSlot& slot : sp.tiles) {
+    if (slot.begin != at || slot.end < slot.begin) return false;
+    at = slot.end;
+  }
+  return at == sp.np;
 }
 
 double tile_imbalance(const Species& sp) {

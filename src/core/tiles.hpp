@@ -11,12 +11,14 @@
 // Tiles exist to turn each (phase x tile) pair into a StepGraph task for
 // the work-stealing executor (pk/stealing.hpp):
 //   * each tile owns a contiguous particle index range of every species
-//     (re-established by bucket_by_tile at sort steps),
-//   * each tile pushes serially inside its task and deposits into a
-//     tile-private TileAccumulator block whose plane window covers the
-//     tile plus one ghost plane on each side (seam crossings land in the
-//     window; rare z-wrap / long-drift deposits go to a sorted overflow
-//     map),
+//     (re-established by bucket_by_tile at sort steps, and carried
+//     through a checkpoint so a tiled restore resumes the same order),
+//   * each tile pushes its range with push_on<pk::Serial> (core/push.hpp),
+//     dispatched off the species' sortedness plus the tile's own run
+//     probe, and deposits into a tile-private TileAccumulator block
+//     whose plane window covers the tile plus one ghost plane on each
+//     side (seam crossings land in the window; rare z-wrap / long-drift
+//     deposits go to a sorted overflow map),
 //   * the private blocks are merged into the global AccumulatorArray in
 //     ascending tile order by a single task, making the summed currents
 //     bit-deterministic across runs AND worker counts (the merge order is
@@ -117,9 +119,13 @@ class TileAccumulator {
 /// over tile ids through the ping-pong scratch) and record each tile's
 /// [begin, end) index range in sp.tiles. Because tile ids are monotone in
 /// the voxel index, a cell-sorted array is already tile-major: then the
-/// permute is skipped and `sp.p` keeps its buffer and contents. Per-tile
-/// sortedness is reset to "bucketed, not sorted".
+/// permute is skipped and `sp.p` keeps its buffer and contents.
 void bucket_by_tile(Species& sp, const TileMap& tm);
+
+/// True when sp.tiles holds `nt` contiguous ranges covering exactly the
+/// live particles [0, np): ranges a tiled step can push as they stand
+/// (the last bucketing's, or a checkpoint's adopted on restore).
+[[nodiscard]] bool tiles_cover(const Species& sp, std::size_t nt);
 
 /// Load-imbalance factor of the current tile ranges: max tile particle
 /// count over mean tile particle count (1.0 = perfectly balanced).

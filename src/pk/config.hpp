@@ -21,6 +21,13 @@
 // shape of kernels written against the portability layer.
 #define PK_INLINE inline
 
+// Mirrors KOKKOS_FORCEINLINE_FUNCTION: for the small per-particle helpers
+// of hot kernels, whose inlining must not depend on how much else the
+// translation unit inlines. PK_FORCEINLINE_LAMBDA goes after a lambda's
+// parameter list.
+#define PK_FORCEINLINE inline __attribute__((always_inline))
+#define PK_FORCEINLINE_LAMBDA __attribute__((always_inline))
+
 // Restrict qualifier for kernel pointer parameters.
 #define PK_RESTRICT __restrict__
 

@@ -14,6 +14,7 @@
 //   * coordinated DistributedSimulation checkpoint/restore.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -791,6 +792,55 @@ TEST(SimCkpt, CkptPhaseResumeIsBitIdentical) {
   EXPECT_EQ(resumed.step_count(), 20);
   resumed.run(20);
   expect_bit_identical(resumed, ref);
+}
+
+TEST(SimCkpt, TiledResumeIsBitIdentical) {
+  // A tiled run checkpointed three steps after a sort, so particles have
+  // crossed tile faces since the last bucketing: the restore adopts the
+  // checkpoint's tile ranges instead of re-bucketing, and the tiles
+  // dispatch off the restored species sortedness, so the resumed run
+  // lands bit-identical to the uninterrupted one at any worker and
+  // kernel thread count. A restore into another tile count re-buckets
+  // and still runs.
+  const auto dir = scratch("tiled_resume");
+  const std::string path = (dir / "t23.ckpt").string();
+  auto deck = [](int tiles, int workers) {
+    core::decks::LpiParams p;
+    p.nx = 16;
+    p.ny = 8;
+    p.nz = 8;
+    p.ppc = 16;
+    auto sim = core::decks::make_lpi(p);
+    sim.config().energy_interval = 5;
+    sim.config().tiles.enabled = true;
+    sim.config().tiles.count = tiles;
+    sim.config().tiles.workers = workers;
+    return sim;
+  };
+  for (const int threads : {1, 4}) {
+    pk::initialize(threads);
+    for (const int workers : {1, 4}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads, " +
+                   std::to_string(workers) + " workers");
+      auto ref = deck(4, workers);
+      ref.run(30);
+      auto victim = deck(4, workers);
+      victim.run(23);
+      victim.checkpoint(path);
+      auto resumed = deck(4, workers);
+      resumed.restore(path);
+      resumed.run(7);
+      expect_bit_identical(resumed, ref);
+    }
+  }
+  pk::initialize(1);
+
+  auto other = deck(3, 2);
+  other.restore(path);
+  other.run(7);
+  EXPECT_EQ(other.step_count(), 30);
+  EXPECT_EQ(other.tile_map().count(), 3);
+  EXPECT_TRUE(std::isfinite(other.energies().total()));
 }
 
 // ---- DistributedSimulation ------------------------------------------

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <thread>
 #include <map>
@@ -172,11 +173,11 @@ TEST(BucketByTile, PartitionsByTileStably) {
   ASSERT_EQ(static_cast<int>(sp.tiles.size()), tm.count());
   EXPECT_EQ(sp.tiles.front().begin, 0);
   EXPECT_EQ(sp.tiles.back().end, sp.np);
+  EXPECT_TRUE(core::tiles_cover(sp, sp.tiles.size()));
   float prev_tag = -1.0f;
   for (int t = 0; t < tm.count(); ++t) {
     const auto& slot = sp.tiles[static_cast<std::size_t>(t)];
     if (t > 0) EXPECT_EQ(slot.begin, sp.tiles[static_cast<std::size_t>(t - 1)].end);
-    EXPECT_FALSE(slot.sorted_hint);  // bucketed, not voxel-sorted
     prev_tag = -1.0f;
     for (index_t i = slot.begin; i < slot.end; ++i) {
       EXPECT_EQ(tm.tile_of_voxel(sp.p(i).i), t) << "particle " << i;
@@ -672,26 +673,33 @@ TEST(TiledStep, PublishesTileTelemetry) {
   EXPECT_TRUE(saw_tile_push);
 }
 
-TEST(TiledStep, PerTileSortednessAgesAndResetsAtSortSteps) {
-  core::decks::LpiParams p;
-  p.nx = 8;
-  p.ny = 4;
-  p.nz = 6;
-  p.ppc = 2;
-  core::Simulation sim = core::decks::make_lpi(p);
-  sim.config().tiles.enabled = true;
-  sim.config().tiles.count = 3;
-  sim.config().tiles.workers = 2;
-  sim.config().sort_interval = 5;
-
-  sim.run(5);  // step 5 is a sort step: slots end freshly sorted
-  for (const auto& slot : sim.species(0).tiles) {
-    EXPECT_TRUE(slot.sorted_hint);
-    EXPECT_EQ(slot.steps_since_sort, 0);
+TEST(TiledStep, RestoredSortedDeckPushesLikeUntiled) {
+  // Tiles dispatch off the species' sortedness plus their own run probe:
+  // a deck restored from a checkpoint taken right after a Standard sort
+  // takes the untiled step's push paths on its first step, tiled too.
+  const std::string path = ::testing::TempDir() + "vpic_tiles_sorted.ckpt";
+  core::decks::LpiParams p = tiled_decks().front().params;
+  p.sort_interval = 5;
+  {
+    core::Simulation sim = core::decks::make_lpi(p);
+    sim.run(5);  // step 5 sorts, then checkpoints
+    sim.checkpoint(path);
   }
-  sim.step();  // one more step ages every slot by one
-  for (const auto& slot : sim.species(0).tiles)
-    EXPECT_EQ(slot.steps_since_sort, 1);
+  std::vector<core::PushPath> paths[2];
+  for (const bool tiled : {false, true}) {
+    core::Simulation sim = core::decks::make_lpi(p);
+    sim.config().tiles.enabled = tiled;
+    sim.config().tiles.count = tiled_decks().front().tiles;
+    sim.config().tiles.workers = 2;
+    sim.restore(path);
+    sim.step();
+    paths[tiled ? 1 : 0] = sim.last_push_paths();
+  }
+  std::remove(path.c_str());
+  ASSERT_EQ(paths[0].size(), 2u);
+  EXPECT_EQ(paths[0], paths[1]);
+  for (const core::PushPath taken : paths[0])
+    EXPECT_EQ(taken, core::PushPath::RunAware);  // fresh from the sort
 }
 
 TEST(TiledStep, PhasePollFiresAtTileGranularity) {
@@ -829,9 +837,9 @@ TEST(TiledStep, SortPhaseMatchesBucketThenTileSortOracle) {
                               got.size() * sizeof(core::Particle)),
                   0)
             << sp.name << " after step " << step;
+        EXPECT_TRUE(sp.cell_sorted_hint);
         for (int t = 0; t < sim.tile_map().count(); ++t) {
           const auto& slot = sp.tiles[static_cast<std::size_t>(t)];
-          EXPECT_TRUE(slot.sorted_hint);
           for (index_t i = slot.begin; i < slot.end; ++i)
             ASSERT_EQ(sim.tile_map().tile_of_voxel(
                           got[static_cast<std::size_t>(i)].i),
@@ -840,18 +848,4 @@ TEST(TiledStep, SortPhaseMatchesBucketThenTileSortOracle) {
       }
     }
   }
-}
-
-TEST(TiledStep, RunAwareProfitableRangeRespectsTileStaleness) {
-  core::decks::LpiParams p;
-  p.nx = 8;
-  p.ny = 4;
-  p.nz = 4;
-  p.ppc = 4;
-  core::Simulation sim = core::decks::make_lpi(p);
-  const auto& sp = sim.species(0);
-  // Unsorted or unknown-staleness tiles must never take the run-aware path.
-  EXPECT_FALSE(core::run_aware_profitable_range(sp, 0, sp.np, false, 0));
-  EXPECT_FALSE(core::run_aware_profitable_range(sp, 0, sp.np, true, -1));
-  EXPECT_FALSE(core::run_aware_profitable_range(sp, 5, 5, true, 0));  // empty
 }
