@@ -18,9 +18,9 @@
 //     also *measured* at 1, 2 and 4 kernel threads (collide_ms_<n>t,
 //     collide_speedup_4t); these are host-dependent and carry no bar.
 //  3. Modeled makespans: per-tile collide task costs are *measured*
-//     serially (a one-worker pool times each phase alone), then
+//     serially (one worker runs each phase alone, on the caller), then
 //     replayed through a static contiguous-tile partition vs the
-//     stealing executor's LPT/greedy placement at several virtual
+//     pool round's LPT/greedy placement at several virtual
 //     worker counts — the repo's modeled-metric idiom, host-independent
 //     and stable on a 1-core CI box. The headline is speedup at 4
 //     workers.
@@ -121,9 +121,9 @@ PhaseCost measure_phase(const Params& p, int threads) {
   return c;
 }
 
-/// Measured per-tile collision costs: a one-worker pool times every
-/// phase serially; take, per tile, the min-across-steps of the
-/// per-step sum of that tile's collide phases (min-of-reps denoiser).
+/// Measured per-tile collision costs: one worker times every phase
+/// serially; take, per tile, the min-across-steps of that tile's
+/// "collide[t<k>]" task (min-of-reps denoiser).
 std::vector<double> measure_collide_costs(core::Simulation& sim, int nt,
                                           int steps) {
   std::vector<double> best(static_cast<std::size_t>(nt), 0.0);
@@ -132,10 +132,8 @@ std::vector<double> measure_collide_costs(core::Simulation& sim, int nt,
     sim.step();
     std::fill(cur.begin(), cur.end(), 0.0);
     for (const auto& ps : sim.last_phase_stats()) {
-      if (ps.name.rfind("collide[", 0) != 0) continue;
-      const auto dot = ps.name.rfind(".t");
-      if (dot == std::string::npos) continue;
-      const int t = std::atoi(ps.name.c_str() + dot + 2);
+      if (ps.name.rfind("collide[t", 0) != 0) continue;
+      const int t = std::atoi(ps.name.c_str() + 9);
       if (t >= 0 && t < nt) cur[static_cast<std::size_t>(t)] += ps.seconds;
     }
     for (int t = 0; t < nt; ++t)
@@ -161,7 +159,7 @@ double static_makespan(const std::vector<double>& cost, int workers) {
 }
 
 /// Greedy list schedule (largest task first to the least-loaded worker):
-/// what the stealing executor's LPT seeding + steal-half tracks.
+/// what a pool round's LPT seeding + steal-half tracks.
 double stealing_makespan(const std::vector<double>& cost, int workers) {
   std::vector<std::size_t> order(cost.size());
   std::iota(order.begin(), order.end(), std::size_t{0});

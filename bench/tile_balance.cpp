@@ -11,16 +11,16 @@
 //     the clumped deck — the bench exits nonzero on any divergence, like
 //     step_overlap's physics check.
 //  2. Modeled makespans: per-tile task costs are *measured* serially
-//     (a one-worker pool times each per-tile push phase alone), then replayed
+//     (one worker times each per-tile push phase alone), then replayed
 //     deterministically through the two placement policies — a static
-//     contiguous tile partition vs the stealing executor's LPT/greedy
+//     contiguous tile partition vs the pool round's LPT/greedy
 //     placement — at several virtual worker counts. This is the repo's
 //     modeled-metric idiom (cf. ext_batch_throughput): the schedule
 //     quality is host-independent and reproducible on a 1-core CI box,
 //     where real thread timings would measure the kernel scheduler, not
 //     the balancer. The headline is speedup at 4 workers.
-//  3. Real pool telemetry: the same deck runs through the Stealing
-//     executor on a real StealPool to exercise the full path end-to-end
+//  3. Real pool telemetry: the same deck runs through the tiled step on
+//     a real StealPool to exercise the full path end-to-end
 //     and record steal/idle counters and the measured tile imbalance.
 //
 //   ./tile_balance --nx=16 --ny=8 --nz=32 --ppc=8 --clump=8 --tiles=16
@@ -101,8 +101,8 @@ bool bitwise_equal(core::Simulation& a, core::Simulation& b) {
   return true;
 }
 
-/// Measured per-tile costs: run the tiled step on a one-worker pool (which
-/// times every phase serially) and take, per tile, the min-across-steps of the
+/// Measured per-tile costs: run the tiled step at one worker (which times
+/// every phase serially) and take, per tile, the min-across-steps of the
 /// per-step sum of that tile's push phases — min-of-reps is the repo's
 /// standard denoiser.
 std::vector<double> measure_tile_costs(core::Simulation& sim, int nt,

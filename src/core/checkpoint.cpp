@@ -524,6 +524,13 @@ Simulation::Snapshot Simulation::snapshot(const std::string& path) {
     if (!elastic_tracker_)
       elastic_tracker_ = std::make_shared<elastic::DeltaTracker>(
           std::max(1, cfg_.checkpoint_full_every));
+    // A chain lives in one ring: the first generation written into
+    // another (a farm park, a new checkpoint_path) is a full base.
+    const std::string ring = path.substr(0, path.rfind(".g"));
+    if (ring != elastic_ring_) {
+      elastic_tracker_->invalidate();
+      elastic_ring_ = ring;
+    }
     if (!elastic_stats_)
       elastic_stats_ = std::make_shared<ElasticStatsShared>();
     s.plan = std::make_shared<const elastic::GenerationPlan>(
@@ -583,14 +590,14 @@ void Simulation::restore(const std::string& path) {
     read_module_sections(f, module_index, modules_, last_restore_skips_);
     step_count_ = f.step();
   };
-  if (elastic::ChainReader::is_chain_file(path)) {
+  ckpt::FileReader f(path);
+  if (f.has(elastic::kMetaSection)) {
     // Incremental generation: resolving the chain validates every
     // referenced sibling and hash-checks every payload up front, so the
     // validate-then-mutate order is preserved.
-    elastic::ChainReader f(path);
-    apply(f);
+    elastic::ChainReader chain(f, path);
+    apply(chain);
   } else {
-    ckpt::FileReader f(path);
     f.require_fingerprint(config_fingerprint());
     f.validate_all();
     apply(f);

@@ -308,16 +308,11 @@ void CollisionModule::plan(Simulation& sim, const ModuleStepContext& ctx,
         wr.push_back(std::move(r));
     return wr;
   };
-  auto pair_name = [&sim](std::size_t a, std::size_t b, int t) {
-    std::string n =
-        "collide[" + sim.species(a).name + ":" + sim.species(b).name;
-    if (t >= 0) n += ".t" + std::to_string(t);
-    return n + "]";
-  };
 
   if (!ctx.tiled) {
     for (const auto& [a, b] : pairs) {
-      c.add_spine({pair_name(a, b, -1),
+      c.add_spine({"collide[" + sim.species(a).name + ":" +
+                       sim.species(b).name + "]",
                    {},
                    writes(a, b, -1),
                    [phase_body, a = a, b = b, ns = ctx.next_step] {
@@ -325,42 +320,39 @@ void CollisionModule::plan(Simulation& sim, const ModuleStepContext& ctx,
                    }});
     }
   } else {
-    // One task per (pair, tile). Tiles are independent (their particle
-    // index ranges are disjoint and cell streams are voxel-keyed);
-    // same-tile tasks of pairs sharing a species are chained in pair
-    // order. Each pair's population scales the LPT cost hint.
+    // One task per tile, running the tile's pairs in pair order. Tiles are
+    // independent (their particle index ranges are disjoint and cell
+    // streams are voxel-keyed), so no tile task joins before all are
+    // added: they stay mutually unordered, one pool round. The tile's
+    // population over its pairs scales the LPT cost hint.
     const int nt = ctx.tiles->count();
     const auto poll = ctx.poll;
+    const auto tile_name = [](int t) {
+      return "collide[t" + std::to_string(t) + "]";
+    };
     for (int t = 0; t < nt; ++t) {
-      std::vector<std::string> planned;  // same-tile pair phases, in order
-      for (std::size_t pi = 0; pi < pairs.size(); ++pi) {
-        const auto [a, b] = pairs[pi];
-        const std::string name = pair_name(a, b, t);
-        const double cost =
-            static_cast<double>(
-                sim.species(a).tiles[static_cast<std::size_t>(t)].count() +
-                sim.species(b).tiles[static_cast<std::size_t>(t)].count()) *
-            2e-8;
-        c.add_branch({name,
-                      {},
-                      writes(a, b, t),
-                      [phase_body, poll, a = a, b = b, t,
-                       ns = ctx.next_step] {
-                        poll();
-                        phase_body(a, b, t, ns);
-                      },
-                      cost});
-        for (std::size_t pj = 0; pj < pi; ++pj)
-          if (pairs[pj].first == a || pairs[pj].second == a ||
-              pairs[pj].first == b || pairs[pj].second == b)
-            c.edge(planned[pj], name);
-        planned.push_back(name);
-        // Every pair phase joins (join dedups): later spine phases
-        // (diagnostics, ckpt) then order after all of them, not only the
-        // ones the last pair happens to chain from.
-        c.join(name);
+      std::vector<std::string> wr;
+      double cost = 0;
+      for (const auto& [a, b] : pairs) {
+        for (std::string& r : writes(a, b, t))
+          if (std::find(wr.begin(), wr.end(), r) == wr.end())
+            wr.push_back(std::move(r));
+        cost += static_cast<double>(
+                    sim.species(a).tiles[static_cast<std::size_t>(t)].count() +
+                    sim.species(b).tiles[static_cast<std::size_t>(t)].count()) *
+                2e-8;
       }
+      c.add_branch({tile_name(t),
+                    {},
+                    std::move(wr),
+                    [phase_body, poll, pairs, t, ns = ctx.next_step] {
+                      poll();
+                      for (const auto& [a, b] : pairs) phase_body(a, b, t, ns);
+                    },
+                    cost});
     }
+    // Later spine phases (diagnostics, ckpt) order after every tile task.
+    for (int t = 0; t < nt; ++t) c.join(tile_name(t));
   }
   steps_.fetch_add(1, std::memory_order_relaxed);
 }

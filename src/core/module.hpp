@@ -10,7 +10,8 @@
 // sort, checkpoint) is registered through the same interface
 // (core/pipeline_modules.cpp), so Simulation::build_step_graph is generic
 // composition: one source of truth for both step shapes (untiled, run on
-// the calling thread; tiled, run on the work-stealing pool).
+// the calling thread; tiled, with its multi-phase levels on the
+// work-stealing pool).
 //
 // This is the seam the plugin-registry PIC architectures (PIConGPU's
 // plugin system, chombo-discharge's physics layers) use to absorb new
@@ -39,9 +40,9 @@ class Simulation;
 class TileMap;
 
 /// Canonical position of a module's phases in the step. Modules plan in
-/// ascending stage order (ties keep registration order), which is what
-/// makes the insertion order the untiled step runs in physically sensible
-/// without any module knowing its neighbors.
+/// ascending stage order (ties keep registration order), so the spine
+/// each one extends orders the step physically sensibly without any
+/// module knowing its neighbors.
 enum class StepStage : std::uint8_t {
   Gather = 0,       // fields -> interpolator, accumulator clear
   Push = 10,        // particle advance (and passive movers, e.g. tracers)
@@ -214,16 +215,18 @@ class PhysicsModule {
 /// The surface modules plan phases against. Wraps the step's StepGraph
 /// with the composition conventions that keep a multi-module step both
 /// valid (every declared conflict path-ordered) and bit-reproducible.
-/// Every edge runs from an earlier-added phase to a later one, so the
-/// insertion order the untiled step runs in is a topological order
-/// (execute_serial checks it):
+/// The edges alone order the step: StepGraph::execute runs it level by
+/// level, whatever order the phases were added in.
 ///
 ///  * spine/branch/join: add_spine() appends to the step's serial spine
 ///    (ordered after the current tail and every pending join, then
-///    becomes the tail); add_branch() hangs off the tail without becoming
-///    it; join() parks a phase for the next spine phase to order after
-///    (how per-species sorts rejoin before the checkpoint, and how side
-///    phases like tracers order before the next spine stage).
+///    becomes the tail); add_branch() hangs off the tail and the pending
+///    joins without becoming the tail; join() parks a phase for the next
+///    spine phase — and every later branch — to order after (how
+///    per-species sorts chain and rejoin before the checkpoint, and how
+///    side phases like tracers order before the next spine stage).
+///    Branches that must stay mutually unordered (the tiled collide
+///    tasks) are all added before any of them joins.
 ///  * the Gather stage's "interpolate" and "acc_clear" phases are the
 ///    same in both shapes, so later modules order against them by name.
 ///  * all_resources(): every resource declared by any phase so far — the

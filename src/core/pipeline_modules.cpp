@@ -346,10 +346,12 @@ class DiagnosticsModule final : public PhysicsModule {
 
 // ---------------------------------------------------------------------
 // Sort: per-species re-sorts on the configured interval, one phase per
-// species in both shapes. Each touches only its own species, so the
-// phases are mutually unordered. Tiled, the phase then re-buckets the
-// species by tile (a no-op after a Standard sort, which leaves the array
-// tile-major); the tiles dispatch off the freshness the sort just set.
+// species in both shapes. Each touches only its own species, but each
+// joins, so the next one's add_branch orders after it: the sorts run one
+// after another, each with the whole OpenMP team. Tiled, the phase then
+// re-buckets the species by tile (a no-op after a Standard sort, which
+// leaves the array tile-major); the tiles dispatch off the freshness the
+// sort just set.
 // ---------------------------------------------------------------------
 class SortModule final : public PhysicsModule {
  public:

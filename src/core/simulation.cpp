@@ -74,14 +74,13 @@ PhysicsModule* Simulation::find_module(std::string_view id) {
 
 // ---- step execution --------------------------------------------------
 
-// Two step shapes, each with one executor. Untiled: the registry-composed
-// phase graph runs on the calling thread in insertion order, which by
-// construction (stage-ordered modules, spine composition) is the serial
-// reference sequence. Tiled (docs/TILES.md): the domain is
-// over-decomposed into z-slab tiles, each (phase x tile) pair is a task,
-// and the graph runs on the work-stealing pool; tile-private accumulator
-// blocks merged in fixed tile order keep results bit-deterministic
-// run-to-run and across worker counts.
+// Two step shapes, one executor. Untiled: the registry-composed phase
+// graph runs level by level on the calling thread. Tiled (docs/TILES.md):
+// the domain is over-decomposed into z-slab tiles, each (phase x tile)
+// pair is a task, and every level of several tasks is one round of the
+// work-stealing pool; tile-private accumulator blocks merged in fixed
+// tile order keep results bit-deterministic run-to-run and across worker
+// counts.
 void Simulation::step() {
   prof::ScopedRegion step_region("step");
   const bool tiled = cfg_.tiles.enabled;
@@ -91,14 +90,13 @@ void Simulation::step() {
   // Phase bodies' interval seeds and record timestamps read step_count_
   // post-increment.
   ++step_count_;
-  if (tiled) {
-    tile_stats_.steal = g.execute_stealing(*steal_pool_);
-  } else {
-    g.execute_serial();
-  }
+  const pk::StealStats steal = g.execute(tiled ? steal_pool_.get() : nullptr);
   last_phase_stats_ = g.last_stats();
   last_concurrency_peak_ = g.last_concurrency_peak();
-  if (tiled) finish_tiled_step();
+  if (tiled) {
+    tile_stats_.steal = steal;
+    finish_tiled_step();
+  }
 }
 
 StepGraph Simulation::build_step_graph(std::int64_t next_step) {
@@ -127,7 +125,8 @@ int Simulation::tile_count() const {
 void Simulation::ensure_tiles() {
   const int workers = std::max(1, cfg_.tiles.workers);
   const int want = tile_count();
-  const bool pool_ok = steal_pool_ && steal_pool_->workers() == workers;
+  // One worker builds no pool: every level runs on the calling thread.
+  const bool pool_ok = (steal_pool_ ? steal_pool_->workers() : 1) == workers;
   const bool blocks_ok =
       tile_acc_.size() == species_.size() &&
       (species_.empty() ||
@@ -150,8 +149,9 @@ void Simulation::ensure_tiles() {
       per_sp.emplace_back(fields_.grid, tile_map_, t);
   }
   if (!pool_ok)
-    steal_pool_ =
-        std::make_unique<pk::StealPool>(workers, cfg_.tiles.steal_seed);
+    steal_pool_ = workers == 1 ? nullptr
+                               : std::make_unique<pk::StealPool>(
+                                     workers, cfg_.tiles.steal_seed);
   tiles_dirty_ = false;
 }
 
@@ -170,7 +170,6 @@ void Simulation::finish_tiled_step() {
     if (!sp.tiles.empty() && sp.tiles.back().end != sp.np)
       tiles_dirty_ = true;
   tile_stats_.tiles = tile_map_.count();
-  tile_stats_.concurrency_peak = last_concurrency_peak_;
   double imb = 1.0;
   for (const auto& sp : species_) imb = std::max(imb, tile_imbalance(sp));
   tile_stats_.imbalance = imb;

@@ -61,7 +61,7 @@ struct TileConfig {
   int count = 0;  // z-slab tiles; 0 = auto (4 x workers, clamped to nz)
   // Unread; kept because bench/anatomy/step_anatomy.cpp assigns it.
   TileExec exec = TileExec::Stealing;
-  int workers = 2;             // stealing-pool threads
+  int workers = 2;             // stealing-pool threads (1: no pool)
   std::uint64_t steal_seed = 0x9e3779b97f4a7c15ull;  // victim RNG streams
 };
 
@@ -109,8 +109,9 @@ struct SimulationConfig {
   // (docs/MODULES.md, "Tracers").
   std::string tracer_csv_path;
   // Tile-level task decomposition (docs/TILES.md). When enabled, step()
-  // runs the (phase x tile) graph on the work-stealing pool; otherwise it
-  // runs the phase graph on the calling thread (docs/ASYNC.md).
+  // runs the (phase x tile) graph's multi-phase levels on the
+  // work-stealing pool; otherwise it runs the phase graph on the calling
+  // thread (docs/ASYNC.md).
   TileConfig tiles;
 };
 
@@ -136,8 +137,7 @@ struct TileStepStats {
   int tiles = 0;                    // tile count of the map
   double imbalance = 1.0;           // max/mean particles per tile (worst
                                     // species) at the last bucketing
-  pk::StealStats steal;
-  std::size_t concurrency_peak = 0; // phases in flight at once
+  pk::StealStats steal;             // summed over the step's pool rounds
 };
 
 struct EnergyReport {
@@ -244,9 +244,9 @@ class Simulation {
     return last_phase_stats_;
   }
 
-  /// Peak number of phases in flight simultaneously during the most
-  /// recent step: 1 untiled (phases run one by one on the calling
-  /// thread), up to the worker count tiled.
+  /// Most phases that could run at once during the most recent step: 1
+  /// untiled and with one tiled worker (every phase on the calling
+  /// thread), else the widest pool round capped at the worker count.
   [[nodiscard]] std::size_t last_concurrency_peak() const {
     return last_concurrency_peak_;
   }
@@ -258,20 +258,21 @@ class Simulation {
   [[nodiscard]] const TileMap& tile_map() const { return tile_map_; }
 
   /// Telemetry of the most recent tiled step: tile count, particle
-  /// imbalance, steal/idle counters, concurrency peak. Also mirrored as
-  /// prof counters (tiles.imbalance_x100, steal.*) so profile_report()
-  /// and the farm's per-job status payload carry them.
+  /// imbalance, steal/idle counters (all zero with one worker, which
+  /// runs no pool). Also mirrored as prof counters
+  /// (tiles.imbalance_x100, steal.*) so profile_report() and the farm's
+  /// per-job status payload carry them.
   [[nodiscard]] const TileStepStats& last_tile_stats() const {
     return tile_stats_;
   }
 
   /// Tile-granular poll hook: invoked at the entry of every tiled phase,
-  /// on whichever StealPool worker runs it (so it must be thread-safe);
-  /// the untiled step never calls it. The farm wires its preemption
-  /// check here so a yield request is *observed* within one tile task
-  /// instead of one whole step; the step still completes — a
-  /// checkpointable boundary — before run_until() actually yields
-  /// (docs/FARM.md).
+  /// on the calling thread or whichever StealPool worker runs it (so it
+  /// must be thread-safe); the untiled step never calls it. The farm
+  /// wires its preemption check here so a yield request is *observed*
+  /// within one tile task instead of one whole step; the step still
+  /// completes — a checkpointable boundary — before run_until()
+  /// actually yields (docs/FARM.md).
   void set_phase_poll(std::function<void()> poll) {
     phase_poll_ = std::move(poll);
   }
@@ -372,8 +373,9 @@ class Simulation {
 
   /// (Re)build the tile map, bucket every species whose tile ranges do
   /// not cover its live particles, and size the per-(species, tile)
-  /// accumulator blocks + stealing pool. Idempotent while clean;
-  /// restore()/injection growth set tiles_dirty_.
+  /// accumulator blocks + stealing pool (none for one worker).
+  /// Idempotent while clean; restore()/injection growth set
+  /// tiles_dirty_.
   void ensure_tiles();
   /// Tiles the tiled step runs with: tiles.count clamped to nz, or the
   /// auto count for tiles.workers.
@@ -444,6 +446,7 @@ class Simulation {
   // the tracker plans synchronously on the stepping thread, the
   // mutex-guarded stats block is updated by background commits.
   std::shared_ptr<elastic::DeltaTracker> elastic_tracker_;
+  std::string elastic_ring_;  // ring base the tracker's chain belongs to
   struct ElasticStatsShared;
   std::shared_ptr<ElasticStatsShared> elastic_stats_;
 };

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
-#include <exception>
-#include <mutex>
 #include <stdexcept>
 
 #include "prof/prof.hpp"
@@ -34,7 +32,7 @@ std::size_t StepGraph::add_phase(StepPhase phase) {
                                 phase.name + "'");
   const std::size_t id = nodes_.size();
   by_name_.emplace(phase.name, id);
-  nodes_.push_back({std::move(phase), {}, {}});
+  nodes_.push_back({std::move(phase), {}});
   validated_ = false;
   return id;
 }
@@ -50,8 +48,41 @@ void StepGraph::add_edge(std::string_view before, std::string_view after) {
     throw std::invalid_argument("StepGraph: self-edge on phase '" +
                                 std::string(before) + "'");
   nodes_[b->second].succ.push_back(a->second);
-  nodes_[a->second].pred.push_back(b->second);
   validated_ = false;
+}
+
+std::vector<std::vector<std::size_t>> StepGraph::levels() const {
+  // Kahn's algorithm: a phase is processed once all its predecessors are,
+  // so its level is final by then.
+  const std::size_t n = nodes_.size();
+  std::vector<std::size_t> indeg(n, 0), level(n, 0);
+  for (const Node& node : nodes_)
+    for (std::size_t v : node.succ) ++indeg[v];
+  std::deque<std::size_t> ready;
+  for (std::size_t i = 0; i < n; ++i)
+    if (indeg[i] == 0) ready.push_back(i);
+  std::size_t processed = 0;
+  while (!ready.empty()) {
+    const std::size_t u = ready.front();
+    ready.pop_front();
+    ++processed;
+    for (std::size_t v : nodes_[u].succ) {
+      level[v] = std::max(level[v], level[u] + 1);
+      if (--indeg[v] == 0) ready.push_back(v);
+    }
+  }
+  if (processed != n) {
+    for (std::size_t i = 0; i < n; ++i)
+      if (indeg[i] != 0)
+        throw std::logic_error("StepGraph: cycle through phase '" +
+                               nodes_[i].phase.name + "'");
+  }
+  std::vector<std::vector<std::size_t>> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (level[i] >= out.size()) out.resize(level[i] + 1);
+    out[level[i]].push_back(i);
+  }
+  return out;
 }
 
 std::vector<std::vector<bool>> StepGraph::reachability() const {
@@ -76,28 +107,7 @@ std::vector<std::vector<bool>> StepGraph::reachability() const {
 void StepGraph::validate() const {
   if (validated_) return;
   const std::size_t n = nodes_.size();
-
-  // Cycle check: Kahn's algorithm.
-  std::vector<std::size_t> indeg(n, 0);
-  for (const Node& node : nodes_)
-    for (std::size_t v : node.succ) ++indeg[v];
-  std::deque<std::size_t> ready;
-  for (std::size_t i = 0; i < n; ++i)
-    if (indeg[i] == 0) ready.push_back(i);
-  std::size_t processed = 0;
-  while (!ready.empty()) {
-    const std::size_t u = ready.front();
-    ready.pop_front();
-    ++processed;
-    for (std::size_t v : nodes_[u].succ)
-      if (--indeg[v] == 0) ready.push_back(v);
-  }
-  if (processed != n) {
-    for (std::size_t i = 0; i < n; ++i)
-      if (indeg[i] != 0)
-        throw std::logic_error("StepGraph: cycle through phase '" +
-                               nodes_[i].phase.name + "'");
-  }
+  levels_ = levels();  // the cycle check
 
   // Conflict check: every conflicting pair must be ordered by a path.
   const auto reach = reachability();
@@ -123,140 +133,50 @@ void StepGraph::validate() const {
   validated_ = true;
 }
 
-void StepGraph::execute_serial() {
+pk::StealStats StepGraph::execute(pk::StealPool* pool) {
   validate();
-  const std::size_t n = nodes_.size();
-  stats_.assign(n, PhaseStats{});
-  concurrency_peak_ = n ? 1 : 0;
-  // Insertion order is the serial reference sequence (drivers add phases
-  // in that order). validate() has already proven acyclicity; here we
-  // additionally require the insertion order to respect every edge so
-  // the serial order is *the* reference order, not merely *a* valid one.
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t v : nodes_[i].succ)
-      if (v < i)
-        throw std::logic_error(
-            "StepGraph: execute_serial requires phases added in serial "
-            "order, but edge '" +
-            nodes_[i].phase.name + "' -> '" + nodes_[v].phase.name +
-            "' points backwards");
-  for (std::size_t i = 0; i < n; ++i) {
+  stats_.assign(nodes_.size(), PhaseStats{});
+  for (std::size_t i = 0; i < nodes_.size(); ++i)
     stats_[i].name = nodes_[i].phase.name;
-    stats_[i].instance_id = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    {
-      prof::ScopedRegion region(nodes_[i].phase.name.c_str());
-      nodes_[i].phase.fn();
-    }
-    stats_[i].seconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-  }
-}
-
-pk::StealStats StepGraph::execute_stealing(pk::StealPool& pool) {
-  validate();
-  const std::size_t n = nodes_.size();
-  stats_.assign(n, PhaseStats{});
-  for (std::size_t i = 0; i < n; ++i) stats_[i].name = nodes_[i].phase.name;
   concurrency_peak_ = 0;
-  if (n == 0) return pool.run();  // empty round: still resets stats
-
-  std::mutex mu;
-  std::vector<std::size_t> indeg(n, 0);
-  for (const Node& node : nodes_)
-    for (std::size_t v : node.succ) ++indeg[v];
-  std::size_t in_flight = 0;
-  std::exception_ptr error;
-  // Expected load placed on each worker so far (sum of phase costs) —
-  // shared by the initial seeding and every newly-ready wave, guarded by
-  // `mu`.
-  std::vector<double> load(static_cast<std::size_t>(pool.workers()), 0.0);
-  auto lpt_place = [&](std::vector<std::size_t>& ids,
-                       std::vector<std::pair<int, std::size_t>>& out) {
-    // Caller holds `mu`. Longest processing time first onto the
-    // least-loaded worker; id tiebreak keeps placement deterministic.
-    std::sort(ids.begin(), ids.end(), [&](std::size_t a, std::size_t b) {
+  pk::StealStats steal;
+  for (const std::vector<std::size_t>& level : levels_) {
+    if (!pool || level.size() == 1) {
+      for (const std::size_t id : level) run(id);
+      concurrency_peak_ = std::max<std::size_t>(concurrency_peak_, 1);
+      continue;
+    }
+    // LPT: longest `cost` first onto the least-loaded worker; the id
+    // tiebreak keeps placement deterministic.
+    std::vector<std::size_t> order = level;
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
       const double ca = nodes_[a].phase.cost, cb = nodes_[b].phase.cost;
       return ca != cb ? ca > cb : a < b;
     });
-    for (std::size_t id : ids) {
-      const std::size_t w = static_cast<std::size_t>(
-          std::min_element(load.begin(), load.end()) - load.begin());
-      load[w] += nodes_[id].phase.cost;
-      out.emplace_back(static_cast<int>(w), id);
+    std::vector<double> load(static_cast<std::size_t>(pool->workers()), 0.0);
+    for (const std::size_t id : order) {
+      const auto w = std::min_element(load.begin(), load.end()) - load.begin();
+      load[static_cast<std::size_t>(w)] += nodes_[id].phase.cost;
+      pool->seed(static_cast<int>(w), [this, id] { run(id); });
     }
-  };
-
-  // The task body: run the phase, then (under the graph mutex) release
-  // successors. A single successor continues on the completing worker's
-  // own deque (depth-first, cache-warm); a wave of successors is
-  // LPT-spread across deques by declared cost so the expected load
-  // starts balanced and stealing only covers what the model missed.
-  std::function<void(std::size_t)> run_phase = [&](std::size_t id) {
-    {
-      std::lock_guard lk(mu);
-      if (error) return;  // poisoned round: drain without running
-      ++in_flight;
-      concurrency_peak_ = std::max(concurrency_peak_, in_flight);
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    std::exception_ptr phase_error;
-    try {
-      prof::ScopedRegion region(nodes_[id].phase.name.c_str());
-      nodes_[id].phase.fn();
-    } catch (...) {
-      phase_error = std::current_exception();
-    }
-    const double secs = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-    std::vector<std::size_t> newly_ready;
-    std::vector<std::pair<int, std::size_t>> placed;
-    {
-      std::lock_guard lk(mu);
-      stats_[id].seconds = secs;
-      stats_[id].instance_id = static_cast<std::uint32_t>(
-          std::max(0, pk::StealPool::current_worker()));
-      --in_flight;
-      if (phase_error) {
-        if (!error) error = phase_error;
-      } else if (!error) {
-        for (std::size_t v : nodes_[id].succ)
-          if (--indeg[v] == 0) newly_ready.push_back(v);
-      }
-      if (newly_ready.size() > 1) lpt_place(newly_ready, placed);
-    }
-    if (newly_ready.size() == 1) {
-      const std::size_t v = newly_ready.front();
-      pool.spawn([&run_phase, v] { run_phase(v); });
-    } else {
-      for (auto [w, v] : placed)
-        pool.seed(w, [&run_phase, v] { run_phase(v); });
-    }
-  };
-
-  // LPT seeding of the initially-ready set.
-  std::vector<std::size_t> ready;
-  for (std::size_t i = 0; i < n; ++i)
-    if (indeg[i] == 0) ready.push_back(i);
-  std::vector<std::pair<int, std::size_t>> placed;
-  {
-    std::lock_guard lk(mu);
-    lpt_place(ready, placed);
+    steal += pool->run();
+    concurrency_peak_ =
+        std::max(concurrency_peak_, std::min(level.size(), load.size()));
   }
-  for (auto [w, id] : placed)
-    pool.seed(w, [&run_phase, id] { run_phase(id); });
+  return steal;
+}
 
-  pk::StealStats round = pool.run();
-  if (error) std::rethrow_exception(error);
-  // A phase that never became ready without an error means a stalled
-  // graph — impossible after validate() (acyclic), so purely defensive.
-  for (std::size_t i = 0; i < n; ++i)
-    if (indeg[i] != 0 && !nodes_[i].pred.empty())
-      throw std::logic_error("StepGraph: phase '" + nodes_[i].phase.name +
-                             "' never became ready");
-  return round;
+void StepGraph::run(std::size_t id) {
+  const auto t0 = std::chrono::steady_clock::now();
+  {
+    prof::ScopedRegion region(nodes_[id].phase.name.c_str());
+    nodes_[id].phase.fn();
+  }
+  stats_[id].seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  stats_[id].instance_id = static_cast<std::uint32_t>(
+      std::max(0, pk::StealPool::current_worker()));
 }
 
 std::string StepGraph::dot() const {

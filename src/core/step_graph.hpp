@@ -13,13 +13,13 @@
 //     an undeclared race is a construction-time std::logic_error, not a
 //     nondeterministic result.
 //
-// Two executors run a validated graph, one per step shape:
-// execute_serial() runs the phases on the calling thread in insertion
-// order (the untiled step, and the serial reference order), and
-// execute_stealing() runs them on a pk::StealPool, where unordered phases
-// may overlap (the tiled step, docs/TILES.md). Because every conflicting
-// pair is ordered, the stealing executor only exposes concurrency the
-// declarations prove safe.
+// One executor runs a validated graph, level by level: a phase's level is
+// one more than its deepest predecessor's, so the phases of one level are
+// mutually unordered. A level of one phase runs on the calling thread; a
+// level of several is one pk::StealPool round (the tiled step's push
+// fan-out, docs/TILES.md). Without a pool every level runs on the calling
+// thread (the untiled step). Because every conflicting pair is ordered,
+// a pool round only overlaps phases the declarations prove safe.
 //
 // This is the shape the task-based PIC ports take (ZPIC on OmpSs-2
 // expresses the step loop as data-dependent tasks).
@@ -46,8 +46,8 @@ struct StepPhase {
   std::vector<std::string> writes;
   std::function<void()> fn;
   // Relative expected wall time, in any consistent unit (the tiled step
-  // seeds it from measured s/particle * tile population). Only the
-  // stealing executor reads it, for LPT initial placement.
+  // seeds it from measured s/particle * tile population). Only a pool
+  // round reads it, for LPT initial placement.
   double cost = 1.0;
 };
 
@@ -55,7 +55,7 @@ struct StepPhase {
 struct PhaseStats {
   std::string name;
   double seconds = 0;          // wall time of the phase body
-  std::uint32_t instance_id = 0;  // StealPool worker that ran it (0 serial)
+  std::uint32_t instance_id = 0;  // StealPool worker that ran it (0 caller)
 };
 
 class StepGraph {
@@ -72,25 +72,18 @@ class StepGraph {
   /// Prove the graph schedulable: acyclic, and every conflicting pair
   /// ordered by a path. Throws std::logic_error naming the offending
   /// cycle member or the racing phase pair and resource. Idempotent;
-  /// both executors call it if it has not run since the last mutation.
+  /// execute() calls it if it has not run since the last mutation.
   void validate() const;
 
-  /// Run all phases on the CALLING thread, in phase insertion order
-  /// (which by construction is the serial reference sequence). This is
-  /// the untiled step's executor: no pool, no scheduler, no concurrency —
-  /// just the validated graph unrolled. Records PhaseStats
-  /// (instance_id = 0).
-  void execute_serial();
-
-  /// Run all phases on a work-stealing pool (pk/stealing.hpp). Initially
-  /// ready phases are placed LPT (longest `cost` first onto the
-  /// least-loaded worker) so the expected load starts balanced; each
-  /// completion spawns its newly-ready successors onto the completing
-  /// worker's own deque, and idle workers steal the rest. Returns the
-  /// round's steal stats (also retrievable from pool.last_stats()).
-  /// After a phase throws, successors are not started; the first
-  /// exception is rethrown once in-flight work drains.
-  pk::StealStats execute_stealing(pk::StealPool& pool);
+  /// Run every phase, level by level. A level of one phase, and every
+  /// level when `pool` is null, runs on the calling thread in insertion
+  /// order; a level of several phases is one round of `pool`
+  /// (pk/stealing.hpp), seeded LPT (longest `cost` first onto the
+  /// least-loaded worker) so the expected load starts balanced, with
+  /// idle workers stealing the rest. A phase that throws stops every
+  /// later level: on the calling thread at once, in a pool round once
+  /// the round drains. Returns the steal stats summed over the rounds.
+  pk::StealStats execute(pk::StealPool* pool);
 
   [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
 
@@ -100,8 +93,9 @@ class StepGraph {
     return stats_;
   }
 
-  /// Peak number of phases that were in flight simultaneously during the
-  /// most recent execution — the overlap telemetry for benches/tests.
+  /// Most phases that could run at once during the most recent
+  /// execution: the widest pool round, capped at the worker count, or 1
+  /// when every level ran on the calling thread.
   [[nodiscard]] std::size_t last_concurrency_peak() const noexcept {
     return concurrency_peak_;
   }
@@ -113,15 +107,21 @@ class StepGraph {
   struct Node {
     StepPhase phase;
     std::vector<std::size_t> succ;
-    std::vector<std::size_t> pred;
   };
 
+  /// Phase ids grouped by level, each level in insertion order. Throws
+  /// std::logic_error on a cycle.
+  [[nodiscard]] std::vector<std::vector<std::size_t>> levels() const;
   [[nodiscard]] std::vector<std::vector<bool>> reachability() const;
+  /// Run phase `id` on this thread and record its PhaseStats.
+  void run(std::size_t id);
 
   std::vector<Node> nodes_;
   std::map<std::string, std::size_t, std::less<>> by_name_;
   std::vector<PhaseStats> stats_;
   std::size_t concurrency_peak_ = 0;
+  // Set by validate(); valid while validated_.
+  mutable std::vector<std::vector<std::size_t>> levels_;
   mutable bool validated_ = false;
 };
 

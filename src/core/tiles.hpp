@@ -9,7 +9,7 @@
 // by a stable bucket-by-tile.
 //
 // Tiles exist to turn each (phase x tile) pair into a StepGraph task for
-// the work-stealing executor (pk/stealing.hpp):
+// the work-stealing pool (pk/stealing.hpp):
 //   * each tile owns a contiguous particle index range of every species
 //     (re-established by bucket_by_tile at sort steps, and carried
 //     through a checkpoint so a tiled restore resumes the same order),

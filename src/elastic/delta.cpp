@@ -258,17 +258,7 @@ GenStats write_generation(const std::string& path,
 // ---------------------------------------------------------------------------
 // ChainReader
 
-bool ChainReader::is_chain_file(const std::string& path) noexcept {
-  try {
-    ckpt::FileReader f(path);
-    return f.has(kMetaSection);
-  } catch (...) {
-    return false;
-  }
-}
-
-ChainReader::ChainReader(const std::string& path) {
-  ckpt::FileReader target(path);
+ChainReader::ChainReader(ckpt::FileReader& target, const std::string& path) {
   fingerprint_ = target.fingerprint();
   step_ = target.step();
 

@@ -188,7 +188,9 @@ GenStats write_generation(const std::string& path,
 /// ckpt::RestoreError so ring fallback logic works unchanged.
 class ChainReader : public ckpt::SectionSource {
  public:
-  explicit ChainReader(const std::string& path);
+  /// `target` is the generation at `path`, already opened; its siblings
+  /// are found next to `path`. It must outlive the constructor only.
+  ChainReader(ckpt::FileReader& target, const std::string& path);
 
   [[nodiscard]] bool has(std::string_view name) const override {
     return resolved_.count(std::string(name)) != 0;
@@ -205,10 +207,6 @@ class ChainReader : public ckpt::SectionSource {
   [[nodiscard]] const std::vector<std::int64_t>& sources() const noexcept {
     return sources_;
   }
-
-  /// Does `path` name a chain generation? (Cheap envelope probe; false
-  /// for plain checkpoints and unreadable files.)
-  static bool is_chain_file(const std::string& path) noexcept;
 
  private:
   void reassemble_particles();

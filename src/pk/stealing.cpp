@@ -89,16 +89,9 @@ struct StealPool::Impl {
 
   void push(int home, std::function<void()> task) {
     Worker& wk = *workers[static_cast<std::size_t>(home)];
-    // Count the task before any worker can see it: counted after the
-    // enqueue, a thief could run and retire a spawned task first, drop
-    // `pending` to zero while its spawner still runs, and let idle
-    // workers leave the round with tasks still to come on their deques.
     pending.fetch_add(1, std::memory_order_release);
-    {
-      std::lock_guard<std::mutex> lk(wk.mu);
-      wk.dq.push_back(std::move(task));
-    }
-    cv.notify_one();
+    std::lock_guard<std::mutex> lk(wk.mu);
+    wk.dq.push_back(std::move(task));
   }
 
   /// Steal ~half of some victim's deque (front = oldest = coarsest).
@@ -162,9 +155,10 @@ struct StealPool::Impl {
         continue;
       }
       if (pending.load(std::memory_order_acquire) == 0) break;
-      // Nothing runnable but tasks are in flight elsewhere and may spawn
-      // more: nap on the cv (short timeout bounds any missed wakeup) and
-      // charge the wait to this worker's idle account.
+      // Nothing runnable but tasks are in flight elsewhere or sit on a
+      // deque this worker's probes missed: nap on the cv (short timeout
+      // bounds any missed wakeup) and charge the wait to this worker's
+      // idle account.
       const auto t0 = std::chrono::steady_clock::now();
       {
         std::unique_lock<std::mutex> lk(cv_mu);
@@ -196,11 +190,6 @@ void StealPool::seed(int home, std::function<void()> task) {
   const int n = workers();
   if (home < 0 || home >= n) home = 0;
   impl_->push(home, std::move(task));
-}
-
-void StealPool::spawn(std::function<void()> task) {
-  const int w = (t_worker >= 0 && t_worker < workers()) ? t_worker : 0;
-  impl_->push(w, std::move(task));
 }
 
 StealStats StealPool::run() {

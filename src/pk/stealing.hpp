@@ -8,18 +8,18 @@
 // are picked by a per-worker xorshift RNG so no two thieves convoy on the
 // same queue.
 //
-// The pool is built for core::StepGraph's tiled step: tasks are seeded
-// onto specific deques by a cost model (measured s/particle * tile
-// population) so the *expected* load starts balanced, and stealing only
-// pays for the residual imbalance the model missed. Tasks may spawn
-// further tasks from inside a task (dependency-graph continuations); a
-// run() round terminates when every spawned task has finished.
+// The pool is built for core::StepGraph's tiled step, which hands it one
+// round per level of mutually unordered phases: tasks are seeded onto
+// specific deques by a cost model (measured s/particle * tile population)
+// so the *expected* load starts balanced, and stealing only pays for the
+// residual imbalance the model missed. A run() round ends when every
+// seeded task has finished.
 //
 // Determinism note: the pool never promises an execution *order* — tiled
 // physics stays bit-deterministic because deposits go to tile-private
 // accumulator blocks merged in fixed tile order, not because of anything
-// the scheduler does. The untiled step bypasses this pool entirely
-// (StepGraph::execute_serial).
+// the scheduler does. The untiled step runs without a pool
+// (StepGraph::execute).
 //
 // Counters (fired from run(), on the caller's thread, so a farm job's
 // prof::CounterScope prefix applies): steal.attempts, steal.hits,
@@ -40,6 +40,15 @@ struct StealStats {
   std::uint64_t steal_hits = 0;     // probes that moved >= 1 task
   std::uint64_t tasks_stolen = 0;   // tasks moved across deques
   std::uint64_t idle_us = 0;        // summed worker wait time (all workers)
+
+  StealStats& operator+=(const StealStats& o) noexcept {
+    tasks_run += o.tasks_run;
+    steal_attempts += o.steal_attempts;
+    steal_hits += o.steal_hits;
+    tasks_stolen += o.tasks_stolen;
+    idle_us += o.idle_us;
+    return *this;
+  }
 };
 
 namespace detail {
@@ -69,18 +78,11 @@ class StealPool {
 
   int workers() const;
 
-  /// Enqueue a task on worker `home`'s deque (cost-model seeding).
-  /// Thread-safe and callable from inside a running task too — the
-  /// dependency-graph executor uses that to LPT-spread a wave of
-  /// newly-ready tasks instead of piling them on one deque.
+  /// Enqueue a task on worker `home`'s deque (cost-model seeding) for
+  /// the next run().
   void seed(int home, std::function<void()> task);
 
-  /// Enqueue a task from *inside* a running task: lands on the back of
-  /// the calling worker's own deque (LIFO, cache-warm continuation).
-  /// Falls back to deque 0 when called from a non-worker thread.
-  void spawn(std::function<void()> task);
-
-  /// Execute every seeded task (plus anything they spawn) to completion.
+  /// Execute every seeded task to completion.
   /// Returns per-round stats and fires the prof counters listed above on
   /// the calling thread. Rethrows the first task exception after the
   /// round drains (remaining tasks are still executed).

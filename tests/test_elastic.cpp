@@ -218,7 +218,7 @@ TEST(Chain, IncrementalRingResumeIsBitIdentical) {
 
   // The newest generation is a delta: restoring it walks the chain.
   ckpt::GenerationRing ring(base, 8);
-  EXPECT_TRUE(elastic::ChainReader::is_chain_file(ring.path_for(2)));
+  EXPECT_TRUE(ckpt::FileReader(ring.path_for(2)).has(elastic::kMetaSection));
   auto resumed = make_lpi_small();
   const std::string used = resumed.restore_latest(base);
   EXPECT_EQ(used, ring.path_for(3));
@@ -270,10 +270,42 @@ TEST(Chain, PlainPathsStayPlainWithIncrementalOn) {
   sim.config().checkpoint_incremental = true;
   sim.run(4);
   sim.checkpoint(path);
-  EXPECT_FALSE(elastic::ChainReader::is_chain_file(path));
+  EXPECT_FALSE(ckpt::FileReader(path).has(elastic::kMetaSection));
   auto resumed = make_lpi_small();
   resumed.restore(path);
   EXPECT_EQ(resumed.step_count(), 4);
+}
+
+TEST(Chain, FirstGenerationInAnotherRingIsAFullBase) {
+  // A farm park checkpoints into the job's park ring while the deck's own
+  // periodic ring holds the incremental chain: the park generation must
+  // not be a delta against a generation of the other ring.
+  const auto dir = scratch("cross_ring");
+  const auto make = [] {
+    core::decks::LpiParams p;
+    p.nx = 16;
+    p.ny = 8;
+    p.nz = 8;
+    p.ppc = 4;
+    return core::decks::make_lpi(p);
+  };
+  auto victim = make();
+  victim.config().checkpoint_every = 5;
+  victim.config().checkpoint_path = (dir / "ck").string();
+  victim.config().checkpoint_incremental = true;
+  victim.run(12);  // ring generations at steps 5 and 10
+  const std::string park = (dir / "park").string();
+  ckpt::GenerationRing ring(park, 2);
+  const std::string g0 = ring.path_for(ring.next_generation());
+  victim.checkpoint(g0);
+
+  auto from_gen = make();
+  ASSERT_NO_THROW(from_gen.restore(g0));
+  EXPECT_EQ(from_gen.step_count(), 12);
+  expect_bit_identical(from_gen, victim);
+  auto from_ring = make();
+  EXPECT_EQ(from_ring.restore_latest(park), g0);
+  expect_bit_identical(from_ring, victim);
 }
 
 // Build a 6-generation ring of two chains {g0,g1,g2} and {g3,g4,g5}
@@ -311,7 +343,8 @@ TEST(Chain, FallbackAcrossCorruptMidChainDeltaAndBrokenChain) {
 
   // Sanity: the newest generation resolves through its siblings.
   {
-    elastic::ChainReader r(ring.path_for(5));
+    ckpt::FileReader g5(ring.path_for(5));
+    elastic::ChainReader r(g5, ring.path_for(5));
     EXPECT_EQ(r.step(), 12);
     EXPECT_GE(r.sources().size(), 2u);
   }

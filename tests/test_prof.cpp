@@ -297,6 +297,29 @@ TEST(ProfRegions, UntiledStepNestsPhasesUnderStep) {
   EXPECT_NE(find_region(r, "step/field_advance"), nullptr);
 }
 
+TEST(ProfRegions, TiledStepNestsSinglePhaseLevelsUnderStep) {
+  // The tiled step runs a level of one phase on the calling thread, so the
+  // global phases nest under "step"; the tile push tasks of a pool round
+  // run on worker threads, where they are top-level regions.
+  vpic::core::decks::LpiParams p;
+  p.nx = 8;
+  p.ny = 4;
+  p.nz = 4;
+  p.ppc = 2;
+  vpic::core::Simulation sim = vpic::core::decks::make_lpi(p);
+  sim.config().tiles.enabled = true;
+  sim.config().tiles.count = 2;
+  sim.config().tiles.workers = 2;
+  ProfSession session(prof::Mode::Summary);
+  sim.step();
+  const prof::Report r = prof::report();
+  for (const char* phase : {"step/acc_merge", "step/accumulate",
+                            "step/field_advance", "step/injection"})
+    EXPECT_NE(find_region(r, phase), nullptr) << phase;
+  EXPECT_EQ(find_region(r, "field_advance"), nullptr);
+  EXPECT_NE(find_region(r, "push[electron.t0]"), nullptr);
+}
+
 TEST(ProfRegions, RegionTotalSecondsMatchesLastSegment) {
   ProfSession session(prof::Mode::Summary);
 

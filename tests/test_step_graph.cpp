@@ -1,7 +1,7 @@
 // Tests for the dependency-aware step graph (core/step_graph.hpp) and the
 // untiled step built on it (docs/ASYNC.md): construction-time validation
-// (cycles, undeclared races) and the untiled step's telemetry. The serial
-// and stealing executors are exercised in tests/test_tiles.cpp.
+// (cycles, undeclared races) and the untiled step's telemetry. The
+// executor itself is exercised in tests/test_tiles.cpp.
 #include <gtest/gtest.h>
 
 #include <stdexcept>

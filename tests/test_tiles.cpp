@@ -3,9 +3,9 @@
 // a bucket + per-tile counting sort oracle, seam correctness of
 // tile-private accumulator blocks (boundary, corner, reflecting-wall
 // crossings vs the untiled reference),
-// the work-stealing pool, the serial and stealing StepGraph executors,
-// and the tiled step's two guarantees — bit-deterministic across 1, 2 and
-// 4 workers over 100 steps in every sort order, and within a stated
+// the work-stealing pool, the level-by-level StepGraph executor, and the
+// tiled step's two guarantees — bit-deterministic across 1, 2 and 4
+// workers over 100 steps in every sort order, and within a stated
 // tolerance of the untiled step (docs/ASYNC.md, "Determinism").
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@
 #include <cstring>
 #include <thread>
 #include <map>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -393,18 +394,6 @@ TEST(StealPool, StealsWhenSeedingIsLopsided) {
   EXPECT_GT(stats.tasks_stolen, 0u);
 }
 
-TEST(StealPool, SpawnFromInsideATaskRunsInSameRound) {
-  pk::StealPool pool(2);
-  std::atomic<int> ran{0};
-  pool.seed(0, [&pool, &ran] {
-    ran++;
-    for (int k = 0; k < 8; ++k) pool.spawn([&ran] { ran++; });
-  });
-  const auto stats = pool.run();
-  EXPECT_EQ(ran.load(), 9);
-  EXPECT_EQ(stats.tasks_run, 9u);
-}
-
 TEST(StealPool, CurrentWorkerIsSetInsideTasksOnly) {
   pk::StealPool pool(3);
   EXPECT_EQ(pk::StealPool::current_worker(), -1);
@@ -433,33 +422,23 @@ TEST(StealPool, FirstExceptionPropagatesAfterRoundDrains) {
 }
 
 // ----------------------------------------------------------------------
-// StepGraph serial + stealing executors.
+// StepGraph executor: level by level, multi-phase levels on the pool.
 // ----------------------------------------------------------------------
 
-TEST(StepGraphSerial, RunsPhasesInInsertionOrder) {
+TEST(StepGraphExecute, RunsLevelsInInsertionOrderWithoutAPool) {
+  // x is added first but ordered after y, so it runs a level later; y and
+  // z share level 0 and keep their insertion order.
   core::StepGraph g;
   std::vector<std::string> order;
-  for (const char* n : {"a", "b", "c"})
+  for (const char* n : {"x", "y", "z"})
     g.add_phase({n, {}, {std::string("res.") + n}, [&order, n] { order.emplace_back(n); }});
-  g.add_edge("a", "b");
-  g.add_edge("b", "c");
-  g.execute_serial();
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], "a");
-  EXPECT_EQ(order[1], "b");
-  EXPECT_EQ(order[2], "c");
+  g.add_edge("y", "x");
+  EXPECT_EQ(g.execute(nullptr).tasks_run, 0u);
+  EXPECT_EQ(order, (std::vector<std::string>{"y", "z", "x"}));
   EXPECT_EQ(g.last_concurrency_peak(), 1u);
 }
 
-TEST(StepGraphSerial, BackwardEdgeRejected) {
-  core::StepGraph g;
-  g.add_phase({"a", {}, {"ra"}, [] {}});
-  g.add_phase({"b", {}, {"rb"}, [] {}});
-  g.add_edge("b", "a");  // acyclic, but violates insertion order
-  EXPECT_THROW(g.execute_serial(), std::logic_error);
-}
-
-TEST(StepGraphStealing, RespectsDependenciesAndRunsEverything) {
+TEST(StepGraphExecute, RespectsDependenciesOnAPool) {
   pk::StealPool pool(3);
   core::StepGraph g;
   std::atomic<int> done_a{0};
@@ -485,20 +464,60 @@ TEST(StepGraphStealing, RespectsDependenciesAndRunsEverything) {
                  if (mids.load() != 6) bad++;
                }});
   for (int k = 0; k < 6; ++k) g.add_edge("mid" + std::to_string(k), "z");
-  g.validate();
-  const auto stats = g.execute_stealing(pool);
+  const auto stats = g.execute(&pool);
   EXPECT_EQ(bad.load(), 0);
-  EXPECT_EQ(stats.tasks_run, 8u);
+  EXPECT_EQ(mids.load(), 6);
+  EXPECT_EQ(stats.tasks_run, 6u);  // only the wide level is a pool round
   EXPECT_EQ(g.last_stats().size(), 8u);
+  EXPECT_EQ(g.last_concurrency_peak(), 3u);
 }
 
-TEST(StepGraphStealing, TaskExceptionPropagates) {
+TEST(StepGraphExecute, SinglePhaseLevelsRunOnTheCallingThread) {
   pk::StealPool pool(2);
   core::StepGraph g;
-  g.add_phase({"boom", {}, {"x"}, [] { throw std::runtime_error("phase boom"); }});
-  g.add_phase({"after", {"x"}, {"y"}, [] {}});
-  g.add_edge("boom", "after");
-  EXPECT_THROW(g.execute_stealing(pool), std::runtime_error);
+  std::map<std::string, int> worker;
+  std::mutex mu;
+  const auto record = [&](const std::string& n) {
+    return [&, n] {
+      const std::lock_guard<std::mutex> lk(mu);
+      worker[n] = pk::StealPool::current_worker();
+    };
+  };
+  g.add_phase({"first", {}, {"x"}, record("first")});
+  for (int k = 0; k < 4; ++k) {
+    const std::string name = "wide" + std::to_string(k);
+    g.add_phase({name, {"x"}, {"w" + std::to_string(k)}, record(name)});
+    g.add_edge("first", name);
+  }
+  g.add_phase({"last", {"w0", "w1", "w2", "w3"}, {"x"}, record("last")});
+  for (int k = 0; k < 4; ++k) g.add_edge("wide" + std::to_string(k), "last");
+  g.execute(&pool);
+  ASSERT_EQ(worker.size(), 6u);
+  EXPECT_EQ(worker["first"], -1);
+  EXPECT_EQ(worker["last"], -1);
+  for (int k = 0; k < 4; ++k) {
+    const int w = worker["wide" + std::to_string(k)];
+    EXPECT_GE(w, 0) << k;
+    EXPECT_LT(w, 2) << k;
+  }
+}
+
+TEST(StepGraphExecute, PhaseExceptionStopsLaterLevels) {
+  pk::StealPool pool(2);
+  for (const bool wide : {false, true}) {
+    SCOPED_TRACE(wide ? "pool round" : "calling thread");
+    core::StepGraph g;
+    std::atomic<int> sibling{0};
+    std::atomic<int> after{0};
+    g.add_phase(
+        {"boom", {}, {"x"}, [] { throw std::runtime_error("phase boom"); }});
+    if (wide) g.add_phase({"sibling", {}, {"s"}, [&sibling] { sibling++; }});
+    g.add_phase({"after", {"x"}, {"y"}, [&after] { after++; }});
+    g.add_edge("boom", "after");
+    EXPECT_THROW(g.execute(&pool), std::runtime_error);
+    EXPECT_EQ(after.load(), 0);
+    EXPECT_EQ(sibling.load(), wide ? 1 : 0);  // a round still drains
+  }
 }
 
 // ----------------------------------------------------------------------
@@ -614,6 +633,41 @@ TEST(TiledStep, BitDeterministicAcrossWorkerCounts) {
         EXPECT_EQ(ha.field(i), hb.field(i));
         EXPECT_EQ(ha.kinetic(i), hb.kinetic(i));
       }
+    }
+  }
+}
+
+TEST(TiledStep, OneWorkerRunsNoPoolRound) {
+  // One worker builds no pool: every level runs on the calling thread,
+  // and the result is the one the pool gives at 2 and 4 workers.
+  const TiledDeck d = tiled_decks().front();
+  const auto run = [&d](int workers) {
+    core::Simulation sim = core::decks::make_lpi(d.params);
+    sim.config().energy_interval = 10;
+    sim.config().tiles.enabled = true;
+    sim.config().tiles.count = d.tiles;
+    sim.config().tiles.workers = workers;
+    for (int n = 0; n < 25; ++n) {
+      sim.step();
+      if (workers == 1) {
+        EXPECT_EQ(sim.last_tile_stats().steal.tasks_run, 0u) << "step " << n;
+        EXPECT_EQ(sim.last_concurrency_peak(), 1u) << "step " << n;
+      }
+    }
+    return sim;
+  };
+  core::Simulation one = run(1);
+  for (const int workers : {2, 4}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    core::Simulation sim = run(workers);
+    EXPECT_GT(sim.last_tile_stats().steal.tasks_run, 0u);
+    expect_bitwise_equal(one, sim);
+    const auto& ha = one.energy_history();
+    const auto& hb = sim.energy_history();
+    ASSERT_EQ(ha.size(), hb.size());
+    for (std::size_t i = 0; i < ha.size(); ++i) {
+      EXPECT_EQ(ha.field(i), hb.field(i));
+      EXPECT_EQ(ha.kinetic(i), hb.kinetic(i));
     }
   }
 }
