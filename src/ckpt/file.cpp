@@ -72,20 +72,9 @@ std::uint64_t FileWriter::commit(const std::string& path,
       crc32(table.data(), table.size() * sizeof(SectionRecord));
   h.header_crc = crc32(&h, kHeaderCrcBytes);
 
-  // Assemble in memory, then write-to-temp + rename. The single fwrite
-  // keeps the temp file either absent or complete-so-far; the rename is
-  // the commit point (POSIX rename atomicity).
-  std::vector<std::byte> blob(static_cast<std::size_t>(h.total_bytes),
-                              std::byte{0});
-  std::memcpy(blob.data(), &h, sizeof(h));
-  std::memcpy(blob.data() + h.table_offset, table.data(),
-              table.size() * sizeof(SectionRecord));
-  for (std::size_t i = 0; i < sections_.size(); ++i) {
-    if (sections_[i].payload.empty()) continue;
-    std::memcpy(blob.data() + table[i].payload_offset,
-                sections_[i].payload.data(), sections_[i].payload.size());
-  }
-
+  // Stream header, table, then each payload behind its zero padding, to
+  // the temp file; the rename below is the commit point (POSIX rename
+  // atomicity), so a partial temp file is never a committed generation.
   const std::string tmp = path + ".tmp";
   {
     prof::ScopedRegion w("ckpt_write_file");
@@ -93,7 +82,18 @@ std::uint64_t FileWriter::commit(const std::string& path,
     if (!f)
       throw RestoreError(RestoreErrorKind::IoError,
                          "cannot open '" + tmp + "' for writing");
-    const std::size_t wrote = std::fwrite(blob.data(), 1, blob.size(), f);
+    const auto put = [f](const void* p, std::size_t n) {
+      return n == 0 || std::fwrite(p, 1, n, f) == n;
+    };
+    static constexpr std::byte kZeros[kPayloadAlign] = {};
+    bool wrote = put(&h, sizeof(h)) &&
+                 put(table.data(), table.size() * sizeof(SectionRecord));
+    std::uint64_t at = h.table_offset + table.size() * sizeof(SectionRecord);
+    for (std::size_t i = 0; wrote && i < sections_.size(); ++i) {
+      wrote = put(kZeros, table[i].payload_offset - at) &&
+              put(sections_[i].payload.data(), sections_[i].payload.size());
+      at = table[i].payload_offset + table[i].payload_bytes;
+    }
     bool flushed = std::fflush(f) == 0;
 #ifndef _WIN32
     // fflush only reaches the page cache; a power loss (as opposed to a
@@ -102,7 +102,7 @@ std::uint64_t FileWriter::commit(const std::string& path,
     if (flushed) flushed = ::fsync(::fileno(f)) == 0;
 #endif
     std::fclose(f);
-    if (wrote != blob.size() || !flushed) {
+    if (!wrote || !flushed) {
       std::error_code ec;
       fs::remove(tmp, ec);
       throw RestoreError(RestoreErrorKind::IoError,
@@ -135,29 +135,36 @@ std::uint64_t FileWriter::commit(const std::string& path,
   return h.total_bytes;
 }
 
+bool FileReader::read_at(std::uint64_t offset, void* dst, std::size_t n) {
+  if (n == 0) return true;
+  if (std::fseek(file_.get(), static_cast<long>(offset), SEEK_SET) != 0)
+    return false;
+  const std::size_t got = std::fread(dst, 1, n, file_.get());
+  prof::counter_add("ckpt.read_bytes", got);
+  return got == n;
+}
+
 FileReader::FileReader(const std::string& path) : path_(path) {
   prof::ScopedRegion r("ckpt_open");
 
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f)
+  file_.reset(std::fopen(path.c_str(), "rb"));
+  if (!file_)
     throw RestoreError(RestoreErrorKind::IoError,
                        "cannot open '" + path + "'");
-  std::fseek(f, 0, SEEK_END);
-  const long sz = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  data_.resize(sz > 0 ? static_cast<std::size_t>(sz) : 0);
-  const std::size_t got =
-      data_.empty() ? 0 : std::fread(data_.data(), 1, data_.size(), f);
-  std::fclose(f);
-  if (got != data_.size())
-    throw RestoreError(RestoreErrorKind::IoError,
-                       "short read from '" + path + "'");
+  // Unbuffered: every read_at is one read of exactly the bytes asked for
+  // (a payload goes straight into its section, with no staging copy).
+  std::setvbuf(file_.get(), nullptr, _IONBF, 0);
+  std::fseek(file_.get(), 0, SEEK_END);
+  const long sz = std::ftell(file_.get());
+  const std::uint64_t file_bytes = sz > 0 ? static_cast<std::uint64_t>(sz) : 0;
 
-  if (data_.size() < sizeof(FileHeader))
+  if (file_bytes < sizeof(FileHeader))
     throw RestoreError(RestoreErrorKind::Truncated,
                        "'" + path + "' is smaller than a header (" +
-                           std::to_string(data_.size()) + " bytes)");
-  std::memcpy(&header_, data_.data(), sizeof(FileHeader));
+                           std::to_string(file_bytes) + " bytes)");
+  if (!read_at(0, &header_, sizeof(FileHeader)))
+    throw RestoreError(RestoreErrorKind::IoError,
+                       "short read from '" + path + "'");
 
   if (header_.magic != kMagic)
     throw RestoreError(RestoreErrorKind::BadMagic,
@@ -170,11 +177,10 @@ FileReader::FileReader(const std::string& path) : path_(path) {
                        "'" + path + "' has format version " +
                            std::to_string(header_.version) + ", expected " +
                            std::to_string(kFormatVersion));
-  if (header_.total_bytes > data_.size())
+  if (header_.total_bytes > file_bytes)
     throw RestoreError(RestoreErrorKind::Truncated,
-                       "'" + path + "' holds " +
-                           std::to_string(data_.size()) + " of " +
-                           std::to_string(header_.total_bytes) +
+                       "'" + path + "' holds " + std::to_string(file_bytes) +
+                           " of " + std::to_string(header_.total_bytes) +
                            " committed bytes");
 
   const std::uint64_t table_bytes =
@@ -188,18 +194,17 @@ FileReader::FileReader(const std::string& path) : path_(path) {
       header_.table_offset > header_.total_bytes - table_bytes)
     throw RestoreError(RestoreErrorKind::TableCorrupt,
                        "section table out of bounds in '" + path + "'");
-  if (crc32(data_.data() + header_.table_offset, table_bytes) !=
-      header_.table_crc)
+  std::vector<SectionRecord> table(header_.section_count);
+  if (!read_at(header_.table_offset, table.data(), table_bytes))
+    throw RestoreError(RestoreErrorKind::IoError,
+                       "short read from '" + path + "'");
+  if (crc32(table.data(), table_bytes) != header_.table_crc)
     throw RestoreError(RestoreErrorKind::TableCorrupt,
                        "section table CRC mismatch in '" + path + "'");
 
   sections_.resize(header_.section_count);
   for (std::uint32_t i = 0; i < header_.section_count; ++i) {
-    SectionRecord rec;
-    std::memcpy(&rec,
-                data_.data() + header_.table_offset +
-                    static_cast<std::uint64_t>(i) * sizeof(SectionRecord),
-                sizeof(SectionRecord));
+    SectionRecord& rec = table[i];
     Slot& slot = sections_[i];
     // Defensive NUL-termination: name[] is NUL-padded on write.
     rec.name[kSectionNameMax] = '\0';
@@ -233,12 +238,16 @@ const EncodedSection& FileReader::section(std::string_view name) {
                            path_ + "'");
   Slot& slot = sections_[it->second];
   if (!slot.loaded) {
-    if (crc32(data_.data() + slot.offset, slot.bytes) != slot.crc)
+    std::vector<std::byte> payload(static_cast<std::size_t>(slot.bytes));
+    if (!read_at(slot.offset, payload.data(), payload.size()))
+      throw RestoreError(RestoreErrorKind::Truncated,
+                         "'" + path_ + "' ends inside section '" +
+                             slot.section.name + "'");
+    if (crc32(payload.data(), payload.size()) != slot.crc)
       throw RestoreError(RestoreErrorKind::SectionCorrupt,
                          "payload CRC mismatch in section '" +
                              slot.section.name + "' of '" + path_ + "'");
-    slot.section.payload.assign(data_.begin() + static_cast<std::ptrdiff_t>(slot.offset),
-                                data_.begin() + static_cast<std::ptrdiff_t>(slot.offset + slot.bytes));
+    slot.section.payload = std::move(payload);
     slot.loaded = true;
   }
   return slot.section;

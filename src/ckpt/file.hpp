@@ -5,14 +5,19 @@
 // Writer: accumulate named sections in memory (encode_view deep copies, so
 // a populated Writer is a self-contained snapshot independent of the live
 // simulation — the unit the async checkpoint path hands to its background
-// instance), then commit() serializes header + table + payloads to
-// `<path>.tmp` and atomically renames onto `path`. A crash mid-write
-// leaves at worst a stale .tmp, never a half-written committed file.
+// instance), then commit() streams header, table, zero padding and
+// payloads to `<path>.tmp` and atomically renames onto `path`. A crash
+// mid-write leaves at worst a stale .tmp, never a half-written committed
+// file.
 //
-// Reader: loads the whole file, validates header CRC, magic, version,
-// total size and table CRC up front, and validates each payload's CRC on
-// first access — every failure is a typed RestoreError (format.hpp), which
-// is what the generation-ring fallback dispatches on.
+// Reader: reads the header and section table at open and validates header
+// CRC, magic, version, total size and table CRC up front. Each payload is
+// read from the file on first access and CRC-validated then, so a caller
+// that needs one section (a prune reading "ela.meta", a chain resolving
+// the sections a sibling generation stores) reads only that section's
+// bytes. Every failure is a typed RestoreError (format.hpp), which is what
+// the generation-ring fallback dispatches on. Bytes read count into the
+// "ckpt.read_bytes" prof counter.
 //
 // SectionSource is the abstract read surface both FileReader and the
 // elastic chain reader (src/elastic, docs/ELASTIC.md) implement: restore
@@ -21,7 +26,9 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -74,7 +81,7 @@ class FileWriter {
     return sections_;
   }
 
-  /// Serialize everything to `path` via write-to-temp + atomic rename.
+  /// Stream everything to `path` via write-to-temp + atomic rename.
   /// Returns the committed file size. Throws RestoreError{IoError} on any
   /// filesystem failure (temp file is removed best-effort).
   std::uint64_t commit(const std::string& path, std::uint64_t fingerprint,
@@ -162,7 +169,8 @@ class SectionSource {
 class FileReader : public SectionSource {
  public:
   /// Open + validate the envelope (header CRC, magic, version, size,
-  /// table CRC). Section payload CRCs are validated lazily on access.
+  /// table CRC). The file stays open; each payload is read and
+  /// CRC-validated on first access.
   explicit FileReader(const std::string& path);
 
   [[nodiscard]] std::uint64_t fingerprint() const noexcept override {
@@ -181,8 +189,9 @@ class FileReader : public SectionSource {
   /// All section names in the file, sorted (the index is an ordered map).
   [[nodiscard]] std::vector<std::string> section_names() const override;
 
-  /// Fetch a section by name (CRC-validated on first access). Throws
-  /// RestoreError{MissingSection} / {SectionCorrupt}.
+  /// Fetch a section by name, reading and CRC-validating its payload on
+  /// first access. Throws RestoreError{MissingSection} / {SectionCorrupt},
+  /// or {Truncated} when the file ends before the payload does.
   const EncodedSection& section(std::string_view name) override;
 
   /// CRC-validate every payload now. Restore paths call this before
@@ -198,9 +207,15 @@ class FileReader : public SectionSource {
     std::uint32_t crc = 0;
     bool loaded = false;
   };
+  struct Close {
+    void operator()(std::FILE* f) const noexcept { std::fclose(f); }
+  };
+
+  /// Read `n` bytes at `offset` into `dst`; false on a short read.
+  bool read_at(std::uint64_t offset, void* dst, std::size_t n);
 
   FileHeader header_{};
-  std::vector<std::byte> data_;
+  std::unique_ptr<std::FILE, Close> file_;
   std::vector<Slot> sections_;
   std::map<std::string, std::size_t, std::less<>> index_;
   std::string path_;

@@ -142,15 +142,18 @@ void add_engine_sections(ckpt::FileWriter& w, const FieldArray& f,
       }
       continue;
     }
-    // Chunked layout: one canonical AoS staging, then per-chunk copies in
+    // Chunked layout: per-chunk copies of the canonical AoS stream in
     // index order (chunk boundaries follow the tile partition, so the
-    // concatenation in k order IS the canonical stream).
-    pk::View<Particle, 1> canon("ckpt_canon_" + sp.name, sp.np);
-    const Particle* src = canon.data();
-    if (sp.p.layout() == ParticleLayout::AoS) {
-      src = sp.p.aos_view().data();
-    } else {
+    // concatenation in k order IS the canonical stream). An AoS store is
+    // that stream already; other layouts stage it once.
+    pk::View<Particle, 1> canon;
+    const Particle* src = sp.p.layout() == ParticleLayout::AoS
+                              ? sp.p.aos_view().data()
+                              : nullptr;
+    if (src == nullptr) {
+      canon = pk::View<Particle, 1>("ckpt_canon_" + sp.name, sp.np);
       sp.p.export_aos(canon.data(), sp.np);
+      src = canon.data();
     }
     const auto chunks = particle_chunks(sp);
     w.add_pod(pfx + "nchunks", static_cast<std::uint64_t>(chunks.size()));

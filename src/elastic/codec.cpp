@@ -15,7 +15,9 @@
 
 #include "elastic/codec.hpp"
 
+#include <bit>
 #include <cstring>
+#include <memory>
 
 namespace vpic::elastic {
 
@@ -41,6 +43,16 @@ inline void store_u32(std::byte* p, std::uint32_t v) noexcept {
   std::memcpy(p, &v, 4);
 }
 
+/// Store `v` as four little-endian bytes (the stream's byte order).
+inline void store_u32_le(std::byte* p, std::uint32_t v) noexcept {
+  if constexpr (std::endian::native == std::endian::little) {
+    store_u32(p, v);
+  } else {
+    for (unsigned b = 0; b < 4; ++b)
+      p[b] = static_cast<std::byte>((v >> (8 * b)) & 0xFFu);
+  }
+}
+
 inline unsigned width_code(std::uint32_t x) noexcept {
   if (x == 0) return 0;
   if (x <= 0xFFu) return 1;
@@ -60,25 +72,35 @@ std::vector<std::byte> deltapack_encode(const std::byte* data, std::size_t n,
   const std::size_t nfields = elem_size / 4;
   const std::size_t ctrl_bytes = (nrec + 3) / 4;
 
-  std::vector<std::byte> out;
-  out.reserve(n / 2);
+  // Encode through a cursor into a buffer of the worst-case size (every
+  // word stored at 4 bytes), so each data word is one 4-byte store that
+  // advances the cursor by its width; bytes past the width are
+  // overwritten by the next store or lie past the end. The buffer is left
+  // uninitialised, so only the pages the stream reaches are touched.
+  const std::size_t worst = nfields * ctrl_bytes + n;
+  const auto buf = std::make_unique_for_overwrite<std::byte[]>(worst);
+  std::byte* at = buf.get();
   for (std::size_t f = 0; f < nfields; ++f) {
-    const std::size_t ctrl_at = out.size();
-    out.resize(ctrl_at + ctrl_bytes, std::byte{0});
+    std::byte* ctrl = at;
+    at += ctrl_bytes;
     std::uint32_t prev = 0;
+    unsigned codes = 0;
     for (std::size_t r = 0; r < nrec; ++r) {
       const std::uint32_t v = load_u32(data + r * elem_size + f * 4);
       const std::uint32_t x = v ^ prev;
       prev = v;
       const unsigned code = width_code(x);
-      out[ctrl_at + r / 4] |=
-          static_cast<std::byte>(code << (2 * (r % 4)));
-      const unsigned w = kCodeBytes[code];
-      for (unsigned b = 0; b < w; ++b)
-        out.push_back(static_cast<std::byte>((x >> (8 * b)) & 0xFFu));
+      codes |= code << (2 * (r % 4));
+      if (r % 4 == 3) {
+        ctrl[r / 4] = static_cast<std::byte>(codes);
+        codes = 0;
+      }
+      store_u32_le(at, x);
+      at += kCodeBytes[code];
     }
+    if (nrec % 4 != 0) ctrl[nrec / 4] = static_cast<std::byte>(codes);
   }
-  return out;
+  return std::vector<std::byte>(buf.get(), at);
 }
 
 bool deltapack_decode(const std::byte* src, std::size_t src_bytes,

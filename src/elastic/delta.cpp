@@ -8,10 +8,12 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <numeric>
 #include <set>
 #include <utility>
 
 #include "ckpt/ring.hpp"
+#include "pk/pk.hpp"
 
 namespace vpic::elastic {
 
@@ -125,10 +127,43 @@ std::string sibling_generation_path(const std::string& path,
 // ---------------------------------------------------------------------------
 // DeltaTracker
 
+namespace {
+
+/// payload_hash of every section, one section per league member on the
+/// calling thread's kernel team. Largest sections go first, so the
+/// dynamic schedule ends with small ones and the team finishes together.
+std::vector<std::uint64_t> section_hashes(
+    const std::vector<EncodedSection>& sections) {
+  std::vector<std::size_t> order(sections.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return sections[a].payload.size() >
+                            sections[b].payload.size();
+                   });
+  std::vector<std::uint64_t> hashes(sections.size());
+  pk::parallel_for(
+      "ckpt_hash",
+      pk::TeamPolicy<>(static_cast<pk::index_t>(order.size()), 1),
+      [&](const pk::TeamMember& m) {
+        const std::size_t i = order[static_cast<std::size_t>(m.league_rank())];
+        hashes[i] = payload_hash(sections[i].payload.data(),
+                                 sections[i].payload.size());
+      });
+  return hashes;
+}
+
+}  // namespace
+
 GenerationPlan DeltaTracker::plan(const std::vector<EncodedSection>& sections,
                                   std::int64_t generation, Codec codec) {
+  // A failed commit anywhere in the chain leaves later deltas nothing to
+  // resolve against on disk: start over from a full base.
+  if (chain_ && chain_->broken.load(std::memory_order_acquire)) invalidate();
   const bool full = base_ < 0 || full_every_ <= 1 ||
                     static_cast<int>(chain_seq_) + 1 >= full_every_;
+  if (full) chain_ = std::make_shared<ChainHealth>();
+  const std::vector<std::uint64_t> hashes = section_hashes(sections);
 
   GenerationPlan p;
   p.generation = generation;
@@ -137,6 +172,7 @@ GenerationPlan DeltaTracker::plan(const std::vector<EncodedSection>& sections,
   p.parent = full ? -1 : last_;
   p.base = full ? generation : base_;
   p.chain_seq = full ? 0 : chain_seq_ + 1;
+  p.chain = chain_;
   p.entries.reserve(sections.size());
 
   for (std::uint32_t i = 0; i < sections.size(); ++i) {
@@ -150,7 +186,7 @@ GenerationPlan DeltaTracker::plan(const std::vector<EncodedSection>& sections,
     e.rank = s.rank;
     e.extents = s.extents;
     e.raw_bytes = s.payload.size();
-    e.hash = payload_hash(s.payload.data(), s.payload.size());
+    e.hash = hashes[i];
 
     bool store = true;
     if (!full) {
@@ -169,8 +205,8 @@ GenerationPlan DeltaTracker::plan(const std::vector<EncodedSection>& sections,
     p.entries.push_back(std::move(e));
   }
 
-  // Commit the bookkeeping now: plans are taken in generation order and a
-  // later failed commit is handled by invalidate() (next plan goes full).
+  // Commit the bookkeeping now: plans are taken in generation order, and
+  // a failed commit marks the chain broken, so the next plan goes full.
   base_ = p.base;
   last_ = generation;
   chain_seq_ = p.chain_seq;
@@ -192,10 +228,29 @@ GenerationPlan DeltaTracker::plan(const std::vector<EncodedSection>& sections,
 // ---------------------------------------------------------------------------
 // write_generation
 
-GenStats write_generation(const std::string& path,
-                          const std::vector<EncodedSection>& sections,
-                          const GenerationPlan& plan,
-                          std::uint64_t fingerprint, std::int64_t step) {
+namespace {
+
+/// `plan` rewritten as the full base of a new chain: every section stored
+/// under the plan's codec. The hashes are the plan's own.
+GenerationPlan as_full(const GenerationPlan& plan) {
+  GenerationPlan p = plan;
+  p.kind = kKindFull;
+  p.parent = -1;
+  p.base = p.generation;
+  p.chain_seq = 0;
+  p.store.resize(p.entries.size());
+  std::iota(p.store.begin(), p.store.end(), std::uint32_t{0});
+  for (ManifestEntry& e : p.entries) {
+    e.src_gen = p.generation;
+    e.codec = p.codec;
+  }
+  return p;
+}
+
+GenStats commit_generation(const std::string& path,
+                           const std::vector<EncodedSection>& sections,
+                           const GenerationPlan& plan,
+                           std::uint64_t fingerprint, std::int64_t step) {
   GenStats st;
   st.kind = plan.kind;
   st.sections_total = static_cast<std::uint32_t>(sections.size());
@@ -253,6 +308,27 @@ GenStats write_generation(const std::string& path,
 
   st.file_bytes = w.commit(path, fingerprint, step);
   return st;
+}
+
+}  // namespace
+
+GenStats write_generation(const std::string& path,
+                          const std::vector<EncodedSection>& sections,
+                          const GenerationPlan& plan,
+                          std::uint64_t fingerprint, std::int64_t step) {
+  try {
+    // A delta planned while an earlier generation of its chain was still
+    // being committed, by a commit that then failed: its parent is not on
+    // disk, so it becomes a full base.
+    if (plan.kind == kKindDelta && plan.chain &&
+        plan.chain->broken.load(std::memory_order_acquire))
+      return commit_generation(path, sections, as_full(plan), fingerprint,
+                               step);
+    return commit_generation(path, sections, plan, fingerprint, step);
+  } catch (...) {
+    if (plan.chain) plan.chain->broken.store(true, std::memory_order_release);
+    throw;
+  }
 }
 
 // ---------------------------------------------------------------------------

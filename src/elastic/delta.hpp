@@ -19,8 +19,11 @@
 // DeltaTracker makes that decision synchronously against the deep-copied
 // FileWriter snapshot (hashing IS the dirty detection — there is no
 // event-based skip heuristic, because modules may mutate particle state
-// without signalling), and write_generation — safe to run on a background
-// pk instance — compresses and commits the plan.
+// without signalling; the sections hash in parallel on the calling
+// thread's kernel team), and write_generation — safe to run on a
+// background pk instance — compresses and commits the plan. A failed
+// commit breaks its chain: the next plan is a full base, and a delta
+// planned before the failure surfaced is written as a full base instead.
 //
 // ChainReader resolves a generation back into a flat SectionSource: it
 // walks the manifest, opens the sibling ring files each src_gen lives in,
@@ -34,6 +37,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -101,6 +105,12 @@ std::vector<ManifestEntry> parse_manifest(const std::byte* data,
 std::string sibling_generation_path(const std::string& path,
                                     std::int64_t gen);
 
+/// Shared by every generation planned into one chain. A failed commit
+/// sets `broken`, from whichever thread committed.
+struct ChainHealth {
+  std::atomic<bool> broken{false};
+};
+
 /// The synchronous half of an incremental checkpoint: which sections to
 /// physically store in generation `generation`, plus the full manifest.
 /// Self-contained — commit may run later on another thread.
@@ -113,6 +123,7 @@ struct GenerationPlan {
   std::uint64_t chain_seq = 0;
   std::vector<ManifestEntry> entries;  // entries[i] describes sections[i]
   std::vector<std::uint32_t> store;    // indices into entries/sections
+  std::shared_ptr<ChainHealth> chain;  // the chain this generation joins
 };
 
 /// Outcome of write_generation, accumulated by the simulation into its
@@ -138,17 +149,23 @@ class DeltaTracker {
   /// (full_every <= 1 disables deltas entirely).
   explicit DeltaTracker(int full_every) : full_every_(full_every) {}
 
+  /// Hashes every section (in parallel over the calling thread's kernel
+  /// team) and diffs against the previous plan. The plan is a full base
+  /// when the chain is new, due to roll over, or broken by a failed
+  /// commit.
   GenerationPlan plan(const std::vector<ckpt::EncodedSection>& sections,
                       std::int64_t generation, Codec codec);
 
   /// Forget the chain: the next plan() is a full generation. Called after
-  /// restore (on-disk chain no longer matches tracked hashes) and after a
-  /// failed commit.
+  /// restore (on-disk chain no longer matches tracked hashes) and when
+  /// checkpoints move to another ring; plan() calls it itself once a
+  /// commit of the chain has failed.
   void invalidate() {
     base_ = -1;
     last_ = -1;
     chain_seq_ = 0;
     prev_.clear();
+    chain_.reset();
   }
 
   [[nodiscard]] int full_every() const noexcept { return full_every_; }
@@ -169,13 +186,16 @@ class DeltaTracker {
   std::int64_t last_ = -1;
   std::uint64_t chain_seq_ = 0;
   std::map<std::string, Prev, std::less<>> prev_;
+  std::shared_ptr<ChainHealth> chain_;
 };
 
 /// Compress + commit a planned generation to `path` (a ring generation
 /// path). Sections listed in plan.store are written physically — run
 /// through the plan's codec with a per-section raw fallback when packing
 /// does not shrink the payload — alongside "ela.meta" and "ela.manifest".
-/// Throws ckpt::RestoreError{IoError} like FileWriter::commit.
+/// A delta whose chain broke after it was planned is written as a full
+/// base. Throws ckpt::RestoreError{IoError} like FileWriter::commit, and
+/// marks the plan's chain broken when it throws.
 GenStats write_generation(const std::string& path,
                           const std::vector<ckpt::EncodedSection>& sections,
                           const GenerationPlan& plan,

@@ -1,10 +1,11 @@
 // Tests for vpic::ckpt (src/ckpt) and its Simulation integration
 // (core/checkpoint.cpp, docs/CHECKPOINT.md):
 //
+//   * CRC-32 values against the bytewise reference loop,
 //   * View serializer round trips (prefix encoding, shape validation),
 //   * checkpoint file envelope + typed corruption detection — every
 //     FaultInjector mode is pinned to the RestoreError kind restore must
-//     classify it as,
+//     classify it as — and the reader's read-on-first-access,
 //   * generation ring naming/pruning and corrupt-newest fallback,
 //   * bit-identical resume: 50 steps + checkpoint + restore + 50 steps
 //     equals 100 uninterrupted steps on the LPI deck,
@@ -25,11 +26,13 @@
 #include "ckpt/ckpt.hpp"
 #include "core/core.hpp"
 #include "minimpi/minimpi.hpp"
+#include "prof/prof.hpp"
 
 namespace core = vpic::core;
 namespace ckpt = vpic::ckpt;
 namespace mpi = vpic::mpi;
 namespace pk = vpic::pk;
+namespace prof = vpic::prof;
 namespace fs = std::filesystem;
 using pk::index_t;
 
@@ -155,6 +158,61 @@ ckpt::RestoreErrorKind thrown_kind(F&& f) {
 
 }  // namespace
 
+// ---- CRC-32 ----------------------------------------------------------
+
+namespace {
+
+/// The bytewise table loop: the definition of every CRC on disk, which
+/// ckpt::crc32's sliced loop must reproduce exactly.
+std::uint32_t crc32_bytewise(const void* data, std::size_t n,
+                             std::uint32_t seed = 0) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k)
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i)
+    c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+}  // namespace
+
+TEST(Crc32, StandardCheckValue) {
+  EXPECT_EQ(ckpt::crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(crc32_bytewise("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(ckpt::crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  std::vector<unsigned char> buf(300 + 8);
+  std::uint64_t rng = 0x9E3779B97F4A7C15ull;
+  for (auto& b : buf) {
+    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+    b = static_cast<unsigned char>(rng >> 56);
+  }
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t n = 0; n <= 300; ++n) {
+      const unsigned char* p = buf.data() + off;
+      const std::uint32_t want = crc32_bytewise(p, n);
+      ASSERT_EQ(ckpt::crc32(p, n), want) << "offset " << off << " length " << n;
+      // Split seeds: a CRC extended over two pieces equals the whole.
+      for (const std::size_t cut : {std::size_t{1}, n / 3, n / 2, n - n / 5}) {
+        if (cut > n) continue;
+        ASSERT_EQ(ckpt::crc32(p + cut, n - cut, ckpt::crc32(p, cut)), want)
+            << "offset " << off << " length " << n << " cut " << cut;
+      }
+      const std::uint32_t seed = 0x01234567u * static_cast<std::uint32_t>(n + 1);
+      ASSERT_EQ(ckpt::crc32(p, n, seed), crc32_bytewise(p, n, seed))
+          << "offset " << off << " length " << n << " seed " << seed;
+    }
+  }
+}
+
 // ---- serializer ------------------------------------------------------
 
 TEST(Serialize, Rank1RoundTrip) {
@@ -240,6 +298,28 @@ TEST(File, WriterReaderRoundTrip) {
             ckpt::RestoreErrorKind::FingerprintMismatch);
   EXPECT_EQ(thrown_kind([&] { (void)f.section("nope"); }),
             ckpt::RestoreErrorKind::MissingSection);
+}
+
+TEST(File, ReaderReadsEachPayloadOnFirstAccess) {
+  const auto dir = scratch("file_lazy");
+  const std::string path = (dir / "a.ckpt").string();
+  write_sample(path);
+  const auto read = [] { return prof::counter_value("ckpt.read_bytes"); };
+
+  const std::uint64_t before = read();
+  ckpt::FileReader f(path);
+  // Open reads the header and the section table, no payload.
+  const std::uint64_t envelope =
+      sizeof(ckpt::FileHeader) + 3 * sizeof(ckpt::SectionRecord);
+  EXPECT_EQ(read() - before, envelope);
+  EXPECT_EQ(f.pod<std::int64_t>("gamma"), 42);
+  EXPECT_EQ(read() - before, envelope + sizeof(std::int64_t));
+  // A second access serves the validated copy.
+  EXPECT_EQ(f.pod<std::int64_t>("gamma"), 42);
+  const auto alpha = f.view<float, 1>("alpha");
+  EXPECT_EQ(alpha(10), 5.0f);
+  EXPECT_EQ(read() - before,
+            envelope + sizeof(std::int64_t) + 64 * sizeof(float));
 }
 
 TEST(File, DuplicateSectionNameRejected) {

@@ -2,6 +2,8 @@
 //
 //   * DeltaPack codec: lossless round trips on particle-like payloads,
 //     compression on slow-churn data, typed rejection of invalid input,
+//     output bytes equal to the per-byte reference encoder's and to a
+//     pinned size and CRC,
 //   * incremental generation chains: full/delta cadence, bit-identical
 //     resume from a delta generation (sync and async), the cumulative
 //     ElasticCkptStats telemetry,
@@ -9,6 +11,8 @@
 //     across a corrupted mid-chain delta (and across a whole broken
 //     chain) to the previous complete recovery point; prune_chains
 //     retires chains wholesale, never orphaning a delta from its base,
+//     reading only each generation's metadata; a failed commit makes the
+//     next generation a full base,
 //   * N→M restart: a 4-rank distributed checkpoint restored on 1, 2, 3
 //     and 8 ranks via Redecomposer — per-voxel interior fields and
 //     canonically-ordered particle state byte-equal to the same-rank
@@ -31,12 +35,14 @@
 #include "core/tracer.hpp"
 #include "elastic/elastic.hpp"
 #include "minimpi/minimpi.hpp"
+#include "prof/prof.hpp"
 
 namespace core = vpic::core;
 namespace ckpt = vpic::ckpt;
 namespace elastic = vpic::elastic;
 namespace mpi = vpic::mpi;
 namespace pk = vpic::pk;
+namespace prof = vpic::prof;
 namespace fs = std::filesystem;
 using pk::index_t;
 
@@ -187,6 +193,86 @@ TEST(Codec, RejectsInvalidInput) {
   EXPECT_TRUE(elastic::deltapack_decode(packed.data(), packed.size(),
                                         back.data(), back.size(), 32));
   EXPECT_EQ(back, data);
+}
+
+namespace {
+
+/// The per-byte encoder deltapack_encode replaced: the definition of the
+/// stream's bytes (elastic/codec.cpp), kept as the reference.
+std::vector<std::byte> deltapack_encode_bytewise(const std::byte* data,
+                                                 std::size_t n,
+                                                 std::uint32_t elem_size) {
+  if (n == 0 || elem_size == 0 || elem_size % 4 != 0 || n % elem_size != 0)
+    return {};
+  const std::size_t nrec = n / elem_size;
+  const std::size_t nfields = elem_size / 4;
+  const std::size_t ctrl_bytes = (nrec + 3) / 4;
+  constexpr unsigned kCodeBytes[4] = {0, 1, 2, 4};
+  std::vector<std::byte> out;
+  for (std::size_t f = 0; f < nfields; ++f) {
+    const std::size_t ctrl_at = out.size();
+    out.resize(ctrl_at + ctrl_bytes, std::byte{0});
+    std::uint32_t prev = 0;
+    for (std::size_t r = 0; r < nrec; ++r) {
+      std::uint32_t v;
+      std::memcpy(&v, data + r * elem_size + f * 4, 4);
+      const std::uint32_t x = v ^ prev;
+      prev = v;
+      const unsigned code = x == 0 ? 0 : x <= 0xFFu ? 1 : x <= 0xFFFFu ? 2 : 3;
+      out[ctrl_at + r / 4] |= static_cast<std::byte>(code << (2 * (r % 4)));
+      for (unsigned b = 0; b < kCodeBytes[code]; ++b)
+        out.push_back(static_cast<std::byte>((x >> (8 * b)) & 0xFFu));
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(Codec, EncoderMatchesBytewiseReference) {
+  std::uint64_t rng = 99;
+  auto next = [&rng] {
+    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<std::uint32_t>(rng >> 32);
+  };
+  for (std::uint32_t elem = 4; elem <= 40; elem += 4) {
+    for (const std::size_t nrec : {1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 257}) {
+      const std::size_t n = nrec * elem;
+      std::vector<std::byte> random(n), sparse(n), zero(n);
+      for (std::size_t at = 0; at < n; at += 4) {
+        const std::uint32_t r = next();
+        std::memcpy(random.data() + at, &r, 4);
+        // One word in eight nonzero, at every stored width.
+        const std::uint32_t s = r % 8 != 0 ? 0u : r >> (8 * (r % 32 / 8));
+        std::memcpy(sparse.data() + at, &s, 4);
+      }
+      for (const auto* buf : {&random, &sparse, &zero})
+        ASSERT_EQ(elastic::deltapack_encode(buf->data(), n, elem),
+                  deltapack_encode_bytewise(buf->data(), n, elem))
+            << "elem_size " << elem << " records " << nrec;
+    }
+  }
+}
+
+TEST(Codec, PinnedPackedSizeAndCrc) {
+  // One deterministic particle buffer; its packed size and CRC were
+  // computed with the per-byte encoder and bytewise CRC, so a change to
+  // the stream's bytes on disk fails here.
+  std::vector<core::Particle> ps(1000);
+  std::uint64_t rng = 2024;
+  auto next = [&rng] {
+    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<float>(static_cast<std::int64_t>(rng >> 33)) /
+           static_cast<float>(1u << 30);
+  };
+  for (std::size_t i = 0; i < ps.size(); ++i)
+    ps[i] = {next(), next(), next(), static_cast<std::int32_t>(i / 3),
+             0.01f * next(), 0.01f * next(), 0.01f * next(), 1.0f};
+  const auto packed = elastic::deltapack_encode(
+      reinterpret_cast<const std::byte*>(ps.data()),
+      ps.size() * sizeof(core::Particle), sizeof(core::Particle));
+  EXPECT_EQ(packed.size(), 26302u);
+  EXPECT_EQ(ckpt::crc32(packed.data(), packed.size()), 0x8C18B015u);
 }
 
 // ---- incremental chains ----------------------------------------------
@@ -417,6 +503,167 @@ TEST(Chain, PeriodicRingPrunesByChainNotByFile) {
   auto resumed = make_lpi_small();
   EXPECT_EQ(resumed.restore_latest(base), ring.path_for(7));
   EXPECT_EQ(resumed.step_count(), 16);
+}
+
+TEST(Chain, PruneReadsOnlyMetadata) {
+  // prune_chains needs each generation's ela.meta, nothing else: opening
+  // a generation reads its header and section table, and the meta
+  // section is the one payload read.
+  const auto dir = scratch("prune_meta");
+  const std::string base = (dir / "ck").string();
+  core::decks::LpiParams p;  // 32x16x16, ~2.5 MB of particles
+  auto sim = core::decks::make_lpi(p);
+  sim.config().checkpoint_incremental = true;
+  sim.config().checkpoint_full_every = 2;
+  sim.config().checkpoint_codec = 0;
+  ckpt::GenerationRing ring(base, 16);
+  for (std::uint64_t g = 0; g < 4; ++g) {
+    sim.run(1);
+    sim.checkpoint(ring.path_for(g));  // chains {g0,g1} and {g2,g3}
+    ASSERT_GE(fs::file_size(ring.path_for(g)), 1u << 20);
+  }
+
+  const std::uint64_t before = prof::counter_value("ckpt.read_bytes");
+  EXPECT_EQ(elastic::prune_chains(base, 1), 2u);
+  const std::uint64_t read = prof::counter_value("ckpt.read_bytes") - before;
+  EXPECT_EQ(ring.generations(), (std::vector<std::uint64_t>{2, 3}));
+  EXPECT_GE(read, 4 * (sizeof(ckpt::FileHeader) + sizeof(elastic::ElaMeta)));
+  EXPECT_LT(read, 4u * 16u * 1024u) << read << " bytes read over 4 generations";
+}
+
+TEST(Chain, FailedCommitStartsAFullBase) {
+  // A generation whose commit fails never reaches disk, so nothing may
+  // chain through it: the next generation must be a full base that
+  // restores without it. Covers the sync path, the async path with a
+  // wait between the failure and the next checkpoint, and the async path
+  // where the next delta may be planned before the failure surfaces.
+  for (int mode = 0; mode < 3; ++mode) {
+    SCOPED_TRACE(mode == 0 ? "sync" : mode == 1 ? "async+wait" : "async");
+    const auto dir = scratch("failed_commit" + std::to_string(mode));
+    const std::string base = (dir / "r").string();
+    core::decks::LpiParams p;
+    p.nx = 16;
+    p.ny = 8;
+    p.nz = 8;
+    auto sim = core::decks::make_lpi(p);
+    sim.config().checkpoint_incremental = true;
+    sim.config().checkpoint_codec = 1;
+    ckpt::GenerationRing ring(base, 8);
+    const auto write = [&](std::uint64_t g) {
+      if (mode == 0)
+        sim.checkpoint(ring.path_for(g));
+      else
+        sim.checkpoint_async(ring.path_for(g));
+    };
+    // The sync path builds no writer instance, so this is a no-op there.
+    const auto wait = [&] { sim.checkpoint_wait(); };
+    write(0);
+    wait();
+    sim.run(1);
+    write(1);
+    wait();
+    sim.run(1);
+    // A directory where g2's temp file goes makes its commit fail.
+    const std::string blocker = ring.path_for(2) + ".tmp";
+    fs::create_directories(blocker);
+    if (mode == 0) {
+      EXPECT_EQ(thrown_kind([&] { write(2); }), ckpt::RestoreErrorKind::IoError);
+    } else {
+      write(2);
+    }
+    if (mode == 1) {
+      EXPECT_EQ(thrown_kind(wait), ckpt::RestoreErrorKind::IoError);
+    }
+    write(3);  // async: planned while g2 may still be committing
+    if (mode == 2) {
+      EXPECT_EQ(thrown_kind(wait), ckpt::RestoreErrorKind::IoError);
+    }
+    wait();
+    fs::remove(blocker);
+    ASSERT_FALSE(fs::exists(ring.path_for(2)));
+
+    ckpt::FileReader g3(ring.path_for(3));
+    EXPECT_EQ(g3.pod<elastic::ElaMeta>(std::string(elastic::kMetaSection)).kind,
+              elastic::kKindFull);
+    auto restored = core::decks::make_lpi(p);
+    ASSERT_NO_THROW(restored.restore(ring.path_for(3)));
+    expect_bit_identical(restored, sim);
+
+    // The chain restarted at g3 carries on as deltas. (A g3 planned before
+    // g2's failure surfaced was written as a full base in a chain already
+    // marked broken, so g4 starts another one.)
+    sim.run(1);
+    write(4);
+    wait();
+    ckpt::FileReader g4(ring.path_for(4));
+    const auto meta =
+        g4.pod<elastic::ElaMeta>(std::string(elastic::kMetaSection));
+    if (mode != 2 || meta.kind == elastic::kKindDelta) {
+      EXPECT_EQ(meta.kind, elastic::kKindDelta);
+      EXPECT_EQ(meta.base, 3);
+    }
+    auto from_delta = core::decks::make_lpi(p);
+    ASSERT_NO_THROW(from_delta.restore(ring.path_for(4)));
+    expect_bit_identical(from_delta, sim);
+  }
+
+  // The async race made deterministic: g2 is planned as a delta while g1
+  // is still uncommitted, then g1's commit fails. g2 is written as a full
+  // base, and the next plan starts a chain of its own.
+  const auto dir = scratch("failed_commit_inflight");
+  ckpt::GenerationRing ring((dir / "r").string(), 8);
+  std::vector<ckpt::EncodedSection> sections(2);
+  sections[0].name = "a";
+  sections[0].payload.assign(64, std::byte{1});
+  sections[1].name = "b";
+  sections[1].payload.assign(64, std::byte{2});
+  elastic::DeltaTracker tracker(8);
+  const auto commit = [&](const elastic::GenerationPlan& plan) {
+    return elastic::write_generation(ring.path_for(plan.generation), sections,
+                                     plan, 0, plan.generation);
+  };
+  commit(tracker.plan(sections, 0, elastic::Codec::None));
+  const auto p1 = tracker.plan(sections, 1, elastic::Codec::None);
+  sections[1].payload[0] = std::byte{3};
+  const auto p2 = tracker.plan(sections, 2, elastic::Codec::None);
+  ASSERT_EQ(p2.kind, elastic::kKindDelta);
+  fs::create_directories(ring.path_for(1) + ".tmp");
+  EXPECT_EQ(thrown_kind([&] { commit(p1); }), ckpt::RestoreErrorKind::IoError);
+  EXPECT_EQ(commit(p2).kind, elastic::kKindFull);
+  EXPECT_EQ(tracker.plan(sections, 3, elastic::Codec::None).kind,
+            elastic::kKindFull);
+  ckpt::FileReader g2(ring.path_for(2));
+  elastic::ChainReader chain(g2, ring.path_for(2));
+  EXPECT_EQ(chain.sources(), (std::vector<std::int64_t>{2}));
+  EXPECT_EQ(chain.section("b").payload, sections[1].payload);
+}
+
+TEST(Chain, PlanHashesEqualSerialHashesAtEveryTeamSize) {
+  // The plan hashes sections in parallel; each hash must be the serial
+  // FNV-1a of its payload whatever the team size.
+  std::vector<ckpt::EncodedSection> sections(37);
+  std::uint64_t rng = 7;
+  for (std::size_t i = 0; i < sections.size(); ++i) {
+    auto& s = sections[i];
+    s.name = "section" + std::to_string(i);
+    s.payload.resize((i * 7919) % 5000);
+    for (auto& b : s.payload) {
+      rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+      b = static_cast<std::byte>(rng >> 56);
+    }
+  }
+  for (const int threads : {1, 2, 4}) {
+    pk::initialize(threads);
+    elastic::DeltaTracker tracker(4);
+    const auto plan = tracker.plan(sections, 0, elastic::Codec::None);
+    ASSERT_EQ(plan.entries.size(), sections.size());
+    for (std::size_t i = 0; i < sections.size(); ++i)
+      EXPECT_EQ(plan.entries[i].hash,
+                elastic::payload_hash(sections[i].payload.data(),
+                                      sections[i].payload.size()))
+          << sections[i].name << " at " << threads << " threads";
+  }
+  pk::initialize(1);
 }
 
 // ---- N→M restart ------------------------------------------------------
