@@ -2,7 +2,7 @@
 // docs/ELASTIC.md): the same LPI run stepped three ways — no checkpoints
 // (baseline), periodic synchronous checkpoints (the step blocks for encode +
 // file commit), and periodic asynchronous checkpoints (the step pays only the
-// deep-copy encode; the commit runs on a background pk::Instance). The
+// deep-copy encode; the commit runs on the simulation's writer thread). The
 // headline numbers are the per-checkpoint overhead of each mode over the
 // baseline and the fraction of the sync cost the async path hides.
 //

@@ -19,9 +19,11 @@
 //     quality is host-independent and reproducible on a 1-core CI box,
 //     where real thread timings would measure the kernel scheduler, not
 //     the balancer. The headline is speedup at 4 workers.
-//  3. Real pool telemetry: the same deck runs through the tiled step on
-//     a real StealPool to exercise the full path end-to-end
-//     and record steal/idle counters and the measured tile imbalance.
+//  3. Measured speedups and real pool telemetry: the same deck runs
+//     through the tiled step at 1, 2 and 4 workers. measured_speedup_2w
+//     and measured_speedup_4w are the 1-worker wall ms/step over the 2-
+//     and 4-worker ones; the 4-worker run records the steal/idle
+//     counters and wall_ms_per_step.
 //
 //   ./tile_balance --nx=16 --ny=8 --nz=32 --ppc=8 --clump=8 --tiles=16
 //   ./tile_balance --smoke          # CI-sized, no speedup threshold
@@ -244,25 +246,35 @@ int main(int argc, char** argv) {
   t.print();
   std::printf("\nmeasured tile imbalance (max/mean): %.2f\n", imbalance);
 
-  // -- 3. real stealing pool end-to-end ---------------------------------
-  core::Simulation steal_sim = make_clumped(p);
-  steal_sim.config().tiles.enabled = true;
-  steal_sim.config().tiles.count = p.tiles;
-  steal_sim.config().tiles.workers = 4;
-  const auto t0 = std::chrono::steady_clock::now();
-  steal_sim.run(p.steps);
-  const double steal_wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  const auto& ss = steal_sim.last_tile_stats().steal;
+  // -- 3. real stealing rounds end-to-end, at 1, 2 and 4 workers -------
+  const auto wall_ms_per_step = [&p](int workers, pk::StealStats* steal) {
+    core::Simulation s = make_clumped(p);
+    s.config().tiles.enabled = true;
+    s.config().tiles.count = p.tiles;
+    s.config().tiles.workers = workers;
+    const auto t0 = std::chrono::steady_clock::now();
+    s.run(p.steps);
+    const double wall =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    if (steal) *steal = s.last_tile_stats().steal;
+    return wall * 1e3 / p.steps;
+  };
+  const double ms_1w = wall_ms_per_step(1, nullptr);
+  const double ms_2w = wall_ms_per_step(2, nullptr);
+  pk::StealStats ss;
+  const double ms_4w = wall_ms_per_step(4, &ss);
   std::printf(
       "real stealing run (4 workers, %d steps): %.1f ms/step, "
       "%llu tasks, %llu steals moved %llu tasks, idle %llu us\n",
-      p.steps, steal_wall * 1e3 / p.steps,
-      static_cast<unsigned long long>(ss.tasks_run),
+      p.steps, ms_4w, static_cast<unsigned long long>(ss.tasks_run),
       static_cast<unsigned long long>(ss.steal_hits),
       static_cast<unsigned long long>(ss.tasks_stolen),
       static_cast<unsigned long long>(ss.idle_us));
+  std::printf(
+      "measured: %.1f ms/step at 1 worker, %.1f at 2 (%.2fx), %.1f at 4 "
+      "(%.2fx)\n",
+      ms_1w, ms_2w, ms_1w / ms_2w, ms_4w, ms_1w / ms_4w);
 
   bench::Json("tile_balance")
       .field("summary", 1)
@@ -270,11 +282,13 @@ int main(int argc, char** argv) {
       .field("clump_factor", static_cast<double>(p.clump))
       .field("imbalance", imbalance)
       .field("speedup_4w", speedup_4w)
+      .field("measured_speedup_2w", ms_1w / ms_2w)
+      .field("measured_speedup_4w", ms_1w / ms_4w)
       .field("bit_identical", 1)
       .field("steal_tasks_run", static_cast<double>(ss.tasks_run))
       .field("steal_tasks_stolen", static_cast<double>(ss.tasks_stolen))
       .field("steal_idle_us", static_cast<double>(ss.idle_us))
-      .field("wall_ms_per_step", steal_wall * 1e3 / p.steps)
+      .field("wall_ms_per_step", ms_4w)
       .print();
 
   const std::string path = bench::emit_bench_json("tile_balance");

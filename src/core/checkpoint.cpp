@@ -23,9 +23,14 @@
 #include <charconv>
 #include <cstring>
 #include <cctype>
+#include <condition_variable>
 #include <cstdio>
+#include <deque>
+#include <exception>
 #include <filesystem>
 #include <mutex>
+#include <optional>
+#include <thread>
 
 #include "ckpt/ckpt.hpp"
 #include "core/domain.hpp"
@@ -425,8 +430,8 @@ std::int64_t ring_generation_of(const std::string& path) {
 
 // ---- Simulation ------------------------------------------------------
 
-/// Mutex-guarded cumulative stats block, shared with background commit
-/// tasks (which may outlive a moved-from Simulation, like ckpt_inflight_).
+/// Mutex-guarded cumulative stats block, shared with the snapshots the
+/// async writer commits.
 struct Simulation::ElasticStatsShared {
   std::mutex mu;
   ElasticCkptStats s;
@@ -483,8 +488,8 @@ std::uint64_t Simulation::config_fingerprint() const {
 
 /// One checkpoint's state, detached from the live simulation: the encoded
 /// sections plus, for an incremental ring generation, the delta plan
-/// against the previous generation. Copyable, so the async writer can
-/// carry it to the background instance.
+/// against the previous generation. The async writer commits it on its
+/// own thread.
 struct Simulation::Snapshot {
   std::shared_ptr<ckpt::FileWriter> writer;
   std::shared_ptr<const elastic::GenerationPlan> plan;  // null: plain file
@@ -500,6 +505,90 @@ struct Simulation::Snapshot {
     stats->record(st);
     return st.file_bytes;
   }
+};
+
+/// The async checkpoint writer: one persistent thread, started with the
+/// writer, committing submitted snapshots in submission order. The first
+/// failed commit is kept until the next wait(), which rethrows it. The
+/// destructor drains the queue and joins; a failure no wait() saw is
+/// dropped.
+class Simulation::CkptWriter {
+ public:
+  CkptWriter() = default;
+  ~CkptWriter() {
+    {
+      const std::lock_guard<std::mutex> lk(mu_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+  CkptWriter(const CkptWriter&) = delete;
+  CkptWriter& operator=(const CkptWriter&) = delete;
+
+  /// Commits queued or running.
+  [[nodiscard]] std::size_t pending() {
+    const std::lock_guard<std::mutex> lk(mu_);
+    return pending_locked();
+  }
+
+  void submit(Snapshot snap, std::string path) {
+    {
+      const std::lock_guard<std::mutex> lk(mu_);
+      queue_.push_back({std::move(snap), std::move(path)});
+    }
+    cv_.notify_all();
+  }
+
+  /// Block until at most `max_pending` commits are queued or running,
+  /// then rethrow the first commit failure since the last wait().
+  void wait(std::size_t max_pending) {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [&] { return pending_locked() <= max_pending; });
+    if (std::exception_ptr err = std::exchange(error_, nullptr))
+      std::rethrow_exception(err);
+  }
+
+ private:
+  struct Commit {
+    Snapshot snap;
+    std::string path;
+  };
+
+  std::size_t pending_locked() const {  // mu_ held
+    return queue_.size() + (busy_ ? 1 : 0);
+  }
+
+  void loop() {
+    std::unique_lock<std::mutex> lk(mu_);
+    for (;;) {
+      cv_.wait(lk, [this] { return stop_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stopped and drained
+      Commit c = std::move(queue_.front());
+      queue_.pop_front();
+      busy_ = true;
+      lk.unlock();
+      std::exception_ptr err;
+      try {
+        c.snap.write(c.path);
+      } catch (...) {
+        err = std::current_exception();
+      }
+      c = Commit{};  // free the snapshot outside the lock
+      lk.lock();
+      busy_ = false;
+      if (err && !error_) error_ = err;
+      cv_.notify_all();
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;  // queue or busy_ changed, or stop_ set
+  std::deque<Commit> queue_;
+  bool busy_ = false;  // loop() is committing a snapshot it dequeued
+  bool stop_ = false;
+  std::exception_ptr error_;
+  std::thread thread_{[this] { loop(); }};  // last: starts after the rest
 };
 
 Simulation::Snapshot Simulation::snapshot(const std::string& path) {
@@ -523,7 +612,7 @@ Simulation::Snapshot Simulation::snapshot(const std::string& path) {
     // The incremental plan (hash/diff against the previous generation) is
     // part of the snapshot: it runs here, on the stepping thread, so it
     // observes generations in order. Only the codec + commit work can be
-    // hidden behind the background instance.
+    // hidden behind the async writer.
     if (!elastic_tracker_)
       elastic_tracker_ = std::make_shared<elastic::DeltaTracker>(
           std::max(1, cfg_.checkpoint_full_every));
@@ -555,30 +644,18 @@ std::uint64_t Simulation::checkpoint(const std::string& path) {
 
 void Simulation::checkpoint_async(const std::string& path) {
   prof::ScopedRegion r("ckpt_async");
-  if (!ckpt_instance_) ckpt_instance_.emplace();
+  if (!ckpt_writer_) ckpt_writer_ = std::make_shared<CkptWriter>();
   // Double buffer: at most two detached snapshots queued behind the
-  // background instance; a third submission waits for the queue to drain
-  // (bounding memory at 2x the engine state).
-  if (ckpt_inflight_->load(std::memory_order_acquire) >= 2)
-    ckpt_instance_->fence();
-  Snapshot snap = snapshot(path);
-  ckpt_inflight_->fetch_add(1, std::memory_order_acq_rel);
-  pk::async(*ckpt_instance_, "ckpt_write",
-            [snap = std::move(snap), path, inflight = ckpt_inflight_] {
-              // Decrement even when the write throws (the exception is
-              // deferred to the next fence, pk::Instance semantics).
-              struct Done {
-                std::shared_ptr<std::atomic<int>> c;
-                ~Done() { c->fetch_sub(1, std::memory_order_acq_rel); }
-              } done{inflight};
-              snap.write(path);
-            });
+  // writer; a third submission waits for the oldest to commit (bounding
+  // memory at 2x the engine state).
+  if (ckpt_writer_->pending() >= 2) ckpt_writer_->wait(1);
+  ckpt_writer_->submit(snapshot(path), path);
   ++ckpt_written_;
   for (const auto& m : modules_) m->on_checkpoint(*this);
 }
 
 void Simulation::checkpoint_wait() {
-  if (ckpt_instance_) ckpt_instance_->fence();
+  if (ckpt_writer_) ckpt_writer_->wait(0);
 }
 
 void Simulation::restore(const std::string& path) {
@@ -668,8 +745,7 @@ void Simulation::checkpoint_to_ring() {
   // writes pending it is deferred to a later, quiescent checkpoint (a
   // restart's restore_latest never races a writer, so crash wrecks are
   // still collected).
-  if (ckpt_inflight_->load(std::memory_order_acquire) == 0)
-    ring.remove_stale_tmp();
+  if (!ckpt_writer_ || ckpt_writer_->pending() == 0) ring.remove_stale_tmp();
 }
 
 // ---- DistributedSimulation -------------------------------------------

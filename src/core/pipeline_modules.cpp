@@ -68,6 +68,9 @@ std::string push_name(const Species& sp, int t) {
 // Gather: interpolator load + accumulator clear, one phase each in both
 // shapes. A tile's particles may have drifted anywhere since the last
 // bucketing, so every tiled push reads the whole interpolator anyway.
+// The clear follows the load and precedes the pushes, so each is a level
+// of its own on the calling thread's whole team: in a pool round their
+// kernels would run on one member.
 // ---------------------------------------------------------------------
 class GatherModule final : public PhysicsModule {
  public:
@@ -95,6 +98,7 @@ class GatherModule final : public PhysicsModule {
              A::acc(sim).clear();
            },
            nv_cost});
+    c.edge("interpolate", "acc_clear");
   }
 };
 
@@ -176,6 +180,7 @@ class PushModule final : public PhysicsModule {
                },
                cost});
         c.edge("interpolate", name);
+        c.edge("acc_clear", name);
       }
     }
   }

@@ -16,7 +16,6 @@
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,7 +30,6 @@
 #include "core/sort_particles.hpp"
 #include "core/step_graph.hpp"
 #include "core/tiles.hpp"
-#include "pk/instance.hpp"
 #include "pk/stealing.hpp"
 #include "prof/prof.hpp"
 
@@ -61,7 +59,7 @@ struct TileConfig {
   int count = 0;  // z-slab tiles; 0 = auto (4 x workers, clamped to nz)
   // Unread; kept because bench/anatomy/step_anatomy.cpp assigns it.
   TileExec exec = TileExec::Stealing;
-  int workers = 2;             // stealing-pool threads (1: no pool)
+  int workers = 2;             // members of each round (1: no round)
   std::uint64_t steal_seed = 0x9e3779b97f4a7c15ull;  // victim RNG streams
 };
 
@@ -89,7 +87,7 @@ struct SimulationConfig {
   // `checkpoint_every` steps write a generation "<checkpoint_path>.g<N>"
   // keeping the newest `checkpoint_keep_last` files. With
   // `checkpoint_async` the snapshot is deep-copied and written on a
-  // background pk::Instance so stepping continues immediately.
+  // background writer thread so stepping continues immediately.
   int checkpoint_every = 0;
   std::string checkpoint_path;
   int checkpoint_keep_last = 3;
@@ -109,9 +107,9 @@ struct SimulationConfig {
   // (docs/MODULES.md, "Tracers").
   std::string tracer_csv_path;
   // Tile-level task decomposition (docs/TILES.md). When enabled, step()
-  // runs the (phase x tile) graph's multi-phase levels on the
-  // work-stealing pool; otherwise it runs the phase graph on the calling
-  // thread (docs/ASYNC.md).
+  // runs each level of several tile tasks as one work-stealing round on
+  // the calling thread's OpenMP team; otherwise it runs the phase graph
+  // on the calling thread (docs/ASYNC.md).
   TileConfig tiles;
 };
 
@@ -267,8 +265,8 @@ class Simulation {
   }
 
   /// Tile-granular poll hook: invoked at the entry of every tiled phase,
-  /// on the calling thread or whichever StealPool worker runs it (so it
-  /// must be thread-safe); the untiled step never calls it. The farm
+  /// on the calling thread or whichever member of a StealPool round runs
+  /// it (so it must be thread-safe); the untiled step never calls it. The farm
   /// wires its preemption check here so a yield request is *observed*
   /// within one tile task instead of one whole step; the step still
   /// completes — a checkpointable boundary — before run_until()
@@ -326,12 +324,14 @@ class Simulation {
 
   /// Asynchronous checkpoint: deep-copies the state into one of two
   /// snapshot buffers *now* (stepping may resume as soon as this returns)
-  /// and commits the file on a dedicated background pk::Instance. At most
-  /// two snapshots are in flight; a third call waits for the oldest.
+  /// and commits the file on a background writer thread, started by the
+  /// first call; commits run in submission order. At most two snapshots
+  /// are in flight; a third call waits for the oldest, and rethrows the
+  /// first failed commit if one has surfaced.
   void checkpoint_async(const std::string& path);
 
-  /// Block until every pending asynchronous checkpoint has committed
-  /// (rethrows a deferred write failure, pk::Instance semantics).
+  /// Block until every pending asynchronous checkpoint has committed;
+  /// rethrows the first commit failure since the last wait.
   void checkpoint_wait();
 
   /// Restore full state from `path` into this simulation. The simulation
@@ -390,8 +390,9 @@ class Simulation {
   void checkpoint_to_ring();
   /// The state of one checkpoint, detached from the live simulation
   /// (core/checkpoint.cpp): checkpoint() writes it at once,
-  /// checkpoint_async() on the background instance.
+  /// checkpoint_async() on the writer thread.
   struct Snapshot;
+  class CkptWriter;
   [[nodiscard]] Snapshot snapshot(const std::string& path);
   [[nodiscard]] bool checkpoint_due(std::int64_t at_step) const {
     return cfg_.checkpoint_every > 0 && !cfg_.checkpoint_path.empty() &&
@@ -425,13 +426,11 @@ class Simulation {
   // ---- physics-module registry (docs/MODULES.md) ---------------------
   std::vector<std::unique_ptr<PhysicsModule>> modules_;
   std::vector<ModuleSectionSkip> last_restore_skips_;
-  // Async checkpoint machinery (core/checkpoint.cpp): a lazily created
-  // background writer instance plus an in-flight count bounding the
-  // double buffer. The shared_ptr keeps the count alive for write tasks
-  // still queued when the Simulation dies (the instance dtor fences).
-  std::optional<pk::Instance<>> ckpt_instance_;
-  std::shared_ptr<std::atomic<int>> ckpt_inflight_ =
-      std::make_shared<std::atomic<int>>(0);
+  // Async checkpoint writer (core/checkpoint.cpp), created by the first
+  // checkpoint_async; its destructor drains the queue and joins the
+  // thread. A shared_ptr, like elastic_tracker_, so this header needs
+  // no definition of it.
+  std::shared_ptr<CkptWriter> ckpt_writer_;
   std::int64_t ckpt_written_ = 0;
   // Next ring generation number, tracked in memory (core/checkpoint.cpp):
   // an async generation still being written is invisible to a directory
@@ -441,10 +440,9 @@ class Simulation {
   std::int64_t ckpt_next_gen_ = -1;
   std::string ckpt_ring_base_;
   // Incremental-checkpoint state (docs/ELASTIC.md), created lazily on the
-  // first incremental checkpoint. Both are shared_ptrs because async
-  // commit tasks outlive a moved-from Simulation (like ckpt_inflight_):
-  // the tracker plans synchronously on the stepping thread, the
-  // mutex-guarded stats block is updated by background commits.
+  // first incremental checkpoint. The tracker plans synchronously on the
+  // stepping thread; the mutex-guarded stats block is shared with the
+  // snapshots the writer thread commits.
   std::shared_ptr<elastic::DeltaTracker> elastic_tracker_;
   std::string elastic_ring_;  // ring base the tracker's chain belongs to
   struct ElasticStatsShared;

@@ -175,7 +175,7 @@ void StepGraph::run(std::size_t id) {
   stats_[id].seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  stats_[id].instance_id = static_cast<std::uint32_t>(
+  stats_[id].worker = static_cast<std::uint32_t>(
       std::max(0, pk::StealPool::current_worker()));
 }
 

@@ -16,10 +16,11 @@
 // One executor runs a validated graph, level by level: a phase's level is
 // one more than its deepest predecessor's, so the phases of one level are
 // mutually unordered. A level of one phase runs on the calling thread; a
-// level of several is one pk::StealPool round (the tiled step's push
-// fan-out, docs/TILES.md). Without a pool every level runs on the calling
-// thread (the untiled step). Because every conflicting pair is ordered,
-// a pool round only overlaps phases the declarations prove safe.
+// level of several is one pk::StealPool round on the calling thread's
+// OpenMP team (the tiled step's push fan-out, docs/TILES.md). Without a
+// pool every level runs on the calling thread (the untiled step). Because
+// every conflicting pair is ordered, a pool round only overlaps phases
+// the declarations prove safe.
 //
 // This is the shape the task-based PIC ports take (ZPIC on OmpSs-2
 // expresses the step loop as data-dependent tasks).
@@ -39,7 +40,7 @@ namespace vpic::core {
 /// One schedulable unit of a step. `reads`/`writes` name abstract
 /// resources (any strings; conventionally "fields.eb", "fields.j",
 /// "interp", "acc", "particles.<species>"). The body runs exactly once
-/// per execution, on the calling thread or a pool worker.
+/// per execution, on the calling thread or a member of a pool round.
 struct StepPhase {
   std::string name;                 // unique, non-empty
   std::vector<std::string> reads;
@@ -55,7 +56,7 @@ struct StepPhase {
 struct PhaseStats {
   std::string name;
   double seconds = 0;          // wall time of the phase body
-  std::uint32_t instance_id = 0;  // StealPool worker that ran it (0 caller)
+  std::uint32_t worker = 0;    // member of the StealPool round (0: caller)
 };
 
 class StepGraph {

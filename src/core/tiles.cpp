@@ -33,7 +33,8 @@ TileMap::TileMap(const Grid& g, int tiles) {
 }
 
 int TileMap::auto_count(const Grid& g, int workers) {
-  return std::clamp(4 * std::max(workers, 1), 1, g.nz);
+  // Clamp before scaling: 4 * workers overflows int above 2^29.
+  return std::min(4 * std::clamp(workers, 1, g.nz), g.nz);
 }
 
 TileAccumulator::TileAccumulator(const Grid& g, const TileMap& tm, int t) {

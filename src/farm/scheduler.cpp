@@ -492,7 +492,7 @@ bool Scheduler::set_priority(const std::string& name, int priority) {
 }
 
 bool Scheduler::rescale(const std::string& name, int workers, int tiles) {
-  if (workers < 1) return false;
+  if (workers < 1 || workers > kMaxRescaleWorkers) return false;
   std::lock_guard lk(mu_);
   for (const auto& jp : jobs_) {
     if (jp->spec.name != name) continue;

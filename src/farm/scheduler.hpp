@@ -97,9 +97,13 @@ class Scheduler {
   /// checkpoint fingerprint, so the parked state restores unchanged). A
   /// running job is preempted so the new shape takes effect promptly; a
   /// resident queued job is parked. The override persists across further
-  /// preemptions until the next rescale. `workers` < 1 or an unknown /
-  /// terminal job returns false.
+  /// preemptions until the next rescale. `workers` outside
+  /// [1, kMaxRescaleWorkers] or an unknown / terminal job returns false.
   bool rescale(const std::string& name, int workers, int tiles = 0);
+  /// Most members a rescaled job's pool rounds may ask for: the count
+  /// arrives over the StatusBus socket, and each round opens that many
+  /// threads.
+  static constexpr int kMaxRescaleWorkers = 256;
 
   /// Status of every job ever submitted, in submission order.
   [[nodiscard]] std::vector<JobStatus> snapshot() const;

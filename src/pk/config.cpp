@@ -15,8 +15,8 @@ int concurrency() noexcept {
 #if PK_HAVE_OPENMP
   // An initialized count binds every thread's kernels, not only the
   // caller's: OpenMP keeps omp_set_num_threads per thread, so farm
-  // workers, minimpi ranks and instance threads would otherwise size
-  // their teams from the environment.
+  // workers and minimpi ranks would otherwise size their teams from the
+  // environment.
   const int bound = g_threads.load(std::memory_order_relaxed);
   return bound > 0 ? bound : omp_get_max_threads();
 #else

@@ -67,14 +67,6 @@ void initialize(int num_threads) noexcept;
 /// Mirrors Kokkos::finalize. No-op placeholder for API fidelity.
 void finalize() noexcept;
 
-/// Mirrors Kokkos::fence: blocks until every live asynchronous execution
-/// instance (pk/instance.hpp) has drained, firing begin/end-fence events
-/// through the prof hook table. Work dispatched without an instance is
-/// synchronous, so with no instances live this returns immediately — but
-/// it is no longer a no-op. Rethrows the first deferred exception captured
-/// from asynchronous work (implemented in instance.cpp).
-void fence();
-
 /// RAII initialize/finalize pair (Kokkos::ScopeGuard).
 class ScopeGuard {
  public:

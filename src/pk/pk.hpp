@@ -4,7 +4,6 @@
 #include "pk/atomic.hpp"
 #include "pk/config.hpp"
 #include "pk/execution.hpp"
-#include "pk/instance.hpp"
 #include "pk/layout.hpp"
 #include "pk/parallel.hpp"
 #include "pk/prof_hooks.hpp"

@@ -37,25 +37,10 @@ struct EventHooks {
                    std::uint64_t bytes) = nullptr;
   void (*deallocate)(const char* space, const char* label, const void* ptr,
                      std::uint64_t bytes) = nullptr;
-  /// Synchronization events (kokkosp_begin/end_fence). `instance_id` is the
-  /// pk::Instance being fenced, or 0 for the global pk::fence(). The begin
-  /// callback may write a cookie through `handle`, handed back to end_fence.
-  void (*begin_fence)(const char* name, std::uint32_t instance_id,
-                      std::uint64_t* handle) = nullptr;
-  void (*end_fence)(std::uint64_t handle) = nullptr;
-  /// An asynchronous task was enqueued on an instance (fires on the
-  /// submitting thread; kernels the task dispatches fire begin/end_parallel
-  /// later on the instance's worker). `queue_depth` counts tasks pending
-  /// on the instance including this one — traces built from these events
-  /// show queue occupancy over time.
-  void (*async_dispatch)(const char* kind, const char* name,
-                         std::uint32_t instance_id,
-                         std::uint64_t queue_depth) = nullptr;
 
   [[nodiscard]] bool any() const noexcept {
     return begin_parallel || end_parallel || push_region || pop_region ||
-           allocate || deallocate || begin_fence || end_fence ||
-           async_dispatch;
+           allocate || deallocate;
   }
 };
 
@@ -142,32 +127,6 @@ inline void notify_deallocate(const char* space, const char* label,
                               const void* ptr, std::uint64_t bytes) noexcept {
   if (active()) [[unlikely]] {
     if (auto* cb = hooks().deallocate) cb(space, label, ptr, bytes);
-  }
-}
-
-inline std::uint64_t begin_fence(const char* name,
-                                 std::uint32_t instance_id) noexcept {
-  if (active()) [[unlikely]] {
-    std::uint64_t handle = 0;
-    if (auto* cb = hooks().begin_fence)
-      cb(name ? name : "pk::fence", instance_id, &handle);
-    return handle;
-  }
-  return 0;
-}
-
-inline void end_fence(std::uint64_t handle) noexcept {
-  if (active()) [[unlikely]] {
-    if (auto* cb = hooks().end_fence) cb(handle);
-  }
-}
-
-inline void notify_async_dispatch(const char* kind, const char* name,
-                                  std::uint32_t instance_id,
-                                  std::uint64_t queue_depth) noexcept {
-  if (active()) [[unlikely]] {
-    if (auto* cb = hooks().async_dispatch)
-      cb(kind, name ? name : "<unlabeled>", instance_id, queue_depth);
   }
 }
 

@@ -1,5 +1,6 @@
 #include "pk/stealing.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -7,16 +8,19 @@
 #include <mutex>
 #include <vector>
 
-#include "pk/instance.hpp"
+#include "pk/execution.hpp"
 #include "prof/prof.hpp"
+
+#if !PK_HAVE_OPENMP
+#include <thread>
+#endif
 
 namespace vpic::pk {
 
 namespace {
 
-// Which deque the current thread owns during a run() round (-1 off the
-// pool). Instance worker threads persist across rounds, so the index is
-// stable for the pool's lifetime once set.
+// Which deque the current thread owns during a run() round (-1 outside
+// one). Each member sets it on entry and restores it on exit.
 thread_local int t_worker = -1;
 
 std::uint64_t xorshift(std::uint64_t& s) {
@@ -58,8 +62,8 @@ struct StealPool::Impl {
     std::mutex mu;
     std::deque<std::function<void()>> dq;
     std::uint64_t rng = 0;
-    // Per-round tallies, written only by the owning worker thread during
-    // a round and read by run() after the fences.
+    // Per-round tallies, written only by the member that owns the deque
+    // during a round and read by run() after the round.
     std::uint64_t tasks_run = 0;
     std::uint64_t steal_attempts = 0;
     std::uint64_t steal_hits = 0;
@@ -68,7 +72,6 @@ struct StealPool::Impl {
   };
 
   std::vector<std::unique_ptr<Worker>> workers;
-  std::vector<Instance<>> instances;
   std::atomic<std::uint64_t> pending{0};
   std::mutex cv_mu;
   std::condition_variable cv;
@@ -79,11 +82,9 @@ struct StealPool::Impl {
   explicit Impl(int n, std::uint64_t seed) {
     if (n < 1) n = 1;
     workers.reserve(static_cast<std::size_t>(n));
-    instances.reserve(static_cast<std::size_t>(n));
     for (int w = 0; w < n; ++w) {
       workers.push_back(std::make_unique<Worker>());
       workers.back()->rng = detail::steal_rng_state(seed, w);
-      instances.emplace_back();
     }
   }
 
@@ -96,12 +97,17 @@ struct StealPool::Impl {
 
   /// Steal ~half of some victim's deque (front = oldest = coarsest).
   /// Returns one task to run now; the rest land on the thief's own deque.
+  /// Probes every other deque once, starting at a random victim: thieves
+  /// do not convoy on one queue, and the deques of members the runtime
+  /// did not grant are always found.
   std::function<void()> try_steal(int self) {
     const int n = static_cast<int>(workers.size());
     if (n < 2) return nullptr;
     Worker& me = *workers[static_cast<std::size_t>(self)];
-    for (int probe = 0; probe + 1 < n; ++probe) {
-      const int victim = detail::steal_victim(me.rng, self, n);
+    const int first = detail::steal_victim(me.rng, self, n);
+    for (int k = 0; k < n; ++k) {
+      const int victim = (first + k) % n;
+      if (victim == self) continue;
       Worker& vk = *workers[static_cast<std::size_t>(victim)];
       std::vector<std::function<void()>> loot;
       {
@@ -130,7 +136,6 @@ struct StealPool::Impl {
   }
 
   void drain(int self) {
-    t_worker = self;
     Worker& me = *workers[static_cast<std::size_t>(self)];
     for (;;) {
       std::function<void()> task;
@@ -147,18 +152,17 @@ struct StealPool::Impl {
         try {
           task();
         } catch (...) {
-          std::lock_guard<std::mutex> lk(err_mu);
-          if (!first_error) first_error = std::current_exception();
+          record_error();
         }
         if (pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
           cv.notify_all();
         continue;
       }
       if (pending.load(std::memory_order_acquire) == 0) break;
-      // Nothing runnable but tasks are in flight elsewhere or sit on a
-      // deque this worker's probes missed: nap on the cv (short timeout
-      // bounds any missed wakeup) and charge the wait to this worker's
-      // idle account.
+      // Nothing runnable but tasks are in flight elsewhere (running, or
+      // between deques in another member's steal): nap on the cv (short
+      // timeout bounds any missed wakeup) and charge the wait to this
+      // member's idle account.
       const auto t0 = std::chrono::steady_clock::now();
       {
         std::unique_lock<std::mutex> lk(cv_mu);
@@ -171,14 +175,34 @@ struct StealPool::Impl {
               .count());
     }
   }
+
+  void record_error() {
+    std::lock_guard<std::mutex> lk(err_mu);
+    if (!first_error) first_error = std::current_exception();
+  }
+
+  /// One member's share of a round, under the caller's counter prefix
+  /// and region path. Never throws: an OpenMP region must not be left by
+  /// an exception.
+  void member(int self, const std::string& prefix,
+              const std::string& region) noexcept {
+    const int outer = t_worker;
+    t_worker = self;
+    try {
+      const vpic::prof::CounterScope counters(prefix);
+      const vpic::prof::RegionBase regions(region);
+      drain(self);
+    } catch (...) {
+      record_error();
+    }
+    t_worker = outer;
+  }
 };
 
 StealPool::StealPool(int workers, std::uint64_t seed)
     : impl_(std::make_unique<Impl>(workers, seed)) {}
 
-StealPool::~StealPool() {
-  // Instances fence-and-join on destruction; nothing queued outside run().
-}
+StealPool::~StealPool() = default;
 
 int StealPool::workers() const {
   return static_cast<int>(impl_->workers.size());
@@ -200,18 +224,34 @@ StealStats StealPool::run() {
   }
   im.first_error = nullptr;
 
-  // Tasks run under the caller's prof counter prefix, so counters fired
-  // inside them land where the caller's own do (a farm job's
-  // "job.<name>." namespace).
   const std::string prefix = vpic::prof::counter_prefix();
+  const std::string region = vpic::prof::region_path();
   const int n = workers();
-  for (int w = 0; w < n; ++w)
-    pk::async(im.instances[static_cast<std::size_t>(w)], "steal.drain",
-              [&im, &prefix, w] {
-                const vpic::prof::CounterScope scope(prefix);
-                im.drain(w);
-              });
-  for (int w = 0; w < n; ++w) im.instances[static_cast<std::size_t>(w)].fence();
+#if PK_HAVE_OPENMP
+  // The region is as wide as the caller's kernel team when that is wider,
+  // and the members past n take no deque: libgomp reshapes its thread
+  // pool whenever the team width changes, so alternating a 2-member round
+  // with 4-thread kernels would cost 0.5-0.8 ms per pair on the reference
+  // host.
+#pragma omp parallel num_threads(std::max(n, OpenMP::concurrency()))
+  {
+    const int w = omp_get_thread_num();
+    if (w < n) im.member(w, prefix, region);
+  }
+#else
+  std::vector<std::thread> members;
+  members.reserve(static_cast<std::size_t>(n - 1));
+  for (int w = 1; w < n; ++w) {
+    try {
+      members.emplace_back(
+          [&im, &prefix, &region, w] { im.member(w, prefix, region); });
+    } catch (...) {
+      break;  // fewer members: the ones started steal the rest
+    }
+  }
+  im.member(0, prefix, region);
+  for (std::thread& t : members) t.join();
+#endif
 
   StealStats s;
   for (auto& wk : im.workers) {
@@ -223,8 +263,7 @@ StealStats StealPool::run() {
   }
   im.last = s;
 
-  // Fired here (not on the workers) so a farm job's CounterScope prefix
-  // on the caller applies.
+  // Fired once per round on the caller, from the summed tallies.
   vpic::prof::counter_add("steal.tasks_run", s.tasks_run);
   vpic::prof::counter_add("steal.attempts", s.steal_attempts);
   vpic::prof::counter_add("steal.hits", s.steal_hits);

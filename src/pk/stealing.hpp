@@ -1,15 +1,27 @@
 #pragma once
-// Work-stealing task pool on top of pk::Instance worker threads.
+// Work-stealing task rounds on the calling thread's OpenMP team.
 //
-// Each worker owns a LIFO deque: the owner pushes/pops at the back (hot
-// in cache, depth-first), idle workers steal *half* a victim's deque from
-// the front (breadth-first, coarsest tasks first — the classic Cilk/ABP
-// split that bounds steal traffic to O(workers * log(tasks))). Victims
-// are picked by a per-worker xorshift RNG so no two thieves convoy on the
-// same queue.
+// Each member of a round owns a LIFO deque: the owner pops at the back
+// (hot in cache, depth-first), idle members steal *half* a victim's deque
+// from the front (breadth-first, coarsest tasks first — the classic
+// Cilk/ABP split that bounds steal traffic to O(workers * log(tasks))).
+// Victims are picked by a per-deque xorshift RNG so no two thieves convoy
+// on the same queue.
+//
+// The pool owns deques, not threads. run() opens one OpenMP parallel
+// region from the calling thread, as wide as workers() or the caller's
+// kernel team, whichever is wider: member w < workers() drains deque w,
+// the caller is member 0, and members past workers() take no deque. A
+// round thus runs on the threads of the caller's kernels and the process
+// holds one set of threads. A thief probes every other deque before it
+// idles, so a round completes even when the runtime grants fewer members
+// than asked (inside an active parallel region it grants one). Kernels a
+// task launches run on its member alone: nested OpenMP regions are
+// inactive. Without OpenMP, members 1..n-1 of each round are
+// std::threads started and joined by run().
 //
 // The pool is built for core::StepGraph's tiled step, which hands it one
-// round per level of mutually unordered phases: tasks are seeded onto
+// round per level of mutually unordered tile tasks: tasks are seeded onto
 // specific deques by a cost model (measured s/particle * tile population)
 // so the *expected* load starts balanced, and stealing only pays for the
 // residual imbalance the model missed. A run() round ends when every
@@ -21,10 +33,12 @@
 // the scheduler does. The untiled step runs without a pool
 // (StepGraph::execute).
 //
-// Counters (fired from run(), on the caller's thread, so a farm job's
-// prof::CounterScope prefix applies): steal.attempts, steal.hits,
-// steal.tasks_moved, steal.idle_us, steal.tasks_run. Tasks run under the
-// caller's counter prefix too, for the duration of the round.
+// Every member runs under the caller's prof counter prefix and region
+// path for the round, so a task's counters land where the caller's own do
+// (a farm job's "job.<name>." namespace) and its regions nest under the
+// caller's open region ("step/push[electron.t0]") whichever member runs
+// it. Counters fired from run() on the calling thread: steal.attempts,
+// steal.hits, steal.tasks_moved, steal.idle_us, steal.tasks_run.
 
 #include <cstdint>
 #include <deque>
@@ -39,7 +53,7 @@ struct StealStats {
   std::uint64_t steal_attempts = 0; // lock-and-look probes of a victim
   std::uint64_t steal_hits = 0;     // probes that moved >= 1 task
   std::uint64_t tasks_stolen = 0;   // tasks moved across deques
-  std::uint64_t idle_us = 0;        // summed worker wait time (all workers)
+  std::uint64_t idle_us = 0;        // summed member wait time (all members)
 
   StealStats& operator+=(const StealStats& o) noexcept {
     tasks_run += o.tasks_run;
@@ -64,12 +78,13 @@ int steal_victim(std::uint64_t& state, int self, int n) noexcept;
 
 }  // namespace detail
 
-/// Persistent pool of `workers` threads executing std::function tasks
-/// with per-worker deques and randomized steal-half balancing.
+/// `workers` deques of std::function tasks, drained by the members of a
+/// round with randomized steal-half balancing.
 class StealPool {
  public:
-  /// Spawns `workers` threads (>= 1). `seed` fixes the victim-selection
-  /// RNG streams so runs are reproducible scheduler-wise too.
+  /// `workers` (>= 1) deques, one per member of a round. `seed` fixes
+  /// the victim-selection RNG streams so runs are reproducible
+  /// scheduler-wise too.
   explicit StealPool(int workers, std::uint64_t seed = 0x9e3779b97f4a7c15ull);
   ~StealPool();
 
@@ -82,7 +97,8 @@ class StealPool {
   /// the next run().
   void seed(int home, std::function<void()> task);
 
-  /// Execute every seeded task to completion.
+  /// Execute every seeded task to completion on a round of workers()
+  /// members, the caller being member 0.
   /// Returns per-round stats and fires the prof counters listed above on
   /// the calling thread. Rethrows the first task exception after the
   /// round drains (remaining tasks are still executed).
@@ -91,7 +107,7 @@ class StealPool {
   /// Stats from the last completed run().
   const StealStats& last_stats() const;
 
-  /// Worker index of the calling thread while inside a task, -1 outside.
+  /// Worker index of the calling thread while inside a round, -1 outside.
   /// Schedulers use it to attribute phase placement in their telemetry.
   static int current_worker() noexcept;
 

@@ -31,13 +31,12 @@ struct RegionAccum {
 
 struct TraceEvent {
   std::string name;      // region path (or kernel label)
-  const char* cat;       // "region" | "parallel_for" | "fence" | ...
+  const char* cat;       // "region" | "parallel_for" | ...
   const char* space;     // exec/memory space name, may be null
   int tid;
   double ts_us;
   double dur_us;
   std::uint64_t work;    // iteration count for kernels, 0 for regions
-  char ph = 'X';         // 'X' complete span | 'i' instant (async dispatch)
 };
 
 // Cap on retained trace events; beyond it events are counted as dropped
@@ -61,9 +60,6 @@ struct State {
 
   std::unordered_map<std::string, std::uint64_t> counters;
 
-  std::atomic<std::uint64_t> fences{0};
-  std::atomic<std::uint64_t> async_dispatches{0};
-
   std::atomic<int> next_tid{0};
 };
 
@@ -85,6 +81,13 @@ struct Frame {
 };
 
 thread_local std::vector<Frame> t_frames;
+// Parent path of a region opened with no frame open (RegionBase).
+thread_local std::string t_region_base;
+
+/// Path a region opened now on this thread nests under ("" = top level).
+const std::string& open_path() {
+  return t_frames.empty() ? t_region_base : t_frames.back().path;
+}
 
 int thread_tid() {
   thread_local int tid = S().next_tid.fetch_add(1, std::memory_order_relaxed);
@@ -93,9 +96,8 @@ int thread_tid() {
 
 void open_frame(const char* name, const char* cat, const char* space,
                 std::uint64_t work) {
-  std::string path = t_frames.empty()
-                         ? std::string(name)
-                         : t_frames.back().path + "/" + name;
+  const std::string& parent = open_path();
+  std::string path = parent.empty() ? std::string(name) : parent + "/" + name;
   t_frames.push_back(
       {std::move(path), cat, space, work, steady::now(), 0.0});
   S().open_regions.fetch_add(1, std::memory_order_relaxed);
@@ -170,41 +172,6 @@ void handle_allocate(const char* /*space*/, const char* /*label*/,
   s.alloc.live_bytes += static_cast<std::int64_t>(bytes);
   s.alloc.peak_bytes = std::max(s.alloc.peak_bytes, s.alloc.live_bytes);
   s.live_allocs[ptr] = bytes;
-}
-
-// Fences appear as ordinary frames on the calling thread (path segment =
-// fence name), so the summary table shows where a schedule blocks and the
-// trace shows the blocked interval.
-void handle_begin_fence(const char* name, std::uint32_t instance_id,
-                        std::uint64_t* handle) {
-  S().fences.fetch_add(1, std::memory_order_relaxed);
-  open_frame(name, "fence", nullptr, instance_id);
-  *handle = t_frames.size();
-}
-
-void handle_end_fence(std::uint64_t /*handle*/) { close_frame(); }
-
-// Asynchronous submissions become counters plus (in trace mode) instant
-// events carrying the queue depth, so a trace shows per-instance queue
-// occupancy alongside the worker-side execution spans.
-void handle_async_dispatch(const char* kind, const char* name,
-                           std::uint32_t instance_id,
-                           std::uint64_t queue_depth) {
-  State& s = S();
-  s.async_dispatches.fetch_add(1, std::memory_order_relaxed);
-  if (s.mode != Mode::Trace) return;
-  const auto now = steady::now();
-  const int tid = thread_tid();
-  std::string label = std::string(kind) + ":" + name + "@instance" +
-                      std::to_string(instance_id);
-  std::lock_guard lk(s.mu);
-  if (s.trace.size() < kMaxTraceEvents) {
-    s.trace.push_back({std::move(label), "async_dispatch", nullptr, tid,
-                       seconds_between(s.base, now) * 1e6, 0.0, queue_depth,
-                       'i'});
-  } else {
-    ++s.dropped_trace;
-  }
 }
 
 void handle_deallocate(const char* /*space*/, const char* /*label*/,
@@ -296,9 +263,6 @@ void enable(Mode m) {
   h.pop_region = &handle_pop_region;
   h.allocate = &handle_allocate;
   h.deallocate = &handle_deallocate;
-  h.begin_fence = &handle_begin_fence;
-  h.end_fence = &handle_end_fence;
-  h.async_dispatch = &handle_async_dispatch;
   pk::prof::set_event_hooks(h);
 }
 
@@ -315,6 +279,13 @@ bool enabled() noexcept { return mode() != Mode::Off; }
 void push_region(const char* name) { pk::prof::region_push(name); }
 
 void pop_region() { pk::prof::region_pop(); }
+
+std::string region_path() { return open_path(); }
+
+RegionBase::RegionBase(std::string base)
+    : prev_(std::exchange(t_region_base, std::move(base))) {}
+
+RegionBase::~RegionBase() { t_region_base = std::move(prev_); }
 
 namespace {
 // Per-thread counter namespace (CounterScope / set_counter_prefix).
@@ -370,8 +341,6 @@ Report report() {
   r.open_regions = s.open_regions.load(std::memory_order_relaxed);
   r.unbalanced_pops = s.unbalanced_pops;
   r.dropped_trace_events = s.dropped_trace;
-  r.fences = s.fences.load(std::memory_order_relaxed);
-  r.async_dispatches = s.async_dispatches.load(std::memory_order_relaxed);
   return r;
 }
 
@@ -385,8 +354,6 @@ void reset() {
   s.live_allocs.clear();
   s.alloc = AllocStats{};
   s.counters.clear();
-  s.fences.store(0, std::memory_order_relaxed);
-  s.async_dispatches.store(0, std::memory_order_relaxed);
   s.base = steady::now();
 }
 
@@ -443,8 +410,6 @@ std::string Report::to_json() const {
   j += "},\"open_regions\":" + std::to_string(open_regions);
   j += ",\"unbalanced_pops\":" + std::to_string(unbalanced_pops);
   j += ",\"dropped_trace_events\":" + std::to_string(dropped_trace_events);
-  j += ",\"fences\":" + std::to_string(fences);
-  j += ",\"async_dispatches\":" + std::to_string(async_dispatches);
   j += "}";
   return j;
 }
@@ -506,14 +471,8 @@ std::string trace_json() {
     json_escape_into(j, e.name);
     j += "\",\"cat\":\"";
     j += e.cat;
-    if (e.ph == 'i') {
-      // Instant event (async dispatch): thread-scoped tick, no duration;
-      // `work` carries the instance queue depth at submission.
-      j += "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" + fmt_double(e.ts_us);
-    } else {
-      j += "\",\"ph\":\"X\",\"ts\":" + fmt_double(e.ts_us);
-      j += ",\"dur\":" + fmt_double(e.dur_us);
-    }
+    j += "\",\"ph\":\"X\",\"ts\":" + fmt_double(e.ts_us);
+    j += ",\"dur\":" + fmt_double(e.dur_us);
     j += ",\"pid\":0,\"tid\":" + std::to_string(e.tid);
     j += ",\"args\":{";
     if (e.space) {

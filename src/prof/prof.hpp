@@ -86,6 +86,28 @@ class CounterScope {
   std::string prev_;
 };
 
+/// Path of the innermost region open on the calling thread, else its
+/// region base (below); "" when profiling is off.
+[[nodiscard]] std::string region_path();
+
+/// Thread-local region base, installed for this object's lifetime (the
+/// previous base is restored on destruction): a region opened on the
+/// calling thread with no region open nests under `base`
+/// ("<base>/<name>") instead of starting a top-level path. pk::StealPool
+/// gives every member of a round the caller's region_path(), so a round
+/// task records under one path whichever thread runs it. Empty (the
+/// default) means top level.
+class RegionBase {
+ public:
+  explicit RegionBase(std::string base);
+  ~RegionBase();
+  RegionBase(const RegionBase&) = delete;
+  RegionBase& operator=(const RegionBase&) = delete;
+
+ private:
+  std::string prev_;
+};
+
 /// RAII region: push_region on construction, pop_region on destruction.
 class ScopedRegion {
  public:
@@ -127,8 +149,6 @@ struct Report {
   std::uint64_t open_regions = 0;      // pushed but not yet popped
   std::uint64_t unbalanced_pops = 0;   // pops with empty stack
   std::uint64_t dropped_trace_events = 0;
-  std::uint64_t fences = 0;            // begin_fence events observed
-  std::uint64_t async_dispatches = 0;  // instance submissions observed
 
   /// Machine-readable form (schema "vpic-prof-v1").
   [[nodiscard]] std::string to_json() const;

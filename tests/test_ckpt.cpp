@@ -43,7 +43,7 @@ class PkEnv : public ::testing::Environment {
   // One kernel thread: the bit-identity suites compare raw bytes, and
   // with >1 OpenMP threads the float-atomic current deposits are
   // nondeterministic even between two sequential runs. The async
-  // checkpoint writer's instance thread is independent of this setting.
+  // checkpoint writer's thread runs no kernels, so it ignores this.
   void SetUp() override { pk::initialize(1); }
 };
 [[maybe_unused]] const auto* const env =
@@ -830,7 +830,7 @@ TEST(SimCkpt, PeriodicRingAsyncKeepsEveryGenerationDistinct) {
   // so it would hand out the same number twice and overwrite a retained
   // generation), and the stale-.tmp sweep never runs while a background
   // commit is in flight (it would unlink the writer's tmp file, fail the
-  // rename, and surface a deferred IoError at the next fence).
+  // rename, and surface a deferred IoError at the next wait).
   const auto dir = scratch("periodic_async");
   auto sim = make_lpi_small();
   sim.config().checkpoint_every = 1;  // submissions outpace commits

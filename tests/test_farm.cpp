@@ -487,6 +487,7 @@ TEST(FarmScheduler, RescaleMidRunResumesAtNewShape) {
 
   EXPECT_FALSE(s.rescale("ghost", 2));  // unknown job
   EXPECT_FALSE(s.rescale("scale", 0));  // bad worker count
+  EXPECT_FALSE(s.rescale("scale", 257));  // above kMaxRescaleWorkers
   ASSERT_TRUE(s.rescale("scale", 2, 4));
 
   const auto st = s.wait("scale");
@@ -533,6 +534,10 @@ TEST(FarmStatusBus, RescaleCommandSteersAndReports) {
     return st.step > 0;
   }));
   EXPECT_NE(bus.handle_command("rescale job 0").find("\"ok\":false"),
+            std::string::npos);
+  // A round opens one thread per worker: the socket may not ask for a
+  // million.
+  EXPECT_NE(bus.handle_command("rescale job 1000000").find("\"ok\":false"),
             std::string::npos);
   EXPECT_EQ(bus.handle_command("rescale job 2 4"), "{\"ok\":true}");
   ASSERT_TRUE(poll_status(s, "job", [](const farm::JobStatus& st) {

@@ -3,11 +3,8 @@
 // policies.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <numeric>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -325,13 +322,11 @@ TYPED_TEST(ParallelTest, MDRange3) {
   EXPECT_EQ(sum, ref);
 }
 
-TEST(ScopeGuard, InitializesAndFences) {
+TEST(ScopeGuard, InitializesAndReinitializes) {
   {
     pk::ScopeGuard guard(2);
-    pk::fence();  // global fence: no instances alive, returns immediately
     pk::View<int, 1> v("v", 10);
     pk::parallel_for(10, [&](index_t i) { v(i) = 1; });
-    pk::fence();
     int sum = 0;
     for (index_t i = 0; i < 10; ++i) sum += v(i);
     EXPECT_EQ(sum, 10);
@@ -445,105 +440,4 @@ TEST(ScatterView, StrategiesAgree) {
   work(sa);
   work(sb);
   for (index_t i = 0; i < 128; ++i) EXPECT_DOUBLE_EQ(a(i), b(i));
-}
-
-// ----------------------------------------------------------------------
-// pk::Instance: asynchronous execution queues (docs/ASYNC.md).
-// ----------------------------------------------------------------------
-
-TEST(Instance, FifoOrderOnOneInstance) {
-  pk::Instance<> q;
-  std::vector<int> order;  // only the single worker thread appends
-  for (int t = 0; t < 8; ++t)
-    pk::async(q, "append", [&order, t] { order.push_back(t); });
-  q.fence();
-  ASSERT_EQ(order.size(), 8u);
-  for (int t = 0; t < 8; ++t) EXPECT_EQ(order[static_cast<std::size_t>(t)], t);
-}
-
-TEST(Instance, FenceWaitsForCompletion) {
-  pk::Instance<> q;
-  std::atomic<bool> done{false};
-  pk::async(q, "slow", [&done] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    done.store(true);
-  });
-  q.fence();
-  EXPECT_TRUE(done.load());
-}
-
-TEST(Instance, DeferredExceptionRethrownAtFence) {
-  pk::Instance<> q;
-  pk::async(q, "boom", [] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(q.fence(), std::runtime_error);
-  // The error is consumed; the instance stays usable.
-  std::atomic<int> ran{0};
-  pk::async(q, "after", [&ran] { ran.store(1); });
-  q.fence();
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(Instance, GlobalFenceCoversAllInstances) {
-  pk::Instance<> q1, q2;
-  std::atomic<int> done{0};
-  for (auto* q : {&q1, &q2})
-    pk::async(*q, "work", [&done] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      done.fetch_add(1);
-    });
-  pk::fence();  // global: must drain both queues
-  EXPECT_EQ(done.load(), 2);
-}
-
-TEST(Instance, IndependentInstancesOverlapInTime) {
-  pk::Instance<> q1, q2;
-  std::atomic<int> active{0}, peak{0};
-  auto body = [&] {
-    const int now = active.fetch_add(1) + 1;
-    int prev = peak.load();
-    while (prev < now && !peak.compare_exchange_weak(prev, now)) {
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(40));
-    active.fetch_sub(1);
-  };
-  pk::async(q1, "a", body);
-  pk::async(q2, "b", body);
-  q1.fence();
-  q2.fence();
-  EXPECT_EQ(peak.load(), 2) << "queues did not run concurrently";
-}
-
-TEST(Instance, DistinctIdsAndPendingCount) {
-  pk::Instance<> q1, q2;
-  EXPECT_NE(q1.id(), q2.id());
-  EXPECT_NE(q1.id(), 0u);  // 0 is the global/default instance
-  q1.fence();
-  EXPECT_EQ(q1.pending(), 0u);
-}
-
-TEST(Instance, ConcurrentStress) {
-  // TSan target: many instances, many tasks, shared atomic counter plus
-  // per-instance disjoint views.
-  constexpr int kInstances = 4;
-  constexpr int kTasks = 32;
-  std::vector<pk::Instance<>> pool(kInstances);
-  std::vector<pk::View<int, 1>> views;
-  views.reserve(kInstances);
-  for (int i = 0; i < kInstances; ++i) views.emplace_back("v", 256);
-  std::atomic<long> total{0};
-  for (int t = 0; t < kTasks; ++t) {
-    const int slot = t % kInstances;
-    auto v = views[static_cast<std::size_t>(slot)];
-    pk::async(pool[static_cast<std::size_t>(slot)], "stress", [v, &total] {
-      for (index_t i = 0; i < 256; ++i) {
-        v(i) += 1;
-        total.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  pk::fence();
-  EXPECT_EQ(total.load(), static_cast<long>(kTasks) * 256);
-  for (int s = 0; s < kInstances; ++s)
-    for (index_t i = 0; i < 256; ++i)
-      EXPECT_EQ(views[static_cast<std::size_t>(s)](i), kTasks / kInstances);
 }

@@ -299,8 +299,9 @@ TEST(ProfRegions, UntiledStepNestsPhasesUnderStep) {
 
 TEST(ProfRegions, TiledStepNestsSinglePhaseLevelsUnderStep) {
   // The tiled step runs a level of one phase on the calling thread, so the
-  // global phases nest under "step"; the tile push tasks of a pool round
-  // run on worker threads, where they are top-level regions.
+  // global phases nest under "step"; every member of a pool round opens
+  // its tasks' regions under the caller's path, so each tile push records
+  // as "step/push[<species>.t<k>]" whichever member ran it.
   vpic::core::decks::LpiParams p;
   p.nx = 8;
   p.ny = 4;
@@ -317,7 +318,14 @@ TEST(ProfRegions, TiledStepNestsSinglePhaseLevelsUnderStep) {
                             "step/field_advance", "step/injection"})
     EXPECT_NE(find_region(r, phase), nullptr) << phase;
   EXPECT_EQ(find_region(r, "field_advance"), nullptr);
-  EXPECT_NE(find_region(r, "push[electron.t0]"), nullptr);
+  for (std::size_t s = 0; s < sim.num_species(); ++s)
+    for (int t = 0; t < 2; ++t) {
+      const std::string tile =
+          "push[" + sim.species(s).name + ".t" + std::to_string(t) + "]";
+      EXPECT_NE(find_region(r, "step/" + tile), nullptr) << tile;
+    }
+  for (const auto& region : r.regions)
+    EXPECT_NE(region.path.rfind("push[", 0), 0u) << region.path;
 }
 
 TEST(ProfRegions, RegionTotalSecondsMatchesLastSegment) {
@@ -541,24 +549,6 @@ TEST(ProfAlloc, ViewAllocCountDelegatesAndCountsWhenOff) {
   EXPECT_EQ(pk::view_alloc_count().load() - before, 2);
   // view_alloc_count and the prof hook counter are the same counter.
   EXPECT_EQ(&pk::view_alloc_count(), &pk::prof::alloc_count());
-}
-
-// ---------------------------------------------------------------------
-// Instance fence / async-dispatch hooks (docs/ASYNC.md): instance
-// submissions and fences are observable through the same hook table as
-// kernel dispatches.
-// ---------------------------------------------------------------------
-TEST(ProfInstance, CountsFencesAndAsyncDispatches) {
-  ProfSession session(prof::Mode::Summary);
-  pk::Instance<> q;
-  pk::async(q, "hooked_a", [] {});
-  pk::async(q, "hooked_b", [] {});
-  q.fence();
-  pk::fence();  // global fence also reports through begin_fence
-
-  const prof::Report r = prof::report();
-  EXPECT_GE(r.fences, 2u) << "instance + global fence";
-  EXPECT_GE(r.async_dispatches, 2u) << "two async submissions";
 }
 
 TEST(ProfAlloc, AllocCountExactUnderParallelConstruction) {

@@ -161,7 +161,7 @@ TEST(StepGraphSimulation, UntiledStepPublishesPhaseStatsAtConcurrencyOne) {
     if (s.name == "field_advance") saw_field_advance = true;
     if (s.name.starts_with("push[")) ++pushes;
     EXPECT_GE(s.seconds, 0.0);
-    EXPECT_EQ(s.instance_id, 0u) << s.name;  // ran on this thread
+    EXPECT_EQ(s.worker, 0u) << s.name;  // ran on this thread
   }
   EXPECT_TRUE(saw_interpolate);
   EXPECT_TRUE(saw_field_advance);

@@ -12,10 +12,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <thread>
 #include <map>
 #include <mutex>
@@ -42,8 +44,8 @@ class PkEnv : public ::testing::Environment {
   // One kernel thread: with >1 OpenMP threads the float-atomic deposits of
   // the *untiled* reference path are nondeterministic, which would mask
   // what this suite is about — tile decomposition and task scheduling.
-  // StealPool worker threads are independent of this setting, so the
-  // stealing tests still exercise real parallelism.
+  // A pool round opens as many members as it has workers, whatever this
+  // setting, so the stealing tests still exercise real parallelism.
   void SetUp() override { pk::initialize(1); }
 };
 [[maybe_unused]] const auto* const env =
@@ -129,6 +131,15 @@ TEST(TileMap, CountClampsToInteriorPlanes) {
   EXPECT_EQ(core::TileMap(g, 0).count(), 1);
   EXPECT_GE(core::TileMap::auto_count(g, 2), 1);
   EXPECT_LE(core::TileMap::auto_count(g, 2), 3);
+}
+
+TEST(TileMap, AutoCountClampsWorkersBeforeScaling) {
+  // 4 * workers overflows int above 2^29 workers; the count must still be
+  // the plane count.
+  const core::Grid g(4, 4, 8, 4, 4, 8, 0.1f);
+  EXPECT_EQ(core::TileMap::auto_count(g, INT_MAX), g.nz);
+  EXPECT_EQ(core::TileMap::auto_count(g, 1 << 30), g.nz);
+  EXPECT_EQ(core::TileMap::auto_count(g, 0), 4);
 }
 
 TEST(TileMap, TileOfVoxelMatchesPlaneOwnershipAndClampsGhosts) {
@@ -407,6 +418,37 @@ TEST(StealPool, CurrentWorkerIsSetInsideTasksOnly) {
   EXPECT_EQ(bad.load(), 0);
   EXPECT_EQ(pk::StealPool::current_worker(), -1);
 }
+
+#if PK_HAVE_OPENMP
+TEST(StealPool, RoundInsideAnActiveParallelRegionRunsEveryTaskOnce) {
+  // Nested OpenMP regions are inactive, so a round started inside an
+  // active one gets a single member, which must steal every other deque.
+  pk::StealPool pool(4);
+  constexpr int kTasks = 40;
+  std::vector<std::atomic<int>> ran(kTasks);
+  std::atomic<int> off_member0{0};
+  for (int k = 0; k < kTasks; ++k)
+    pool.seed(k % pool.workers(), [&ran, &off_member0, k] {
+      ran[static_cast<std::size_t>(k)]++;
+      if (pk::StealPool::current_worker() != 0) off_member0++;
+    });
+  pk::StealStats stats;
+  bool active = false;
+#pragma omp parallel num_threads(2)
+  {
+#pragma omp single
+    {
+      active = omp_in_parallel() != 0;
+      stats = pool.run();
+    }
+  }
+  ASSERT_TRUE(active) << "the outer region was not active";
+  EXPECT_EQ(stats.tasks_run, static_cast<std::uint64_t>(kTasks));
+  EXPECT_EQ(off_member0.load(), 0);
+  for (int k = 0; k < kTasks; ++k)
+    EXPECT_EQ(ran[static_cast<std::size_t>(k)].load(), 1) << k;
+}
+#endif
 
 TEST(StealPool, FirstExceptionPropagatesAfterRoundDrains) {
   pk::StealPool pool(2);
@@ -805,6 +847,41 @@ TEST(TiledStep, EverySortOrderBitDeterministicAcrossWorkerCounts) {
   }
   pk::initialize(1);
 }
+
+#if defined(__linux__)
+TEST(ThreadCensus, TiledStepsWithAnAsyncRingHoldOneTeamAndTheWriter) {
+  // Pool rounds run on the stepping thread's OpenMP team and the async
+  // ring commits on one writer thread, so after tiled steps the process
+  // holds max(workers, team size) threads, this one included, plus the
+  // writer (docs/ASYNC.md, "Threads").
+  pk::finalize();
+  pk::initialize();  // the environment's thread count
+  const int team = pk::DefaultExecSpace::concurrency();
+  constexpr int kWorkers = 4;
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "vpic_thread_census";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::size_t threads = 0;
+  {
+    core::Simulation sim = core::decks::make_lpi(tiled_decks().back().params);
+    sim.config().tiles.enabled = true;
+    sim.config().tiles.workers = kWorkers;
+    sim.config().checkpoint_every = 5;
+    sim.config().checkpoint_path = (dir / "ck").string();
+    sim.config().checkpoint_async = true;
+    sim.run(20);
+    for ([[maybe_unused]] const auto& task :
+         std::filesystem::directory_iterator("/proc/self/task"))
+      ++threads;
+    EXPECT_NO_THROW(sim.checkpoint_wait());
+  }
+  pk::initialize(1);
+  std::filesystem::remove_all(dir);
+  EXPECT_LE(threads, static_cast<std::size_t>(std::max(kWorkers, team) + 1))
+      << "team size " << team;
+}
+#endif
 
 namespace {
 
