@@ -8,7 +8,9 @@
 //              radix argsort, gather + copy-back) vs the workspace-backed
 //              ping-pong pipeline — the end-to-end win the Simulation
 //              driver sees, plus the steady-state allocation count
-//              (pk::view_alloc_count deltas; 0 after warm-up).
+//              (pk::view_alloc_count deltas; 0 after warm-up) and the
+//              per-particle workspace bytes each order holds
+//              (ws_bytes_per_particle: 0 for the AoS Standard sort).
 //
 // Emits one JSON record per measurement (bench_common.hpp) alongside the
 // tables. Acceptance target: counting path >= 1.5x the radix path for
@@ -48,6 +50,28 @@ core::Species make_species(index_t n, index_t nv) {
   }
   sp.np = n;
   return sp;
+}
+
+/// Untimed disorder between timed sorts: a Fisher-Yates over the records
+/// that touches no sort workspace, so the workspace holds only what the
+/// timed order reserved.
+void scramble(core::Species& sp, std::uint64_t seed) {
+  std::uint64_t state = seed;
+  for (index_t i = sp.np - 1; i > 0; --i) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    const auto j = static_cast<index_t>((state >> 33) %
+                                        static_cast<std::uint64_t>(i + 1));
+    std::swap(sp.p(i), sp.p(j));
+  }
+}
+
+/// Bytes of the per-particle sort buffers the workspace holds, per live
+/// particle (keys and keys_alt 4 B each, perm and perm_alt 8 B each).
+double ws_bytes_per_particle(const core::Species& sp) {
+  const sort::SortWorkspace& ws = sp.sort_ws;
+  const index_t bytes = ws.keys.size_bytes() + ws.keys_alt.size_bytes() +
+                        ws.perm.size_bytes() + ws.perm_alt.size_bytes();
+  return static_cast<double>(bytes) / static_cast<double>(sp.np);
 }
 
 /// The pre-workspace sort_particles: four fresh Views per call, radix
@@ -145,7 +169,7 @@ int main(int argc, char** argv) {
   // ------------------------------------------------------------------
   std::printf("\n-- sort_particles pipelines --\n");
   bench::Table pt({"order", "nv", "legacy radix (ms)", "counting+ws (ms)",
-                   "speedup", "steady allocs"});
+                   "speedup", "steady allocs", "ws B/particle"});
   for (const sort::SortOrder order :
        {sort::SortOrder::Standard, sort::SortOrder::Strided}) {
     for (const index_t nv : {index_t{1} << 12, index_t{1} << 16}) {
@@ -154,7 +178,7 @@ int main(int argc, char** argv) {
       core::Species ws_sp = make_species(n, nv);
 
       // Warm up the workspace path so all persistent buffers are sized.
-      core::sort_particles(ws_sp, sort::SortOrder::Random, 0, 7, nv);
+      scramble(ws_sp, 7);
       core::sort_particles(ws_sp, order, 8, 0, nv);
 
       const std::int64_t allocs0 = pk::view_alloc_count().load();
@@ -163,24 +187,22 @@ int main(int argc, char** argv) {
       // re-shuffles (untimed) before the measured sort.
       const bench::Timing ws_t = bench::time_reps(
           reps, 0, [&] { core::sort_particles(ws_sp, order, 8, 0, nv); },
-          [&](int r) {
-            core::sort_particles(ws_sp, sort::SortOrder::Random, 0, 100 + r,
-                                 nv);
-          });
+          [&](int r) { scramble(ws_sp, 100 + static_cast<std::uint64_t>(r)); });
       const std::int64_t steady_allocs =
           pk::view_alloc_count().load() - allocs0;
       const std::int64_t steady_grows = ws_sp.sort_ws.grow_count - grows0;
+      const double ws_bytes = ws_bytes_per_particle(ws_sp);
       const bench::Timing legacy_t = bench::time_reps(
           reps, 0, [&] { legacy_sort_particles(legacy_sp, order, 8); },
           [&](int r) {
-            core::sort_particles(legacy_sp, sort::SortOrder::Random, 0,
-                                 100 + r, nv);
+            scramble(legacy_sp, 100 + static_cast<std::uint64_t>(r));
           });
       const double speedup = legacy_t.min_s / ws_t.min_s;
       pt.row({sort::to_string(order), std::to_string(nv),
               bench::fmt("%.2f", legacy_t.min_s * 1e3),
               bench::fmt("%.2f", ws_t.min_s * 1e3),
-              bench::fmt("%.2fx", speedup), std::to_string(steady_allocs)});
+              bench::fmt("%.2fx", speedup), std::to_string(steady_allocs),
+              bench::fmt("%.0f", ws_bytes)});
       bench::Json("sort_pipeline")
           .field("mode", "pipeline")
           .field("order", sort::to_string(order))
@@ -191,6 +213,7 @@ int main(int argc, char** argv) {
           .field("speedup", speedup)
           .field("steady_state_view_allocs", steady_allocs)
           .field("steady_state_workspace_grows", steady_grows)
+          .field("ws_bytes_per_particle", ws_bytes)
           .print();
     }
   }
@@ -198,7 +221,8 @@ int main(int argc, char** argv) {
   std::printf(
       "\nAcceptance: counting path >= 1.5x the radix path for nv <= 2^16,\n"
       "and 'steady allocs' (pk::View allocations across post-warm-up\n"
-      "sorts, including the untimed re-shuffles) must be 0.\n");
+      "sorts) must be 0. 'ws B/particle' is the per-particle sort\n"
+      "workspace the order holds: 0 for the AoS Standard sort.\n");
 
   const std::string report = bench::emit_bench_json("sort_pipeline");
   if (!report.empty())

@@ -75,12 +75,12 @@ void shuffle(index_t* v, std::size_t n, std::uint64_t seed) {
 }
 
 /// Flat cell index of the particle range [begin, end): a stable counting
-/// argsort of its voxel keys, rebased to the range's lowest voxel so a
-/// tile's histogram spans only its own slab. Cell c (voxel base + c) is the
-/// slice idx[first(c), last(c)) of range-local indices, ascending — the
-/// index-order scan, hence layout-independent — and cells ascend by voxel.
-/// Scratch is per call: concurrent tile tasks of one species each build
-/// their own.
+/// argsort of its voxels, read from the records and rebased to the
+/// range's lowest voxel so a tile's histogram spans only its own slab.
+/// Cell c (voxel base + c) is the slice idx[first(c), last(c)) of
+/// range-local indices, ascending — the index-order scan, hence
+/// layout-independent — and cells ascend by voxel. Scratch is per call:
+/// concurrent tile tasks of one species each build their own.
 template <class Space>
 struct CellIndex {
   index_t begin = 0;
@@ -94,35 +94,31 @@ struct CellIndex {
   CellIndex(const Species& sp, index_t b, index_t e) : begin(b) {
     const index_t n = e - b;
     if (n <= 0) return;
-    const auto keys =
-        std::make_unique_for_overwrite<std::uint32_t[]>(
-            static_cast<std::size_t>(n));
-    std::uint32_t* const k = keys.get();
+    nthreads = Space::concurrency();
     dispatch_layout(sp.p, [&](auto a) {
       pk::MinMaxValue<std::int32_t> mm{};
       pk::parallel_reduce<pk::MinMax<std::int32_t>>(
-          "collide/cell_keys", pk::RangePolicy<Space>(n),
+          "collide/cell_span", pk::RangePolicy<Space>(n),
           [=](index_t i, pk::MinMaxValue<std::int32_t>& r) {
             const std::int32_t v = a.cell(b + i);
-            k[i] = static_cast<std::uint32_t>(v);
             if (v < r.min_val) r.min_val = v;
             if (v > r.max_val) r.max_val = v;
           },
           mm);
       base = mm.min_val;
       ncells = static_cast<index_t>(mm.max_val) - base + 1;
+      offsets = std::make_unique_for_overwrite<index_t[]>(
+          sort::detail::counting_hist_cells(nthreads, ncells));
+      idx = std::make_unique_for_overwrite<index_t[]>(
+          static_cast<std::size_t>(n));
+      const auto cell = [a, b, lo = base](index_t i) {
+        return a.cell(b + i) - lo;
+      };
+      sort::detail::counting_offsets(cell, n, ncells, offsets.get(),
+                                     nthreads);
+      sort::detail::counting_scatter_index(cell, n, ncells, offsets.get(),
+                                           nthreads, idx.get());
     });
-    const auto shift = static_cast<std::uint32_t>(base);
-    pk::parallel_for("collide/cell_rebase", pk::RangePolicy<Space>(n),
-                     [=](index_t i) { k[i] -= shift; });
-    nthreads = Space::concurrency();
-    offsets = std::make_unique_for_overwrite<index_t[]>(
-        sort::detail::counting_hist_cells(nthreads, ncells));
-    idx = std::make_unique_for_overwrite<index_t[]>(
-        static_cast<std::size_t>(n));
-    sort::detail::counting_offsets(k, n, ncells, offsets.get(), nthreads);
-    sort::detail::counting_scatter_index(k, n, ncells, offsets.get(),
-                                         nthreads, idx.get());
   }
 
   // The scatter leaves the last thread's histogram row at each cell's

@@ -3,9 +3,16 @@
 // Persistent scratch memory for the particle-sort pipeline. VPIC re-sorts
 // every sort_interval steps with an (almost always) unchanged particle
 // count, so the sort's key/permutation/histogram buffers are allocated
-// once, grown geometrically on the rare capacity increase, and reused —
-// steady-state sorting performs zero heap allocations (the property
-// tests/test_sort_pipeline.cpp asserts via pk::view_alloc_count()).
+// on first use, grown geometrically on the rare capacity increase, and
+// reused — steady-state sorting performs zero heap allocations (the
+// property tests/test_sort_pipeline.cpp asserts via pk::view_alloc_count).
+//
+// Each buffer is reserved on its own, by the sort paths that read it, so
+// a species holds only what its sort order needs (docs/SORTING.md,
+// "Workspace"): the AoS Standard sort reads each voxel from its record
+// and holds no per-particle buffer at all; the SoA Standard sort and the
+// Random order hold `perm`; the strided orders hold `keys` and
+// `keys_alt`; only the radix fallback holds all four.
 #pragma once
 
 #include <algorithm>
@@ -21,7 +28,7 @@ using pk::index_t;
 struct SortWorkspace {
   pk::View<std::uint32_t, 1> keys;      // cell keys of the live particles
   pk::View<std::uint32_t, 1> keys_alt;  // rewritten keys / radix ping-pong
-  pk::View<index_t, 1> perm;            // permutation (radix argsort path)
+  pk::View<index_t, 1> perm;            // permutation for a gather
   pk::View<index_t, 1> perm_alt;        // radix ping-pong partner of perm
   pk::View<std::uint32_t, 1> counts;    // per-chunk key occurrence counts
   std::vector<index_t> histogram;       // per-thread scatter offsets
@@ -30,26 +37,22 @@ struct SortWorkspace {
   /// leave this constant — the zero-allocation property the tests assert.
   std::int64_t grow_count = 0;
 
-  /// Ensure the per-particle buffers hold at least n entries.
-  void reserve_pairs(index_t n) {
-    if (keys.size() >= n) return;
-    const index_t cap = grown(keys.size(), n);
-    keys = pk::View<std::uint32_t, 1>("sort_ws_keys", cap);
-    keys_alt = pk::View<std::uint32_t, 1>("sort_ws_keys_alt", cap);
-    perm = pk::View<index_t, 1>("sort_ws_perm", cap);
-    perm_alt = pk::View<index_t, 1>("sort_ws_perm_alt", cap);
-    ++grow_count;
+  /// Ensure one buffer holds at least `n` entries and return its storage.
+  /// Contents are NOT preserved across growth nor zeroed for the caller;
+  /// every kernel writes what it reads.
+  std::uint32_t* reserve_keys(index_t n) {
+    return reserve(keys, "sort_ws_keys", n);
   }
-
-  /// Ensure the key-occurrence buffer holds `cells` entries.
-  /// Contents are NOT zeroed; the key-rewrite kernels reset what they use.
+  std::uint32_t* reserve_keys_alt(index_t n) {
+    return reserve(keys_alt, "sort_ws_keys_alt", n);
+  }
+  index_t* reserve_perm(index_t n) { return reserve(perm, "sort_ws_perm", n); }
+  index_t* reserve_perm_alt(index_t n) {
+    return reserve(perm_alt, "sort_ws_perm_alt", n);
+  }
+  /// The key-occurrence buffer, `cells` entries.
   std::uint32_t* reserve_counts(index_t cells) {
-    if (counts.size() < cells) {
-      counts = pk::View<std::uint32_t, 1>("sort_ws_counts",
-                                          grown(counts.size(), cells));
-      ++grow_count;
-    }
-    return counts.data();
+    return reserve(counts, "sort_ws_counts", cells);
   }
 
   /// Ensure the scatter-offset buffer holds `cells` entries.
@@ -62,9 +65,14 @@ struct SortWorkspace {
   }
 
  private:
-  static index_t grown(index_t cur, index_t need) noexcept {
-    const index_t cap = cur + cur / 2;
-    return cap < need ? need : cap;
+  template <class T>
+  T* reserve(pk::View<T, 1>& buf, const char* label, index_t need) {
+    if (buf.size() < need) {
+      const index_t cur = buf.size();
+      buf = pk::View<T, 1>(label, std::max(cur + cur / 2, need));
+      ++grow_count;
+    }
+    return buf.data();
   }
 };
 

@@ -80,6 +80,21 @@ core::Species make_species(index_t n, index_t nv, std::uint64_t seed,
   return sp;
 }
 
+/// Binds the kernel team to `n` threads for the enclosing scope, then
+/// restores the count the suite ran at.
+class KernelThreads {
+ public:
+  explicit KernelThreads(int n) : before_(pk::concurrency()) {
+    pk::initialize(n);
+  }
+  ~KernelThreads() { pk::initialize(before_); }
+  KernelThreads(const KernelThreads&) = delete;
+  KernelThreads& operator=(const KernelThreads&) = delete;
+
+ private:
+  int before_;
+};
+
 /// Byte image of a particle record, for exact multiset comparison.
 using ParticleBytes = std::array<unsigned char, sizeof(core::Particle)>;
 
@@ -260,27 +275,34 @@ TEST_P(SortPipelineLayouts, OrdersMatchTheirPredicates) {
 
 TEST_P(SortPipelineLayouts, StandardSortIsStableForEqualKeys) {
   // Particles in the same cell must keep their relative order (both the
-  // direct counting scatter and the permutation+gather path are stable).
+  // direct counting scatter and the permutation+gather path are stable),
+  // at one thread and across four threads' histogram rows.
   // Tag particles via ux = original index.
   const index_t n = 4096, nv = 64;
-  core::Species sp = make_species(n, nv, 3, layout());
-  for (index_t i = 0; i < n; ++i) {
-    core::Particle p = sp.p.get(i);
-    p.ux = static_cast<float>(i);
-    sp.p.set(i, p);
-  }
-  std::vector<std::pair<std::int32_t, float>> ref(static_cast<std::size_t>(n));
-  for (index_t i = 0; i < n; ++i) {
-    const core::Particle p = sp.p.get(i);
-    ref[static_cast<std::size_t>(i)] = {p.i, p.ux};
-  }
-  std::stable_sort(ref.begin(), ref.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  core::sort_particles(sp, vs::SortOrder::Standard, 0, 0, nv);
-  for (index_t i = 0; i < n; ++i) {
-    const core::Particle p = sp.p.get(i);
-    ASSERT_EQ(p.i, ref[static_cast<std::size_t>(i)].first) << i;
-    ASSERT_EQ(p.ux, ref[static_cast<std::size_t>(i)].second) << i;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    const KernelThreads team(threads);
+    core::Species sp = make_species(n, nv, 3, layout());
+    for (index_t i = 0; i < n; ++i) {
+      core::Particle p = sp.p.get(i);
+      p.ux = static_cast<float>(i);
+      sp.p.set(i, p);
+    }
+    std::vector<std::pair<std::int32_t, float>> ref(
+        static_cast<std::size_t>(n));
+    for (index_t i = 0; i < n; ++i) {
+      const core::Particle p = sp.p.get(i);
+      ref[static_cast<std::size_t>(i)] = {p.i, p.ux};
+    }
+    std::stable_sort(ref.begin(), ref.end(), [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    });
+    core::sort_particles(sp, vs::SortOrder::Standard, 0, 0, nv);
+    for (index_t i = 0; i < n; ++i) {
+      const core::Particle p = sp.p.get(i);
+      ASSERT_EQ(p.i, ref[static_cast<std::size_t>(i)].first) << i;
+      ASSERT_EQ(p.ux, ref[static_cast<std::size_t>(i)].second) << i;
+    }
   }
 }
 
@@ -329,17 +351,91 @@ TEST(SortPipeline, SteadyStateZeroViewAllocations) {
   EXPECT_EQ(sp.sort_ws.histogram.capacity(), hist_cap0);
 }
 
+TEST(SortPipeline, StandardAosSortAllocatesNoPerParticleBuffers) {
+  // The AoS Standard sort reads each voxel from the record it moves: no
+  // key array, no permutation, at one thread or four.
+  const index_t n = 32768, nv = 4096;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    const KernelThreads team(threads);
+    core::Species sp = make_species(n, nv, 321);
+    for (int round = 0; round < 3; ++round) {
+      core::sort_particles(sp, vs::SortOrder::Standard, 0, 0, nv);
+      EXPECT_TRUE(vs::is_sorted_ascending(sp.cell_keys()));
+    }
+    EXPECT_EQ(sp.sort_ws.keys.size(), 0);
+    EXPECT_EQ(sp.sort_ws.keys_alt.size(), 0);
+    EXPECT_EQ(sp.sort_ws.perm.size(), 0);
+    EXPECT_EQ(sp.sort_ws.perm_alt.size(), 0);
+  }
+}
+
+TEST(SortPipeline, EachPathReservesOnlyTheBuffersItReads) {
+  // Per-particle workspace entries held after one sort, per path
+  // (docs/SORTING.md, "Workspace"): {keys, keys_alt, perm, perm_alt}.
+  struct Case {
+    const char* name;
+    core::ParticleLayout layout;
+    vs::SortOrder order;
+    index_t key_bound;  // 0: the radix fallback for these sparse keys
+    std::array<bool, 4> held;
+  };
+  const index_t n = 3000, nv = 64;
+  const auto aos = core::ParticleLayout::AoS, soa = core::ParticleLayout::SoA;
+  const Case cases[] = {
+      {"soa standard", soa, vs::SortOrder::Standard, nv,
+       {false, false, true, false}},
+      {"aos strided", aos, vs::SortOrder::Strided, nv,
+       {true, true, false, false}},
+      {"aos tiled strided", aos, vs::SortOrder::TiledStrided, nv,
+       {true, true, false, false}},
+      {"soa strided", soa, vs::SortOrder::Strided, nv,
+       {true, true, true, false}},
+      {"aos random", aos, vs::SortOrder::Random, nv,
+       {false, false, true, false}},
+      {"aos radix", aos, vs::SortOrder::Standard, 0,
+       {true, true, true, true}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    core::Species sp = make_species(n, nv, 5, c.layout);
+    if (c.key_bound == 0) {
+      std::mt19937_64 rng(13);
+      for (index_t i = 0; i < n; ++i)
+        sp.p.set_cell(i, static_cast<std::int32_t>(rng() % (1u << 30)));
+    }
+    core::sort_particles(sp, c.order, 8, 1, c.key_bound);
+    const vs::SortWorkspace& ws = sp.sort_ws;
+    const index_t sizes[] = {ws.keys.size(), ws.keys_alt.size(),
+                             ws.perm.size(), ws.perm_alt.size()};
+    for (int b = 0; b < 4; ++b)
+      EXPECT_EQ(sizes[b], c.held[static_cast<std::size_t>(b)] ? n : 0)
+          << "buffer " << b;
+  }
+}
+
 TEST(SortPipeline, WorkspaceGrowsGeometricallyOnCapacityIncrease) {
   vs::SortWorkspace ws;
-  ws.reserve_pairs(1000);
+  ws.reserve_keys(1000);
   EXPECT_EQ(ws.grow_count, 1);
-  ws.reserve_pairs(900);  // within capacity: no growth
+  ws.reserve_keys(900);  // within capacity: no growth
   EXPECT_EQ(ws.grow_count, 1);
-  ws.reserve_pairs(1100);  // grows to >= 1.5x
+  ws.reserve_keys(1100);  // grows to >= 1.5x
   EXPECT_EQ(ws.grow_count, 2);
   EXPECT_GE(ws.keys.size(), 1500);
-  ws.reserve_pairs(1500);  // covered by the geometric growth
+  ws.reserve_keys(1500);  // covered by the geometric growth
   EXPECT_EQ(ws.grow_count, 2);
+  // Each buffer grows on its own: the others stay unallocated.
+  EXPECT_EQ(ws.keys_alt.size(), 0);
+  EXPECT_EQ(ws.perm.size(), 0);
+  EXPECT_EQ(ws.perm_alt.size(), 0);
+  ws.reserve_perm(1000);
+  EXPECT_EQ(ws.grow_count, 3);
+  EXPECT_EQ(ws.perm.size(), 1000);
+  ws.reserve_perm(1001);
+  EXPECT_EQ(ws.grow_count, 4);
+  EXPECT_GE(ws.perm.size(), 1500);
+  EXPECT_EQ(ws.keys_alt.size(), 0);
 }
 
 TEST(SortPipeline, CellKeysIntoCallerView) {
