@@ -92,17 +92,19 @@ class Scheduler {
   /// Re-prioritize; may trigger a preemption of a lower-priority runner.
   bool set_priority(const std::string& name, int priority);
   /// Elastic rescale (docs/ELASTIC.md): the next time the job's engine is
-  /// rebuilt it runs with `workers` stealing-pool threads and, when
-  /// `tiles` > 0, that many z-slab tiles (TileConfig — excluded from the
-  /// checkpoint fingerprint, so the parked state restores unchanged). A
-  /// running job is preempted so the new shape takes effect promptly; a
-  /// resident queued job is parked. The override persists across further
-  /// preemptions until the next rescale. `workers` outside
-  /// [1, kMaxRescaleWorkers] or an unknown / terminal job returns false.
+  /// rebuilt its tiled step runs pool rounds of `workers` deques, each
+  /// round opening that many threads or the job's kernel team, whichever
+  /// is wider, and, when `tiles` > 0, that many z-slab tiles (TileConfig
+  /// — excluded from the checkpoint fingerprint, so the parked state
+  /// restores unchanged). A running job is preempted so the new shape
+  /// takes effect promptly; a resident queued job is parked. The override
+  /// persists across further preemptions until the next rescale.
+  /// `workers` outside [1, kMaxRescaleWorkers] or an unknown / terminal
+  /// job returns false.
   bool rescale(const std::string& name, int workers, int tiles = 0);
   /// Most members a rescaled job's pool rounds may ask for: the count
-  /// arrives over the StatusBus socket, and each round opens that many
-  /// threads.
+  /// arrives over the StatusBus socket, and each round opens at least
+  /// that many threads.
   static constexpr int kMaxRescaleWorkers = 256;
 
   /// Status of every job ever submitted, in submission order.
