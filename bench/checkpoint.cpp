@@ -13,6 +13,14 @@
 // path, and an in-process N→M proof — a 4-rank distributed checkpoint
 // redecomposed and restored on 1, 2, 3 and 8 ranks.
 //
+// The timed modes step one step at a time, so each checkpointing mode also
+// reports its checkpoint steps on their own: `ckpt_phase_ms`, the median
+// over checkpoint steps of the "ckpt" phase's wall time
+// (Simulation::last_phase_stats()), and `ckpt_minflt`, the median minor
+// page faults the stepping thread takes in a checkpoint step
+// (getrusage(RUSAGE_THREAD)). Unlike the whole-run differences above, these
+// leave out the fsync and the steps between checkpoints.
+//
 //   ./checkpoint --nx=16 --ny=8 --nz=8 --ppc=4 --steps=40 --every=5 --reps=3
 //   ./checkpoint --smoke        # CI-sized run, bars recorded but not enforced
 //
@@ -20,6 +28,8 @@
 // with the shared validator before exiting. Full (non-smoke) runs also
 // enforce the elastic bars: incremental ratio >= 3x, codec ratio >= 1.5x at
 // < 10% encode overhead.
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cstddef>
 #include <cstdio>
@@ -74,30 +84,62 @@ struct ModeResult {
   std::int64_t checkpoints = 0;
   std::uint64_t file_bytes = 0;
   core::ElasticCkptStats stats;  // zeroed unless the mode is incremental
+  // Medians over the timed reps' checkpoint steps (0 without checkpoints).
+  double ckpt_phase_ms = 0;
+  double ckpt_minflt = 0;
 };
+
+double median(std::vector<double> v) {
+  if (v.empty()) return 0;
+  std::sort(v.begin(), v.end());
+  const std::size_t h = v.size() / 2;
+  return v.size() % 2 ? v[h] : 0.5 * (v[h - 1] + v[h]);
+}
+
+/// Minor page faults the calling thread has taken so far.
+double thread_minflt() {
+  rusage ru{};
+  getrusage(RUSAGE_THREAD, &ru);
+  return static_cast<double>(ru.ru_minflt);
+}
 
 /// Time `steps` steps under one checkpoint mode: "none", "sync", "async"
 /// on the regular deck; "slow-none", "inc", "inc-async" on the slow-churn
-/// deck (incremental generations for the latter two).
+/// deck (incremental generations for the latter two). Steps run one at a
+/// time; each checkpoint step of a timed rep records its "ckpt" phase
+/// time and the stepping thread's minor faults.
 ModeResult run_mode(const Params& p, const std::string& mode) {
   const bool slow = mode == "slow-none" || mode == "inc" ||
                     mode == "inc-async";
   const bool inc = mode == "inc" || mode == "inc-async";
+  const bool checkpoints = mode != "none" && mode != "slow-none";
   const fs::path dir =
       fs::temp_directory_path() / ("vpic_ckpt_bench_" + mode);
   ModeResult out;
   std::optional<core::Simulation> sim;
+  bool timed = false;
+  std::vector<double> phase_ms, minflt;
   out.timing = bench::time_reps(
       p.reps, /*warmup=*/1,
       [&] {
-        sim->run(p.steps);
+        for (int i = 0; i < p.steps; ++i) {
+          const bool ckpt_step =
+              checkpoints && (sim->step_count() + 1) % p.every == 0;
+          const double flt0 = ckpt_step ? thread_minflt() : 0;
+          sim->step();
+          if (!ckpt_step || !timed) continue;
+          minflt.push_back(thread_minflt() - flt0);
+          for (const core::PhaseStats& ph : sim->last_phase_stats())
+            if (ph.name == "ckpt") phase_ms.push_back(ph.seconds * 1e3);
+        }
         sim->checkpoint_wait();
       },
-      [&](int) {
+      [&](int rep) {
+        timed = rep >= 0;
         fs::remove_all(dir);
         fs::create_directories(dir);
         sim.emplace(make_sim(p, slow));
-        if (mode != "none" && mode != "slow-none") {
+        if (checkpoints) {
           sim->config().checkpoint_every = p.every;
           sim->config().checkpoint_path = (dir / "ck").string();
           sim->config().checkpoint_async =
@@ -111,6 +153,8 @@ ModeResult run_mode(const Params& p, const std::string& mode) {
       });
   out.checkpoints = sim->checkpoints_written();
   out.stats = sim->elastic_ckpt_stats();
+  out.ckpt_phase_ms = median(phase_ms);
+  out.ckpt_minflt = median(minflt);
   ckpt::GenerationRing ring((dir / "ck").string(), 3);
   for (std::uint64_t g : ring.generations())
     out.file_bytes = fs::file_size(ring.path_for(g));
@@ -198,18 +242,24 @@ int main(int argc, char** argv) {
   const ModeResult inc = run_mode(p, "inc");
   const ModeResult inc_async = run_mode(p, "inc-async");
 
-  bench::Table t({"mode", "total ms", "ms/step", "ckpts", "file KiB"});
+  bench::Table t({"mode", "total ms", "ms/step", "ckpts", "file KiB",
+                  "ckpt phase ms", "ckpt minflt"});
   const auto row = [&](const char* mode, const ModeResult& r) {
     t.row({mode, bench::fmt("%.3f", r.timing.min_s * 1e3),
            bench::fmt("%.4f", r.timing.min_s * 1e3 / p.steps),
            std::to_string(r.checkpoints),
-           bench::fmt("%.1f", static_cast<double>(r.file_bytes) / 1024.0)});
+           bench::fmt("%.1f", static_cast<double>(r.file_bytes) / 1024.0),
+           bench::fmt("%.3f", r.ckpt_phase_ms),
+           bench::fmt("%.0f", r.ckpt_minflt)});
     auto j = vpic::bench::Json("checkpoint");
     j.field("mode", mode)
         .field("steps", p.steps)
         .field("every", p.every)
         .field("checkpoints", r.checkpoints)
         .field("file_bytes", static_cast<std::int64_t>(r.file_bytes));
+    if (r.checkpoints > 0)
+      j.field("ckpt_phase_ms", r.ckpt_phase_ms)
+          .field("ckpt_minflt", r.ckpt_minflt);
     if (r.stats.full_generations + r.stats.delta_generations > 0) {
       j.field("full_generations", r.stats.full_generations)
           .field("delta_generations", r.stats.delta_generations)

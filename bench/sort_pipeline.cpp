@@ -67,8 +67,8 @@ void scramble(core::Species& sp, std::uint64_t seed) {
 
 /// Bytes of the per-particle sort buffers the workspace holds, per live
 /// particle (keys and keys_alt 4 B each, perm and perm_alt 8 B each).
-double ws_bytes_per_particle(const core::Species& sp) {
-  const sort::SortWorkspace& ws = sp.sort_ws;
+double ws_bytes_per_particle(core::Species& sp) {
+  const sort::SortWorkspace& ws = sp.sort_ws();
   const index_t bytes = ws.keys.size_bytes() + ws.keys_alt.size_bytes() +
                         ws.perm.size_bytes() + ws.perm_alt.size_bytes();
   return static_cast<double>(bytes) / static_cast<double>(sp.np);
@@ -182,7 +182,7 @@ int main(int argc, char** argv) {
       core::sort_particles(ws_sp, order, 8, 0, nv);
 
       const std::int64_t allocs0 = pk::view_alloc_count().load();
-      const std::int64_t grows0 = ws_sp.sort_ws.grow_count;
+      const std::int64_t grows0 = ws_sp.sort_ws().grow_count;
       // Each timed rep sorts a freshly disordered array: the prep lambda
       // re-shuffles (untimed) before the measured sort.
       const bench::Timing ws_t = bench::time_reps(
@@ -190,7 +190,7 @@ int main(int argc, char** argv) {
           [&](int r) { scramble(ws_sp, 100 + static_cast<std::uint64_t>(r)); });
       const std::int64_t steady_allocs =
           pk::view_alloc_count().load() - allocs0;
-      const std::int64_t steady_grows = ws_sp.sort_ws.grow_count - grows0;
+      const std::int64_t steady_grows = ws_sp.sort_ws().grow_count - grows0;
       const double ws_bytes = ws_bytes_per_particle(ws_sp);
       const bench::Timing legacy_t = bench::time_reps(
           reps, 0, [&] { legacy_sort_particles(legacy_sp, order, 8); },

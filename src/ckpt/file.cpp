@@ -25,6 +25,15 @@ void FileWriter::add(EncodedSection section) {
   sections_.push_back(std::move(section));
 }
 
+std::vector<std::byte> FileWriter::stage(std::size_t bytes) {
+  std::vector<std::byte> buf;
+  if (next_spent_ < spent_.size())
+    buf = std::move(spent_[next_spent_++].payload);
+  if (buf.capacity() < bytes) prof::counter_add("ckpt.stage_alloc");
+  buf.resize(bytes);
+  return buf;
+}
+
 void FileWriter::add_bytes(std::string_view name, const void* data,
                            std::size_t n) {
   EncodedSection s;
@@ -33,7 +42,7 @@ void FileWriter::add_bytes(std::string_view name, const void* data,
   s.rank = 0;
   s.extents[0] = static_cast<std::int64_t>(n);
   s.layout = kLayoutRaw;
-  s.payload.resize(n);
+  s.payload = stage(n);
   if (n) std::memcpy(s.payload.data(), data, n);
   add(std::move(s));
 }

@@ -8,7 +8,9 @@
 // instance), then commit() streams header, table, zero padding and
 // payloads to `<path>.tmp` and atomically renames onto `path`. A crash
 // mid-write leaves at worst a stale .tmp, never a half-written committed
-// file.
+// file. A writer built from a committed writer's released sections stages
+// its payloads in their buffers, so periodic checkpoints of one state
+// shape reallocate and zero-fill nothing.
 //
 // Reader: reads the header and section table at open and validates header
 // CRC, magic, version, total size and table CRC up front. Each payload is
@@ -31,6 +33,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "ckpt/serialize.hpp"
@@ -39,13 +42,36 @@ namespace vpic::ckpt {
 
 class FileWriter {
  public:
+  FileWriter() = default;
+
+  /// A writer that stages its payloads in the buffers of `spent`, the
+  /// sections a committed writer released: the k-th payload staged takes
+  /// the k-th spent buffer, so a snapshot shaped like the last one
+  /// neither allocates nor zero-fills a payload.
+  explicit FileWriter(std::vector<EncodedSection> spent)
+      : spent_(std::move(spent)) {}
+
   /// Add a section; throws std::invalid_argument on duplicate names.
   void add(EncodedSection section);
+
+  /// A `bytes`-long payload buffer for the next section: the next spent
+  /// buffer resized (zero-filling only what it grows by), else a fresh
+  /// one. Every buffer that has to allocate counts into the
+  /// "ckpt.stage_alloc" prof counter. The caller writes every byte.
+  [[nodiscard]] std::vector<std::byte> stage(std::size_t bytes);
+
+  /// Move the sections out, leaving the writer empty: the buffers the
+  /// next snapshot stages in.
+  [[nodiscard]] std::vector<EncodedSection> release_sections() noexcept {
+    return std::exchange(sections_, {});
+  }
 
   template <class T, int R, class L, class M>
   void add_view(std::string_view name, const pk::View<T, R, L, M>& v,
                 index_t count = -1) {
-    add(encode_view(name, v, count));
+    const index_t n = R == 1 && count >= 0 ? count : v.size();
+    add(encode_view(name, v, count,
+                    stage(static_cast<std::size_t>(n) * sizeof(T))));
   }
 
   void add_bytes(std::string_view name, const void* data, std::size_t n);
@@ -65,7 +91,7 @@ class FileWriter {
     s.rank = 1;
     s.extents[0] = static_cast<std::int64_t>(v.size());
     s.layout = kLayoutRight;
-    s.payload.resize(v.size() * sizeof(Pod));
+    s.payload = stage(v.size() * sizeof(Pod));
     if (!v.empty()) std::memcpy(s.payload.data(), v.data(), s.payload.size());
     add(std::move(s));
   }
@@ -89,6 +115,8 @@ class FileWriter {
 
  private:
   std::vector<EncodedSection> sections_;
+  std::vector<EncodedSection> spent_;  // payload buffers to stage in
+  std::size_t next_spent_ = 0;
 };
 
 /// Abstract read surface for restore code: a set of named sections plus

@@ -56,11 +56,14 @@ struct EncodedSection {
 /// restricts the encoding to the first `count` elements (a particle
 /// array's live prefix); the default -1 encodes the full extent. The copy
 /// goes through a host mirror for non-host memory spaces, mirroring how a
-/// Kokkos build would stage device Views for I/O.
+/// Kokkos build would stage device Views for I/O. `payload` is a buffer
+/// to copy into (FileWriter::stage() hands one over already sized, so
+/// the resize below does nothing); by default a fresh one.
 template <class T, int R, class L, class M>
 EncodedSection encode_view(std::string_view name,
                            const pk::View<T, R, L, M>& v,
-                           index_t count = -1) {
+                           index_t count = -1,
+                           std::vector<std::byte> payload = {}) {
   if (name.size() > kSectionNameMax)
     throw std::invalid_argument("ckpt::encode_view: section name too long: " +
                                 std::string(name));
@@ -82,6 +85,7 @@ EncodedSection encode_view(std::string_view name,
     assert(count < 0 && "prefix encoding is rank-1 only");
   }
 
+  s.payload = std::move(payload);
   s.payload.resize(static_cast<std::size_t>(n) * sizeof(T));
   if constexpr (std::is_same_v<M, pk::HostSpace>) {
     std::memcpy(s.payload.data(), v.data(), s.payload.size());

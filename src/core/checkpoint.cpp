@@ -91,6 +91,33 @@ std::vector<std::pair<index_t, index_t>> particle_chunks(const Species& sp) {
   return r;
 }
 
+/// Section `name`: records [begin, end) of `sp` as the canonical packed
+/// AoS stream, whatever the store's layout, copied into `w`'s next staged
+/// payload buffer.
+void add_particles(ckpt::FileWriter& w, std::string name, const Species& sp,
+                   index_t begin, index_t end) {
+  ckpt::EncodedSection c;
+  c.name = std::move(name);
+  c.elem_size = sizeof(Particle);
+  c.rank = 1;
+  c.extents[0] = static_cast<std::int64_t>(end - begin);
+  c.layout = ckpt::kLayoutRight;
+  c.payload =
+      w.stage(static_cast<std::size_t>(end - begin) * sizeof(Particle));
+  std::byte* const dst = c.payload.data();
+  dispatch_layout(sp.p, [&](auto a) {
+    if constexpr (decltype(a)::layout == ParticleLayout::AoS) {
+      if (end > begin) std::memcpy(dst, a.p + begin, c.payload.size());
+    } else {
+      for (index_t i = begin; i < end; ++i) {
+        const Particle q = a.load(i);
+        std::memcpy(dst + (i - begin) * sizeof(Particle), &q, sizeof(q));
+      }
+    }
+  });
+  w.add(std::move(c));
+}
+
 // The engine-state section set is shared between the single-node and the
 // per-rank distributed checkpoints: fields, interpolator, accumulator,
 // and every species (particles + metadata + name, and "sp<i>.tiles", the
@@ -138,44 +165,17 @@ void add_engine_sections(ckpt::FileWriter& w, const FieldArray& f,
     // every layout, so the file format (and its CRCs) is layout-invariant
     // and a checkpoint round-trips across AoS/SoA stores.
     if (!chunked) {
-      if (sp.p.layout() == ParticleLayout::AoS) {
-        w.add_view(pfx + "p", sp.p.aos_view(), sp.np);
-      } else {
-        pk::View<Particle, 1> canon("ckpt_canon_" + sp.name, sp.np);
-        sp.p.export_aos(canon.data(), sp.np);
-        w.add_view(pfx + "p", canon);
-      }
+      add_particles(w, pfx + "p", sp, 0, sp.np);
       continue;
     }
     // Chunked layout: per-chunk copies of the canonical AoS stream in
     // index order (chunk boundaries follow the tile partition, so the
-    // concatenation in k order IS the canonical stream). An AoS store is
-    // that stream already; other layouts stage it once.
-    pk::View<Particle, 1> canon;
-    const Particle* src = sp.p.layout() == ParticleLayout::AoS
-                              ? sp.p.aos_view().data()
-                              : nullptr;
-    if (src == nullptr) {
-      canon = pk::View<Particle, 1>("ckpt_canon_" + sp.name, sp.np);
-      sp.p.export_aos(canon.data(), sp.np);
-      src = canon.data();
-    }
+    // concatenation in k order IS the canonical stream).
     const auto chunks = particle_chunks(sp);
     w.add_pod(pfx + "nchunks", static_cast<std::uint64_t>(chunks.size()));
-    for (std::size_t k = 0; k < chunks.size(); ++k) {
-      const auto [begin, end] = chunks[k];
-      ckpt::EncodedSection c;
-      c.name = pfx + "c" + std::to_string(k) + ".p";
-      c.elem_size = sizeof(Particle);
-      c.rank = 1;
-      c.extents[0] = static_cast<std::int64_t>(end - begin);
-      c.layout = ckpt::kLayoutRight;
-      c.payload.resize(static_cast<std::size_t>(end - begin) *
-                       sizeof(Particle));
-      if (end > begin)
-        std::memcpy(c.payload.data(), src + begin, c.payload.size());
-      w.add(std::move(c));
-    }
+    for (std::size_t k = 0; k < chunks.size(); ++k)
+      add_particles(w, pfx + "c" + std::to_string(k) + ".p", sp,
+                    chunks[k].first, chunks[k].second);
   }
 }
 
@@ -223,8 +223,13 @@ void read_engine_sections(ckpt::SectionSource& f, FieldArray& fld,
     if (meta.np < 0)
       throw ckpt::RestoreError(ckpt::RestoreErrorKind::ShapeMismatch,
                                "negative particle count in '" + sp.name + "'");
-    if (meta.np > sp.capacity())
+    if (meta.np > sp.capacity()) {
       sp.p = ParticleStore("particles_" + sp.name, meta.np, sp.p.layout());
+      // The only store reallocation: drop the spares, so none of a
+      // capacity no species holds any more lingers; each species' next
+      // sort sizes its spare again.
+      if (sp.scratch) sp.scratch->spares.clear();
+    }
     if (sp.p.layout() == ParticleLayout::AoS) {
       f.read_view(pfx + "p", sp.p.aos_view());
     } else {
@@ -240,7 +245,7 @@ void read_engine_sections(ckpt::SectionSource& f, FieldArray& fld,
     sp.m = meta.m;
     sp.steps_since_sort = meta.steps_since_sort;
     sp.cell_sorted_hint = meta.cell_sorted_hint != 0;
-    // The reorder scratch and run segmentation are rebuilt on demand.
+    // The run segmentation is rebuilt on demand.
     sp.push_runs.clear();
     sp.tiles.clear();
     const std::string tiles = pfx + "tiles";
@@ -486,25 +491,53 @@ std::uint64_t Simulation::config_fingerprint() const {
   return fp.value();
 }
 
+/// The idle staging set: the sections of a committed snapshot, handed
+/// back by whichever thread committed it, for the next snapshot to encode
+/// into (ckpt::FileWriter::stage). It holds at most one set; a second one
+/// (its commit overlapped the next snapshot, which then staged afresh) is
+/// freed, so staging never holds more than the snapshots in flight did.
+struct Simulation::CkptStaging {
+  std::mutex mu;
+  std::vector<ckpt::EncodedSection> idle;
+
+  std::vector<ckpt::EncodedSection> take() {
+    const std::lock_guard<std::mutex> lk(mu);
+    return std::exchange(idle, {});
+  }
+
+  void give_back(std::vector<ckpt::EncodedSection> spent) {
+    const std::lock_guard<std::mutex> lk(mu);
+    if (idle.empty()) idle.swap(spent);
+  }
+};
+
 /// One checkpoint's state, detached from the live simulation: the encoded
 /// sections plus, for an incremental ring generation, the delta plan
 /// against the previous generation. The async writer commits it on its
-/// own thread.
+/// own thread, under the profiler region path the snapshot was taken in.
 struct Simulation::Snapshot {
   std::shared_ptr<ckpt::FileWriter> writer;
   std::shared_ptr<const elastic::GenerationPlan> plan;  // null: plain file
   std::shared_ptr<ElasticStatsShared> stats;            // set with plan
+  std::shared_ptr<CkptStaging> staging;  // takes the sections back
+  std::string region;                    // prof::region_path() when taken
   std::uint64_t fingerprint = 0;
   std::int64_t step = 0;
 
   /// Commit the file; returns its size in bytes.
   std::uint64_t write(const std::string& path) const {
+    const prof::RegionBase base(region);
     if (!plan) return writer->commit(path, fingerprint, step);
     const elastic::GenStats st = elastic::write_generation(
         path, writer->sections(), *plan, fingerprint, step);
     stats->record(st);
     return st.file_bytes;
   }
+
+  /// Hand the sections back for the next snapshot to stage in. Nothing
+  /// reads them after the commit: the delta plan and the tracker keep
+  /// hashes, not payloads.
+  void recycle() { staging->give_back(writer->release_sections()); }
 };
 
 /// The async checkpoint writer: one persistent thread, started with the
@@ -574,6 +607,8 @@ class Simulation::CkptWriter {
       } catch (...) {
         err = std::current_exception();
       }
+      // Before busy_ clears, so a wait() that returns finds it idle.
+      c.snap.recycle();
       c = Commit{};  // free the snapshot outside the lock
       lk.lock();
       busy_ = false;
@@ -594,12 +629,16 @@ class Simulation::CkptWriter {
 Simulation::Snapshot Simulation::snapshot(const std::string& path) {
   const std::int64_t gen =
       cfg_.checkpoint_incremental ? ring_generation_of(path) : -1;
+  if (!ckpt_staging_) ckpt_staging_ = std::make_shared<CkptStaging>();
   Snapshot s;
-  s.writer = std::make_shared<ckpt::FileWriter>();
+  s.writer = std::make_shared<ckpt::FileWriter>(ckpt_staging_->take());
+  s.staging = ckpt_staging_;
+  s.region = prof::region_path();
   {
-    // This encode IS the snapshot: encode_view deep-copies every payload,
-    // so once it returns the writer is independent of the live state and
-    // stepping may continue while the file is written behind it.
+    // This encode IS the snapshot: it deep-copies every payload (into the
+    // last committed snapshot's buffers when one is idle), so once it
+    // returns the writer is independent of the live state and stepping
+    // may continue while the file is written behind it.
     prof::ScopedRegion enc("ckpt_encode");
     add_engine_sections(*s.writer, fields_, interp_, acc_, species_,
                         gen >= 0);
@@ -636,7 +675,9 @@ Simulation::Snapshot Simulation::snapshot(const std::string& path) {
 
 std::uint64_t Simulation::checkpoint(const std::string& path) {
   prof::ScopedRegion r("ckpt");
-  const std::uint64_t bytes = snapshot(path).write(path);
+  Snapshot s = snapshot(path);
+  const std::uint64_t bytes = s.write(path);
+  s.recycle();
   ++ckpt_written_;
   for (const auto& m : modules_) m->on_checkpoint(*this);
   return bytes;

@@ -12,10 +12,16 @@
 // every tile reading the same hint — and, under the tiled step, the
 // tiles' index ranges (TileSlot, docs/TILES.md), which a tiled
 // checkpoint stores and a tiled restore adopts.
+//
+// The sort reorders a species through a SortScratch (its workspace and a
+// spare particle buffer to swap with `p`). A Simulation points every
+// species it adds at its one scratch, since its sorts run one after
+// another; a standalone species makes a private one on first use.
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -42,6 +48,29 @@ struct TileSlot {
   [[nodiscard]] index_t count() const noexcept { return end - begin; }
 };
 
+/// What the sort reorders through (core/sort_particles.hpp,
+/// docs/SORTING.md): the SortWorkspace, whose buffers each sort path sizes
+/// on first use and grows geometrically, and the spare particle buffers a
+/// reorder writes into before swapping with the species' store
+/// (ping-pong). One scratch serves every species of a Simulation, whose
+/// sorts run one after another (each sort phase writes "sort.scratch").
+/// It keeps one spare per distinct (capacity, layout) among them, so no
+/// species takes a buffer of another capacity and steady-state sorting
+/// allocates nothing at any mix of capacities.
+struct SortScratch {
+  sort::SortWorkspace ws;
+
+  /// The spare matching `p`'s capacity and layout, allocated on first
+  /// use. The reference stays valid until `spares` next changes.
+  ParticleStore& spare_for(const ParticleStore& p) {
+    for (ParticleStore& s : spares)
+      if (s.size() == p.size() && s.layout() == p.layout()) return s;
+    return spares.emplace_back("sort_spare", p.size(), p.layout());
+  }
+
+  std::vector<ParticleStore> spares;
+};
+
 struct Species {
   std::string name;
   float q = -1.0f;  // charge (electron = -1 in normalized units)
@@ -49,14 +78,10 @@ struct Species {
   ParticleStore p;
   index_t np = 0;  // live particle count (p may be larger)
 
-  // Persistent sort scratch: key/permutation/histogram buffers, each
-  // sized on first use by the sort path that reads it and grown
-  // geometrically (the AoS Standard sort reads voxels from the records
-  // and holds no per-particle buffer), plus the ping-pong partner of `p`
-  // the sort writes into before swapping. Steady-state re-sorting
-  // allocates nothing (see core/sort_particles.hpp, docs/SORTING.md).
-  sort::SortWorkspace sort_ws;
-  ParticleStore p_scratch;
+  // The scratch this species sorts through: its Simulation's, shared with
+  // every other species it adds, or null until a standalone species' first
+  // sort makes a private one (sort_scratch()).
+  std::shared_ptr<SortScratch> scratch;
 
   // Sortedness tracking for the run-aware push fast path (docs/PUSH.md):
   // sort_particles(Standard) marks the array cell-sorted; every push or
@@ -101,14 +126,16 @@ struct Species {
   [[nodiscard]] ParticleLayout layout() const noexcept { return p.layout(); }
   [[nodiscard]] index_t capacity() const noexcept { return p.size(); }
 
-  /// Ping-pong partner of `p`, allocated lazily at the same capacity and
-  /// layout.
-  ParticleStore& sort_scratch() {
-    if (p_scratch.size() < p.size() || p_scratch.layout() != p.layout())
-      p_scratch =
-          ParticleStore("particles_scratch_" + name, p.size(), p.layout());
-    return p_scratch;
+  /// The scratch this species sorts through, made private on first use
+  /// when no Simulation shares one with it.
+  SortScratch& sort_scratch() {
+    if (!scratch) scratch = std::make_shared<SortScratch>();
+    return *scratch;
   }
+
+  /// The workspace of that scratch: key, permutation and histogram
+  /// buffers, each sized by the sort path that reads it.
+  sort::SortWorkspace& sort_ws() { return sort_scratch().ws; }
 
   /// Kinetic energy sum( w * m c^2 (gamma - 1) ).
   [[nodiscard]] double kinetic_energy() const {

@@ -351,12 +351,14 @@ class DiagnosticsModule final : public PhysicsModule {
 
 // ---------------------------------------------------------------------
 // Sort: per-species re-sorts on the configured interval, one phase per
-// species in both shapes. Each touches only its own species, but each
-// joins, so the next one's add_branch orders after it: the sorts run one
-// after another, each with the whole OpenMP team. Tiled, the phase then
-// re-buckets the species by tile (a no-op after a Standard sort, which
-// leaves the array tile-major); the tiles dispatch off the freshness the
-// sort just set.
+// species in both shapes. Each writes its own species and the
+// simulation's one sort scratch ("sort.scratch": the workspace and the
+// spare buffer every species reorders through), and each joins, so the
+// next one's add_branch orders after it: the sorts run one after another,
+// each with the whole OpenMP team, and validate() rejects any schedule
+// that could run two at once. Tiled, the phase then re-buckets the
+// species by tile (a no-op after a Standard sort, which leaves the array
+// tile-major); the tiles dispatch off the freshness the sort just set.
 // ---------------------------------------------------------------------
 class SortModule final : public PhysicsModule {
  public:
@@ -376,9 +378,11 @@ class SortModule final : public PhysicsModule {
     auto& species = A::species(sim);
     for (std::size_t s = 0; s < species.size(); ++s) {
       const std::string name = "sort[" + species[s].name + "]";
+      std::vector<std::string> writes = ctx.particles(species[s].name);
+      writes.emplace_back("sort.scratch");
       c.add_branch({name,
                     {},
-                    ctx.particles(species[s].name),
+                    std::move(writes),
                     [&sim, s, tile, tiled, poll] {
                       if (poll) poll();
                       const auto& cfg2 = A::cfg(sim);

@@ -161,9 +161,11 @@ class Simulation {
   }
 
   /// Add a species with given charge/mass and capacity; returns its index.
+  /// It sorts through the simulation's one SortScratch.
   std::size_t add_species(std::string name, float q, float m,
                           index_t capacity) {
     species_.emplace_back(std::move(name), q, m, capacity, cfg_.layout);
+    species_.back().scratch = sort_scratch_;
     return species_.size() - 1;
   }
 
@@ -392,6 +394,7 @@ class Simulation {
   /// (core/checkpoint.cpp): checkpoint() writes it at once,
   /// checkpoint_async() on the writer thread.
   struct Snapshot;
+  struct CkptStaging;
   class CkptWriter;
   [[nodiscard]] Snapshot snapshot(const std::string& path);
   [[nodiscard]] bool checkpoint_due(std::int64_t at_step) const {
@@ -403,6 +406,9 @@ class Simulation {
   InterpolatorArray interp_;
   AccumulatorArray acc_;
   std::vector<Species> species_;
+  // The sort workspace and spare particle buffers every species sorts
+  // through (core/particle.hpp); shared with them, so it survives a move.
+  std::shared_ptr<SortScratch> sort_scratch_ = std::make_shared<SortScratch>();
   std::vector<PushPath> last_push_paths_;
   std::function<void(Simulation&)> injection_hook_;
   EnergyHistory energy_history_;
@@ -431,6 +437,9 @@ class Simulation {
   // thread. A shared_ptr, like elastic_tracker_, so this header needs
   // no definition of it.
   std::shared_ptr<CkptWriter> ckpt_writer_;
+  // The last committed snapshot's sections, for the next one to encode
+  // into (core/checkpoint.cpp); created by the first checkpoint.
+  std::shared_ptr<CkptStaging> ckpt_staging_;
   std::int64_t ckpt_written_ = 0;
   // Next ring generation number, tracked in memory (core/checkpoint.cpp):
   // an async generation still being written is invisible to a directory

@@ -18,8 +18,11 @@
 //  * AoS scatters the 32-byte particle records directly, with no
 //    permutation array; SoA scatters a permutation and gathers through
 //    the layout accessor (a record is not one contiguous span there);
-//  * the reorder writes into the species' scratch particle buffer which
-//    is then swapped with `p` (ping-pong), eliminating the copy-back pass;
+//  * the reorder writes into the spare particle buffer of the species'
+//    SortScratch (core/particle.hpp), which is then swapped with `p`
+//    (ping-pong), eliminating the copy-back pass. A Simulation's species
+//    share one scratch, so a two-species deck holds three particle
+//    buffers and one workspace;
 //  * each path reserves only the SortWorkspace buffers it reads, on first
 //    use (grown geometrically, reused thereafter).
 //
@@ -54,17 +57,17 @@ inline void sort_particles(Species& sp, sort::SortOrder order,
   sp.mark_sorted(order == sort::SortOrder::Standard);
   if (n <= 1) return;
   prof::ScopedRegion region("sort_particles");
-  sort::SortWorkspace& ws = sp.sort_ws;
+  SortScratch& scr = sp.sort_scratch();
+  sort::SortWorkspace& ws = scr.ws;
+  ParticleStore& spare = scr.spare_for(sp.p);
   const int nthreads = pk::DefaultExecSpace::concurrency();
-
-  ParticleStore& scratch = sp.sort_scratch();
 
   // Layout-generic permutation gather: dst[i] = src[perm[i]]. AoS moves
   // whole records through the raw pointers; SoA goes through the
   // accessor pair (still one pass, 8 plane moves per particle).
   auto gather_perm = [&](const char* kernel, const index_t* perm) {
     dispatch_layout(sp.p, [&](auto sa) {
-      dispatch_layout(scratch, [&](auto da) {
+      dispatch_layout(spare, [&](auto da) {
         pk::parallel_for(kernel, n,
                          [=](index_t i) { da.store(i, sa.load(perm[i])); });
       });
@@ -89,7 +92,7 @@ inline void sort_particles(Species& sp, sort::SortOrder order,
       std::swap(perm[i], perm[j]);
     }
     gather_perm("sort/shuffle_gather", perm);
-    std::swap(sp.p, sp.p_scratch);
+    std::swap(sp.p, spare);
     return;
   }
 
@@ -137,10 +140,9 @@ inline void sort_particles(Species& sp, sort::SortOrder order,
     // SoA scatters a permutation, then one accessor gather.
     const auto reorder = [&](const auto& key) {
       sort::detail::counting_offsets(key, n, b, offsets, nthreads);
-      if (sp.p.layout() == ParticleLayout::AoS &&
-          scratch.layout() == ParticleLayout::AoS) {
+      if (sp.p.layout() == ParticleLayout::AoS) {
         const Particle* const src = sp.p.data();
-        Particle* const dst = scratch.data();
+        Particle* const dst = spare.data();
         sort::detail::counting_scatter(
             key, n, b, offsets, nthreads,
             [src, dst](index_t i, index_t pos) { dst[pos] = src[i]; });
@@ -179,7 +181,7 @@ inline void sort_particles(Species& sp, sort::SortOrder order,
                                offsets, nthreads);
     gather_perm("sort/radix_gather", perm);
   }
-  std::swap(sp.p, sp.p_scratch);
+  std::swap(sp.p, spare);
 }
 
 }  // namespace vpic::core

@@ -73,7 +73,7 @@ void bucket_by_tile(Species& sp, const TileMap& tm) {
   sp.tiles.resize(static_cast<std::size_t>(nt));
   const index_t n = sp.np;
   prof::ScopedRegion region("bucket_by_tile");
-  bool scattered = false;
+  ParticleStore* spare = nullptr;
   dispatch_layout(sp.p, [&](auto sa) {
     const auto tile = [sa, &tm](index_t i) {
       return tm.tile_of_voxel(sa.cell(i));
@@ -116,12 +116,14 @@ void bucket_by_tile(Species& sp, const TileMap& tm) {
       return;
     }
     // Otherwise one stable counting sort over tile ids on the calling
-    // thread's team. The exclusive-scan offsets ARE the tile ranges
-    // (thread 0's row holds each bucket's first slot), captured before the
-    // scatter consumes them.
+    // thread's team, through the species' sort scratch: the histogram of
+    // its workspace, the records into its spare. The exclusive-scan
+    // offsets ARE the tile ranges (thread 0's row holds each bucket's
+    // first slot), captured before the scatter consumes them.
     const index_t bound = static_cast<index_t>(nt);
     const int nthreads = pk::DefaultExecSpace::concurrency();
-    index_t* offsets = sp.sort_ws.reserve_histogram(
+    SortScratch& scr = sp.sort_scratch();
+    index_t* offsets = scr.ws.reserve_histogram(
         sort::detail::counting_hist_cells(nthreads, bound));
     sort::detail::counting_offsets(tile, n, bound, offsets, nthreads);
     for (int t = 0; t < nt; ++t) {
@@ -129,15 +131,15 @@ void bucket_by_tile(Species& sp, const TileMap& tm) {
       slot.begin = offsets[t];
       slot.end = t + 1 < nt ? offsets[t + 1] : n;
     }
-    dispatch_layout(sp.sort_scratch(), [&](auto da) {
+    spare = &scr.spare_for(sp.p);
+    dispatch_layout(*spare, [&](auto da) {
       sort::detail::counting_scatter(
           tile, n, bound, offsets, nthreads,
           [sa, da](index_t i, index_t pos) { da.store(pos, sa.load(i)); });
     });
-    scattered = true;
   });
-  if (!scattered) return;
-  std::swap(sp.p, sp.p_scratch);
+  if (spare == nullptr) return;
+  std::swap(sp.p, *spare);
   prof::counter_add("tiles.bucket");
 }
 

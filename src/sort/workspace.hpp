@@ -7,12 +7,15 @@
 // reused — steady-state sorting performs zero heap allocations (the
 // property tests/test_sort_pipeline.cpp asserts via pk::view_alloc_count).
 //
-// Each buffer is reserved on its own, by the sort paths that read it, so
-// a species holds only what its sort order needs (docs/SORTING.md,
-// "Workspace"): the AoS Standard sort reads each voxel from its record
-// and holds no per-particle buffer at all; the SoA Standard sort and the
-// Random order hold `perm`; the strided orders hold `keys` and
-// `keys_alt`; only the radix fallback holds all four.
+// One workspace serves every species of a simulation: it lives in the
+// simulation's core::SortScratch (core/particle.hpp), whose species sort
+// one after another, so each buffer is sized for the largest species that
+// reads it. Each buffer is reserved on its own, by the sort paths that
+// read it, so the workspace holds only what the sort order needs
+// (docs/SORTING.md, "Workspace"): the AoS Standard sort reads each voxel
+// from its record and holds no per-particle buffer at all; the SoA
+// Standard sort and the Random order hold `perm`; the strided orders hold
+// `keys` and `keys_alt`; only the radix fallback holds all four.
 #pragma once
 
 #include <algorithm>

@@ -322,6 +322,34 @@ TEST(File, ReaderReadsEachPayloadOnFirstAccess) {
             envelope + sizeof(std::int64_t) + 64 * sizeof(float));
 }
 
+TEST(File, StagedWriterMatchesAFreshOne) {
+  // A writer staging in a committed writer's buffers, one section shrunk,
+  // one grown, one the same size, one more than the spent set held,
+  // commits the bytes a fresh writer commits.
+  const auto dir = scratch("file_staged");
+  const auto fill = [](ckpt::FileWriter& w, float base, index_t n0,
+                       index_t n1, bool extra) {
+    pk::View<float, 1> a("a", n0), b("b", n1);
+    for (index_t i = 0; i < n0; ++i) a(i) = base + static_cast<float>(i);
+    for (index_t i = 0; i < n1; ++i) b(i) = base - static_cast<float>(i);
+    w.add_view("a", a);
+    w.add_view("b", b);
+    w.add_pod("c", static_cast<std::int64_t>(base));
+    if (extra) w.add_vector("d", std::vector<double>(9, base));
+  };
+  ckpt::FileWriter first;
+  fill(first, 1.0f, 100, 40, false);
+  first.commit((dir / "first.ckpt").string(), 5, 1);
+  ckpt::FileWriter staged(first.release_sections());
+  EXPECT_EQ(first.section_count(), 0u);
+  fill(staged, 7.0f, 60, 80, true);
+  staged.commit((dir / "staged.ckpt").string(), 5, 2);
+  ckpt::FileWriter fresh;
+  fill(fresh, 7.0f, 60, 80, true);
+  fresh.commit((dir / "fresh.ckpt").string(), 5, 2);
+  EXPECT_EQ(slurp(dir / "staged.ckpt"), slurp(dir / "fresh.ckpt"));
+}
+
 TEST(File, DuplicateSectionNameRejected) {
   ckpt::FileWriter w;
   w.add_pod("x", 1);
@@ -690,6 +718,36 @@ TEST(SimCkpt, RestoreGrowsParticleCapacity) {
   expect_bit_identical(small, big);
 }
 
+TEST(SimCkpt, RestoreThatGrowsAStoreReleasesTheSortSpares) {
+  // A spare of the capacity a restore replaced must not linger: the next
+  // sort sizes one spare at the new capacity.
+  const auto dir = scratch("grow_spares");
+  const std::string path = (dir / "a.ckpt").string();
+  core::SimulationConfig cfg;
+  cfg.grid = core::Grid(4, 4, 4, 4, 4, 4, 0);
+  cfg.grid.dt = core::Grid::courant_dt(1, 1, 1, 0.6f);
+  core::Simulation big(cfg);
+  big.add_species("e", -1.0f, 1.0f, 2000);
+  big.load_uniform_plasma(0, 4, 0.1f);
+  big.checkpoint(path);
+
+  core::Simulation small(cfg);
+  small.add_species("e", -1.0f, 1.0f, 8);
+  core::Species& sp = small.species(0);
+  for (index_t i = 0; i < 8; ++i) sp.p.set(i, big.species(0).p.get(i));
+  sp.np = 8;
+  const index_t nv = small.grid().nv();
+  core::sort_particles(sp, vpic::sort::SortOrder::Standard, 0, 0, nv);
+  ASSERT_EQ(sp.scratch->spares.size(), 1u);
+  EXPECT_EQ(sp.scratch->spares[0].size(), 8);
+
+  small.restore(path);
+  EXPECT_TRUE(sp.scratch->spares.empty());
+  core::sort_particles(sp, vpic::sort::SortOrder::Standard, 0, 0, nv);
+  ASSERT_EQ(sp.scratch->spares.size(), 1u);
+  EXPECT_EQ(sp.scratch->spares[0].size(), sp.capacity());
+}
+
 TEST(SimCkpt, CorruptRestoreLeavesStateUntouched) {
   const auto dir = scratch("no_mutate");
   const std::string path = (dir / "a.ckpt").string();
@@ -850,6 +908,89 @@ TEST(SimCkpt, PeriodicRingAsyncKeepsEveryGenerationDistinct) {
   const auto used = fresh.restore_latest((dir / "ck").string());
   EXPECT_EQ(used, ring.path_for(9));
   EXPECT_EQ(fresh.step_count(), 10);
+}
+
+TEST(SimCkpt, StagedRingCheckpointMatchesAFreshOne) {
+  // A ring that checkpointed at steps 5 and 10 stages its step-15 snapshot
+  // in an earlier snapshot's buffers; its file must equal a fresh
+  // simulation's only checkpoint at step 15, byte for byte.
+  for (const bool async : {false, true}) {
+    const std::string mode = async ? "async" : "sync";
+    SCOPED_TRACE(mode);
+    const auto dir = scratch("staged_ring_" + mode);
+    const auto run = [&](const std::string& base, int every) {
+      auto sim = make_lpi_small();
+      sim.config().checkpoint_every = every;
+      sim.config().checkpoint_path = (dir / base).string();
+      sim.config().checkpoint_async = async;
+      sim.run(15);
+      sim.checkpoint_wait();
+      return ckpt::GenerationRing((dir / base).string(), 3);
+    };
+    const ckpt::GenerationRing ring = run("ring", 5);
+    const ckpt::GenerationRing fresh = run("fresh", 15);
+    ASSERT_EQ(ring.generations(), (std::vector<std::uint64_t>{0, 1, 2}));
+    ASSERT_EQ(fresh.generations(), (std::vector<std::uint64_t>{0}));
+    const auto staged = slurp(ring.path_for(2));
+    ASSERT_FALSE(staged.empty());
+    EXPECT_EQ(staged, slurp(fresh.path_for(0)));
+  }
+}
+
+TEST(SimCkpt, StagedPayloadsAreReusedFromTheThirdCheckpointOn) {
+  // Each snapshot stages in the last committed one's buffers: once the
+  // first two checkpoints have run, no later one allocates a payload.
+  // Energy diagnostics stay off: the history gains a row per diagnostic
+  // step, so its four sections grow (geometrically) with it, while every
+  // other payload keeps its size.
+  for (const bool async : {false, true}) {
+    const std::string mode = async ? "async" : "sync";
+    SCOPED_TRACE(mode);
+    const auto dir = scratch("staged_reuse_" + mode);
+    auto sim = make_lpi_small();
+    sim.config().energy_interval = 0;
+    sim.config().checkpoint_every = 5;
+    sim.config().checkpoint_path = (dir / "ck").string();
+    sim.config().checkpoint_async = async;
+    const std::uint64_t before = prof::counter_value("ckpt.stage_alloc");
+    std::vector<std::uint64_t> allocs;  // cumulative, after each checkpoint
+    for (int step = 1; step <= 30; ++step) {
+      sim.step();
+      if (step % 5 != 0) continue;
+      sim.checkpoint_wait();  // the commit has handed its sections back
+      allocs.push_back(prof::counter_value("ckpt.stage_alloc"));
+    }
+    ASSERT_EQ(allocs.size(), 6u);
+    EXPECT_GT(allocs[0], before) << "the first snapshot stages afresh";
+    for (std::size_t k = 2; k < allocs.size(); ++k)
+      EXPECT_EQ(allocs[k], allocs[1]) << "checkpoint " << k + 1;
+  }
+}
+
+TEST(SimCkpt, AsyncCommitsNestUnderTheSubmittingStep) {
+  // The writer thread commits under the region path the snapshot was
+  // taken in, so no ckpt_commit lands at the top level of its row.
+  const auto dir = scratch("commit_regions");
+  prof::enable(prof::Mode::Summary);
+  prof::reset();
+  {
+    auto sim = make_lpi_small();
+    sim.config().checkpoint_every = 5;
+    sim.config().checkpoint_path = (dir / "ck").string();
+    sim.config().checkpoint_async = true;
+    sim.run(10);
+    sim.checkpoint_wait();
+  }
+  const prof::Report r = prof::report();
+  prof::disable();
+  std::uint64_t nested = 0;
+  for (const prof::RegionStats& s : r.regions) {
+    EXPECT_NE(s.path, "ckpt_commit");
+    EXPECT_NE(s.path, "ckpt_write_file");
+    if (s.path == "step/ckpt/ckpt_ring/ckpt_async/ckpt_commit")
+      nested += s.count;
+  }
+  EXPECT_EQ(nested, 2u);
 }
 
 TEST(SimCkpt, CkptPhaseResumeIsBitIdentical) {

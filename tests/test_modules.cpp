@@ -8,6 +8,7 @@
 // predate a module clear its state).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <stdexcept>
@@ -153,6 +154,31 @@ TEST(ModuleRegistry, ModuleRngIsPerModuleAndSeeded) {
 // steps are bit-identical at 1, 2 and 4 stealing workers (energies +
 // particle bytes).
 // ----------------------------------------------------------------------
+
+TEST(ModuleStep, SortPhasesWriteTheSharedSortScratch) {
+  // Every species sorts through the simulation's one scratch, so each
+  // sort phase writes "sort.scratch": validate() proves the module's sorts
+  // ordered, and rejects another sort left unordered against them.
+  auto sim = make_lpi_small();
+  ASSERT_EQ(sim.num_species(), 2u);
+  for (const bool tiled : {false, true}) {
+    SCOPED_TRACE(tiled ? "tiled" : "untiled");
+    const core::TileMap tiles(sim.grid(), 2);
+    core::StepGraph g;
+    core::StepComposer c(g);
+    core::ModuleStepContext ctx;
+    ctx.next_step = sim.config().sort_interval;
+    ctx.tiled = tiled;
+    if (tiled) ctx.tiles = &tiles;
+    sim.find_module("sort")->plan(sim, ctx, c);
+    ASSERT_EQ(g.size(), sim.num_species());
+    const auto res = c.all_resources();
+    EXPECT_NE(std::find(res.begin(), res.end(), "sort.scratch"), res.end());
+    EXPECT_NO_THROW(g.validate());
+    c.add({"sort[other]", {}, {"sort.scratch"}, [] {}});
+    EXPECT_THROW(g.validate(), std::logic_error);
+  }
+}
 
 TEST(ModuleStep, TiledStepBitIdenticalAcrossWorkerCounts100Steps) {
   const auto run = [](int workers) {

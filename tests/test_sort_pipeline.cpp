@@ -2,7 +2,8 @@
 // correctness/stability against std::stable_sort ground truth across key
 // distributions, backend dispatch equivalence, ping-pong sort_particles
 // invariants (particle multiset and kinetic energy preserved bit-for-bit),
-// and the steady-state zero-allocation property via pk::view_alloc_count.
+// the steady-state zero-allocation property via pk::view_alloc_count, and
+// the one sort scratch every species of a Simulation sorts through.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +14,9 @@
 #include <random>
 #include <vector>
 
+#include "core/decks.hpp"
 #include "core/particle.hpp"
+#include "core/simulation.hpp"
 #include "core/sort_particles.hpp"
 #include "pk/pk.hpp"
 #include "sort/counting.hpp"
@@ -335,8 +338,8 @@ TEST(SortPipeline, SteadyStateZeroViewAllocations) {
   core::sort_particles(sp, vs::SortOrder::TiledStrided, 8, 4, nv);
 
   const std::int64_t allocs0 = pk::view_alloc_count().load();
-  const std::int64_t grows0 = sp.sort_ws.grow_count;
-  const std::size_t hist_cap0 = sp.sort_ws.histogram.capacity();
+  const std::int64_t grows0 = sp.sort_ws().grow_count;
+  const std::size_t hist_cap0 = sp.sort_ws().histogram.capacity();
 
   for (int round = 0; round < 5; ++round) {
     core::sort_particles(sp, vs::SortOrder::Random, 0, 100 + round, nv);
@@ -347,8 +350,8 @@ TEST(SortPipeline, SteadyStateZeroViewAllocations) {
 
   EXPECT_EQ(pk::view_alloc_count().load() - allocs0, 0)
       << "steady-state sort_particles allocated a pk::View";
-  EXPECT_EQ(sp.sort_ws.grow_count, grows0);
-  EXPECT_EQ(sp.sort_ws.histogram.capacity(), hist_cap0);
+  EXPECT_EQ(sp.sort_ws().grow_count, grows0);
+  EXPECT_EQ(sp.sort_ws().histogram.capacity(), hist_cap0);
 }
 
 TEST(SortPipeline, StandardAosSortAllocatesNoPerParticleBuffers) {
@@ -363,10 +366,10 @@ TEST(SortPipeline, StandardAosSortAllocatesNoPerParticleBuffers) {
       core::sort_particles(sp, vs::SortOrder::Standard, 0, 0, nv);
       EXPECT_TRUE(vs::is_sorted_ascending(sp.cell_keys()));
     }
-    EXPECT_EQ(sp.sort_ws.keys.size(), 0);
-    EXPECT_EQ(sp.sort_ws.keys_alt.size(), 0);
-    EXPECT_EQ(sp.sort_ws.perm.size(), 0);
-    EXPECT_EQ(sp.sort_ws.perm_alt.size(), 0);
+    EXPECT_EQ(sp.sort_ws().keys.size(), 0);
+    EXPECT_EQ(sp.sort_ws().keys_alt.size(), 0);
+    EXPECT_EQ(sp.sort_ws().perm.size(), 0);
+    EXPECT_EQ(sp.sort_ws().perm_alt.size(), 0);
   }
 }
 
@@ -405,7 +408,7 @@ TEST(SortPipeline, EachPathReservesOnlyTheBuffersItReads) {
         sp.p.set_cell(i, static_cast<std::int32_t>(rng() % (1u << 30)));
     }
     core::sort_particles(sp, c.order, 8, 1, c.key_bound);
-    const vs::SortWorkspace& ws = sp.sort_ws;
+    const vs::SortWorkspace& ws = sp.sort_ws();
     const index_t sizes[] = {ws.keys.size(), ws.keys_alt.size(),
                              ws.perm.size(), ws.perm_alt.size()};
     for (int b = 0; b < 4; ++b)
@@ -445,4 +448,183 @@ TEST(SortPipeline, CellKeysIntoCallerView) {
   sp.cell_keys(out);
   const auto ref = sp.cell_keys();
   for (index_t i = 0; i < n; ++i) EXPECT_EQ(out(i), ref(i)) << i;
+}
+
+// ----------------------------------------------------------------------
+// One sort scratch per simulation: every species of a Simulation sorts
+// through its one workspace and one spare per (capacity, layout).
+// ----------------------------------------------------------------------
+
+namespace {
+
+/// Start of a store's particle buffer, whatever its layout.
+const void* buffer_of(const core::ParticleStore& s) {
+  return core::dispatch_layout(s, [](auto a) -> const void* {
+    if constexpr (decltype(a)::layout == core::ParticleLayout::AoS)
+      return a.p;
+    else
+      return a.base;
+  });
+}
+
+/// The live records, byte for byte.
+std::vector<ParticleBytes> record_bytes(const core::Species& sp) {
+  std::vector<ParticleBytes> out(static_cast<std::size_t>(sp.np));
+  for (index_t i = 0; i < sp.np; ++i) {
+    const core::Particle p = sp.p.get(i);
+    std::memcpy(out[static_cast<std::size_t>(i)].data(), &p, sizeof(p));
+  }
+  return out;
+}
+
+/// A standalone deep copy: own store, no scratch until its first sort.
+core::Species standalone_copy(const core::Species& src) {
+  core::Species out(src.name, src.q, src.m, src.capacity(), src.layout());
+  core::copy_particles(out.p, src.p, src.np);
+  out.np = src.np;
+  return out;
+}
+
+/// A two-species Simulation of capacities `cap_a` and `cap_b`, each
+/// filled with `np_a` / `np_b` random records over `nv` cells.
+core::Simulation two_species_sim(core::ParticleLayout layout, index_t cap_a,
+                                 index_t np_a, index_t cap_b, index_t np_b,
+                                 index_t nv) {
+  core::SimulationConfig cfg;
+  cfg.layout = layout;
+  core::Simulation sim(cfg);
+  const index_t caps[] = {cap_a, cap_b}, nps[] = {np_a, np_b};
+  for (int s = 0; s < 2; ++s) {
+    const core::Species filled =
+        make_species(nps[s], nv, 900 + static_cast<std::uint64_t>(s), layout);
+    sim.add_species(s == 0 ? "a" : "b", -1.0f, 1.0f, caps[s]);
+    core::Species& sp = sim.species(static_cast<std::size_t>(s));
+    core::copy_particles(sp.p, filled.p, filled.np);
+    sp.np = filled.np;
+  }
+  return sim;
+}
+
+}  // namespace
+
+TEST(SharedSortScratch, TwoSpeciesDeckHoldsThreeBuffersAndOneWorkspace) {
+  for (const core::ParticleLayout layout : core::kAllParticleLayouts) {
+    SCOPED_TRACE(core::to_string(layout));
+    core::decks::LpiParams prm;
+    prm.nx = 16;
+    prm.ny = 8;
+    prm.nz = 8;
+    prm.ppc = 4;
+    prm.sort_interval = 5;
+    prm.layout = layout;
+    core::Simulation sim = core::decks::make_lpi(prm);
+    ASSERT_EQ(sim.num_species(), 2u);
+    sim.run(10);  // two sorts of each species
+
+    core::Species& e = sim.species(0);
+    core::Species& i = sim.species(1);
+    ASSERT_NE(e.scratch, nullptr);
+    EXPECT_EQ(e.scratch, i.scratch) << "species sort through one scratch";
+    ASSERT_EQ(e.capacity(), i.capacity());
+    const core::SortScratch& scr = *e.scratch;
+    ASSERT_EQ(scr.spares.size(), 1u);
+    const core::ParticleStore& spare = scr.spares.front();
+    EXPECT_EQ(spare.size(), e.capacity());
+    EXPECT_EQ(spare.layout(), layout);
+    EXPECT_NE(buffer_of(e.p), buffer_of(i.p));
+    EXPECT_NE(buffer_of(e.p), buffer_of(spare));
+    EXPECT_NE(buffer_of(i.p), buffer_of(spare));
+
+    // Ten more sort steps: nothing allocated, no workspace grown.
+    sim.config().sort_interval = 1;
+    const std::int64_t allocs0 = pk::view_alloc_count().load();
+    const std::int64_t grows0 = scr.ws.grow_count;
+    const std::size_t hist_cap0 = scr.ws.histogram.capacity();
+    sim.run(10);
+    EXPECT_EQ(pk::view_alloc_count().load() - allocs0, 0)
+        << "a sort step allocated a pk::View";
+    EXPECT_EQ(scr.ws.grow_count, grows0);
+    EXPECT_EQ(scr.ws.histogram.capacity(), hist_cap0);
+    EXPECT_EQ(scr.spares.size(), 1u);
+    EXPECT_EQ(e.scratch, i.scratch);
+  }
+}
+
+TEST(SharedSortScratch, EveryOrderMatchesAPrivateScratch) {
+  // The same sorts through the simulation's shared scratch and through a
+  // standalone copy's private one give the same records, byte for byte.
+  // Each order runs twice per species, so the second round reorders into
+  // the buffers the other species left behind.
+  struct Case {
+    const char* name;
+    vs::SortOrder order;
+    index_t key_bound;  // 0: the radix fallback on sparse keys
+  };
+  const index_t n = 6000, nv = 512;
+  const Case cases[] = {
+      {"standard", vs::SortOrder::Standard, nv},
+      {"strided", vs::SortOrder::Strided, nv},
+      {"tiled strided", vs::SortOrder::TiledStrided, nv},
+      {"random", vs::SortOrder::Random, nv},
+      {"radix fallback", vs::SortOrder::Standard, 0},
+  };
+  for (const core::ParticleLayout layout : core::kAllParticleLayouts) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(core::to_string(layout)) + " " + c.name);
+      core::Simulation sim = two_species_sim(layout, n, n - 100, n, n - 7, nv);
+      if (c.key_bound == 0) {
+        std::mt19937_64 rng(17);
+        for (std::size_t s = 0; s < 2; ++s)
+          for (index_t i = 0; i < sim.species(s).np; ++i)
+            sim.species(s).p.set_cell(
+                i, static_cast<std::int32_t>(rng() % (1u << 30)));
+      }
+      core::Species alone[] = {standalone_copy(sim.species(0)),
+                               standalone_copy(sim.species(1))};
+      for (int round = 0; round < 2; ++round)
+        for (std::size_t s = 0; s < 2; ++s) {
+          const std::uint64_t seed = 31 + 2 * round + s;
+          core::sort_particles(sim.species(s), c.order, 8, seed, c.key_bound);
+          core::sort_particles(alone[s], c.order, 8, seed, c.key_bound);
+        }
+      EXPECT_NE(alone[0].scratch, sim.species(0).scratch);
+      for (std::size_t s = 0; s < 2; ++s)
+        EXPECT_EQ(record_bytes(sim.species(s)), record_bytes(alone[s]))
+            << "species " << s;
+    }
+  }
+}
+
+TEST(SharedSortScratch, UnequalCapacitiesAllocateNothingAfterTheFirstRound) {
+  // Capacities 2c and c in one simulation: one spare each, so neither
+  // species ever takes a buffer of the other's capacity (the larger sorts
+  // first, so a spare that merely fits would be taken), and sorting them
+  // alternately allocates nothing after the first round.
+  const index_t c = 4096, nv = 1024;
+  for (const core::ParticleLayout layout : core::kAllParticleLayouts) {
+    SCOPED_TRACE(core::to_string(layout));
+    core::Simulation sim = two_species_sim(layout, 2 * c, c + 3, c, c - 5, nv);
+    const auto round = [&] {
+      for (std::size_t s = 0; s < 2; ++s)
+        core::sort_particles(sim.species(s), vs::SortOrder::Standard, 0, 0,
+                             nv);
+    };
+    round();
+    const core::SortScratch& scr = *sim.species(0).scratch;
+    const std::int64_t allocs0 = pk::view_alloc_count().load();
+    const std::int64_t grows0 = scr.ws.grow_count;
+    const std::size_t hist_cap0 = scr.ws.histogram.capacity();
+    for (int r = 1; r < 10; ++r) {
+      round();
+      EXPECT_EQ(sim.species(0).capacity(), 2 * c) << "round " << r;
+      EXPECT_EQ(sim.species(1).capacity(), c) << "round " << r;
+    }
+    EXPECT_EQ(pk::view_alloc_count().load() - allocs0, 0);
+    EXPECT_EQ(scr.ws.grow_count, grows0);
+    EXPECT_EQ(scr.ws.histogram.capacity(), hist_cap0);
+    ASSERT_EQ(scr.spares.size(), 2u);
+    EXPECT_EQ(scr.spares[0].size() + scr.spares[1].size(), 3 * c);
+    for (std::size_t s = 0; s < 2; ++s)
+      EXPECT_TRUE(vs::is_sorted_ascending(sim.species(s).cell_keys()));
+  }
 }
