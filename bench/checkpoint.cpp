@@ -16,10 +16,15 @@
 // The timed modes step one step at a time, so each checkpointing mode also
 // reports its checkpoint steps on their own: `ckpt_phase_ms`, the median
 // over checkpoint steps of the "ckpt" phase's wall time
-// (Simulation::last_phase_stats()), and `ckpt_minflt`, the median minor
-// page faults the stepping thread takes in a checkpoint step
-// (getrusage(RUSAGE_THREAD)). Unlike the whole-run differences above, these
-// leave out the fsync and the steps between checkpoints.
+// (Simulation::last_phase_stats()), and `ckpt_minflt`, the most minor page
+// faults the stepping thread takes in one checkpoint step
+// (getrusage(RUSAGE_THREAD)): a run's first checkpoint stages its
+// snapshot afresh and later ones reuse it, so the median read 0 whether
+// or not the staging churned. Unlike the whole-run differences above,
+// these leave out the fsync and the steps between checkpoints.
+// `commit_alloc` counts how often a timed run's commits grew their
+// DeltaPack encode buffer (the "ckpt.commit_alloc" prof counter): once,
+// for the first full base of an incremental run.
 //
 //   ./checkpoint --nx=16 --ny=8 --nz=8 --ppc=4 --steps=40 --every=5 --reps=3
 //   ./checkpoint --smoke        # CI-sized run, bars recorded but not enforced
@@ -43,6 +48,7 @@
 #include "core/core.hpp"
 #include "elastic/elastic.hpp"
 #include "minimpi/minimpi.hpp"
+#include "prof/prof.hpp"
 
 namespace core = vpic::core;
 namespace ckpt = vpic::ckpt;
@@ -84,9 +90,11 @@ struct ModeResult {
   std::int64_t checkpoints = 0;
   std::uint64_t file_bytes = 0;
   core::ElasticCkptStats stats;  // zeroed unless the mode is incremental
-  // Medians over the timed reps' checkpoint steps (0 without checkpoints).
+  // Over the timed reps' checkpoint steps (0 without checkpoints): the
+  // median phase time and the most faults in one step.
   double ckpt_phase_ms = 0;
   double ckpt_minflt = 0;
+  double commit_alloc = 0;  // encode-buffer growths per timed run
 };
 
 double median(std::vector<double> v) {
@@ -119,6 +127,7 @@ ModeResult run_mode(const Params& p, const std::string& mode) {
   std::optional<core::Simulation> sim;
   bool timed = false;
   std::vector<double> phase_ms, minflt;
+  std::uint64_t alloc0 = 0;  // ckpt.commit_alloc before the first timed rep
   out.timing = bench::time_reps(
       p.reps, /*warmup=*/1,
       [&] {
@@ -136,6 +145,7 @@ ModeResult run_mode(const Params& p, const std::string& mode) {
       },
       [&](int rep) {
         timed = rep >= 0;
+        if (rep == 0) alloc0 = vpic::prof::counter_value("ckpt.commit_alloc");
         fs::remove_all(dir);
         fs::create_directories(dir);
         sim.emplace(make_sim(p, slow));
@@ -154,7 +164,12 @@ ModeResult run_mode(const Params& p, const std::string& mode) {
   out.checkpoints = sim->checkpoints_written();
   out.stats = sim->elastic_ckpt_stats();
   out.ckpt_phase_ms = median(phase_ms);
-  out.ckpt_minflt = median(minflt);
+  if (!minflt.empty())
+    out.ckpt_minflt = *std::max_element(minflt.begin(), minflt.end());
+  out.commit_alloc =
+      static_cast<double>(vpic::prof::counter_value("ckpt.commit_alloc") -
+                          alloc0) /
+      std::max(1, p.reps);
   ckpt::GenerationRing ring((dir / "ck").string(), 3);
   for (std::uint64_t g : ring.generations())
     out.file_bytes = fs::file_size(ring.path_for(g));
@@ -243,14 +258,15 @@ int main(int argc, char** argv) {
   const ModeResult inc_async = run_mode(p, "inc-async");
 
   bench::Table t({"mode", "total ms", "ms/step", "ckpts", "file KiB",
-                  "ckpt phase ms", "ckpt minflt"});
+                  "ckpt phase ms", "ckpt minflt", "commit allocs"});
   const auto row = [&](const char* mode, const ModeResult& r) {
     t.row({mode, bench::fmt("%.3f", r.timing.min_s * 1e3),
            bench::fmt("%.4f", r.timing.min_s * 1e3 / p.steps),
            std::to_string(r.checkpoints),
            bench::fmt("%.1f", static_cast<double>(r.file_bytes) / 1024.0),
            bench::fmt("%.3f", r.ckpt_phase_ms),
-           bench::fmt("%.0f", r.ckpt_minflt)});
+           bench::fmt("%.0f", r.ckpt_minflt),
+           bench::fmt("%.0f", r.commit_alloc)});
     auto j = vpic::bench::Json("checkpoint");
     j.field("mode", mode)
         .field("steps", p.steps)
@@ -259,7 +275,8 @@ int main(int argc, char** argv) {
         .field("file_bytes", static_cast<std::int64_t>(r.file_bytes));
     if (r.checkpoints > 0)
       j.field("ckpt_phase_ms", r.ckpt_phase_ms)
-          .field("ckpt_minflt", r.ckpt_minflt);
+          .field("ckpt_minflt", r.ckpt_minflt)
+          .field("commit_alloc", r.commit_alloc);
     if (r.stats.full_generations + r.stats.delta_generations > 0) {
       j.field("full_generations", r.stats.full_generations)
           .field("delta_generations", r.stats.delta_generations)
@@ -327,15 +344,18 @@ int main(int argc, char** argv) {
   sp.p.export_aos(parts.data(), sp.np);
   const auto* raw = reinterpret_cast<const std::byte*>(parts.data());
   const std::size_t raw_bytes = parts.size() * sizeof(core::Particle);
-  std::vector<std::byte> packed;
+  // Into one buffer sized once, as a chain commit encodes.
+  std::vector<std::byte> pack(
+      elastic::deltapack_bound(raw_bytes, sizeof(core::Particle)));
+  std::size_t packed = 0;
   const auto enc = bench::time_reps(p.reps, 1, [&] {
     packed = elastic::deltapack_encode(raw, raw_bytes,
-                                       sizeof(core::Particle));
+                                       sizeof(core::Particle), pack.data());
   });
   const double codec_ratio =
-      packed.empty() ? 1.0
-                     : static_cast<double>(raw_bytes) /
-                           static_cast<double>(packed.size());
+      packed == 0 ? 1.0
+                  : static_cast<double>(raw_bytes) /
+                        static_cast<double>(packed);
   const fs::path cdir = fs::temp_directory_path() / "vpic_ckpt_bench_codec";
   fs::remove_all(cdir);
   fs::create_directories(cdir);

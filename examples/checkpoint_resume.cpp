@@ -4,8 +4,10 @@
 // generation, and land bit-identical to a run that never stopped.
 //
 //   ./checkpoint_resume run       <base> <total_steps> [every] [--tiles=T]
+//                                 [--incremental]
 //   ./checkpoint_resume resume    <base> <total_steps> [--tiles=T]
 //   ./checkpoint_resume roundtrip <base> <total_steps> [every] [--tiles=T]
+//                                 [--incremental]
 //
 // `run` steps a fresh deck to total_steps, checkpointing every `every`
 // steps (0 disables). `resume` restores a fresh process from the ring and
@@ -18,7 +20,9 @@
 // same comparison in-process and exits nonzero on any divergence.
 // --tiles=T runs the tiled step with T z-slab tiles on 2 workers
 // (docs/TILES.md); 0, the default, runs the untiled step. Pass the same
-// T to every invocation of one comparison.
+// T to every invocation of one comparison. --incremental writes the ring
+// as DeltaPack chains with a full base every 3 generations
+// (docs/ELASTIC.md); a resume restores either kind of ring.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -34,7 +38,8 @@ namespace pk = vpic::pk;
 
 namespace {
 
-int g_tiles = 0;  // --tiles=T
+int g_tiles = 0;             // --tiles=T
+bool g_incremental = false;  // --incremental
 
 core::Simulation make_deck() {
   core::decks::LpiParams p;
@@ -48,6 +53,9 @@ core::Simulation make_deck() {
   sim.config().tiles.enabled = g_tiles > 0;
   sim.config().tiles.count = g_tiles;
   sim.config().tiles.workers = 2;
+  sim.config().checkpoint_incremental = g_incremental;
+  sim.config().checkpoint_codec = 1;  // DeltaPack
+  sim.config().checkpoint_full_every = 3;
   return sim;
 }
 
@@ -92,6 +100,8 @@ int main(int argc, char** argv) {
   for (int i = 0; i < argc; ++i) {
     if (std::strncmp(argv[i], "--tiles=", 8) == 0) {
       g_tiles = std::atoi(argv[i] + 8);
+    } else if (std::strcmp(argv[i], "--incremental") == 0) {
+      g_incremental = true;
     } else {
       args.push_back(argv[i]);
     }
@@ -99,7 +109,7 @@ int main(int argc, char** argv) {
   if (args.size() < 4) {
     std::fprintf(stderr,
                  "usage: %s run|resume|roundtrip <base> <total_steps> "
-                 "[every] [--tiles=T]\n",
+                 "[every] [--tiles=T] [--incremental]\n",
                  argv[0]);
     return 2;
   }

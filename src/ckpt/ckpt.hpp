@@ -4,7 +4,8 @@
 //   * crc32.hpp      — CRC-32 integrity primitive
 //   * format.hpp     — on-disk layout, typed RestoreError, Fingerprint
 //   * serialize.hpp  — ckpt::encode_view / ckpt::decode_view over pk::View
-//   * file.hpp       — FileWriter (rename-commit) / FileReader (validated)
+//   * file.hpp       — write_file (rename-commit), FileWriter, FileReader
+//                      (validated)
 //   * ring.hpp       — generation ring with keep_last pruning + fallback
 //   * fault.hpp      — FaultInjector for the corruption-mode tests
 //

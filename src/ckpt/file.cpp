@@ -1,5 +1,6 @@
 #include "ckpt/file.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
@@ -8,6 +9,7 @@
 #include <unistd.h>
 #endif
 
+#include "ckpt/crc32.hpp"
 #include "prof/prof.hpp"
 
 namespace vpic::ckpt {
@@ -47,70 +49,93 @@ void FileWriter::add_bytes(std::string_view name, const void* data,
   add(std::move(s));
 }
 
-std::uint64_t FileWriter::commit(const std::string& path,
-                                 std::uint64_t fingerprint,
-                                 std::int64_t step) const {
+namespace {
+
+/// Payloads are CRC'd and written in pieces of this many bytes, so each
+/// piece is still in cache when fwrite copies it out.
+constexpr std::size_t kWritePiece = std::size_t{1} << 18;
+
+}  // namespace
+
+std::uint64_t write_file(
+    const std::string& path, std::uint64_t fingerprint, std::int64_t step,
+    std::size_t count,
+    const std::function<SectionRef(std::size_t)>& section) {
   prof::ScopedRegion r("ckpt_commit");
 
-  // Lay the file out: header, table, then 8-byte-aligned payloads.
+  // Layout: header, table, then 8-byte-aligned payloads behind zero
+  // padding. The header and the table are reserved first and written
+  // again, filled in, once every payload's offset and CRC is known; the
+  // rename below is the commit point (POSIX rename atomicity), so a
+  // partial temp file is never a committed generation.
   FileHeader h;
   h.fingerprint = fingerprint;
   h.step = step;
-  h.section_count = static_cast<std::uint32_t>(sections_.size());
+  h.section_count = static_cast<std::uint32_t>(count);
   h.table_offset = sizeof(FileHeader);
+  std::vector<SectionRecord> table(count);
+  const std::size_t table_bytes = count * sizeof(SectionRecord);
 
-  std::vector<SectionRecord> table(sections_.size());
-  std::uint64_t off =
-      h.table_offset + table.size() * sizeof(SectionRecord);
-  for (std::size_t i = 0; i < sections_.size(); ++i) {
-    const EncodedSection& s = sections_[i];
-    SectionRecord& rec = table[i];
-    std::memcpy(rec.name, s.name.data(), s.name.size());
-    rec.elem_size = s.elem_size;
-    rec.rank = s.rank;
-    for (std::size_t d = 0; d < 4; ++d) rec.extents[d] = s.extents[d];
-    rec.layout = s.layout;
-    off = (off + kPayloadAlign - 1) / kPayloadAlign * kPayloadAlign;
-    rec.payload_offset = off;
-    rec.payload_bytes = s.payload.size();
-    rec.payload_crc = s.crc();
-    off += rec.payload_bytes;
-  }
-  h.total_bytes = off;
-  h.table_crc =
-      crc32(table.data(), table.size() * sizeof(SectionRecord));
-  h.header_crc = crc32(&h, kHeaderCrcBytes);
-
-  // Stream header, table, then each payload behind its zero padding, to
-  // the temp file; the rename below is the commit point (POSIX rename
-  // atomicity), so a partial temp file is never a committed generation.
   const std::string tmp = path + ".tmp";
   {
     prof::ScopedRegion w("ckpt_write_file");
-    std::FILE* f = std::fopen(tmp.c_str(), "wb");
+    std::unique_ptr<std::FILE, detail::CloseFile> f(
+        std::fopen(tmp.c_str(), "wb"));
     if (!f)
       throw RestoreError(RestoreErrorKind::IoError,
                          "cannot open '" + tmp + "' for writing");
-    const auto put = [f](const void* p, std::size_t n) {
-      return n == 0 || std::fwrite(p, 1, n, f) == n;
+    const auto put = [&f](const void* p, std::size_t n) {
+      return n == 0 || std::fwrite(p, 1, n, f.get()) == n;
     };
     static constexpr std::byte kZeros[kPayloadAlign] = {};
-    bool wrote = put(&h, sizeof(h)) &&
-                 put(table.data(), table.size() * sizeof(SectionRecord));
-    std::uint64_t at = h.table_offset + table.size() * sizeof(SectionRecord);
-    for (std::size_t i = 0; wrote && i < sections_.size(); ++i) {
-      wrote = put(kZeros, table[i].payload_offset - at) &&
-              put(sections_[i].payload.data(), sections_[i].payload.size());
-      at = table[i].payload_offset + table[i].payload_bytes;
-    }
-    bool flushed = std::fflush(f) == 0;
+    bool wrote = false, flushed = false;
+    try {
+      wrote = put(&h, sizeof(h)) && put(table.data(), table_bytes);
+      std::uint64_t at = h.table_offset + table_bytes;
+      for (std::size_t i = 0; wrote && i < count; ++i) {
+        const SectionRef s = section(i);
+        if (s.name.empty() || s.name.size() > kSectionNameMax)
+          throw std::invalid_argument("ckpt: bad section name '" +
+                                      std::string(s.name) + "'");
+        SectionRecord& rec = table[i];
+        std::memcpy(rec.name, s.name.data(), s.name.size());
+        rec.elem_size = s.elem_size;
+        rec.rank = s.rank;
+        for (std::size_t d = 0; d < 4; ++d) rec.extents[d] = s.extents[d];
+        rec.layout = s.layout;
+        rec.payload_offset =
+            (at + kPayloadAlign - 1) / kPayloadAlign * kPayloadAlign;
+        rec.payload_bytes = s.payload.size();
+        wrote = put(kZeros, rec.payload_offset - at);
+        std::uint32_t crc = 0;  // crc32's initial seed
+        for (std::size_t o = 0; wrote && o < s.payload.size();
+             o += kWritePiece) {
+          const std::size_t n = std::min(kWritePiece, s.payload.size() - o);
+          crc = crc32(s.payload.data() + o, n, crc);
+          wrote = put(s.payload.data() + o, n);
+        }
+        rec.payload_crc = crc;
+        at = rec.payload_offset + rec.payload_bytes;
+      }
+      h.total_bytes = at;
+      h.table_crc = crc32(table.data(), table_bytes);
+      h.header_crc = crc32(&h, kHeaderCrcBytes);
+      wrote = wrote && std::fseek(f.get(), 0, SEEK_SET) == 0 &&
+              put(&h, sizeof(h)) && put(table.data(), table_bytes);
+      flushed = wrote && std::fflush(f.get()) == 0;
 #ifndef _WIN32
-    // fflush only reaches the page cache; a power loss (as opposed to a
-    // process kill) could leave the renamed "committed" file empty or
-    // torn, and all recent generations can share one unflushed window.
-    if (flushed) flushed = ::fsync(::fileno(f)) == 0;
+      // fflush only reaches the page cache; a power loss (as opposed to a
+      // process kill) could leave the renamed "committed" file empty or
+      // torn, and all recent generations can share one unflushed window.
+      if (flushed) flushed = ::fsync(::fileno(f.get())) == 0;
 #endif
-    std::fclose(f);
+    } catch (...) {
+      f.reset();
+      std::error_code ec;
+      fs::remove(tmp, ec);
+      throw;
+    }
+    f.reset();
     if (!wrote || !flushed) {
       std::error_code ec;
       fs::remove(tmp, ec);
@@ -142,6 +167,14 @@ std::uint64_t FileWriter::commit(const std::string& path,
   }
 #endif
   return h.total_bytes;
+}
+
+std::uint64_t FileWriter::commit(const std::string& path,
+                                 std::uint64_t fingerprint,
+                                 std::int64_t step) const {
+  return write_file(
+      path, fingerprint, step, sections_.size(),
+      [this](std::size_t i) { return SectionRef(sections_[i]); });
 }
 
 bool FileReader::read_at(std::uint64_t offset, void* dst, std::size_t n) {

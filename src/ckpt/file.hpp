@@ -2,15 +2,23 @@
 //
 // Checkpoint file writer/reader over the format in format.hpp.
 //
+// write_file is the one routine that lays out and writes a checkpoint
+// file: it reserves the header and the section table in `<path>.tmp`,
+// writes each section's payload behind its zero padding while computing
+// its CRC, writes the table and the header in place, fsyncs, and
+// atomically renames onto `path`. It asks for one section at a time, so
+// a caller can produce each payload just before it is written (the chain
+// commit encodes each packed section into one reused buffer). A crash
+// mid-write leaves at worst a stale .tmp, never a half-written committed
+// file.
+//
 // Writer: accumulate named sections in memory (encode_view deep copies, so
 // a populated Writer is a self-contained snapshot independent of the live
 // simulation — the unit the async checkpoint path hands to its background
-// instance), then commit() streams header, table, zero padding and
-// payloads to `<path>.tmp` and atomically renames onto `path`. A crash
-// mid-write leaves at worst a stale .tmp, never a half-written committed
-// file. A writer built from a committed writer's released sections stages
-// its payloads in their buffers, so periodic checkpoints of one state
-// shape reallocate and zero-fill nothing.
+// writer), then commit() writes them through write_file. A writer built
+// from a committed writer's released sections stages its payloads in
+// their buffers, so periodic checkpoints of one state shape reallocate and
+// zero-fill nothing.
 //
 // Reader: reads the header and section table at open and validates header
 // CRC, magic, version, total size and table CRC up front. Each payload is
@@ -27,10 +35,14 @@
 // base+delta generation chain identically.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -39,6 +51,55 @@
 #include "ckpt/serialize.hpp"
 
 namespace vpic::ckpt {
+
+namespace detail {
+struct CloseFile {
+  void operator()(std::FILE* f) const noexcept { std::fclose(f); }
+};
+}  // namespace detail
+
+/// One section as write_file writes it: the shape its table record
+/// carries and a view of its payload bytes.
+struct SectionRef {
+  std::string_view name;
+  std::uint32_t elem_size = 1;
+  std::uint32_t rank = 0;
+  std::array<std::int64_t, 4> extents{};
+  std::uint8_t layout = kLayoutRaw;
+  std::span<const std::byte> payload;
+
+  SectionRef() = default;
+  /// Section `s` as it is.
+  explicit SectionRef(const EncodedSection& s)
+      : name(s.name),
+        elem_size(s.elem_size),
+        rank(s.rank),
+        extents(s.extents),
+        layout(s.layout),
+        payload(s.payload) {}
+
+  /// `n` raw bytes, shaped as FileWriter::add_bytes shapes them.
+  static SectionRef bytes(std::string_view name, const void* data,
+                          std::size_t n) {
+    SectionRef r;
+    r.name = name;
+    r.extents[0] = static_cast<std::int64_t>(n);
+    r.payload = {static_cast<const std::byte*>(data), n};
+    return r;
+  }
+};
+
+/// Write a checkpoint file of `count` sections to `path`: `section(i)`
+/// gives section i, in file order, and its payload must stay valid until
+/// the next call. The file is written to `<path>.tmp`, fsynced, renamed
+/// onto `path`, and the directory is fsynced. Returns the committed file
+/// size. Throws std::invalid_argument on a bad section name and
+/// RestoreError{IoError} on any filesystem failure; on any throw,
+/// including one from `section`, the temp file is removed best-effort.
+std::uint64_t write_file(
+    const std::string& path, std::uint64_t fingerprint, std::int64_t step,
+    std::size_t count,
+    const std::function<SectionRef(std::size_t)>& section);
 
 class FileWriter {
  public:
@@ -107,9 +168,8 @@ class FileWriter {
     return sections_;
   }
 
-  /// Stream everything to `path` via write-to-temp + atomic rename.
-  /// Returns the committed file size. Throws RestoreError{IoError} on any
-  /// filesystem failure (temp file is removed best-effort).
+  /// Write the sections to `path` through write_file. Returns the
+  /// committed file size; throws as write_file does.
   std::uint64_t commit(const std::string& path, std::uint64_t fingerprint,
                        std::int64_t step) const;
 
@@ -235,15 +295,12 @@ class FileReader : public SectionSource {
     std::uint32_t crc = 0;
     bool loaded = false;
   };
-  struct Close {
-    void operator()(std::FILE* f) const noexcept { std::fclose(f); }
-  };
 
   /// Read `n` bytes at `offset` into `dst`; false on a short read.
   bool read_at(std::uint64_t offset, void* dst, std::size_t n);
 
   FileHeader header_{};
-  std::unique_ptr<std::FILE, Close> file_;
+  std::unique_ptr<std::FILE, detail::CloseFile> file_;
   std::vector<Slot> sections_;
   std::map<std::string, std::size_t, std::less<>> index_;
   std::string path_;

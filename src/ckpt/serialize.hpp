@@ -16,7 +16,6 @@
 #include <string_view>
 #include <vector>
 
-#include "ckpt/crc32.hpp"
 #include "ckpt/format.hpp"
 #include "pk/pk.hpp"
 
@@ -46,10 +45,6 @@ struct EncodedSection {
   std::array<std::int64_t, 4> extents{};
   std::uint8_t layout = kLayoutRaw;
   std::vector<std::byte> payload;
-
-  [[nodiscard]] std::uint32_t crc() const {
-    return crc32(payload.data(), payload.size());
-  }
 };
 
 /// Snapshot a view into an EncodedSection. For rank-1 views `count`

@@ -491,23 +491,35 @@ std::uint64_t Simulation::config_fingerprint() const {
   return fp.value();
 }
 
-/// The idle staging set: the sections of a committed snapshot, handed
-/// back by whichever thread committed it, for the next snapshot to encode
-/// into (ckpt::FileWriter::stage). It holds at most one set; a second one
-/// (its commit overlapped the next snapshot, which then staged afresh) is
-/// freed, so staging never holds more than the snapshots in flight did.
+/// The idle staging set, handed back by whichever thread committed it:
+/// the sections of a committed snapshot, for the next snapshot to encode
+/// into (ckpt::FileWriter::stage), and the buffer an incremental commit
+/// DeltaPack-encodes into (elastic::write_generation), for the next
+/// commit. A snapshot takes the sections and its commit takes the buffer,
+/// so a commit that overlaps another (a sync checkpoint beside an async
+/// one) finds none idle and grows its own. It holds at most one of each;
+/// a second one handed back is freed, so staging never holds more than
+/// the snapshots and commits in flight did.
 struct Simulation::CkptStaging {
   std::mutex mu;
   std::vector<ckpt::EncodedSection> idle;
+  std::vector<std::byte> idle_pack;
 
   std::vector<ckpt::EncodedSection> take() {
     const std::lock_guard<std::mutex> lk(mu);
     return std::exchange(idle, {});
   }
 
-  void give_back(std::vector<ckpt::EncodedSection> spent) {
+  std::vector<std::byte> take_pack() {
+    const std::lock_guard<std::mutex> lk(mu);
+    return std::exchange(idle_pack, {});
+  }
+
+  void give_back(std::vector<ckpt::EncodedSection> spent,
+                 std::vector<std::byte> pack) {
     const std::lock_guard<std::mutex> lk(mu);
     if (idle.empty()) idle.swap(spent);
+    if (idle_pack.empty()) idle_pack.swap(pack);
   }
 };
 
@@ -520,24 +532,28 @@ struct Simulation::Snapshot {
   std::shared_ptr<const elastic::GenerationPlan> plan;  // null: plain file
   std::shared_ptr<ElasticStatsShared> stats;            // set with plan
   std::shared_ptr<CkptStaging> staging;  // takes the sections back
+  std::vector<std::byte> pack;           // the commit's encode buffer
   std::string region;                    // prof::region_path() when taken
   std::uint64_t fingerprint = 0;
   std::int64_t step = 0;
 
   /// Commit the file; returns its size in bytes.
-  std::uint64_t write(const std::string& path) const {
+  std::uint64_t write(const std::string& path) {
     const prof::RegionBase base(region);
     if (!plan) return writer->commit(path, fingerprint, step);
+    pack = staging->take_pack();
     const elastic::GenStats st = elastic::write_generation(
-        path, writer->sections(), *plan, fingerprint, step);
+        path, writer->sections(), *plan, fingerprint, step, pack);
     stats->record(st);
     return st.file_bytes;
   }
 
-  /// Hand the sections back for the next snapshot to stage in. Nothing
-  /// reads them after the commit: the delta plan and the tracker keep
-  /// hashes, not payloads.
-  void recycle() { staging->give_back(writer->release_sections()); }
+  /// Hand the sections and the encode buffer back for the next snapshot
+  /// and commit. Nothing reads them after the commit: the delta plan and
+  /// the tracker keep hashes, not payloads.
+  void recycle() {
+    staging->give_back(writer->release_sections(), std::move(pack));
+  }
 };
 
 /// The async checkpoint writer: one persistent thread, started with the

@@ -17,7 +17,6 @@
 
 #include <bit>
 #include <cstring>
-#include <memory>
 
 namespace vpic::elastic {
 
@@ -64,22 +63,25 @@ constexpr unsigned kCodeBytes[4] = {0, 1, 2, 4};
 
 }  // namespace
 
-std::vector<std::byte> deltapack_encode(const std::byte* data, std::size_t n,
-                                        std::uint32_t elem_size) {
+std::size_t deltapack_bound(std::size_t n, std::uint32_t elem_size) noexcept {
   if (n == 0 || elem_size == 0 || elem_size % 4 != 0 || n % elem_size != 0)
-    return {};
+    return 0;
+  return elem_size / 4 * ((n / elem_size + 3) / 4) + n;
+}
+
+std::size_t deltapack_encode(const std::byte* data, std::size_t n,
+                             std::uint32_t elem_size,
+                             std::byte* out) noexcept {
+  if (deltapack_bound(n, elem_size) == 0) return 0;
   const std::size_t nrec = n / elem_size;
   const std::size_t nfields = elem_size / 4;
   const std::size_t ctrl_bytes = (nrec + 3) / 4;
 
-  // Encode through a cursor into a buffer of the worst-case size (every
-  // word stored at 4 bytes), so each data word is one 4-byte store that
-  // advances the cursor by its width; bytes past the width are
-  // overwritten by the next store or lie past the end. The buffer is left
-  // uninitialised, so only the pages the stream reaches are touched.
-  const std::size_t worst = nfields * ctrl_bytes + n;
-  const auto buf = std::make_unique_for_overwrite<std::byte[]>(worst);
-  std::byte* at = buf.get();
+  // Encode through a cursor into a buffer of the worst-case size, so each
+  // data word is one 4-byte store that advances the cursor by its width;
+  // bytes past the width are overwritten by the next store or lie past
+  // the end of the stream.
+  std::byte* at = out;
   for (std::size_t f = 0; f < nfields; ++f) {
     std::byte* ctrl = at;
     at += ctrl_bytes;
@@ -100,7 +102,7 @@ std::vector<std::byte> deltapack_encode(const std::byte* data, std::size_t n,
     }
     if (nrec % 4 != 0) ctrl[nrec / 4] = static_cast<std::byte>(codes);
   }
-  return std::vector<std::byte>(buf.get(), at);
+  return static_cast<std::size_t>(at - out);
 }
 
 bool deltapack_decode(const std::byte* src, std::size_t src_bytes,

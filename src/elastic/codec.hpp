@@ -29,7 +29,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace vpic::elastic {
 
@@ -41,12 +40,19 @@ enum class Codec : std::uint8_t {
 
 const char* to_string(Codec c) noexcept;
 
-/// Encode `n` bytes of `elem_size`-byte records. `elem_size` must be a
-/// non-zero multiple of 4 and must divide `n`; otherwise (and for n == 0)
-/// the encoder returns an empty vector, which callers treat as "store
-/// raw". The output is self-delimiting given (n, elem_size).
-std::vector<std::byte> deltapack_encode(const std::byte* data, std::size_t n,
-                                        std::uint32_t elem_size);
+/// The most bytes a stream of `n` bytes of `elem_size`-byte records can
+/// take (every word stored at 4 bytes): the buffer deltapack_encode
+/// writes into. 0 when the records cannot be encoded: `elem_size` must be
+/// a non-zero multiple of 4 that divides a non-zero `n`.
+std::size_t deltapack_bound(std::size_t n, std::uint32_t elem_size) noexcept;
+
+/// Encode `n` bytes of `elem_size`-byte records into `out`, which holds at
+/// least deltapack_bound(n, elem_size) bytes, and return the stream
+/// length. Returns 0, writing nothing, when the records cannot be encoded;
+/// callers then store them raw. The stream is self-delimiting given
+/// (n, elem_size).
+std::size_t deltapack_encode(const std::byte* data, std::size_t n,
+                             std::uint32_t elem_size, std::byte* out) noexcept;
 
 /// Decode a deltapack stream back into exactly `raw_bytes` bytes at
 /// `dst`. Returns false (without touching `dst` past the failure point)

@@ -14,6 +14,7 @@
 
 #include "ckpt/ring.hpp"
 #include "pk/pk.hpp"
+#include "prof/prof.hpp"
 
 namespace vpic::elastic {
 
@@ -250,7 +251,8 @@ GenerationPlan as_full(const GenerationPlan& plan) {
 GenStats commit_generation(const std::string& path,
                            const std::vector<EncodedSection>& sections,
                            const GenerationPlan& plan,
-                           std::uint64_t fingerprint, std::int64_t step) {
+                           std::uint64_t fingerprint, std::int64_t step,
+                           std::vector<std::byte>& pack) {
   GenStats st;
   st.kind = plan.kind;
   st.sections_total = static_cast<std::uint32_t>(sections.size());
@@ -258,41 +260,10 @@ GenStats commit_generation(const std::string& path,
     st.logical_bytes += s.payload.size();
 
   // The manifest must record the codec each stored section actually ended
-  // up with after the per-section raw fallback, so patch a copy.
+  // up with after the per-section raw fallback, so patch a copy; it is
+  // serialized as the last section, after every stored one is written.
   std::vector<ManifestEntry> entries = plan.entries;
-
-  ckpt::FileWriter w;
-  for (std::uint32_t i : plan.store) {
-    const EncodedSection& s = sections[i];
-    ManifestEntry& e = entries[i];
-    st.sections_stored++;
-    st.stored_raw_bytes += s.payload.size();
-
-    std::vector<std::byte> packed;
-    if (plan.codec == Codec::DeltaPack && s.elem_size != 0 &&
-        s.elem_size % 4 == 0 && s.payload.size() >= 64)
-      packed = deltapack_encode(s.payload.data(), s.payload.size(),
-                                s.elem_size);
-
-    if (!packed.empty() && packed.size() < s.payload.size()) {
-      e.codec = Codec::DeltaPack;
-      st.stored_bytes += packed.size();
-      // Packed payloads lose their logical shape on disk; the manifest
-      // entry carries it for the decoder.
-      EncodedSection ps;
-      ps.name = s.name;
-      ps.elem_size = 1;
-      ps.rank = 1;
-      ps.extents[0] = static_cast<std::int64_t>(packed.size());
-      ps.layout = s.layout;
-      ps.payload = std::move(packed);
-      w.add(std::move(ps));
-    } else {
-      e.codec = Codec::None;
-      st.stored_bytes += s.payload.size();
-      w.add(s);  // copies; `sections` may be shared with another commit
-    }
-  }
+  std::vector<std::byte> manifest;
 
   ElaMeta meta;
   meta.kind = plan.kind;
@@ -301,12 +272,57 @@ GenStats commit_generation(const std::string& path,
   meta.parent = plan.parent;
   meta.base = plan.base;
   meta.chain_seq = plan.chain_seq;
-  w.add_pod(kMetaSection, meta);
 
-  const std::vector<std::byte> blob = serialize_manifest(entries);
-  w.add_bytes(kManifestSection, blob.data(), blob.size());
+  // Stored sections stream from the snapshot: a raw one is written from
+  // its payload, a packed one from `pack`, which holds one section's
+  // stream at a time and is grown once, to the largest worst case.
+  const auto bound = [&](const EncodedSection& s) {
+    return plan.codec == Codec::DeltaPack && s.payload.size() >= 64
+               ? deltapack_bound(s.payload.size(), s.elem_size)
+               : 0;
+  };
+  std::size_t most = 0;
+  for (std::uint32_t i : plan.store) most = std::max(most, bound(sections[i]));
+  if (pack.size() < most) {
+    if (pack.capacity() < most) prof::counter_add("ckpt.commit_alloc");
+    pack.clear();  // its bytes are stale: grow without copying them
+    pack.resize(most);
+  }
 
-  st.file_bytes = w.commit(path, fingerprint, step);
+  const std::size_t nstored = plan.store.size();
+  const auto section = [&](std::size_t k) {
+    if (k == nstored)
+      return ckpt::SectionRef::bytes(kMetaSection, &meta, sizeof(meta));
+    if (k == nstored + 1) {
+      manifest = serialize_manifest(entries);
+      return ckpt::SectionRef::bytes(kManifestSection, manifest.data(),
+                                     manifest.size());
+    }
+    const EncodedSection& s = sections[plan.store[k]];
+    ManifestEntry& e = entries[plan.store[k]];
+    st.sections_stored++;
+    st.stored_raw_bytes += s.payload.size();
+
+    ckpt::SectionRef out(s);
+    const std::size_t packed =
+        bound(s) == 0 ? 0
+                      : deltapack_encode(s.payload.data(), s.payload.size(),
+                                         s.elem_size, pack.data());
+    e.codec = Codec::None;
+    if (packed != 0 && packed < s.payload.size()) {
+      // Packed payloads lose their logical shape on disk; the manifest
+      // entry carries it for the decoder.
+      e.codec = Codec::DeltaPack;
+      out.elem_size = 1;
+      out.rank = 1;
+      out.extents = {static_cast<std::int64_t>(packed), 0, 0, 0};
+      out.payload = {pack.data(), packed};
+    }
+    st.stored_bytes += out.payload.size();
+    return out;
+  };
+  st.file_bytes =
+      ckpt::write_file(path, fingerprint, step, nstored + 2, section);
   return st;
 }
 
@@ -315,7 +331,8 @@ GenStats commit_generation(const std::string& path,
 GenStats write_generation(const std::string& path,
                           const std::vector<EncodedSection>& sections,
                           const GenerationPlan& plan,
-                          std::uint64_t fingerprint, std::int64_t step) {
+                          std::uint64_t fingerprint, std::int64_t step,
+                          std::vector<std::byte>& pack) {
   try {
     // A delta planned while an earlier generation of its chain was still
     // being committed, by a commit that then failed: its parent is not on
@@ -323,12 +340,20 @@ GenStats write_generation(const std::string& path,
     if (plan.kind == kKindDelta && plan.chain &&
         plan.chain->broken.load(std::memory_order_acquire))
       return commit_generation(path, sections, as_full(plan), fingerprint,
-                               step);
-    return commit_generation(path, sections, plan, fingerprint, step);
+                               step, pack);
+    return commit_generation(path, sections, plan, fingerprint, step, pack);
   } catch (...) {
     if (plan.chain) plan.chain->broken.store(true, std::memory_order_release);
     throw;
   }
+}
+
+GenStats write_generation(const std::string& path,
+                          const std::vector<EncodedSection>& sections,
+                          const GenerationPlan& plan,
+                          std::uint64_t fingerprint, std::int64_t step) {
+  std::vector<std::byte> pack;
+  return write_generation(path, sections, plan, fingerprint, step, pack);
 }
 
 // ---------------------------------------------------------------------------
@@ -446,22 +471,31 @@ void ChainReader::reassemble_particles() {
   // Incremental snapshots store particles as fixed-range chunks
   // ("sp<i>.c<k>.p" + "sp<i>.nchunks") so a delta only carries the tiles
   // whose payload hash moved. Core's restore reads the canonical
-  // "sp<i>.p"; synthesize it by concatenating chunks in k order.
+  // "sp<i>.p"; synthesize it by concatenating chunks in k order, dropping
+  // each chunk once it is appended, so the resolved set holds one copy of
+  // the particles.
   if (!has("nspecies")) return;
   const auto nspecies = pod<std::uint64_t>("nspecies");
   for (std::uint64_t i = 0; i < nspecies; ++i) {
     const std::string prefix = "sp" + std::to_string(i) + ".";
     if (!has(prefix + "nchunks")) continue;
     const auto nchunks = pod<std::uint64_t>(prefix + "nchunks");
+    const auto chunk = [&](std::uint64_t k) {
+      return prefix + "c" + std::to_string(k) + ".p";
+    };
 
     EncodedSection whole;
     whole.name = prefix + "p";
     whole.rank = 1;
     whole.layout = ckpt::kLayoutRight;
+    std::size_t bytes = 0;
+    for (std::uint64_t k = 0; k < nchunks; ++k)
+      bytes += section(chunk(k)).payload.size();
+    whole.payload.reserve(bytes);
     std::int64_t total = 0;
     for (std::uint64_t k = 0; k < nchunks; ++k) {
-      const EncodedSection& c =
-          section(prefix + "c" + std::to_string(k) + ".p");
+      const auto it = resolved_.find(chunk(k));
+      const EncodedSection& c = it->second;
       if (k == 0) whole.elem_size = c.elem_size;
       if (c.elem_size != whole.elem_size)
         throw RestoreError(RestoreErrorKind::ShapeMismatch,
@@ -470,6 +504,7 @@ void ChainReader::reassemble_particles() {
       whole.payload.insert(whole.payload.end(), c.payload.begin(),
                            c.payload.end());
       total += c.extents[0];
+      resolved_.erase(it);
     }
     if (whole.elem_size == 0) whole.elem_size = 1;
     whole.extents[0] = total;

@@ -20,10 +20,12 @@
 // FileWriter snapshot (hashing IS the dirty detection — there is no
 // event-based skip heuristic, because modules may mutate particle state
 // without signalling; the sections hash in parallel on the calling
-// thread's kernel team), and write_generation — safe to run on a
-// background pk instance — compresses and commits the plan. A failed
-// commit breaks its chain: the next plan is a full base, and a delta
-// planned before the failure surfaced is written as a full base instead.
+// thread's kernel team), and write_generation — safe to run on the
+// background checkpoint writer — streams the plan's sections from the
+// snapshot into the file, packing each through one reusable buffer. A
+// failed commit breaks its chain: the next plan is a full base, and a
+// delta planned before the failure surfaced is written as a full base
+// instead.
 //
 // ChainReader resolves a generation back into a flat SectionSource: it
 // walks the manifest, opens the sibling ring files each src_gen lives in,
@@ -189,13 +191,24 @@ class DeltaTracker {
   std::shared_ptr<ChainHealth> chain_;
 };
 
-/// Compress + commit a planned generation to `path` (a ring generation
-/// path). Sections listed in plan.store are written physically — run
-/// through the plan's codec with a per-section raw fallback when packing
-/// does not shrink the payload — alongside "ela.meta" and "ela.manifest".
-/// A delta whose chain broke after it was planned is written as a full
-/// base. Throws ckpt::RestoreError{IoError} like FileWriter::commit, and
-/// marks the plan's chain broken when it throws.
+/// Commit a planned generation to `path` (a ring generation path)
+/// through ckpt::write_file. Sections listed in plan.store are written
+/// physically, one at a time, followed by "ela.meta" and "ela.manifest":
+/// a section the plan's codec packs smaller is encoded into `pack` and
+/// written from there, any other is written straight from `sections`
+/// (the per-section raw fallback). `pack` grows to the largest stream's
+/// worst case and is kept for the caller's next commit; each growth that
+/// allocates counts into the "ckpt.commit_alloc" prof counter. A delta
+/// whose chain broke after it was planned is written as a full base.
+/// Throws ckpt::RestoreError{IoError} like ckpt::write_file, and marks
+/// the plan's chain broken when it throws.
+GenStats write_generation(const std::string& path,
+                          const std::vector<ckpt::EncodedSection>& sections,
+                          const GenerationPlan& plan,
+                          std::uint64_t fingerprint, std::int64_t step,
+                          std::vector<std::byte>& pack);
+
+/// As above, with an encode buffer of its own for this one commit.
 GenStats write_generation(const std::string& path,
                           const std::vector<ckpt::EncodedSection>& sections,
                           const GenerationPlan& plan,
@@ -204,7 +217,7 @@ GenStats write_generation(const std::string& path,
 /// Resolve a committed generation (base or delta) into a flat section
 /// set. All referenced sibling generations are opened, validated and
 /// decoded in the constructor; chunked particle sections are reassembled
-/// into the canonical "sp<i>.p" names. Failures throw typed
+/// into the canonical "sp<i>.p" names, which replace them. Failures throw typed
 /// ckpt::RestoreError so ring fallback logic works unchanged.
 class ChainReader : public ckpt::SectionSource {
  public:

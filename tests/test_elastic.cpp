@@ -6,7 +6,9 @@
 //     pinned size and CRC,
 //   * incremental generation chains: full/delta cadence, bit-identical
 //     resume from a delta generation (sync and async), the cumulative
-//     ElasticCkptStats telemetry,
+//     ElasticCkptStats telemetry, a full base and a delta pinned by size
+//     and CRC, commits that reuse one encode buffer, a restore that holds
+//     one copy of the particles,
 //   * generation-ring purge/sweep over chains: restore_latest falls back
 //     across a corrupted mid-chain delta (and across a whole broken
 //     chain) to the previous complete recovery point; prune_chains
@@ -110,6 +112,15 @@ void expect_bit_identical(core::Simulation& a, core::Simulation& b) {
   }
 }
 
+/// The DeltaPack stream of `n` bytes of `elem_size`-byte records, in a
+/// buffer of its own; empty when they cannot be encoded.
+std::vector<std::byte> pack(const std::byte* data, std::size_t n,
+                            std::uint32_t elem_size) {
+  std::vector<std::byte> out(elastic::deltapack_bound(n, elem_size));
+  out.resize(elastic::deltapack_encode(data, n, elem_size, out.data()));
+  return out;
+}
+
 /// Run `f`, expecting it to throw RestoreError; return the kind.
 template <class F>
 ckpt::RestoreErrorKind thrown_kind(F&& f) {
@@ -142,7 +153,7 @@ TEST(Codec, RoundTripIsLossless) {
   }
   const auto* raw = reinterpret_cast<const std::byte*>(ps.data());
   const std::size_t n = ps.size() * sizeof(core::Particle);
-  const auto packed = elastic::deltapack_encode(raw, n, sizeof(core::Particle));
+  const auto packed = pack(raw, n, sizeof(core::Particle));
   ASSERT_FALSE(packed.empty());
   std::vector<std::byte> back(n);
   ASSERT_TRUE(elastic::deltapack_decode(packed.data(), packed.size(),
@@ -161,7 +172,7 @@ TEST(Codec, CompressesSlowChurnParticles) {
   }
   const auto* raw = reinterpret_cast<const std::byte*>(ps.data());
   const std::size_t n = ps.size() * sizeof(core::Particle);
-  const auto packed = elastic::deltapack_encode(raw, n, sizeof(core::Particle));
+  const auto packed = pack(raw, n, sizeof(core::Particle));
   ASSERT_FALSE(packed.empty());
   EXPECT_GE(static_cast<double>(n) / static_cast<double>(packed.size()), 1.5);
   std::vector<std::byte> back(n);
@@ -174,11 +185,11 @@ TEST(Codec, CompressesSlowChurnParticles) {
 TEST(Codec, RejectsInvalidInput) {
   std::vector<std::byte> data(96, std::byte{7});
   // Element size not a multiple of 4: store raw.
-  EXPECT_TRUE(elastic::deltapack_encode(data.data(), data.size(), 3).empty());
+  EXPECT_TRUE(pack(data.data(), data.size(), 3).empty());
   // Payload not a whole number of records: store raw.
-  EXPECT_TRUE(elastic::deltapack_encode(data.data(), 90, 32).empty());
+  EXPECT_TRUE(pack(data.data(), 90, 32).empty());
 
-  const auto packed = elastic::deltapack_encode(data.data(), data.size(), 32);
+  const auto packed = pack(data.data(), data.size(), 32);
   ASSERT_FALSE(packed.empty());
   std::vector<std::byte> back(data.size());
   // Truncated stream: corruption, not success.
@@ -247,7 +258,7 @@ TEST(Codec, EncoderMatchesBytewiseReference) {
         std::memcpy(sparse.data() + at, &s, 4);
       }
       for (const auto* buf : {&random, &sparse, &zero})
-        ASSERT_EQ(elastic::deltapack_encode(buf->data(), n, elem),
+        ASSERT_EQ(pack(buf->data(), n, elem),
                   deltapack_encode_bytewise(buf->data(), n, elem))
             << "elem_size " << elem << " records " << nrec;
     }
@@ -268,7 +279,7 @@ TEST(Codec, PinnedPackedSizeAndCrc) {
   for (std::size_t i = 0; i < ps.size(); ++i)
     ps[i] = {next(), next(), next(), static_cast<std::int32_t>(i / 3),
              0.01f * next(), 0.01f * next(), 0.01f * next(), 1.0f};
-  const auto packed = elastic::deltapack_encode(
+  const auto packed = pack(
       reinterpret_cast<const std::byte*>(ps.data()),
       ps.size() * sizeof(core::Particle), sizeof(core::Particle));
   EXPECT_EQ(packed.size(), 26302u);
@@ -636,6 +647,172 @@ TEST(Chain, FailedCommitStartsAFullBase) {
   elastic::ChainReader chain(g2, ring.path_for(2));
   EXPECT_EQ(chain.sources(), (std::vector<std::int64_t>{2}));
   EXPECT_EQ(chain.section("b").payload, sections[1].payload);
+}
+
+TEST(Chain, GenerationBytesArePinned) {
+  // A full base and a delta written through write_generation from
+  // hand-built sections: "packed" DeltaPacks, "noise" falls back to raw
+  // (its packed stream is larger than its payload), and "fixed" is left
+  // unchanged in the delta. Each file's size and CRC-32 were recorded
+  // with the writer that built a second in-memory file per generation, so
+  // a change to any byte a generation writes fails here.
+  const auto dir = scratch("pinned_bytes");
+  ckpt::GenerationRing ring((dir / "r").string(), 8);
+  std::uint64_t rng = 77;
+  const auto next = [&rng] {
+    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<std::uint32_t>(rng >> 32);
+  };
+  const auto shape = [](ckpt::EncodedSection& s, const char* name,
+                        std::uint32_t elem, std::int64_t n) {
+    s.name = name;
+    s.elem_size = elem;
+    s.rank = 1;
+    s.extents[0] = n;
+    s.layout = ckpt::kLayoutRight;
+    s.payload.resize(static_cast<std::size_t>(n) * elem);
+  };
+  std::vector<ckpt::EncodedSection> sections(3);
+  shape(sections[0], "packed", 32, 500);
+  for (std::size_t r = 0; r < 500; ++r) {
+    // Particle-like records: a sorted voxel, small offsets, unit weight.
+    const std::uint32_t rec[8] = {next() % 64,  next() % 64, 0,
+                                  static_cast<std::uint32_t>(r / 5),
+                                  next() % 300, 0,           0,
+                                  0x3F800000u};
+    std::memcpy(sections[0].payload.data() + r * 32, rec, 32);
+  }
+  shape(sections[1], "noise", 4, 1000);
+  for (std::size_t at = 0; at < 4000; at += 4) {
+    const std::uint32_t v = next();
+    std::memcpy(sections[1].payload.data() + at, &v, 4);
+  }
+  shape(sections[2], "fixed", 8, 64);
+  for (std::size_t b = 0; b < 512; ++b)
+    sections[2].payload[b] = static_cast<std::byte>(b * 7);
+
+  elastic::DeltaTracker tracker(4);
+  const auto commit = [&](std::int64_t gen) {
+    const auto plan = tracker.plan(sections, gen, elastic::Codec::DeltaPack);
+    return elastic::write_generation(ring.path_for(gen), sections, plan,
+                                     0xFEEDu, 10 * (gen + 1));
+  };
+  const elastic::GenStats full = commit(0);
+  sections[0].payload[7 * 32 + 16] = std::byte{9};
+  sections[1].payload[100] ^= std::byte{0xFF};
+  const elastic::GenStats delta = commit(1);
+  EXPECT_EQ(full.kind, elastic::kKindFull);
+  EXPECT_EQ(full.sections_stored, 3u);
+  EXPECT_EQ(delta.kind, elastic::kKindDelta);
+  EXPECT_EQ(delta.sections_stored, 2u);
+
+  const auto manifest = [&](std::int64_t gen) {
+    ckpt::FileReader f(ring.path_for(gen));
+    const ckpt::EncodedSection& m = f.section(elastic::kManifestSection);
+    return elastic::parse_manifest(m.payload.data(), m.payload.size());
+  };
+  for (const std::int64_t gen : {0, 1}) {
+    const auto m = manifest(gen);
+    ASSERT_EQ(m.size(), 3u);
+    EXPECT_EQ(m[0].codec, elastic::Codec::DeltaPack) << "g" << gen;
+    EXPECT_EQ(m[1].codec, elastic::Codec::None) << "g" << gen;
+    EXPECT_EQ(m[2].src_gen, 0) << "g" << gen;
+  }
+
+  const auto size_and_crc = [&](std::int64_t gen) {
+    std::ifstream in(ring.path_for(gen), std::ios::binary);
+    const std::vector<char> b((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+    return std::make_pair(b.size(), ckpt::crc32(b.data(), b.size()));
+  };
+  const auto [size0, crc0] = size_and_crc(0);
+  const auto [size1, crc1] = size_and_crc(1);
+  EXPECT_EQ(full.file_bytes, size0);
+  EXPECT_EQ(delta.file_bytes, size1);
+  EXPECT_EQ(size0, 8056u);
+  EXPECT_EQ(crc0, 0xE698F0B7u);
+  EXPECT_EQ(size1, 7440u);
+  EXPECT_EQ(crc1, 0xC1D20C7Cu);
+
+  ckpt::FileReader g1(ring.path_for(1));
+  elastic::ChainReader chain(g1, ring.path_for(1));
+  for (const ckpt::EncodedSection& s : sections)
+    EXPECT_EQ(chain.section(s.name).payload, s.payload) << s.name;
+}
+
+TEST(Chain, CommitReusesItsEncodeBuffer) {
+  // Every incremental commit DeltaPack-encodes into the encode buffer
+  // the last commit handed back: once the first full base has grown it,
+  // no later commit (delta or full) allocates one. Energy diagnostics
+  // stay off, so no section grows between checkpoints.
+  for (const bool async : {false, true}) {
+    const std::string mode = async ? "async" : "sync";
+    SCOPED_TRACE(mode);
+    const auto dir = scratch("commit_reuse_" + mode);
+    auto sim = make_lpi_small();
+    sim.config().energy_interval = 0;
+    sim.config().checkpoint_every = 5;
+    sim.config().checkpoint_path = (dir / "ck").string();
+    sim.config().checkpoint_async = async;
+    sim.config().checkpoint_incremental = true;
+    sim.config().checkpoint_codec = 1;
+    sim.config().checkpoint_full_every = 3;
+    const std::uint64_t before = prof::counter_value("ckpt.commit_alloc");
+    std::vector<std::uint64_t> allocs;  // cumulative, after each checkpoint
+    for (int step = 1; step <= 30; ++step) {
+      sim.step();
+      if (step % 5 != 0) continue;
+      sim.checkpoint_wait();  // the commit has handed its buffer back
+      allocs.push_back(prof::counter_value("ckpt.commit_alloc"));
+    }
+    ASSERT_EQ(allocs.size(), 6u);
+    EXPECT_EQ(sim.elastic_ckpt_stats().full_generations, 2);
+    EXPECT_GT(allocs[0], before) << "the first commit grows the buffer";
+    for (std::size_t k = 1; k < allocs.size(); ++k)
+      EXPECT_EQ(allocs[k], allocs[0]) << "checkpoint " << k + 1;
+  }
+}
+
+TEST(Chain, SyncCommitBesideAnAsyncOneRestores) {
+  // A sync checkpoint taken while an async commit may still run takes a
+  // buffer of its own; both generations restore.
+  const auto dir = scratch("sync_beside_async");
+  ckpt::GenerationRing ring((dir / "r").string(), 8);
+  auto sim = make_lpi_small();
+  sim.config().checkpoint_incremental = true;
+  sim.config().checkpoint_codec = 1;
+  sim.run(3);
+  sim.checkpoint_async(ring.path_for(0));
+  sim.checkpoint(ring.path_for(1));
+  sim.checkpoint_wait();
+  for (const std::uint64_t g : {0, 1}) {
+    auto restored = make_lpi_small();
+    ASSERT_NO_THROW(restored.restore(ring.path_for(g)));
+    expect_bit_identical(restored, sim);
+  }
+}
+
+TEST(Chain, RestoreHoldsOneCopyOfTheParticles) {
+  // The resolved chain replaces the particle chunks with the canonical
+  // "sp<i>.p" instead of holding both.
+  const auto dir = scratch("one_copy");
+  ckpt::GenerationRing ring((dir / "r").string(), 8);
+  auto sim = make_lpi_small();
+  sim.config().checkpoint_incremental = true;
+  sim.run(2);
+  sim.checkpoint(ring.path_for(0));
+  ckpt::FileReader g0(ring.path_for(0));
+  ASSERT_TRUE(g0.has("sp0.c0.p"));
+  elastic::ChainReader chain(g0, ring.path_for(0));
+  for (std::size_t s = 0; s < sim.num_species(); ++s) {
+    const std::string pfx = "sp" + std::to_string(s) + ".";
+    EXPECT_TRUE(chain.has(pfx + "p"));
+    EXPECT_EQ(chain.section(pfx + "p").extents[0], sim.species(s).np);
+  }
+  for (const std::string& name : chain.section_names())
+    EXPECT_FALSE(name.starts_with("sp") && name.ends_with(".p") &&
+                 name.find(".c") != std::string::npos)
+        << name;
 }
 
 TEST(Chain, PlanHashesEqualSerialHashesAtEveryTeamSize) {
