@@ -22,9 +22,18 @@
 // snapshot afresh and later ones reuse it, so the median read 0 whether
 // or not the staging churned. Unlike the whole-run differences above,
 // these leave out the fsync and the steps between checkpoints.
-// `commit_alloc` counts how often a timed run's commits grew their
-// DeltaPack encode buffer (the "ckpt.commit_alloc" prof counter): once,
-// for the first full base of an incremental run.
+// `stage_alloc` counts how often a timed run's snapshots allocated a
+// payload buffer (the "ckpt.stage_alloc" prof counter), and `peak_rss_mb`
+// is the largest resident set sampled after each timed step of the mode
+// (VmRSS; free heap is trimmed before each mode). The async modes also
+// report `post_ckpt_step_ms`, what the commit running behind the step
+// after a checkpoint costs it: how much longer the steps right after a
+// checkpoint took than the same steps of the run without checkpoints
+// ("none", or "slow-none" for "inc-async"), less how much longer the
+// steps that neither checkpoint nor follow one took than theirs (the two
+// runs' drift). Against the same steps, not the run's other steps,
+// because the deck sorts every 10 steps: at --every=10 each checkpoint
+// step is a sort step, and the step after a sort pushes faster.
 //
 //   ./checkpoint --nx=16 --ny=8 --nz=8 --ppc=4 --steps=40 --every=5 --reps=3
 //   ./checkpoint --smoke        # CI-sized run, bars recorded but not enforced
@@ -35,10 +44,16 @@
 // < 10% encode overhead.
 #include <sys/resource.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
@@ -85,6 +100,15 @@ core::Simulation make_sim(const Params& p, bool slow_churn = false) {
   return sim;
 }
 
+double median(std::vector<double> v) {
+  if (v.empty()) return 0;
+  std::sort(v.begin(), v.end());
+  const std::size_t h = v.size() / 2;
+  return v.size() % 2 ? v[h] : 0.5 * (v[h - 1] + v[h]);
+}
+
+enum StepKind { kPlain, kCkpt, kPost };
+
 struct ModeResult {
   bench::Timing timing;
   std::int64_t checkpoints = 0;
@@ -94,14 +118,45 @@ struct ModeResult {
   // median phase time and the most faults in one step.
   double ckpt_phase_ms = 0;
   double ckpt_minflt = 0;
-  double commit_alloc = 0;  // encode-buffer growths per timed run
+  double stage_alloc = 0;        // payload-buffer allocations per timed run
+  double peak_rss_mb = 0;        // largest VmRSS after a timed step
+  double post_ckpt_step_ms = 0;  // set in main(), from step_ms
+  // Per step of a timed run: the median over the timed reps of its wall
+  // time, and whether it checkpoints, follows a checkpoint step or neither.
+  std::vector<double> step_ms;
+  std::vector<StepKind> kind;
 };
 
-double median(std::vector<double> v) {
-  if (v.empty()) return 0;
-  std::sort(v.begin(), v.end());
-  const std::size_t h = v.size() / 2;
-  return v.size() % 2 ? v[h] : 0.5 * (v[h - 1] + v[h]);
+/// `r`'s post-checkpoint steps against the same steps of `base`, a run of
+/// the same deck without checkpoints, less its plain steps against
+/// theirs: the median excess of a step that follows a checkpoint.
+double post_ckpt_step_ms(const ModeResult& r, const ModeResult& base) {
+  std::vector<double> post, post_base, plain, plain_base;
+  for (std::size_t i = 0; i < r.step_ms.size() && i < base.step_ms.size();
+       ++i) {
+    if (r.kind[i] == kPost) {
+      post.push_back(r.step_ms[i]);
+      post_base.push_back(base.step_ms[i]);
+    } else if (r.kind[i] == kPlain) {
+      plain.push_back(r.step_ms[i]);
+      plain_base.push_back(base.step_ms[i]);
+    }
+  }
+  if (post.empty() || plain.empty()) return 0;
+  return (median(post) - median(post_base)) -
+         (median(plain) - median(plain_base));
+}
+
+/// The process's resident set now, in MB (VmRSS), or 0 if unreadable.
+double rss_mb() {
+  std::ifstream in("/proc/self/status");
+  std::string key;
+  while (in >> key) {
+    double kb = 0;
+    if (key == "VmRSS:" && in >> kb) return kb / 1024.0;
+    in.ignore(1 << 12, '\n');
+  }
+  return 0;
 }
 
 /// Minor page faults the calling thread has taken so far.
@@ -115,7 +170,8 @@ double thread_minflt() {
 /// on the regular deck; "slow-none", "inc", "inc-async" on the slow-churn
 /// deck (incremental generations for the latter two). Steps run one at a
 /// time; each checkpoint step of a timed rep records its "ckpt" phase
-/// time and the stepping thread's minor faults.
+/// time and the stepping thread's minor faults, every timed step its wall
+/// time and the resident set after it.
 ModeResult run_mode(const Params& p, const std::string& mode) {
   const bool slow = mode == "slow-none" || mode == "inc" ||
                     mode == "inc-async";
@@ -127,16 +183,32 @@ ModeResult run_mode(const Params& p, const std::string& mode) {
   std::optional<core::Simulation> sim;
   bool timed = false;
   std::vector<double> phase_ms, minflt;
-  std::uint64_t alloc0 = 0;  // ckpt.commit_alloc before the first timed rep
+  std::vector<std::vector<double>> step_ms(static_cast<std::size_t>(p.steps));
+  out.kind.assign(static_cast<std::size_t>(p.steps), kPlain);
+  std::uint64_t alloc0 = 0;  // ckpt.stage_alloc before the first timed rep
+#if defined(__GLIBC__)
+  malloc_trim(0);  // a mode's peak is its own, not a freed earlier one's
+#endif
   out.timing = bench::time_reps(
       p.reps, /*warmup=*/1,
       [&] {
         for (int i = 0; i < p.steps; ++i) {
-          const bool ckpt_step =
-              checkpoints && (sim->step_count() + 1) % p.every == 0;
+          const std::int64_t n = sim->step_count() + 1;
+          const bool ckpt_step = checkpoints && n % p.every == 0;
+          const bool post_step =
+              checkpoints && n > 1 && (n - 1) % p.every == 0;
           const double flt0 = ckpt_step ? thread_minflt() : 0;
+          const auto t0 = std::chrono::steady_clock::now();
           sim->step();
-          if (!ckpt_step || !timed) continue;
+          const double ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
+          if (!timed) continue;
+          out.peak_rss_mb = std::max(out.peak_rss_mb, rss_mb());
+          step_ms[static_cast<std::size_t>(i)].push_back(ms);
+          out.kind[static_cast<std::size_t>(i)] =
+              ckpt_step ? kCkpt : post_step ? kPost : kPlain;
+          if (!ckpt_step) continue;
           minflt.push_back(thread_minflt() - flt0);
           for (const core::PhaseStats& ph : sim->last_phase_stats())
             if (ph.name == "ckpt") phase_ms.push_back(ph.seconds * 1e3);
@@ -145,7 +217,7 @@ ModeResult run_mode(const Params& p, const std::string& mode) {
       },
       [&](int rep) {
         timed = rep >= 0;
-        if (rep == 0) alloc0 = vpic::prof::counter_value("ckpt.commit_alloc");
+        if (rep == 0) alloc0 = vpic::prof::counter_value("ckpt.stage_alloc");
         fs::remove_all(dir);
         fs::create_directories(dir);
         sim.emplace(make_sim(p, slow));
@@ -166,10 +238,11 @@ ModeResult run_mode(const Params& p, const std::string& mode) {
   out.ckpt_phase_ms = median(phase_ms);
   if (!minflt.empty())
     out.ckpt_minflt = *std::max_element(minflt.begin(), minflt.end());
-  out.commit_alloc =
-      static_cast<double>(vpic::prof::counter_value("ckpt.commit_alloc") -
+  out.stage_alloc =
+      static_cast<double>(vpic::prof::counter_value("ckpt.stage_alloc") -
                           alloc0) /
       std::max(1, p.reps);
+  for (std::vector<double>& v : step_ms) out.step_ms.push_back(median(v));
   ckpt::GenerationRing ring((dir / "ck").string(), 3);
   for (std::uint64_t g : ring.generations())
     out.file_bytes = fs::file_size(ring.path_for(g));
@@ -252,13 +325,16 @@ int main(int argc, char** argv) {
 
   const ModeResult none = run_mode(p, "none");
   const ModeResult sync = run_mode(p, "sync");
-  const ModeResult async_ = run_mode(p, "async");
+  ModeResult async_ = run_mode(p, "async");
   const ModeResult slow_none = run_mode(p, "slow-none");
   const ModeResult inc = run_mode(p, "inc");
-  const ModeResult inc_async = run_mode(p, "inc-async");
+  ModeResult inc_async = run_mode(p, "inc-async");
+  async_.post_ckpt_step_ms = post_ckpt_step_ms(async_, none);
+  inc_async.post_ckpt_step_ms = post_ckpt_step_ms(inc_async, slow_none);
 
   bench::Table t({"mode", "total ms", "ms/step", "ckpts", "file KiB",
-                  "ckpt phase ms", "ckpt minflt", "commit allocs"});
+                  "ckpt phase ms", "ckpt minflt", "stage allocs",
+                  "peak RSS MB", "post-ckpt ms"});
   const auto row = [&](const char* mode, const ModeResult& r) {
     t.row({mode, bench::fmt("%.3f", r.timing.min_s * 1e3),
            bench::fmt("%.4f", r.timing.min_s * 1e3 / p.steps),
@@ -266,17 +342,22 @@ int main(int argc, char** argv) {
            bench::fmt("%.1f", static_cast<double>(r.file_bytes) / 1024.0),
            bench::fmt("%.3f", r.ckpt_phase_ms),
            bench::fmt("%.0f", r.ckpt_minflt),
-           bench::fmt("%.0f", r.commit_alloc)});
+           bench::fmt("%.0f", r.stage_alloc),
+           bench::fmt("%.1f", r.peak_rss_mb),
+           bench::fmt("%.3f", r.post_ckpt_step_ms)});
     auto j = vpic::bench::Json("checkpoint");
     j.field("mode", mode)
         .field("steps", p.steps)
         .field("every", p.every)
         .field("checkpoints", r.checkpoints)
-        .field("file_bytes", static_cast<std::int64_t>(r.file_bytes));
+        .field("file_bytes", static_cast<std::int64_t>(r.file_bytes))
+        .field("peak_rss_mb", r.peak_rss_mb);
     if (r.checkpoints > 0)
       j.field("ckpt_phase_ms", r.ckpt_phase_ms)
           .field("ckpt_minflt", r.ckpt_minflt)
-          .field("commit_alloc", r.commit_alloc);
+          .field("stage_alloc", r.stage_alloc);
+    if (std::string(mode) == "async" || std::string(mode) == "inc-async")
+      j.field("post_ckpt_step_ms", r.post_ckpt_step_ms);
     if (r.stats.full_generations + r.stats.delta_generations > 0) {
       j.field("full_generations", r.stats.full_generations)
           .field("delta_generations", r.stats.delta_generations)
@@ -344,13 +425,14 @@ int main(int argc, char** argv) {
   sp.p.export_aos(parts.data(), sp.np);
   const auto* raw = reinterpret_cast<const std::byte*>(parts.data());
   const std::size_t raw_bytes = parts.size() * sizeof(core::Particle);
-  // Into one buffer sized once, as a chain commit encodes.
+  // Into one buffer sized once, as a chain snapshot encodes into its
+  // staged payloads.
   std::vector<std::byte> pack(
       elastic::deltapack_bound(raw_bytes, sizeof(core::Particle)));
   std::size_t packed = 0;
   const auto enc = bench::time_reps(p.reps, 1, [&] {
-    packed = elastic::deltapack_encode(raw, raw_bytes,
-                                       sizeof(core::Particle), pack.data());
+    packed = elastic::deltapack_encode(raw, raw_bytes, sizeof(core::Particle),
+                                       pack.data(), pack.size());
   });
   const double codec_ratio =
       packed == 0 ? 1.0

@@ -6,10 +6,13 @@
 // file was damaged (docs/CHECKPOINT.md failure matrix) instead of feeding
 // corrupt bytes back into the simulation.
 //
-// The loop is slicing-by-8: eight tables derived from the bytewise IEEE
-// table fold one 8-byte word per iteration, and a bytewise tail finishes
-// the buffer. The values are those of the bytewise loop for every input
-// (tests/test_ckpt.cpp keeps that loop as the reference).
+// Two loops compute the same values. crc32_portable is slicing-by-8: eight
+// tables derived from the bytewise IEEE table fold one 8-byte word per
+// iteration, and a bytewise tail finishes the buffer (tests/test_ckpt.cpp
+// keeps the bytewise loop as its reference). crc32 (crc32.cpp) folds 64
+// bytes per iteration with carry-less multiplies (PCLMULQDQ) when the CPU
+// has them, chosen at run time, so a build without -march=native runs it
+// too; elsewhere, and for short buffers, it is crc32_portable.
 #pragma once
 
 #include <array>
@@ -42,16 +45,11 @@ constexpr Crc32Tables make_crc32_tables() {
 
 inline constexpr Crc32Tables kCrc32Tables = make_crc32_tables();
 
-}  // namespace detail
-
-/// Incremental form: pass the previous return value as `seed` to extend a
-/// CRC over discontiguous buffers. The default seed is the standard
-/// initial value.
-inline std::uint32_t crc32(const void* data, std::size_t n,
-                           std::uint32_t seed = 0) {
-  const auto& t = detail::kCrc32Tables;
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+/// Advance the CRC register `c` (the pre-inverted running value) over `n`
+/// bytes, slicing by 8.
+inline std::uint32_t crc32_update(std::uint32_t c, const unsigned char* p,
+                                  std::size_t n) {
+  const auto& t = kCrc32Tables;
   if constexpr (std::endian::native == std::endian::little) {
     for (; n >= 8; p += 8, n -= 8) {
       std::uint32_t lo, hi;
@@ -64,7 +62,22 @@ inline std::uint32_t crc32(const void* data, std::size_t n,
     }
   }
   for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFu;
+  return c;
 }
+
+}  // namespace detail
+
+/// The portable slicing-by-8 CRC, with crc32's contract.
+inline std::uint32_t crc32_portable(const void* data, std::size_t n,
+                                    std::uint32_t seed = 0) {
+  return detail::crc32_update(seed ^ 0xFFFFFFFFu,
+                              static_cast<const unsigned char*>(data), n) ^
+         0xFFFFFFFFu;
+}
+
+/// Incremental form: pass the previous return value as `seed` to extend a
+/// CRC over discontiguous buffers. The default seed is the standard
+/// initial value.
+std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t seed = 0);
 
 }  // namespace vpic::ckpt

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <numeric>
 
 #ifndef _WIN32
 #include <fcntl.h>
@@ -10,6 +11,7 @@
 #endif
 
 #include "ckpt/crc32.hpp"
+#include "pk/pk.hpp"
 #include "prof/prof.hpp"
 
 namespace vpic::ckpt {
@@ -25,6 +27,13 @@ void FileWriter::add(EncodedSection section) {
       throw std::invalid_argument("ckpt: duplicate section '" + section.name +
                                   "'");
   sections_.push_back(std::move(section));
+  sources_.push_back(nullptr);
+  sealed_.clear();
+}
+
+void FileWriter::add_deferred(EncodedSection section, const std::byte* src) {
+  add(std::move(section));
+  sources_.back() = src;
 }
 
 std::vector<std::byte> FileWriter::stage(std::size_t bytes) {
@@ -51,11 +60,59 @@ void FileWriter::add_bytes(std::string_view name, const void* data,
 
 namespace {
 
-/// Payloads are CRC'd and written in pieces of this many bytes, so each
-/// piece is still in cache when fwrite copies it out.
-constexpr std::size_t kWritePiece = std::size_t{1} << 18;
+/// Raw payloads are copied and CRC'd in pieces of this many bytes, so each
+/// piece is still in cache when the CRC reads it.
+constexpr std::size_t kPiece = std::size_t{1} << 18;
 
 }  // namespace
+
+SectionRef SectionRef::bytes(std::string_view name, const void* data,
+                             std::size_t n) {
+  SectionRef r;
+  r.name = name;
+  r.extents[0] = static_cast<std::int64_t>(n);
+  r.payload = {static_cast<const std::byte*>(data), n};
+  r.crc = crc32(data, n);
+  return r;
+}
+
+void for_each_section(const char* name,
+                      const std::vector<EncodedSection>& sections,
+                      const std::function<void(std::size_t)>& body) {
+  std::vector<std::size_t> order(sections.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return sections[a].payload.size() >
+                            sections[b].payload.size();
+                   });
+  pk::parallel_for(name,
+                   pk::TeamPolicy<>(static_cast<pk::index_t>(order.size()), 1),
+                   [&](const pk::TeamMember& m) {
+                     body(order[static_cast<std::size_t>(m.league_rank())]);
+                   });
+}
+
+void FileWriter::seal(const Fill& fill) {
+  sealed_.assign(sections_.size(), Sealed{});
+  for_each_section("ckpt_seal", sections_, [&](std::size_t i) {
+    const std::span<const std::byte> src = source(i);
+    std::byte* const dst = sections_[i].payload.data();
+    const std::size_t wrote = fill ? fill(i, src, dst) : 0;
+    if (wrote != 0) {
+      sealed_[i] = {wrote, crc32(dst, wrote)};
+      return;
+    }
+    std::uint32_t crc = 0;  // crc32's initial seed
+    for (std::size_t o = 0; o < src.size(); o += kPiece) {
+      const std::size_t n = std::min(kPiece, src.size() - o);
+      if (src.data() != dst) std::memcpy(dst + o, src.data() + o, n);
+      crc = crc32(dst + o, n, crc);
+    }
+    sealed_[i] = {src.size(), crc};
+  });
+  std::fill(sources_.begin(), sources_.end(), nullptr);
+}
 
 std::uint64_t write_file(
     const std::string& path, std::uint64_t fingerprint, std::int64_t step,
@@ -106,15 +163,9 @@ std::uint64_t write_file(
         rec.payload_offset =
             (at + kPayloadAlign - 1) / kPayloadAlign * kPayloadAlign;
         rec.payload_bytes = s.payload.size();
-        wrote = put(kZeros, rec.payload_offset - at);
-        std::uint32_t crc = 0;  // crc32's initial seed
-        for (std::size_t o = 0; wrote && o < s.payload.size();
-             o += kWritePiece) {
-          const std::size_t n = std::min(kWritePiece, s.payload.size() - o);
-          crc = crc32(s.payload.data() + o, n, crc);
-          wrote = put(s.payload.data() + o, n);
-        }
-        rec.payload_crc = crc;
+        rec.payload_crc = s.crc;
+        wrote = put(kZeros, rec.payload_offset - at) &&
+                put(s.payload.data(), s.payload.size());
         at = rec.payload_offset + rec.payload_bytes;
       }
       h.total_bytes = at;
@@ -171,10 +222,12 @@ std::uint64_t write_file(
 
 std::uint64_t FileWriter::commit(const std::string& path,
                                  std::uint64_t fingerprint,
-                                 std::int64_t step) const {
-  return write_file(
-      path, fingerprint, step, sections_.size(),
-      [this](std::size_t i) { return SectionRef(sections_[i]); });
+                                 std::int64_t step) {
+  if (sealed_.size() != sections_.size()) seal();
+  return write_file(path, fingerprint, step, sections_.size(),
+                    [this](std::size_t i) {
+                      return SectionRef(sections_[i], sealed_[i]);
+                    });
 }
 
 bool FileReader::read_at(std::uint64_t offset, void* dst, std::size_t n) {
@@ -272,7 +325,7 @@ FileReader::FileReader(const std::string& path) : path_(path) {
   }
 }
 
-const EncodedSection& FileReader::section(std::string_view name) {
+FileReader::Slot& FileReader::load(std::string_view name) {
   auto it = index_.find(name);
   if (it == index_.end())
     throw RestoreError(RestoreErrorKind::MissingSection,
@@ -292,7 +345,21 @@ const EncodedSection& FileReader::section(std::string_view name) {
     slot.section.payload = std::move(payload);
     slot.loaded = true;
   }
-  return slot.section;
+  return slot;
+}
+
+const EncodedSection& FileReader::section(std::string_view name) {
+  return load(name).section;
+}
+
+EncodedSection FileReader::take(std::string_view name) {
+  Slot& slot = load(name);
+  std::vector<std::byte> payload = std::move(slot.section.payload);
+  slot.section.payload = {};
+  slot.loaded = false;
+  EncodedSection out = slot.section;  // the shape
+  out.payload = std::move(payload);
+  return out;
 }
 
 std::vector<std::string> FileReader::section_names() const {

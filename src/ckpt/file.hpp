@@ -4,30 +4,35 @@
 //
 // write_file is the one routine that lays out and writes a checkpoint
 // file: it reserves the header and the section table in `<path>.tmp`,
-// writes each section's payload behind its zero padding while computing
-// its CRC, writes the table and the header in place, fsyncs, and
-// atomically renames onto `path`. It asks for one section at a time, so
-// a caller can produce each payload just before it is written (the chain
-// commit encodes each packed section into one reused buffer). A crash
-// mid-write leaves at worst a stale .tmp, never a half-written committed
-// file.
+// writes each section's payload behind its zero padding, writes the table
+// and the header in place, fsyncs, and atomically renames onto `path`. It
+// asks for one section at a time, and each arrives with its payload CRC:
+// write_file computes none, so the thread that commits a file (the async
+// checkpoint writer) only writes. A crash mid-write leaves at worst a
+// stale .tmp, never a half-written committed file.
 //
-// Writer: accumulate named sections in memory (encode_view deep copies, so
-// a populated Writer is a self-contained snapshot independent of the live
-// simulation — the unit the async checkpoint path hands to its background
-// writer), then commit() writes them through write_file. A writer built
-// from a committed writer's released sections stages its payloads in
-// their buffers, so periodic checkpoints of one state shape reallocate and
-// zero-fill nothing.
+// Writer: accumulate named sections, then seal() gives each its file bytes
+// and CRC on the calling thread's kernel team, and commit() writes them
+// through write_file. A section is copied in when it is added (add,
+// add_bytes, add_pod, add_vector, add_view), or, added through defer_view
+// or add_deferred, staged at its size and read from the caller's memory
+// only when the writer is sealed: a snapshot then reads the live state
+// once, on the team. A sealed writer is a self-contained snapshot
+// independent of the live simulation — the unit the async checkpoint path
+// hands to its background writer. A writer built from a committed
+// writer's released sections stages its payloads in their buffers, so
+// periodic checkpoints of one state shape reallocate and zero-fill
+// nothing.
 //
 // Reader: reads the header and section table at open and validates header
 // CRC, magic, version, total size and table CRC up front. Each payload is
 // read from the file on first access and CRC-validated then, so a caller
 // that needs one section (a prune reading "ela.meta", a chain resolving
 // the sections a sibling generation stores) reads only that section's
-// bytes. Every failure is a typed RestoreError (format.hpp), which is what
-// the generation-ring fallback dispatches on. Bytes read count into the
-// "ckpt.read_bytes" prof counter.
+// bytes; take() moves a payload out instead of caching it. Every failure
+// is a typed RestoreError (format.hpp), which is what the generation-ring
+// fallback dispatches on. Bytes read count into the "ckpt.read_bytes"
+// prof counter.
 //
 // SectionSource is the abstract read surface both FileReader and the
 // elastic chain reader (src/elastic, docs/ELASTIC.md) implement: restore
@@ -58,8 +63,15 @@ struct CloseFile {
 };
 }  // namespace detail
 
+/// How much of a sealed section's payload the file holds (all of it, or a
+/// shorter encoded stream at its front) and the CRC-32 of those bytes.
+struct Sealed {
+  std::uint64_t bytes = 0;
+  std::uint32_t crc = 0;
+};
+
 /// One section as write_file writes it: the shape its table record
-/// carries and a view of its payload bytes.
+/// carries, a view of its payload bytes and their CRC-32.
 struct SectionRef {
   std::string_view name;
   std::uint32_t elem_size = 1;
@@ -67,26 +79,23 @@ struct SectionRef {
   std::array<std::int64_t, 4> extents{};
   std::uint8_t layout = kLayoutRaw;
   std::span<const std::byte> payload;
+  std::uint32_t crc = 0;
 
   SectionRef() = default;
-  /// Section `s` as it is.
-  explicit SectionRef(const EncodedSection& s)
+  /// Section `s` as it is, holding the bytes `sealed` describes.
+  SectionRef(const EncodedSection& s, Sealed sealed)
       : name(s.name),
         elem_size(s.elem_size),
         rank(s.rank),
         extents(s.extents),
         layout(s.layout),
-        payload(s.payload) {}
+        payload(s.payload.data(), static_cast<std::size_t>(sealed.bytes)),
+        crc(sealed.crc) {}
 
-  /// `n` raw bytes, shaped as FileWriter::add_bytes shapes them.
+  /// `n` raw bytes, shaped as FileWriter::add_bytes shapes them, with
+  /// their CRC computed here (for small sections).
   static SectionRef bytes(std::string_view name, const void* data,
-                          std::size_t n) {
-    SectionRef r;
-    r.name = name;
-    r.extents[0] = static_cast<std::int64_t>(n);
-    r.payload = {static_cast<const std::byte*>(data), n};
-    return r;
-  }
+                          std::size_t n);
 };
 
 /// Write a checkpoint file of `count` sections to `path`: `section(i)`
@@ -100,6 +109,14 @@ std::uint64_t write_file(
     const std::string& path, std::uint64_t fingerprint, std::int64_t step,
     std::size_t count,
     const std::function<SectionRef(std::size_t)>& section);
+
+/// Run body(i) for every section i on the calling thread's kernel team,
+/// one section per league member, largest payload first, so the dynamic
+/// schedule ends with small ones and the team finishes together. `name`
+/// names the kernel.
+void for_each_section(const char* name,
+                      const std::vector<EncodedSection>& sections,
+                      const std::function<void(std::size_t)>& body);
 
 class FileWriter {
  public:
@@ -115,6 +132,12 @@ class FileWriter {
   /// Add a section; throws std::invalid_argument on duplicate names.
   void add(EncodedSection section);
 
+  /// Add `section`, whose payload is already staged at its full size, to
+  /// be filled from the `section.payload.size()` bytes at `src` when the
+  /// writer is sealed. The caller keeps those bytes alive and unchanged
+  /// until then.
+  void add_deferred(EncodedSection section, const std::byte* src);
+
   /// A `bytes`-long payload buffer for the next section: the next spent
   /// buffer resized (zero-filling only what it grows by), else a fresh
   /// one. Every buffer that has to allocate counts into the
@@ -124,6 +147,8 @@ class FileWriter {
   /// Move the sections out, leaving the writer empty: the buffers the
   /// next snapshot stages in.
   [[nodiscard]] std::vector<EncodedSection> release_sections() noexcept {
+    sources_.clear();
+    sealed_.clear();
     return std::exchange(sections_, {});
   }
 
@@ -133,6 +158,17 @@ class FileWriter {
     const index_t n = R == 1 && count >= 0 ? count : v.size();
     add(encode_view(name, v, count,
                     stage(static_cast<std::size_t>(n) * sizeof(T))));
+  }
+
+  /// add_view, read from the view when the writer is sealed (add_deferred).
+  template <class T, int R, class L>
+  void defer_view(std::string_view name,
+                  const pk::View<T, R, L, pk::HostSpace>& v,
+                  index_t count = -1) {
+    const index_t n = R == 1 && count >= 0 ? count : v.size();
+    EncodedSection s = view_shape(name, v, count);
+    s.payload = stage(static_cast<std::size_t>(n) * sizeof(T));
+    add_deferred(std::move(s), reinterpret_cast<const std::byte*>(v.data()));
   }
 
   void add_bytes(std::string_view name, const void* data, std::size_t n);
@@ -161,21 +197,49 @@ class FileWriter {
     return sections_.size();
   }
 
-  /// The accumulated sections, in add() order. The incremental checkpoint
-  /// path (src/elastic) diffs a populated writer against the previous
-  /// generation's hashes instead of committing it wholesale.
+  /// The accumulated sections, in add() order. A deferred section's
+  /// payload holds its bytes only once the writer is sealed.
   [[nodiscard]] const std::vector<EncodedSection>& sections() const noexcept {
     return sections_;
   }
 
-  /// Write the sections to `path` through write_file. Returns the
-  /// committed file size; throws as write_file does.
+  /// Section i's raw bytes where they are now: the caller's memory for a
+  /// deferred section not yet sealed, else its payload.
+  [[nodiscard]] std::span<const std::byte> source(std::size_t i) const {
+    const EncodedSection& s = sections_[i];
+    return {sources_[i] != nullptr ? sources_[i] : s.payload.data(),
+            s.payload.size()};
+  }
+
+  /// fill(i, src, dst) may write section i's file bytes, encoded from its
+  /// raw bytes `src`, into `dst` (its payload, as long as `src`) and
+  /// return how many it wrote; 0 has the raw bytes stored.
+  using Fill = std::function<std::size_t(
+      std::size_t i, std::span<const std::byte> src, std::byte* dst)>;
+
+  /// Give every section its file bytes and their CRC on the calling
+  /// thread's kernel team (for_each_section): `fill`'s bytes when it
+  /// writes some, else the raw bytes, copied in from a deferred section's
+  /// source. Deferred sources are not read again afterwards. The team
+  /// runs it as the "ckpt_seal" kernel.
+  void seal(const Fill& fill = {});
+
+  /// Per section, what seal() left in its payload; empty until sealed.
+  [[nodiscard]] const std::vector<Sealed>& sealed() const noexcept {
+    return sealed_;
+  }
+
+  /// Seal the writer unless it is, then write its sections to `path`
+  /// through write_file. Returns the committed file size; throws as
+  /// write_file does.
   std::uint64_t commit(const std::string& path, std::uint64_t fingerprint,
-                       std::int64_t step) const;
+                       std::int64_t step);
 
  private:
   std::vector<EncodedSection> sections_;
-  std::vector<EncodedSection> spent_;  // payload buffers to stage in
+  std::vector<const std::byte*> sources_;  // deferred sources, else null
+  std::vector<Sealed> sealed_;             // per section once sealed
+  std::vector<EncodedSection> spent_;      // payload buffers to stage in
   std::size_t next_spent_ = 0;
 };
 
@@ -282,6 +346,10 @@ class FileReader : public SectionSource {
   /// or {Truncated} when the file ends before the payload does.
   const EncodedSection& section(std::string_view name) override;
 
+  /// section(name), moved out of the reader instead of cached: the reader
+  /// holds no copy of it afterwards, and a later access reads it again.
+  EncodedSection take(std::string_view name);
+
   /// CRC-validate every payload now. Restore paths call this before
   /// mutating any live state, so a torn/flipped payload anywhere in the
   /// file surfaces before a single byte of the simulation changes.
@@ -298,6 +366,8 @@ class FileReader : public SectionSource {
 
   /// Read `n` bytes at `offset` into `dst`; false on a short read.
   bool read_at(std::uint64_t offset, void* dst, std::size_t n);
+  /// The slot of section `name`, its payload read and CRC-validated.
+  Slot& load(std::string_view name);
 
   FileHeader header_{};
   std::unique_ptr<std::FILE, detail::CloseFile> file_;

@@ -1,12 +1,12 @@
 // ckpt/serialize.hpp
 //
 // pk-level View serialization: encode_view() snapshots any pk::View into a
-// stable in-memory section (dtype size, extents, layout tag, CRC32 +
-// payload bytes) via a host mirror; decode_view() rebuilds a View from a
-// section, validating shape metadata before touching the bytes. These are
-// the primitives the checkpoint writer/reader compose — and, because the
-// encode is a deep copy into freshly owned buffers, encoding *is* the
-// snapshot step of the async checkpoint path (docs/CHECKPOINT.md).
+// stable in-memory section (dtype size, extents, layout tag + payload
+// bytes) via a host mirror, and view_shape() gives the same section
+// without its payload, for a writer that fills it later
+// (FileWriter::defer_view); decode_view() rebuilds a View from a section,
+// validating shape metadata before touching the bytes. These are the
+// primitives the checkpoint writer/reader compose (docs/CHECKPOINT.md).
 #pragma once
 
 #include <array>
@@ -47,18 +47,13 @@ struct EncodedSection {
   std::vector<std::byte> payload;
 };
 
-/// Snapshot a view into an EncodedSection. For rank-1 views `count`
-/// restricts the encoding to the first `count` elements (a particle
-/// array's live prefix); the default -1 encodes the full extent. The copy
-/// goes through a host mirror for non-host memory spaces, mirroring how a
-/// Kokkos build would stage device Views for I/O. `payload` is a buffer
-/// to copy into (FileWriter::stage() hands one over already sized, so
-/// the resize below does nothing); by default a fresh one.
+/// The shape a section encoding view `v` carries, with no payload. For
+/// rank-1 views `count` restricts the section to the first `count`
+/// elements (a particle array's live prefix); the default -1 takes the
+/// full extent.
 template <class T, int R, class L, class M>
-EncodedSection encode_view(std::string_view name,
-                           const pk::View<T, R, L, M>& v,
-                           index_t count = -1,
-                           std::vector<std::byte> payload = {}) {
+EncodedSection view_shape(std::string_view name, const pk::View<T, R, L, M>& v,
+                          index_t count = -1) {
   if (name.size() > kSectionNameMax)
     throw std::invalid_argument("ckpt::encode_view: section name too long: " +
                                 std::string(name));
@@ -68,18 +63,29 @@ EncodedSection encode_view(std::string_view name,
   s.rank = R;
   s.layout = detail::layout_tag<L>();
   for (int d = 0; d < R; ++d) s.extents[static_cast<std::size_t>(d)] = v.extent(d);
-
-  index_t n = v.size();
   if constexpr (R == 1) {
     if (count >= 0) {
       assert(count <= v.extent(0));
-      n = count;
       s.extents[0] = count;
     }
   } else {
     assert(count < 0 && "prefix encoding is rank-1 only");
   }
+  return s;
+}
 
+/// Snapshot a view into an EncodedSection shaped by view_shape. The copy
+/// goes through a host mirror for non-host memory spaces, mirroring how a
+/// Kokkos build would stage device Views for I/O. `payload` is a buffer
+/// to copy into (FileWriter::stage() hands one over already sized, so
+/// the resize below does nothing); by default a fresh one.
+template <class T, int R, class L, class M>
+EncodedSection encode_view(std::string_view name,
+                           const pk::View<T, R, L, M>& v,
+                           index_t count = -1,
+                           std::vector<std::byte> payload = {}) {
+  EncodedSection s = view_shape(name, v, count);
+  const index_t n = R == 1 && count >= 0 ? count : v.size();
   s.payload = std::move(payload);
   s.payload.resize(static_cast<std::size_t>(n) * sizeof(T));
   if constexpr (std::is_same_v<M, pk::HostSpace>) {

@@ -32,6 +32,11 @@
 #include <optional>
 #include <thread>
 
+#ifdef __linux__
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include "ckpt/ckpt.hpp"
 #include "core/domain.hpp"
 #include "core/simulation.hpp"
@@ -92,8 +97,9 @@ std::vector<std::pair<index_t, index_t>> particle_chunks(const Species& sp) {
 }
 
 /// Section `name`: records [begin, end) of `sp` as the canonical packed
-/// AoS stream, whatever the store's layout, copied into `w`'s next staged
-/// payload buffer.
+/// AoS stream, whatever the store's layout, staged in `w`'s next payload
+/// buffer. An AoS store already holds that stream, so the section is
+/// deferred: `w` reads it from the store when it is sealed.
 void add_particles(ckpt::FileWriter& w, std::string name, const Species& sp,
                    index_t begin, index_t end) {
   ckpt::EncodedSection c;
@@ -104,18 +110,19 @@ void add_particles(ckpt::FileWriter& w, std::string name, const Species& sp,
   c.layout = ckpt::kLayoutRight;
   c.payload =
       w.stage(static_cast<std::size_t>(end - begin) * sizeof(Particle));
-  std::byte* const dst = c.payload.data();
   dispatch_layout(sp.p, [&](auto a) {
     if constexpr (decltype(a)::layout == ParticleLayout::AoS) {
-      if (end > begin) std::memcpy(dst, a.p + begin, c.payload.size());
+      w.add_deferred(std::move(c),
+                     reinterpret_cast<const std::byte*>(a.p + begin));
     } else {
+      std::byte* const dst = c.payload.data();
       for (index_t i = begin; i < end; ++i) {
         const Particle q = a.load(i);
         std::memcpy(dst + (i - begin) * sizeof(Particle), &q, sizeof(q));
       }
+      w.add(std::move(c));
     }
   });
-  w.add(std::move(c));
 }
 
 // The engine-state section set is shared between the single-node and the
@@ -125,23 +132,25 @@ void add_particles(ckpt::FileWriter& w, std::string name, const Species& sp,
 // (the incremental path, docs/ELASTIC.md) each species' particle payload
 // is split into "sp<i>.c<k>.p" chunk sections plus an "sp<i>.nchunks"
 // count instead of the monolithic "sp<i>.p" — elastic::ChainReader
-// reassembles the canonical stream on restore.
+// reassembles the canonical stream on restore. The arrays are deferred
+// (FileWriter::defer_view): `w` reads them from the live state when it is
+// sealed, which the caller does before the state changes.
 void add_engine_sections(ckpt::FileWriter& w, const FieldArray& f,
                          const InterpolatorArray& interp,
                          const AccumulatorArray& acc,
                          const std::vector<Species>& species,
                          bool chunked = false) {
-  w.add_view("f.ex", f.ex);
-  w.add_view("f.ey", f.ey);
-  w.add_view("f.ez", f.ez);
-  w.add_view("f.bx", f.bx);
-  w.add_view("f.by", f.by);
-  w.add_view("f.bz", f.bz);
-  w.add_view("f.jx", f.jx);
-  w.add_view("f.jy", f.jy);
-  w.add_view("f.jz", f.jz);
-  w.add_view("interp", interp.data);
-  w.add_view("acc", acc.a);
+  w.defer_view("f.ex", f.ex);
+  w.defer_view("f.ey", f.ey);
+  w.defer_view("f.ez", f.ez);
+  w.defer_view("f.bx", f.bx);
+  w.defer_view("f.by", f.by);
+  w.defer_view("f.bz", f.bz);
+  w.defer_view("f.jx", f.jx);
+  w.defer_view("f.jy", f.jy);
+  w.defer_view("f.jz", f.jz);
+  w.defer_view("interp", interp.data);
+  w.defer_view("acc", acc.a);
 
   w.add_pod("nspecies", static_cast<std::uint64_t>(species.size()));
   for (std::size_t i = 0; i < species.size(); ++i) {
@@ -492,47 +501,38 @@ std::uint64_t Simulation::config_fingerprint() const {
 }
 
 /// The idle staging set, handed back by whichever thread committed it:
-/// the sections of a committed snapshot, for the next snapshot to encode
-/// into (ckpt::FileWriter::stage), and the buffer an incremental commit
-/// DeltaPack-encodes into (elastic::write_generation), for the next
-/// commit. A snapshot takes the sections and its commit takes the buffer,
-/// so a commit that overlaps another (a sync checkpoint beside an async
-/// one) finds none idle and grows its own. It holds at most one of each;
-/// a second one handed back is freed, so staging never holds more than
-/// the snapshots and commits in flight did.
+/// the sections of a committed snapshot, for the next snapshot to stage
+/// into (ckpt::FileWriter::stage). A snapshot takes them, so a snapshot
+/// taken while another is still committing (a sync checkpoint beside an
+/// async one) finds none idle and stages afresh. It holds at most one
+/// set; a second one handed back is freed, so staging never holds more
+/// than the snapshots in flight did.
 struct Simulation::CkptStaging {
   std::mutex mu;
   std::vector<ckpt::EncodedSection> idle;
-  std::vector<std::byte> idle_pack;
 
   std::vector<ckpt::EncodedSection> take() {
     const std::lock_guard<std::mutex> lk(mu);
     return std::exchange(idle, {});
   }
 
-  std::vector<std::byte> take_pack() {
-    const std::lock_guard<std::mutex> lk(mu);
-    return std::exchange(idle_pack, {});
-  }
-
-  void give_back(std::vector<ckpt::EncodedSection> spent,
-                 std::vector<std::byte> pack) {
+  void give_back(std::vector<ckpt::EncodedSection> spent) {
     const std::lock_guard<std::mutex> lk(mu);
     if (idle.empty()) idle.swap(spent);
-    if (idle_pack.empty()) idle_pack.swap(pack);
   }
 };
 
-/// One checkpoint's state, detached from the live simulation: the encoded
-/// sections plus, for an incremental ring generation, the delta plan
+/// One checkpoint's state, detached from the live simulation: the sealed
+/// sections, holding every byte the file will (DeltaPack streams and CRCs
+/// included), plus, for an incremental ring generation, the delta plan
 /// against the previous generation. The async writer commits it on its
-/// own thread, under the profiler region path the snapshot was taken in.
+/// own thread, under the profiler region path the snapshot was taken in;
+/// the commit only writes.
 struct Simulation::Snapshot {
   std::shared_ptr<ckpt::FileWriter> writer;
   std::shared_ptr<const elastic::GenerationPlan> plan;  // null: plain file
   std::shared_ptr<ElasticStatsShared> stats;            // set with plan
   std::shared_ptr<CkptStaging> staging;  // takes the sections back
-  std::vector<std::byte> pack;           // the commit's encode buffer
   std::string region;                    // prof::region_path() when taken
   std::uint64_t fingerprint = 0;
   std::int64_t step = 0;
@@ -541,19 +541,16 @@ struct Simulation::Snapshot {
   std::uint64_t write(const std::string& path) {
     const prof::RegionBase base(region);
     if (!plan) return writer->commit(path, fingerprint, step);
-    pack = staging->take_pack();
     const elastic::GenStats st = elastic::write_generation(
-        path, writer->sections(), *plan, fingerprint, step, pack);
+        path, writer->sections(), *plan, fingerprint, step);
     stats->record(st);
     return st.file_bytes;
   }
 
-  /// Hand the sections and the encode buffer back for the next snapshot
-  /// and commit. Nothing reads them after the commit: the delta plan and
-  /// the tracker keep hashes, not payloads.
-  void recycle() {
-    staging->give_back(writer->release_sections(), std::move(pack));
-  }
+  /// Hand the sections back for the next snapshot to stage in. Nothing
+  /// reads them after the commit: the delta plan and the tracker keep
+  /// hashes, not payloads.
+  void recycle() { staging->give_back(writer->release_sections()); }
 };
 
 /// The async checkpoint writer: one persistent thread, started with the
@@ -609,6 +606,13 @@ class Simulation::CkptWriter {
   }
 
   void loop() {
+#ifdef __linux__
+    // A batch thread: waking it at submit() does not preempt the stepping
+    // thread (which it did for 2-3 ms per lpi_ckpt checkpoint), and it
+    // still gets its fair share of the cores.
+    const sched_param batch{};
+    pthread_setschedparam(pthread_self(), SCHED_BATCH, &batch);
+#endif
     std::unique_lock<std::mutex> lk(mu_);
     for (;;) {
       cv_.wait(lk, [this] { return stop_ || !queue_.empty(); });
@@ -651,10 +655,9 @@ Simulation::Snapshot Simulation::snapshot(const std::string& path) {
   s.staging = ckpt_staging_;
   s.region = prof::region_path();
   {
-    // This encode IS the snapshot: it deep-copies every payload (into the
-    // last committed snapshot's buffers when one is idle), so once it
-    // returns the writer is independent of the live state and stepping
-    // may continue while the file is written behind it.
+    // Stage the sections: small ones are copied now, the arrays and AoS
+    // particles are deferred and read from the live state when the
+    // writer is sealed below.
     prof::ScopedRegion enc("ckpt_encode");
     add_engine_sections(*s.writer, fields_, interp_, acc_, species_,
                         gen >= 0);
@@ -663,29 +666,35 @@ Simulation::Snapshot Simulation::snapshot(const std::string& path) {
   }
   s.fingerprint = config_fingerprint();
   s.step = step_count_;
-  if (gen >= 0) {
-    // The incremental plan (hash/diff against the previous generation) is
-    // part of the snapshot: it runs here, on the stepping thread, so it
-    // observes generations in order. Only the codec + commit work can be
-    // hidden behind the async writer.
-    if (!elastic_tracker_)
-      elastic_tracker_ = std::make_shared<elastic::DeltaTracker>(
-          std::max(1, cfg_.checkpoint_full_every));
-    // A chain lives in one ring: the first generation written into
-    // another (a farm park, a new checkpoint_path) is a full base.
-    const std::string ring = path.substr(0, path.rfind(".g"));
-    if (ring != elastic_ring_) {
-      elastic_tracker_->invalidate();
-      elastic_ring_ = ring;
-    }
-    if (!elastic_stats_)
-      elastic_stats_ = std::make_shared<ElasticStatsShared>();
-    s.plan = std::make_shared<const elastic::GenerationPlan>(
-        elastic_tracker_->plan(
-            s.writer->sections(), gen,
-            static_cast<elastic::Codec>(cfg_.checkpoint_codec)));
-    s.stats = elastic_stats_;
+  if (gen < 0) {
+    // Sealing IS the snapshot: it copies every deferred payload (into the
+    // last committed snapshot's buffers when one is idle) and takes every
+    // CRC on the team, so once it returns the writer is independent of
+    // the live state and stepping may continue while the file is written
+    // behind it.
+    s.writer->seal();
+    return s;
   }
+  // The incremental plan runs here, on the stepping thread's team, so it
+  // observes generations in order: it hashes the live state, diffs it
+  // against the previous generation, and seals the writer with each
+  // stored section DeltaPack-encoded. Only the write is left to the
+  // commit.
+  if (!elastic_tracker_)
+    elastic_tracker_ = std::make_shared<elastic::DeltaTracker>(
+        std::max(1, cfg_.checkpoint_full_every));
+  // A chain lives in one ring: the first generation written into
+  // another (a farm park, a new checkpoint_path) is a full base.
+  const std::string ring = path.substr(0, path.rfind(".g"));
+  if (ring != elastic_ring_) {
+    elastic_tracker_->invalidate();
+    elastic_ring_ = ring;
+  }
+  if (!elastic_stats_) elastic_stats_ = std::make_shared<ElasticStatsShared>();
+  s.plan = std::make_shared<const elastic::GenerationPlan>(
+      elastic_tracker_->plan(
+          *s.writer, gen, static_cast<elastic::Codec>(cfg_.checkpoint_codec)));
+  s.stats = elastic_stats_;
   return s;
 }
 
@@ -791,10 +800,13 @@ void Simulation::checkpoint_to_ring() {
   // catches it. In incremental mode keep_last counts whole chains — a
   // count-based prune could unlink a base out from under its deltas,
   // leaving retained generations unrestorable (docs/ELASTIC.md).
-  if (cfg_.checkpoint_incremental) {
-    elastic::prune_chains(cfg_.checkpoint_path, cfg_.checkpoint_keep_last);
-  } else {
-    ring.prune();
+  {
+    prof::ScopedRegion prune("ckpt_prune");
+    if (cfg_.checkpoint_incremental) {
+      elastic::prune_chains(cfg_.checkpoint_path, cfg_.checkpoint_keep_last);
+    } else {
+      ring.prune();
+    }
   }
   // The stale-.tmp sweep must wait until no async commit is in flight —
   // it would unlink the background writer's "<path>.tmp" mid-write and

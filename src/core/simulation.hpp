@@ -437,8 +437,8 @@ class Simulation {
   // thread. A shared_ptr, like elastic_tracker_, so this header needs
   // no definition of it.
   std::shared_ptr<CkptWriter> ckpt_writer_;
-  // The last committed snapshot's sections, for the next one to encode
-  // into (core/checkpoint.cpp); created by the first checkpoint.
+  // The last committed snapshot's sections, for the next one to stage
+  // in (core/checkpoint.cpp); created by the first checkpoint.
   std::shared_ptr<CkptStaging> ckpt_staging_;
   std::int64_t ckpt_written_ = 0;
   // Next ring generation number, tracked in memory (core/checkpoint.cpp):

@@ -70,19 +70,21 @@ std::size_t deltapack_bound(std::size_t n, std::uint32_t elem_size) noexcept {
 }
 
 std::size_t deltapack_encode(const std::byte* data, std::size_t n,
-                             std::uint32_t elem_size,
-                             std::byte* out) noexcept {
+                             std::uint32_t elem_size, std::byte* out,
+                             std::size_t cap) noexcept {
   if (deltapack_bound(n, elem_size) == 0) return 0;
   const std::size_t nrec = n / elem_size;
   const std::size_t nfields = elem_size / 4;
   const std::size_t ctrl_bytes = (nrec + 3) / 4;
 
-  // Encode through a cursor into a buffer of the worst-case size, so each
-  // data word is one 4-byte store that advances the cursor by its width;
-  // bytes past the width are overwritten by the next store or lie past
-  // the end of the stream.
+  // Encode through a cursor, so each data word is one 4-byte store that
+  // advances the cursor by its width; bytes past the width are
+  // overwritten by the next store or lie past the end of the stream. The
+  // last three bytes of `out` take the word bytewise.
   std::byte* at = out;
+  std::byte* const end = out + cap;
   for (std::size_t f = 0; f < nfields; ++f) {
+    if (static_cast<std::size_t>(end - at) < ctrl_bytes) return 0;
     std::byte* ctrl = at;
     at += ctrl_bytes;
     std::uint32_t prev = 0;
@@ -97,7 +99,14 @@ std::size_t deltapack_encode(const std::byte* data, std::size_t n,
         ctrl[r / 4] = static_cast<std::byte>(codes);
         codes = 0;
       }
-      store_u32_le(at, x);
+      const std::size_t left = static_cast<std::size_t>(end - at);
+      if (left >= 4) {
+        store_u32_le(at, x);
+      } else {
+        if (left < kCodeBytes[code]) return 0;
+        for (unsigned b = 0; b < kCodeBytes[code]; ++b)
+          at[b] = static_cast<std::byte>((x >> (8 * b)) & 0xFFu);
+      }
       at += kCodeBytes[code];
     }
     if (nrec % 4 != 0) ctrl[nrec / 4] = static_cast<std::byte>(codes);

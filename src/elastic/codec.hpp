@@ -24,7 +24,9 @@
 // sections while keeping the bit-identical-restore guarantee of
 // docs/CHECKPOINT.md. Encoders never lose data on hostile input either:
 // callers fall back to the raw payload when the packed stream is not
-// smaller (elastic::write_generation does this per section).
+// smaller (the chain's staging pass, elastic::DeltaTracker::plan, asks
+// the encoder for a stream shorter than the payload and stores the
+// payload raw when there is none).
 #pragma once
 
 #include <cstddef>
@@ -41,18 +43,20 @@ enum class Codec : std::uint8_t {
 const char* to_string(Codec c) noexcept;
 
 /// The most bytes a stream of `n` bytes of `elem_size`-byte records can
-/// take (every word stored at 4 bytes): the buffer deltapack_encode
-/// writes into. 0 when the records cannot be encoded: `elem_size` must be
-/// a non-zero multiple of 4 that divides a non-zero `n`.
+/// take (every word stored at 4 bytes). 0 when the records cannot be
+/// encoded: `elem_size` must be a non-zero multiple of 4 that divides a
+/// non-zero `n`.
 std::size_t deltapack_bound(std::size_t n, std::uint32_t elem_size) noexcept;
 
-/// Encode `n` bytes of `elem_size`-byte records into `out`, which holds at
-/// least deltapack_bound(n, elem_size) bytes, and return the stream
-/// length. Returns 0, writing nothing, when the records cannot be encoded;
-/// callers then store them raw. The stream is self-delimiting given
-/// (n, elem_size).
+/// Encode `n` bytes of `elem_size`-byte records into `out`, which holds
+/// `cap` bytes, and return the stream length. Returns 0 when the records
+/// cannot be encoded or the stream would not fit in `cap` bytes (it may
+/// then have written any of them); callers then store the records raw.
+/// A `cap` of deltapack_bound(n, elem_size) always fits. The stream is
+/// self-delimiting given (n, elem_size).
 std::size_t deltapack_encode(const std::byte* data, std::size_t n,
-                             std::uint32_t elem_size, std::byte* out) noexcept;
+                             std::uint32_t elem_size, std::byte* out,
+                             std::size_t cap) noexcept;
 
 /// Decode a deltapack stream back into exactly `raw_bytes` bytes at
 /// `dst`. Returns false (without touching `dst` past the failure point)

@@ -1,9 +1,10 @@
-// elastic/delta.cpp — VPICELA1 chain planning, commit and resolution
+// elastic/delta.cpp — VPICELA2 chain planning, commit and resolution
 // (see delta.hpp, docs/ELASTIC.md).
 
 #include "elastic/delta.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <cstdio>
 #include <cstring>
@@ -12,9 +13,8 @@
 #include <set>
 #include <utility>
 
+#include "ckpt/crc32.hpp"
 #include "ckpt/ring.hpp"
-#include "pk/pk.hpp"
-#include "prof/prof.hpp"
 
 namespace vpic::elastic {
 
@@ -22,11 +22,96 @@ using ckpt::EncodedSection;
 using ckpt::RestoreError;
 using ckpt::RestoreErrorKind;
 
+// ---------------------------------------------------------------------------
+// Payload hashes
+
+namespace {
+
+constexpr std::uint64_t kP1 = 0x9E3779B185EBCA87ull;
+constexpr std::uint64_t kP2 = 0xC2B2AE3D27D4EB4Full;
+constexpr std::uint64_t kP3 = 0x165667B19E3779F9ull;
+constexpr std::uint64_t kP4 = 0x85EBCA77C2B2AE63ull;
+constexpr std::uint64_t kP5 = 0x27D4EB2F165667C5ull;
+
+template <class U>
+U load_le(const unsigned char* p) noexcept {
+  U v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof(U));
+  } else {
+    for (std::size_t b = 0; b < sizeof(U); ++b) v |= U{p[b]} << (8 * b);
+  }
+  return v;
+}
+
+/// One lane absorbing one 8-byte word.
+inline std::uint64_t lane(std::uint64_t acc, std::uint64_t word) noexcept {
+  return std::rotl(acc + word * kP2, 31) * kP1;
+}
+
+}  // namespace
+
 std::uint64_t payload_hash(const void* data, std::size_t n) noexcept {
+  const auto* p = static_cast<const unsigned char*>(data);
+  const unsigned char* const end = p + n;
+  std::uint64_t h = kP5;
+  if (n >= 32) {
+    // Four independent lanes, one 8-byte word each per 32-byte stripe.
+    std::uint64_t v1 = kP1 + kP2, v2 = kP2, v3 = 0, v4 = 0 - kP1;
+    for (; end - p >= 32; p += 32) {
+      v1 = lane(v1, load_le<std::uint64_t>(p));
+      v2 = lane(v2, load_le<std::uint64_t>(p + 8));
+      v3 = lane(v3, load_le<std::uint64_t>(p + 16));
+      v4 = lane(v4, load_le<std::uint64_t>(p + 24));
+    }
+    h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
+        std::rotl(v4, 18);
+    for (const std::uint64_t v : {v1, v2, v3, v4})
+      h = (h ^ lane(0, v)) * kP1 + kP4;
+  }
+  h += n;
+  for (; end - p >= 8; p += 8)
+    h = std::rotl(h ^ lane(0, load_le<std::uint64_t>(p)), 27) * kP1 + kP4;
+  if (end - p >= 4) {
+    h = std::rotl(h ^ load_le<std::uint32_t>(p) * kP1, 23) * kP2 + kP3;
+    p += 4;
+  }
+  for (; p < end; ++p) h = std::rotl(h ^ *p * kP5, 11) * kP1;
+  h ^= h >> 33;
+  h *= kP2;
+  h ^= h >> 29;
+  h *= kP3;
+  return h ^ (h >> 32);
+}
+
+namespace {
+
+/// FNV-1a 64, one byte at a time: the hash of VPICELA1 chains.
+std::uint64_t payload_hash_fnv(const void* data, std::size_t n) noexcept {
   ckpt::Fingerprint h;
   h.add_bytes(data, n);
   return h.value();
 }
+
+using PayloadHash = std::uint64_t (*)(const void*, std::size_t) noexcept;
+
+/// The hash generation `path`, whose ElaMeta magic is `magic`, records.
+/// Throws RestoreError{BadVersion} when the magic is a chain magic this
+/// build does not know, {SectionCorrupt} when it is not a chain magic.
+PayloadHash chain_hash(std::uint64_t magic, const std::string& path) {
+  if (magic == kElaMagic) return payload_hash;
+  if (magic == kElaMagicV1) return payload_hash_fnv;
+  // "VPICELA" and a version byte this build does not know.
+  if (magic >> 8 == kElaMagic >> 8)
+    throw RestoreError(RestoreErrorKind::BadVersion,
+                       "'" + path + "' is chain version '" +
+                           std::string(1, static_cast<char>(magic & 0xFFu)) +
+                           "', whose payload hash this build does not know");
+  throw RestoreError(RestoreErrorKind::SectionCorrupt,
+                     "'" + path + "' has a bad ela.meta magic");
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Manifest (de)serialization. Fixed little-endian-as-memcpy layout per
@@ -130,41 +215,24 @@ std::string sibling_generation_path(const std::string& path,
 
 namespace {
 
-/// payload_hash of every section, one section per league member on the
-/// calling thread's kernel team. Largest sections go first, so the
-/// dynamic schedule ends with small ones and the team finishes together.
-std::vector<std::uint64_t> section_hashes(
-    const std::vector<EncodedSection>& sections) {
-  std::vector<std::size_t> order(sections.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return sections[a].payload.size() >
-                            sections[b].payload.size();
-                   });
-  std::vector<std::uint64_t> hashes(sections.size());
-  pk::parallel_for(
-      "ckpt_hash",
-      pk::TeamPolicy<>(static_cast<pk::index_t>(order.size()), 1),
-      [&](const pk::TeamMember& m) {
-        const std::size_t i = order[static_cast<std::size_t>(m.league_rank())];
-        hashes[i] = payload_hash(sections[i].payload.data(),
-                                 sections[i].payload.size());
-      });
-  return hashes;
+/// Whether `codec` may pack section `s`: DeltaPack, on records it can
+/// encode, from 64 bytes up.
+bool packs(Codec codec, const EncodedSection& s) {
+  return codec == Codec::DeltaPack && s.payload.size() >= 64 &&
+         deltapack_bound(s.payload.size(), s.elem_size) != 0;
 }
 
 }  // namespace
 
-GenerationPlan DeltaTracker::plan(const std::vector<EncodedSection>& sections,
-                                  std::int64_t generation, Codec codec) {
+GenerationPlan DeltaTracker::decide(const std::vector<EncodedSection>& sections,
+                                    const std::vector<std::uint64_t>& hashes,
+                                    std::int64_t generation, Codec codec) {
   // A failed commit anywhere in the chain leaves later deltas nothing to
   // resolve against on disk: start over from a full base.
   if (chain_ && chain_->broken.load(std::memory_order_acquire)) invalidate();
   const bool full = base_ < 0 || full_every_ <= 1 ||
                     static_cast<int>(chain_seq_) + 1 >= full_every_;
   if (full) chain_ = std::make_shared<ChainHealth>();
-  const std::vector<std::uint64_t> hashes = section_hashes(sections);
 
   GenerationPlan p;
   p.generation = generation;
@@ -181,7 +249,7 @@ GenerationPlan DeltaTracker::plan(const std::vector<EncodedSection>& sections,
     ManifestEntry e;
     e.name = s.name;
     e.src_gen = generation;
-    e.codec = codec;
+    e.codec = Codec::None;  // a stored section's, once it is sealed
     e.layout = static_cast<std::uint8_t>(s.layout);
     e.elem_size = s.elem_size;
     e.rank = s.rank;
@@ -197,9 +265,9 @@ GenerationPlan DeltaTracker::plan(const std::vector<EncodedSection>& sections,
           it->second.elem_size == e.elem_size &&
           it->second.rank == e.rank && it->second.layout == e.layout &&
           it->second.extents == e.extents) {
+        // Unchanged: the storing file's manifest is authoritative.
         store = false;
         e.src_gen = it->second.src_gen;
-        e.codec = Codec::None;  // storing file's manifest is authoritative
       }
     }
     if (store) p.store.push_back(i);
@@ -226,13 +294,62 @@ GenerationPlan DeltaTracker::plan(const std::vector<EncodedSection>& sections,
   return p;
 }
 
+GenerationPlan DeltaTracker::plan(ckpt::FileWriter& w, std::int64_t generation,
+                                  Codec codec) {
+  const std::vector<EncodedSection>& sections = w.sections();
+  std::vector<std::uint64_t> hashes(sections.size());
+  ckpt::for_each_section("ckpt_hash", sections, [&](std::size_t i) {
+    const std::span<const std::byte> src = w.source(i);
+    hashes[i] = payload_hash(src.data(), src.size());
+  });
+  GenerationPlan p = decide(sections, hashes, generation, codec);
+
+  w.seal([&](std::size_t i, std::span<const std::byte> src, std::byte* dst) {
+    // This generation stores the sections whose entries point at it.
+    if (p.entries[i].src_gen != generation || !packs(codec, sections[i]))
+      return std::size_t{0};
+    // Only a stream shorter than the raw payload is stored. A section the
+    // writer staged when it was added is its own source: it encodes
+    // through a buffer of its own.
+    std::vector<std::byte> own;
+    std::byte* out = dst;
+    if (src.data() == dst) {
+      own.resize(src.size() - 1);
+      out = own.data();
+    }
+    const std::size_t n = deltapack_encode(src.data(), src.size(),
+                                           sections[i].elem_size, out,
+                                           src.size() - 1);
+    if (n != 0 && out != dst) std::memcpy(dst, out, n);
+    if (n != 0) p.entries[i].codec = Codec::DeltaPack;
+    return n;
+  });
+  p.sealed = w.sealed();
+  return p;
+}
+
+GenerationPlan DeltaTracker::plan(const std::vector<EncodedSection>& sections,
+                                  std::int64_t generation, Codec codec) {
+  std::vector<std::uint64_t> hashes(sections.size());
+  std::vector<ckpt::Sealed> sealed(sections.size());
+  ckpt::for_each_section("ckpt_hash", sections, [&](std::size_t i) {
+    const std::vector<std::byte>& b = sections[i].payload;
+    hashes[i] = payload_hash(b.data(), b.size());
+    sealed[i] = {b.size(), ckpt::crc32(b.data(), b.size())};
+  });
+  GenerationPlan p = decide(sections, hashes, generation, codec);
+  p.sealed = std::move(sealed);
+  return p;
+}
+
 // ---------------------------------------------------------------------------
 // write_generation
 
 namespace {
 
 /// `plan` rewritten as the full base of a new chain: every section stored
-/// under the plan's codec. The hashes are the plan's own.
+/// as it was sealed (a section the delta did not store was staged raw).
+/// The hashes are the plan's own.
 GenerationPlan as_full(const GenerationPlan& plan) {
   GenerationPlan p = plan;
   p.kind = kKindFull;
@@ -241,29 +358,19 @@ GenerationPlan as_full(const GenerationPlan& plan) {
   p.chain_seq = 0;
   p.store.resize(p.entries.size());
   std::iota(p.store.begin(), p.store.end(), std::uint32_t{0});
-  for (ManifestEntry& e : p.entries) {
-    e.src_gen = p.generation;
-    e.codec = p.codec;
-  }
+  for (ManifestEntry& e : p.entries) e.src_gen = p.generation;
   return p;
 }
 
 GenStats commit_generation(const std::string& path,
                            const std::vector<EncodedSection>& sections,
                            const GenerationPlan& plan,
-                           std::uint64_t fingerprint, std::int64_t step,
-                           std::vector<std::byte>& pack) {
+                           std::uint64_t fingerprint, std::int64_t step) {
   GenStats st;
   st.kind = plan.kind;
   st.sections_total = static_cast<std::uint32_t>(sections.size());
   for (const EncodedSection& s : sections)
     st.logical_bytes += s.payload.size();
-
-  // The manifest must record the codec each stored section actually ended
-  // up with after the per-section raw fallback, so patch a copy; it is
-  // serialized as the last section, after every stored one is written.
-  std::vector<ManifestEntry> entries = plan.entries;
-  std::vector<std::byte> manifest;
 
   ElaMeta meta;
   meta.kind = plan.kind;
@@ -272,52 +379,27 @@ GenStats commit_generation(const std::string& path,
   meta.parent = plan.parent;
   meta.base = plan.base;
   meta.chain_seq = plan.chain_seq;
-
-  // Stored sections stream from the snapshot: a raw one is written from
-  // its payload, a packed one from `pack`, which holds one section's
-  // stream at a time and is grown once, to the largest worst case.
-  const auto bound = [&](const EncodedSection& s) {
-    return plan.codec == Codec::DeltaPack && s.payload.size() >= 64
-               ? deltapack_bound(s.payload.size(), s.elem_size)
-               : 0;
-  };
-  std::size_t most = 0;
-  for (std::uint32_t i : plan.store) most = std::max(most, bound(sections[i]));
-  if (pack.size() < most) {
-    if (pack.capacity() < most) prof::counter_add("ckpt.commit_alloc");
-    pack.clear();  // its bytes are stale: grow without copying them
-    pack.resize(most);
-  }
+  const std::vector<std::byte> manifest = serialize_manifest(plan.entries);
 
   const std::size_t nstored = plan.store.size();
   const auto section = [&](std::size_t k) {
     if (k == nstored)
       return ckpt::SectionRef::bytes(kMetaSection, &meta, sizeof(meta));
-    if (k == nstored + 1) {
-      manifest = serialize_manifest(entries);
+    if (k == nstored + 1)
       return ckpt::SectionRef::bytes(kManifestSection, manifest.data(),
                                      manifest.size());
-    }
-    const EncodedSection& s = sections[plan.store[k]];
-    ManifestEntry& e = entries[plan.store[k]];
-    st.sections_stored++;
-    st.stored_raw_bytes += s.payload.size();
-
-    ckpt::SectionRef out(s);
-    const std::size_t packed =
-        bound(s) == 0 ? 0
-                      : deltapack_encode(s.payload.data(), s.payload.size(),
-                                         s.elem_size, pack.data());
-    e.codec = Codec::None;
-    if (packed != 0 && packed < s.payload.size()) {
+    const std::uint32_t i = plan.store[k];
+    const EncodedSection& s = sections[i];
+    ckpt::SectionRef out(s, plan.sealed[i]);
+    if (plan.entries[i].codec == Codec::DeltaPack) {
       // Packed payloads lose their logical shape on disk; the manifest
       // entry carries it for the decoder.
-      e.codec = Codec::DeltaPack;
       out.elem_size = 1;
       out.rank = 1;
-      out.extents = {static_cast<std::int64_t>(packed), 0, 0, 0};
-      out.payload = {pack.data(), packed};
+      out.extents = {static_cast<std::int64_t>(out.payload.size()), 0, 0, 0};
     }
+    st.sections_stored++;
+    st.stored_raw_bytes += s.payload.size();
     st.stored_bytes += out.payload.size();
     return out;
   };
@@ -331,8 +413,7 @@ GenStats commit_generation(const std::string& path,
 GenStats write_generation(const std::string& path,
                           const std::vector<EncodedSection>& sections,
                           const GenerationPlan& plan,
-                          std::uint64_t fingerprint, std::int64_t step,
-                          std::vector<std::byte>& pack) {
+                          std::uint64_t fingerprint, std::int64_t step) {
   try {
     // A delta planned while an earlier generation of its chain was still
     // being committed, by a commit that then failed: its parent is not on
@@ -340,20 +421,12 @@ GenStats write_generation(const std::string& path,
     if (plan.kind == kKindDelta && plan.chain &&
         plan.chain->broken.load(std::memory_order_acquire))
       return commit_generation(path, sections, as_full(plan), fingerprint,
-                               step, pack);
-    return commit_generation(path, sections, plan, fingerprint, step, pack);
+                               step);
+    return commit_generation(path, sections, plan, fingerprint, step);
   } catch (...) {
     if (plan.chain) plan.chain->broken.store(true, std::memory_order_release);
     throw;
   }
-}
-
-GenStats write_generation(const std::string& path,
-                          const std::vector<EncodedSection>& sections,
-                          const GenerationPlan& plan,
-                          std::uint64_t fingerprint, std::int64_t step) {
-  std::vector<std::byte> pack;
-  return write_generation(path, sections, plan, fingerprint, step, pack);
 }
 
 // ---------------------------------------------------------------------------
@@ -364,9 +437,7 @@ ChainReader::ChainReader(ckpt::FileReader& target, const std::string& path) {
   step_ = target.step();
 
   meta_ = target.pod<ElaMeta>(std::string(kMetaSection));
-  if (meta_.magic != kElaMagic)
-    throw RestoreError(RestoreErrorKind::SectionCorrupt,
-                       "'" + path + "' has a bad ela.meta magic");
+  const PayloadHash hash = chain_hash(meta_.magic, path);
 
   const EncodedSection& ms = target.section(kManifestSection);
   const std::vector<ManifestEntry> manifest =
@@ -411,7 +482,9 @@ ChainReader::ChainReader(ckpt::FileReader& target, const std::string& path) {
                            "chain generation " + std::to_string(gen) +
                                " does not store section '" + e->name + "'");
       const ManifestEntry& how = *sit->second;
-      const EncodedSection& raw = src->section(e->name);
+      // Moved out of the reader: once this section resolves, neither the
+      // reader nor `raw` holds a second copy of it.
+      EncodedSection raw = src->take(e->name);
 
       EncodedSection out;
       out.name = e->name;
@@ -420,7 +493,7 @@ ChainReader::ChainReader(ckpt::FileReader& target, const std::string& path) {
       out.extents = e->extents;
       out.layout = e->layout;
       if (how.codec == Codec::None) {
-        out.payload = raw.payload;
+        out.payload = std::move(raw.payload);
       } else if (how.codec == Codec::DeltaPack) {
         out.payload.resize(how.raw_bytes);
         if (!deltapack_decode(raw.payload.data(), raw.payload.size(),
@@ -439,7 +512,7 @@ ChainReader::ChainReader(ckpt::FileReader& target, const std::string& path) {
       // The restore target's manifest hash is the end-to-end integrity
       // check: a silently stale or cross-linked sibling payload cannot
       // slip through even with a valid per-file CRC.
-      if (payload_hash(out.payload.data(), out.payload.size()) != e->hash ||
+      if (hash(out.payload.data(), out.payload.size()) != e->hash ||
           out.payload.size() != e->raw_bytes)
         throw RestoreError(RestoreErrorKind::SectionCorrupt,
                            "section '" + e->name + "' resolved from " +
@@ -535,7 +608,8 @@ std::size_t prune_chains(const std::string& ring_base, int keep_chains) {
       ckpt::FileReader f(ring.path_for(g));
       if (f.has(kMetaSection)) {
         const auto meta = f.pod<ElaMeta>(std::string(kMetaSection));
-        if (meta.magic == kElaMagic) chain = meta.base;
+        if (meta.magic == kElaMagic || meta.magic == kElaMagicV1)
+          chain = meta.base;
       }
     } catch (...) {
       // unreadable: leave it as its own chain

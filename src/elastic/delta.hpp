@@ -1,31 +1,38 @@
 // elastic/delta.hpp
 //
-// Incremental checkpoint generations (chain format VPICELA1,
+// Incremental checkpoint generations (chain format VPICELA2,
 // docs/ELASTIC.md). A generation is a normal VPICCKP1 file (ckpt/file.hpp
 // envelope, CRCs, atomic commit — all unchanged) that carries two extra
 // sections:
 //
-//   "ela.meta"      ElaMeta pod: magic, kind (full/delta), generation
-//                   number, parent generation, chain base, position in
-//                   the chain
+//   "ela.meta"      ElaMeta pod: magic (which names the manifest's hash),
+//                   kind (full/delta), generation number, parent
+//                   generation, chain base, position in the chain
 //   "ela.manifest"  one entry per *logical* section of the snapshot:
 //                   which generation physically stores it (src_gen), how
-//                   it is stored there (codec), its logical shape, and an
-//                   FNV-64 hash of its raw payload
+//                   it is stored there (codec), its logical shape, and a
+//                   64-bit hash of its raw payload (payload_hash)
 //
 // A *full* generation stores every section; a *delta* stores only
 // sections whose payload hash changed since the parent, and its manifest
 // points unchanged sections back at the generation that last stored them.
-// DeltaTracker makes that decision synchronously against the deep-copied
-// FileWriter snapshot (hashing IS the dirty detection — there is no
-// event-based skip heuristic, because modules may mutate particle state
-// without signalling; the sections hash in parallel on the calling
-// thread's kernel team), and write_generation — safe to run on the
-// background checkpoint writer — streams the plan's sections from the
-// snapshot into the file, packing each through one reusable buffer. A
-// failed commit breaks its chain: the next plan is a full base, and a
-// delta planned before the failure surfaced is written as a full base
-// instead.
+// DeltaTracker::plan does all of a generation's byte work on the calling
+// thread's kernel team, in two passes over the snapshot's sections: it
+// hashes each from where its bytes are (the live state, for a section the
+// snapshot deferred), decides what the generation stores (hashing IS the
+// dirty detection — there is no event-based skip heuristic, because
+// modules may mutate particle state without signalling), then seals the
+// snapshot: each stored section is DeltaPack-encoded straight into its
+// staged buffer when that is smaller, every other section is staged raw,
+// and each gets its CRC. write_generation — safe to run on the background
+// checkpoint writer — then only writes the staged bytes through
+// ckpt::write_file. A failed commit breaks its chain: the next plan is a
+// full base, and a delta planned before the failure surfaced is written as
+// a full base instead, from the raw-staged sections it did not store.
+//
+// VPICELA1 chains, whose manifests hold FNV-1a hashes, still restore and
+// prune; a generation whose magic names a hash this build does not know
+// is a typed restore failure.
 //
 // ChainReader resolves a generation back into a flat SectionSource: it
 // walks the manifest, opens the sibling ring files each src_gen lives in,
@@ -53,8 +60,11 @@
 
 namespace vpic::elastic {
 
-/// "VPICELA1" big-endian, mirroring ckpt::kMagic's "VPICCKP1".
-inline constexpr std::uint64_t kElaMagic = 0x56504943454C4131ull;
+/// "VPICELA2" big-endian, mirroring ckpt::kMagic's "VPICCKP1": a chain
+/// generation whose manifest hashes are payload_hash.
+inline constexpr std::uint64_t kElaMagic = 0x56504943454C4132ull;
+/// "VPICELA1": a generation whose manifest hashes are FNV-1a 64.
+inline constexpr std::uint64_t kElaMagicV1 = 0x56504943454C4131ull;
 
 inline constexpr std::string_view kMetaSection = "ela.meta";
 inline constexpr std::string_view kManifestSection = "ela.manifest";
@@ -88,10 +98,12 @@ struct ManifestEntry {
   std::uint32_t rank = 0;
   std::array<std::int64_t, 4> extents{};
   std::uint64_t raw_bytes = 0;
-  std::uint64_t hash = 0;  // FNV-64 of the raw (decoded) payload
+  std::uint64_t hash = 0;  // of the raw (decoded) payload, per ElaMeta::magic
 };
 
-/// FNV-1a 64 over a raw payload — the per-section dirty fingerprint.
+/// The per-section dirty fingerprint of VPICELA2 chains: XXH64 with seed
+/// 0, read a word at a time in four lanes over 32-byte stripes. (VPICELA1
+/// chains recorded FNV-1a 64; their reader checks that.)
 std::uint64_t payload_hash(const void* data, std::size_t n) noexcept;
 
 std::vector<std::byte> serialize_manifest(
@@ -114,8 +126,10 @@ struct ChainHealth {
 };
 
 /// The synchronous half of an incremental checkpoint: which sections to
-/// physically store in generation `generation`, plus the full manifest.
-/// Self-contained — commit may run later on another thread.
+/// physically store in generation `generation`, the full manifest, and
+/// what the sealed sections hold for the file. It refers to the sections
+/// it was planned over, which must outlive its commit; commit may run
+/// later on another thread.
 struct GenerationPlan {
   std::int64_t generation = 0;
   std::uint32_t kind = kKindFull;
@@ -125,6 +139,7 @@ struct GenerationPlan {
   std::uint64_t chain_seq = 0;
   std::vector<ManifestEntry> entries;  // entries[i] describes sections[i]
   std::vector<std::uint32_t> store;    // indices into entries/sections
+  std::vector<ckpt::Sealed> sealed;    // what sections[i] holds for the file
   std::shared_ptr<ChainHealth> chain;  // the chain this generation joins
 };
 
@@ -151,10 +166,18 @@ class DeltaTracker {
   /// (full_every <= 1 disables deltas entirely).
   explicit DeltaTracker(int full_every) : full_every_(full_every) {}
 
-  /// Hashes every section (in parallel over the calling thread's kernel
-  /// team) and diffs against the previous plan. The plan is a full base
-  /// when the chain is new, due to roll over, or broken by a failed
-  /// commit.
+  /// Plan generation `generation` over the sections of `w` and seal `w`
+  /// for it, on the calling thread's kernel team: hash every section from
+  /// FileWriter::source (the "ckpt_hash" kernel), diff against the
+  /// previous plan, then FileWriter::seal, which DeltaPack-encodes each
+  /// stored section that `codec` packs smaller into its payload and stages
+  /// every other section raw. The plan is a full base when the chain is
+  /// new, due to roll over, or broken by a failed commit.
+  GenerationPlan plan(ckpt::FileWriter& w, std::int64_t generation,
+                      Codec codec);
+
+  /// As above, over sections that already hold their raw bytes: every
+  /// stored section is stored raw, and the CRCs are taken here.
   GenerationPlan plan(const std::vector<ckpt::EncodedSection>& sections,
                       std::int64_t generation, Codec codec);
 
@@ -183,6 +206,12 @@ class DeltaTracker {
     std::uint64_t raw_bytes = 0;
   };
 
+  /// The plan for sections shaped as `sections` with payload hashes
+  /// `hashes`; records it as the tracker's previous plan.
+  GenerationPlan decide(const std::vector<ckpt::EncodedSection>& sections,
+                        const std::vector<std::uint64_t>& hashes,
+                        std::int64_t generation, Codec codec);
+
   int full_every_;
   std::int64_t base_ = -1;
   std::int64_t last_ = -1;
@@ -192,23 +221,12 @@ class DeltaTracker {
 };
 
 /// Commit a planned generation to `path` (a ring generation path)
-/// through ckpt::write_file. Sections listed in plan.store are written
-/// physically, one at a time, followed by "ela.meta" and "ela.manifest":
-/// a section the plan's codec packs smaller is encoded into `pack` and
-/// written from there, any other is written straight from `sections`
-/// (the per-section raw fallback). `pack` grows to the largest stream's
-/// worst case and is kept for the caller's next commit; each growth that
-/// allocates counts into the "ckpt.commit_alloc" prof counter. A delta
-/// whose chain broke after it was planned is written as a full base.
-/// Throws ckpt::RestoreError{IoError} like ckpt::write_file, and marks
-/// the plan's chain broken when it throws.
-GenStats write_generation(const std::string& path,
-                          const std::vector<ckpt::EncodedSection>& sections,
-                          const GenerationPlan& plan,
-                          std::uint64_t fingerprint, std::int64_t step,
-                          std::vector<std::byte>& pack);
-
-/// As above, with an encode buffer of its own for this one commit.
+/// through ckpt::write_file: the sections listed in plan.store, as the
+/// plan sealed them (`sections` are the sections it was planned over),
+/// then "ela.meta" and "ela.manifest". It encodes nothing and takes no
+/// payload CRC. A delta whose chain broke after it was planned is written
+/// as a full base. Throws ckpt::RestoreError{IoError} like
+/// ckpt::write_file, and marks the plan's chain broken when it throws.
 GenStats write_generation(const std::string& path,
                           const std::vector<ckpt::EncodedSection>& sections,
                           const GenerationPlan& plan,

@@ -188,6 +188,37 @@ TEST(Crc32, StandardCheckValue) {
   EXPECT_EQ(ckpt::crc32(nullptr, 0), 0u);
 }
 
+TEST(Crc32, FoldingPathEqualsTheTableLoop) {
+  // crc32 folds with carry-less multiplies where the CPU has them; it
+  // must give the slicing-by-8 loop's values at every length 0-4096 and
+  // misalignment 0-15, from any seed, and over one 22 MiB buffer.
+  std::vector<unsigned char> buf(4096 + 16);
+  std::uint64_t rng = 0xC0FFEEull;
+  const auto next = [&rng] {
+    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<unsigned char>(rng >> 56);
+  };
+  for (auto& b : buf) b = next();
+  for (std::size_t off = 0; off < 16; ++off) {
+    const unsigned char* p = buf.data() + off;
+    for (std::size_t n = 0; n <= 4096; ++n) {
+      ASSERT_EQ(ckpt::crc32(p, n), ckpt::crc32_portable(p, n))
+          << "offset " << off << " length " << n;
+      if (n % 61 == 0) {
+        const std::uint32_t seed = 0x9E3779B9u * static_cast<std::uint32_t>(n);
+        ASSERT_EQ(ckpt::crc32(p, n, seed), ckpt::crc32_portable(p, n, seed))
+            << "offset " << off << " length " << n << " seed " << seed;
+      }
+    }
+  }
+  std::vector<unsigned char> big(22u << 20);
+  for (auto& b : big) b = next();
+  EXPECT_EQ(ckpt::crc32(big.data(), big.size()),
+            ckpt::crc32_portable(big.data(), big.size()));
+  EXPECT_EQ(ckpt::crc32(big.data() + 3, big.size() - 3),
+            ckpt::crc32_portable(big.data() + 3, big.size() - 3));
+}
+
 TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
   std::vector<unsigned char> buf(300 + 8);
   std::uint64_t rng = 0x9E3779B97F4A7C15ull;
@@ -348,6 +379,30 @@ TEST(File, StagedWriterMatchesAFreshOne) {
   fill(fresh, 7.0f, 60, 80, true);
   fresh.commit((dir / "fresh.ckpt").string(), 5, 2);
   EXPECT_EQ(slurp(dir / "staged.ckpt"), slurp(dir / "fresh.ckpt"));
+}
+
+TEST(File, DeferredSectionsCommitTheBytesOfCopiedOnes) {
+  // A view added through defer_view is read when the writer is sealed:
+  // the file equals one whose view was copied when added, and a change to
+  // the view after sealing does not reach it.
+  const auto dir = scratch("file_deferred");
+  pk::View<float, 1> v("v", 3000);
+  for (index_t i = 0; i < v.size(); ++i) v(i) = 0.25f * static_cast<float>(i);
+  ckpt::FileWriter copied;
+  copied.add_view("a", v);
+  copied.add_pod("b", std::int64_t{9});
+  copied.commit((dir / "copied.ckpt").string(), 5, 1);
+  ckpt::FileWriter deferred;
+  deferred.defer_view("a", v);
+  deferred.add_pod("b", std::int64_t{9});
+  deferred.seal();
+  v(0) = -1.0f;
+  deferred.commit((dir / "deferred.ckpt").string(), 5, 1);
+  EXPECT_EQ(slurp(dir / "deferred.ckpt"), slurp(dir / "copied.ckpt"));
+  ASSERT_EQ(deferred.sealed().size(), 2u);
+  const auto& a = copied.sections()[0].payload;
+  EXPECT_EQ(deferred.sealed()[0].bytes, a.size());
+  EXPECT_EQ(deferred.sealed()[0].crc, ckpt::crc32_portable(a.data(), a.size()));
 }
 
 TEST(File, DuplicateSectionNameRejected) {

@@ -6,9 +6,13 @@
 //     pinned size and CRC,
 //   * incremental generation chains: full/delta cadence, bit-identical
 //     resume from a delta generation (sync and async), the cumulative
-//     ElasticCkptStats telemetry, a full base and a delta pinned by size
-//     and CRC, commits that reuse one encode buffer, a restore that holds
-//     one copy of the particles,
+//     ElasticCkptStats telemetry, a full base and a delta pinned by every
+//     data section's bytes and CRC, the snapshot's team pass equal to a
+//     serial one at every team size, staging that allocates nothing after
+//     the first full base, a restore that holds one copy of the particles
+//     and moves payloads out of its readers, the payload hash pinned by
+//     test vectors, a VPICELA1 chain (tests/data/ela1) that still restores
+//     and prunes, and a typed failure for an unknown payload hash,
 //   * generation-ring purge/sweep over chains: restore_latest falls back
 //     across a corrupted mid-chain delta (and across a whole broken
 //     chain) to the previous complete recovery point; prune_chains
@@ -23,6 +27,7 @@
 //     on checkpoint and at module destruction, without duplication.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -30,6 +35,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ckpt/ckpt.hpp"
@@ -117,7 +123,8 @@ void expect_bit_identical(core::Simulation& a, core::Simulation& b) {
 std::vector<std::byte> pack(const std::byte* data, std::size_t n,
                             std::uint32_t elem_size) {
   std::vector<std::byte> out(elastic::deltapack_bound(n, elem_size));
-  out.resize(elastic::deltapack_encode(data, n, elem_size, out.data()));
+  out.resize(
+      elastic::deltapack_encode(data, n, elem_size, out.data(), out.size()));
   return out;
 }
 
@@ -284,6 +291,36 @@ TEST(Codec, PinnedPackedSizeAndCrc) {
       ps.size() * sizeof(core::Particle), sizeof(core::Particle));
   EXPECT_EQ(packed.size(), 26302u);
   EXPECT_EQ(ckpt::crc32(packed.data(), packed.size()), 0x8C18B015u);
+}
+
+TEST(Codec, EncoderStopsAtItsCapacity) {
+  // A stream that fits the capacity exactly is the whole stream; one byte
+  // less, and the encoder gives up without writing past the capacity.
+  std::vector<std::uint32_t> words(4 * 100);
+  std::uint64_t rng = 5;
+  for (auto& w : words) {
+    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+    w = static_cast<std::uint32_t>(rng >> (40 + rng % 24));
+  }
+  const auto* data = reinterpret_cast<const std::byte*>(words.data());
+  const std::size_t n = words.size() * 4;
+  const auto whole = pack(data, n, 16);
+  ASSERT_FALSE(whole.empty());
+  for (const std::size_t cap : {whole.size(), whole.size() - 1,
+                                whole.size() - 3, whole.size() / 2,
+                                std::size_t{10}}) {
+    std::vector<std::byte> out(cap + 8, std::byte{0xAB});
+    const std::size_t got =
+        elastic::deltapack_encode(data, n, 16, out.data(), cap);
+    if (cap == whole.size()) {
+      ASSERT_EQ(got, whole.size());
+      EXPECT_TRUE(std::equal(whole.begin(), whole.end(), out.begin()));
+    } else {
+      EXPECT_EQ(got, 0u) << "capacity " << cap;
+    }
+    for (std::size_t b = cap; b < out.size(); ++b)
+      ASSERT_EQ(out[b], std::byte{0xAB}) << "capacity " << cap << " byte " << b;
+  }
 }
 
 // ---- incremental chains ----------------------------------------------
@@ -650,12 +687,15 @@ TEST(Chain, FailedCommitStartsAFullBase) {
 }
 
 TEST(Chain, GenerationBytesArePinned) {
-  // A full base and a delta written through write_generation from
-  // hand-built sections: "packed" DeltaPacks, "noise" falls back to raw
-  // (its packed stream is larger than its payload), and "fixed" is left
-  // unchanged in the delta. Each file's size and CRC-32 were recorded
-  // with the writer that built a second in-memory file per generation, so
-  // a change to any byte a generation writes fails here.
+  // A full base and a delta planned and written from hand-built sections,
+  // staged as a snapshot stages them (deferred, read from `sections` when
+  // the plan seals the writer): "packed" DeltaPacks, "noise" falls back
+  // to raw (its packed stream is not shorter than its payload), and
+  // "fixed" is left unchanged in the delta. Every data section's bytes
+  // and CRC are the ones the FNV-1a (VPICELA1) chain format wrote, so a
+  // change to any byte a section stores fails here; the files differ from
+  // those only in "ela.meta" (the magic) and "ela.manifest" (the hashes),
+  // which the file sizes and CRC-32s pin.
   const auto dir = scratch("pinned_bytes");
   ckpt::GenerationRing ring((dir / "r").string(), 8);
   std::uint64_t rng = 77;
@@ -693,8 +733,13 @@ TEST(Chain, GenerationBytesArePinned) {
 
   elastic::DeltaTracker tracker(4);
   const auto commit = [&](std::int64_t gen) {
-    const auto plan = tracker.plan(sections, gen, elastic::Codec::DeltaPack);
-    return elastic::write_generation(ring.path_for(gen), sections, plan,
+    ckpt::FileWriter w;
+    for (const ckpt::EncodedSection& s : sections) {
+      ckpt::EncodedSection staged = s;
+      w.add_deferred(std::move(staged), s.payload.data());
+    }
+    const auto plan = tracker.plan(w, gen, elastic::Codec::DeltaPack);
+    return elastic::write_generation(ring.path_for(gen), w.sections(), plan,
                                      0xFEEDu, 10 * (gen + 1));
   };
   const elastic::GenStats full = commit(0);
@@ -719,6 +764,26 @@ TEST(Chain, GenerationBytesArePinned) {
     EXPECT_EQ(m[2].src_gen, 0) << "g" << gen;
   }
 
+  // (generation, section) -> stored bytes and their CRC-32.
+  struct Pin {
+    std::int64_t gen;
+    const char* name;
+    std::size_t bytes;
+    std::uint32_t crc;
+  };
+  for (const Pin& pin : {Pin{0, "packed", 2729, 0x36B8B3BEu},
+                         Pin{0, "noise", 4000, 0x80F7D299u},
+                         Pin{0, "fixed", 512, 0x1F9AB551u},
+                         Pin{1, "packed", 2728, 0x3D03C4C7u},
+                         Pin{1, "noise", 4000, 0x66BE3C88u}}) {
+    ckpt::FileReader f(ring.path_for(pin.gen));
+    const ckpt::EncodedSection& s = f.section(pin.name);
+    EXPECT_EQ(s.payload.size(), pin.bytes) << "g" << pin.gen << " " << pin.name;
+    EXPECT_EQ(ckpt::crc32(s.payload.data(), s.payload.size()), pin.crc)
+        << "g" << pin.gen << " " << pin.name;
+  }
+  EXPECT_FALSE(ckpt::FileReader(ring.path_for(1)).has("fixed"));
+
   const auto size_and_crc = [&](std::int64_t gen) {
     std::ifstream in(ring.path_for(gen), std::ios::binary);
     const std::vector<char> b((std::istreambuf_iterator<char>(in)),
@@ -730,9 +795,9 @@ TEST(Chain, GenerationBytesArePinned) {
   EXPECT_EQ(full.file_bytes, size0);
   EXPECT_EQ(delta.file_bytes, size1);
   EXPECT_EQ(size0, 8056u);
-  EXPECT_EQ(crc0, 0xE698F0B7u);
+  EXPECT_EQ(crc0, 0x48F0E91Cu);
   EXPECT_EQ(size1, 7440u);
-  EXPECT_EQ(crc1, 0xC1D20C7Cu);
+  EXPECT_EQ(crc1, 0x58B354DDu);
 
   ckpt::FileReader g1(ring.path_for(1));
   elastic::ChainReader chain(g1, ring.path_for(1));
@@ -740,15 +805,15 @@ TEST(Chain, GenerationBytesArePinned) {
     EXPECT_EQ(chain.section(s.name).payload, s.payload) << s.name;
 }
 
-TEST(Chain, CommitReusesItsEncodeBuffer) {
-  // Every incremental commit DeltaPack-encodes into the encode buffer
-  // the last commit handed back: once the first full base has grown it,
-  // no later commit (delta or full) allocates one. Energy diagnostics
-  // stay off, so no section grows between checkpoints.
+TEST(Chain, StagingAllocatesNothingAfterTheFirstFullBase) {
+  // A chain snapshot DeltaPack-encodes into its staged payloads, which the
+  // next snapshot stages in again: once the first full base has staged
+  // afresh, no later snapshot (delta or full) allocates a payload. Energy
+  // diagnostics stay off, so no section grows between checkpoints.
   for (const bool async : {false, true}) {
     const std::string mode = async ? "async" : "sync";
     SCOPED_TRACE(mode);
-    const auto dir = scratch("commit_reuse_" + mode);
+    const auto dir = scratch("stage_reuse_" + mode);
     auto sim = make_lpi_small();
     sim.config().energy_interval = 0;
     sim.config().checkpoint_every = 5;
@@ -757,17 +822,17 @@ TEST(Chain, CommitReusesItsEncodeBuffer) {
     sim.config().checkpoint_incremental = true;
     sim.config().checkpoint_codec = 1;
     sim.config().checkpoint_full_every = 3;
-    const std::uint64_t before = prof::counter_value("ckpt.commit_alloc");
+    const std::uint64_t before = prof::counter_value("ckpt.stage_alloc");
     std::vector<std::uint64_t> allocs;  // cumulative, after each checkpoint
     for (int step = 1; step <= 30; ++step) {
       sim.step();
       if (step % 5 != 0) continue;
-      sim.checkpoint_wait();  // the commit has handed its buffer back
-      allocs.push_back(prof::counter_value("ckpt.commit_alloc"));
+      sim.checkpoint_wait();  // the commit has handed its sections back
+      allocs.push_back(prof::counter_value("ckpt.stage_alloc"));
     }
     ASSERT_EQ(allocs.size(), 6u);
     EXPECT_EQ(sim.elastic_ckpt_stats().full_generations, 2);
-    EXPECT_GT(allocs[0], before) << "the first commit grows the buffer";
+    EXPECT_GT(allocs[0], before) << "the first snapshot stages afresh";
     for (std::size_t k = 1; k < allocs.size(); ++k)
       EXPECT_EQ(allocs[k], allocs[0]) << "checkpoint " << k + 1;
   }
@@ -815,32 +880,202 @@ TEST(Chain, RestoreHoldsOneCopyOfTheParticles) {
         << name;
 }
 
-TEST(Chain, PlanHashesEqualSerialHashesAtEveryTeamSize) {
-  // The plan hashes sections in parallel; each hash must be the serial
-  // FNV-1a of its payload whatever the team size.
+TEST(Chain, TeamPassEqualsASerialOneAtEveryTeamSize) {
+  // plan() hashes and seals the snapshot on the team. At every team size
+  // each hash is the serial payload_hash of the section's raw bytes, each
+  // section holds the serial DeltaPack stream when that is shorter than
+  // its payload and its raw bytes otherwise, and each CRC is the serial
+  // CRC of what it holds. Odd sections are deferred (read from
+  // `sections`), even ones staged when added (their own source).
   std::vector<ckpt::EncodedSection> sections(37);
   std::uint64_t rng = 7;
+  const auto next = [&rng] {
+    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<std::uint32_t>(rng >> 32);
+  };
   for (std::size_t i = 0; i < sections.size(); ++i) {
     auto& s = sections[i];
     s.name = "section" + std::to_string(i);
-    s.payload.resize((i * 7919) % 5000);
-    for (auto& b : s.payload) {
-      rng = rng * 6364136223846793005ull + 1442695040888963407ull;
-      b = static_cast<std::byte>(rng >> 56);
+    s.elem_size = i % 3 == 0 ? 1 : 4 * static_cast<std::uint32_t>(1 + i % 4);
+    s.rank = 1;
+    s.layout = ckpt::kLayoutRight;
+    const std::size_t n = (i * 7919) % 5000 / s.elem_size * s.elem_size;
+    s.extents[0] = static_cast<std::int64_t>(n / s.elem_size);
+    s.payload.resize(n);
+    std::uint32_t v = next();
+    for (std::size_t at = 0; at + 4 <= n; at += 4) {
+      // Slowly varying words in most sections, noise in every fifth.
+      v = i % 5 == 4 ? next() : v + next() % 8;
+      std::memcpy(s.payload.data() + at, &v, 4);
     }
   }
   for (const int threads : {1, 2, 4}) {
     pk::initialize(threads);
+    ckpt::FileWriter w;
+    for (std::size_t i = 0; i < sections.size(); ++i) {
+      ckpt::EncodedSection staged = sections[i];
+      if (i % 2 == 1)
+        w.add_deferred(std::move(staged), sections[i].payload.data());
+      else
+        w.add(std::move(staged));
+    }
     elastic::DeltaTracker tracker(4);
-    const auto plan = tracker.plan(sections, 0, elastic::Codec::None);
+    const auto plan = tracker.plan(w, 0, elastic::Codec::DeltaPack);
     ASSERT_EQ(plan.entries.size(), sections.size());
-    for (std::size_t i = 0; i < sections.size(); ++i)
+    ASSERT_EQ(plan.sealed.size(), sections.size());
+    for (std::size_t i = 0; i < sections.size(); ++i) {
+      const std::vector<std::byte>& raw = sections[i].payload;
+      SCOPED_TRACE(sections[i].name + " at " + std::to_string(threads) +
+                   " threads");
       EXPECT_EQ(plan.entries[i].hash,
-                elastic::payload_hash(sections[i].payload.data(),
-                                      sections[i].payload.size()))
-          << sections[i].name << " at " << threads << " threads";
+                elastic::payload_hash(raw.data(), raw.size()));
+      std::vector<std::byte> want = raw;
+      if (raw.size() >= 64) {
+        const auto packed = pack(raw.data(), raw.size(),
+                                 sections[i].elem_size);
+        if (!packed.empty() && packed.size() < raw.size()) want = packed;
+      }
+      EXPECT_EQ(plan.entries[i].codec, want.size() < raw.size()
+                                           ? elastic::Codec::DeltaPack
+                                           : elastic::Codec::None);
+      const std::byte* held = w.sections()[i].payload.data();
+      ASSERT_EQ(plan.sealed[i].bytes, want.size());
+      EXPECT_TRUE(std::equal(want.begin(), want.end(), held));
+      EXPECT_EQ(plan.sealed[i].crc,
+                ckpt::crc32_portable(want.data(), want.size()));
+    }
   }
   pk::initialize(1);
+}
+
+TEST(Chain, PayloadHashIsPinned) {
+  // payload_hash is XXH64 with seed 0: the published values for inputs
+  // that take the byte tail alone and the four-lane stripe loop, and a
+  // pinned value for a buffer that runs the loop and every tail.
+  EXPECT_EQ(elastic::payload_hash("", 0), 0xEF46DB3751D8E999ull);
+  EXPECT_EQ(elastic::payload_hash("a", 1), 0xD24EC4F1A98C6E5Bull);
+  EXPECT_EQ(elastic::payload_hash("abc", 3), 0x44BC2CF5AD770999ull);
+  const std::string_view spam = "Nobody inspects the spammish repetition";
+  EXPECT_EQ(elastic::payload_hash(spam.data(), spam.size()),
+            0xFBCEA83C8A378BF1ull);
+  std::vector<unsigned char> b(1000 + 15);
+  for (std::size_t i = 0; i < b.size(); ++i)
+    b[i] = static_cast<unsigned char>(i * 31 + 7);
+  EXPECT_EQ(elastic::payload_hash(b.data(), b.size()), 0x597F3ED46B85FE21ull);
+}
+
+TEST(Chain, Ela1ChainRestoresBitIdenticalAndPrunes) {
+  // A full base and a delta written in the VPICELA1 format (FNV-1a
+  // manifest hashes; tests/data/ela1: make_lpi_small, checkpoints at steps
+  // 4 and 6, DeltaPack, full base every 3). Restoring the delta resolves
+  // the chain through its base, every payload passing its FNV-1a manifest
+  // hash, and the restored state holds exactly the resolved bytes (the
+  // electron particles pinned by CRC, as written; a fresh run is no
+  // reference here, since its floating point depends on the build).
+  // prune_chains groups the two as one chain beside a chain of this
+  // build.
+  const auto dir = scratch("ela1");
+  const std::string base = (dir / "ela1").string();
+  ckpt::GenerationRing ring(base, 8);
+  for (const std::uint64_t g : {0, 1})
+    fs::copy_file(fs::path(VPIC_TEST_DATA_DIR) / "ela1" /
+                      ("ela1.g" + std::to_string(g)),
+                  ring.path_for(g));
+  ckpt::FileReader g1(ring.path_for(1));
+  const auto meta =
+      g1.pod<elastic::ElaMeta>(std::string(elastic::kMetaSection));
+  EXPECT_EQ(meta.magic, elastic::kElaMagicV1);
+  EXPECT_EQ(meta.kind, elastic::kKindDelta);
+  elastic::ChainReader chain(g1, ring.path_for(1));
+  EXPECT_EQ(chain.sources(), (std::vector<std::int64_t>{0, 1}));
+
+  auto restored = make_lpi_small();
+  EXPECT_EQ(restored.restore_latest(base), ring.path_for(1));
+  EXPECT_EQ(restored.step_count(), 6);
+  EXPECT_EQ(view_bytes(restored.fields().ex), chain.section("f.ex").payload);
+  EXPECT_EQ(view_bytes(restored.fields().by), chain.section("f.by").payload);
+  for (std::size_t s = 0; s < restored.num_species(); ++s) {
+    const auto& sp = restored.species(s);
+    std::vector<std::byte> b(static_cast<std::size_t>(sp.np) *
+                             sizeof(core::Particle));
+    sp.p.export_aos(reinterpret_cast<core::Particle*>(b.data()), sp.np);
+    EXPECT_EQ(b, chain.section("sp" + std::to_string(s) + ".p").payload)
+        << sp.name;
+  }
+  const auto& e = chain.section("sp0.p").payload;
+  EXPECT_EQ(ckpt::crc32(e.data(), e.size()), 0x6F6394F2u);
+
+  auto sim = make_lpi_small();
+  sim.config().checkpoint_incremental = true;
+  sim.run(2);
+  sim.checkpoint(ring.path_for(2));  // a VPICELA2 full base
+  EXPECT_EQ(ckpt::FileReader(ring.path_for(2))
+                .pod<elastic::ElaMeta>(std::string(elastic::kMetaSection))
+                .magic,
+            elastic::kElaMagic);
+  EXPECT_EQ(elastic::prune_chains(base, 2), 0u);
+  EXPECT_EQ(elastic::prune_chains(base, 1), 2u);
+  EXPECT_EQ(ring.generations(), (std::vector<std::uint64_t>{2}));
+}
+
+TEST(Chain, UnknownPayloadHashIsTypedAndFallsBack) {
+  // A generation whose ela.meta names a hash this build does not know
+  // cannot be verified: restoring it is a typed BadVersion failure, and
+  // restore_latest falls back past it.
+  const auto dir = scratch("unknown_hash");
+  const std::string base = (dir / "ck").string();
+  ckpt::GenerationRing ring(base, 8);
+  auto sim = make_lpi_small();
+  sim.config().checkpoint_incremental = true;
+  sim.run(2);
+  sim.checkpoint(ring.path_for(0));
+  sim.run(2);
+  sim.checkpoint(ring.path_for(1));
+  {
+    // Rewrite g1 with the chain version byte '9'.
+    ckpt::FileReader f(ring.path_for(1));
+    ckpt::FileWriter w;
+    for (const std::string& name : f.section_names()) {
+      ckpt::EncodedSection s = f.section(name);
+      if (name == elastic::kMetaSection) {
+        elastic::ElaMeta m;
+        std::memcpy(&m, s.payload.data(), sizeof m);
+        m.magic = (elastic::kElaMagic & ~std::uint64_t{0xFF}) | '9';
+        std::memcpy(s.payload.data(), &m, sizeof m);
+      }
+      w.add(std::move(s));
+    }
+    w.commit(ring.path_for(1), f.fingerprint(), f.step());
+  }
+  auto a = make_lpi_small();
+  EXPECT_EQ(thrown_kind([&] { a.restore(ring.path_for(1)); }),
+            ckpt::RestoreErrorKind::BadVersion);
+  auto b = make_lpi_small();
+  EXPECT_EQ(b.restore_latest(base), ring.path_for(0));
+  EXPECT_EQ(b.step_count(), 2);
+}
+
+TEST(Chain, ResolvingMovesPayloadsOutOfTheReaders) {
+  // ChainReader takes each payload out of its file's reader: once the
+  // chain resolves, the target's reader holds no copy of the sections, so
+  // asking it for one reads the section from the file again.
+  const auto dir = scratch("reader_moves");
+  ckpt::GenerationRing ring((dir / "r").string(), 8);
+  auto sim = make_lpi_small();
+  sim.config().checkpoint_incremental = true;
+  sim.config().checkpoint_codec = 0;  // raw: the copy a cache would hold
+  sim.run(2);
+  sim.checkpoint(ring.path_for(0));
+  ckpt::FileReader g0(ring.path_for(0));
+  elastic::ChainReader chain(g0, ring.path_for(0));
+  for (const char* name : {"f.ex", "interp", "sp0.meta"}) {
+    const std::uint64_t before = prof::counter_value("ckpt.read_bytes");
+    const ckpt::EncodedSection& again = g0.section(name);
+    EXPECT_EQ(prof::counter_value("ckpt.read_bytes") - before,
+              again.payload.size())
+        << name;
+    EXPECT_EQ(again.payload, chain.section(name).payload) << name;
+  }
 }
 
 // ---- N→M restart ------------------------------------------------------
