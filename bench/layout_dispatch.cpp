@@ -3,20 +3,29 @@
 // pick. For each of AoS and SoA it times, on the same cell-sorted
 // LPI deck the push_pipeline bench uses:
 //
-//   * the generic vs run-aware Manual push, and the path AutoDetect picks
-//     under the fixed gates (core::kPushGates);
-//   * the counting vs radix sort pipeline, and the backend the default
-//     sort::SortDispatchModel picks;
+//   * the generic vs run-aware Manual push (push_on alone, aged like a
+//     step that does not re-sort), and the path AutoDetect picks under the
+//     fixed gates (core::kPushGates);
+//   * the counting vs radix particle sort (sort_particles, Standard
+//     order), and the backend the particle sort's budget
+//     (sort::kParticleSortModel) picks;
+//   * the counting vs radix View-level sort_by_key over the same cell keys
+//     with an index payload, and the backend the View-level model
+//     (sort::active_sort_model()) picks;
 //
 // and emits one JSON record per layout into BENCH_layout_dispatch.json
-// (schema vpic-bench-v1) with the constants alongside the raw timings, so
-// a reader can audit the crossovers against the measurements.
+// (schema vpic-bench-v1) with the constants, the thread count and the
+// deck's histogram-to-particle ratio (nthreads + 1) * nv / n alongside the
+// raw timings, so a reader can audit the crossovers against the
+// measurements; docs/SORTING.md sweeps it over threads and ppc.
 //
 // Flags: --nx/--ny/--nz/--ppc (deck size), --reps, --smoke. With --smoke
 // the bench exits non-zero if the constants pick a path measurably slower
 // (> kSmokeTolerance) than the alternative they rejected — the CI guard
 // that the constants still fit the host they run on.
+#include <algorithm>
 #include <cstdio>
+#include <numeric>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -61,6 +70,33 @@ void restore_snapshot(core::Simulation& sim, const Snapshot& s) {
   }
 }
 
+/// Models pinned to each side of a crossover: a budget that never binds
+/// and one that always does.
+vpic::sort::SortDispatchModel always_counting() {
+  vpic::sort::SortDispatchModel m;
+  m.cells_per_n = 1.0;
+  m.cells_floor = 1e18;
+  return m;
+}
+vpic::sort::SortDispatchModel never_counting() {
+  vpic::sort::SortDispatchModel m;
+  m.cells_per_n = 1e-18;
+  m.cells_floor = 0;
+  return m;
+}
+
+/// Time `body` with `seam` pinned to `pinned`, restoring it afterwards.
+template <class Body, class Prep>
+bench::Timing time_pinned(vpic::sort::SortDispatchModel& seam,
+                          const vpic::sort::SortDispatchModel& pinned,
+                          int reps, Body&& body, Prep&& prep) {
+  const vpic::sort::SortDispatchModel saved = seam;
+  seam = pinned;
+  const bench::Timing tm = bench::time_reps(reps, 1, body, prep);
+  seam = saved;
+  return tm;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -72,19 +108,25 @@ int main(int argc, char** argv) {
   const bool smoke = bench::has_flag(argc, argv, "smoke");
 
   const core::PushGates& gates = core::kPushGates;
-  const vpic::sort::SortDispatchModel model;
+  const vpic::sort::SortDispatchModel model = vpic::sort::kParticleSortModel;
+  const vpic::sort::SortDispatchModel view_model =
+      vpic::sort::active_sort_model();
+  const int nthreads = pk::DefaultExecSpace::concurrency();
   std::printf(
       "== layout_dispatch: per-layout push/sort timings under the dispatch "
-      "constants ==\nLPI deck %dx%dx%d, ppc %d, %d reps\n"
+      "constants ==\nLPI deck %dx%dx%d, ppc %d, %d reps, %d threads\n"
       "push gates: min_particles=%lld max_stale=%d min_mean_run=%g; "
-      "sort model: cells_per_n=%g cells_floor=%g\n\n",
-      nx, ny, nz, ppc, reps, static_cast<long long>(gates.min_particles),
-      gates.max_stale, gates.min_mean_run, model.cells_per_n,
-      model.cells_floor);
+      "particle sort budget: cells_per_n=%g cells_floor=%g; "
+      "View-level sort: cells_per_n=%g cells_floor=%g\n\n",
+      nx, ny, nz, ppc, reps, nthreads,
+      static_cast<long long>(gates.min_particles), gates.max_stale,
+      gates.min_mean_run, model.cells_per_n, model.cells_floor,
+      view_model.cells_per_n, view_model.cells_floor);
 
-  bench::Table t({"layout", "particles", "generic (ms)", "run-aware (ms)",
-                  "auto picks", "sort count (ms)", "sort radix (ms)",
-                  "model picks", "dispatch ok"});
+  bench::Table t({"layout", "particles", "cells/n", "generic (ms)",
+                  "run-aware (ms)", "auto picks", "sort count (ms)",
+                  "sort radix (ms)", "budget picks", "view count (ms)",
+                  "view radix (ms)", "view picks", "dispatch ok"});
   bool ok = true;
 
   for (const core::ParticleLayout layout : core::kAllParticleLayouts) {
@@ -105,7 +147,6 @@ int main(int argc, char** argv) {
     for (std::size_t s = 0; s < sim.num_species(); ++s)
       total_np += sim.species(s).np;
     const index_t nv = sim.grid().nv();
-    const int nthreads = pk::DefaultExecSpace::concurrency();
 
     // ...then cell-sorted order for the push timings.
     for (std::size_t s = 0; s < sim.num_species(); ++s)
@@ -116,13 +157,21 @@ int main(int argc, char** argv) {
     auto& interp = sim.interpolator();
     auto& acc = sim.accumulator();
 
+    // The push alone: push_on plus the hint's aging, without
+    // advance_species' re-sort.
+    auto push = [&](core::Species& sp, core::PushPath path) {
+      const core::PushPath taken = core::push_on<pk::DefaultExecSpace>(
+          sp, interp, acc, sim.grid(), core::VectorStrategy::Manual, {}, path,
+          0, sp.np);
+      sp.mark_order_degraded();
+      return taken;
+    };
     auto time_push = [&](core::PushPath path) {
       return bench::time_reps(
           reps, 1,
           [&] {
             for (std::size_t s = 0; s < sim.num_species(); ++s)
-              core::advance_species(sim.species(s), interp, acc, sim.grid(),
-                                    core::VectorStrategy::Manual, {}, path);
+              push(sim.species(s), path);
           },
           [&](int) {
             restore_snapshot(sim, sorted);
@@ -141,10 +190,7 @@ int main(int argc, char** argv) {
     acc.clear();
     core::PushPath auto_path = core::PushPath::Generic;
     for (std::size_t s = 0; s < sim.num_species(); ++s)
-      auto_path = core::advance_species(sim.species(s), interp, acc,
-                                        sim.grid(),
-                                        core::VectorStrategy::Manual, {},
-                                        core::PushPath::AutoDetect);
+      auto_path = push(sim.species(s), core::PushPath::AutoDetect);
 
     const double auto_ms = (auto_path == core::PushPath::RunAware
                                 ? tm_run.min_s
@@ -154,13 +200,13 @@ int main(int argc, char** argv) {
         std::min(tm_gen.min_s, tm_run.min_s) * 1e3;
     const bool push_ok = auto_ms <= push_best_ms * kSmokeTolerance;
 
-    // Sort: time the full sort_particles pipeline with the dispatch model
-    // pinned to each side of the crossover, then restore the default model
-    // and record which side it picks for each species' (n, nv, threads).
+    // Particle sort: time the full sort_particles pipeline with the
+    // particle sort's budget pinned to each side of the crossover, then
+    // record which side the budget picks for each species' (n, nv,
+    // threads).
     auto time_sort = [&](const vpic::sort::SortDispatchModel& m) {
-      vpic::sort::active_sort_model() = m;
-      auto tm = bench::time_reps(
-          reps, 1,
+      return time_pinned(
+          vpic::sort::particle_sort_model(), m, reps,
           [&] {
             for (std::size_t s = 0; s < sim.num_species(); ++s)
               core::sort_particles(sim.species(s),
@@ -168,40 +214,77 @@ int main(int argc, char** argv) {
                                    nv);
           },
           [&](int) { restore_snapshot(sim, mixed); });
-      vpic::sort::active_sort_model() = model;
-      return tm;
     };
-    vpic::sort::SortDispatchModel always_counting;
-    always_counting.cells_per_n = 1.0;
-    always_counting.cells_floor = 1e18;  // budget never binds
-    vpic::sort::SortDispatchModel never_counting;
-    never_counting.cells_per_n = 1e-18;
-    never_counting.cells_floor = 0;  // budget always binds
-    const bench::Timing tm_count = time_sort(always_counting);
-    const bench::Timing tm_radix = time_sort(never_counting);
+    const bench::Timing tm_count = time_sort(always_counting());
+    const bench::Timing tm_radix = time_sort(never_counting());
 
     bool model_counting = true;
     for (std::size_t s = 0; s < sim.num_species(); ++s)
       model_counting = model_counting &&
                        vpic::sort::counting_sort_applicable(
                            sim.species(s).np, static_cast<std::uint64_t>(nv),
-                           nthreads);
-    const double sort_chosen_ms =
-        (model_counting ? tm_count.min_s : tm_radix.min_s) * 1e3;
-    const double sort_best_ms =
-        std::min(tm_count.min_s, tm_radix.min_s) * 1e3;
-    const bool sort_ok = sort_chosen_ms <= sort_best_ms * kSmokeTolerance;
+                           nthreads, model);
+    const auto picked_ok = [](bool counting, const bench::Timing& c,
+                              const bench::Timing& r) {
+      const double chosen = counting ? c.min_s : r.min_s;
+      return chosen <= std::min(c.min_s, r.min_s) * kSmokeTolerance;
+    };
+    const bool sort_ok = picked_ok(model_counting, tm_count, tm_radix);
 
-    ok = ok && push_ok && sort_ok;
+    // View-level sort_by_key over the same (phase-mixed) cell keys of
+    // every species with an index payload, repeated to at least 2^18 keys
+    // so the smoke deck's sorts are not microsecond noise, with the
+    // View-level model pinned to each side, and the side it picks for the
+    // keys' bound.
+    const index_t nkeys = std::max<index_t>(total_np, index_t{1} << 18);
+    pk::View<std::uint32_t, 1> keys0("view_keys", nkeys);
+    for (index_t at = 0; at < nkeys;)
+      for (std::size_t s = 0; s < sim.num_species() && at < nkeys; ++s)
+        for (std::size_t k = 0; k < mixed.p[s].size() && at < nkeys; ++k)
+          keys0(at++) = static_cast<std::uint32_t>(mixed.p[s][k].i);
+    pk::View<std::uint32_t, 1> keys("view_keys_work", nkeys);
+    pk::View<index_t, 1> vals("view_vals_work", nkeys);
+    auto time_view_sort = [&](const vpic::sort::SortDispatchModel& m) {
+      return time_pinned(
+          vpic::sort::active_sort_model(), m, reps,
+          [&] { vpic::sort::sort_by_key(keys, vals); },
+          [&](int) {
+            std::copy(keys0.data(), keys0.data() + nkeys, keys.data());
+            std::iota(vals.data(), vals.data() + nkeys, index_t{0});
+          });
+    };
+    const bench::Timing tv_count = time_view_sort(always_counting());
+    const bench::Timing tv_radix = time_view_sort(never_counting());
+    const std::uint64_t view_bound =
+        static_cast<std::uint64_t>(
+            *std::max_element(keys0.data(), keys0.data() + nkeys)) +
+        1;
+    const bool view_counting = vpic::sort::counting_sort_applicable(
+        nkeys, view_bound, nthreads, view_model);
+    const bool view_ok = picked_ok(view_counting, tv_count, tv_radix);
+
+    ok = ok && push_ok && sort_ok && view_ok;
+    // The histogram-to-particle ratio the particle sort's budget reads,
+    // for the larger species.
+    index_t np_max = 0;
+    for (std::size_t s = 0; s < sim.num_species(); ++s)
+      np_max = std::max(np_max, sim.species(s).np);
+    const double cells_ratio =
+        static_cast<double>(nthreads + 1) * static_cast<double>(nv) /
+        static_cast<double>(std::max<index_t>(np_max, 1));
 
     t.row({core::to_string(layout), std::to_string(total_np),
+           bench::fmt("%.2f", cells_ratio),
            bench::fmt("%.3f", tm_gen.min_s * 1e3),
            bench::fmt("%.3f", tm_run.min_s * 1e3),
            core::to_string(auto_path),
            bench::fmt("%.3f", tm_count.min_s * 1e3),
            bench::fmt("%.3f", tm_radix.min_s * 1e3),
            model_counting ? "counting" : "radix",
-           (push_ok && sort_ok) ? "yes" : "NO"});
+           bench::fmt("%.3f", tv_count.min_s * 1e3),
+           bench::fmt("%.3f", tv_radix.min_s * 1e3),
+           view_counting ? "counting" : "radix",
+           (push_ok && sort_ok && view_ok) ? "yes" : "NO"});
 
     bench::Json j("layout_dispatch");
     j.field("layout", core::to_string(layout))
@@ -215,12 +298,21 @@ int main(int argc, char** argv) {
         .timing("sort_radix", tm_radix)
         .field("sort_model_path", model_counting ? "counting" : "radix")
         .field("sort_dispatch_ok", sort_ok ? 1 : 0)
+        .field("threads", nthreads)
+        .field("sort_cells_ratio", cells_ratio)
+        .timing("view_sort_counting", tv_count)
+        .timing("view_sort_radix", tv_radix)
+        .field("view_sort_keys", static_cast<std::int64_t>(nkeys))
+        .field("view_sort_model_path", view_counting ? "counting" : "radix")
+        .field("view_sort_dispatch_ok", view_ok ? 1 : 0)
         .field("gate_min_particles",
                static_cast<std::int64_t>(gates.min_particles))
         .field("gate_max_stale", gates.max_stale)
         .field("gate_min_mean_run", gates.min_mean_run)
         .field("sort_cells_per_n", model.cells_per_n)
-        .field("sort_cells_floor", model.cells_floor);
+        .field("sort_cells_floor", model.cells_floor)
+        .field("view_sort_cells_per_n", view_model.cells_per_n)
+        .field("view_sort_cells_floor", view_model.cells_floor);
     j.print();
   }
 

@@ -110,9 +110,15 @@ int main(int argc, char** argv) {
       return bench::time_reps(
           reps, 1,
           [&] {
-            for (std::size_t s = 0; s < sim.num_species(); ++s)
-              core::advance_species(sim.species(s), interp, acc,
-                                    sim.grid(), strat, {}, path);
+            // The push alone: push_on plus the hint's aging, without
+            // advance_species' re-sort.
+            for (std::size_t s = 0; s < sim.num_species(); ++s) {
+              auto& sp = sim.species(s);
+              core::push_on<pk::DefaultExecSpace>(sp, interp, acc,
+                                                  sim.grid(), strat, {}, path,
+                                                  0, sp.np);
+              sp.mark_order_degraded();
+            }
           },
           [&](int) {
             restore_snapshot(sim, snap);

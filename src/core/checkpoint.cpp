@@ -254,8 +254,6 @@ void read_engine_sections(ckpt::SectionSource& f, FieldArray& fld,
     sp.m = meta.m;
     sp.steps_since_sort = meta.steps_since_sort;
     sp.cell_sorted_hint = meta.cell_sorted_hint != 0;
-    // The run segmentation is rebuilt on demand.
-    sp.push_runs.clear();
     sp.tiles.clear();
     const std::string tiles = pfx + "tiles";
     if (adopt_tiles == 0 || !f.has(tiles)) continue;

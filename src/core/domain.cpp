@@ -278,16 +278,13 @@ void DistributedSimulation::step_overlapped() {
     prof::ScopedRegion r("interior_push");
     for (std::size_t s = 0; s < species_.size(); ++s) {
       Species& sp = species_[s];
-      {
-        prof::ScopedRegion seg("segment_runs");
-        dispatch_layout(sp.p, [&](auto a) {
-          sort::segment_runs(sp.np, [a](index_t i) { return a.cell(i); },
-                             sp.push_runs);
-        });
-      }
+      dispatch_layout(sp.p, [&](auto a) {
+        sort::segment_runs(sp.np, [a](index_t i) { return a.cell(i); },
+                           runs_);
+      });
       std::vector<sort::CellRun> interior;
-      interior.reserve(sp.push_runs.size());
-      for (const auto& run : sp.push_runs)
+      interior.reserve(runs_.size());
+      for (const auto& run : runs_)
         (run.cell >= boundary_begin ? boundary_runs[s] : interior)
             .push_back(run);
       MoverOptions opts;

@@ -160,6 +160,9 @@ class DistributedSimulation {
   AccumulatorArray acc_;
   std::vector<Species> species_;
   std::size_t current_species_ = 0;  // species whose exits are in flight
+  // The overlapped step's run segmentation of the species it is pushing,
+  // reused across species and steps.
+  std::vector<sort::CellRun> runs_;
   std::int64_t step_count_ = 0;
   std::int64_t exchanged_ = 0;
 };

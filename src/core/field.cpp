@@ -54,47 +54,44 @@ void FieldArray::advance_e() {
 
 void FieldArray::update_ghosts_periodic(std::uint8_t axis_mask) {
   const Grid& g = grid;
-  auto copy_all = [&](pk::View<float, 1>& f) {
-    if (axis_mask & 0b001) {  // x ghosts
-      pk::parallel_for("field/ghosts_x", pk::RangePolicy<>(0, g.sz()),
-                       [&, g](index_t iz) {
+  // One kernel per axis copies all six E and B components, x then y then
+  // z. A component's copies never read another component, so each comes
+  // out, corners included, as its own x, y, z sweep leaves it.
+  float* const comps[6] = {ex.data(), ey.data(), ez.data(),
+                           bx.data(), by.data(), bz.data()};
+  if (axis_mask & 0b001) {  // x ghosts
+    pk::parallel_for("field/ghosts_x", pk::RangePolicy<>(0, g.sz()),
+                     [&, g](index_t iz) {
+      const int z = static_cast<int>(iz);
+      for (float* f : comps)
         for (int iy = 0; iy < g.sy(); ++iy) {
-          f(g.voxel(0, iy, static_cast<int>(iz))) =
-              f(g.voxel(g.nx, iy, static_cast<int>(iz)));
-          f(g.voxel(g.nx + 1, iy, static_cast<int>(iz))) =
-              f(g.voxel(1, iy, static_cast<int>(iz)));
+          f[g.voxel(0, iy, z)] = f[g.voxel(g.nx, iy, z)];
+          f[g.voxel(g.nx + 1, iy, z)] = f[g.voxel(1, iy, z)];
         }
-      });
-    }
-    if (axis_mask & 0b010) {  // y ghosts
-      pk::parallel_for("field/ghosts_y", pk::RangePolicy<>(0, g.sz()),
-                       [&, g](index_t iz) {
+    });
+  }
+  if (axis_mask & 0b010) {  // y ghosts
+    pk::parallel_for("field/ghosts_y", pk::RangePolicy<>(0, g.sz()),
+                     [&, g](index_t iz) {
+      const int z = static_cast<int>(iz);
+      for (float* f : comps)
         for (int ix = 0; ix < g.sx(); ++ix) {
-          f(g.voxel(ix, 0, static_cast<int>(iz))) =
-              f(g.voxel(ix, g.ny, static_cast<int>(iz)));
-          f(g.voxel(ix, g.ny + 1, static_cast<int>(iz))) =
-              f(g.voxel(ix, 1, static_cast<int>(iz)));
+          f[g.voxel(ix, 0, z)] = f[g.voxel(ix, g.ny, z)];
+          f[g.voxel(ix, g.ny + 1, z)] = f[g.voxel(ix, 1, z)];
         }
-      });
-    }
-    if (axis_mask & 0b100) {  // z ghosts
-      pk::parallel_for("field/ghosts_z", pk::RangePolicy<>(0, g.sy()),
-                       [&, g](index_t iy) {
+    });
+  }
+  if (axis_mask & 0b100) {  // z ghosts
+    pk::parallel_for("field/ghosts_z", pk::RangePolicy<>(0, g.sy()),
+                     [&, g](index_t iy) {
+      const int y = static_cast<int>(iy);
+      for (float* f : comps)
         for (int ix = 0; ix < g.sx(); ++ix) {
-          f(g.voxel(ix, static_cast<int>(iy), 0)) =
-              f(g.voxel(ix, static_cast<int>(iy), g.nz));
-          f(g.voxel(ix, static_cast<int>(iy), g.nz + 1)) =
-              f(g.voxel(ix, static_cast<int>(iy), 1));
+          f[g.voxel(ix, y, 0)] = f[g.voxel(ix, y, g.nz)];
+          f[g.voxel(ix, y, g.nz + 1)] = f[g.voxel(ix, y, 1)];
         }
-      });
-    }
-  };
-  copy_all(ex);
-  copy_all(ey);
-  copy_all(ez);
-  copy_all(bx);
-  copy_all(by);
-  copy_all(bz);
+    });
+  }
 }
 
 void FieldArray::pack_z_plane(int iz, float* buf) const {

@@ -48,8 +48,9 @@ struct FieldArray {
   void advance_e();
 
   /// Copy periodic ghost layers for E and B on the selected axes
-  /// (bit 0 = x, 1 = y, 2 = z). Rank-decomposed axes are excluded and
-  /// exchanged by the domain driver instead.
+  /// (bit 0 = x, 1 = y, 2 = z): one kernel per selected axis, x then y
+  /// then z, each over all six components. Rank-decomposed axes are
+  /// excluded and exchanged by the domain driver instead.
   void update_ghosts_periodic(std::uint8_t axis_mask = 0b111);
 
   /// Pack / unpack one z-plane of all six field components (for the

@@ -11,7 +11,8 @@
 // (docs/PUSH.md) — untiled over the whole array, tiled per tile range,
 // every tile reading the same hint — and, under the tiled step, the
 // tiles' index ranges (TileSlot, docs/TILES.md), which a tiled
-// checkpoint stores and a tiled restore adopts.
+// checkpoint stores and a tiled restore adopts. Once Standard-sorted, a
+// species is put back in exact cell order after every push.
 //
 // The sort reorders a species through a SortScratch (its workspace and a
 // spare particle buffer to swap with `p`). A Simulation points every
@@ -28,22 +29,16 @@
 #include "core/grid.hpp"
 #include "core/particle_store.hpp"
 #include "pk/pk.hpp"
-#include "sort/runs.hpp"
 #include "sort/workspace.hpp"
 
 namespace vpic::core {
 
 /// Per-tile slice of a species under the tile decomposition
-/// (core/tiles.hpp): the contiguous index range the tile owns, and the
-/// tile's run-segmentation scratch so tile tasks never share mutable
-/// state. A tile dispatches its push off the species' sortedness hint
-/// plus its own run probe; it keeps no sortedness of its own.
+/// (core/tiles.hpp): the contiguous index range the tile owns. A tile
+/// dispatches its push off the species' sortedness hint plus its own run
+/// probe; it keeps no sortedness of its own.
 struct TileSlot {
   index_t begin = 0, end = 0;  // [begin, end) into the particle array
-
-  // Run-segmentation scratch of the tile's run-aware push, reused so
-  // steady-state pushes allocate nothing.
-  std::vector<sort::CellRun> runs;
 
   [[nodiscard]] index_t count() const noexcept { return end - begin; }
 };
@@ -84,16 +79,17 @@ struct Species {
   std::shared_ptr<SortScratch> scratch;
 
   // Sortedness tracking for the run-aware push fast path (docs/PUSH.md):
-  // sort_particles(Standard) marks the array cell-sorted; every push or
-  // exchange append degrades the order by the few particles that changed
-  // cell, tracked by steps_since_sort. The push dispatches its run-aware
-  // path off this hint plus a sampled run probe — untiled over the whole
-  // array, tiled per tile range (the tiles share this one hint). The hint
-  // with steps_since_sort == 0 promises exact Standard order: the tiled
+  // sort_particles(Standard) marks the array cell-sorted, and from then on
+  // each step re-sorts the species after its push (advance_species, the
+  // tiled step's re-sort phase), so the hint stays fresh. A push that left
+  // exit tombstones, or an exchange append, degrades the order instead,
+  // tracked by steps_since_sort. The push dispatches its run-aware path
+  // off this hint plus a sampled run probe — untiled over the whole array,
+  // tiled per tile range (the tiles share this one hint). The hint with
+  // steps_since_sort == 0 promises exact Standard order: the tiled
   // re-bucket (core/tiles.hpp) takes its tile ranges from it unchecked.
   bool cell_sorted_hint = false;
   int steps_since_sort = -1;  // -1: never cell-sorted
-  std::vector<sort::CellRun> push_runs;  // reused run-segmentation scratch
 
   // Tile decomposition state (core/tiles.hpp): one slot per tile with the
   // owned index range. Empty when untiled.
@@ -107,8 +103,9 @@ struct Species {
     steps_since_sort = cell_sorted ? 0 : -1;
   }
 
-  /// Called once per push / exchange append: ordering decays as particles
-  /// cross cells, so the dispatch heuristic ages the hint.
+  /// Called by a push that does not re-sort, and by an exchange append:
+  /// ordering decays as particles cross cells, so the dispatch heuristic
+  /// ages the hint.
   void mark_order_degraded() noexcept {
     if (steps_since_sort >= 0 &&
         steps_since_sort < std::numeric_limits<int>::max())

@@ -5,7 +5,8 @@
 // injection, diagnostics, sort, checkpoint. Simulation::build_step_graph
 // is generic composition over these — one source of truth for the
 // untiled and the tiled step shapes, which differ only where tiling
-// changes the work: the push into tile-private blocks and their merge.
+// changes the work: the push into tile-private blocks, the re-sort after
+// it, and the blocks' merge.
 
 #include "core/simulation.hpp"
 
@@ -103,10 +104,17 @@ class GatherModule final : public PhysicsModule {
 };
 
 // ---------------------------------------------------------------------
-// Push: per-species particle advance. Untiled: chained per-species phases
-// (they share the accumulator and float atomics are not associative).
+// Push: per-species particle advance, after which every Standard-sorted
+// species is back in exact cell order. Untiled: chained per-species
+// advance_species phases (they share the accumulator, float atomics are
+// not associative, and each may re-sort through the one sort scratch).
 // Tiled: one serial push_on per tile range, dispatched off the species'
-// sortedness plus the tile's own run probe, into tile-private blocks.
+// sortedness plus the tile's own run probe, into tile-private blocks;
+// then, per Standard-sorted species, a re-sort phase ("sort_after_push"):
+// a team-wide sort_particles and bucket_by_tile's binary-search ranges.
+// The re-sorts chain through the sort scratch and become the tail, so
+// each is a level of its own on the calling thread's whole team, never a
+// pool round.
 // ---------------------------------------------------------------------
 class PushModule final : public PhysicsModule {
  public:
@@ -124,6 +132,7 @@ class PushModule final : public PhysicsModule {
         const std::string name = push_name(species[s]);
         std::vector<std::string> wr = ctx.particles(species[s].name);
         wr.push_back("acc");
+        wr.emplace_back("sort.scratch");
         c.add({name,
                {"interp"},
                std::move(wr),
@@ -174,8 +183,7 @@ class PushModule final : public PhysicsModule {
                  if (push_on<pk::Serial>(sp, A::interp(sim), blk,
                                          A::fields(sim).grid, cfg.strategy,
                                          {}, cfg.push_path, slot.begin,
-                                         slot.end, slot.runs) ==
-                     PushPath::RunAware)
+                                         slot.end) == PushPath::RunAware)
                    (*runs_used)[s].store(1, std::memory_order_relaxed);
                },
                cost});
@@ -183,14 +191,35 @@ class PushModule final : public PhysicsModule {
         c.edge("acc_clear", name);
       }
     }
+    std::string prev;
+    for (std::size_t s = 0; s < ns; ++s) {
+      if (!species[s].cell_sorted_hint) continue;
+      const std::string name = "sort_after_push[" + species[s].name + "]";
+      std::vector<std::string> wr = ctx.particles(species[s].name);
+      wr.emplace_back("sort.scratch");
+      c.add({name,
+             {},
+             std::move(wr),
+             [&sim, s, poll] {
+               poll();
+               Species& sp = A::species(sim)[s];
+               sort_particles(sp, sort::SortOrder::Standard, 0, 0,
+                              A::fields(sim).grid.nv());
+               bucket_by_tile(sp, A::tile_map(sim));
+             },
+             static_cast<double>(species[s].np) * kVoxelCost});
+      for (int t = 0; t < nt; ++t) c.edge(push_name(species[s], t), name);
+      if (!prev.empty()) c.edge(prev, name);
+      prev = name;
+    }
+    if (!prev.empty()) c.set_tail(prev);
   }
 };
 
 // ---------------------------------------------------------------------
-// Deposit: (tiled: fixed-order merge of the tile-private blocks, then)
-// ghost reduction + accumulator unload into J. The tiled body also ages
-// every species' sortedness once per step, like the untiled
-// advance_species does internally.
+// Deposit: (tiled: fixed-order merge of the tile-private blocks, after
+// the push stage's re-sorts, then) ghost reduction + accumulator unload
+// into J.
 // ---------------------------------------------------------------------
 class AccumulateModule final : public PhysicsModule {
  public:
@@ -234,6 +263,7 @@ class AccumulateModule final : public PhysicsModule {
              },
              nv_cost});
       c.edge("acc_clear", "acc_merge");
+      if (!c.tail().empty()) c.edge(c.tail(), "acc_merge");
       for (std::size_t s = 0; s < ns; ++s)
         for (int t = 0; t < nt; ++t)
           c.edge(push_name(species[s], t), "acc_merge");
@@ -248,10 +278,6 @@ class AccumulateModule final : public PhysicsModule {
                    poll();
                    A::acc(sim).reduce_ghosts_periodic();
                    A::acc(sim).unload(A::fields(sim));
-                   // Sortedness ages once per step, like the untiled
-                   // advance_species — here, after every push task and
-                   // before any sort phase resets the counters.
-                   for (auto& sp : A::species(sim)) sp.mark_order_degraded();
                  },
                  nv_cost});
   }
@@ -359,6 +385,9 @@ class DiagnosticsModule final : public PhysicsModule {
 // that could run two at once. Tiled, the phase then re-buckets the
 // species by tile (a no-op after a Standard sort, which leaves the array
 // tile-major); the tiles dispatch off the freshness the sort just set.
+// After the first Standard sort the push stage keeps that order, so the
+// interval's Standard sort would be the identity: a species with a fresh
+// hint skips it.
 // ---------------------------------------------------------------------
 class SortModule final : public PhysicsModule {
  public:
@@ -387,6 +416,11 @@ class SortModule final : public PhysicsModule {
                       if (poll) poll();
                       const auto& cfg2 = A::cfg(sim);
                       Species& sp = A::species(sim)[s];
+                      // Kept in Standard order by the push stage, tile
+                      // ranges included: the sort would be the identity.
+                      if (cfg2.sort_order == sort::SortOrder::Standard &&
+                          sp.cell_sorted_hint && sp.steps_since_sort == 0)
+                        return;
                       sort_particles(
                           sp, cfg2.sort_order, tile,
                           cfg2.seed +

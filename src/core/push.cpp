@@ -20,8 +20,9 @@
 
 #include "core/boris.hpp"
 #include "core/move_p.hpp"
-#include "core/tiles.hpp"
 #include "core/push_tuning.hpp"
+#include "core/sort_particles.hpp"
+#include "core/tiles.hpp"
 #include "prof/prof.hpp"
 #include "simd/simd.hpp"
 #include "sort/runs.hpp"
@@ -502,7 +503,20 @@ void push_generic(const A& a, GatheredRecord rec, const Fin& fin,
     push_span<VectorStrategy::Auto>(a, rec, fin, c, n0 + nchunks * G, n1);
 }
 
-/// Run-aware path: one whole run per iteration, flushed once.
+/// One run [b, e) of `cell`: pushed with the cell's hoisted record, its
+/// stay-in-cell current flushed once.
+template <VectorStrategy S, class A, class AccA>
+PK_FORCEINLINE void push_run(const A& a, const InterpolatorArray& interp,
+                             AccA& acc, const Grid& g,
+                             const MoverOptions& opts, const PushConsts& c,
+                             std::int32_t cell, index_t b, index_t e) {
+  Accumulator local{};
+  push_span<S>(a, HoistedRecord{interp(cell)},
+               RunFinish<AccA>{local, acc, g, opts}, c, b, e);
+  flush_run_accumulator(local, acc.a(cell), kAtomicDeposit<AccA>);
+}
+
+/// Run-aware path over a caller's run list: one whole run per iteration.
 template <class Space, VectorStrategy S, class A, class AccA>
 void push_runs(const A& a, const InterpolatorArray& interp, AccA& acc,
                const Grid& g, const MoverOptions& opts, const PushConsts& c,
@@ -512,12 +526,51 @@ void push_runs(const A& a, const InterpolatorArray& interp, AccA& acc,
       pk::RangePolicy<Space>(static_cast<index_t>(runs.size())),
       [&](index_t r) {
         const sort::CellRun& run = runs[static_cast<std::size_t>(r)];
-        Accumulator local{};
-        push_span<S>(a, HoistedRecord{interp(run.cell)},
-                     RunFinish<AccA>{local, acc, g, opts}, c, run.begin,
-                     run.begin + run.count);
-        flush_run_accumulator(local, acc.a(run.cell), kAtomicDeposit<AccA>);
+        push_run<S>(a, interp, acc, g, opts, c, run.cell, run.begin,
+                    run.begin + run.count);
       });
+}
+
+/// Most chunks a run-aware launch splits its range into: one per member
+/// of the execution space, up to this many.
+constexpr int kMaxRunChunks = 256;
+
+/// Run-aware path over [n0, n1), finding the runs while it pushes. The
+/// range splits into one chunk per member of Space, and each chunk's
+/// nominal start moves forward, before the launch, to the next run start
+/// (a slot whose cell differs from the slot before), so no run straddles
+/// two chunks. Each chunk then walks its maximal same-cell runs in slot
+/// order: it scans a run's end before pushing it (the push moves crossers
+/// to other cells) and reads no slot outside the chunk, which another
+/// member may be pushing. The runs, and the order each chunk pushes and
+/// flushes them in, are those of sort::segment_runs over the range.
+template <class Space, VectorStrategy S, class A, class AccA>
+void push_runs_found(const A& a, const InterpolatorArray& interp, AccA& acc,
+                     const Grid& g, const MoverOptions& opts,
+                     const PushConsts& c, index_t n0, index_t n1) {
+  const index_t n = n1 - n0;
+  const int chunks = static_cast<int>(std::clamp<index_t>(
+      std::min<index_t>(Space::concurrency(), kMaxRunChunks), 1,
+      std::max<index_t>(n, 1)));
+  index_t start[kMaxRunChunks + 1];
+  start[0] = n0;
+  for (int k = 1; k < chunks; ++k) {
+    index_t b = std::max(start[k - 1], n0 + n * k / chunks);
+    while (b > n0 && b < n1 && a.cell(b) == a.cell(b - 1)) ++b;
+    start[k] = b;
+  }
+  start[chunks] = n1;
+  pk::parallel_for(kRunKernel[static_cast<int>(S)],
+                   pk::RangePolicy<Space>(chunks), [&](index_t k) {
+                     const index_t end = start[k + 1];
+                     for (index_t b = start[k]; b < end;) {
+                       const std::int32_t cell = a.cell(b);
+                       index_t e = b + 1;
+                       while (e < end && a.cell(e) == cell) ++e;
+                       push_run<S>(a, interp, acc, g, opts, c, cell, b, e);
+                       b = e;
+                     }
+                   });
 }
 
 template <VectorStrategy S>
@@ -553,10 +606,10 @@ void require_guarded_exits(const MoverOptions& opts) {
 
 bool run_aware_profitable_range(const Species& sp, index_t n0, index_t n1) {
   // Gates (core/push_tuning.hpp): below min_particles the per-run overhead
-  // and segmentation pass dominate; beyond max_stale steps since the last
-  // cell sort the probe is not worth running every step; the probe gates
-  // on the estimated mean run length covering the per-run overhead
-  // (hoisted 18-float load + 12-atomic flush amortized over the run).
+  // dominates; beyond max_stale steps since the last cell sort the probe
+  // is not worth running every step; the probe gates on the estimated
+  // mean run length covering the per-run overhead (hoisted 18-float load
+  // + 12-atomic flush amortized over the run).
   const index_t n = n1 - n0;
   if (n <= 0) return false;
   if (n < kPushGates.min_particles) return false;
@@ -619,28 +672,21 @@ template <class Space, class AccA>
 PushPath push_on(Species& sp, const InterpolatorArray& interp, AccA& acc,
                  const Grid& g, VectorStrategy strategy,
                  const MoverOptions& opts, PushPath path, index_t n0,
-                 index_t n1, std::vector<sort::CellRun>& runs) {
+                 index_t n1) {
   require_guarded_exits<Space>(opts);
   const PushPath taken = resolve_push_path(sp, strategy, path, n0, n1);
-  if (taken == PushPath::RunAware) {
-    {
-      prof::ScopedRegion seg("segment_runs");
-      dispatch_layout(sp.p, [&](auto a) {
-        sort::segment_runs(
-            n1 - n0, [a, n0](index_t i) { return a.cell(n0 + i); }, runs);
-      });
-      if (n0 > 0)
-        for (sort::CellRun& r : runs) r.begin += n0;
-    }
-    push_runs_on<Space>(sp, interp, acc, g, strategy, opts, runs);
-    return taken;
-  }
   const PushConsts c = make_consts(sp, g);
-  const GatheredRecord rec{&interp};
-  const MoveFinish<AccA> fin{acc, g, opts};
   dispatch_layout(sp.p, [&](auto a) {
     with_strategy(strategy, [&](auto s) {
       constexpr VectorStrategy S = decltype(s)::value;
+      if constexpr (S != VectorStrategy::AdHoc) {
+        if (taken == PushPath::RunAware) {
+          push_runs_found<Space, S>(a, interp, acc, g, opts, c, n0, n1);
+          return;
+        }
+      }
+      const GatheredRecord rec{&interp};
+      const MoveFinish<AccA> fin{acc, g, opts};
       // AdHoc's v4 pipeline runs into the shared array only; a tile's
       // block gets the scalar body.
       if constexpr (S != VectorStrategy::AdHoc || kAtomicDeposit<AccA>)
@@ -654,26 +700,34 @@ PushPath push_on(Species& sp, const InterpolatorArray& interp, AccA& acc,
 
 template PushPath push_on<pk::DefaultExecSpace>(
     Species&, const InterpolatorArray&, AccumulatorArray&, const Grid&,
-    VectorStrategy, const MoverOptions&, PushPath, index_t, index_t,
-    std::vector<sort::CellRun>&);
+    VectorStrategy, const MoverOptions&, PushPath, index_t, index_t);
 template PushPath push_on<pk::Serial>(Species&, const InterpolatorArray&,
                                       TileAccumulator&, const Grid&,
                                       VectorStrategy, const MoverOptions&,
-                                      PushPath, index_t, index_t,
-                                      std::vector<sort::CellRun>&);
+                                      PushPath, index_t, index_t);
 template void push_runs_on<pk::DefaultExecSpace>(
     Species&, const InterpolatorArray&, AccumulatorArray&, const Grid&,
     VectorStrategy, const MoverOptions&, const std::vector<sort::CellRun>&);
+template void push_runs_on<pk::Serial>(Species&, const InterpolatorArray&,
+                                       TileAccumulator&, const Grid&,
+                                       VectorStrategy, const MoverOptions&,
+                                       const std::vector<sort::CellRun>&);
 
 PushPath advance_species(Species& sp, const InterpolatorArray& interp,
                          AccumulatorArray& acc, const Grid& g,
                          VectorStrategy strategy, const MoverOptions& opts,
                          PushPath path) {
   prof::ScopedRegion region("advance_species");
+  const std::size_t exits0 = opts.exits ? opts.exits->size() : 0;
   const PushPath taken = push_on<pk::DefaultExecSpace>(
-      sp, interp, acc, g, strategy, opts, path, 0, sp.np, sp.push_runs);
-  // Pushing moves particles across cells: age the sortedness hint.
-  sp.mark_order_degraded();
+      sp, interp, acc, g, strategy, opts, path, 0, sp.np);
+  // Pushing moves particles across cells. A Standard-sorted species gets
+  // its exact cell order back, unless an exit left a tombstone.
+  const bool tombstones = opts.exits && opts.exits->size() != exits0;
+  if (sp.cell_sorted_hint && !tombstones)
+    sort_particles(sp, sort::SortOrder::Standard, 0, 0, g.nv());
+  else
+    sp.mark_order_degraded();
   return taken;
 }
 

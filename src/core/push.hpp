@@ -21,18 +21,18 @@
 //
 // On cell-sorted particles (Standard order) the Auto/Guided/Manual
 // strategies additionally have *run-aware* variants (docs/PUSH.md): the
-// array is segmented into maximal same-cell runs (sort/runs.hpp), each
-// run broadcasts its cell's interpolator record once instead of gathering
-// it per lane, and accumulates its current into a stack-local record that
-// is deposited with one batch of atomics per run instead of twelve per
-// particle. Cell-crossing particles fall back to the exact move_p path,
-// so the run-aware variants are correct on any particle order and merely
-// fast on sorted ones. Each strategy has ONE body, written against the
-// path (generic: per-particle gather and move_p; run-aware: hoisted
-// record and run-local deposit), and push_on is the one entry — the
-// untiled step, the tile tasks and the ranks all launch through it, on
-// their own execution space. It auto-dispatches using the species'
-// sortedness tracking plus a sampled run probe.
+// push walks the array's maximal same-cell runs (sort/runs.hpp) as it
+// goes, each run broadcasts its cell's interpolator record once instead
+// of gathering it per lane, and accumulates its current into a
+// stack-local record that is deposited with one batch of atomics per run
+// instead of twelve per particle. Cell-crossing particles fall back to
+// the exact move_p path, so the run-aware variants are correct on any
+// particle order and merely fast on sorted ones. Each strategy has ONE
+// body, written against the path (generic: per-particle gather and
+// move_p; run-aware: hoisted record and run-local deposit), and push_on
+// is the one entry — the untiled step, the tile tasks and the ranks all
+// launch through it, on their own execution space. It auto-dispatches
+// using the species' sortedness tracking plus a sampled run probe.
 #pragma once
 
 #include <cstdint>
@@ -112,8 +112,12 @@ struct MoverOptions {
 /// `path` selects the pipeline (see PushPath); the return value is the
 /// pipeline actually taken (Generic or RunAware), which AutoDetect
 /// resolves per call from the species' sortedness state. This is
-/// push_on over [0, np) on the default execution space, followed by one
-/// aging of the species' sortedness hint.
+/// push_on over [0, np) on the default execution space, followed by the
+/// species' order upkeep: a species that has been Standard-sorted
+/// (cell_sorted_hint) is put back in exact cell order by sort_particles
+/// on the team, through its sort scratch, so it leaves with a fresh hint;
+/// a push that left exit tombstones (i = -1, which no cell sort can key)
+/// and a species never Standard-sorted only age the hint.
 ///
 /// Throws std::logic_error when opts.exits is set without opts.exits_mutex
 /// while the default execution space is concurrent: the unlocked
@@ -133,11 +137,12 @@ PushPath advance_species(Species& sp, const InterpolatorArray& interp,
 /// The one push entry (docs/PUSH.md): push particles [n0, n1) of `sp` on
 /// execution space `Space`, depositing into `acc`. It resolves `path`
 /// from the species' sortedness hint plus a run probe of [n0, n1)
-/// (AutoDetect), segments the range into `runs` (the caller's reusable
-/// scratch) on the run-aware path, and launches the strategy's body —
-/// per particle or block on the generic path, per run on the run-aware
-/// path. Returns the path taken. It does not age the sortedness hint;
-/// the step does that once per step.
+/// (AutoDetect) and launches the strategy's body — per particle or block
+/// on the generic path; on the run-aware path one chunk of the range per
+/// member of `Space`, each chunk starting on a run start and walking its
+/// maximal same-cell runs in slot order, finding each run's end as it
+/// goes. Returns the path taken. It neither ages nor restores the
+/// sortedness hint; the step does that once per step.
 ///
 /// Two instantiations exist:
 ///   * pk::DefaultExecSpace into the shared AccumulatorArray (atomic
@@ -155,14 +160,16 @@ template <class Space, class AccA>
 PushPath push_on(Species& sp, const InterpolatorArray& interp, AccA& acc,
                  const Grid& g, VectorStrategy strategy,
                  const MoverOptions& opts, PushPath path, index_t n0,
-                 index_t n1, std::vector<sort::CellRun>& runs);
+                 index_t n1);
 
-/// push_on's run-aware launch alone, over `runs` (maximal same-cell
+/// The run-aware body over an explicit list of `runs` (maximal same-cell
 /// segments from sort::segment_runs) that the caller segmented and
-/// partitioned itself: the overlapped distributed step pushes its
-/// interior runs while the halo exchange is in flight, then its
-/// boundary runs once it lands. Instantiated for pk::DefaultExecSpace
-/// into the shared AccumulatorArray.
+/// partitioned itself: the overlapped distributed step, which owns its
+/// run vectors, pushes its interior runs while the halo exchange is in
+/// flight, then its boundary runs once it lands. Instantiated for
+/// pk::DefaultExecSpace into the shared AccumulatorArray, and for
+/// pk::Serial into a TileAccumulator block, the run-list reference
+/// test_push_runs checks a tile's push_on against.
 ///
 /// Throws std::invalid_argument for VectorStrategy::AdHoc (it has no
 /// run-aware variant; the distributed step falls back to fenced) and the

@@ -164,11 +164,14 @@ void Simulation::finish_tiled_step() {
           (*tiled_runs_used_)[s].load(std::memory_order_relaxed)
               ? PushPath::RunAware
               : PushPath::Generic;
-  // A hook that appended particles leaves them outside every tile range:
-  // force a re-bucket before the next step.
-  for (const auto& sp : species_)
-    if (!sp.tiles.empty() && sp.tiles.back().end != sp.np)
+  // A hook that appended particles leaves them outside every tile range,
+  // and out of cell order: age the hint, so the re-bucket before the next
+  // step checks the order instead of trusting it.
+  for (auto& sp : species_)
+    if (!sp.tiles.empty() && sp.tiles.back().end != sp.np) {
+      sp.mark_order_degraded();
       tiles_dirty_ = true;
+    }
   tile_stats_.tiles = tile_map_.count();
   double imb = 1.0;
   for (const auto& sp : species_) imb = std::max(imb, tile_imbalance(sp));

@@ -4,7 +4,8 @@
 //
 //   per step: load interpolator from fields
 //             clear accumulators
-//             advance particles (gather / Boris / move+deposit)
+//             advance particles (gather / Boris / move+deposit), then
+//               re-sort each Standard-sorted species
 //             reduce+unload accumulators into J
 //             advance B half, advance E, advance B half
 //             (every sort_interval steps) re-sort particles
@@ -77,7 +78,12 @@ struct SimulationConfig {
   // kernels; RunAware forces the fast path (docs/PUSH.md).
   PushPath push_path = PushPath::AutoDetect;
   sort::SortOrder sort_order = sort::SortOrder::Standard;
-  int sort_interval = 20;      // 0 disables sorting
+  // Steps between global sorts in sort_order (0 disables sorting). It
+  // paces the Strided, TiledStrided and Random orders and the first
+  // Standard sort; from then on every step re-sorts a Standard-sorted
+  // species after its push (docs/SORTING.md, "The Standard order, kept
+  // every step"), and the interval skips the species' Standard sort.
+  int sort_interval = 20;
   std::uint32_t sort_tile = 0; // tiled-strided tile size (0: pick default)
   int energy_interval = 0;     // record energies every N steps (0: off)
   std::uint64_t seed = 42;

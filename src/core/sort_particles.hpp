@@ -8,8 +8,8 @@
 //
 //  * cell keys are bounded by grid.nv(), so the sort is a single-pass
 //    counting sort (histogram + scan + stable scatter) rather than a
-//    multi-pass radix sort whenever the measured dispatch model
-//    (sort/dispatch_model.hpp: active_sort_model()) says the histogram
+//    multi-pass radix sort whenever the particle sort's measured budget
+//    (sort/dispatch_model.hpp: particle_sort_model()) says the histogram
 //    traffic is cheap relative to np;
 //  * the Standard order with a known key bound reads each particle's
 //    voxel where it lives — from the record on AoS, from the cell plane
@@ -126,8 +126,9 @@ inline void sort_particles(Species& sp, sort::SortOrder order,
 
   // Counting-vs-radix dispatch: the hard applicability limits stay
   // structural inside counting_sort_applicable; the cost crossover is the
-  // measured sort::active_sort_model().
-  const bool use_counting = sort::counting_sort_applicable(n, bound, nthreads);
+  // particle sort's measured budget, sort::particle_sort_model().
+  const bool use_counting = sort::counting_sort_applicable(
+      n, bound, nthreads, sort::particle_sort_model());
   prof::counter_add(use_counting ? "sort.dispatch.counting"
                                  : "sort.dispatch.radix");
 

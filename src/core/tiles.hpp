@@ -11,7 +11,8 @@
 // Tiles exist to turn each (phase x tile) pair into a StepGraph task for
 // the work-stealing pool (pk/stealing.hpp):
 //   * each tile owns a contiguous particle index range of every species
-//     (re-established by bucket_by_tile at sort steps, and carried
+//     (re-established by bucket_by_tile at sort steps and, for a
+//     Standard-sorted species, after every push round, and carried
 //     through a checkpoint so a tiled restore resumes the same order),
 //   * each tile pushes its range with push_on<pk::Serial> (core/push.hpp),
 //     dispatched off the species' sortedness plus the tile's own run

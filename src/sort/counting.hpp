@@ -44,13 +44,16 @@ inline constexpr std::uint64_t kMaxCountingBound = std::uint64_t{1} << 30;
 /// the bound: the O((nthreads + 1) * key_bound) zero/scan work, and the
 /// scatter's write-stream spread (one open cache line per bucket, vs 256
 /// per radix pass). The hard limits (n > 0, bound fits the histogram) are
-/// structural; the cost crossover itself is the measured
-/// sort::active_sort_model() (dispatch_model.hpp). PIC cell keys (ppc >= 8,
-/// so nv <= n/8) stay comfortably inside the counting regime.
-inline bool counting_sort_applicable(index_t n, std::uint64_t key_bound,
-                                     int nthreads) noexcept {
+/// structural; the cost crossover itself is the measured `model`
+/// (dispatch_model.hpp): the View-level sort::active_sort_model() by
+/// default, sort::particle_sort_model() for the particle sort. PIC cell
+/// keys (ppc >= 8, so nv <= n/8) stay comfortably inside the counting
+/// regime.
+inline bool counting_sort_applicable(
+    index_t n, std::uint64_t key_bound, int nthreads,
+    const SortDispatchModel& model = active_sort_model()) noexcept {
   if (n <= 0 || key_bound == 0 || key_bound > kMaxCountingBound) return false;
-  return active_sort_model().counting_applicable(n, key_bound, nthreads);
+  return model.counting_applicable(n, key_bound, nthreads);
 }
 
 namespace detail {

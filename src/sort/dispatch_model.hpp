@@ -2,8 +2,11 @@
 //
 // The counting-vs-radix dispatch cost model, as data: one inequality whose
 // two coefficients were measured on the reference host (docs/SORTING.md,
-// docs/LAYOUT.md "Dispatch constants"). Header-only and pk-only so both
-// the sort library and the engine share one model with no layering cycle.
+// docs/LAYOUT.md "Dispatch constants"). The View-level sort_by_key and
+// the particle sort (core::sort_particles) each have their own budget:
+// their counting passes move different records and cross over at
+// different histogram sizes. Header-only and pk-only so the sort library
+// and the engine share the models with no layering cycle.
 #pragma once
 
 #include <algorithm>
@@ -34,11 +37,29 @@ struct SortDispatchModel {
   }
 };
 
-/// Process-wide active model. sort_by_key and core::sort_particles read
-/// it on every dispatch; bench/layout_dispatch.cpp pins it to each side of
-/// the crossover to time both sort backends.
+/// The View-level sort_by_key's model, process-wide: it reads it on
+/// every dispatch, and bench/layout_dispatch.cpp pins it to each side of
+/// the crossover to time both backends.
 inline SortDispatchModel& active_sort_model() noexcept {
   static SortDispatchModel model = {};
+  return model;
+}
+
+/// The particle sort's budget: its counting pass scatters whole particle
+/// records keyed by the voxel read in place. On 32^3-48^3 LPI decks
+/// (bench/layout_dispatch) it beat radix at every ppc from 2 to 16 at 1
+/// and 4 threads, (nthreads + 1) * nv / n <= 4.8; the median
+/// counting/radix time ratio reached 0.97 at 7.5-7.7 and 1.13 at 9.4-9.7
+/// (ppc 1 at 3 and 4 threads). The crossover, with its spread, is in
+/// docs/SORTING.md.
+inline constexpr SortDispatchModel kParticleSortModel{
+    8.0, SortDispatchModel{}.cells_floor};
+
+/// The particle sort's model, process-wide: core::sort_particles reads it
+/// on every dispatch, and bench/layout_dispatch.cpp pins it to each side
+/// of the crossover to time both backends.
+inline SortDispatchModel& particle_sort_model() noexcept {
+  static SortDispatchModel model = kParticleSortModel;
   return model;
 }
 

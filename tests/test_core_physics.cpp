@@ -5,11 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "core/core.hpp"
+#include "prof/prof.hpp"
 
 namespace core = vpic::core;
 namespace pk = vpic::pk;
+namespace prof = vpic::prof;
 using core::Grid;
 using pk::index_t;
 
@@ -394,6 +398,62 @@ TEST(Fdtd, UniformFieldIsSteadyState) {
   // curl of uniform fields is zero: nothing changes.
   EXPECT_FLOAT_EQ(f.ex(g.voxel(4, 4, 4)), 0.5f);
   EXPECT_FLOAT_EQ(f.bz(g.voxel(2, 3, 4)), 3.0f);
+}
+
+TEST(Fdtd, GhostUpdateMatchesPerComponentSweepsInThreeKernels) {
+  // A random field, ghosts included; the reference copies each component's
+  // ghosts x, then y, then z, one component after another.
+  const Grid g = small_grid(6);
+  core::FieldArray f(g);
+  pk::View<float, 1>* comps[6] = {&f.ex, &f.ey, &f.ez, &f.bx, &f.by, &f.bz};
+  std::uint64_t state = 0x9e3779b97f4a7c15ull;
+  for (auto* c : comps)
+    for (index_t v = 0; v < g.nv(); ++v) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      (*c)(v) = static_cast<float>(static_cast<double>(state >> 40) /
+                                   static_cast<double>(1 << 24)) - 0.5f;
+    }
+  std::vector<std::vector<float>> want;
+  for (auto* c : comps) {
+    std::vector<float> w(c->data(), c->data() + g.nv());
+    const auto at = [&](int x, int y, int z) -> float& {
+      return w[static_cast<std::size_t>(g.voxel(x, y, z))];
+    };
+    for (int z = 0; z < g.sz(); ++z)
+      for (int y = 0; y < g.sy(); ++y) {
+        at(0, y, z) = at(g.nx, y, z);
+        at(g.nx + 1, y, z) = at(1, y, z);
+      }
+    for (int z = 0; z < g.sz(); ++z)
+      for (int x = 0; x < g.sx(); ++x) {
+        at(x, 0, z) = at(x, g.ny, z);
+        at(x, g.ny + 1, z) = at(x, 1, z);
+      }
+    for (int y = 0; y < g.sy(); ++y)
+      for (int x = 0; x < g.sx(); ++x) {
+        at(x, y, 0) = at(x, y, g.nz);
+        at(x, y, g.nz + 1) = at(x, y, 1);
+      }
+    want.push_back(std::move(w));
+  }
+
+  prof::enable(prof::Mode::Summary);
+  prof::reset();
+  {
+    prof::ScopedRegion call("ghosts");
+    f.update_ghosts_periodic();
+  }
+  const prof::Report r = prof::report();
+  prof::disable();
+  for (std::size_t k = 0; k < 6; ++k)
+    EXPECT_EQ(std::memcmp(comps[k]->data(), want[k].data(),
+                          want[k].size() * sizeof(float)),
+              0)
+        << "component " << k;
+  std::uint64_t kernels = 0;
+  for (const auto& region : r.regions)
+    if (region.path.rfind("ghosts/", 0) == 0) kernels += region.count;
+  EXPECT_EQ(kernels, 3u);
 }
 
 TEST(Fdtd, GhostLayersMirrorPeriodically) {

@@ -1,12 +1,15 @@
 // Run-aware push pipeline tests (docs/PUSH.md): run segmentation and the
 // sampled sortedness probe, physics equivalence of the run-aware variants
 // against the generic per-particle kernels on sorted / unsorted /
-// adversarial particle orders, charge conservation through the fast path,
-// the AutoDetect dispatch heuristic plus Species sortedness tracking, the
+// adversarial particle orders, the run-aware launch's runs found during
+// the push against an explicit run list, charge conservation through the
+// fast path, the AutoDetect dispatch heuristic plus Species sortedness
+// tracking, the Standard order kept every step in both step shapes, the
 // Simulation-level plumbing, and the exit-queue concurrency guard.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <mutex>
 #include <numeric>
 #include <vector>
@@ -78,6 +81,26 @@ struct PushOutcome {
   core::PushPath path;
 };
 
+std::vector<float> flatten(const core::AccumulatorArray& acc) {
+  std::vector<float> out;
+  const auto& a = acc.a;
+  for (index_t v = 0; v < a.size(); ++v)
+    for (int c = 0; c < 4; ++c) {
+      out.push_back(a(v).jx[c]);
+      out.push_back(a(v).jy[c]);
+      out.push_back(a(v).jz[c]);
+    }
+  return out;
+}
+
+std::vector<core::Particle> particles_of(const core::Species& sp) {
+  std::vector<core::Particle> out(static_cast<std::size_t>(sp.np));
+  sp.p.export_aos(out.data(), sp.np);
+  return out;
+}
+
+/// The push alone (push_on over the whole species, no re-sort) from
+/// `initial`, into a cleared accumulator.
 PushOutcome push_once(core::Simulation& sim,
                       const std::vector<core::Particle>& initial,
                       core::VectorStrategy strat, core::PushPath path) {
@@ -86,19 +109,34 @@ PushOutcome push_once(core::Simulation& sim,
   sim.interpolator().load(sim.fields());
   sim.accumulator().clear();
   PushOutcome out;
-  out.path = core::advance_species(sp, sim.interpolator(),
-                                   sim.accumulator(), sim.grid(), strat,
-                                   {}, path);
-  out.particles.resize(static_cast<std::size_t>(sp.np));
-  sp.p.export_aos(out.particles.data(), sp.np);
-  const auto& a = sim.accumulator().a;
-  for (index_t v = 0; v < a.size(); ++v)
-    for (int c = 0; c < 4; ++c) {
-      out.acc.push_back(a(v).jx[c]);
-      out.acc.push_back(a(v).jy[c]);
-      out.acc.push_back(a(v).jz[c]);
-    }
+  out.path = core::push_on<pk::DefaultExecSpace>(
+      sp, sim.interpolator(), sim.accumulator(), sim.grid(), strat, {}, path,
+      0, sp.np);
+  out.particles = particles_of(sp);
+  out.acc = flatten(sim.accumulator());
   return out;
+}
+
+template <class T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+/// Reorder per the test's order index: 0 cell-sorted, 1 random,
+/// 2 adversarial alternating cells.
+void apply_order(core::Species& sp, int order, index_t key_bound) {
+  switch (order) {
+    case 0:
+      core::sort_particles(sp, vs::SortOrder::Standard, 0, 1, key_bound);
+      break;
+    case 1:
+      core::sort_particles(sp, vs::SortOrder::Random, 0, 99);
+      break;
+    case 2:
+      adversarial_order(sp, key_bound);
+      break;
+  }
 }
 
 }  // namespace
@@ -203,20 +241,10 @@ TEST_P(RunAwareEquivalence, MatchesGenericPush) {
 
   auto sim = make_sim(strat, 4, 7, layout);
   auto& sp = sim.species(0);
-  switch (order) {
-    case 0:  // cell-sorted: the fast path's home turf
-      core::sort_particles(sp, vs::SortOrder::Standard, 0, 1,
-                           sim.grid().nv());
-      break;
-    case 1:  // random order: all-fallback stress
-      core::sort_particles(sp, vs::SortOrder::Random, 0, 99);
-      break;
-    case 2:  // adversarial alternating cells: maximally short runs
-      adversarial_order(sp, sim.grid().nv());
-      break;
-  }
-  std::vector<core::Particle> initial(static_cast<std::size_t>(sp.np));
-  sp.p.export_aos(initial.data(), sp.np);
+  // Cell-sorted is the fast path's home turf; random order is an
+  // all-fallback stress; adversarial order has maximally short runs.
+  apply_order(sp, order, sim.grid().nv());
+  const std::vector<core::Particle> initial = particles_of(sp);
 
   const PushOutcome generic =
       push_once(sim, initial, strat, core::PushPath::Generic);
@@ -260,6 +288,101 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Range(0, 3),   // sorted/random/adversarial
                        ::testing::Range(0, core::kNumParticleLayouts)),
     equivalence_name);
+
+// ----------------------------------------------------------------------
+// The run-aware launch finds its runs while it pushes. At one thread, and
+// in a tile, it pushes the same runs in the same order as the run-list
+// body (push_runs_on over sort::segment_runs), so particles and currents
+// are bit-identical to it on any order.
+// ----------------------------------------------------------------------
+
+class RunsFoundDuringPush
+    : public ::testing::TestWithParam<std::tuple<int, int>> {
+ protected:
+  void SetUp() override { pk::initialize(1); }
+  void TearDown() override { pk::initialize(); }
+};
+
+TEST_P(RunsFoundDuringPush, MatchesRunListPushAtOneThread) {
+  const auto strat =
+      static_cast<core::VectorStrategy>(std::get<0>(GetParam()));
+  auto sim = make_sim(strat, 4, 11);
+  auto& sp = sim.species(0);
+  apply_order(sp, std::get<1>(GetParam()), sim.grid().nv());
+  const std::vector<core::Particle> initial = particles_of(sp);
+
+  const PushOutcome found =
+      push_once(sim, initial, strat, core::PushPath::RunAware);
+  ASSERT_EQ(found.path, core::PushPath::RunAware);
+
+  sp.p.import_aos(initial.data(), sp.np);
+  sim.accumulator().clear();
+  std::vector<vs::CellRun> runs;
+  const auto& pp = sp.p;
+  vs::segment_runs(sp.np, [&pp](index_t i) { return pp.cell(i); }, runs);
+  core::push_runs_on<pk::DefaultExecSpace>(sp, sim.interpolator(),
+                                           sim.accumulator(), sim.grid(),
+                                           strat, {}, runs);
+  EXPECT_TRUE(same_bytes(found.particles, particles_of(sp)));
+  EXPECT_TRUE(same_bytes(found.acc, flatten(sim.accumulator())));
+}
+
+TEST_P(RunsFoundDuringPush, MatchesRunListPushInATile) {
+  const auto strat =
+      static_cast<core::VectorStrategy>(std::get<0>(GetParam()));
+  auto sim = make_sim(strat, 4, 13);
+  auto& sp = sim.species(0);
+  apply_order(sp, std::get<1>(GetParam()), sim.grid().nv());
+  const std::vector<core::Particle> initial = particles_of(sp);
+  sim.interpolator().load(sim.fields());
+  const core::TileMap tm(sim.grid(), 3);
+  // A range that starts mid-run and off the Manual width.
+  const index_t n0 = sp.np / 3 + 5, n1 = 2 * sp.np / 3 + 2;
+
+  // Each side deposits into its own tile block, merged into a cleared
+  // shared array.
+  const auto merged = [&](const core::TileAccumulator& blk) {
+    sim.accumulator().clear();
+    blk.merge_into(sim.accumulator());
+    return flatten(sim.accumulator());
+  };
+  core::TileAccumulator blk(sim.grid(), tm, 1);
+  blk.clear();
+  ASSERT_EQ(core::push_on<pk::Serial>(sp, sim.interpolator(), blk,
+                                      sim.grid(), strat, {},
+                                      core::PushPath::RunAware, n0, n1),
+            core::PushPath::RunAware);
+  const std::vector<core::Particle> tiled = particles_of(sp);
+  const std::vector<float> tiled_acc = merged(blk);
+
+  sp.p.import_aos(initial.data(), sp.np);
+  blk.clear();
+  std::vector<vs::CellRun> runs;
+  const auto& pp = sp.p;
+  vs::segment_runs(
+      n1 - n0, [&pp, n0](index_t i) { return pp.cell(n0 + i); }, runs);
+  for (vs::CellRun& r : runs) r.begin += n0;
+  core::push_runs_on<pk::Serial>(sp, sim.interpolator(), blk, sim.grid(),
+                                 strat, {}, runs);
+  EXPECT_TRUE(same_bytes(tiled, particles_of(sp)));
+  EXPECT_TRUE(same_bytes(tiled_acc, merged(blk)));
+}
+
+namespace {
+std::string runs_found_name(
+    const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
+  static const char* strats[] = {"Auto", "Guided", "Manual"};
+  static const char* orders[] = {"Sorted", "Random", "Adversarial"};
+  return std::string(strats[std::get<0>(info.param)]) +
+         orders[std::get<1>(info.param)];
+}
+}  // namespace
+
+INSTANTIATE_TEST_SUITE_P(
+    StrategiesByOrders, RunsFoundDuringPush,
+    ::testing::Combine(::testing::Range(0, 3),   // Auto, Guided, Manual
+                       ::testing::Range(0, 3)),  // sorted/random/adversarial
+    runs_found_name);
 
 // ----------------------------------------------------------------------
 // Charge conservation through the forced run-aware path.
@@ -342,7 +465,19 @@ TEST(PushDispatch, AutoDetectTakesRunAwareOnFreshSort) {
       sp, sim.interpolator(), sim.accumulator(), sim.grid(),
       core::VectorStrategy::Guided);  // default AutoDetect
   EXPECT_EQ(path, core::PushPath::RunAware);
-  // The push itself degrades the order hint by one step.
+  // advance_species puts a Standard-sorted species back in exact cell
+  // order, so the hint stays fresh.
+  EXPECT_TRUE(sp.cell_sorted_hint);
+  EXPECT_EQ(sp.steps_since_sort, 0);
+  EXPECT_TRUE(vs::cell_sorted_exact(sp.cell_keys()));
+  // The push alone leaves the order to decay; its caller ages the hint.
+  sim.accumulator().clear();
+  EXPECT_EQ(core::push_on<pk::DefaultExecSpace>(
+                sp, sim.interpolator(), sim.accumulator(), sim.grid(),
+                core::VectorStrategy::Guided, {}, core::PushPath::AutoDetect,
+                0, sp.np),
+            core::PushPath::RunAware);
+  sp.mark_order_degraded();
   EXPECT_EQ(sp.steps_since_sort, 1);
 }
 
@@ -437,7 +572,8 @@ TEST(BenchDeckDispatch, CountingSortForEverySpeciesAtOneToFourThreads) {
     for (std::size_t s = 0; s < sim.num_species(); ++s)
       for (const int threads : {1, 2, 4})
         EXPECT_TRUE(
-            vs::counting_sort_applicable(sim.species(s).np, nv, threads))
+            vs::counting_sort_applicable(sim.species(s).np, nv, threads,
+                                         vs::particle_sort_model()))
             << deck << " species " << sim.species(s).name << " at "
             << threads << " threads";
   };
@@ -453,10 +589,15 @@ TEST(BenchDeckDispatch, LpiRunAwareWhenSortedGenericWhenScrambled) {
   auto& sp = sim.species(0);
   const index_t nv = sim.grid().nv();
   sim.interpolator().load(sim.fields());
+  // The push alone, aged like a step that does not re-sort: the run probe
+  // decides once the hint is stale.
   auto push = [&] {
     sim.accumulator().clear();
-    return core::advance_species(sp, sim.interpolator(), sim.accumulator(),
-                                 sim.grid(), core::VectorStrategy::Auto);
+    const auto path = core::push_on<pk::DefaultExecSpace>(
+        sp, sim.interpolator(), sim.accumulator(), sim.grid(),
+        core::VectorStrategy::Auto, {}, core::PushPath::AutoDetect, 0, sp.np);
+    sp.mark_order_degraded();
+    return path;
   };
 
   core::sort_particles(sp, vs::SortOrder::Standard, 0, 1, nv);
@@ -468,6 +609,103 @@ TEST(BenchDeckDispatch, LpiRunAwareWhenSortedGenericWhenScrambled) {
   sp.cell_sorted_hint = true;
   sp.steps_since_sort = 1;
   EXPECT_EQ(push(), core::PushPath::Generic);
+}
+
+// ----------------------------------------------------------------------
+// The Standard order is kept every step (docs/SORTING.md): once the sort
+// interval has Standard-sorted a species, every step leaves it exactly in
+// cell order with a fresh hint — untiled through advance_species'
+// re-sort, tiled through the sort_after_push phase, whose tile ranges are
+// then exact.
+// ----------------------------------------------------------------------
+
+/// sp's records as a stable Standard sort of a private copy leaves them.
+std::vector<core::Particle> standard_sorted_copy(const core::Species& sp,
+                                                 index_t nv) {
+  core::Species copy("copy", sp.q, sp.m, sp.np, sp.layout());
+  const std::vector<core::Particle> recs = particles_of(sp);
+  copy.p.import_aos(recs.data(), sp.np);
+  copy.np = sp.np;
+  core::sort_particles(copy, vs::SortOrder::Standard, 0, 0, nv);
+  return particles_of(copy);
+}
+
+void expect_kept_sorted_for_100_steps(bool tiled) {
+  core::decks::LpiParams p;
+  p.nx = 16;
+  p.ny = 8;
+  p.nz = 8;
+  p.ppc = 8;
+  auto sim = core::decks::make_lpi(p);
+  if (tiled) {
+    sim.config().tiles.enabled = true;
+    sim.config().tiles.count = 4;
+    sim.config().tiles.workers = 2;
+  }
+  const int first_sort = sim.config().sort_interval;
+  ASSERT_GT(first_sort, 0);
+  const index_t nv = sim.grid().nv();
+  for (int step = 1; step <= 100; ++step) {
+    sim.step();
+    if (step < first_sort) continue;
+    for (std::size_t s = 0; s < sim.num_species(); ++s) {
+      const core::Species& sp = sim.species(s);
+      SCOPED_TRACE("step " + std::to_string(step) + ", species " + sp.name);
+      ASSERT_TRUE(sp.cell_sorted_hint);
+      ASSERT_EQ(sp.steps_since_sort, 0);
+      ASSERT_TRUE(same_bytes(particles_of(sp), standard_sorted_copy(sp, nv)));
+      if (!tiled) continue;
+      const core::TileMap& tm = sim.tile_map();
+      ASSERT_TRUE(core::tiles_cover(sp, static_cast<std::size_t>(tm.count())));
+      for (int t = 0; t < tm.count(); ++t) {
+        const core::TileSlot& slot = sp.tiles[static_cast<std::size_t>(t)];
+        for (index_t i = slot.begin; i < slot.end; ++i)
+          ASSERT_EQ(tm.tile_of_voxel(sp.p.cell(i)), t) << "slot " << i;
+      }
+    }
+  }
+}
+
+TEST(KeptSorted, UntiledStepLeavesExactStandardOrder) {
+  expect_kept_sorted_for_100_steps(false);
+}
+
+TEST(KeptSorted, TiledStepLeavesExactStandardOrderAndTileRanges) {
+  expect_kept_sorted_for_100_steps(true);
+}
+
+TEST(KeptSorted, PushThatLeavesExitTombstonesIsNotResorted) {
+  auto sim = make_sim(core::VectorStrategy::Auto);
+  auto& sp = sim.species(0);
+  core::sort_particles(sp, vs::SortOrder::Standard, 0, 1, sim.grid().nv());
+  sim.interpolator().load(sim.fields());
+  sim.accumulator().clear();
+  std::vector<core::ExitRecord> exits;
+  std::mutex m;
+  core::MoverOptions opts;
+  opts.periodic_mask = 0b011;  // the z faces are open
+  opts.exits = &exits;
+  opts.exits_mutex = &m;
+  core::advance_species(sp, sim.interpolator(), sim.accumulator(),
+                        sim.grid(), core::VectorStrategy::Auto, opts);
+  ASSERT_FALSE(exits.empty());
+  // The tombstones stay where their particles were, and the hint ages.
+  std::size_t tombstones = 0;
+  for (index_t i = 0; i < sp.np; ++i) tombstones += sp.p.cell(i) < 0;
+  EXPECT_EQ(tombstones, exits.size());
+  EXPECT_TRUE(sp.cell_sorted_hint);
+  EXPECT_EQ(sp.steps_since_sort, 1);
+
+  // A push with an exit queue that exits nothing is re-sorted.
+  core::compact_exited(sp);
+  exits.clear();
+  opts.periodic_mask = 0b111;
+  sim.accumulator().clear();
+  core::advance_species(sp, sim.interpolator(), sim.accumulator(),
+                        sim.grid(), core::VectorStrategy::Auto, opts);
+  EXPECT_TRUE(exits.empty());
+  EXPECT_EQ(sp.steps_since_sort, 0);
+  EXPECT_TRUE(vs::cell_sorted_exact(sp.cell_keys()));
 }
 
 // ----------------------------------------------------------------------
