@@ -421,8 +421,7 @@ int main(int argc, char** argv) {
   auto codec_sim = make_sim(p, /*slow_churn=*/true);
   codec_sim.run(p.steps);
   const auto& sp = codec_sim.species(0);
-  std::vector<core::Particle> parts(static_cast<std::size_t>(sp.np));
-  sp.p.export_aos(parts.data(), sp.np);
+  const std::vector<core::Particle> parts(sp.p.data(), sp.p.data() + sp.np);
   const auto* raw = reinterpret_cast<const std::byte*>(parts.data());
   const std::size_t raw_bytes = parts.size() * sizeof(core::Particle);
   // Into one buffer sized once, as a chain snapshot encodes into its

@@ -17,7 +17,7 @@ namespace core = vpic::core;
 namespace bench = vpic::bench;
 
 core::Simulation make_deck(core::VectorStrategy strat, int nx, int ny,
-                           int nz, int ppc, core::ParticleLayout layout) {
+                           int nz, int ppc) {
   core::decks::LpiParams p;
   p.nx = nx;
   p.ny = ny;
@@ -25,7 +25,6 @@ core::Simulation make_deck(core::VectorStrategy strat, int nx, int ny,
   p.ppc = ppc;
   p.strategy = strat;
   p.sort_interval = 0;  // measure the push alone, steady particle order
-  p.layout = layout;
   auto sim = core::decks::make_lpi(p);
   sim.run(2);  // warm: fields and particle distribution realistic
   return sim;
@@ -39,29 +38,18 @@ int main(int argc, char** argv) {
   const int nz = static_cast<int>(bench::flag(argc, argv, "nz", 12));
   const int ppc = static_cast<int>(bench::flag(argc, argv, "ppc", 24));
   const int reps = static_cast<int>(bench::flag(argc, argv, "reps", 10));
-  // Particle storage layout under test (--layout=aos|soa): the
-  // strategies are compiled once and instantiated per layout, so Fig. 4
-  // can be replayed on either.
-  const std::string layout_s = bench::flag_str(argc, argv, "layout", "aos");
-  const auto layout_opt = core::parse_particle_layout(layout_s);
-  if (!layout_opt) {
-    std::fprintf(stderr, "unknown --layout=%s (aos|soa)\n",
-                 layout_s.c_str());
-    return 1;
-  }
-  const core::ParticleLayout layout = *layout_opt;
 
   std::printf(
       "== Figure 4: particle push runtime vs vectorization strategy "
-      "==\nLPI deck %dx%dx%d, ppc %d, %d reps, layout %s\n\n",
-      nx, ny, nz, ppc, reps, core::to_string(layout));
+      "==\nLPI deck %dx%dx%d, ppc %d, %d reps\n\n",
+      nx, ny, nz, ppc, reps);
 
   bench::Table t({"strategy", "particles", "push (ms)", "Mp/s", "vs auto"});
   double auto_ms = 0;
   for (const auto strat :
        {core::VectorStrategy::Auto, core::VectorStrategy::Guided,
         core::VectorStrategy::Manual, core::VectorStrategy::AdHoc}) {
-    auto sim = make_deck(strat, nx, ny, nz, ppc, layout);
+    auto sim = make_deck(strat, nx, ny, nz, ppc);
     auto& interp = sim.interpolator();
     auto& acc = sim.accumulator();
     interp.load(sim.fields());
@@ -90,7 +78,6 @@ int main(int argc, char** argv) {
 
     bench::Json j("fig4_push_vectorization");
     j.field("strategy", core::to_string(strat))
-        .field("layout", core::to_string(layout))
         .field("particles", np)
         .timing("push", tm)
         .field("mparticles_per_s", mps);

@@ -84,26 +84,21 @@ int main(int argc, char** argv) {
           .field("pushes_per_ns", res.pushes_per_ns);
       j.print();
     }
-    // Run-aware pipeline on the standard (cell-sorted) order, per particle
-    // layout: the run-segmentation key sweep streams a full 32 B record
-    // through AoS but only the 4 B cell plane for SoA
-    // (core/particle_layout.hpp), so the layouts model differently here.
-    for (const core::ParticleLayout layout : core::kAllParticleLayouts) {
+    // Run-aware pipeline on the standard (cell-sorted) order: its
+    // run-segmentation key sweep streams one more 32 B record per particle.
+    {
       gpusim::PushModelParams pm;
       pm.run_aware = true;
-      pm.layout = layout;
       const auto cells =
           order_cells(keys, sort::SortOrder::Standard, tile);
       const auto res = gpusim::model_push(dev, cells, grid_points, pm);
       const double ms = res.timing.seconds * 1e3;
       best_ms = std::min(best_ms, ms);
-      if (layout == core::ParticleLayout::AoS)
-        row.push_back(bench::fmt("%.4f", ms));
+      row.push_back(bench::fmt("%.4f", ms));
 
       bench::Json j("fig7_push_sorting_gpu");
       j.field("gpu", name)
-          .field("order", std::string("standard+run_aware/") +
-                              core::to_string(layout))
+          .field("order", "standard+run_aware")
           .field("particles", static_cast<std::int64_t>(res.particles))
           .field("runs", static_cast<std::int64_t>(res.runs))
           .field("push_ms", ms)

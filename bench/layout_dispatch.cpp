@@ -1,7 +1,7 @@
-// layout_dispatch — per-particle-layout push and sort timings on both
+// layout_dispatch — push and sort timings of the particle store on both
 // sides of each dispatch crossover, and the side the dispatch constants
-// pick. For each of AoS and SoA it times, on the same cell-sorted
-// LPI deck the push_pipeline bench uses:
+// pick. It times, on the same cell-sorted LPI deck the push_pipeline
+// bench uses:
 //
 //   * the generic vs run-aware Manual push (push_on alone, aged like a
 //     step that does not re-sort), and the path AutoDetect picks under the
@@ -13,8 +13,8 @@
 //     with an index payload, and the backend the View-level model
 //     (sort::active_sort_model()) picks;
 //
-// and emits one JSON record per layout into BENCH_layout_dispatch.json
-// (schema vpic-bench-v1) with the constants, the thread count and the
+// and emits one JSON record into BENCH_layout_dispatch.json (schema
+// vpic-bench-v1) with the constants, the thread count and the
 // deck's histogram-to-particle ratio (nthreads + 1) * nv / n alongside the
 // raw timings, so a reader can audit the crossovers against the
 // measurements; docs/SORTING.md sweeps it over threads and ppc.
@@ -45,19 +45,14 @@ using pk::index_t;
 // CI runner must not flake the guard).
 constexpr double kSmokeTolerance = 1.25;
 
-struct Snapshot {
-  std::vector<std::vector<core::Particle>> p;  // canonical AoS records
-  std::vector<index_t> np;
-};
+/// Each species' live particle records.
+using Snapshot = std::vector<std::vector<core::Particle>>;
 
 Snapshot take_snapshot(core::Simulation& sim) {
   Snapshot s;
   for (std::size_t i = 0; i < sim.num_species(); ++i) {
-    auto& sp = sim.species(i);
-    std::vector<core::Particle> copy(static_cast<std::size_t>(sp.np));
-    sp.p.export_aos(copy.data(), sp.np);
-    s.p.push_back(std::move(copy));
-    s.np.push_back(sp.np);
+    const auto& sp = sim.species(i);
+    s.emplace_back(sp.p.data(), sp.p.data() + sp.np);
   }
   return s;
 }
@@ -65,8 +60,8 @@ Snapshot take_snapshot(core::Simulation& sim) {
 void restore_snapshot(core::Simulation& sim, const Snapshot& s) {
   for (std::size_t i = 0; i < sim.num_species(); ++i) {
     auto& sp = sim.species(i);
-    sp.p.import_aos(s.p[i].data(), s.np[i]);
-    sp.np = s.np[i];
+    std::copy(s[i].begin(), s[i].end(), sp.p.data());
+    sp.np = static_cast<index_t>(s[i].size());
   }
 }
 
@@ -113,7 +108,7 @@ int main(int argc, char** argv) {
       vpic::sort::active_sort_model();
   const int nthreads = pk::DefaultExecSpace::concurrency();
   std::printf(
-      "== layout_dispatch: per-layout push/sort timings under the dispatch "
+      "== layout_dispatch: push/sort timings under the dispatch "
       "constants ==\nLPI deck %dx%dx%d, ppc %d, %d reps, %d threads\n"
       "push gates: min_particles=%lld max_stale=%d min_mean_run=%g; "
       "particle sort budget: cells_per_n=%g cells_floor=%g; "
@@ -123,198 +118,190 @@ int main(int argc, char** argv) {
       gates.min_mean_run, model.cells_per_n, model.cells_floor,
       view_model.cells_per_n, view_model.cells_floor);
 
-  bench::Table t({"layout", "particles", "cells/n", "generic (ms)",
+  bench::Table t({"particles", "cells/n", "generic (ms)",
                   "run-aware (ms)", "auto picks", "sort count (ms)",
                   "sort radix (ms)", "budget picks", "view count (ms)",
                   "view radix (ms)", "view picks", "dispatch ok"});
-  bool ok = true;
 
-  for (const core::ParticleLayout layout : core::kAllParticleLayouts) {
-    core::decks::LpiParams p;
-    p.nx = nx;
-    p.ny = ny;
-    p.nz = nz;
-    p.ppc = ppc;
-    p.strategy = core::VectorStrategy::Manual;
-    p.sort_interval = 0;  // sorts are timed explicitly below
-    p.layout = layout;
-    auto sim = core::decks::make_lpi(p);
-    sim.run(2);  // realistic fields + phase-mixed distribution
+  core::decks::LpiParams p;
+  p.nx = nx;
+  p.ny = ny;
+  p.nz = nz;
+  p.ppc = ppc;
+  p.strategy = core::VectorStrategy::Manual;
+  p.sort_interval = 0;  // sorts are timed explicitly below
+  auto sim = core::decks::make_lpi(p);
+  sim.run(2);  // realistic fields + phase-mixed distribution
 
-    // Phase-mixed order for the sort timings...
-    const Snapshot mixed = take_snapshot(sim);
-    index_t total_np = 0;
-    for (std::size_t s = 0; s < sim.num_species(); ++s)
-      total_np += sim.species(s).np;
-    const index_t nv = sim.grid().nv();
+  // Phase-mixed order for the sort timings...
+  const Snapshot mixed = take_snapshot(sim);
+  index_t total_np = 0;
+  for (std::size_t s = 0; s < sim.num_species(); ++s)
+    total_np += sim.species(s).np;
+  const index_t nv = sim.grid().nv();
 
-    // ...then cell-sorted order for the push timings.
-    for (std::size_t s = 0; s < sim.num_species(); ++s)
-      core::sort_particles(sim.species(s), vpic::sort::SortOrder::Standard,
-                           0, 1, nv);
-    sim.interpolator().load(sim.fields());
-    const Snapshot sorted = take_snapshot(sim);
-    auto& interp = sim.interpolator();
-    auto& acc = sim.accumulator();
+  // ...then cell-sorted order for the push timings.
+  for (std::size_t s = 0; s < sim.num_species(); ++s)
+    core::sort_particles(sim.species(s), vpic::sort::SortOrder::Standard,
+                         0, 1, nv);
+  sim.interpolator().load(sim.fields());
+  const Snapshot sorted = take_snapshot(sim);
+  auto& interp = sim.interpolator();
+  auto& acc = sim.accumulator();
 
-    // The push alone: push_on plus the hint's aging, without
-    // advance_species' re-sort.
-    auto push = [&](core::Species& sp, core::PushPath path) {
-      const core::PushPath taken = core::push_on<pk::DefaultExecSpace>(
-          sp, interp, acc, sim.grid(), core::VectorStrategy::Manual, {}, path,
-          0, sp.np);
-      sp.mark_order_degraded();
-      return taken;
-    };
-    auto time_push = [&](core::PushPath path) {
-      return bench::time_reps(
-          reps, 1,
-          [&] {
-            for (std::size_t s = 0; s < sim.num_species(); ++s)
-              push(sim.species(s), path);
-          },
-          [&](int) {
-            restore_snapshot(sim, sorted);
-            for (std::size_t s = 0; s < sim.num_species(); ++s)
-              sim.species(s).mark_sorted(true);
-            acc.clear();
-          });
-    };
-    const bench::Timing tm_gen = time_push(core::PushPath::Generic);
-    const bench::Timing tm_run = time_push(core::PushPath::RunAware);
+  // The push alone: push_on plus the hint's aging, without
+  // advance_species' re-sort.
+  auto push = [&](core::Species& sp, core::PushPath path) {
+    const core::PushPath taken = core::push_on<pk::DefaultExecSpace>(
+        sp, interp, acc, sim.grid(), core::VectorStrategy::Manual, {}, path,
+        0, sp.np);
+    sp.mark_order_degraded();
+    return taken;
+  };
+  auto time_push = [&](core::PushPath path) {
+    return bench::time_reps(
+        reps, 1,
+        [&] {
+          for (std::size_t s = 0; s < sim.num_species(); ++s)
+            push(sim.species(s), path);
+        },
+        [&](int) {
+          restore_snapshot(sim, sorted);
+          for (std::size_t s = 0; s < sim.num_species(); ++s)
+            sim.species(s).mark_sorted(true);
+          acc.clear();
+        });
+  };
+  const bench::Timing tm_gen = time_push(core::PushPath::Generic);
+  const bench::Timing tm_run = time_push(core::PushPath::RunAware);
 
-    // The AutoDetect decision under the gates.
-    restore_snapshot(sim, sorted);
-    for (std::size_t s = 0; s < sim.num_species(); ++s)
-      sim.species(s).mark_sorted(true);
-    acc.clear();
-    core::PushPath auto_path = core::PushPath::Generic;
-    for (std::size_t s = 0; s < sim.num_species(); ++s)
-      auto_path = push(sim.species(s), core::PushPath::AutoDetect);
+  // The AutoDetect decision under the gates.
+  restore_snapshot(sim, sorted);
+  for (std::size_t s = 0; s < sim.num_species(); ++s)
+    sim.species(s).mark_sorted(true);
+  acc.clear();
+  core::PushPath auto_path = core::PushPath::Generic;
+  for (std::size_t s = 0; s < sim.num_species(); ++s)
+    auto_path = push(sim.species(s), core::PushPath::AutoDetect);
 
-    const double auto_ms = (auto_path == core::PushPath::RunAware
-                                ? tm_run.min_s
-                                : tm_gen.min_s) *
-                           1e3;
-    const double push_best_ms =
-        std::min(tm_gen.min_s, tm_run.min_s) * 1e3;
-    const bool push_ok = auto_ms <= push_best_ms * kSmokeTolerance;
+  const double auto_ms = (auto_path == core::PushPath::RunAware
+                              ? tm_run.min_s
+                              : tm_gen.min_s) *
+                         1e3;
+  const double push_best_ms =
+      std::min(tm_gen.min_s, tm_run.min_s) * 1e3;
+  const bool push_ok = auto_ms <= push_best_ms * kSmokeTolerance;
 
-    // Particle sort: time the full sort_particles pipeline with the
-    // particle sort's budget pinned to each side of the crossover, then
-    // record which side the budget picks for each species' (n, nv,
-    // threads).
-    auto time_sort = [&](const vpic::sort::SortDispatchModel& m) {
-      return time_pinned(
-          vpic::sort::particle_sort_model(), m, reps,
-          [&] {
-            for (std::size_t s = 0; s < sim.num_species(); ++s)
-              core::sort_particles(sim.species(s),
-                                   vpic::sort::SortOrder::Standard, 0, 1,
-                                   nv);
-          },
-          [&](int) { restore_snapshot(sim, mixed); });
-    };
-    const bench::Timing tm_count = time_sort(always_counting());
-    const bench::Timing tm_radix = time_sort(never_counting());
+  // Particle sort: time the full sort_particles pipeline with the
+  // particle sort's budget pinned to each side of the crossover, then
+  // record which side the budget picks for each species' (n, nv,
+  // threads).
+  auto time_sort = [&](const vpic::sort::SortDispatchModel& m) {
+    return time_pinned(
+        vpic::sort::particle_sort_model(), m, reps,
+        [&] {
+          for (std::size_t s = 0; s < sim.num_species(); ++s)
+            core::sort_particles(sim.species(s),
+                                 vpic::sort::SortOrder::Standard, 0, 1,
+                                 nv);
+        },
+        [&](int) { restore_snapshot(sim, mixed); });
+  };
+  const bench::Timing tm_count = time_sort(always_counting());
+  const bench::Timing tm_radix = time_sort(never_counting());
 
-    bool model_counting = true;
-    for (std::size_t s = 0; s < sim.num_species(); ++s)
-      model_counting = model_counting &&
-                       vpic::sort::counting_sort_applicable(
-                           sim.species(s).np, static_cast<std::uint64_t>(nv),
-                           nthreads, model);
-    const auto picked_ok = [](bool counting, const bench::Timing& c,
-                              const bench::Timing& r) {
-      const double chosen = counting ? c.min_s : r.min_s;
-      return chosen <= std::min(c.min_s, r.min_s) * kSmokeTolerance;
-    };
-    const bool sort_ok = picked_ok(model_counting, tm_count, tm_radix);
+  bool model_counting = true;
+  for (std::size_t s = 0; s < sim.num_species(); ++s)
+    model_counting = model_counting &&
+                     vpic::sort::counting_sort_applicable(
+                         sim.species(s).np, static_cast<std::uint64_t>(nv),
+                         nthreads, model);
+  const auto picked_ok = [](bool counting, const bench::Timing& c,
+                            const bench::Timing& r) {
+    const double chosen = counting ? c.min_s : r.min_s;
+    return chosen <= std::min(c.min_s, r.min_s) * kSmokeTolerance;
+  };
+  const bool sort_ok = picked_ok(model_counting, tm_count, tm_radix);
 
-    // View-level sort_by_key over the same (phase-mixed) cell keys of
-    // every species with an index payload, repeated to at least 2^18 keys
-    // so the smoke deck's sorts are not microsecond noise, with the
-    // View-level model pinned to each side, and the side it picks for the
-    // keys' bound.
-    const index_t nkeys = std::max<index_t>(total_np, index_t{1} << 18);
-    pk::View<std::uint32_t, 1> keys0("view_keys", nkeys);
-    for (index_t at = 0; at < nkeys;)
-      for (std::size_t s = 0; s < sim.num_species() && at < nkeys; ++s)
-        for (std::size_t k = 0; k < mixed.p[s].size() && at < nkeys; ++k)
-          keys0(at++) = static_cast<std::uint32_t>(mixed.p[s][k].i);
-    pk::View<std::uint32_t, 1> keys("view_keys_work", nkeys);
-    pk::View<index_t, 1> vals("view_vals_work", nkeys);
-    auto time_view_sort = [&](const vpic::sort::SortDispatchModel& m) {
-      return time_pinned(
-          vpic::sort::active_sort_model(), m, reps,
-          [&] { vpic::sort::sort_by_key(keys, vals); },
-          [&](int) {
-            std::copy(keys0.data(), keys0.data() + nkeys, keys.data());
-            std::iota(vals.data(), vals.data() + nkeys, index_t{0});
-          });
-    };
-    const bench::Timing tv_count = time_view_sort(always_counting());
-    const bench::Timing tv_radix = time_view_sort(never_counting());
-    const std::uint64_t view_bound =
-        static_cast<std::uint64_t>(
-            *std::max_element(keys0.data(), keys0.data() + nkeys)) +
-        1;
-    const bool view_counting = vpic::sort::counting_sort_applicable(
-        nkeys, view_bound, nthreads, view_model);
-    const bool view_ok = picked_ok(view_counting, tv_count, tv_radix);
+  // View-level sort_by_key over the same (phase-mixed) cell keys of
+  // every species with an index payload, repeated to at least 2^18 keys
+  // so the smoke deck's sorts are not microsecond noise, with the
+  // View-level model pinned to each side, and the side it picks for the
+  // keys' bound.
+  const index_t nkeys = std::max<index_t>(total_np, index_t{1} << 18);
+  pk::View<std::uint32_t, 1> keys0("view_keys", nkeys);
+  for (index_t at = 0; at < nkeys;)
+    for (std::size_t s = 0; s < sim.num_species() && at < nkeys; ++s)
+      for (std::size_t k = 0; k < mixed[s].size() && at < nkeys; ++k)
+        keys0(at++) = static_cast<std::uint32_t>(mixed[s][k].i);
+  pk::View<std::uint32_t, 1> keys("view_keys_work", nkeys);
+  pk::View<index_t, 1> vals("view_vals_work", nkeys);
+  auto time_view_sort = [&](const vpic::sort::SortDispatchModel& m) {
+    return time_pinned(
+        vpic::sort::active_sort_model(), m, reps,
+        [&] { vpic::sort::sort_by_key(keys, vals); },
+        [&](int) {
+          std::copy(keys0.data(), keys0.data() + nkeys, keys.data());
+          std::iota(vals.data(), vals.data() + nkeys, index_t{0});
+        });
+  };
+  const bench::Timing tv_count = time_view_sort(always_counting());
+  const bench::Timing tv_radix = time_view_sort(never_counting());
+  const std::uint64_t view_bound =
+      static_cast<std::uint64_t>(
+          *std::max_element(keys0.data(), keys0.data() + nkeys)) +
+      1;
+  const bool view_counting = vpic::sort::counting_sort_applicable(
+      nkeys, view_bound, nthreads, view_model);
+  const bool view_ok = picked_ok(view_counting, tv_count, tv_radix);
 
-    ok = ok && push_ok && sort_ok && view_ok;
-    // The histogram-to-particle ratio the particle sort's budget reads,
-    // for the larger species.
-    index_t np_max = 0;
-    for (std::size_t s = 0; s < sim.num_species(); ++s)
-      np_max = std::max(np_max, sim.species(s).np);
-    const double cells_ratio =
-        static_cast<double>(nthreads + 1) * static_cast<double>(nv) /
-        static_cast<double>(std::max<index_t>(np_max, 1));
+  const bool ok = push_ok && sort_ok && view_ok;
+  // The histogram-to-particle ratio the particle sort's budget reads,
+  // for the larger species.
+  index_t np_max = 0;
+  for (std::size_t s = 0; s < sim.num_species(); ++s)
+    np_max = std::max(np_max, sim.species(s).np);
+  const double cells_ratio =
+      static_cast<double>(nthreads + 1) * static_cast<double>(nv) /
+      static_cast<double>(std::max<index_t>(np_max, 1));
 
-    t.row({core::to_string(layout), std::to_string(total_np),
-           bench::fmt("%.2f", cells_ratio),
-           bench::fmt("%.3f", tm_gen.min_s * 1e3),
-           bench::fmt("%.3f", tm_run.min_s * 1e3),
-           core::to_string(auto_path),
-           bench::fmt("%.3f", tm_count.min_s * 1e3),
-           bench::fmt("%.3f", tm_radix.min_s * 1e3),
-           model_counting ? "counting" : "radix",
-           bench::fmt("%.3f", tv_count.min_s * 1e3),
-           bench::fmt("%.3f", tv_radix.min_s * 1e3),
-           view_counting ? "counting" : "radix",
-           (push_ok && sort_ok && view_ok) ? "yes" : "NO"});
+  t.row({std::to_string(total_np), bench::fmt("%.2f", cells_ratio),
+         bench::fmt("%.3f", tm_gen.min_s * 1e3),
+         bench::fmt("%.3f", tm_run.min_s * 1e3), core::to_string(auto_path),
+         bench::fmt("%.3f", tm_count.min_s * 1e3),
+         bench::fmt("%.3f", tm_radix.min_s * 1e3),
+         model_counting ? "counting" : "radix",
+         bench::fmt("%.3f", tv_count.min_s * 1e3),
+         bench::fmt("%.3f", tv_radix.min_s * 1e3),
+         view_counting ? "counting" : "radix", ok ? "yes" : "NO"});
 
-    bench::Json j("layout_dispatch");
-    j.field("layout", core::to_string(layout))
-        .field("particles", static_cast<std::int64_t>(total_np))
-        .timing("push_generic", tm_gen)
-        .timing("push_run_aware", tm_run)
-        .field("push_speedup", tm_gen.min_s / tm_run.min_s)
-        .field("push_auto_path", core::to_string(auto_path))
-        .field("push_dispatch_ok", push_ok ? 1 : 0)
-        .timing("sort_counting", tm_count)
-        .timing("sort_radix", tm_radix)
-        .field("sort_model_path", model_counting ? "counting" : "radix")
-        .field("sort_dispatch_ok", sort_ok ? 1 : 0)
-        .field("threads", nthreads)
-        .field("sort_cells_ratio", cells_ratio)
-        .timing("view_sort_counting", tv_count)
-        .timing("view_sort_radix", tv_radix)
-        .field("view_sort_keys", static_cast<std::int64_t>(nkeys))
-        .field("view_sort_model_path", view_counting ? "counting" : "radix")
-        .field("view_sort_dispatch_ok", view_ok ? 1 : 0)
-        .field("gate_min_particles",
-               static_cast<std::int64_t>(gates.min_particles))
-        .field("gate_max_stale", gates.max_stale)
-        .field("gate_min_mean_run", gates.min_mean_run)
-        .field("sort_cells_per_n", model.cells_per_n)
-        .field("sort_cells_floor", model.cells_floor)
-        .field("view_sort_cells_per_n", view_model.cells_per_n)
-        .field("view_sort_cells_floor", view_model.cells_floor);
-    j.print();
-  }
+  bench::Json j("layout_dispatch");
+  j.field("particles", static_cast<std::int64_t>(total_np))
+      .timing("push_generic", tm_gen)
+      .timing("push_run_aware", tm_run)
+      .field("push_speedup", tm_gen.min_s / tm_run.min_s)
+      .field("push_auto_path", core::to_string(auto_path))
+      .field("push_dispatch_ok", push_ok ? 1 : 0)
+      .timing("sort_counting", tm_count)
+      .timing("sort_radix", tm_radix)
+      .field("sort_model_path", model_counting ? "counting" : "radix")
+      .field("sort_dispatch_ok", sort_ok ? 1 : 0)
+      .field("threads", nthreads)
+      .field("sort_cells_ratio", cells_ratio)
+      .timing("view_sort_counting", tv_count)
+      .timing("view_sort_radix", tv_radix)
+      .field("view_sort_keys", static_cast<std::int64_t>(nkeys))
+      .field("view_sort_model_path", view_counting ? "counting" : "radix")
+      .field("view_sort_dispatch_ok", view_ok ? 1 : 0)
+      .field("gate_min_particles",
+             static_cast<std::int64_t>(gates.min_particles))
+      .field("gate_max_stale", gates.max_stale)
+      .field("gate_min_mean_run", gates.min_mean_run)
+      .field("sort_cells_per_n", model.cells_per_n)
+      .field("sort_cells_floor", model.cells_floor)
+      .field("view_sort_cells_per_n", view_model.cells_per_n)
+      .field("view_sort_cells_floor", view_model.cells_floor);
+  j.print();
 
   std::printf("\n");
   t.print();

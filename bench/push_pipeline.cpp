@@ -9,6 +9,7 @@
 // Flags: --nx/--ny/--nz/--ppc (deck size), --reps, --min-speedup=<x100>
 // (exit non-zero unless every strategy's run-aware speedup is at least
 // value/100 — used for local acceptance runs, not CI smoke).
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -23,19 +24,14 @@ namespace bench = vpic::bench;
 namespace pk = vpic::pk;
 using pk::index_t;
 
-struct Snapshot {
-  std::vector<std::vector<core::Particle>> p;  // canonical AoS records
-  std::vector<index_t> np;
-};
+/// Each species' live particle records.
+using Snapshot = std::vector<std::vector<core::Particle>>;
 
 Snapshot take_snapshot(core::Simulation& sim) {
   Snapshot s;
   for (std::size_t i = 0; i < sim.num_species(); ++i) {
-    auto& sp = sim.species(i);
-    std::vector<core::Particle> copy(static_cast<std::size_t>(sp.np));
-    sp.p.export_aos(copy.data(), sp.np);
-    s.p.push_back(std::move(copy));
-    s.np.push_back(sp.np);
+    const auto& sp = sim.species(i);
+    s.emplace_back(sp.p.data(), sp.p.data() + sp.np);
   }
   return s;
 }
@@ -43,8 +39,8 @@ Snapshot take_snapshot(core::Simulation& sim) {
 void restore_snapshot(core::Simulation& sim, const Snapshot& s) {
   for (std::size_t i = 0; i < sim.num_species(); ++i) {
     auto& sp = sim.species(i);
-    sp.p.import_aos(s.p[i].data(), s.np[i]);
-    sp.np = s.np[i];
+    std::copy(s[i].begin(), s[i].end(), sp.p.data());
+    sp.np = static_cast<index_t>(s[i].size());
   }
 }
 

@@ -21,7 +21,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstring>
 #include <cctype>
 #include <condition_variable>
 #include <cstdio>
@@ -96,10 +95,10 @@ std::vector<std::pair<index_t, index_t>> particle_chunks(const Species& sp) {
   return r;
 }
 
-/// Section `name`: records [begin, end) of `sp` as the canonical packed
-/// AoS stream, whatever the store's layout, staged in `w`'s next payload
-/// buffer. An AoS store already holds that stream, so the section is
-/// deferred: `w` reads it from the store when it is sealed.
+/// Section `name`: records [begin, end) of `sp`, the packed particle
+/// stream, staged in `w`'s next payload buffer. The store holds that
+/// stream, so the section is deferred: `w` reads it from the store when
+/// it is sealed.
 void add_particles(ckpt::FileWriter& w, std::string name, const Species& sp,
                    index_t begin, index_t end) {
   ckpt::EncodedSection c;
@@ -110,19 +109,8 @@ void add_particles(ckpt::FileWriter& w, std::string name, const Species& sp,
   c.layout = ckpt::kLayoutRight;
   c.payload =
       w.stage(static_cast<std::size_t>(end - begin) * sizeof(Particle));
-  dispatch_layout(sp.p, [&](auto a) {
-    if constexpr (decltype(a)::layout == ParticleLayout::AoS) {
-      w.add_deferred(std::move(c),
-                     reinterpret_cast<const std::byte*>(a.p + begin));
-    } else {
-      std::byte* const dst = c.payload.data();
-      for (index_t i = begin; i < end; ++i) {
-        const Particle q = a.load(i);
-        std::memcpy(dst + (i - begin) * sizeof(Particle), &q, sizeof(q));
-      }
-      w.add(std::move(c));
-    }
-  });
+  w.add_deferred(std::move(c),
+                 reinterpret_cast<const std::byte*>(sp.p.data() + begin));
 }
 
 // The engine-state section set is shared between the single-node and the
@@ -170,16 +158,13 @@ void add_engine_sections(ckpt::FileWriter& w, const FieldArray& f,
       w.add_vector(pfx + "tiles", bounds);
     }
     // Prefix-encode: only the np live records, not the slack capacity.
-    // The on-disk particle stream is the canonical packed AoS record for
-    // every layout, so the file format (and its CRCs) is layout-invariant
-    // and a checkpoint round-trips across AoS/SoA stores.
     if (!chunked) {
       add_particles(w, pfx + "p", sp, 0, sp.np);
       continue;
     }
-    // Chunked layout: per-chunk copies of the canonical AoS stream in
-    // index order (chunk boundaries follow the tile partition, so the
-    // concatenation in k order IS the canonical stream).
+    // Chunked layout: per-chunk copies of the particle stream in index
+    // order (chunk boundaries follow the tile partition, so the
+    // concatenation in k order IS the whole stream).
     const auto chunks = particle_chunks(sp);
     w.add_pod(pfx + "nchunks", static_cast<std::uint64_t>(chunks.size()));
     for (std::size_t k = 0; k < chunks.size(); ++k)
@@ -204,6 +189,36 @@ void read_engine_sections(ckpt::SectionSource& f, FieldArray& fld,
         "checkpoint holds " + std::to_string(nsp) +
             " species, simulation has " + std::to_string(species.size()));
 
+  // Every species' shape is checked before any state changes.
+  std::vector<SpeciesMeta> metas(species.size());
+  for (std::size_t i = 0; i < species.size(); ++i) {
+    const Species& sp = species[i];
+    const std::string pfx = species_prefix(i);
+    const ckpt::EncodedSection& name = f.section(pfx + "name");
+    const std::string file_name(
+        reinterpret_cast<const char*>(name.payload.data()),
+        name.payload.size());
+    if (file_name != sp.name)
+      throw ckpt::RestoreError(ckpt::RestoreErrorKind::ShapeMismatch,
+                               "species " + std::to_string(i) + " is '" +
+                                   sp.name + "', checkpoint holds '" +
+                                   file_name + "'");
+    const auto meta = f.pod<SpeciesMeta>(pfx + "meta");
+    if (meta.np < 0)
+      throw ckpt::RestoreError(ckpt::RestoreErrorKind::ShapeMismatch,
+                               "negative particle count in '" + sp.name + "'");
+    // The particle section must hold exactly meta.np records, whether a
+    // file stores it whole or a chain reassembles it from chunks: with
+    // fewer, the slots past them would keep stale records.
+    const std::int64_t records = f.section(pfx + "p").extents[0];
+    if (records != meta.np)
+      throw ckpt::RestoreError(
+          ckpt::RestoreErrorKind::ShapeMismatch,
+          "species '" + sp.name + "' holds " + std::to_string(records) +
+              " particle records, its meta says " + std::to_string(meta.np));
+    metas[i] = meta;
+  }
+
   f.read_view("f.ex", fld.ex);
   f.read_view("f.ey", fld.ey);
   f.read_view("f.ez", fld.ez);
@@ -219,36 +234,15 @@ void read_engine_sections(ckpt::SectionSource& f, FieldArray& fld,
   for (std::size_t i = 0; i < species.size(); ++i) {
     Species& sp = species[i];
     const std::string pfx = species_prefix(i);
-    const ckpt::EncodedSection& name = f.section(pfx + "name");
-    const std::string file_name(
-        reinterpret_cast<const char*>(name.payload.data()),
-        name.payload.size());
-    if (file_name != sp.name)
-      throw ckpt::RestoreError(ckpt::RestoreErrorKind::ShapeMismatch,
-                               "species " + std::to_string(i) + " is '" +
-                                   sp.name + "', checkpoint holds '" +
-                                   file_name + "'");
-    const auto meta = f.pod<SpeciesMeta>(pfx + "meta");
-    if (meta.np < 0)
-      throw ckpt::RestoreError(ckpt::RestoreErrorKind::ShapeMismatch,
-                               "negative particle count in '" + sp.name + "'");
+    const SpeciesMeta& meta = metas[i];
     if (meta.np > sp.capacity()) {
-      sp.p = ParticleStore("particles_" + sp.name, meta.np, sp.p.layout());
+      sp.p = ParticleStore("particles_" + sp.name, meta.np);
       // The only store reallocation: drop the spares, so none of a
       // capacity no species holds any more lingers; each species' next
       // sort sizes its spare again.
       if (sp.scratch) sp.scratch->spares.clear();
     }
-    if (sp.p.layout() == ParticleLayout::AoS) {
-      f.read_view(pfx + "p", sp.p.aos_view());
-    } else {
-      // Stage through the canonical AoS stream, then scatter into the
-      // store's layout (restore may target a different layout than the
-      // writer used — the bytes on disk are identical either way).
-      pk::View<Particle, 1> canon("ckpt_canon_" + sp.name, meta.np);
-      f.read_view(pfx + "p", canon);
-      sp.p.import_aos(canon.data(), meta.np);
-    }
+    f.read_view(pfx + "p", sp.p.view());
     sp.np = meta.np;
     sp.q = meta.q;
     sp.m = meta.m;
@@ -653,7 +647,7 @@ Simulation::Snapshot Simulation::snapshot(const std::string& path) {
   s.staging = ckpt_staging_;
   s.region = prof::region_path();
   {
-    // Stage the sections: small ones are copied now, the arrays and AoS
+    // Stage the sections: small ones are copied now, the arrays and the
     // particles are deferred and read from the live state when the
     // writer is sealed below.
     prof::ScopedRegion enc("ckpt_encode");

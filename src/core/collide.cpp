@@ -78,8 +78,8 @@ void shuffle(index_t* v, std::size_t n, std::uint64_t seed) {
 /// argsort of its voxels, read from the records and rebased to the
 /// range's lowest voxel so a tile's histogram spans only its own slab.
 /// Cell c (voxel base + c) is the slice idx[first(c), last(c)) of
-/// range-local indices, ascending — the index-order scan, hence
-/// layout-independent — and cells ascend by voxel. Scratch is per call:
+/// range-local indices, ascending — the index-order scan — and cells
+/// ascend by voxel. Scratch is per call:
 /// concurrent tile tasks of one species each build their own.
 template <class Space>
 struct CellIndex {
@@ -95,30 +95,28 @@ struct CellIndex {
     const index_t n = e - b;
     if (n <= 0) return;
     nthreads = Space::concurrency();
-    dispatch_layout(sp.p, [&](auto a) {
-      pk::MinMaxValue<std::int32_t> mm{};
-      pk::parallel_reduce<pk::MinMax<std::int32_t>>(
-          "collide/cell_span", pk::RangePolicy<Space>(n),
-          [=](index_t i, pk::MinMaxValue<std::int32_t>& r) {
-            const std::int32_t v = a.cell(b + i);
-            if (v < r.min_val) r.min_val = v;
-            if (v > r.max_val) r.max_val = v;
-          },
-          mm);
-      base = mm.min_val;
-      ncells = static_cast<index_t>(mm.max_val) - base + 1;
-      offsets = std::make_unique_for_overwrite<index_t[]>(
-          sort::detail::counting_hist_cells(nthreads, ncells));
-      idx = std::make_unique_for_overwrite<index_t[]>(
-          static_cast<std::size_t>(n));
-      const auto cell = [a, b, lo = base](index_t i) {
-        return a.cell(b + i) - lo;
-      };
-      sort::detail::counting_offsets(cell, n, ncells, offsets.get(),
-                                     nthreads);
-      sort::detail::counting_scatter_index(cell, n, ncells, offsets.get(),
-                                           nthreads, idx.get());
-    });
+    const ParticleAccessor a = sp.p.accessor();
+    pk::MinMaxValue<std::int32_t> mm{};
+    pk::parallel_reduce<pk::MinMax<std::int32_t>>(
+        "collide/cell_span", pk::RangePolicy<Space>(n),
+        [=](index_t i, pk::MinMaxValue<std::int32_t>& r) {
+          const std::int32_t v = a.cell(b + i);
+          if (v < r.min_val) r.min_val = v;
+          if (v > r.max_val) r.max_val = v;
+        },
+        mm);
+    base = mm.min_val;
+    ncells = static_cast<index_t>(mm.max_val) - base + 1;
+    offsets = std::make_unique_for_overwrite<index_t[]>(
+        sort::detail::counting_hist_cells(nthreads, ncells));
+    idx = std::make_unique_for_overwrite<index_t[]>(
+        static_cast<std::size_t>(n));
+    const auto cell = [a, b, lo = base](index_t i) {
+      return a.cell(b + i) - lo;
+    };
+    sort::detail::counting_offsets(cell, n, ncells, offsets.get(), nthreads);
+    sort::detail::counting_scatter_index(cell, n, ncells, offsets.get(),
+                                         nthreads, idx.get());
   }
 
   // The scatter leaves the last thread's histogram row at each cell's
@@ -161,74 +159,72 @@ CollisionStats collide_on(Species& sa, Species& sb, const Grid& g,
   const index_t nchunks = (ca.ncells + kCellChunk - 1) / kCellChunk;
   std::vector<CollisionStats> chunk_st(static_cast<std::size_t>(nchunks));
 
-  dispatch_layout(sa.p, [&](auto aa) {
-    dispatch_layout(sb.p, [&](auto ab) {
-      const auto cell = [&](index_t c, CollisionStats& st) {
-        const index_t a0 = ca.first(c);
-        index_t* const la = ca.idx.get() + a0;
-        const auto na = static_cast<std::size_t>(ca.last(c) - a0);
-        const std::int32_t voxel = ca.base + static_cast<std::int32_t>(c);
-        index_t* lb = nullptr;
-        std::size_t nb = 0;
-        if (!self) {
-          const index_t cbi = cb.find(voxel);
-          if (cbi < 0) return;
-          const index_t b0 = cb.first(cbi);
-          lb = cb.idx.get() + b0;
-          nb = static_cast<std::size_t>(cb.last(cbi) - b0);
+  const ParticleAccessor aa = sa.p.accessor();
+  const ParticleAccessor ab = sb.p.accessor();
+  const auto cell = [&](index_t c, CollisionStats& st) {
+    const index_t a0 = ca.first(c);
+    index_t* const la = ca.idx.get() + a0;
+    const auto na = static_cast<std::size_t>(ca.last(c) - a0);
+    const std::int32_t voxel = ca.base + static_cast<std::int32_t>(c);
+    index_t* lb = nullptr;
+    std::size_t nb = 0;
+    if (!self) {
+      const index_t cbi = cb.find(voxel);
+      if (cbi < 0) return;
+      const index_t b0 = cb.first(cbi);
+      lb = cb.idx.get() + b0;
+      nb = static_cast<std::size_t>(cb.last(cbi) - b0);
+    }
+    // A cell with nothing to pair returns before any draw: the streams
+    // are counter-based, so skipping them changes no other cell.
+    const std::size_t npair = self ? na / 2 : std::min(na, nb);
+    if (npair == 0) return;
+    const std::uint64_t seed_cell =
+        rng.stream(step, pair_key, static_cast<std::uint64_t>(voxel));
+    const std::uint64_t seed_theta = hash64(seed_cell ^ 2);
+    const std::uint64_t seed_phi = hash64(seed_cell ^ 3);
+    shuffle(la, na, hash64(seed_cell ^ 1));
+    if (self) {
+      for (std::size_t k = 0; k < npair; ++k) {
+        const index_t i0 = ca.begin + la[2 * k];
+        const index_t i1 = ca.begin + la[2 * k + 1];
+        Particle pa = aa.load(i0);
+        Particle pb = aa.load(i1);
+        if (scatter_pair(pa, pb, sa.m, sa.m, sa.q, sa.q, nu0_dt,
+                         prm.u_floor, normal(seed_theta, k),
+                         uniform01(seed_phi, k))) {
+          aa.store(i0, pa);
+          aa.store(i1, pb);
+          ++st.pairs;
         }
-        // A cell with nothing to pair returns before any draw: the streams
-        // are counter-based, so skipping them changes no other cell.
-        const std::size_t npair = self ? na / 2 : std::min(na, nb);
-        if (npair == 0) return;
-        const std::uint64_t seed_cell =
-            rng.stream(step, pair_key, static_cast<std::uint64_t>(voxel));
-        const std::uint64_t seed_theta = hash64(seed_cell ^ 2);
-        const std::uint64_t seed_phi = hash64(seed_cell ^ 3);
-        shuffle(la, na, hash64(seed_cell ^ 1));
-        if (self) {
-          for (std::size_t k = 0; k < npair; ++k) {
-            const index_t i0 = ca.begin + la[2 * k];
-            const index_t i1 = ca.begin + la[2 * k + 1];
-            Particle pa = aa.load(i0);
-            Particle pb = aa.load(i1);
-            if (scatter_pair(pa, pb, sa.m, sa.m, sa.q, sa.q, nu0_dt,
-                             prm.u_floor, normal(seed_theta, k),
-                             uniform01(seed_phi, k))) {
-              aa.store(i0, pa);
-              aa.store(i1, pb);
-              ++st.pairs;
-            }
-          }
-        } else {
-          shuffle(lb, nb, hash64(seed_cell ^ 4));
-          for (std::size_t k = 0; k < npair; ++k) {
-            const index_t ia = ca.begin + la[k];
-            const index_t ib = cb.begin + lb[k];
-            Particle pa = aa.load(ia);
-            Particle pb = ab.load(ib);
-            if (scatter_pair(pa, pb, sa.m, sb.m, sa.q, sb.q, nu0_dt,
-                             prm.u_floor, normal(seed_theta, k),
-                             uniform01(seed_phi, k))) {
-              aa.store(ia, pa);
-              ab.store(ib, pb);
-              ++st.pairs;
-            }
-          }
+      }
+    } else {
+      shuffle(lb, nb, hash64(seed_cell ^ 4));
+      for (std::size_t k = 0; k < npair; ++k) {
+        const index_t ia = ca.begin + la[k];
+        const index_t ib = cb.begin + lb[k];
+        Particle pa = aa.load(ia);
+        Particle pb = ab.load(ib);
+        if (scatter_pair(pa, pb, sa.m, sb.m, sa.q, sb.q, nu0_dt,
+                         prm.u_floor, normal(seed_theta, k),
+                         uniform01(seed_phi, k))) {
+          aa.store(ia, pa);
+          ab.store(ib, pb);
+          ++st.pairs;
         }
-        ++st.cells;
-      };
-      pk::parallel_for(
-          "collide/cells", pk::TeamPolicy<Space>(nchunks, 1),
-          [&](const pk::TeamMember& m) {
-            const index_t c0 = m.league_rank() * kCellChunk;
-            const index_t c1 = std::min(ca.ncells, c0 + kCellChunk);
-            CollisionStats st;  // local: neighbouring chunks share a line
-            for (index_t c = c0; c < c1; ++c) cell(c, st);
-            chunk_st[static_cast<std::size_t>(m.league_rank())] = st;
-          });
-    });
-  });
+      }
+    }
+    ++st.cells;
+  };
+  pk::parallel_for(
+      "collide/cells", pk::TeamPolicy<Space>(nchunks, 1),
+      [&](const pk::TeamMember& m) {
+        const index_t c0 = m.league_rank() * kCellChunk;
+        const index_t c1 = std::min(ca.ncells, c0 + kCellChunk);
+        CollisionStats st;  // local: neighbouring chunks share a line
+        for (index_t c = c0; c < c1; ++c) cell(c, st);
+        chunk_st[static_cast<std::size_t>(m.league_rank())] = st;
+      });
 
   CollisionStats st;
   for (const CollisionStats& s : chunk_st) {

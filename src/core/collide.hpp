@@ -12,13 +12,13 @@
 // Determinism (docs/MODULES.md, "RNG streams"): every random draw comes
 // from a counter-based stream keyed by (step, species-pair, voxel) under
 // the module's RNG domain, and each cell pairs its particles in index
-// order — never in layout, schedule or thread order. Cells touch disjoint
+// order — never in schedule or thread order. Cells touch disjoint
 // particles, so the untiled phase runs them in parallel on the OpenMP
 // kernel team, while each tile task runs its cells serially on its
 // stealing worker. Results are therefore bit-identical across OpenMP
-// thread counts, worker counts, tile schedules, and AoS/SoA
-// layouts; only the tile count (which fixes how stray particles are
-// partitioned into cell lists between sorts) is part of the answer.
+// thread counts, worker counts and tile schedules; only the tile count
+// (which fixes how stray particles are partitioned into cell lists
+// between sorts) is part of the answer.
 #pragma once
 
 #include <atomic>

@@ -49,7 +49,6 @@ Simulation make_lpi(const LpiParams& p) {
   cfg.sort_order = p.sort_order;
   cfg.sort_interval = p.sort_interval;
   cfg.seed = p.seed;
-  cfg.layout = p.layout;
   Simulation sim(cfg);
 
   const Grid& g = sim.grid();

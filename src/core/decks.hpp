@@ -27,7 +27,6 @@ struct LpiParams {
   sort::SortOrder sort_order = sort::SortOrder::Standard;
   int sort_interval = 20;
   std::uint64_t seed = 42;
-  ParticleLayout layout = ParticleLayout::AoS;
   // Gaussian particle clumping (docs/TILES.md): scale the per-cell count
   // by 1 + clump_factor * exp(-z~^2 / 2), z~ = distance (in cells) of the
   // cell's z-plane from the slab mid-plane over sigma = an eighth of nz —

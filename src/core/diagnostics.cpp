@@ -55,15 +55,13 @@ Moments compute_moments(const Species& sp, const Grid& g) {
             pk::View<float, 1>("mom_uy", g.nv()),
             pk::View<float, 1>("mom_uz", g.nv())};
   const float inv_vol = 1.0f / (g.dx * g.dy * g.dz);
-  dispatch_layout(sp.p, [&](auto a) {
-    for (index_t n = 0; n < sp.np; ++n) {
-      const Particle p = a.load(n);
-      m.density(p.i) += p.w * inv_vol;
-      m.ux(p.i) += p.w * p.ux;
-      m.uy(p.i) += p.w * p.uy;
-      m.uz(p.i) += p.w * p.uz;
-    }
-  });
+  for (index_t n = 0; n < sp.np; ++n) {
+    const Particle& p = sp.p(n);
+    m.density(p.i) += p.w * inv_vol;
+    m.ux(p.i) += p.w * p.ux;
+    m.uy(p.i) += p.w * p.uy;
+    m.uz(p.i) += p.w * p.uz;
+  }
   // Normalize first moments to per-cell means (weight-averaged).
   pk::parallel_for(g.nv(), [&](index_t v) {
     const float w_total = m.density(v) / inv_vol;
@@ -103,17 +101,15 @@ Histogram momentum_histogram(const Species& sp, MomentumAxis axis, float lo,
   h.hi = hi;
   h.counts.assign(static_cast<std::size_t>(bins), 0);
   const float scale = static_cast<float>(bins) / (hi - lo);
-  dispatch_layout(sp.p, [&](auto a) {
-    for (index_t n = 0; n < sp.np; ++n) {
-      const Particle p = a.load(n);
-      const float u = axis == MomentumAxis::X   ? p.ux
-                      : axis == MomentumAxis::Y ? p.uy
-                                                : p.uz;
-      int b = static_cast<int>((u - lo) * scale);
-      b = std::max(0, std::min(bins - 1, b));
-      ++h.counts[static_cast<std::size_t>(b)];
-    }
-  });
+  for (index_t n = 0; n < sp.np; ++n) {
+    const Particle& p = sp.p(n);
+    const float u = axis == MomentumAxis::X   ? p.ux
+                    : axis == MomentumAxis::Y ? p.uy
+                                              : p.uz;
+    int b = static_cast<int>((u - lo) * scale);
+    b = std::max(0, std::min(bins - 1, b));
+    ++h.counts[static_cast<std::size_t>(b)];
+  }
   return h;
 }
 

@@ -48,7 +48,7 @@ DistributedSimulation::DistributedSimulation(const DomainConfig& cfg,
 std::size_t DistributedSimulation::add_species(std::string name, float q,
                                                float m,
                                                index_t local_capacity) {
-  species_.emplace_back(std::move(name), q, m, local_capacity, cfg_.layout);
+  species_.emplace_back(std::move(name), q, m, local_capacity);
   return species_.size() - 1;
 }
 
@@ -278,10 +278,8 @@ void DistributedSimulation::step_overlapped() {
     prof::ScopedRegion r("interior_push");
     for (std::size_t s = 0; s < species_.size(); ++s) {
       Species& sp = species_[s];
-      dispatch_layout(sp.p, [&](auto a) {
-        sort::segment_runs(sp.np, [a](index_t i) { return a.cell(i); },
-                           runs_);
-      });
+      const ParticleAccessor a = sp.p.accessor();
+      sort::segment_runs(sp.np, [a](index_t i) { return a.cell(i); }, runs_);
       std::vector<sort::CellRun> interior;
       interior.reserve(runs_.size());
       for (const auto& run : runs_)

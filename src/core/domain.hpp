@@ -38,10 +38,6 @@ struct DomainConfig {
   float dt = 0;                      // 0: Courant-limited default
   VectorStrategy strategy = VectorStrategy::Auto;
   std::uint64_t seed = 42;
-  // Particle layout for every species (core/particle_store.hpp,
-  // docs/LAYOUT.md). Excluded from config_fingerprint(): it changes
-  // memory placement, not physics.
-  ParticleLayout layout = ParticleLayout::AoS;
   // Comm/compute overlap (docs/ASYNC.md): hide the z-halo exchange behind
   // the halo-independent work — interpolator planes 1..nz-1 and the
   // interior particle push (cells below plane nz) — completing the halo

@@ -1,11 +1,8 @@
 // core/particle.hpp
 //
-// Particle storage. VPIC historically kept particles as 32-byte AoS
-// records (dx, dy, dz, voxel, ux, uy, uz, w); that record is now the
-// *canonical* format of a layout-polymorphic ParticleStore
-// (core/particle_store.hpp) which can also hold the same fields as SoA
-// planes, selected per species by the ParticleLayout policy in
-// SimulationConfig.
+// Particle storage. A species keeps its particles as VPIC's 32-byte
+// records (dx, dy, dz, voxel, ux, uy, uz, w) in a ParticleStore
+// (core/particle_store.hpp).
 //
 // A Species also carries the one sortedness hint the push dispatches on
 // (docs/PUSH.md) — untiled over the whole array, tiled per tile range,
@@ -20,6 +17,7 @@
 // another; a standalone species makes a private one on first use.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -49,18 +47,18 @@ struct TileSlot {
 /// reorder writes into before swapping with the species' store
 /// (ping-pong). One scratch serves every species of a Simulation, whose
 /// sorts run one after another (each sort phase writes "sort.scratch").
-/// It keeps one spare per distinct (capacity, layout) among them, so no
-/// species takes a buffer of another capacity and steady-state sorting
-/// allocates nothing at any mix of capacities.
+/// It keeps one spare per distinct capacity among them, so no species
+/// takes a buffer of another capacity and steady-state sorting allocates
+/// nothing at any mix of capacities.
 struct SortScratch {
   sort::SortWorkspace ws;
 
-  /// The spare matching `p`'s capacity and layout, allocated on first
-  /// use. The reference stays valid until `spares` next changes.
+  /// The spare matching `p`'s capacity, allocated on first use. The
+  /// reference stays valid until `spares` next changes.
   ParticleStore& spare_for(const ParticleStore& p) {
     for (ParticleStore& s : spares)
-      if (s.size() == p.size() && s.layout() == p.layout()) return s;
-    return spares.emplace_back("sort_spare", p.size(), p.layout());
+      if (s.size() == p.size()) return s;
+    return spares.emplace_back("sort_spare", p.size());
   }
 
   std::vector<ParticleStore> spares;
@@ -113,14 +111,12 @@ struct Species {
   }
 
   Species() = default;
-  Species(std::string name_, float q_, float m_, index_t capacity,
-          ParticleLayout layout = ParticleLayout::AoS)
+  Species(std::string name_, float q_, float m_, index_t capacity)
       : name(std::move(name_)),
         q(q_),
         m(m_),
-        p("particles_" + name, capacity, layout) {}
+        p("particles_" + name, capacity) {}
 
-  [[nodiscard]] ParticleLayout layout() const noexcept { return p.layout(); }
   [[nodiscard]] index_t capacity() const noexcept { return p.size(); }
 
   /// The scratch this species sorts through, made private on first use
@@ -138,33 +134,29 @@ struct Species {
   [[nodiscard]] double kinetic_energy() const {
     double total = 0;
     const float mass = m;
-    dispatch_layout(p, [&](auto a) {
-      pk::parallel_reduce(
-          pk::RangePolicy<>(np),
-          [a, mass](index_t idx, double& acc) {
-            const Particle part = a.load(idx);
-            const double u2 = static_cast<double>(part.ux) * part.ux +
-                              static_cast<double>(part.uy) * part.uy +
-                              static_cast<double>(part.uz) * part.uz;
-            const double gamma = std::sqrt(1.0 + u2);
-            acc += static_cast<double>(part.w) * mass * (gamma - 1.0);
-          },
-          total);
-    });
+    const ParticleAccessor a = p.accessor();
+    pk::parallel_reduce(
+        pk::RangePolicy<>(np),
+        [a, mass](index_t idx, double& acc) {
+          const Particle part = a.load(idx);
+          const double u2 = static_cast<double>(part.ux) * part.ux +
+                            static_cast<double>(part.uy) * part.uy +
+                            static_cast<double>(part.uz) * part.uz;
+          const double gamma = std::sqrt(1.0 + u2);
+          acc += static_cast<double>(part.w) * mass * (gamma - 1.0);
+        },
+        total);
     return total;
   }
 
   /// Write the voxel indices (the sorting keys) of the live particles into
   /// the first `np` entries of caller-provided storage. Allocation-free.
-  /// For SoA this reads only the dense cell plane (~4 B/particle of
-  /// traffic); AoS streams whole records (see particle_key_read_bytes).
   void cell_keys(pk::View<std::uint32_t, 1>& out) const {
     assert(out.size() >= np);
     std::uint32_t* k = out.data();
-    dispatch_layout(p, [&](auto a) {
-      pk::parallel_for(np, [=](index_t idx) {
-        k[idx] = static_cast<std::uint32_t>(a.cell(idx));
-      });
+    const ParticleAccessor a = p.accessor();
+    pk::parallel_for(np, [=](index_t idx) {
+      k[idx] = static_cast<std::uint32_t>(a.cell(idx));
     });
   }
 

@@ -1,16 +1,14 @@
 // core/push.cpp — the four vectorization-strategy implementations of the
 // particle push. See push.hpp for the strategy taxonomy.
 //
-// Every kernel is written ONCE against the particle-accessor concept
-// (core/particle_store.hpp: load/store/cell + load_vecs) and instantiated
-// per ParticleLayout by dispatch_layout() — the layout switch happens once
-// per push_on call, never inside a particle loop. Each strategy has one
-// body, templated on where a particle's interpolator record comes from
-// (GatheredRecord or HoistedRecord) and how its move finishes (MoveFinish
-// or RunFinish); push_on is the one entry that picks the path and
-// launches the body on an execution space. The structural constants
-// (block size, vector widths) and the AutoDetect dispatch gates come from
-// core/push_tuning.hpp.
+// Every kernel reads and writes particles through the store's
+// ParticleAccessor (core/particle_store.hpp: load/store/cell + load_vecs).
+// Each strategy has one body, templated on where a particle's interpolator
+// record comes from (GatheredRecord or HoistedRecord) and how its move
+// finishes (MoveFinish or RunFinish); push_on is the one entry that picks
+// the path and launches the body on an execution space. The structural
+// constants (block size, vector widths) and the AutoDetect dispatch gates
+// come from core/push_tuning.hpp.
 #include "core/push.hpp"
 
 #include <algorithm>
@@ -210,9 +208,9 @@ struct RunFinish {
 // Scalar body: one particle. It is the Auto strategy, the scalar tail of
 // the blocked Manual and AdHoc strategies, and AdHoc in a tile.
 // ----------------------------------------------------------------------
-template <class A, class Rec, class Fin>
-PK_FORCEINLINE void push_one(const A& a, index_t n, Rec rec, const Fin& fin,
-                             const PushConsts& c) {
+template <class Rec, class Fin>
+PK_FORCEINLINE void push_one(const ParticleAccessor& a, index_t n, Rec rec,
+                             const Fin& fin, const PushConsts& c) {
   Particle p = a.load(n);
   const FieldsAtPoint f = interpolate(rec(p.i), p.dx, p.dy, p.dz);
   boris(p.ux, p.uy, p.uz, c.qdt2m * f.ex, c.qdt2m * f.ey, c.qdt2m * f.ez,
@@ -232,9 +230,10 @@ PK_FORCEINLINE void push_one(const A& a, index_t n, Rec rec, const Fin& fin,
 // block [n0, n1), n1 - n0 <= kPushBlock; per-particle results are
 // independent of where blocks start.
 // ----------------------------------------------------------------------
-template <class A, class Rec, class Fin>
-inline void push_guided_block(const A& a, Rec rec, const Fin& fin,
-                              const PushConsts& c, index_t n0, index_t n1) {
+template <class Rec, class Fin>
+inline void push_guided_block(const ParticleAccessor& a, Rec rec,
+                              const Fin& fin, const PushConsts& c, index_t n0,
+                              index_t n1) {
   constexpr index_t kBlock = kPushBlock;
   const int cnt = static_cast<int>(n1 - n0);
   float dispx[kBlock], dispy[kBlock], dispz[kBlock];
@@ -279,15 +278,16 @@ inline void push_guided_block(const A& a, Rec rec, const Fin& fin,
 // ----------------------------------------------------------------------
 // Manual body: portable SIMD library. One full W-wide block starting at
 // n0 (the particle record is 8 floats), vector Boris, scalar mover. The
-// block load is the accessor's load_vecs, which takes any n0: an 8x8
-// register transpose for AoS, straight dense plane loads for SoA.
+// block load is the accessor's load_vecs, an 8x8 register transpose that
+// takes any n0.
 // ----------------------------------------------------------------------
-template <class A, class Rec, class Fin>
-inline void push_manual_block(const A& a, Rec rec, const Fin& fin,
-                              const PushConsts& c, index_t n0) {
+template <class Rec, class Fin>
+inline void push_manual_block(const ParticleAccessor& a, Rec rec,
+                              const Fin& fin, const PushConsts& c,
+                              index_t n0) {
   constexpr int W = kManualVecWidth;
   using F = simd::simd<float, W>;
-  const ParticleVecs<W> v = a.template load_vecs<W>(n0);
+  const ParticleVecs<W> v = a.load_vecs<W>(n0);
   const F dx = v.dx, dy = v.dy, dz = v.dz;
   F ux = v.ux, uy = v.uy, uz = v.uz;
   // Interpolator fields, one at a time: per-lane gathers on the generic
@@ -350,8 +350,8 @@ inline void push_manual_block(const A& a, Rec rec, const Fin& fin,
 /// Guided in kPushBlock blocks from n0; Manual in W-wide blocks from n0,
 /// then the scalar body for the sub-W tail. The run-aware path pushes
 /// each run this way, and the generic path its sub-W tails (as Auto).
-template <VectorStrategy S, class A, class Rec, class Fin>
-inline void push_span(const A& a, Rec rec, const Fin& fin,
+template <VectorStrategy S, class Rec, class Fin>
+inline void push_span(const ParticleAccessor& a, Rec rec, const Fin& fin,
                       const PushConsts& c, index_t n0, index_t n1) {
   if constexpr (S == VectorStrategy::Guided) {
     for (index_t b = n0; b < n1; b += kPushBlock)
@@ -369,26 +369,17 @@ inline void push_span(const A& a, Rec rec, const Fin& fin,
 
 // ----------------------------------------------------------------------
 // AdHoc: VPIC 1.2 style — the per-ISA v4 intrinsics library, 4-particle
-// blocks, two 4x4 register transposes per load. The transposes want the
-// packed AoS record; non-AoS layouts stage each block into a local AoS
-// scratch tile first (the historical pipeline simply was not built for
-// them — AdHoc exists as the paper's legacy baseline). It is generic
+// blocks, two 4x4 register transposes per load straight from the packed
+// records. AdHoc exists as the paper's legacy baseline: it is generic
 // only, and runs into the shared array only: a tile runs the scalar body.
 // ----------------------------------------------------------------------
-template <class A, class Fin>
-inline void push_adhoc_block(const A& a, GatheredRecord rec,
+template <class Fin>
+inline void push_adhoc_block(const ParticleAccessor& a, GatheredRecord rec,
                              const Fin& fin, const PushConsts& c,
                              index_t b0) {
   using V = v4::vfloat4;
   constexpr int W = kAdHocVecWidth;
-  Particle staged[W];
-  const float* base;
-  if constexpr (A::layout == ParticleLayout::AoS) {
-    base = reinterpret_cast<const float*>(a.p + b0);
-  } else {
-    for (int l = 0; l < W; ++l) staged[l] = a.load(b0 + l);
-    base = reinterpret_cast<const float*>(staged);
-  }
+  const float* base = reinterpret_cast<const float*>(a.p + b0);
   // Transpose positions (fields 0-3) and momenta+weight (fields 4-7).
   V dx = V::load(base + 0), dy = V::load(base + 8), dz = V::load(base + 16),
     ci = V::load(base + 24);
@@ -476,9 +467,10 @@ constexpr const char* kRunKernel[] = {
 /// and Guided one kPushBlock block; Manual and AdHoc launch their full
 /// W-wide blocks, then push the sub-W tail with the scalar body on the
 /// calling thread.
-template <class Space, VectorStrategy S, class A, class Fin>
-void push_generic(const A& a, GatheredRecord rec, const Fin& fin,
-                  const PushConsts& c, index_t n0, index_t n1) {
+template <class Space, VectorStrategy S, class Fin>
+void push_generic(const ParticleAccessor& a, GatheredRecord rec,
+                  const Fin& fin, const PushConsts& c, index_t n0,
+                  index_t n1) {
   constexpr index_t G = S == VectorStrategy::Auto     ? 1
                         : S == VectorStrategy::Guided ? kPushBlock
                         : S == VectorStrategy::Manual ? kManualVecWidth
@@ -505,11 +497,12 @@ void push_generic(const A& a, GatheredRecord rec, const Fin& fin,
 
 /// One run [b, e) of `cell`: pushed with the cell's hoisted record, its
 /// stay-in-cell current flushed once.
-template <VectorStrategy S, class A, class AccA>
-PK_FORCEINLINE void push_run(const A& a, const InterpolatorArray& interp,
-                             AccA& acc, const Grid& g,
-                             const MoverOptions& opts, const PushConsts& c,
-                             std::int32_t cell, index_t b, index_t e) {
+template <VectorStrategy S, class AccA>
+PK_FORCEINLINE void push_run(const ParticleAccessor& a,
+                             const InterpolatorArray& interp, AccA& acc,
+                             const Grid& g, const MoverOptions& opts,
+                             const PushConsts& c, std::int32_t cell,
+                             index_t b, index_t e) {
   Accumulator local{};
   push_span<S>(a, HoistedRecord{interp(cell)},
                RunFinish<AccA>{local, acc, g, opts}, c, b, e);
@@ -517,10 +510,10 @@ PK_FORCEINLINE void push_run(const A& a, const InterpolatorArray& interp,
 }
 
 /// Run-aware path over a caller's run list: one whole run per iteration.
-template <class Space, VectorStrategy S, class A, class AccA>
-void push_runs(const A& a, const InterpolatorArray& interp, AccA& acc,
-               const Grid& g, const MoverOptions& opts, const PushConsts& c,
-               const std::vector<sort::CellRun>& runs) {
+template <class Space, VectorStrategy S, class AccA>
+void push_runs(const ParticleAccessor& a, const InterpolatorArray& interp,
+               AccA& acc, const Grid& g, const MoverOptions& opts,
+               const PushConsts& c, const std::vector<sort::CellRun>& runs) {
   pk::parallel_for(
       kRunKernel[static_cast<int>(S)],
       pk::RangePolicy<Space>(static_cast<index_t>(runs.size())),
@@ -544,8 +537,9 @@ constexpr int kMaxRunChunks = 256;
 /// to other cells) and reads no slot outside the chunk, which another
 /// member may be pushing. The runs, and the order each chunk pushes and
 /// flushes them in, are those of sort::segment_runs over the range.
-template <class Space, VectorStrategy S, class A, class AccA>
-void push_runs_found(const A& a, const InterpolatorArray& interp, AccA& acc,
+template <class Space, VectorStrategy S, class AccA>
+void push_runs_found(const ParticleAccessor& a,
+                     const InterpolatorArray& interp, AccA& acc,
                      const Grid& g, const MoverOptions& opts,
                      const PushConsts& c, index_t n0, index_t n1) {
   const index_t n = n1 - n0;
@@ -616,11 +610,10 @@ bool run_aware_profitable_range(const Species& sp, index_t n0, index_t n1) {
   if (!sp.cell_sorted_hint || sp.steps_since_sort < 0) return false;
   if (sp.steps_since_sort == 0) return true;  // fresh from a sort
   if (sp.steps_since_sort > kPushGates.max_stale) return false;
-  return dispatch_layout(sp.p, [&](auto a) {
-    const auto probe = sort::probe_runs(
-        n, [a, n0](index_t i) { return a.cell(n0 + i); });
-    return probe.mean_run_estimate() >= kPushGates.min_mean_run;
-  });
+  const ParticleAccessor a = sp.p.accessor();
+  const auto probe =
+      sort::probe_runs(n, [a, n0](index_t i) { return a.cell(n0 + i); });
+  return probe.mean_run_estimate() >= kPushGates.min_mean_run;
 }
 
 /// The push-path decision: resolve `path` to Generic or RunAware for
@@ -656,15 +649,14 @@ void push_runs_on(Species& sp, const InterpolatorArray& interp, AccA& acc,
                   const std::vector<sort::CellRun>& runs) {
   require_guarded_exits<Space>(opts);
   const PushConsts c = make_consts(sp, g);
-  dispatch_layout(sp.p, [&](auto a) {
-    with_strategy(strategy, [&](auto s) {
-      constexpr VectorStrategy S = decltype(s)::value;
-      if constexpr (S == VectorStrategy::AdHoc)
-        throw std::invalid_argument(
-            "push_runs_on: AdHoc has no run-aware variant");
-      else
-        push_runs<Space, S>(a, interp, acc, g, opts, c, runs);
-    });
+  const ParticleAccessor a = sp.p.accessor();
+  with_strategy(strategy, [&](auto s) {
+    constexpr VectorStrategy S = decltype(s)::value;
+    if constexpr (S == VectorStrategy::AdHoc)
+      throw std::invalid_argument(
+          "push_runs_on: AdHoc has no run-aware variant");
+    else
+      push_runs<Space, S>(a, interp, acc, g, opts, c, runs);
   });
 }
 
@@ -676,24 +668,23 @@ PushPath push_on(Species& sp, const InterpolatorArray& interp, AccA& acc,
   require_guarded_exits<Space>(opts);
   const PushPath taken = resolve_push_path(sp, strategy, path, n0, n1);
   const PushConsts c = make_consts(sp, g);
-  dispatch_layout(sp.p, [&](auto a) {
-    with_strategy(strategy, [&](auto s) {
-      constexpr VectorStrategy S = decltype(s)::value;
-      if constexpr (S != VectorStrategy::AdHoc) {
-        if (taken == PushPath::RunAware) {
-          push_runs_found<Space, S>(a, interp, acc, g, opts, c, n0, n1);
-          return;
-        }
+  const ParticleAccessor a = sp.p.accessor();
+  with_strategy(strategy, [&](auto s) {
+    constexpr VectorStrategy S = decltype(s)::value;
+    if constexpr (S != VectorStrategy::AdHoc) {
+      if (taken == PushPath::RunAware) {
+        push_runs_found<Space, S>(a, interp, acc, g, opts, c, n0, n1);
+        return;
       }
-      const GatheredRecord rec{&interp};
-      const MoveFinish<AccA> fin{acc, g, opts};
-      // AdHoc's v4 pipeline runs into the shared array only; a tile's
-      // block gets the scalar body.
-      if constexpr (S != VectorStrategy::AdHoc || kAtomicDeposit<AccA>)
-        push_generic<Space, S>(a, rec, fin, c, n0, n1);
-      else
-        push_generic<Space, VectorStrategy::Auto>(a, rec, fin, c, n0, n1);
-    });
+    }
+    const GatheredRecord rec{&interp};
+    const MoveFinish<AccA> fin{acc, g, opts};
+    // AdHoc's v4 pipeline runs into the shared array only; a tile's
+    // block gets the scalar body.
+    if constexpr (S != VectorStrategy::AdHoc || kAtomicDeposit<AccA>)
+      push_generic<Space, S>(a, rec, fin, c, n0, n1);
+    else
+      push_generic<Space, VectorStrategy::Auto>(a, rec, fin, c, n0, n1);
   });
   return taken;
 }
@@ -736,18 +727,16 @@ bool run_aware_profitable(const Species& sp) {
 }
 
 index_t compact_exited(Species& sp) {
-  return dispatch_layout(sp.p, [&](auto a) {
-    index_t out = 0;
-    for (index_t n = 0; n < sp.np; ++n) {
-      if (a.cell(n) >= 0) {
-        if (out != n) a.store(out, a.load(n));
-        ++out;
-      }
+  index_t out = 0;
+  for (index_t n = 0; n < sp.np; ++n) {
+    if (sp.p.cell(n) >= 0) {
+      if (out != n) sp.p(out) = sp.p(n);
+      ++out;
     }
-    const index_t removed = sp.np - out;
-    sp.np = out;
-    return removed;
-  });
+  }
+  const index_t removed = sp.np - out;
+  sp.np = out;
+  return removed;
 }
 
 }  // namespace vpic::core

@@ -2,10 +2,10 @@
 //
 // Single source of truth for the hot-path dispatch parameters: the
 // structural constants (block size, kernel vector widths) and the
-// run-aware push gates. The gates are fixed constants, one set for both
-// particle layouts, measured on the reference host (docs/LAYOUT.md,
-// "Dispatch constants"); the counting-vs-radix sort crossover lives with
-// the sort library (sort/dispatch_model.hpp).
+// run-aware push gates. The gates are fixed constants measured on the
+// reference host (docs/LAYOUT.md, "Dispatch constants"); the
+// counting-vs-radix sort crossover lives with the sort library
+// (sort/dispatch_model.hpp).
 //
 // Header-only and dependency-free (pk/layout.hpp only) so the push
 // engine, its tests and the dispatch bench read the same constants

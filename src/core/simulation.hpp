@@ -67,12 +67,6 @@ struct TileConfig {
 struct SimulationConfig {
   Grid grid;
   VectorStrategy strategy = VectorStrategy::Auto;
-  // Physical particle layout for every species added through add_species
-  // (AoS / SoA, see core/particle_store.hpp and docs/LAYOUT.md).
-  // Excluded from config_fingerprint(): the layout changes memory
-  // placement, not physics, so a checkpoint written under one layout
-  // restores under any other.
-  ParticleLayout layout = ParticleLayout::AoS;
   // Push pipeline: AutoDetect engages the run-aware fast path while the
   // particle array is (still) cell-sorted; Generic pins the per-particle
   // kernels; RunAware forces the fast path (docs/PUSH.md).
@@ -170,7 +164,7 @@ class Simulation {
   /// It sorts through the simulation's one SortScratch.
   std::size_t add_species(std::string name, float q, float m,
                           index_t capacity) {
-    species_.emplace_back(std::move(name), q, m, capacity, cfg_.layout);
+    species_.emplace_back(std::move(name), q, m, capacity);
     species_.back().scratch = sort_scratch_;
     return species_.size() - 1;
   }

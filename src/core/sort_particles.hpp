@@ -12,12 +12,10 @@
 //    (sort/dispatch_model.hpp: particle_sort_model()) says the histogram
 //    traffic is cheap relative to np;
 //  * the Standard order with a known key bound reads each particle's
-//    voxel where it lives — from the record on AoS, from the cell plane
-//    on SoA — so it fills no key array. The strided orders fill `keys`
-//    and rewrite them into `keys_alt`;
-//  * AoS scatters the 32-byte particle records directly, with no
-//    permutation array; SoA scatters a permutation and gathers through
-//    the layout accessor (a record is not one contiguous span there);
+//    voxel from its record, so it fills no key array. The strided orders
+//    fill `keys` and rewrite them into `keys_alt`;
+//  * the counting sort scatters the 32-byte particle records directly,
+//    with no permutation array;
 //  * the reorder writes into the spare particle buffer of the species'
 //    SortScratch (core/particle.hpp), which is then swapped with `p`
 //    (ping-pong), eliminating the copy-back pass. A Simulation's species
@@ -62,16 +60,11 @@ inline void sort_particles(Species& sp, sort::SortOrder order,
   ParticleStore& spare = scr.spare_for(sp.p);
   const int nthreads = pk::DefaultExecSpace::concurrency();
 
-  // Layout-generic permutation gather: dst[i] = src[perm[i]]. AoS moves
-  // whole records through the raw pointers; SoA goes through the
-  // accessor pair (still one pass, 8 plane moves per particle).
-  auto gather_perm = [&](const char* kernel, const index_t* perm) {
-    dispatch_layout(sp.p, [&](auto sa) {
-      dispatch_layout(spare, [&](auto da) {
-        pk::parallel_for(kernel, n,
-                         [=](index_t i) { da.store(i, sa.load(perm[i])); });
-      });
-    });
+  // Permutation gather of whole records: dst[i] = src[perm[i]].
+  const Particle* const src = sp.p.data();
+  Particle* const dst = spare.data();
+  auto gather_perm = [=](const char* kernel, const index_t* perm) {
+    pk::parallel_for(kernel, n, [=](index_t i) { dst[i] = src[perm[i]]; });
   };
 
   if (order == sort::SortOrder::Random) {
@@ -136,31 +129,18 @@ inline void sort_particles(Species& sp, sort::SortOrder order,
     const index_t b = static_cast<index_t>(bound);
     index_t* offsets =
         ws.reserve_histogram(sort::detail::counting_hist_cells(nthreads, b));
-    // One stable counting sort whatever the key source. AoS scatters the
-    // particle records directly (no permutation array, no copy-back);
-    // SoA scatters a permutation, then one accessor gather.
+    // One stable counting sort whatever the key source, scattering the
+    // particle records directly (no permutation array, no copy-back).
     const auto reorder = [&](const auto& key) {
       sort::detail::counting_offsets(key, n, b, offsets, nthreads);
-      if (sp.p.layout() == ParticleLayout::AoS) {
-        const Particle* const src = sp.p.data();
-        Particle* const dst = spare.data();
-        sort::detail::counting_scatter(
-            key, n, b, offsets, nthreads,
-            [src, dst](index_t i, index_t pos) { dst[pos] = src[i]; });
-      } else {
-        index_t* const perm = ws.reserve_perm(n);
-        sort::detail::counting_scatter_index(key, n, b, offsets, nthreads,
-                                             perm);
-        gather_perm("sort/counting_gather", perm);
-      }
+      sort::detail::counting_scatter(
+          key, n, b, offsets, nthreads,
+          [src, dst](index_t i, index_t pos) { dst[pos] = src[i]; });
     };
-    if (keys) {
+    if (keys)
       reorder([keys](index_t i) { return keys[i]; });
-    } else {
-      dispatch_layout(sp.p, [&](auto a) {
-        reorder([a](index_t i) { return a.cell(i); });
-      });
-    }
+    else
+      reorder([src](index_t i) { return src[i].i; });
   } else {
     // General fallback: radix argsort out of the workspace buffers, then
     // one gather of the particle records. The ping-pong partner of the

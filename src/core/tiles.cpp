@@ -73,73 +73,69 @@ void bucket_by_tile(Species& sp, const TileMap& tm) {
   sp.tiles.resize(static_cast<std::size_t>(nt));
   const index_t n = sp.np;
   prof::ScopedRegion region("bucket_by_tile");
-  ParticleStore* spare = nullptr;
-  dispatch_layout(sp.p, [&](auto sa) {
-    const auto tile = [sa, &tm](index_t i) {
-      return tm.tile_of_voxel(sa.cell(i));
-    };
-    // Tile ids are monotone in the voxel index, so an array exactly
-    // Standard-sorted (what sort_particles has just left, and what the
-    // run-aware push trusts) is tile-major as it stands. Any other array
-    // is checked with one read pass; a deck's ascending-voxel load passes.
-    bool tile_major = sp.cell_sorted_hint && sp.steps_since_sort == 0;
-    if (!tile_major) {
-      index_t descents = 0;
-      pk::parallel_reduce(
-          "tiles/bucket_check", std::max<index_t>(n - 1, 0),
-          [=](index_t i, index_t& d) { d += tile(i + 1) < tile(i) ? 1 : 0; },
-          descents);
-      tile_major = descents == 0;
-    }
-    if (tile_major) {
-      // The array stays put: tiles are z-slabs of the z-major voxel
-      // numbering, so tile t starts at the first particle at or past its
-      // first voxel. Ghost voxels below tile 1 belong to tile 0 and those
-      // past the last tile to tile nt-1, as tile_of_voxel clamps.
-      index_t at = 0;
-      for (int t = 0; t < nt; ++t) {
-        TileSlot& slot = sp.tiles[static_cast<std::size_t>(t)];
-        slot.begin = at;
-        if (t + 1 < nt) {
-          const index_t v = tm.v_lo(t + 1);
-          index_t hi = n;
-          while (at < hi) {
-            const index_t mid = at + (hi - at) / 2;
-            if (sa.cell(mid) < v) at = mid + 1;
-            else hi = mid;
-          }
-        } else {
-          at = n;
-        }
-        slot.end = at;
-      }
-      return;
-    }
-    // Otherwise one stable counting sort over tile ids on the calling
-    // thread's team, through the species' sort scratch: the histogram of
-    // its workspace, the records into its spare. The exclusive-scan
-    // offsets ARE the tile ranges (thread 0's row holds each bucket's
-    // first slot), captured before the scatter consumes them.
-    const index_t bound = static_cast<index_t>(nt);
-    const int nthreads = pk::DefaultExecSpace::concurrency();
-    SortScratch& scr = sp.sort_scratch();
-    index_t* offsets = scr.ws.reserve_histogram(
-        sort::detail::counting_hist_cells(nthreads, bound));
-    sort::detail::counting_offsets(tile, n, bound, offsets, nthreads);
+  const Particle* const src = sp.p.data();
+  const auto tile = [src, &tm](index_t i) {
+    return tm.tile_of_voxel(src[i].i);
+  };
+  // Tile ids are monotone in the voxel index, so an array exactly
+  // Standard-sorted (what sort_particles has just left, and what the
+  // run-aware push trusts) is tile-major as it stands. Any other array
+  // is checked with one read pass; a deck's ascending-voxel load passes.
+  bool tile_major = sp.cell_sorted_hint && sp.steps_since_sort == 0;
+  if (!tile_major) {
+    index_t descents = 0;
+    pk::parallel_reduce(
+        "tiles/bucket_check", std::max<index_t>(n - 1, 0),
+        [=](index_t i, index_t& d) { d += tile(i + 1) < tile(i) ? 1 : 0; },
+        descents);
+    tile_major = descents == 0;
+  }
+  if (tile_major) {
+    // The array stays put: tiles are z-slabs of the z-major voxel
+    // numbering, so tile t starts at the first particle at or past its
+    // first voxel. Ghost voxels below tile 1 belong to tile 0 and those
+    // past the last tile to tile nt-1, as tile_of_voxel clamps.
+    index_t at = 0;
     for (int t = 0; t < nt; ++t) {
       TileSlot& slot = sp.tiles[static_cast<std::size_t>(t)];
-      slot.begin = offsets[t];
-      slot.end = t + 1 < nt ? offsets[t + 1] : n;
+      slot.begin = at;
+      if (t + 1 < nt) {
+        const index_t v = tm.v_lo(t + 1);
+        index_t hi = n;
+        while (at < hi) {
+          const index_t mid = at + (hi - at) / 2;
+          if (src[mid].i < v) at = mid + 1;
+          else hi = mid;
+        }
+      } else {
+        at = n;
+      }
+      slot.end = at;
     }
-    spare = &scr.spare_for(sp.p);
-    dispatch_layout(*spare, [&](auto da) {
-      sort::detail::counting_scatter(
-          tile, n, bound, offsets, nthreads,
-          [sa, da](index_t i, index_t pos) { da.store(pos, sa.load(i)); });
-    });
-  });
-  if (spare == nullptr) return;
-  std::swap(sp.p, *spare);
+    return;
+  }
+  // Otherwise one stable counting sort over tile ids on the calling
+  // thread's team, through the species' sort scratch: the histogram of
+  // its workspace, the records into its spare. The exclusive-scan
+  // offsets ARE the tile ranges (thread 0's row holds each bucket's
+  // first slot), captured before the scatter consumes them.
+  const index_t bound = static_cast<index_t>(nt);
+  const int nthreads = pk::DefaultExecSpace::concurrency();
+  SortScratch& scr = sp.sort_scratch();
+  index_t* offsets = scr.ws.reserve_histogram(
+      sort::detail::counting_hist_cells(nthreads, bound));
+  sort::detail::counting_offsets(tile, n, bound, offsets, nthreads);
+  for (int t = 0; t < nt; ++t) {
+    TileSlot& slot = sp.tiles[static_cast<std::size_t>(t)];
+    slot.begin = offsets[t];
+    slot.end = t + 1 < nt ? offsets[t + 1] : n;
+  }
+  ParticleStore& spare = scr.spare_for(sp.p);
+  Particle* const dst = spare.data();
+  sort::detail::counting_scatter(
+      tile, n, bound, offsets, nthreads,
+      [src, dst](index_t i, index_t pos) { dst[pos] = src[i]; });
+  std::swap(sp.p, spare);
   prof::counter_add("tiles.bucket");
 }
 

@@ -29,15 +29,13 @@ void TracerModule::run(Simulation& sim, std::int64_t next_step) {
     seeded_ = true;
     if (prm_.species < sim.num_species() && prm_.stride > 0) {
       const Species& sp = sim.species(prm_.species);
-      dispatch_layout(sp.p, [&](auto a) {
-        for (index_t i = 0; i < sp.np; i += prm_.stride) {
-          if (tracers_.size() >= prm_.max_tracers) break;
-          TracerParticle t;
-          t.id = static_cast<std::uint32_t>(tracers_.size());
-          t.p = a.load(i);
-          tracers_.push_back(t);
-        }
-      });
+      for (index_t i = 0; i < sp.np; i += prm_.stride) {
+        if (tracers_.size() >= prm_.max_tracers) break;
+        TracerParticle t;
+        t.id = static_cast<std::uint32_t>(tracers_.size());
+        t.p = sp.p(i);
+        tracers_.push_back(t);
+      }
     }
   }
   if (tracers_.empty() || prm_.species >= sim.num_species()) return;

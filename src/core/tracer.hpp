@@ -9,10 +9,10 @@
 // buffer — the in-memory diagnostic stream, flushed under the step's
 // "diag" resource so it composes with the diagnostics phase ordering.
 //
-// Tracers live in a module-owned AoS vector regardless of the species
-// layout, so trajectories are bit-identical across AoS/SoA and
-// across the untiled/tiled execution shapes (the module plans a single
-// phase ordered after the interpolator load). State (tracer particles,
+// Tracers live in a module-owned vector of particle records, so
+// trajectories are bit-identical across the untiled/tiled execution
+// shapes (the module plans a single phase ordered after the interpolator
+// load). State (tracer particles,
 // ring, counters) round-trips through the module checkpoint sections.
 //
 // CSV sink: when SimulationConfig::tracer_csv_path is set, new trajectory

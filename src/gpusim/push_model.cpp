@@ -63,17 +63,14 @@ PushResult model_push(const DeviceSpec& dev,
       params.accum_record);
 
   // Particle array: streaming read + write, bypasses the modeled LLC.
-  const int precord = params.particle_bytes();
+  const int precord = PushModelParams::kParticleBytes;
   const StreamStats pread = analyze_streaming(n, precord, dev);
   const StreamStats pwrite = analyze_streaming(n, precord, dev);
 
   // Run-aware only: the segmentation sweep that finds same-cell runs reads
-  // every particle's cell index once — a full extra record stream through
-  // AoS, a dense 4 B/particle plane for SoA (the honesty fix the
-  // layout work makes visible; core/particle_layout.hpp).
+  // every particle's cell index once — a full extra record stream.
   StreamStats keyscan{};
-  if (params.run_aware)
-    keyscan = analyze_streaming(n, params.key_read_bytes(), dev);
+  if (params.run_aware) keyscan = analyze_streaming(n, precord, dev);
 
   KernelProfile p;
   p.threads = n;
@@ -91,11 +88,9 @@ PushResult model_push(const DeviceSpec& dev,
   p.warp_rounds = gather.warps + scatter.warps + pread.warps +
                   pwrite.warps + keyscan.warps;
   p.atomic_serial = scatter.atomic_conflicts + scatter.window_conflicts;
+  // Particle load + store, plus the key sweep's record stream.
   p.logical_bytes =
-      n * static_cast<std::uint64_t>(2 * precord) +
-      (params.run_aware
-           ? n * static_cast<std::uint64_t>(params.key_read_bytes())
-           : std::uint64_t{0}) +
+      n * static_cast<std::uint64_t>((params.run_aware ? 3 : 2) * precord) +
       n_idx * static_cast<std::uint64_t>(params.interp_record +
                                          2 * params.accum_record);
 

@@ -29,20 +29,17 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/particle_layout.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/kernel_model.hpp"
 
 namespace vpic::gpusim {
 
 struct PushModelParams {
-  // Particle storage layout. The particle-stream traffic is derived from
-  // it (core/particle_layout.hpp): a full record touch streams
-  // particle_record_bytes(layout) both ways regardless of layout, but the
-  // run-segmentation sweep of the run-aware pipeline reads ONLY the cell
-  // index — 32 B/particle through an AoS record, ~4 B/particle for the
-  // densely packed SoA cell plane.
-  core::ParticleLayout layout = core::ParticleLayout::AoS;
+  // Bytes streamed per particle record (core::Particle). The
+  // run-segmentation sweep of the run-aware pipeline reads only the cell
+  // index, but DRAM moves whole transactions, so it streams whole records
+  // too.
+  static constexpr int kParticleBytes = 32;
   int interp_stride = 80;         // padded interpolator stride
   int interp_record = 72;         // bytes actually read
   int accum_stride = 48;          // accumulator stride
@@ -54,17 +51,9 @@ struct PushModelParams {
   // gather and the accumulator scatter are issued once per same-cell
   // *run* of the cell sequence (the CPU engine's hoist/batch, or a
   // block-shared gather with a local reduction on a real GPU) instead of
-  // once per particle, plus one streaming key-read sweep to find the runs
-  // (layout-dependent, see `layout`). Arithmetic and particle streaming
-  // are unchanged.
+  // once per particle, plus one streaming key-read sweep to find the runs.
+  // Arithmetic and particle streaming are unchanged.
   bool run_aware = false;
-
-  [[nodiscard]] int particle_bytes() const noexcept {
-    return core::particle_record_bytes(layout);
-  }
-  [[nodiscard]] int key_read_bytes() const noexcept {
-    return core::particle_key_read_bytes(layout);
-  }
 };
 
 struct PushResult {

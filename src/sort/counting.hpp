@@ -14,8 +14,8 @@
 // index all call them. They take the key as a callable `key(i)`, so a
 // caller reads each key where it already lives (a particle record's
 // voxel, a tile id computed from it) instead of filling a key array, and
-// the element move as a callable `place(i, slot)`, so records, indices and
-// layout accessors scatter through the same loop. They use only
+// the element move as a callable `place(i, slot)`, so records and indices
+// scatter through the same loop. They use only
 // caller-provided storage, so a caller holding a persistent SortWorkspace
 // sorts with zero heap allocations. The View-level counting_sort_by_key
 // mirrors the radix API (in-place semantics, scratch allocated per call).

@@ -12,10 +12,10 @@
 // one after another, so each buffer is sized for the largest species that
 // reads it. Each buffer is reserved on its own, by the sort paths that
 // read it, so the workspace holds only what the sort order needs
-// (docs/SORTING.md, "Workspace"): the AoS Standard sort reads each voxel
-// from its record and holds no per-particle buffer at all; the SoA
-// Standard sort and the Random order hold `perm`; the strided orders hold
-// `keys` and `keys_alt`; only the radix fallback holds all four.
+// (docs/SORTING.md, "Workspace"): the Standard sort reads each voxel from
+// its record and holds no per-particle buffer at all; the Random order
+// holds `perm`; the strided orders hold `keys` and `keys_alt`; only the
+// radix fallback holds all four.
 #pragma once
 
 #include <algorithm>

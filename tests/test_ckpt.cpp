@@ -15,6 +15,7 @@
 //   * coordinated DistributedSimulation checkpoint/restore.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -59,9 +60,7 @@ fs::path scratch(const std::string& tag) {
 
 /// Small LPI deck (the issue's bit-identity workload) with energy
 /// diagnostics on, cheap enough for 100-step test runs.
-core::Simulation make_lpi_small(
-    std::uint64_t seed = 42,
-    core::ParticleLayout layout = core::ParticleLayout::AoS) {
+core::Simulation make_lpi_small(std::uint64_t seed = 42) {
   core::decks::LpiParams p;
   p.nx = 12;
   p.ny = 4;
@@ -69,16 +68,15 @@ core::Simulation make_lpi_small(
   p.ppc = 2;
   p.sort_interval = 10;
   p.seed = seed;
-  p.layout = layout;
   auto sim = core::decks::make_lpi(p);
   sim.config().energy_interval = 5;
   return sim;
 }
 
-/// Canonical-AoS particle bytes of a species, valid for every layout.
+/// The live particle records of a species.
 std::vector<core::Particle> canon_particles(const core::Species& sp) {
   std::vector<core::Particle> out(static_cast<std::size_t>(sp.np));
-  sp.p.export_aos(out.data(), sp.np);
+  std::copy_n(sp.p.data(), sp.np, out.data());
   return out;
 }
 
@@ -107,8 +105,6 @@ void expect_bit_identical(core::Simulation& a, core::Simulation& b) {
     const auto& sa = a.species(s);
     const auto& sb = b.species(s);
     ASSERT_EQ(sa.np, sb.np) << "species " << sa.name;
-    // Compare in canonical AoS order: valid for every particle layout,
-    // including cross-layout pairs (restore may retarget the layout).
     const auto pa = canon_particles(sa);
     const auto pb = canon_particles(sb);
     EXPECT_EQ(std::memcmp(pa.data(), pb.data(),
@@ -704,44 +700,6 @@ TEST(SimCkpt, BitIdenticalResumeOnLpi) {
   expect_bit_identical(resumed, ref);
 }
 
-TEST(SimCkpt, NonAosRoundTripAndCrossLayoutRestore) {
-  // The on-disk particle stream is canonical AoS whatever the in-memory
-  // layout (docs/LAYOUT.md): a non-AoS species must round-trip
-  // bit-identically, and the same file must restore into a simulation
-  // running a *different* layout (the layout is deliberately not part of
-  // the config fingerprint).
-  const auto layout = core::ParticleLayout::SoA;
-  const auto dir = scratch(std::string("nonaos_") + core::to_string(layout));
-  const std::string path = (dir / "mid.ckpt").string();
-
-  auto ref = make_lpi_small(42, layout);
-  ref.run(40);
-
-  auto victim = make_lpi_small(42, layout);
-  victim.run(20);
-  EXPECT_GT(victim.checkpoint(path), 0u);
-  victim.run(20);
-  expect_bit_identical(victim, ref);
-
-  // Same-layout resume.
-  auto resumed = make_lpi_small(42, layout);
-  resumed.restore(path);
-  EXPECT_EQ(resumed.step_count(), 20);
-  EXPECT_EQ(resumed.species(0).p.layout(), layout);
-  resumed.run(20);
-  expect_bit_identical(resumed, ref);
-
-  // Cross-layout restore: an AoS deck consumes the non-AoS-written
-  // file. Physics stays bit-identical because every kernel reads the
-  // same particle values through its layout accessor.
-  auto cross = make_lpi_small(42, core::ParticleLayout::AoS);
-  cross.restore(path);
-  EXPECT_EQ(cross.step_count(), 20);
-  EXPECT_EQ(cross.species(0).p.layout(), core::ParticleLayout::AoS);
-  cross.run(20);
-  expect_bit_identical(cross, ref);
-}
-
 TEST(SimCkpt, RestoreRejectsWrongDeck) {
   const auto dir = scratch("wrong_deck");
   const std::string path = (dir / "a.ckpt").string();
@@ -817,6 +775,43 @@ TEST(SimCkpt, CorruptRestoreLeavesStateUntouched) {
   // Validate-then-mutate: the failed restore changed nothing.
   EXPECT_EQ(view_bytes(sim.fields().ex), before);
   EXPECT_EQ(sim.step_count(), 15);
+}
+
+TEST(SimCkpt, RestoreRejectsAParticleSectionShorterThanItsCount) {
+  // A file whose CRCs all hold, but whose species meta counts one record
+  // more than the particle section holds, must not restore: the slot past
+  // the section would keep a stale record.
+  const auto dir = scratch("np_mismatch");
+  const std::string good = (dir / "good.ckpt").string();
+  const std::string bad = (dir / "bad.ckpt").string();
+  auto sim = make_lpi_small();
+  sim.run(10);
+  sim.checkpoint(good);
+
+  ckpt::FileReader in(good);
+  ckpt::FileWriter out;
+  for (const std::string& name : in.section_names()) {
+    ckpt::EncodedSection s = in.section(name);
+    if (name == "sp0.meta") {
+      std::int64_t np;  // the first field of the species meta pod
+      std::memcpy(&np, s.payload.data(), sizeof(np));
+      ++np;
+      std::memcpy(s.payload.data(), &np, sizeof(np));
+    }
+    out.add(std::move(s));
+  }
+  out.commit(bad, in.fingerprint(), in.step());
+  ckpt::FileReader(bad).validate_all();  // a consistent file, CRCs and all
+
+  sim.run(5);
+  const auto before = view_bytes(sim.fields().ex);
+  EXPECT_EQ(thrown_kind([&] { sim.restore(bad); }),
+            ckpt::RestoreErrorKind::ShapeMismatch);
+  // The shape is checked before any state changes.
+  EXPECT_EQ(view_bytes(sim.fields().ex), before);
+  EXPECT_EQ(sim.step_count(), 15);
+  sim.restore(good);
+  EXPECT_EQ(sim.step_count(), 10);
 }
 
 TEST(SimCkpt, RestoreLatestFallsBackPastCorruptGeneration) {

@@ -2,11 +2,11 @@
 // conservation laws and Maxwellianization of the collide_range operator
 // (driven directly, no field dynamics), bit-identity with a serial
 // std::map reference at 1 and 4 OpenMP threads, bit-determinism across
-// particle layouts and stealing worker counts, and checkpoint round-trips
-// of a collision-enabled run — including the module's counters — across
-// layouts.
+// stealing worker counts, and checkpoint round-trips of a
+// collision-enabled run, including the module's counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -37,10 +37,8 @@ class PkEnv : public ::testing::Environment {
 /// One-cell species with an anisotropic Gaussian momentum spread:
 /// sigma_x = uth_x, sigma_y = sigma_z = uth_perp.
 core::Species make_cell_species(index_t n, float uth_x, float uth_perp,
-                                const core::Grid& g,
-                                core::ParticleLayout layout,
-                                std::uint64_t seed) {
-  core::Species sp("test", -1.0f, 1.0f, n, layout);
+                                const core::Grid& g, std::uint64_t seed) {
+  core::Species sp("test", -1.0f, 1.0f, n);
   const auto v = static_cast<std::int32_t>(g.voxel(1, 1, 1));
   for (index_t i = 0; i < n; ++i) {
     core::Particle p{};
@@ -64,7 +62,7 @@ struct Moments {
 Moments moments(const core::Species& sp) {
   Moments m;
   std::vector<core::Particle> ps(static_cast<std::size_t>(sp.np));
-  sp.p.export_aos(ps.data(), sp.np);
+  std::copy_n(sp.p.data(), sp.np, ps.data());
   for (const auto& p : ps) {
     m.px += static_cast<double>(sp.m) * p.ux;
     m.py += static_cast<double>(sp.m) * p.uy;
@@ -88,7 +86,7 @@ Moments moments(const core::Species& sp) {
 
 std::vector<core::Particle> canon(const core::Species& sp) {
   std::vector<core::Particle> out(static_cast<std::size_t>(sp.np));
-  sp.p.export_aos(out.data(), sp.np);
+  std::copy_n(sp.p.data(), sp.np, out.data());
   return out;
 }
 
@@ -106,9 +104,7 @@ bool same_particles(core::Simulation& a, core::Simulation& b) {
   return true;
 }
 
-core::Simulation make_colliding_lpi(
-    core::ParticleLayout layout = core::ParticleLayout::AoS,
-    std::uint64_t seed = 42) {
+core::Simulation make_colliding_lpi(std::uint64_t seed = 42) {
   core::decks::LpiParams p;
   p.nx = 12;
   p.ny = 4;
@@ -116,7 +112,6 @@ core::Simulation make_colliding_lpi(
   p.ppc = 4;
   p.sort_interval = 10;
   p.seed = seed;
-  p.layout = layout;
   auto sim = core::decks::make_lpi(p);
   sim.config().energy_interval = 5;
   core::CollisionParams cp;
@@ -184,9 +179,7 @@ void shuffle(std::vector<index_t>& v, std::uint64_t seed) {
 std::map<std::int32_t, std::vector<index_t>> cell_lists(
     const core::Species& sp, index_t begin, index_t end) {
   std::map<std::int32_t, std::vector<index_t>> cells;
-  core::dispatch_layout(sp.p, [&](auto a) {
-    for (index_t i = begin; i < end; ++i) cells[a.cell(i)].push_back(i);
-  });
+  for (index_t i = begin; i < end; ++i) cells[sp.p.cell(i)].push_back(i);
   return cells;
 }
 
@@ -203,58 +196,56 @@ core::CollisionStats collide_range(core::Species& sa, core::Species& sb,
   auto cells_a = cell_lists(sa, a_begin, a_end);
   auto cells_b = self ? std::map<std::int32_t, std::vector<index_t>>{}
                       : cell_lists(sb, b_begin, b_end);
-  core::dispatch_layout(sa.p, [&](auto aa) {
-    core::dispatch_layout(sb.p, [&](auto ab) {
-      for (auto& [voxel, la] : cells_a) {
-        const std::uint64_t seed_cell =
-            rng.stream(step, pair_key, static_cast<std::uint64_t>(voxel));
-        const std::uint64_t seed_theta = core::hash64(seed_cell ^ 2);
-        const std::uint64_t seed_phi = core::hash64(seed_cell ^ 3);
-        shuffle(la, core::hash64(seed_cell ^ 1));
-        std::size_t npair = 0;
-        if (self) {
-          npair = la.size() / 2;
-          for (std::size_t k = 0; k < npair; ++k) {
-            core::Particle pa = aa.load(la[2 * k]);
-            core::Particle pb = aa.load(la[2 * k + 1]);
-            if (scatter_pair(pa, pb, sa.m, sa.m, sa.q, sa.q, nu0_dt,
-                             prm.u_floor, core::normal(seed_theta, k),
-                             core::uniform01(seed_phi, k))) {
-              aa.store(la[2 * k], pa);
-              aa.store(la[2 * k + 1], pb);
-              ++st.pairs;
-            }
-          }
-        } else {
-          const auto itb = cells_b.find(voxel);
-          if (itb == cells_b.end()) continue;
-          auto& lb = itb->second;
-          shuffle(lb, core::hash64(seed_cell ^ 4));
-          npair = la.size() < lb.size() ? la.size() : lb.size();
-          for (std::size_t k = 0; k < npair; ++k) {
-            core::Particle pa = aa.load(la[k]);
-            core::Particle pb = ab.load(lb[k]);
-            if (scatter_pair(pa, pb, sa.m, sb.m, sa.q, sb.q, nu0_dt,
-                             prm.u_floor, core::normal(seed_theta, k),
-                             core::uniform01(seed_phi, k))) {
-              aa.store(la[k], pa);
-              ab.store(lb[k], pb);
-              ++st.pairs;
-            }
-          }
+  const core::ParticleAccessor aa = sa.p.accessor();
+  const core::ParticleAccessor ab = sb.p.accessor();
+  for (auto& [voxel, la] : cells_a) {
+    const std::uint64_t seed_cell =
+        rng.stream(step, pair_key, static_cast<std::uint64_t>(voxel));
+    const std::uint64_t seed_theta = core::hash64(seed_cell ^ 2);
+    const std::uint64_t seed_phi = core::hash64(seed_cell ^ 3);
+    shuffle(la, core::hash64(seed_cell ^ 1));
+    std::size_t npair = 0;
+    if (self) {
+      npair = la.size() / 2;
+      for (std::size_t k = 0; k < npair; ++k) {
+        core::Particle pa = aa.load(la[2 * k]);
+        core::Particle pb = aa.load(la[2 * k + 1]);
+        if (scatter_pair(pa, pb, sa.m, sa.m, sa.q, sa.q, nu0_dt,
+                         prm.u_floor, core::normal(seed_theta, k),
+                         core::uniform01(seed_phi, k))) {
+          aa.store(la[2 * k], pa);
+          aa.store(la[2 * k + 1], pb);
+          ++st.pairs;
         }
-        if (npair) ++st.cells;
       }
-    });
-  });
+    } else {
+      const auto itb = cells_b.find(voxel);
+      if (itb == cells_b.end()) continue;
+      auto& lb = itb->second;
+      shuffle(lb, core::hash64(seed_cell ^ 4));
+      npair = la.size() < lb.size() ? la.size() : lb.size();
+      for (std::size_t k = 0; k < npair; ++k) {
+        core::Particle pa = aa.load(la[k]);
+        core::Particle pb = ab.load(lb[k]);
+        if (scatter_pair(pa, pb, sa.m, sb.m, sa.q, sb.q, nu0_dt,
+                         prm.u_floor, core::normal(seed_theta, k),
+                         core::uniform01(seed_phi, k))) {
+          aa.store(la[k], pa);
+          ab.store(lb[k], pb);
+          ++st.pairs;
+        }
+      }
+    }
+    if (npair) ++st.cells;
+  }
   return st;
 }
 
 }  // namespace ref
 
-/// A fresh species holding a copy of `src`'s live particles, same layout.
+/// A fresh species holding a copy of `src`'s live particles.
 core::Species clone(const core::Species& src) {
-  core::Species out(src.name, src.q, src.m, src.np, src.p.layout());
+  core::Species out(src.name, src.q, src.m, src.np);
   for (index_t i = 0; i < src.np; ++i) out.p.set(i, src.p.get(i));
   out.np = src.np;
   return out;
@@ -275,8 +266,7 @@ fs::path scratch(const std::string& tag) {
 
 TEST(CollideRange, ConservesMomentumAndEnergy) {
   const core::Grid g(4, 4, 4, 4, 4, 4, 0.1f);
-  auto sp = make_cell_species(2000, 0.10f, 0.05f, g,
-                              core::ParticleLayout::AoS, 7);
+  auto sp = make_cell_species(2000, 0.10f, 0.05f, g, 7);
   core::CollisionParams prm;
   prm.nu0 = 2e-3;
   const core::ModuleRng rng{core::hash64(123)};
@@ -300,8 +290,7 @@ TEST(CollideRange, ConservesMomentumAndEnergy) {
 TEST(CollideRange, MaxwellianizesAnisotropicDistribution) {
   const core::Grid g(4, 4, 4, 4, 4, 4, 0.1f);
   // Tx = 4 x Tperp initially.
-  auto sp = make_cell_species(4000, 0.10f, 0.05f, g,
-                              core::ParticleLayout::AoS, 11);
+  auto sp = make_cell_species(4000, 0.10f, 0.05f, g, 11);
   core::CollisionParams prm;
   prm.nu0 = 5e-3;
   const core::ModuleRng rng{core::hash64(321)};
@@ -321,10 +310,8 @@ TEST(CollideRange, MaxwellianizesAnisotropicDistribution) {
 
 TEST(CollideRange, InterSpeciesConservesTotalMomentum) {
   const core::Grid g(4, 4, 4, 4, 4, 4, 0.1f);
-  auto a = make_cell_species(1500, 0.10f, 0.10f, g,
-                             core::ParticleLayout::AoS, 21);
-  core::Species b = make_cell_species(1500, 0.02f, 0.02f, g,
-                                      core::ParticleLayout::AoS, 22);
+  auto a = make_cell_species(1500, 0.10f, 0.10f, g, 21);
+  core::Species b = make_cell_species(1500, 0.02f, 0.02f, g, 22);
   b.m = 4.0f;  // unequal masses exercise the reduced-mass split
   core::CollisionParams prm;
   prm.nu0 = 2e-3;
@@ -347,51 +334,21 @@ TEST(CollideRange, InterSpeciesConservesTotalMomentum) {
   EXPECT_NEAR(aa.ke + ab.ke, ba.ke + bb.ke, 5e-3 * (ba.ke + bb.ke));
 }
 
-TEST(CollideRange, BitIdenticalAcrossLayouts) {
-  const core::Grid g(4, 4, 4, 4, 4, 4, 0.1f);
-  core::CollisionParams prm;
-  prm.nu0 = 2e-3;
-  const core::ModuleRng rng{core::hash64(55)};
-  std::vector<core::Particle> ref;
-  for (int li = 0; li < core::kNumParticleLayouts; ++li) {
-    auto sp = make_cell_species(1024, 0.10f, 0.05f, g,
-                                core::kAllParticleLayouts[li], 13);
-    for (int it = 0; it < 10; ++it)
-      core::collide_range(sp, sp, g, prm, 0, sp.np, 0, sp.np,
-                          static_cast<std::uint64_t>(it), 0, rng);
-    const auto got = canon(sp);
-    if (li == 0) {
-      ref = got;
-    } else {
-      ASSERT_EQ(got.size(), ref.size());
-      EXPECT_EQ(std::memcmp(got.data(), ref.data(),
-                            got.size() * sizeof(core::Particle)),
-                0)
-          << "layout " << core::to_string(core::kAllParticleLayouts[li]);
-    }
-  }
-}
-
 TEST(CollideRange, MatchesSerialReferenceAtAnyThreadCount) {
   // A multi-cell deck with an odd ppc (self pairs leave one particle
   // over), stepped at one thread so the particles are out of cell order.
-  std::vector<core::Simulation> decks;
-  decks.reserve(core::kNumParticleLayouts);
-  for (const auto layout : core::kAllParticleLayouts) {
-    core::decks::LpiParams p;
-    p.nx = 16;
-    p.ny = 8;
-    p.nz = 8;
-    p.ppc = 5;
-    p.layout = layout;
-    decks.push_back(core::decks::make_lpi(p));
-    decks.back().run(7);
-    const core::Species& e = decks.back().species(0);
-    bool unsorted = false;
-    for (index_t i = 1; i < e.np && !unsorted; ++i)
-      unsorted = e.p.cell(i) < e.p.cell(i - 1);
-    ASSERT_TRUE(unsorted);
-  }
+  core::decks::LpiParams p;
+  p.nx = 16;
+  p.ny = 8;
+  p.nz = 8;
+  p.ppc = 5;
+  core::Simulation sim = core::decks::make_lpi(p);
+  sim.run(7);
+  const core::Species& e = sim.species(0);
+  bool unsorted = false;
+  for (index_t i = 1; i < e.np && !unsorted; ++i)
+    unsorted = e.p.cell(i) < e.p.cell(i - 1);
+  ASSERT_TRUE(unsorted);
   core::CollisionParams prm;
   prm.nu0 = 5e-2;
   const core::ModuleRng rng{core::hash64(77)};
@@ -402,52 +359,47 @@ TEST(CollideRange, MatchesSerialReferenceAtAnyThreadCount) {
   } restore;
   for (const int threads : {1, 4}) {
     pk::initialize(threads);
-    for (std::size_t li = 0; li < decks.size(); ++li) {
-      core::Simulation& sim = decks[li];
-      const index_t ne = sim.species(0).np, ni = sim.species(1).np;
-      struct Case {
-        std::size_t a, b;
-        index_t a0, a1, b0, b1;
-      };
-      // Whole ranges, then sub-ranges: the tile-task shape.
-      const Case cases[] = {
-          {0, 0, 0, ne, 0, ne},
-          {0, 1, 0, ne, 0, ni},
-          {1, 1, ni / 3, 2 * ni / 3, 0, 0},
-          {0, 1, ne / 4, 3 * ne / 4, ni / 3, ni},
-      };
-      for (const Case& c : cases) {
-        SCOPED_TRACE(testing::Message()
-                     << threads << " threads, layout "
-                     << core::to_string(core::kAllParticleLayouts[li])
-                     << ", pair " << c.a << ":" << c.b << " [" << c.a0 << ", "
-                     << c.a1 << ")");
-        core::Species ra = clone(sim.species(c.a));
-        core::Species rb = clone(sim.species(c.b));
-        core::Species ga = clone(sim.species(c.a));
-        core::Species gb = clone(sim.species(c.b));
-        const bool self = c.a == c.b;
-        const std::uint64_t key = c.a * 1024 + c.b;
-        const core::CollisionStats want =
-            ref::collide_range(ra, self ? ra : rb, sim.grid(), prm, c.a0,
-                               c.a1, c.b0, c.b1, 3, key, rng);
-        const core::CollisionStats got =
-            core::collide_range(ga, self ? ga : gb, sim.grid(), prm, c.a0,
-                                c.a1, c.b0, c.b1, 3, key, rng);
-        ASSERT_GT(want.pairs, 0u);
-        ASSERT_GT(want.cells, 1u);
-        EXPECT_EQ(got.pairs, want.pairs);
-        EXPECT_EQ(got.cells, want.cells);
-        const auto want_a = canon(ra), got_a = canon(ga);
-        EXPECT_EQ(std::memcmp(got_a.data(), want_a.data(),
-                              got_a.size() * sizeof(core::Particle)),
+    const index_t ne = sim.species(0).np, ni = sim.species(1).np;
+    struct Case {
+      std::size_t a, b;
+      index_t a0, a1, b0, b1;
+    };
+    // Whole ranges, then sub-ranges: the tile-task shape.
+    const Case cases[] = {
+        {0, 0, 0, ne, 0, ne},
+        {0, 1, 0, ne, 0, ni},
+        {1, 1, ni / 3, 2 * ni / 3, 0, 0},
+        {0, 1, ne / 4, 3 * ne / 4, ni / 3, ni},
+    };
+    for (const Case& c : cases) {
+      SCOPED_TRACE(testing::Message()
+                   << threads << " threads, pair " << c.a << ":" << c.b
+                   << " [" << c.a0 << ", " << c.a1 << ")");
+      core::Species ra = clone(sim.species(c.a));
+      core::Species rb = clone(sim.species(c.b));
+      core::Species ga = clone(sim.species(c.a));
+      core::Species gb = clone(sim.species(c.b));
+      const bool self = c.a == c.b;
+      const std::uint64_t key = c.a * 1024 + c.b;
+      const core::CollisionStats want =
+          ref::collide_range(ra, self ? ra : rb, sim.grid(), prm, c.a0,
+                             c.a1, c.b0, c.b1, 3, key, rng);
+      const core::CollisionStats got =
+          core::collide_range(ga, self ? ga : gb, sim.grid(), prm, c.a0,
+                              c.a1, c.b0, c.b1, 3, key, rng);
+      ASSERT_GT(want.pairs, 0u);
+      ASSERT_GT(want.cells, 1u);
+      EXPECT_EQ(got.pairs, want.pairs);
+      EXPECT_EQ(got.cells, want.cells);
+      const auto want_a = canon(ra), got_a = canon(ga);
+      EXPECT_EQ(std::memcmp(got_a.data(), want_a.data(),
+                            got_a.size() * sizeof(core::Particle)),
+                0);
+      if (!self) {
+        const auto want_b = canon(rb), got_b = canon(gb);
+        EXPECT_EQ(std::memcmp(got_b.data(), want_b.data(),
+                              got_b.size() * sizeof(core::Particle)),
                   0);
-        if (!self) {
-          const auto want_b = canon(rb), got_b = canon(gb);
-          EXPECT_EQ(std::memcmp(got_b.data(), want_b.data(),
-                                got_b.size() * sizeof(core::Particle)),
-                    0);
-        }
       }
     }
   }
@@ -531,7 +483,7 @@ TEST(CollisionModule, UntiledStepPublishesCollidePhases) {
   EXPECT_TRUE(saw_collide);
 }
 
-TEST(CollisionModule, CheckpointRoundTripsAcrossLayouts) {
+TEST(CollisionModule, CheckpointRoundTripsBitIdentically) {
   const fs::path dir = scratch("rt");
   auto sim = make_colliding_lpi();
   sim.run(20);
@@ -542,20 +494,16 @@ TEST(CollisionModule, CheckpointRoundTripsAcrossLayouts) {
   sim.checkpoint((dir / "a.ckpt").string());
   sim.run(15);
 
-  // The checkpoint restores bit-identically under every particle layout
-  // (the file stores the canonical AoS stream; collisions scan in index
-  // order, never layout order) — counters included.
-  for (const auto layout : core::kAllParticleLayouts) {
-    auto restored = make_colliding_lpi(layout);
-    restored.restore((dir / "a.ckpt").string());
-    EXPECT_TRUE(restored.last_restore_skips().empty());
-    auto* rcol =
-        dynamic_cast<core::CollisionModule*>(restored.find_module("collide"));
-    ASSERT_NE(rcol, nullptr);
-    EXPECT_EQ(rcol->pairs_scattered(), pairs_at_ckpt);
-    restored.run(15);
-    EXPECT_TRUE(same_particles(sim, restored))
-        << "layout " << core::to_string(layout);
-    EXPECT_EQ(rcol->pairs_scattered(), col->pairs_scattered());
-  }
+  // The checkpoint restores bit-identically (collisions scan in index
+  // order), counters included.
+  auto restored = make_colliding_lpi();
+  restored.restore((dir / "a.ckpt").string());
+  EXPECT_TRUE(restored.last_restore_skips().empty());
+  auto* rcol =
+      dynamic_cast<core::CollisionModule*>(restored.find_module("collide"));
+  ASSERT_NE(rcol, nullptr);
+  EXPECT_EQ(rcol->pairs_scattered(), pairs_at_ckpt);
+  restored.run(15);
+  EXPECT_TRUE(same_particles(sim, restored));
+  EXPECT_EQ(rcol->pairs_scattered(), col->pairs_scattered());
 }

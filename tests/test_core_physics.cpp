@@ -1,7 +1,9 @@
 // Physics correctness tests for the PIC engine: interpolation exactness,
 // Boris pusher invariants, charge-conserving current deposition
 // (continuity equation), mover face-crossing, FDTD vacuum propagation,
-// and global energy conservation.
+// global energy conservation, and the particle store's record access
+// (get/set/cell round trips; the push's W-wide block load against scalar
+// loads, including blocks that start off the vector alignment).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,6 +11,7 @@
 #include <vector>
 
 #include "core/core.hpp"
+#include "core/push_tuning.hpp"
 #include "prof/prof.hpp"
 
 namespace core = vpic::core;
@@ -24,6 +27,24 @@ Grid small_grid(int n = 8, float courant = 0.7f) {
          static_cast<float>(n), 0.0f);
   g.dt = Grid::courant_dt(g.dx, g.dy, g.dz, courant);
   return g;
+}
+
+/// Distinctive, lane-identifiable record for index n.
+core::Particle probe_particle(index_t n) {
+  core::Particle p{};
+  p.dx = 0.001f * static_cast<float>(n);
+  p.dy = -0.002f * static_cast<float>(n);
+  p.dz = 0.25f;
+  p.i = static_cast<std::int32_t>(n * 3 + 1);
+  p.ux = 1.0f + static_cast<float>(n);
+  p.uy = -2.0f - static_cast<float>(n);
+  p.uz = 0.5f * static_cast<float>(n % 7);
+  p.w = 1.0f;
+  return p;
+}
+
+bool same_record(const core::Particle& a, const core::Particle& b) {
+  return std::memcmp(&a, &b, sizeof(core::Particle)) == 0;
 }
 
 /// Set a uniform E and B everywhere.
@@ -73,6 +94,55 @@ TEST(Grid, CourantDtBelowLimit) {
 // ----------------------------------------------------------------------
 // Interpolator
 // ----------------------------------------------------------------------
+
+TEST(ParticleStore, GetSetCellRoundTrip) {
+  const index_t n = 37;  // deliberately not a vector-width multiple
+  core::ParticleStore s("s", n);
+  EXPECT_EQ(s.size(), n);
+  for (index_t i = 0; i < n; ++i) s.set(i, probe_particle(i));
+  for (index_t i = 0; i < n; ++i) {
+    EXPECT_TRUE(same_record(s.get(i), probe_particle(i))) << i;
+    EXPECT_EQ(s.cell(i), probe_particle(i).i) << i;
+  }
+  // set_cell touches only the cell field.
+  s.set_cell(5, 4242);
+  core::Particle expect = probe_particle(5);
+  expect.i = 4242;
+  EXPECT_TRUE(same_record(s.get(5), expect));
+}
+
+TEST(ParticleStore, LoadVecsAgreesWithScalarLoads) {
+  constexpr int W = core::kManualVecWidth;
+  const index_t n = 4 * W;
+  core::ParticleStore s("s", n);
+  for (index_t i = 0; i < n; ++i) s.set(i, probe_particle(i));
+
+  // n0 = W is vector-aligned; n0 = W/2 is not, as at the arbitrary run
+  // starts of the run-aware kernels.
+  for (const index_t n0 : {index_t{W}, index_t{W / 2}}) {
+    SCOPED_TRACE(n0);
+    const auto vecs = s.accessor().load_vecs<W>(n0);
+    alignas(64) float dx[W], dy[W], dz[W], ux[W], uy[W], uz[W], w[W];
+    vecs.dx.store(dx);
+    vecs.dy.store(dy);
+    vecs.dz.store(dz);
+    vecs.ux.store(ux);
+    vecs.uy.store(uy);
+    vecs.uz.store(uz);
+    vecs.w.store(w);
+    for (int l = 0; l < W; ++l) {
+      const core::Particle p = s.get(n0 + l);
+      EXPECT_EQ(dx[l], p.dx) << l;
+      EXPECT_EQ(dy[l], p.dy) << l;
+      EXPECT_EQ(dz[l], p.dz) << l;
+      EXPECT_EQ(vecs.cell[l], p.i) << l;
+      EXPECT_EQ(ux[l], p.ux) << l;
+      EXPECT_EQ(uy[l], p.uy) << l;
+      EXPECT_EQ(uz[l], p.uz) << l;
+      EXPECT_EQ(w[l], p.w) << l;
+    }
+  }
+}
 
 TEST(Interpolator, UniformFieldExact) {
   const Grid g = small_grid(6);

@@ -109,8 +109,8 @@ void expect_bit_identical(core::Simulation& a, core::Simulation& b) {
     ASSERT_EQ(sa.np, sb.np) << "species " << sa.name;
     std::vector<core::Particle> pa(static_cast<std::size_t>(sa.np));
     std::vector<core::Particle> pb(static_cast<std::size_t>(sb.np));
-    sa.p.export_aos(pa.data(), sa.np);
-    sb.p.export_aos(pb.data(), sb.np);
+    std::copy_n(sa.p.data(), sa.np, pa.data());
+    std::copy_n(sb.p.data(), sb.np, pb.data());
     EXPECT_EQ(std::memcmp(pa.data(), pb.data(),
                           pa.size() * sizeof(core::Particle)),
               0)
@@ -998,7 +998,7 @@ TEST(Chain, Ela1ChainRestoresBitIdenticalAndPrunes) {
     const auto& sp = restored.species(s);
     std::vector<std::byte> b(static_cast<std::size_t>(sp.np) *
                              sizeof(core::Particle));
-    sp.p.export_aos(reinterpret_cast<core::Particle*>(b.data()), sp.np);
+    std::memcpy(b.data(), sp.p.data(), b.size());
     EXPECT_EQ(b, chain.section("sp" + std::to_string(s) + ".p").payload)
         << sp.name;
   }
@@ -1138,7 +1138,7 @@ RankDump dump_rank(core::DistributedSimulation& sim,
   }
   const auto& sp = sim.species(0);
   d.parts.resize(static_cast<std::size_t>(sp.np));
-  sp.p.export_aos(d.parts.data(), sp.np);
+  std::copy_n(sp.p.data(), sp.np, d.parts.data());
   for (auto& p : d.parts) {
     int ix, iy, iz;
     g.cell_of(p.i, ix, iy, iz);

@@ -16,12 +16,13 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/socket.h>
@@ -461,52 +462,75 @@ TEST(FarmScheduler, RescaleMidRunResumesAtNewShape) {
   const auto dir = scratch("rescale");
   constexpr std::int64_t kSteps = 200;
 
-  // Reference: the same deck, uninterrupted, untiled. The rescaled job
-  // switches to tiled Stealing execution mid-run, so the deposit
-  // grouping differs by float roundoff — energies match to a tolerance,
-  // not bitwise.
-  double ref_field = 0;
-  std::vector<double> ref_kinetic;
-  {
-    auto ref = make_lpi_small();
-    ref.run(static_cast<int>(kSteps));
-    const auto e = ref.energies();
-    ref_field = e.field;
-    ref_kinetic.assign(e.species.begin(), e.species.end());
-  }
-
+  // The first slice waits at its end until the pause is asked for, so the
+  // job parks at a step boundary mid-run however fast the host steps.
+  std::promise<void> entered, release;
+  farm::JobSpec spec = lpi_job("scale", kSteps);
+  spec.on_slice = [&entered, released = release.get_future().share(),
+                   first = true](const core::Simulation&) mutable {
+    if (!std::exchange(first, false)) return;
+    entered.set_value();
+    released.wait();
+  };
   farm::Scheduler::Options opt;
   opt.max_concurrent = 1;
   opt.slice_steps = 6;
   opt.ring_dir = (dir / "rings").string();
   farm::Scheduler s(opt);
-  s.submit(lpi_job("scale", kSteps));
-  ASSERT_TRUE(poll_status(s, "scale", [](const farm::JobStatus& st) {
-    return st.step > 0;
-  }));
+  s.submit(std::move(spec));
 
   EXPECT_FALSE(s.rescale("ghost", 2));  // unknown job
   EXPECT_FALSE(s.rescale("scale", 0));  // bad worker count
   EXPECT_FALSE(s.rescale("scale", 257));  // above kMaxRescaleWorkers
+  const bool in_slice =
+      entered.get_future().wait_for(std::chrono::seconds(30)) ==
+      std::future_status::ready;
+  const bool paused = in_slice && s.pause("scale");
+  release.set_value();
+  ASSERT_TRUE(paused);
+  ASSERT_TRUE(poll_status(s, "scale", [](const farm::JobStatus& st) {
+    return st.state == farm::JobState::Paused;
+  }));
+
+  // A rescale of the parked job only records the new shape; resume
+  // rebuilds the engine at that shape from the ring, at a step the test
+  // knows.
+  const std::int64_t at = s.status("scale")->step;
+  ASSERT_GT(at, 0);
+  ASSERT_LT(at, kSteps);
   ASSERT_TRUE(s.rescale("scale", 2, 4));
+  const auto parked = s.status("scale");
+  EXPECT_EQ(parked->state, farm::JobState::Paused);
+  EXPECT_EQ(parked->step, at);
+  EXPECT_EQ(parked->restores, 0);
+  ASSERT_TRUE(s.resume("scale"));
 
   const auto st = s.wait("scale");
   ASSERT_TRUE(st.has_value());
   ASSERT_EQ(st->state, farm::JobState::Completed) << st->error;
   EXPECT_EQ(st->step, kSteps);
-  EXPECT_GE(st->rescales, 1);
+  EXPECT_EQ(st->rescales, 1);
   EXPECT_EQ(st->rescale_workers, 2);
   EXPECT_EQ(st->rescale_tiles, 4);
-  // The rescale parked the resident engine (checkpoint + release) and the
-  // next slice rebuilt it at the new shape from the ring.
-  EXPECT_GE(st->checkpoints, 1);
-  EXPECT_GE(st->restores, 1);
+  EXPECT_EQ(st->checkpoints, 1);
+  EXPECT_EQ(st->restores, 1);
 
-  EXPECT_NEAR(st->field_energy, ref_field, 1e-2 * std::abs(ref_field));
-  ASSERT_EQ(st->kinetic.size(), ref_kinetic.size());
-  for (std::size_t i = 0; i < ref_kinetic.size(); ++i)
-    EXPECT_NEAR(st->kinetic[i], ref_kinetic[i],
-                1e-2 * std::abs(ref_kinetic[i]));
+  // Reference: the same deck run untiled to that step, checkpointed, and
+  // restored into a 2-worker, 4-tile deck that runs to the end. At one
+  // kernel thread both sides are deterministic: bit for bit.
+  const std::string path = (dir / "ref.ckpt").string();
+  auto untiled = make_lpi_small();
+  untiled.run(static_cast<int>(at));
+  untiled.checkpoint(path);
+  auto tiled = make_lpi_small();
+  tiled.config().tiles.enabled = true;
+  tiled.config().tiles.workers = 2;
+  tiled.config().tiles.count = 4;
+  tiled.restore(path);
+  tiled.run(static_cast<int>(kSteps - at));
+  const auto ref = tiled.energies();
+  EXPECT_EQ(st->field_energy, ref.field);
+  EXPECT_EQ(st->kinetic, ref.species);
 
   // The Stealing engine actually ran post-rescale: pool telemetry landed
   // in the job's counter namespace.
@@ -540,8 +564,10 @@ TEST(FarmStatusBus, RescaleCommandSteersAndReports) {
   EXPECT_NE(bus.handle_command("rescale job 1000000").find("\"ok\":false"),
             std::string::npos);
   EXPECT_EQ(bus.handle_command("rescale job 2 4"), "{\"ok\":true}");
+  // The running job parks at a step boundary and is rebuilt at the new
+  // shape from its ring.
   ASSERT_TRUE(poll_status(s, "job", [](const farm::JobStatus& st) {
-    return st.rescales >= 1;
+    return st.rescales >= 1 && st.restores >= 1;
   }));
 
   const std::string status = bus.handle_command("status");

@@ -51,7 +51,7 @@ core::Simulation make_lpi_small(std::uint64_t seed = 42) {
 
 std::vector<core::Particle> canon(const core::Species& sp) {
   std::vector<core::Particle> out(static_cast<std::size_t>(sp.np));
-  sp.p.export_aos(out.data(), sp.np);
+  std::copy_n(sp.p.data(), sp.np, out.data());
   return out;
 }
 

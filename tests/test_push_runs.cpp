@@ -8,6 +8,7 @@
 // Simulation-level plumbing, and the exit-queue concurrency guard.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <mutex>
@@ -35,16 +36,13 @@ std::vector<vs::CellRun> runs_of(const std::vector<std::uint32_t>& keys) {
 /// A small thermal plasma on a 6^3 grid; ppc 4 gives 864 particles, above
 /// the dispatch heuristic's minimum population.
 core::Simulation make_sim(core::VectorStrategy strat, int ppc = 4,
-                          std::uint64_t seed = 7,
-                          core::ParticleLayout layout =
-                              core::ParticleLayout::AoS) {
+                          std::uint64_t seed = 7) {
   core::SimulationConfig cfg;
   cfg.grid = core::Grid(6, 6, 6, 6, 6, 6, 0);
   cfg.grid.dt = core::Grid::courant_dt(1, 1, 1, 0.65f);
   cfg.strategy = strat;
   cfg.sort_interval = 0;
   cfg.seed = seed;
-  cfg.layout = layout;
   core::Simulation sim(cfg);
   const auto s = sim.add_species("e", -1.0f, 1.0f,
                                  static_cast<index_t>(6 * 6 * 6 * ppc));
@@ -95,7 +93,7 @@ std::vector<float> flatten(const core::AccumulatorArray& acc) {
 
 std::vector<core::Particle> particles_of(const core::Species& sp) {
   std::vector<core::Particle> out(static_cast<std::size_t>(sp.np));
-  sp.p.export_aos(out.data(), sp.np);
+  std::copy_n(sp.p.data(), sp.np, out.data());
   return out;
 }
 
@@ -105,7 +103,7 @@ PushOutcome push_once(core::Simulation& sim,
                       const std::vector<core::Particle>& initial,
                       core::VectorStrategy strat, core::PushPath path) {
   auto& sp = sim.species(0);
-  sp.p.import_aos(initial.data(), sp.np);
+  std::copy_n(initial.data(), sp.np, sp.p.data());
   sim.interpolator().load(sim.fields());
   sim.accumulator().clear();
   PushOutcome out;
@@ -230,16 +228,14 @@ TEST(RunProbe, ExhaustiveLimitMatchesSortednessOracle) {
 // ----------------------------------------------------------------------
 
 class RunAwareEquivalence
-    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(RunAwareEquivalence, MatchesGenericPush) {
   const auto strat =
       static_cast<core::VectorStrategy>(std::get<0>(GetParam()));
   const int order = std::get<1>(GetParam());
-  const core::ParticleLayout layout =
-      core::kAllParticleLayouts[std::get<2>(GetParam())];
 
-  auto sim = make_sim(strat, 4, 7, layout);
+  auto sim = make_sim(strat);
   auto& sp = sim.species(0);
   // Cell-sorted is the fast path's home turf; random order is an
   // all-fallback stress; adversarial order has maximally short runs.
@@ -273,20 +269,18 @@ TEST_P(RunAwareEquivalence, MatchesGenericPush) {
 
 namespace {
 std::string equivalence_name(
-    const ::testing::TestParamInfo<std::tuple<int, int, int>>& info) {
+    const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
   static const char* strats[] = {"Auto", "Guided", "Manual"};
   static const char* orders[] = {"Sorted", "Random", "Adversarial"};
-  static const char* layouts[] = {"AoS", "SoA"};
   return std::string(strats[std::get<0>(info.param)]) +
-         orders[std::get<1>(info.param)] + layouts[std::get<2>(info.param)];
+         orders[std::get<1>(info.param)];
 }
 }  // namespace
 
 INSTANTIATE_TEST_SUITE_P(
-    StrategiesByOrdersByLayouts, RunAwareEquivalence,
+    StrategiesByOrders, RunAwareEquivalence,
     ::testing::Combine(::testing::Range(0, 3),   // Auto, Guided, Manual
-                       ::testing::Range(0, 3),   // sorted/random/adversarial
-                       ::testing::Range(0, core::kNumParticleLayouts)),
+                       ::testing::Range(0, 3)),  // sorted/random/adversarial
     equivalence_name);
 
 // ----------------------------------------------------------------------
@@ -315,7 +309,7 @@ TEST_P(RunsFoundDuringPush, MatchesRunListPushAtOneThread) {
       push_once(sim, initial, strat, core::PushPath::RunAware);
   ASSERT_EQ(found.path, core::PushPath::RunAware);
 
-  sp.p.import_aos(initial.data(), sp.np);
+  std::copy_n(initial.data(), sp.np, sp.p.data());
   sim.accumulator().clear();
   std::vector<vs::CellRun> runs;
   const auto& pp = sp.p;
@@ -355,7 +349,7 @@ TEST_P(RunsFoundDuringPush, MatchesRunListPushInATile) {
   const std::vector<core::Particle> tiled = particles_of(sp);
   const std::vector<float> tiled_acc = merged(blk);
 
-  sp.p.import_aos(initial.data(), sp.np);
+  std::copy_n(initial.data(), sp.np, sp.p.data());
   blk.clear();
   std::vector<vs::CellRun> runs;
   const auto& pp = sp.p;
@@ -622,9 +616,9 @@ TEST(BenchDeckDispatch, LpiRunAwareWhenSortedGenericWhenScrambled) {
 /// sp's records as a stable Standard sort of a private copy leaves them.
 std::vector<core::Particle> standard_sorted_copy(const core::Species& sp,
                                                  index_t nv) {
-  core::Species copy("copy", sp.q, sp.m, sp.np, sp.layout());
+  core::Species copy("copy", sp.q, sp.m, sp.np);
   const std::vector<core::Particle> recs = particles_of(sp);
-  copy.p.import_aos(recs.data(), sp.np);
+  std::copy_n(recs.data(), sp.np, copy.p.data());
   copy.np = sp.np;
   core::sort_particles(copy, vs::SortOrder::Standard, 0, 0, nv);
   return particles_of(copy);

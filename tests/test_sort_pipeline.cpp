@@ -59,10 +59,8 @@ pk::View<std::uint32_t, 1> make_keys(index_t n, std::uint32_t bound,
   return keys;
 }
 
-core::Species make_species(index_t n, index_t nv, std::uint64_t seed,
-                           core::ParticleLayout layout =
-                               core::ParticleLayout::AoS) {
-  core::Species sp("test", -1.0f, 1.0f, n, layout);
+core::Species make_species(index_t n, index_t nv, std::uint64_t seed) {
+  core::Species sp("test", -1.0f, 1.0f, n);
   std::mt19937_64 rng(seed);
   std::uniform_int_distribution<std::int32_t> cell(
       0, static_cast<std::int32_t>(nv - 1));
@@ -219,31 +217,15 @@ TEST(CountingSort, EmptyAndSingle) {
 }
 
 // ----------------------------------------------------------------------
-// Ping-pong sort_particles invariants — the whole pipeline section runs
-// once per particle layout (the gather/scatter paths differ: AoS moves
-// records directly, SoA goes through a permutation + accessor pass).
+// Ping-pong sort_particles invariants: the counting scatter and the
+// Random and radix permutation gathers move whole records.
 // ----------------------------------------------------------------------
 
-class SortPipelineLayouts : public ::testing::TestWithParam<int> {
- protected:
-  core::ParticleLayout layout() const {
-    return core::kAllParticleLayouts[GetParam()];
-  }
-};
-
-std::string layout_param_name(const ::testing::TestParamInfo<int>& info) {
-  return core::to_string(core::kAllParticleLayouts[info.param]);
-}
-
-INSTANTIATE_TEST_SUITE_P(Layouts, SortPipelineLayouts,
-                         ::testing::Range(0, core::kNumParticleLayouts),
-                         layout_param_name);
-
-TEST_P(SortPipelineLayouts, PingPongPreservesParticleMultisetAllOrders) {
+TEST(SortPipeline, PingPongPreservesParticleMultisetAllOrders) {
   const index_t n = 8192, nv = 512;
   for (auto order : {vs::SortOrder::Random, vs::SortOrder::Standard,
                      vs::SortOrder::Strided, vs::SortOrder::TiledStrided}) {
-    core::Species sp = make_species(n, nv, 42, layout());
+    core::Species sp = make_species(n, nv, 42);
     const auto before = particle_multiset(sp);
     const double ke_before = deterministic_ke(sp);
     core::sort_particles(sp, order, 8, 99, nv);
@@ -253,39 +235,39 @@ TEST_P(SortPipelineLayouts, PingPongPreservesParticleMultisetAllOrders) {
   }
 }
 
-TEST_P(SortPipelineLayouts, OrdersMatchTheirPredicates) {
+TEST(SortPipeline, OrdersMatchTheirPredicates) {
   const index_t n = 8192, nv = 512;
   {
-    core::Species sp = make_species(n, nv, 7, layout());
+    core::Species sp = make_species(n, nv, 7);
     core::sort_particles(sp, vs::SortOrder::Standard, 0, 0, nv);
     EXPECT_TRUE(vs::is_sorted_ascending(sp.cell_keys()));
   }
   {
-    core::Species sp = make_species(n, nv, 7, layout());
+    core::Species sp = make_species(n, nv, 7);
     core::sort_particles(sp, vs::SortOrder::Strided, 0, 0, nv);
     EXPECT_TRUE(vs::is_strided_order(sp.cell_keys()));
   }
   {
-    core::Species sp = make_species(n, nv, 7, layout());
+    core::Species sp = make_species(n, nv, 7);
     core::sort_particles(sp, vs::SortOrder::TiledStrided, 8, 0, nv);
     // Tiled-strided on the raw cell keys: each tile's keys are strictly
     // increasing within a chunk — verified via the composite predicate on
     // the rewritten keys in test_sort.cpp; here just check permutation.
     EXPECT_TRUE(vs::is_permutation_of(
-        sp.cell_keys(), make_species(n, nv, 7, layout()).cell_keys()));
+        sp.cell_keys(), make_species(n, nv, 7).cell_keys()));
   }
 }
 
-TEST_P(SortPipelineLayouts, StandardSortIsStableForEqualKeys) {
-  // Particles in the same cell must keep their relative order (both the
-  // direct counting scatter and the permutation+gather path are stable),
-  // at one thread and across four threads' histogram rows.
+TEST(SortPipeline, StandardSortIsStableForEqualKeys) {
+  // Particles in the same cell must keep their relative order (the
+  // counting scatter is stable), at one thread and across four threads'
+  // histogram rows.
   // Tag particles via ux = original index.
   const index_t n = 4096, nv = 64;
   for (const int threads : {1, 4}) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
     const KernelThreads team(threads);
-    core::Species sp = make_species(n, nv, 3, layout());
+    core::Species sp = make_species(n, nv, 3);
     for (index_t i = 0; i < n; ++i) {
       core::Particle p = sp.p.get(i);
       p.ux = static_cast<float>(i);
@@ -309,17 +291,21 @@ TEST_P(SortPipelineLayouts, StandardSortIsStableForEqualKeys) {
   }
 }
 
-TEST_P(SortPipelineLayouts, RadixFallbackPathMatchesCounting) {
+TEST(SortPipeline, RadixFallbackPathMatchesCounting) {
   // Force the radix fallback by omitting the key bound on a key range the
   // counting predicate rejects for tiny n (huge sparse keys), and check
-  // the result is still sorted. n small so the test stays fast.
+  // the result is still sorted and its gather moved whole records. n
+  // small so the test stays fast.
   const index_t n = 3000;
-  core::Species sp = make_species(n, 1, 11, layout());
+  core::Species sp = make_species(n, 1, 11);
   std::mt19937_64 rng(13);
   for (index_t i = 0; i < n; ++i)
     sp.p.set_cell(i, static_cast<std::int32_t>(rng() % (1u << 30)));
+  const auto before = particle_multiset(sp);
   core::sort_particles(sp, vs::SortOrder::Standard, 0, 0, 0);
+  EXPECT_EQ(sp.sort_ws().perm.size(), n) << "the radix path ran";
   EXPECT_TRUE(vs::is_sorted_ascending(sp.cell_keys()));
+  EXPECT_EQ(particle_multiset(sp), before);
 }
 
 // ----------------------------------------------------------------------
@@ -354,9 +340,9 @@ TEST(SortPipeline, SteadyStateZeroViewAllocations) {
   EXPECT_EQ(sp.sort_ws().histogram.capacity(), hist_cap0);
 }
 
-TEST(SortPipeline, StandardAosSortAllocatesNoPerParticleBuffers) {
-  // The AoS Standard sort reads each voxel from the record it moves: no
-  // key array, no permutation, at one thread or four.
+TEST(SortPipeline, StandardSortAllocatesNoPerParticleBuffers) {
+  // The Standard sort reads each voxel from the record it moves: no key
+  // array, no permutation, at one thread or four.
   const index_t n = 32768, nv = 4096;
   for (const int threads : {1, 4}) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
@@ -378,30 +364,22 @@ TEST(SortPipeline, EachPathReservesOnlyTheBuffersItReads) {
   // (docs/SORTING.md, "Workspace"): {keys, keys_alt, perm, perm_alt}.
   struct Case {
     const char* name;
-    core::ParticleLayout layout;
     vs::SortOrder order;
     index_t key_bound;  // 0: the radix fallback for these sparse keys
     std::array<bool, 4> held;
   };
   const index_t n = 3000, nv = 64;
-  const auto aos = core::ParticleLayout::AoS, soa = core::ParticleLayout::SoA;
   const Case cases[] = {
-      {"soa standard", soa, vs::SortOrder::Standard, nv,
-       {false, false, true, false}},
-      {"aos strided", aos, vs::SortOrder::Strided, nv,
+      {"standard", vs::SortOrder::Standard, nv, {false, false, false, false}},
+      {"strided", vs::SortOrder::Strided, nv, {true, true, false, false}},
+      {"tiled strided", vs::SortOrder::TiledStrided, nv,
        {true, true, false, false}},
-      {"aos tiled strided", aos, vs::SortOrder::TiledStrided, nv,
-       {true, true, false, false}},
-      {"soa strided", soa, vs::SortOrder::Strided, nv,
-       {true, true, true, false}},
-      {"aos random", aos, vs::SortOrder::Random, nv,
-       {false, false, true, false}},
-      {"aos radix", aos, vs::SortOrder::Standard, 0,
-       {true, true, true, true}},
+      {"random", vs::SortOrder::Random, nv, {false, false, true, false}},
+      {"radix", vs::SortOrder::Standard, 0, {true, true, true, true}},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
-    core::Species sp = make_species(n, nv, 5, c.layout);
+    core::Species sp = make_species(n, nv, 5);
     if (c.key_bound == 0) {
       std::mt19937_64 rng(13);
       for (index_t i = 0; i < n; ++i)
@@ -452,20 +430,10 @@ TEST(SortPipeline, CellKeysIntoCallerView) {
 
 // ----------------------------------------------------------------------
 // One sort scratch per simulation: every species of a Simulation sorts
-// through its one workspace and one spare per (capacity, layout).
+// through its one workspace and one spare per capacity.
 // ----------------------------------------------------------------------
 
 namespace {
-
-/// Start of a store's particle buffer, whatever its layout.
-const void* buffer_of(const core::ParticleStore& s) {
-  return core::dispatch_layout(s, [](auto a) -> const void* {
-    if constexpr (decltype(a)::layout == core::ParticleLayout::AoS)
-      return a.p;
-    else
-      return a.base;
-  });
-}
 
 /// The live records, byte for byte.
 std::vector<ParticleBytes> record_bytes(const core::Species& sp) {
@@ -479,27 +447,24 @@ std::vector<ParticleBytes> record_bytes(const core::Species& sp) {
 
 /// A standalone deep copy: own store, no scratch until its first sort.
 core::Species standalone_copy(const core::Species& src) {
-  core::Species out(src.name, src.q, src.m, src.capacity(), src.layout());
-  core::copy_particles(out.p, src.p, src.np);
+  core::Species out(src.name, src.q, src.m, src.capacity());
+  std::copy_n(src.p.data(), src.np, out.p.data());
   out.np = src.np;
   return out;
 }
 
 /// A two-species Simulation of capacities `cap_a` and `cap_b`, each
 /// filled with `np_a` / `np_b` random records over `nv` cells.
-core::Simulation two_species_sim(core::ParticleLayout layout, index_t cap_a,
-                                 index_t np_a, index_t cap_b, index_t np_b,
-                                 index_t nv) {
-  core::SimulationConfig cfg;
-  cfg.layout = layout;
-  core::Simulation sim(cfg);
+core::Simulation two_species_sim(index_t cap_a, index_t np_a, index_t cap_b,
+                                 index_t np_b, index_t nv) {
+  core::Simulation sim(core::SimulationConfig{});
   const index_t caps[] = {cap_a, cap_b}, nps[] = {np_a, np_b};
   for (int s = 0; s < 2; ++s) {
     const core::Species filled =
-        make_species(nps[s], nv, 900 + static_cast<std::uint64_t>(s), layout);
+        make_species(nps[s], nv, 900 + static_cast<std::uint64_t>(s));
     sim.add_species(s == 0 ? "a" : "b", -1.0f, 1.0f, caps[s]);
     core::Species& sp = sim.species(static_cast<std::size_t>(s));
-    core::copy_particles(sp.p, filled.p, filled.np);
+    std::copy_n(filled.p.data(), filled.np, sp.p.data());
     sp.np = filled.np;
   }
   return sim;
@@ -508,46 +473,41 @@ core::Simulation two_species_sim(core::ParticleLayout layout, index_t cap_a,
 }  // namespace
 
 TEST(SharedSortScratch, TwoSpeciesDeckHoldsThreeBuffersAndOneWorkspace) {
-  for (const core::ParticleLayout layout : core::kAllParticleLayouts) {
-    SCOPED_TRACE(core::to_string(layout));
-    core::decks::LpiParams prm;
-    prm.nx = 16;
-    prm.ny = 8;
-    prm.nz = 8;
-    prm.ppc = 4;
-    prm.sort_interval = 5;
-    prm.layout = layout;
-    core::Simulation sim = core::decks::make_lpi(prm);
-    ASSERT_EQ(sim.num_species(), 2u);
-    sim.run(10);  // two sorts of each species
+  core::decks::LpiParams prm;
+  prm.nx = 16;
+  prm.ny = 8;
+  prm.nz = 8;
+  prm.ppc = 4;
+  prm.sort_interval = 5;
+  core::Simulation sim = core::decks::make_lpi(prm);
+  ASSERT_EQ(sim.num_species(), 2u);
+  sim.run(10);  // two sorts of each species
 
-    core::Species& e = sim.species(0);
-    core::Species& i = sim.species(1);
-    ASSERT_NE(e.scratch, nullptr);
-    EXPECT_EQ(e.scratch, i.scratch) << "species sort through one scratch";
-    ASSERT_EQ(e.capacity(), i.capacity());
-    const core::SortScratch& scr = *e.scratch;
-    ASSERT_EQ(scr.spares.size(), 1u);
-    const core::ParticleStore& spare = scr.spares.front();
-    EXPECT_EQ(spare.size(), e.capacity());
-    EXPECT_EQ(spare.layout(), layout);
-    EXPECT_NE(buffer_of(e.p), buffer_of(i.p));
-    EXPECT_NE(buffer_of(e.p), buffer_of(spare));
-    EXPECT_NE(buffer_of(i.p), buffer_of(spare));
+  core::Species& e = sim.species(0);
+  core::Species& i = sim.species(1);
+  ASSERT_NE(e.scratch, nullptr);
+  EXPECT_EQ(e.scratch, i.scratch) << "species sort through one scratch";
+  ASSERT_EQ(e.capacity(), i.capacity());
+  const core::SortScratch& scr = *e.scratch;
+  ASSERT_EQ(scr.spares.size(), 1u);
+  const core::ParticleStore& spare = scr.spares.front();
+  EXPECT_EQ(spare.size(), e.capacity());
+  EXPECT_NE(e.p.data(), i.p.data());
+  EXPECT_NE(e.p.data(), spare.data());
+  EXPECT_NE(i.p.data(), spare.data());
 
-    // Ten more sort steps: nothing allocated, no workspace grown.
-    sim.config().sort_interval = 1;
-    const std::int64_t allocs0 = pk::view_alloc_count().load();
-    const std::int64_t grows0 = scr.ws.grow_count;
-    const std::size_t hist_cap0 = scr.ws.histogram.capacity();
-    sim.run(10);
-    EXPECT_EQ(pk::view_alloc_count().load() - allocs0, 0)
-        << "a sort step allocated a pk::View";
-    EXPECT_EQ(scr.ws.grow_count, grows0);
-    EXPECT_EQ(scr.ws.histogram.capacity(), hist_cap0);
-    EXPECT_EQ(scr.spares.size(), 1u);
-    EXPECT_EQ(e.scratch, i.scratch);
-  }
+  // Ten more sort steps: nothing allocated, no workspace grown.
+  sim.config().sort_interval = 1;
+  const std::int64_t allocs0 = pk::view_alloc_count().load();
+  const std::int64_t grows0 = scr.ws.grow_count;
+  const std::size_t hist_cap0 = scr.ws.histogram.capacity();
+  sim.run(10);
+  EXPECT_EQ(pk::view_alloc_count().load() - allocs0, 0)
+      << "a sort step allocated a pk::View";
+  EXPECT_EQ(scr.ws.grow_count, grows0);
+  EXPECT_EQ(scr.ws.histogram.capacity(), hist_cap0);
+  EXPECT_EQ(scr.spares.size(), 1u);
+  EXPECT_EQ(e.scratch, i.scratch);
 }
 
 TEST(SharedSortScratch, EveryOrderMatchesAPrivateScratch) {
@@ -568,30 +528,28 @@ TEST(SharedSortScratch, EveryOrderMatchesAPrivateScratch) {
       {"random", vs::SortOrder::Random, nv},
       {"radix fallback", vs::SortOrder::Standard, 0},
   };
-  for (const core::ParticleLayout layout : core::kAllParticleLayouts) {
-    for (const Case& c : cases) {
-      SCOPED_TRACE(std::string(core::to_string(layout)) + " " + c.name);
-      core::Simulation sim = two_species_sim(layout, n, n - 100, n, n - 7, nv);
-      if (c.key_bound == 0) {
-        std::mt19937_64 rng(17);
-        for (std::size_t s = 0; s < 2; ++s)
-          for (index_t i = 0; i < sim.species(s).np; ++i)
-            sim.species(s).p.set_cell(
-                i, static_cast<std::int32_t>(rng() % (1u << 30)));
-      }
-      core::Species alone[] = {standalone_copy(sim.species(0)),
-                               standalone_copy(sim.species(1))};
-      for (int round = 0; round < 2; ++round)
-        for (std::size_t s = 0; s < 2; ++s) {
-          const std::uint64_t seed = 31 + 2 * round + s;
-          core::sort_particles(sim.species(s), c.order, 8, seed, c.key_bound);
-          core::sort_particles(alone[s], c.order, 8, seed, c.key_bound);
-        }
-      EXPECT_NE(alone[0].scratch, sim.species(0).scratch);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    core::Simulation sim = two_species_sim(n, n - 100, n, n - 7, nv);
+    if (c.key_bound == 0) {
+      std::mt19937_64 rng(17);
       for (std::size_t s = 0; s < 2; ++s)
-        EXPECT_EQ(record_bytes(sim.species(s)), record_bytes(alone[s]))
-            << "species " << s;
+        for (index_t i = 0; i < sim.species(s).np; ++i)
+          sim.species(s).p.set_cell(
+              i, static_cast<std::int32_t>(rng() % (1u << 30)));
     }
+    core::Species alone[] = {standalone_copy(sim.species(0)),
+                             standalone_copy(sim.species(1))};
+    for (int round = 0; round < 2; ++round)
+      for (std::size_t s = 0; s < 2; ++s) {
+        const std::uint64_t seed = 31 + 2 * round + s;
+        core::sort_particles(sim.species(s), c.order, 8, seed, c.key_bound);
+        core::sort_particles(alone[s], c.order, 8, seed, c.key_bound);
+      }
+    EXPECT_NE(alone[0].scratch, sim.species(0).scratch);
+    for (std::size_t s = 0; s < 2; ++s)
+      EXPECT_EQ(record_bytes(sim.species(s)), record_bytes(alone[s]))
+          << "species " << s;
   }
 }
 
@@ -601,30 +559,26 @@ TEST(SharedSortScratch, UnequalCapacitiesAllocateNothingAfterTheFirstRound) {
   // first, so a spare that merely fits would be taken), and sorting them
   // alternately allocates nothing after the first round.
   const index_t c = 4096, nv = 1024;
-  for (const core::ParticleLayout layout : core::kAllParticleLayouts) {
-    SCOPED_TRACE(core::to_string(layout));
-    core::Simulation sim = two_species_sim(layout, 2 * c, c + 3, c, c - 5, nv);
-    const auto round = [&] {
-      for (std::size_t s = 0; s < 2; ++s)
-        core::sort_particles(sim.species(s), vs::SortOrder::Standard, 0, 0,
-                             nv);
-    };
-    round();
-    const core::SortScratch& scr = *sim.species(0).scratch;
-    const std::int64_t allocs0 = pk::view_alloc_count().load();
-    const std::int64_t grows0 = scr.ws.grow_count;
-    const std::size_t hist_cap0 = scr.ws.histogram.capacity();
-    for (int r = 1; r < 10; ++r) {
-      round();
-      EXPECT_EQ(sim.species(0).capacity(), 2 * c) << "round " << r;
-      EXPECT_EQ(sim.species(1).capacity(), c) << "round " << r;
-    }
-    EXPECT_EQ(pk::view_alloc_count().load() - allocs0, 0);
-    EXPECT_EQ(scr.ws.grow_count, grows0);
-    EXPECT_EQ(scr.ws.histogram.capacity(), hist_cap0);
-    ASSERT_EQ(scr.spares.size(), 2u);
-    EXPECT_EQ(scr.spares[0].size() + scr.spares[1].size(), 3 * c);
+  core::Simulation sim = two_species_sim(2 * c, c + 3, c, c - 5, nv);
+  const auto round = [&] {
     for (std::size_t s = 0; s < 2; ++s)
-      EXPECT_TRUE(vs::is_sorted_ascending(sim.species(s).cell_keys()));
+      core::sort_particles(sim.species(s), vs::SortOrder::Standard, 0, 0, nv);
+  };
+  round();
+  const core::SortScratch& scr = *sim.species(0).scratch;
+  const std::int64_t allocs0 = pk::view_alloc_count().load();
+  const std::int64_t grows0 = scr.ws.grow_count;
+  const std::size_t hist_cap0 = scr.ws.histogram.capacity();
+  for (int r = 1; r < 10; ++r) {
+    round();
+    EXPECT_EQ(sim.species(0).capacity(), 2 * c) << "round " << r;
+    EXPECT_EQ(sim.species(1).capacity(), c) << "round " << r;
   }
+  EXPECT_EQ(pk::view_alloc_count().load() - allocs0, 0);
+  EXPECT_EQ(scr.ws.grow_count, grows0);
+  EXPECT_EQ(scr.ws.histogram.capacity(), hist_cap0);
+  ASSERT_EQ(scr.spares.size(), 2u);
+  EXPECT_EQ(scr.spares[0].size() + scr.spares[1].size(), 3 * c);
+  for (std::size_t s = 0; s < 2; ++s)
+    EXPECT_TRUE(vs::is_sorted_ascending(sim.species(s).cell_keys()));
 }

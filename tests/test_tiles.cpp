@@ -160,10 +160,8 @@ TEST(TileMap, TileOfVoxelMatchesPlaneOwnershipAndClampsGhosts) {
 namespace {
 
 // Deterministic scramble of cell assignments across the whole interior.
-core::Species make_scrambled_species(
-    const core::Grid& g, int n,
-    core::ParticleLayout layout = core::ParticleLayout::AoS) {
-  core::Species sp("e", -1.0f, 1.0f, static_cast<index_t>(n) + 8, layout);
+core::Species make_scrambled_species(const core::Grid& g, int n) {
+  core::Species sp("e", -1.0f, 1.0f, static_cast<index_t>(n) + 8);
   for (int k = 0; k < n; ++k) {
     core::Particle p{};
     const int ix = 1 + (k * 7 + 3) % g.nx;
@@ -178,7 +176,7 @@ core::Species make_scrambled_species(
 
 std::vector<core::Particle> records(const core::Species& sp) {
   std::vector<core::Particle> out(static_cast<std::size_t>(sp.np));
-  sp.p.export_aos(out.data(), sp.np);
+  std::copy_n(sp.p.data(), sp.np, out.data());
   return out;
 }
 
@@ -248,34 +246,31 @@ TEST(TileImbalance, ReportsMaxOverMean) {
 
 TEST(BucketByTile, PartitionMatchesStableSortByTileAtOneAndFourThreads) {
   // The general partition (one counting sort over tile ids, read from
-  // the records) equals a stable sort by tile id byte for byte, on either
-  // layout, whether one thread or four histogram and scatter.
+  // the records) equals a stable sort by tile id byte for byte, whether
+  // one thread or four histogram and scatter.
   const core::Grid g(4, 4, 8, 4, 4, 8, 0.1f);
   const core::TileMap tm(g, 3);
-  for (const auto layout : core::kAllParticleLayouts) {
-    for (const int threads : {1, 4}) {
-      SCOPED_TRACE(std::string(core::to_string(layout)) + " at " +
-                   std::to_string(threads) + " threads");
-      pk::initialize(threads);
-      core::Species sp = make_scrambled_species(g, 2000, layout);
-      std::vector<core::Particle> want = records(sp);
-      std::stable_sort(want.begin(), want.end(),
-                       [&tm](const core::Particle& a, const core::Particle& b) {
-                         return tm.tile_of_voxel(a.i) < tm.tile_of_voxel(b.i);
-                       });
-      core::bucket_by_tile(sp, tm);
-      pk::initialize(1);
-      const std::vector<core::Particle> got = records(sp);
-      ASSERT_EQ(got.size(), want.size());
-      EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                            got.size() * sizeof(core::Particle)),
-                0);
-      ASSERT_TRUE(core::tiles_cover(sp, static_cast<std::size_t>(tm.count())));
-      for (int t = 0; t < tm.count(); ++t) {
-        const auto& slot = sp.tiles[static_cast<std::size_t>(t)];
-        for (index_t i = slot.begin; i < slot.end; ++i)
-          ASSERT_EQ(tm.tile_of_voxel(got[static_cast<std::size_t>(i)].i), t);
-      }
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    pk::initialize(threads);
+    core::Species sp = make_scrambled_species(g, 2000);
+    std::vector<core::Particle> want = records(sp);
+    std::stable_sort(want.begin(), want.end(),
+                     [&tm](const core::Particle& a, const core::Particle& b) {
+                       return tm.tile_of_voxel(a.i) < tm.tile_of_voxel(b.i);
+                     });
+    core::bucket_by_tile(sp, tm);
+    pk::initialize(1);
+    const std::vector<core::Particle> got = records(sp);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          got.size() * sizeof(core::Particle)),
+              0);
+    ASSERT_TRUE(core::tiles_cover(sp, static_cast<std::size_t>(tm.count())));
+    for (int t = 0; t < tm.count(); ++t) {
+      const auto& slot = sp.tiles[static_cast<std::size_t>(t)];
+      for (index_t i = slot.begin; i < slot.end; ++i)
+        ASSERT_EQ(tm.tile_of_voxel(got[static_cast<std::size_t>(i)].i), t);
     }
   }
 }
@@ -1037,47 +1032,43 @@ TEST(TiledStep, SortPhaseMatchesBucketThenTileSortOracle) {
   // before the sort phase: it snapshots every species there and sorts the
   // copy with the oracle. The step's own sort phase must match it byte
   // for byte, and leave each tile's range holding exactly its particles.
-  for (const auto layout : core::kAllParticleLayouts) {
-    SCOPED_TRACE(core::to_string(layout));
-    core::decks::LpiParams p = tiled_decks().back().params;
-    p.layout = layout;
-    p.sort_interval = 5;
-    core::Simulation sim = core::decks::make_lpi(p);
-    sim.config().tiles.enabled = true;
-    sim.config().tiles.count = 4;
-    sim.config().tiles.workers = 2;
-    std::vector<std::vector<core::Particle>> want;
-    sim.set_injection_hook([&want](core::Simulation& s) {
-      if (s.step_count() % s.config().sort_interval != 0) return;
-      want.clear();
-      for (std::size_t k = 0; k < s.num_species(); ++k) {
-        const core::Species& sp = s.species(k);
-        std::vector<core::Particle> ps(static_cast<std::size_t>(sp.np));
-        sp.p.export_aos(ps.data(), sp.np);
-        want.push_back(bucket_then_tile_sort(ps, s.tile_map()));
-      }
-    });
-    for (int step = 1; step <= 10; ++step) {
-      sim.step();
-      if (step % p.sort_interval != 0) continue;
-      ASSERT_EQ(want.size(), sim.num_species());
-      for (std::size_t k = 0; k < sim.num_species(); ++k) {
-        const core::Species& sp = sim.species(k);
-        std::vector<core::Particle> got(static_cast<std::size_t>(sp.np));
-        sp.p.export_aos(got.data(), sp.np);
-        ASSERT_EQ(got.size(), want[k].size());
-        EXPECT_EQ(std::memcmp(got.data(), want[k].data(),
-                              got.size() * sizeof(core::Particle)),
-                  0)
-            << sp.name << " after step " << step;
-        EXPECT_TRUE(sp.cell_sorted_hint);
-        for (int t = 0; t < sim.tile_map().count(); ++t) {
-          const auto& slot = sp.tiles[static_cast<std::size_t>(t)];
-          for (index_t i = slot.begin; i < slot.end; ++i)
-            ASSERT_EQ(sim.tile_map().tile_of_voxel(
-                          got[static_cast<std::size_t>(i)].i),
-                      t);
-        }
+  core::decks::LpiParams p = tiled_decks().back().params;
+  p.sort_interval = 5;
+  core::Simulation sim = core::decks::make_lpi(p);
+  sim.config().tiles.enabled = true;
+  sim.config().tiles.count = 4;
+  sim.config().tiles.workers = 2;
+  std::vector<std::vector<core::Particle>> want;
+  sim.set_injection_hook([&want](core::Simulation& s) {
+    if (s.step_count() % s.config().sort_interval != 0) return;
+    want.clear();
+    for (std::size_t k = 0; k < s.num_species(); ++k) {
+      const core::Species& sp = s.species(k);
+      std::vector<core::Particle> ps(static_cast<std::size_t>(sp.np));
+      std::copy_n(sp.p.data(), sp.np, ps.data());
+      want.push_back(bucket_then_tile_sort(ps, s.tile_map()));
+    }
+  });
+  for (int step = 1; step <= 10; ++step) {
+    sim.step();
+    if (step % p.sort_interval != 0) continue;
+    ASSERT_EQ(want.size(), sim.num_species());
+    for (std::size_t k = 0; k < sim.num_species(); ++k) {
+      const core::Species& sp = sim.species(k);
+      std::vector<core::Particle> got(static_cast<std::size_t>(sp.np));
+      std::copy_n(sp.p.data(), sp.np, got.data());
+      ASSERT_EQ(got.size(), want[k].size());
+      EXPECT_EQ(std::memcmp(got.data(), want[k].data(),
+                            got.size() * sizeof(core::Particle)),
+                0)
+          << sp.name << " after step " << step;
+      EXPECT_TRUE(sp.cell_sorted_hint);
+      for (int t = 0; t < sim.tile_map().count(); ++t) {
+        const auto& slot = sp.tiles[static_cast<std::size_t>(t)];
+        for (index_t i = slot.begin; i < slot.end; ++i)
+          ASSERT_EQ(sim.tile_map().tile_of_voxel(
+                        got[static_cast<std::size_t>(i)].i),
+                    t);
       }
     }
   }
