@@ -4,8 +4,8 @@
 // bench uses:
 //
 //   * the generic vs run-aware Manual push (push_on alone, aged like a
-//     step that does not re-sort), and the path AutoDetect picks under the
-//     fixed gates (core::kPushGates);
+//     step that does not re-sort), and the path AutoDetect picks on the
+//     freshly sorted deck under the fixed gate (core::kPushGates);
 //   * the counting vs radix particle sort (sort_particles, Standard
 //     order), and the backend the particle sort's budget
 //     (sort::kParticleSortModel) picks;
@@ -31,7 +31,6 @@
 #include "bench_common.hpp"
 #include "core/core.hpp"
 #include "core/push_tuning.hpp"
-#include "sort/runs.hpp"
 
 namespace {
 
@@ -110,13 +109,12 @@ int main(int argc, char** argv) {
   std::printf(
       "== layout_dispatch: push/sort timings under the dispatch "
       "constants ==\nLPI deck %dx%dx%d, ppc %d, %d reps, %d threads\n"
-      "push gates: min_particles=%lld max_stale=%d min_mean_run=%g; "
+      "push gate: min_particles=%lld; "
       "particle sort budget: cells_per_n=%g cells_floor=%g; "
       "View-level sort: cells_per_n=%g cells_floor=%g\n\n",
       nx, ny, nz, ppc, reps, nthreads,
-      static_cast<long long>(gates.min_particles), gates.max_stale,
-      gates.min_mean_run, model.cells_per_n, model.cells_floor,
-      view_model.cells_per_n, view_model.cells_floor);
+      static_cast<long long>(gates.min_particles), model.cells_per_n,
+      model.cells_floor, view_model.cells_per_n, view_model.cells_floor);
 
   bench::Table t({"particles", "cells/n", "generic (ms)",
                   "run-aware (ms)", "auto picks", "sort count (ms)",
@@ -175,7 +173,7 @@ int main(int argc, char** argv) {
   const bench::Timing tm_gen = time_push(core::PushPath::Generic);
   const bench::Timing tm_run = time_push(core::PushPath::RunAware);
 
-  // The AutoDetect decision under the gates.
+  // The AutoDetect decision on the freshly sorted deck.
   restore_snapshot(sim, sorted);
   for (std::size_t s = 0; s < sim.num_species(); ++s)
     sim.species(s).mark_sorted(true);
@@ -295,8 +293,6 @@ int main(int argc, char** argv) {
       .field("view_sort_dispatch_ok", view_ok ? 1 : 0)
       .field("gate_min_particles",
              static_cast<std::int64_t>(gates.min_particles))
-      .field("gate_max_stale", gates.max_stale)
-      .field("gate_min_mean_run", gates.min_mean_run)
       .field("sort_cells_per_n", model.cells_per_n)
       .field("sort_cells_floor", model.cells_floor)
       .field("view_sort_cells_per_n", view_model.cells_per_n)

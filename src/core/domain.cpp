@@ -4,6 +4,7 @@
 
 #include "core/move_p.hpp"
 #include "core/rng.hpp"
+#include "core/sort_particles.hpp"
 #include "prof/prof.hpp"
 
 namespace vpic::core {
@@ -49,6 +50,7 @@ std::size_t DistributedSimulation::add_species(std::string name, float q,
                                                float m,
                                                index_t local_capacity) {
   species_.emplace_back(std::move(name), q, m, local_capacity);
+  species_.back().scratch = sort_scratch_;
   return species_.size() - 1;
 }
 
@@ -200,125 +202,91 @@ void DistributedSimulation::exchange_exits(std::vector<ExitRecord>& exits) {
     };
     for (const auto& rec : from_prev) reinject(rec, 1);
     for (const auto& rec : from_next) reinject(rec, g.nz);
-    // Re-injected particles append out of cell order: age the species'
-    // sortedness hint so the run-aware push dispatch re-probes.
-    if (!from_prev.empty() || !from_next.empty())
-      species_[current_species_].mark_order_degraded();
   }
   if (comm_.allreduce(static_cast<std::int64_t>(exits.size()),
                       mpi::ReduceOp::Sum) != 0)
     throw std::runtime_error("particle exchange failed to converge");
 }
 
+// The one schedule (docs/ASYNC.md). The leading z-halo exchange is in
+// flight while every species not in exact cell order is Standard-sorted
+// (the previous step compacted its exit tombstones, so the sort can key
+// every record). The interpolator stencil for plane iz reads field planes
+// iz and iz+1 only, so planes 1..nz-1 never touch the z ghosts, and
+// neither does the push of the particles in those cells: in a cell-sorted
+// species, slots [0, k). Only the plane-nz interpolator load and the push
+// of [k, np) need the halo. cfg_.overlap decides only whether the halo
+// completes before the push of [0, k) or after it; nothing else differs,
+// so at one kernel thread both settings give the same bits.
 void DistributedSimulation::step() {
-  if (overlap_active()) {
-    step_overlapped();
-  } else {
-    step_fenced();
-  }
-  ++step_count_;
-}
-
-// The reference schedule: every exchange fully fenced before the compute
-// that depends on it (and, conservatively, compute that does not).
-void DistributedSimulation::step_fenced() {
-  prof::ScopedRegion step_region("step");
-  exchange_field_ghosts();
-  interp_.load(fields_);
-  acc_.clear();
-
-  std::vector<ExitRecord> exits;
-  std::mutex exits_mutex;
-  for (std::size_t s = 0; s < species_.size(); ++s) {
-    current_species_ = s;
-    MoverOptions opts;
-    opts.periodic_mask = 0b011;  // x, y periodic; z decomposed
-    opts.exits = &exits;
-    opts.exits_mutex = &exits_mutex;
-    advance_species(species_[s], interp_, acc_, fields_.grid,
-                    cfg_.strategy, opts);
-    compact_exited(species_[s]);
-    exchange_exits(exits);
-  }
-
-  finish_accumulate_and_fields();
-}
-
-// Overlapped schedule (docs/ASYNC.md): the leading z-halo exchange is in
-// flight while everything halo-independent runs. The interpolator stencil
-// for plane iz reads field planes iz and iz+1 only, so planes 1..nz-1
-// never touch the z ghosts; cells of those planes hold the "interior"
-// particles, whose push therefore cannot read stale halo data. Only the
-// plane-nz interpolator load and the push of plane-nz particles wait for
-// the halo. Deposit ordering differs from the fenced path (interior runs
-// before boundary runs instead of array order), so results match to
-// fp-reordering, not bitwise — test_domain's tolerances.
-void DistributedSimulation::step_overlapped() {
   prof::ScopedRegion step_region("step");
   const Grid& g = fields_.grid;
 
   FieldHalo halo = begin_field_halo();
-
   {
-    prof::ScopedRegion r("overlap_window");
-    interp_.load_planes(fields_, 1, g.nz - 1);
-    acc_.clear();
+    prof::ScopedRegion r("sort");
+    for (Species& sp : species_)
+      if (!sp.exact_cell_order())
+        sort_particles(sp, sort::SortOrder::Standard, 0, 0, g.nv());
   }
+  if (!cfg_.overlap) complete_field_halo(halo);
+  interp_.load_planes(fields_, 1, g.nz - 1);
+  acc_.clear();
 
-  // Partition each species' maximal same-cell runs at the boundary plane:
-  // voxel = (iz*sy + iy)*sx + ix is monotone in iz, so cells of plane nz
-  // are exactly the voxels >= voxel(0, 0, nz). Runs are correct on any
-  // particle order (unsorted arrays just degrade to length-1 runs), so
-  // the split needs no preceding sort.
-  const index_t boundary_begin = g.voxel(0, 0, g.nz);
+  // voxel = (iz*sy + iy)*sx + ix is monotone in iz, so the plane-nz
+  // particles of a cell-sorted species are the slots from the first one
+  // at or past voxel(0, 0, nz).
+  const index_t boundary = g.voxel(0, 0, g.nz);
+  std::vector<index_t> split(species_.size());
   std::vector<std::vector<ExitRecord>> exits(species_.size());
-  std::vector<std::vector<sort::CellRun>> boundary_runs(species_.size());
   std::mutex exits_mutex;
+  const auto push = [&](std::size_t s, index_t n0, index_t n1) {
+    MoverOptions opts;
+    opts.periodic_mask = 0b011;  // x, y periodic; z decomposed
+    opts.exits = &exits[s];
+    opts.exits_mutex = &exits_mutex;
+    push_on<pk::DefaultExecSpace>(species_[s], interp_, acc_, g,
+                                  cfg_.strategy, opts, PushPath::AutoDetect,
+                                  n0, n1);
+  };
   {
     prof::ScopedRegion r("interior_push");
     for (std::size_t s = 0; s < species_.size(); ++s) {
-      Species& sp = species_[s];
-      const ParticleAccessor a = sp.p.accessor();
-      sort::segment_runs(sp.np, [a](index_t i) { return a.cell(i); }, runs_);
-      std::vector<sort::CellRun> interior;
-      interior.reserve(runs_.size());
-      for (const auto& run : runs_)
-        (run.cell >= boundary_begin ? boundary_runs[s] : interior)
-            .push_back(run);
-      MoverOptions opts;
-      opts.periodic_mask = 0b011;
-      opts.exits = &exits[s];
-      opts.exits_mutex = &exits_mutex;
-      push_runs_on<pk::DefaultExecSpace>(sp, interp_, acc_, g, cfg_.strategy,
-                                         opts, interior);
+      const ParticleAccessor a = species_[s].p.accessor();
+      index_t lo = 0, hi = species_[s].np;
+      while (lo < hi) {
+        const index_t mid = lo + (hi - lo) / 2;
+        if (a.cell(mid) < boundary) lo = mid + 1;
+        else hi = mid;
+      }
+      split[s] = lo;
+      push(s, 0, lo);
     }
   }
 
-  complete_field_halo(halo);
+  if (cfg_.overlap) complete_field_halo(halo);
   interp_.load_planes(fields_, g.nz, g.nz);
 
   for (std::size_t s = 0; s < species_.size(); ++s) {
     Species& sp = species_[s];
     current_species_ = s;
-    MoverOptions opts;
-    opts.periodic_mask = 0b011;
-    opts.exits = &exits[s];
-    opts.exits_mutex = &exits_mutex;
     {
       prof::ScopedRegion r("boundary_push");
-      push_runs_on<pk::DefaultExecSpace>(sp, interp_, acc_, g, cfg_.strategy,
-                                         opts, boundary_runs[s]);
+      push(s, split[s], sp.np);
     }
-    sp.mark_order_degraded();  // once per step, as advance_species does
+    // The push moved particles across cells, and the exchange appends
+    // re-injected ones: the next step sorts the species again.
+    sp.mark_order_degraded();
     compact_exited(sp);
     exchange_exits(exits[s]);
   }
 
   finish_accumulate_and_fields();
+  ++step_count_;
 }
 
-// Shared tail of both schedules: accumulator boundary-plane exchange +
-// unload, then the FDTD advance with halo refresh after each sub-step.
+// The step's tail: accumulator boundary-plane exchange + unload, then the
+// FDTD advance with halo refresh after each sub-step.
 void DistributedSimulation::finish_accumulate_and_fields() {
   acc_.reduce_ghosts_periodic();
   // Boundary edges at plane 1 need the previous rank's plane-nz deposits.

@@ -5,12 +5,16 @@
 // relies on for scalability (Section 2.1: "Most MPI communication in VPIC
 // is non-blocking point-to-point ... allowing it to scale efficiently"):
 //
-//   per step: exchange E/B z-halos with both neighbors (nonblocking)
+//   per step: post the E/B z-halo exchange with both neighbors
+//               (nonblocking); Standard-sort every species not in exact
+//               cell order while it is in flight
 //             load interpolator, clear accumulators
-//             advance particles; exiting particles (crossing a slab face
-//               mid-move) are shipped with their unfinished displacement
-//               and complete their move — and current deposit — on the
-//               neighbor, iterating until no rank holds an exit
+//             advance particles through push_on, the cells below plane
+//               nz first and plane nz once the halo has landed; exiting
+//               particles (crossing a slab face mid-move) are shipped
+//               with their unfinished displacement and complete their
+//               move — and current deposit — on the neighbor, iterating
+//               until no rank holds an exit
 //             exchange accumulator boundary planes, unload J
 //             FDTD advance with halo refresh after each sub-step
 //
@@ -21,6 +25,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/accumulator.hpp"
@@ -38,13 +43,11 @@ struct DomainConfig {
   float dt = 0;                      // 0: Courant-limited default
   VectorStrategy strategy = VectorStrategy::Auto;
   std::uint64_t seed = 42;
-  // Comm/compute overlap (docs/ASYNC.md): hide the z-halo exchange behind
-  // the halo-independent work — interpolator planes 1..nz-1 and the
-  // interior particle push (cells below plane nz) — completing the halo
-  // with the nonblocking wait_any poll before the boundary-plane push.
-  // Same physics as the fenced schedule up to fp-reordering of current
-  // deposits; set false to force the fenced reference schedule (AdHoc
-  // strategy falls back to fenced regardless — it has no run-aware push).
+  // Comm/compute overlap (docs/ASYNC.md): complete the z-halo exchange
+  // after the halo-independent work — the sort, interpolator planes
+  // 1..nz-1 and the push of the cells below plane nz — instead of before
+  // it. The step is otherwise the same, so both settings agree bit for
+  // bit at one kernel thread, for every strategy.
   bool overlap = true;
 };
 
@@ -88,11 +91,6 @@ class DistributedSimulation {
   [[nodiscard]] int z_offset() const { return z_offset_; }
   [[nodiscard]] std::int64_t exchanged_particles() const {
     return exchanged_;
-  }
-
-  /// True when the next step() will take the overlapped schedule.
-  [[nodiscard]] bool overlap_active() const {
-    return cfg_.overlap && cfg_.strategy != VectorStrategy::AdHoc;
   }
 
   // ---- checkpoint/restart (docs/CHECKPOINT.md, core/checkpoint.cpp) --
@@ -142,8 +140,6 @@ class DistributedSimulation {
   [[nodiscard]] FieldHalo begin_field_halo();
   void complete_field_halo(FieldHalo& halo);
   void exchange_field_ghosts();
-  void step_fenced();
-  void step_overlapped();
   void finish_accumulate_and_fields();
   void exchange_exits(std::vector<ExitRecord>& exits);
 
@@ -155,10 +151,10 @@ class DistributedSimulation {
   InterpolatorArray interp_;
   AccumulatorArray acc_;
   std::vector<Species> species_;
+  // The one sort scratch of this rank's species, which sort one after
+  // another at the top of each step.
+  std::shared_ptr<SortScratch> sort_scratch_ = std::make_shared<SortScratch>();
   std::size_t current_species_ = 0;  // species whose exits are in flight
-  // The overlapped step's run segmentation of the species it is pushing,
-  // reused across species and steps.
-  std::vector<sort::CellRun> runs_;
   std::int64_t step_count_ = 0;
   std::int64_t exchanged_ = 0;
 };

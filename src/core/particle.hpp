@@ -33,8 +33,8 @@ namespace vpic::core {
 
 /// Per-tile slice of a species under the tile decomposition
 /// (core/tiles.hpp): the contiguous index range the tile owns. A tile
-/// dispatches its push off the species' sortedness hint plus its own run
-/// probe; it keeps no sortedness of its own.
+/// dispatches its push off the species' sortedness hint and its own
+/// range's size; it keeps no sortedness of its own.
 struct TileSlot {
   index_t begin = 0, end = 0;  // [begin, end) into the particle array
 
@@ -79,13 +79,16 @@ struct Species {
   // Sortedness tracking for the run-aware push fast path (docs/PUSH.md):
   // sort_particles(Standard) marks the array cell-sorted, and from then on
   // each step re-sorts the species after its push (advance_species, the
-  // tiled step's re-sort phase), so the hint stays fresh. A push that left
-  // exit tombstones, or an exchange append, degrades the order instead,
-  // tracked by steps_since_sort. The push dispatches its run-aware path
-  // off this hint plus a sampled run probe — untiled over the whole array,
-  // tiled per tile range (the tiles share this one hint). The hint with
-  // steps_since_sort == 0 promises exact Standard order: the tiled
-  // re-bucket (core/tiles.hpp) takes its tile ranges from it unchecked.
+  // tiled step's re-sort phase) or, on a rank, before it
+  // (core/domain.hpp), so the hint is fresh at every push. A push no sort
+  // follows (one that left exit tombstones, a rank's, whose exchange
+  // then appends) ages the hint instead, tracked by steps_since_sort.
+  // The hint with steps_since_sort == 0 promises exact Standard order
+  // (exact_cell_order): the push takes its run-aware path on that alone
+  // — untiled over the whole array, tiled per tile range (the tiles share
+  // this one hint), on a rank per side of the boundary plane — and the
+  // tiled re-bucket (core/tiles.hpp) and the ranks' boundary split take
+  // their ranges from it unchecked.
   bool cell_sorted_hint = false;
   int steps_since_sort = -1;  // -1: never cell-sorted
 
@@ -101,9 +104,14 @@ struct Species {
     steps_since_sort = cell_sorted ? 0 : -1;
   }
 
-  /// Called by a push that does not re-sort, and by an exchange append:
-  /// ordering decays as particles cross cells, so the dispatch heuristic
-  /// ages the hint.
+  /// True when the array is in exact Standard (cell) order: sorted, and
+  /// not pushed or appended to since.
+  [[nodiscard]] bool exact_cell_order() const noexcept {
+    return cell_sorted_hint && steps_since_sort == 0;
+  }
+
+  /// Called after a push that no sort follows, and after an append:
+  /// ordering decays as particles cross cells, so the hint ages.
   void mark_order_degraded() noexcept {
     if (steps_since_sort >= 0 &&
         steps_since_sort < std::numeric_limits<int>::max())

@@ -109,7 +109,7 @@ class GatherModule final : public PhysicsModule {
 // advance_species phases (they share the accumulator, float atomics are
 // not associative, and each may re-sort through the one sort scratch).
 // Tiled: one serial push_on per tile range, dispatched off the species'
-// sortedness plus the tile's own run probe, into tile-private blocks;
+// sortedness and the range's size, into tile-private blocks;
 // then, per Standard-sorted species, a re-sort phase ("sort_after_push"):
 // a team-wide sort_particles and bucket_by_tile's binary-search ranges.
 // The re-sorts chain through the sort scratch and become the tail, so
@@ -419,7 +419,7 @@ class SortModule final : public PhysicsModule {
                       // Kept in Standard order by the push stage, tile
                       // ranges included: the sort would be the identity.
                       if (cfg2.sort_order == sort::SortOrder::Standard &&
-                          sp.cell_sorted_hint && sp.steps_since_sort == 0)
+                          sp.exact_cell_order())
                         return;
                       sort_particles(
                           sp, cfg2.sort_order, tile,

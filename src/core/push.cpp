@@ -7,7 +7,7 @@
 // record comes from (GatheredRecord or HoistedRecord) and how its move
 // finishes (MoveFinish or RunFinish); push_on is the one entry that picks
 // the path and launches the body on an execution space. The structural
-// constants (block size, vector widths) and the AutoDetect dispatch gates
+// constants (block size, vector widths) and the AutoDetect dispatch gate
 // come from core/push_tuning.hpp.
 #include "core/push.hpp"
 
@@ -23,7 +23,6 @@
 #include "core/tiles.hpp"
 #include "prof/prof.hpp"
 #include "simd/simd.hpp"
-#include "sort/runs.hpp"
 #include "v4/v4.hpp"
 
 namespace vpic::core {
@@ -509,21 +508,6 @@ PK_FORCEINLINE void push_run(const ParticleAccessor& a,
   flush_run_accumulator(local, acc.a(cell), kAtomicDeposit<AccA>);
 }
 
-/// Run-aware path over a caller's run list: one whole run per iteration.
-template <class Space, VectorStrategy S, class AccA>
-void push_runs(const ParticleAccessor& a, const InterpolatorArray& interp,
-               AccA& acc, const Grid& g, const MoverOptions& opts,
-               const PushConsts& c, const std::vector<sort::CellRun>& runs) {
-  pk::parallel_for(
-      kRunKernel[static_cast<int>(S)],
-      pk::RangePolicy<Space>(static_cast<index_t>(runs.size())),
-      [&](index_t r) {
-        const sort::CellRun& run = runs[static_cast<std::size_t>(r)];
-        push_run<S>(a, interp, acc, g, opts, c, run.cell, run.begin,
-                    run.begin + run.count);
-      });
-}
-
 /// Most chunks a run-aware launch splits its range into: one per member
 /// of the execution space, up to this many.
 constexpr int kMaxRunChunks = 256;
@@ -598,27 +582,16 @@ void require_guarded_exits(const MoverOptions& opts) {
         "is a data race)");
 }
 
+/// The gate (core/push_tuning.hpp): the species is in exact cell order,
+/// and [n0, n1) holds enough particles to pay for the per-run overhead
+/// (hoisted 18-float load + 12-atomic flush amortized over the run).
 bool run_aware_profitable_range(const Species& sp, index_t n0, index_t n1) {
-  // Gates (core/push_tuning.hpp): below min_particles the per-run overhead
-  // dominates; beyond max_stale steps since the last cell sort the probe
-  // is not worth running every step; the probe gates on the estimated
-  // mean run length covering the per-run overhead (hoisted 18-float load
-  // + 12-atomic flush amortized over the run).
-  const index_t n = n1 - n0;
-  if (n <= 0) return false;
-  if (n < kPushGates.min_particles) return false;
-  if (!sp.cell_sorted_hint || sp.steps_since_sort < 0) return false;
-  if (sp.steps_since_sort == 0) return true;  // fresh from a sort
-  if (sp.steps_since_sort > kPushGates.max_stale) return false;
-  const ParticleAccessor a = sp.p.accessor();
-  const auto probe =
-      sort::probe_runs(n, [a, n0](index_t i) { return a.cell(n0 + i); });
-  return probe.mean_run_estimate() >= kPushGates.min_mean_run;
+  return sp.exact_cell_order() && n1 - n0 >= kPushGates.min_particles;
 }
 
 /// The push-path decision: resolve `path` to Generic or RunAware for
-/// `strategy` on particles [n0, n1) from the species' sortedness and a
-/// run probe of the range, and count the outcome as
+/// `strategy` on particles [n0, n1) from the species' order, and count
+/// the outcome as
 /// push.dispatch.run_aware or push.dispatch.generic. AdHoc has no
 /// run-aware variant, so it always resolves to Generic.
 PushPath resolve_push_path(const Species& sp, VectorStrategy strategy,
@@ -641,24 +614,6 @@ PushPath resolve_push_path(const Species& sp, VectorStrategy strategy,
 }
 
 }  // namespace
-
-template <class Space, class AccA>
-void push_runs_on(Species& sp, const InterpolatorArray& interp, AccA& acc,
-                  const Grid& g, VectorStrategy strategy,
-                  const MoverOptions& opts,
-                  const std::vector<sort::CellRun>& runs) {
-  require_guarded_exits<Space>(opts);
-  const PushConsts c = make_consts(sp, g);
-  const ParticleAccessor a = sp.p.accessor();
-  with_strategy(strategy, [&](auto s) {
-    constexpr VectorStrategy S = decltype(s)::value;
-    if constexpr (S == VectorStrategy::AdHoc)
-      throw std::invalid_argument(
-          "push_runs_on: AdHoc has no run-aware variant");
-    else
-      push_runs<Space, S>(a, interp, acc, g, opts, c, runs);
-  });
-}
 
 template <class Space, class AccA>
 PushPath push_on(Species& sp, const InterpolatorArray& interp, AccA& acc,
@@ -696,13 +651,6 @@ template PushPath push_on<pk::Serial>(Species&, const InterpolatorArray&,
                                       TileAccumulator&, const Grid&,
                                       VectorStrategy, const MoverOptions&,
                                       PushPath, index_t, index_t);
-template void push_runs_on<pk::DefaultExecSpace>(
-    Species&, const InterpolatorArray&, AccumulatorArray&, const Grid&,
-    VectorStrategy, const MoverOptions&, const std::vector<sort::CellRun>&);
-template void push_runs_on<pk::Serial>(Species&, const InterpolatorArray&,
-                                       TileAccumulator&, const Grid&,
-                                       VectorStrategy, const MoverOptions&,
-                                       const std::vector<sort::CellRun>&);
 
 PushPath advance_species(Species& sp, const InterpolatorArray& interp,
                          AccumulatorArray& acc, const Grid& g,

@@ -31,8 +31,8 @@
 // body, written against the path (generic: per-particle gather and
 // move_p; run-aware: hoisted record and run-local deposit), and push_on
 // is the one entry — the untiled step, the tile tasks and the ranks all
-// launch through it, on their own execution space. It auto-dispatches
-// using the species' sortedness tracking plus a sampled run probe.
+// launch through it, on their own execution space. It auto-dispatches on
+// one signal: whether the species is in exact cell order.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +43,6 @@
 #include "core/grid.hpp"
 #include "core/interpolator.hpp"
 #include "core/particle.hpp"
-#include "sort/runs.hpp"
 
 namespace vpic::core {
 
@@ -64,9 +63,10 @@ inline const char* to_string(VectorStrategy s) noexcept {
 }
 
 /// Which push pipeline advance_species runs.
-///   AutoDetect — run-aware when the species' sortedness tracking and the
-///                sampled run probe say cell runs are long enough to pay
-///                for the per-run overhead; generic otherwise.
+///   AutoDetect — run-aware when the species is in exact cell order (a
+///                Standard sort since its last push) and the range is
+///                large enough to pay for the per-run overhead; generic
+///                otherwise.
 ///   Generic    — always the per-particle strategy kernels (the paper's
 ///                Fig. 4 baselines).
 ///   RunAware   — force the run-aware variant (AdHoc has none and stays
@@ -105,9 +105,8 @@ struct MoverOptions {
 /// Advance all particles of `sp` one step: gather fields from `interp`,
 /// Boris-rotate momenta, move with current deposition into `acc`.
 /// With default options all boundaries are periodic (single-rank mode);
-/// the multi-rank driver passes a mask and an exit queue, and exited
-/// particles are removed from `sp` (their slot is marked with i = -1 and
-/// compacted by compact_exited()).
+/// with a mask and an exit queue, exited particles are removed from `sp`
+/// (their slot is marked with i = -1 and compacted by compact_exited()).
 ///
 /// `path` selects the pipeline (see PushPath); the return value is the
 /// pipeline actually taken (Generic or RunAware), which AutoDetect
@@ -128,25 +127,26 @@ PushPath advance_species(Species& sp, const InterpolatorArray& interp,
                          const MoverOptions& opts = {},
                          PushPath path = PushPath::AutoDetect);
 
-/// The AutoDetect heuristic, exposed for tests and benches: true when the
-/// species' sortedness tracking (fresh or recently-stale cell-sorted hint)
-/// plus a sampled run probe predict the run-aware path will pay off.
-/// False for an empty species.
+/// The AutoDetect rule, exposed for tests and benches: true when the
+/// species is in exact cell order (Species::exact_cell_order) and holds
+/// at least kPushGates.min_particles. False for an empty species.
 [[nodiscard]] bool run_aware_profitable(const Species& sp);
 
 /// The one push entry (docs/PUSH.md): push particles [n0, n1) of `sp` on
 /// execution space `Space`, depositing into `acc`. It resolves `path`
-/// from the species' sortedness hint plus a run probe of [n0, n1)
-/// (AutoDetect) and launches the strategy's body — per particle or block
-/// on the generic path; on the run-aware path one chunk of the range per
-/// member of `Space`, each chunk starting on a run start and walking its
+/// from the species' order and the size of [n0, n1) (AutoDetect) and
+/// launches the strategy's body — per particle or block on the generic
+/// path; on the run-aware path one chunk of the range per member of
+/// `Space`, each chunk starting on a run start and walking its
 /// maximal same-cell runs in slot order, finding each run's end as it
 /// goes. Returns the path taken. It neither ages nor restores the
 /// sortedness hint; the step does that once per step.
 ///
 /// Two instantiations exist:
 ///   * pk::DefaultExecSpace into the shared AccumulatorArray (atomic
-///     deposits): the untiled step (advance_species) and the ranks;
+///     deposits): the untiled step (advance_species) and the ranks, which
+///     push a cell-sorted species as [0, k) then [k, np) around their
+///     halo wait (core/domain.hpp);
 ///   * pk::Serial into a tile-private TileAccumulator block (plain adds):
 ///     one tile task of the tiled step (core/tiles.hpp). A range that
 ///     does not start on a multiple of the Manual width W is few-ulp from
@@ -161,24 +161,6 @@ PushPath push_on(Species& sp, const InterpolatorArray& interp, AccA& acc,
                  const Grid& g, VectorStrategy strategy,
                  const MoverOptions& opts, PushPath path, index_t n0,
                  index_t n1);
-
-/// The run-aware body over an explicit list of `runs` (maximal same-cell
-/// segments from sort::segment_runs) that the caller segmented and
-/// partitioned itself: the overlapped distributed step, which owns its
-/// run vectors, pushes its interior runs while the halo exchange is in
-/// flight, then its boundary runs once it lands. Instantiated for
-/// pk::DefaultExecSpace into the shared AccumulatorArray, and for
-/// pk::Serial into a TileAccumulator block, the run-list reference
-/// test_push_runs checks a tile's push_on against.
-///
-/// Throws std::invalid_argument for VectorStrategy::AdHoc (it has no
-/// run-aware variant; the distributed step falls back to fenced) and the
-/// same std::logic_error as push_on for an unguarded exit queue.
-template <class Space, class AccA>
-void push_runs_on(Species& sp, const InterpolatorArray& interp, AccA& acc,
-                  const Grid& g, VectorStrategy strategy,
-                  const MoverOptions& opts,
-                  const std::vector<sort::CellRun>& runs);
 
 /// Remove particles marked exited (i < 0), preserving order of survivors.
 /// Returns the number removed.

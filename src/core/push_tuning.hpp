@@ -2,7 +2,7 @@
 //
 // Single source of truth for the hot-path dispatch parameters: the
 // structural constants (block size, kernel vector widths) and the
-// run-aware push gates. The gates are fixed constants measured on the
+// run-aware push gate. The gate is a fixed constant measured on the
 // reference host (docs/LAYOUT.md, "Dispatch constants"); the
 // counting-vs-radix sort crossover lives with the sort library
 // (sort/dispatch_model.hpp).
@@ -37,24 +37,19 @@ inline constexpr int kManualVecWidth = 8;
 inline constexpr int kAdHocVecWidth = 4;
 
 // ---------------------------------------------------------------------------
-// Run-aware push gates.
+// Run-aware push gate.
 // ---------------------------------------------------------------------------
 
-/// Gates for PushPath::AutoDetect: run-aware push is chosen when the
-/// species (or tile range) has at least `min_particles`, was cell-sorted
-/// at most `max_stale` steps ago, and the probed mean same-cell run
-/// length is at least `min_mean_run`.
+/// Gate for PushPath::AutoDetect: run-aware push is chosen when the
+/// species is in exact cell order (a Standard sort since its last push)
+/// and the range has at least `min_particles`.
 struct PushGates {
   index_t min_particles;
-  int max_stale;
-  double min_mean_run;
 };
 
-/// The gates for both layouts, measured on the reference 4-core x86 host:
-/// the rounded medians of repeated timings of the generic and run-aware
-/// kernels at long and short cell runs. Whole LPI and Weibel steps time
-/// the same within noise anywhere in those timings' spread
-/// (docs/LAYOUT.md, "Dispatch constants").
-inline constexpr PushGates kPushGates{350, 120, 2.5};
+/// The gate measured on the reference 4-core x86 host: the rounded median
+/// of repeated timings of the generic and run-aware kernels at long and
+/// short cell runs (docs/LAYOUT.md, "Dispatch constants").
+inline constexpr PushGates kPushGates{350};
 
 }  // namespace vpic::core

@@ -81,7 +81,7 @@ void bucket_by_tile(Species& sp, const TileMap& tm) {
   // Standard-sorted (what sort_particles has just left, and what the
   // run-aware push trusts) is tile-major as it stands. Any other array
   // is checked with one read pass; a deck's ascending-voxel load passes.
-  bool tile_major = sp.cell_sorted_hint && sp.steps_since_sort == 0;
+  bool tile_major = sp.exact_cell_order();
   if (!tile_major) {
     index_t descents = 0;
     pk::parallel_reduce(

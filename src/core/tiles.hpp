@@ -15,8 +15,8 @@
 //     Standard-sorted species, after every push round, and carried
 //     through a checkpoint so a tiled restore resumes the same order),
 //   * each tile pushes its range with push_on<pk::Serial> (core/push.hpp),
-//     dispatched off the species' sortedness plus the tile's own run
-//     probe, and deposits into a tile-private TileAccumulator block
+//     dispatched off the species' sortedness and the range's size, and
+//     deposits into a tile-private TileAccumulator block
 //     whose plane window covers the tile plus one ghost plane on each
 //     side (seam crossings land in the window; rare z-wrap / long-drift
 //     deposits go to a sorted overflow map),

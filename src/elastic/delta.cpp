@@ -13,7 +13,6 @@
 #include <set>
 #include <utility>
 
-#include "ckpt/crc32.hpp"
 #include "ckpt/ring.hpp"
 
 namespace vpic::elastic {
@@ -325,20 +324,6 @@ GenerationPlan DeltaTracker::plan(ckpt::FileWriter& w, std::int64_t generation,
     return n;
   });
   p.sealed = w.sealed();
-  return p;
-}
-
-GenerationPlan DeltaTracker::plan(const std::vector<EncodedSection>& sections,
-                                  std::int64_t generation, Codec codec) {
-  std::vector<std::uint64_t> hashes(sections.size());
-  std::vector<ckpt::Sealed> sealed(sections.size());
-  ckpt::for_each_section("ckpt_hash", sections, [&](std::size_t i) {
-    const std::vector<std::byte>& b = sections[i].payload;
-    hashes[i] = payload_hash(b.data(), b.size());
-    sealed[i] = {b.size(), ckpt::crc32(b.data(), b.size())};
-  });
-  GenerationPlan p = decide(sections, hashes, generation, codec);
-  p.sealed = std::move(sealed);
   return p;
 }
 

@@ -176,11 +176,6 @@ class DeltaTracker {
   GenerationPlan plan(ckpt::FileWriter& w, std::int64_t generation,
                       Codec codec);
 
-  /// As above, over sections that already hold their raw bytes: every
-  /// stored section is stored raw, and the CRCs are taken here.
-  GenerationPlan plan(const std::vector<ckpt::EncodedSection>& sections,
-                      std::int64_t generation, Codec codec);
-
   /// Forget the chain: the next plan() is a full generation. Called after
   /// restore (on-disk chain no longer matches tracked hashes) and when
   /// checkpoints move to another ring; plan() calls it itself once a

@@ -69,9 +69,9 @@ inline CommEstimate model_comm(const DeviceSpec& dev, double cells_per_rank,
 
 // ----------------------------------------------------------------------
 // Comm/compute overlap model. The overlapped runtime schedule
-// (DistributedSimulation::step_overlapped, docs/ASYNC.md) hides the halo
-// exchange behind halo-independent compute: interpolator planes 1..nz-1
-// and the interior particle push. Modeled per step as
+// (DistributedSimulation::step with DomainConfig::overlap, docs/ASYNC.md)
+// hides the halo exchange behind halo-independent compute: the particle
+// sort, interpolator planes 1..nz-1 and the interior particle push. Modeled per step as
 //
 //   hidden  = min(overlappable comm, overlap window)
 //   exposed = t_comm - hidden

@@ -11,12 +11,11 @@
 // Segmentation is order-agnostic: on unsorted input it simply yields many
 // short runs (worst case: length-1 runs on alternating keys), so a
 // consumer is always correct and only *fast* when the input is sorted.
-// The sampled RunProbe below is the cheap screen the push uses to decide
-// whether run-aware processing will pay off; its exhaustive limit agrees
-// with order_checks.hpp's is_sorted_ascending (see cell_sorted_exact).
+// The push takes its run-aware path only on a species in exact cell order
+// (core/push.hpp); cell_sorted_exact is the test/bench-time oracle for
+// that order.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -60,59 +59,8 @@ void segment_runs(index_t n, KeyFn&& key, std::vector<CellRun>& out) {
   });
 }
 
-/// Sampled order statistics of a key sequence: `samples` adjacent pairs
-/// probed at evenly strided offsets. same_cell_fraction estimates the
-/// probability that slot i+1 continues slot i's run (so the expected run
-/// length is its geometric mean, mean_run_estimate); ascending_fraction
-/// == 1 on every sample is the sampled version of the Standard-order
-/// postcondition. When samples covers every adjacent pair the probe is
-/// exhaustive and ascending_fraction() == 1 exactly when
-/// order_checks.hpp's is_sorted_ascending holds.
-struct RunProbe {
-  index_t samples = 0;
-  index_t same_cell = 0;  // sampled pairs with key[i] == key[i+1]
-  index_t ascending = 0;  // sampled pairs with key[i] <= key[i+1]
-
-  [[nodiscard]] double same_cell_fraction() const noexcept {
-    return samples ? static_cast<double>(same_cell) / samples : 0.0;
-  }
-  [[nodiscard]] double ascending_fraction() const noexcept {
-    return samples ? static_cast<double>(ascending) / samples : 1.0;
-  }
-  /// Expected run length implied by the sampled boundary rate (capped at
-  /// samples + 1 when no boundary was seen).
-  [[nodiscard]] double mean_run_estimate() const noexcept {
-    if (samples == 0) return 1.0;
-    const index_t boundaries = samples - same_cell;
-    if (boundaries == 0) return static_cast<double>(samples + 1);
-    return static_cast<double>(samples) / static_cast<double>(boundaries);
-  }
-};
-
-/// Probe up to `max_samples` adjacent pairs of the n-key sequence at
-/// evenly strided offsets. O(max_samples), deterministic. With
-/// max_samples >= n - 1 every adjacent pair is visited (the exhaustive
-/// limit above).
-template <class KeyFn>
-RunProbe probe_runs(index_t n, KeyFn&& key, index_t max_samples = 64) {
-  RunProbe pr;
-  if (n < 2 || max_samples <= 0) return pr;
-  const index_t pairs = n - 1;
-  const index_t take = std::min(pairs, max_samples);
-  for (index_t s = 0; s < take; ++s) {
-    const index_t i = take > 1 ? (pairs - 1) * s / (take - 1) : index_t{0};
-    const auto a = key(i);
-    const auto b = key(i + 1);
-    ++pr.samples;
-    if (a == b) ++pr.same_cell;
-    if (!(b < a)) ++pr.ascending;
-  }
-  return pr;
-}
-
 /// Full-certainty sortedness check on materialized keys — delegates to the
-/// order_checks predicate the property tests use. The sampled probe above
-/// is the per-step screen; this is the test/bench-time oracle.
+/// order_checks predicate the property tests use.
 template <class K>
 bool cell_sorted_exact(const pk::View<K, 1>& keys) {
   return is_sorted_ascending(keys);

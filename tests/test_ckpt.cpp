@@ -1127,8 +1127,8 @@ core::DomainConfig dist_config() {
   cfg.ly = 4;
   cfg.lz = 8;
   cfg.seed = 7;
-  // The fenced schedule is the bit-deterministic reference; overlap
-  // reorders fp current deposits (docs/ASYNC.md).
+  // Fenced; both overlap settings give the same bits at one kernel
+  // thread (docs/ASYNC.md).
   cfg.overlap = false;
   return cfg;
 }

@@ -1,11 +1,11 @@
-// Run-aware push pipeline tests (docs/PUSH.md): run segmentation and the
-// sampled sortedness probe, physics equivalence of the run-aware variants
-// against the generic per-particle kernels on sorted / unsorted /
-// adversarial particle orders, the run-aware launch's runs found during
-// the push against an explicit run list, charge conservation through the
-// fast path, the AutoDetect dispatch heuristic plus Species sortedness
-// tracking, the Standard order kept every step in both step shapes, the
-// Simulation-level plumbing, and the exit-queue concurrency guard.
+// Run-aware push pipeline tests (docs/PUSH.md): run segmentation, physics
+// equivalence of the run-aware variants against the generic per-particle
+// kernels on sorted / unsorted / adversarial particle orders, the
+// run-aware launch's runs found during the push against an explicit run
+// list, charge conservation through the fast path, the AutoDetect
+// dispatch rule plus Species sortedness tracking, the Standard order kept
+// every step in both step shapes, the Simulation-level plumbing, and the
+// exit-queue concurrency guard.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -140,7 +140,7 @@ void apply_order(core::Species& sp, int order, index_t key_bound) {
 }  // namespace
 
 // ----------------------------------------------------------------------
-// Run segmentation and the sampled probe.
+// Run segmentation.
 // ----------------------------------------------------------------------
 
 TEST(RunSegmentation, KnownSequence) {
@@ -177,50 +177,6 @@ TEST(RunSegmentation, CoversEverySlotExactlyOnce) {
     covered += runs[r].count;
   }
   EXPECT_EQ(covered, static_cast<index_t>(keys.size()));
-}
-
-TEST(RunProbe, EstimatesSyntheticRunLength) {
-  // 1024 keys in runs of exactly 8: the sampled boundary rate implies a
-  // mean run length near 8 (sampling phase makes it approximate).
-  std::vector<std::uint32_t> keys(1024);
-  for (std::size_t i = 0; i < keys.size(); ++i)
-    keys[i] = static_cast<std::uint32_t>(i / 8);
-  const auto pr = vs::probe_runs(
-      static_cast<index_t>(keys.size()),
-      [&keys](index_t i) { return keys[static_cast<std::size_t>(i)]; }, 64);
-  EXPECT_EQ(pr.samples, 64);
-  // Sampling phase can alias against the run period, so the estimate is
-  // only order-of-magnitude accurate — which is all the dispatch needs.
-  EXPECT_GE(pr.mean_run_estimate(), 4.0);
-  EXPECT_LE(pr.mean_run_estimate(), 32.0);
-  EXPECT_DOUBLE_EQ(pr.ascending_fraction(), 1.0);
-}
-
-TEST(RunProbe, AlternatingKeysEstimateNearOne) {
-  std::vector<std::uint32_t> keys(512);
-  for (std::size_t i = 0; i < keys.size(); ++i)
-    keys[i] = static_cast<std::uint32_t>(i % 2);
-  const auto pr = vs::probe_runs(
-      static_cast<index_t>(keys.size()),
-      [&keys](index_t i) { return keys[static_cast<std::size_t>(i)]; }, 64);
-  EXPECT_DOUBLE_EQ(pr.mean_run_estimate(), 1.0);
-  EXPECT_LT(pr.ascending_fraction(), 1.0);
-}
-
-TEST(RunProbe, ExhaustiveLimitMatchesSortednessOracle) {
-  for (const std::vector<std::uint32_t>& keys :
-       {std::vector<std::uint32_t>{1, 2, 2, 3, 9},
-        std::vector<std::uint32_t>{1, 2, 2, 1, 9},
-        std::vector<std::uint32_t>{0},
-        std::vector<std::uint32_t>{}}) {
-    const index_t n = static_cast<index_t>(keys.size());
-    const auto pr = vs::probe_runs(
-        n, [&keys](index_t i) { return keys[static_cast<std::size_t>(i)]; },
-        n > 1 ? n - 1 : 1);
-    pk::View<std::uint32_t, 1> kv("k", n);
-    for (index_t i = 0; i < n; ++i) kv(i) = keys[static_cast<std::size_t>(i)];
-    EXPECT_EQ(pr.ascending_fraction() == 1.0, vs::cell_sorted_exact(kv));
-  }
 }
 
 // ----------------------------------------------------------------------
@@ -285,9 +241,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ----------------------------------------------------------------------
 // The run-aware launch finds its runs while it pushes. At one thread, and
-// in a tile, it pushes the same runs in the same order as the run-list
-// body (push_runs_on over sort::segment_runs), so particles and currents
-// are bit-identical to it on any order.
+// in a tile, it pushes the same runs in the same order as a run-list
+// reference (one forced run-aware push_on per run of sort::segment_runs,
+// in slot order), so particles and currents are bit-identical to it on
+// any order.
 // ----------------------------------------------------------------------
 
 class RunsFoundDuringPush
@@ -314,9 +271,10 @@ TEST_P(RunsFoundDuringPush, MatchesRunListPushAtOneThread) {
   std::vector<vs::CellRun> runs;
   const auto& pp = sp.p;
   vs::segment_runs(sp.np, [&pp](index_t i) { return pp.cell(i); }, runs);
-  core::push_runs_on<pk::DefaultExecSpace>(sp, sim.interpolator(),
-                                           sim.accumulator(), sim.grid(),
-                                           strat, {}, runs);
+  for (const vs::CellRun& run : runs)
+    core::push_on<pk::DefaultExecSpace>(
+        sp, sim.interpolator(), sim.accumulator(), sim.grid(), strat, {},
+        core::PushPath::RunAware, run.begin, run.begin + run.count);
   EXPECT_TRUE(same_bytes(found.particles, particles_of(sp)));
   EXPECT_TRUE(same_bytes(found.acc, flatten(sim.accumulator())));
 }
@@ -355,9 +313,10 @@ TEST_P(RunsFoundDuringPush, MatchesRunListPushInATile) {
   const auto& pp = sp.p;
   vs::segment_runs(
       n1 - n0, [&pp, n0](index_t i) { return pp.cell(n0 + i); }, runs);
-  for (vs::CellRun& r : runs) r.begin += n0;
-  core::push_runs_on<pk::Serial>(sp, sim.interpolator(), blk, sim.grid(),
-                                 strat, {}, runs);
+  for (const vs::CellRun& run : runs)
+    core::push_on<pk::Serial>(sp, sim.interpolator(), blk, sim.grid(), strat,
+                              {}, core::PushPath::RunAware, n0 + run.begin,
+                              n0 + run.begin + run.count);
   EXPECT_TRUE(same_bytes(tiled, particles_of(sp)));
   EXPECT_TRUE(same_bytes(tiled_acc, merged(blk)));
 }
@@ -501,7 +460,7 @@ TEST(PushDispatch, StaleOrTinyPopulationsFallBackToGeneric) {
   auto& sp = sim.species(0);
   core::sort_particles(sp, vs::SortOrder::Standard, 0, 1, sim.grid().nv());
 
-  sp.steps_since_sort = 1000;  // far past the staleness window
+  sp.steps_since_sort = 1000;  // long past its sort
   EXPECT_FALSE(core::run_aware_profitable(sp));
 
   sp.steps_since_sort = 0;
@@ -514,14 +473,14 @@ TEST(PushDispatch, StaleOrTinyPopulationsFallBackToGeneric) {
 }
 
 TEST(PushDispatch, StaleHintReprobesActualOrder) {
-  // Hint says "sorted a few steps ago" but the array is still perfectly
-  // sorted: the probe sees long runs and keeps the fast path. After an
-  // adversarial reorder with the same hint, the probe rejects it.
+  // Only exact cell order takes the fast path. A hint that says "sorted a
+  // few steps ago" is generic even when the array is still perfectly
+  // sorted, and so is an adversarial reorder under the same hint.
   auto sim = make_sim(core::VectorStrategy::Auto);
   auto& sp = sim.species(0);
   core::sort_particles(sp, vs::SortOrder::Standard, 0, 1, sim.grid().nv());
-  sp.steps_since_sort = 10;  // inside the staleness window: probe decides
-  EXPECT_TRUE(core::run_aware_profitable(sp));
+  sp.steps_since_sort = 10;
+  EXPECT_FALSE(core::run_aware_profitable(sp));
 
   adversarial_order(sp, sim.grid().nv());
   sp.cell_sorted_hint = true;
@@ -583,8 +542,8 @@ TEST(BenchDeckDispatch, LpiRunAwareWhenSortedGenericWhenScrambled) {
   auto& sp = sim.species(0);
   const index_t nv = sim.grid().nv();
   sim.interpolator().load(sim.fields());
-  // The push alone, aged like a step that does not re-sort: the run probe
-  // decides once the hint is stale.
+  // The push alone, aged like a step that does not re-sort: only a fresh
+  // sort takes the fast path.
   auto push = [&] {
     sim.accumulator().clear();
     const auto path = core::push_on<pk::DefaultExecSpace>(
@@ -596,8 +555,8 @@ TEST(BenchDeckDispatch, LpiRunAwareWhenSortedGenericWhenScrambled) {
 
   core::sort_particles(sp, vs::SortOrder::Standard, 0, 1, nv);
   EXPECT_EQ(push(), core::PushPath::RunAware);
-  // One step after the sort the run probe decides, and still sees runs.
-  EXPECT_EQ(push(), core::PushPath::RunAware);
+  // One step after the sort the order has decayed: generic.
+  EXPECT_EQ(push(), core::PushPath::Generic);
 
   adversarial_order(sp, nv);
   sp.cell_sorted_hint = true;

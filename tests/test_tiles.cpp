@@ -863,8 +863,8 @@ TEST(TiledStep, PublishesTileTelemetry) {
 }
 
 TEST(TiledStep, RestoredSortedDeckPushesLikeUntiled) {
-  // Tiles dispatch off the species' sortedness plus their own run probe:
-  // a deck restored from a checkpoint taken right after a Standard sort
+  // Tiles dispatch off the species' sortedness and their range's size: a
+  // deck restored from a checkpoint taken right after a Standard sort
   // takes the untiled step's push paths on its first step, tiled too.
   const std::string path = ::testing::TempDir() + "vpic_tiles_sorted.ckpt";
   core::decks::LpiParams p = tiled_decks().front().params;
