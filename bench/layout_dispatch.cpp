@@ -5,7 +5,7 @@
 //
 //   * the generic vs run-aware Manual push (push_on alone, aged like a
 //     step that does not re-sort), and the path AutoDetect picks on the
-//     freshly sorted deck under the fixed gate (core::kPushGates);
+//     freshly sorted deck (exact cell order: run-aware at any size);
 //   * the counting vs radix particle sort (sort_particles, Standard
 //     order), and the backend the particle sort's budget
 //     (sort::kParticleSortModel) picks;
@@ -30,7 +30,6 @@
 
 #include "bench_common.hpp"
 #include "core/core.hpp"
-#include "core/push_tuning.hpp"
 
 namespace {
 
@@ -101,7 +100,6 @@ int main(int argc, char** argv) {
   const int reps = static_cast<int>(bench::flag(argc, argv, "reps", 5));
   const bool smoke = bench::has_flag(argc, argv, "smoke");
 
-  const core::PushGates& gates = core::kPushGates;
   const vpic::sort::SortDispatchModel model = vpic::sort::kParticleSortModel;
   const vpic::sort::SortDispatchModel view_model =
       vpic::sort::active_sort_model();
@@ -109,11 +107,9 @@ int main(int argc, char** argv) {
   std::printf(
       "== layout_dispatch: push/sort timings under the dispatch "
       "constants ==\nLPI deck %dx%dx%d, ppc %d, %d reps, %d threads\n"
-      "push gate: min_particles=%lld; "
       "particle sort budget: cells_per_n=%g cells_floor=%g; "
       "View-level sort: cells_per_n=%g cells_floor=%g\n\n",
-      nx, ny, nz, ppc, reps, nthreads,
-      static_cast<long long>(gates.min_particles), model.cells_per_n,
+      nx, ny, nz, ppc, reps, nthreads, model.cells_per_n,
       model.cells_floor, view_model.cells_per_n, view_model.cells_floor);
 
   bench::Table t({"particles", "cells/n", "generic (ms)",
@@ -291,8 +287,6 @@ int main(int argc, char** argv) {
       .field("view_sort_keys", static_cast<std::int64_t>(nkeys))
       .field("view_sort_model_path", view_counting ? "counting" : "radix")
       .field("view_sort_dispatch_ok", view_ok ? 1 : 0)
-      .field("gate_min_particles",
-             static_cast<std::int64_t>(gates.min_particles))
       .field("sort_cells_per_n", model.cells_per_n)
       .field("sort_cells_floor", model.cells_floor)
       .field("view_sort_cells_per_n", view_model.cells_per_n)

@@ -12,8 +12,9 @@
 //
 // Emits one vpic-bench-v1 record per setting plus a summary record with
 // the speedup and the fenced-vs-overlapped energy agreement (the two
-// settings agree bit for bit at one kernel thread; on wider teams the
-// float-atomic current deposits vary their order run to run).
+// settings agree bit for bit at any kernel thread count: every rank push
+// is in exact cell order, whose deposits do not depend on the thread
+// count).
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -114,7 +115,7 @@ int main(int argc, char** argv) {
          bench::fmt("%.2fx", speedup)});
   t.print();
   std::printf(
-      "energy agreement: rel diff %.3g (atomic deposit order only)\n\n",
+      "energy agreement: rel diff %.3g\n\n",
       energy_rel_diff);
 
   {
@@ -150,8 +151,7 @@ int main(int argc, char** argv) {
   const std::string path = bench::emit_bench_json("step_overlap");
   if (!path.empty()) std::printf("wrote %s\n", path.c_str());
 
-  // Physics guard: the two settings must agree up to the atomic deposit
-  // order and conserve particles.
+  // Physics guard: the two settings must agree and conserve particles.
   if (energy_rel_diff > 1e-3 || rf.np != ro.np) {
     std::fprintf(stderr,
                  "FAIL: schedules disagree (energy rel diff %.3g, np %lld "

@@ -1,8 +1,39 @@
 #include "core/accumulator.hpp"
 
+#include <algorithm>
+
 #include "prof/prof.hpp"
 
 namespace vpic::core {
+
+void AccumulatorArray::apply(DepositLog* logs, std::size_t count,
+                             AccumulatorArray* staged) {
+  const index_t nv = a.size();
+  const index_t members =
+      std::clamp<index_t>(pk::DefaultExecSpace::concurrency(), 1, nv);
+  float* const dst = reinterpret_cast<float*>(a.data());
+  float* const src =
+      staged ? reinterpret_cast<float*>(staged->a.data()) : nullptr;
+  pk::parallel_for(
+      "accumulator/apply", pk::RangePolicy<>(0, members), [&](index_t k) {
+        const index_t lo = nv * k / members, hi = nv * (k + 1) / members;
+        for (index_t i = 12 * lo; src && i < 12 * hi; ++i) {
+          dst[i] += src[i];
+          src[i] = 0.0f;
+        }
+        for (std::size_t l = 0; l < count; ++l)
+          for (const DepositSegment& s : logs[l].segments)
+            if (s.voxel >= lo && s.voxel < hi)
+              accumulate_j(a(s.voxel), s.qw, s.mx, s.my, s.mz, s.ux, s.uy,
+                           s.uz, /*atomic=*/false);
+      });
+  for (std::size_t l = 0; l < count; ++l) {
+    std::vector<DepositSegment>& log = logs[l].segments;
+    const std::size_t n = log.size();
+    log.clear();
+    if (log.capacity() < n + n / 2) log.reserve(2 * n);
+  }
+}
 
 void AccumulatorArray::reduce_ghosts_periodic() {
   prof::ScopedRegion region("accumulator/reduce_ghosts");

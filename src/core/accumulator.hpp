@@ -1,13 +1,15 @@
 // core/accumulator.hpp
 //
 // VPIC-style current accumulator: per-cell 12-float records (4 edge values
-// per current component) that the push kernel scatters into with atomic
-// adds, unloaded into the Yee J arrays once per step. This 48-byte record
-// is the scatter target whose contention behaviour the sorting study
-// measures (Figs. 5b/6b/7).
+// per current component) that the push deposits into through a sink
+// (docs/PUSH.md, "Deposit sinks"), unloaded into the Yee J arrays once per
+// step. This 48-byte record is the scatter target whose contention
+// behaviour the sorting study measures (Figs. 5b/6b/7).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "core/field.hpp"
 #include "core/grid.hpp"
@@ -21,43 +23,6 @@ struct Accumulator {
   float jz[4];  // z-current at the four z-edges: (x-,y-),(x+,y-),(x-,y+),(x+,y+)
 };
 static_assert(sizeof(Accumulator) == 12 * sizeof(float));
-
-struct AccumulatorArray {
-  Grid grid;
-  pk::View<Accumulator, 1> a;
-
-  explicit AccumulatorArray(const Grid& g)
-      : grid(g), a("accumulator", g.nv()) {}
-
-  void clear() {
-    float* raw = reinterpret_cast<float*>(a.data());
-    pk::parallel_for(a.size() * 12, [raw](index_t i) { raw[i] = 0.0f; });
-  }
-
-  /// Fold ghost-cell accumulation back into the periodic interior (the
-  /// mover deposits into ghost voxels when a segment ends exactly on a
-  /// domain face).
-  void reduce_ghosts_periodic();
-
-  /// Unload into the field's Yee current arrays:
-  /// jx(edge i,j,k) = cx * [ a(i,j,k).jx[0] + a(i,j-1,k).jx[1]
-  ///                       + a(i,j,k-1).jx[2] + a(i,j-1,k-1).jx[3] ]
-  /// (and cyclic permutations), cx converting accumulated charge-
-  /// displacement into current density. On wrapped axes (wrap_mask bit
-  /// set) the "-1" neighbors of the first plane are the periodic images;
-  /// on decomposed axes they are the ghost cells, which the domain driver
-  /// fills from the neighbor rank beforehand.
-  void unload(FieldArray& f, std::uint8_t wrap_mask = 0b111) const;
-
-  /// Pack / unpack one z-plane of accumulator records (12 floats each),
-  /// for the distributed unload exchange.
-  [[nodiscard]] std::size_t plane_floats() const {
-    return 12u * static_cast<std::size_t>(grid.sx()) *
-           static_cast<std::size_t>(grid.sy());
-  }
-  void pack_z_plane(int iz, float* buf) const;
-  void unpack_z_plane(int iz, const float* buf);
-};
 
 /// Deposit one within-cell motion segment into an accumulator record.
 /// (mx,my,mz): segment midpoint in cell-local coords; (ux,uy,uz): segment
@@ -101,5 +66,94 @@ PK_FORCEINLINE void accumulate_j(Accumulator& acc, float qw, float mx,
   dep(acc.jy, uy, mz, mx);
   dep(acc.jz, uz, mx, my);
 }
+
+/// A deposit segment a push chunk logs instead of adding it: the voxel and
+/// accumulate_j's seven arguments, replayed by AccumulatorArray::apply.
+struct DepositSegment {
+  std::int32_t voxel;
+  float qw, mx, my, mz, ux, uy, uz;
+};
+static_assert(sizeof(DepositSegment) == 32);
+
+/// One chunk's deposit log, on cache lines of its own: the chunks of a
+/// launch, and the tiles of a round, append to theirs concurrently.
+struct alignas(64) DepositLog {
+  std::vector<DepositSegment> segments;
+};
+
+struct AccumulatorArray {
+  Grid grid;
+  pk::View<Accumulator, 1> a;
+
+  explicit AccumulatorArray(const Grid& g)
+      : grid(g), a("accumulator", g.nv()) {}
+
+  /// move_p's sink interface: deposit one segment into voxel v with
+  /// atomic adds, so concurrent pushes may share the array.
+  void deposit(index_t v, float qw, float mx, float my, float mz, float ux,
+               float uy, float uz) const {
+    accumulate_j(a(v), qw, mx, my, mz, ux, uy, uz, /*atomic=*/true);
+  }
+
+  /// Add `staged` (when given), zeroing it, then logs[0, count) in order,
+  /// with plain adds, and empty the logs, keeping capacity for half again
+  /// as many segments so a steady push appends without allocating. The
+  /// team splits the voxels: each member adds every log's segments into
+  /// its own voxels, so each voxel sums in the same order at any team
+  /// size.
+  void apply(DepositLog* logs, std::size_t count,
+             AccumulatorArray* staged = nullptr);
+
+  void clear() {
+    float* raw = reinterpret_cast<float*>(a.data());
+    pk::parallel_for(a.size() * 12, [raw](index_t i) { raw[i] = 0.0f; });
+  }
+
+  /// Fold ghost-cell accumulation back into the periodic interior (the
+  /// mover deposits into ghost voxels when a segment ends exactly on a
+  /// domain face).
+  void reduce_ghosts_periodic();
+
+  /// Unload into the field's Yee current arrays:
+  /// jx(edge i,j,k) = cx * [ a(i,j,k).jx[0] + a(i,j-1,k).jx[1]
+  ///                       + a(i,j,k-1).jx[2] + a(i,j-1,k-1).jx[3] ]
+  /// (and cyclic permutations), cx converting accumulated charge-
+  /// displacement into current density. On wrapped axes (wrap_mask bit
+  /// set) the "-1" neighbors of the first plane are the periodic images;
+  /// on decomposed axes they are the ghost cells, which the domain driver
+  /// fills from the neighbor rank beforehand.
+  void unload(FieldArray& f, std::uint8_t wrap_mask = 0b111) const;
+
+  /// Pack / unpack one z-plane of accumulator records (12 floats each),
+  /// for the distributed unload exchange.
+  [[nodiscard]] std::size_t plane_floats() const {
+    return 12u * static_cast<std::size_t>(grid.sx()) *
+           static_cast<std::size_t>(grid.sy());
+  }
+  void pack_z_plane(int iz, float* buf) const;
+  void unpack_z_plane(int iz, const float* buf);
+};
+
+/// A push chunk's sink: a segment into a voxel of [own_lo, own_hi), which
+/// no other chunk of the launch writes, is added with plain adds; any
+/// other is appended to `log`, applied once every chunk is done. A tile
+/// owns its interior planes (core/tiles.hpp); an empty interval logs all.
+struct OwnerSink {
+  AccumulatorArray* acc = nullptr;
+  index_t own_lo = 0, own_hi = 0;
+  std::vector<DepositSegment>* log = nullptr;
+
+  [[nodiscard]] bool owns(index_t v) const {
+    return v >= own_lo && v < own_hi;
+  }
+  void deposit(index_t v, float qw, float mx, float my, float mz, float ux,
+               float uy, float uz) const {
+    if (owns(v))
+      accumulate_j(acc->a(v), qw, mx, my, mz, ux, uy, uz, /*atomic=*/false);
+    else
+      log->push_back({static_cast<std::int32_t>(v), qw, mx, my, mz, ux, uy,
+                      uz});
+  }
+};
 
 }  // namespace vpic::core

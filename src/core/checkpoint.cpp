@@ -743,9 +743,6 @@ void Simulation::restore(const std::string& path) {
   // The on-disk chain no longer matches the tracker's hash bookkeeping
   // (restore may land on any generation): start a fresh chain.
   if (elastic_tracker_) elastic_tracker_->invalidate();
-  // Rebuild the tile map and blocks before the next tiled step; it
-  // re-buckets every species that adopted no tile ranges (docs/TILES.md).
-  tiles_dirty_ = true;
 }
 
 std::string Simulation::restore_latest(const std::string& base) {

@@ -239,12 +239,10 @@ void DistributedSimulation::step() {
   const index_t boundary = g.voxel(0, 0, g.nz);
   std::vector<index_t> split(species_.size());
   std::vector<std::vector<ExitRecord>> exits(species_.size());
-  std::mutex exits_mutex;
   const auto push = [&](std::size_t s, index_t n0, index_t n1) {
     MoverOptions opts;
     opts.periodic_mask = 0b011;  // x, y periodic; z decomposed
     opts.exits = &exits[s];
-    opts.exits_mutex = &exits_mutex;
     push_on<pk::DefaultExecSpace>(species_[s], interp_, acc_, g,
                                   cfg_.strategy, opts, PushPath::AutoDetect,
                                   n0, n1);

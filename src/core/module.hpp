@@ -46,7 +46,7 @@ class TileMap;
 enum class StepStage : std::uint8_t {
   Gather = 0,       // fields -> interpolator, accumulator clear
   Push = 10,        // particle advance (and passive movers, e.g. tracers)
-  Deposit = 20,     // accumulator merge/reduce -> J
+  Deposit = 20,     // accumulator reduce -> J
   Field = 30,       // Maxwell advance
   Inject = 40,      // deck injection hooks
   Collide = 50,     // momentum-space operators on post-injection particles

@@ -2,10 +2,10 @@
 //
 // VPIC's move_p: advance one particle by a cell-local displacement,
 // splitting the trajectory at every cell face it crosses and depositing
-// the charge-conserving current of each sub-segment into the accumulator
-// of the cell that contains it. Periodic wrap is applied at domain faces
-// (the multi-rank path instead flags the particle for exchange, see
-// boundary.hpp).
+// the charge-conserving current of each sub-segment, through a deposit
+// sink, into the accumulator of the cell that contains it. Periodic wrap
+// is applied at domain faces (the multi-rank path instead flags the
+// particle for exchange, see core/domain.hpp).
 #pragma once
 
 #include "core/accumulator.hpp"
@@ -29,12 +29,14 @@ enum class MoveResult : std::uint8_t {
 /// `periodic_mask` the faces wrap; else the particle Exits at the face
 /// with the unfinished displacement stored in `remaining` (rank exchange
 /// re-applies it after re-injection, exactly like VPIC's mover records).
-/// `AccArray` is any deposit sink exposing `Accumulator& a(index_t voxel)`:
-/// the global AccumulatorArray (atomic deposits under concurrent pushes) or
-/// a tile-private core::TileAccumulator block (plain adds; core/tiles.hpp).
-template <bool Atomic = true, class AccArray = AccumulatorArray>
+/// `Sink` is any deposit sink exposing `deposit(voxel, qw, mx, my, mz, ux,
+/// uy, uz)`, accumulate_j's arguments for one segment: the shared
+/// AccumulatorArray (atomic adds), an OwnerSink (plain adds into the
+/// voxels it owns, a log for the rest; core/accumulator.hpp), or one of
+/// the push's run sinks (core/push.cpp).
+template <class Sink>
 MoveResult move_p(Particle& p, float dispx, float dispy, float dispz,
-                  float qw, AccArray& acc, const Grid& g,
+                  float qw, const Sink& sink, const Grid& g,
                   std::uint8_t periodic_mask = 0b111,
                   float* remaining = nullptr,
                   std::uint8_t reflect_mask = 0b000) {
@@ -75,7 +77,7 @@ MoveResult move_p(Particle& p, float dispx, float dispy, float dispz,
     const float mx = p.dx + 0.5f * sx;
     const float my = p.dy + 0.5f * sy;
     const float mz = p.dz + 0.5f * sz;
-    accumulate_j(acc.a(p.i), qw, mx, my, mz, sx, sy, sz, Atomic);
+    sink.deposit(p.i, qw, mx, my, mz, sx, sy, sz);
 
     p.dx += sx;
     p.dy += sy;

@@ -12,9 +12,11 @@
 // species is put back in exact cell order after every push.
 //
 // The sort reorders a species through a SortScratch (its workspace and a
-// spare particle buffer to swap with `p`). A Simulation points every
-// species it adds at its one scratch, since its sorts run one after
-// another; a standalone species makes a private one on first use.
+// spare particle buffer to swap with `p`), which also holds the push's
+// per-chunk deposit logs and exit records. A Simulation or a rank points
+// every species it adds at its one scratch, since its sorts and team
+// pushes run one after another; a standalone species makes a private one
+// on first use.
 #pragma once
 
 #include <cassert>
@@ -24,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "core/accumulator.hpp"
 #include "core/grid.hpp"
 #include "core/particle_store.hpp"
 #include "pk/pk.hpp"
@@ -39,6 +42,14 @@ struct TileSlot {
   index_t begin = 0, end = 0;  // [begin, end) into the particle array
 
   [[nodiscard]] index_t count() const noexcept { return end - begin; }
+};
+
+/// A particle that crossed a non-periodic domain face mid-move: shipped to
+/// the neighbor rank together with its unfinished displacement (VPIC's
+/// mover record).
+struct ExitRecord {
+  Particle p;       // sitting in the ghost cell it crossed into
+  float rem[3];     // remaining cell-local displacement
 };
 
 /// What the sort reorders through (core/sort_particles.hpp,
@@ -62,6 +73,13 @@ struct SortScratch {
   }
 
   std::vector<ParticleStore> spares;
+
+  // Chunk k of a team push logs its deposit segments in deposit_logs[k]
+  // and its exits in exit_chunks[k], both consumed in chunk order after
+  // the launch (core/push.hpp). In the tiled step, tile t of species s
+  // logs in deposit_logs[s * tiles + t] (core/tiles.hpp).
+  std::vector<DepositLog> deposit_logs;
+  std::vector<std::vector<ExitRecord>> exit_chunks;
 };
 
 struct Species {

@@ -5,8 +5,9 @@
 // injection, diagnostics, sort, checkpoint. Simulation::build_step_graph
 // is generic composition over these — one source of truth for the
 // untiled and the tiled step shapes, which differ only where tiling
-// changes the work: the push into tile-private blocks, the re-sort after
-// it, and the blocks' merge.
+// changes the work: the push per tile, every species' tiles in one pool
+// round with their logs applied after it, and the re-sort after the
+// pushes.
 
 #include "core/simulation.hpp"
 
@@ -30,12 +31,8 @@ struct PipelineAccess {
   static EnergyHistory& history(Simulation& s) { return s.energy_history_; }
   static std::int64_t step_count(Simulation& s) { return s.step_count_; }
   static TileMap& tile_map(Simulation& s) { return s.tile_map_; }
-  static std::vector<std::vector<TileAccumulator>>& tile_acc(Simulation& s) {
-    return s.tile_acc_;
-  }
-  static std::shared_ptr<std::vector<std::atomic<std::uint32_t>>>&
-  tiled_runs_used(Simulation& s) {
-    return s.tiled_runs_used_;
+  static std::vector<AccumulatorArray>& staged_acc(Simulation& s) {
+    return s.staged_acc_;
   }
   static bool checkpoint_due(Simulation& s, std::int64_t at_step) {
     return s.checkpoint_due(at_step);
@@ -57,7 +54,11 @@ constexpr double kVoxelCost = 1e-9;
 
 std::string tile_suffix(int t) { return ".t" + std::to_string(t); }
 
-std::string blk_res(const Species& sp, int t) {
+/// Species s's deposits in tile t: the tile's planes of the array the
+/// species writes (the accumulator, or its staged one) and the tile's
+/// log. A phase declaring the whole "acc" conflicts with every part
+/// (core/step_graph.hpp).
+std::string acc_res(const Species& sp, int t) {
   return "acc." + sp.name + tile_suffix(t);
 }
 std::string push_name(const Species& sp) { return "push[" + sp.name + "]"; }
@@ -106,15 +107,20 @@ class GatherModule final : public PhysicsModule {
 // ---------------------------------------------------------------------
 // Push: per-species particle advance, after which every Standard-sorted
 // species is back in exact cell order. Untiled: chained per-species
-// advance_species phases (they share the accumulator, float atomics are
-// not associative, and each may re-sort through the one sort scratch).
-// Tiled: one serial push_on per tile range, dispatched off the species'
-// sortedness and the range's size, into tile-private blocks;
-// then, per Standard-sorted species, a re-sort phase ("sort_after_push"):
-// a team-wide sort_particles and bucket_by_tile's binary-search ranges.
-// The re-sorts chain through the sort scratch and become the tail, so
-// each is a level of its own on the calling thread's whole team, never a
-// pool round.
+// advance_species phases (they share the accumulator, and each applies
+// its deposit logs and may re-sort through the one sort scratch). Tiled:
+// one pool round of serial push_on tasks, one per (species, tile range),
+// dispatched off the species' sortedness, each writing its own planes and
+// logging the rest (core/tiles.hpp). The first species' tiles write the
+// accumulator's planes, every later species' its staged array's, so no
+// two tasks of the round share memory. Then "acc_apply" adds, species by
+// species, the staged array and the tile logs in tile order: each cell
+// sums what the untiled step's advance_species calls add, in their
+// order. Last, per Standard-sorted species, a re-sort phase
+// ("sort_after_push"): a team-wide sort_particles and bucket_by_tile's
+// binary-search ranges. The apply and the re-sorts chain, so each is a
+// level of its own on the calling thread's whole team, never a pool
+// round.
 // ---------------------------------------------------------------------
 class PushModule final : public PhysicsModule {
  public:
@@ -154,12 +160,8 @@ class PushModule final : public PhysicsModule {
       return;
     }
 
-    const TileMap& tm = *ctx.tiles;
-    const int nt = tm.count();
+    const int nt = ctx.tiles->count();
     const auto poll = ctx.poll;
-    auto runs_used =
-        std::make_shared<std::vector<std::atomic<std::uint32_t>>>(ns);
-    A::tiled_runs_used(sim) = runs_used;
     for (std::size_t s = 0; s < ns; ++s) {
       for (int t = 0; t < nt; ++t) {
         const std::string name = push_name(species[s], t);
@@ -168,30 +170,52 @@ class PushModule final : public PhysicsModule {
                 species[s].tiles[static_cast<std::size_t>(t)].count()) *
             kPushCost;
         std::vector<std::string> wr = ctx.particles(species[s].name, t);
-        wr.push_back(blk_res(species[s], t));
+        wr.push_back(acc_res(species[s], t));
         c.add({name,
                {"interp"},
                std::move(wr),
-               [&sim, s, t, runs_used, poll] {
+               [&sim, s, t, nt, poll] {
                  poll();
                  auto& cfg = A::cfg(sim);
                  Species& sp = A::species(sim)[s];
-                 TileSlot& slot = sp.tiles[static_cast<std::size_t>(t)];
-                 TileAccumulator& blk =
-                     A::tile_acc(sim)[s][static_cast<std::size_t>(t)];
-                 blk.clear();
-                 if (push_on<pk::Serial>(sp, A::interp(sim), blk,
-                                         A::fields(sim).grid, cfg.strategy,
-                                         {}, cfg.push_path, slot.begin,
-                                         slot.end) == PushPath::RunAware)
-                   (*runs_used)[s].store(1, std::memory_order_relaxed);
+                 const TileSlot& slot = sp.tiles[static_cast<std::size_t>(t)];
+                 const TileMap& tm = A::tile_map(sim);
+                 AccumulatorArray& dst =
+                     s == 0 ? A::acc(sim) : A::staged_acc(sim)[s - 1];
+                 const auto log = s * static_cast<std::size_t>(nt) +
+                                  static_cast<std::size_t>(t);
+                 OwnerSink sink{&dst, tm.v_lo(t), tm.v_hi(t),
+                                &sp.sort_scratch().deposit_logs[log].segments};
+                 const PushPath taken = push_on<pk::Serial>(
+                     sp, A::interp(sim), sink, A::fields(sim).grid,
+                     cfg.strategy, {}, cfg.push_path, slot.begin, slot.end);
+                 // Every tile of a species takes the same path: it
+                 // resolves off the species' order alone.
+                 if (t == 0) A::last_push_paths(sim)[s] = taken;
                },
                cost});
         c.edge("interpolate", name);
         c.edge("acc_clear", name);
       }
     }
-    std::string prev;
+    c.add({"acc_apply",
+           {},
+           {"acc"},
+           [&sim, ns, nt, poll] {
+             poll();
+             auto& logs = A::species(sim)[0].sort_scratch().deposit_logs;
+             const auto per = static_cast<std::size_t>(nt);
+             for (std::size_t s = 0; s < ns; ++s)
+               A::acc(sim).apply(
+                   logs.data() + s * per, per,
+                   s == 0 ? nullptr : &A::staged_acc(sim)[s - 1]);
+           },
+           0.0});
+    c.edge("acc_clear", "acc_apply");
+    for (std::size_t s = 0; s < ns; ++s)
+      for (int t = 0; t < nt; ++t)
+        c.edge(push_name(species[s], t), "acc_apply");
+    std::string prev = "acc_apply";
     for (std::size_t s = 0; s < ns; ++s) {
       if (!species[s].cell_sorted_hint) continue;
       const std::string name = "sort_after_push[" + species[s].name + "]";
@@ -208,18 +232,16 @@ class PushModule final : public PhysicsModule {
                bucket_by_tile(sp, A::tile_map(sim));
              },
              static_cast<double>(species[s].np) * kVoxelCost});
-      for (int t = 0; t < nt; ++t) c.edge(push_name(species[s], t), name);
-      if (!prev.empty()) c.edge(prev, name);
+      c.edge(prev, name);
       prev = name;
     }
-    if (!prev.empty()) c.set_tail(prev);
+    c.set_tail(prev);
   }
 };
 
 // ---------------------------------------------------------------------
-// Deposit: (tiled: fixed-order merge of the tile-private blocks, after
-// the push stage's re-sorts, then) ghost reduction + accumulator unload
-// into J.
+// Deposit: ghost reduction + accumulator unload into J, after the push
+// stage has applied every deposit log.
 // ---------------------------------------------------------------------
 class AccumulateModule final : public PhysicsModule {
  public:
@@ -230,52 +252,14 @@ class AccumulateModule final : public PhysicsModule {
 
   void plan(Simulation& sim, const ModuleStepContext& ctx,
             StepComposer& c) override {
-    if (!ctx.tiled) {
-      c.add_spine({"accumulate",
-                   {"acc"},
-                   {"fields.j"},
-                   [&sim] {
-                     A::acc(sim).reduce_ghosts_periodic();
-                     A::acc(sim).unload(A::fields(sim));
-                   }});
-      return;
-    }
-    auto& species = A::species(sim);
-    const std::size_t ns = species.size();
-    const int nt = ctx.tiles->count();
     const auto poll = ctx.poll;
     const double nv_cost =
         static_cast<double>(A::fields(sim).grid.nv()) * kVoxelCost;
-    if (ns > 0) {
-      // Deterministic seam merge: blocks land in the global accumulator
-      // in ascending (species, tile) order, window planes before overflow
-      // — the same float-add grouping every run, whatever the schedule.
-      std::vector<std::string> rd{"acc"};
-      for (std::size_t s = 0; s < ns; ++s)
-        for (int t = 0; t < nt; ++t) rd.push_back(blk_res(species[s], t));
-      c.add({"acc_merge",
-             std::move(rd),
-             {"acc"},
-             [&sim, poll] {
-               poll();
-               for (auto& per_sp : A::tile_acc(sim))
-                 for (auto& blk : per_sp) blk.merge_into(A::acc(sim));
-             },
-             nv_cost});
-      c.edge("acc_clear", "acc_merge");
-      if (!c.tail().empty()) c.edge(c.tail(), "acc_merge");
-      for (std::size_t s = 0; s < ns; ++s)
-        for (int t = 0; t < nt; ++t)
-          c.edge(push_name(species[s], t), "acc_merge");
-      c.set_tail("acc_merge");
-    } else {
-      c.set_tail("acc_clear");
-    }
     c.add_spine({"accumulate",
                  {"acc"},
                  {"fields.j"},
                  [&sim, poll] {
-                   poll();
+                   if (poll) poll();
                    A::acc(sim).reduce_ghosts_periodic();
                    A::acc(sim).unload(A::fields(sim));
                  },
@@ -319,7 +303,11 @@ class FieldModule final : public PhysicsModule {
 
 // ---------------------------------------------------------------------
 // Injection: the deck's per-step hook. It gets the whole Simulation&, so
-// it conservatively writes every resource declared so far.
+// it conservatively writes every resource declared so far. A species
+// whose particle count the hook changes is out of cell order: its hint
+// ages, so neither the sort phase nor the next push trusts it (an
+// exact-order push writes each cell from the one chunk or tile holding
+// the cell's run).
 // ---------------------------------------------------------------------
 class InjectionModule final : public PhysicsModule {
  public:
@@ -335,7 +323,14 @@ class InjectionModule final : public PhysicsModule {
                  c.all_resources(),
                  [&sim, poll] {
                    if (poll) poll();
+                   std::vector<index_t> np;
+                   for (const Species& sp : A::species(sim))
+                     np.push_back(sp.np);
                    A::injection_hook(sim)(sim);
+                   auto& species = A::species(sim);
+                   for (std::size_t s = 0; s < np.size(); ++s)
+                     if (species[s].np != np[s])
+                       species[s].mark_order_degraded();
                  },
                  0.0});
   }

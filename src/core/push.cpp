@@ -15,12 +15,12 @@
 #include <cmath>
 #include <stdexcept>
 #include <type_traits>
+#include <vector>
 
 #include "core/boris.hpp"
 #include "core/move_p.hpp"
 #include "core/push_tuning.hpp"
 #include "core/sort_particles.hpp"
-#include "core/tiles.hpp"
 #include "prof/prof.hpp"
 #include "simd/simd.hpp"
 #include "v4/v4.hpp"
@@ -47,84 +47,120 @@ PushConsts make_consts(const Species& sp, const Grid& g) {
   return c;
 }
 
-/// Deposits into the shared global array must be atomic under concurrent
-/// pushes; a tile-private TileAccumulator block is only ever touched by
-/// its (serial) owning task, so plain adds suffice — and atomic float add
-/// is bitwise-identical to plain add, so the choice never changes physics.
-template <class AccA>
-inline constexpr bool kAtomicDeposit = std::is_same_v<AccA, AccumulatorArray>;
+// ----------------------------------------------------------------------
+// Deposit sinks (docs/PUSH.md, "Deposit sinks"). A chunk deposits through
+// an AtomicSink or an OwnerSink. The run-aware path also asks a sink
+// whether it owns a run's cell, flushes the run's record into it, and
+// sends the run's crossers' other segments to crossers_of(sink).
+// ----------------------------------------------------------------------
 
-/// Complete a particle's move, honoring the boundary options: periodic
-/// wrap by default, reflecting walls on reflect_mask axes, exit-collection
-/// for rank-decomposed axes.
-template <class AccA>
-inline void finish_move(Particle& p, float dispx, float dispy, float dispz,
-                        float qw, AccA& acc, const Grid& g,
-                        const MoverOptions& opts) {
-  if (opts.exits == nullptr) {
-    move_p<kAtomicDeposit<AccA>>(p, dispx, dispy, dispz, qw, acc, g,
-                                 opts.periodic_mask, nullptr,
-                                 opts.reflect_mask);
-    return;
+/// The shared array with atomic adds: a team push of a species not in
+/// exact cell order, whose chunks may all deposit into any cell.
+struct AtomicSink {
+  AccumulatorArray* acc;
+
+  [[nodiscard]] bool owns(index_t) const { return true; }
+  PK_FORCEINLINE void deposit(index_t v, float qw, float mx, float my,
+                              float mz, float ux, float uy,
+                              float uz) const {
+    acc->deposit(v, qw, mx, my, mz, ux, uy, uz);
   }
-  float rem[3] = {0, 0, 0};
-  const MoveResult r =
-      move_p<kAtomicDeposit<AccA>>(p, dispx, dispy, dispz, qw, acc, g,
-                                   opts.periodic_mask, rem, opts.reflect_mask);
-  if (r == MoveResult::Exited) {
-    ExitRecord rec;
-    rec.p = p;
-    rec.rem[0] = rem[0];
-    rec.rem[1] = rem[1];
-    rec.rem[2] = rem[2];
-    if (opts.exits_mutex) {
-      std::lock_guard lk(*opts.exits_mutex);
-      opts.exits->push_back(rec);
-    } else {
-      opts.exits->push_back(rec);
-    }
+};
+
+/// Add a run's record into its cell's record of the shared array.
+inline void add_record(Accumulator& cell, const Accumulator& run,
+                       bool atomic) {
+  float* dst = reinterpret_cast<float*>(&cell);
+  const float* src = reinterpret_cast<const float*>(&run);
+  for (int k = 0; k < 12; ++k) {
+    if (atomic)
+      pk::atomic_add(&dst[k], src[k]);
+    else
+      dst[k] += src[k];
+  }
+}
+inline void flush(const AtomicSink& s, index_t v, const Accumulator& r) {
+  add_record(s.acc->a(v), r, /*atomic=*/true);
+}
+inline void flush(const OwnerSink& s, index_t v, const Accumulator& r) {
+  add_record(s.acc->a(v), r, /*atomic=*/false);
+}
+
+/// An owner chunk logs its crossers' segments outside the run's cell even
+/// into a cell it owns: a cell then sums its run's record first and the
+/// logged segments after it in slot order, wherever chunks and tiles
+/// start.
+inline AtomicSink crossers_of(const AtomicSink& s) { return s; }
+inline OwnerSink crossers_of(const OwnerSink& s) {
+  return {s.acc, 0, 0, s.log};
+}
+
+/// A run's move_p sink: a segment in the run's cell goes to the run-local
+/// record, any other to the chunk's crossers sink.
+template <class Sink>
+struct RunSink {
+  Accumulator* local;
+  index_t cell;
+  Sink rest;
+
+  PK_FORCEINLINE void deposit(index_t v, float qw, float mx, float my,
+                              float mz, float ux, float uy,
+                              float uz) const {
+    if (v == cell)
+      accumulate_j(*local, qw, mx, my, mz, ux, uy, uz, /*atomic=*/false);
+    else
+      rest.deposit(v, qw, mx, my, mz, ux, uy, uz);
+  }
+};
+
+/// Complete a particle's move through `sink`, honoring the boundary
+/// options: periodic wrap by default, reflecting walls on reflect_mask
+/// axes, and, with an exit queue, exit-collection for rank-decomposed
+/// axes (the exited slot is tombstoned for compact_exited).
+template <class Sink>
+inline void finish_move(Particle& p, float dispx, float dispy, float dispz,
+                        float qw, const Sink& sink, const Grid& g,
+                        const MoverOptions& opts,
+                        std::vector<ExitRecord>* exits) {
+  float rem[3];
+  if (move_p(p, dispx, dispy, dispz, qw, sink, g, opts.periodic_mask,
+             exits ? rem : nullptr, opts.reflect_mask) ==
+          MoveResult::Exited &&
+      exits) {
+    exits->push_back({p, {rem[0], rem[1], rem[2]}});
     p.i = -1;  // tombstone; compact_exited() removes it
   }
 }
 
-/// Merge a run's local accumulation into the global record. Other runs
-/// (same cell appearing twice in unsorted input, or movers crossing in
-/// from neighbor runs) may target the same record concurrently, so the
-/// batch is atomic — except into a tile-private block, which only the
-/// (serial) owning task touches.
-inline void flush_run_accumulator(const Accumulator& local, Accumulator& g,
-                                  bool atomic = true) {
-  if (atomic) {
-    for (int k = 0; k < 4; ++k) {
-      pk::atomic_add(&g.jx[k], local.jx[k]);
-      pk::atomic_add(&g.jy[k], local.jy[k]);
-      pk::atomic_add(&g.jz[k], local.jz[k]);
-    }
-    return;
-  }
-  for (int k = 0; k < 4; ++k) {
-    g.jx[k] += local.jx[k];
-    g.jy[k] += local.jy[k];
-    g.jz[k] += local.jz[k];
-  }
+/// A run's cell crosser, out of line: inlined, move_p and the sink's log
+/// append bloat the run loop every stayer goes through, which slowed the
+/// serial tile push per particle.
+template <class Sink>
+[[gnu::noinline]] void finish_crosser(Particle& p, float dispx, float dispy,
+                                      float dispz, float qw,
+                                      const RunSink<Sink>& run, const Grid& g,
+                                      const MoverOptions& opts,
+                                      std::vector<ExitRecord>* exits) {
+  finish_move(p, dispx, dispy, dispz, qw, run, g, opts, exits);
 }
 
 /// Complete a run particle's move: the (overwhelmingly common) stays-in-
 /// cell case deposits into the run-local accumulator with plain adds and
-/// never touches the grid walk; cell crossers take the generic
-/// finish_move/move_p path. The stay predicate and deposit reproduce
-/// move_p's f >= 1 branch exactly (same midpoint, same += update).
-template <class AccA>
+/// never touches the grid walk; a cell crosser takes move_p through the
+/// run's sink. The stay predicate and deposit reproduce move_p's f >= 1
+/// branch exactly (same midpoint, same += update).
+template <class Sink>
 PK_FORCEINLINE void finish_move_run(Particle& p, float dispx, float dispy,
-                                    float dispz, float qw, Accumulator& local,
-                                    AccA& acc, const Grid& g,
-                                    const MoverOptions& opts) {
+                                    float dispz, float qw,
+                                    const RunSink<Sink>& run, const Grid& g,
+                                    const MoverOptions& opts,
+                                    std::vector<ExitRecord>* exits) {
   const float nx = p.dx + dispx;
   const float ny = p.dy + dispy;
   const float nz = p.dz + dispz;
   if (nx <= 1.0f && nx >= -1.0f && ny <= 1.0f && ny >= -1.0f &&
       nz <= 1.0f && nz >= -1.0f) {
-    accumulate_j(local, qw, p.dx + 0.5f * dispx, p.dy + 0.5f * dispy,
+    accumulate_j(*run.local, qw, p.dx + 0.5f * dispx, p.dy + 0.5f * dispy,
                  p.dz + 0.5f * dispz, dispx, dispy, dispz,
                  /*atomic=*/false);
     p.dx = nx;
@@ -132,7 +168,7 @@ PK_FORCEINLINE void finish_move_run(Particle& p, float dispx, float dispy,
     p.dz = nz;
     return;
   }
-  finish_move(p, dispx, dispy, dispz, qw, acc, g, opts);
+  finish_crosser(p, dispx, dispy, dispz, qw, run, g, opts, exits);
 }
 
 // ----------------------------------------------------------------------
@@ -175,31 +211,32 @@ struct HoistedRecord {
 };
 
 /// Generic finish: every move goes through move_p into the sink.
-template <class AccA>
+template <class Sink>
 struct MoveFinish {
-  AccA& acc;
+  Sink sink;
   const Grid& g;
   const MoverOptions& opts;
+  std::vector<ExitRecord>* exits;
 
   PK_FORCEINLINE void operator()(Particle& p, float dispx, float dispy,
                                  float dispz, float qw) const {
-    finish_move(p, dispx, dispy, dispz, qw, acc, g, opts);
+    finish_move(p, dispx, dispy, dispz, qw, sink, g, opts, exits);
   }
 };
 
 /// Run-aware finish: a particle that stays in its cell deposits into the
 /// run-local record with plain adds (flushed once per run); a crosser
-/// takes move_p into the sink.
-template <class AccA>
+/// takes move_p through the run's sink.
+template <class Sink>
 struct RunFinish {
-  Accumulator& local;
-  AccA& acc;
+  RunSink<Sink> run;
   const Grid& g;
   const MoverOptions& opts;
+  std::vector<ExitRecord>* exits;
 
   PK_FORCEINLINE void operator()(Particle& p, float dispx, float dispy,
                                  float dispz, float qw) const {
-    finish_move_run(p, dispx, dispy, dispz, qw, local, acc, g, opts);
+    finish_move_run(p, dispx, dispy, dispz, qw, run, g, opts, exits);
   }
 };
 
@@ -345,32 +382,11 @@ inline void push_manual_block(const ParticleAccessor& a, Rec rec,
   }
 }
 
-/// Strategy S over particles [n0, n1): Auto one particle at a time;
-/// Guided in kPushBlock blocks from n0; Manual in W-wide blocks from n0,
-/// then the scalar body for the sub-W tail. The run-aware path pushes
-/// each run this way, and the generic path its sub-W tails (as Auto).
-template <VectorStrategy S, class Rec, class Fin>
-inline void push_span(const ParticleAccessor& a, Rec rec, const Fin& fin,
-                      const PushConsts& c, index_t n0, index_t n1) {
-  if constexpr (S == VectorStrategy::Guided) {
-    for (index_t b = n0; b < n1; b += kPushBlock)
-      push_guided_block(a, rec, fin, c, b, std::min(n1, b + kPushBlock));
-  } else if constexpr (S == VectorStrategy::Manual) {
-    constexpr int W = kManualVecWidth;
-    const index_t nfull = n0 + ((n1 - n0) / W) * W;
-    for (index_t b = n0; b < nfull; b += W)
-      push_manual_block(a, rec, fin, c, b);
-    for (index_t n = nfull; n < n1; ++n) push_one(a, n, rec, fin, c);
-  } else {
-    for (index_t n = n0; n < n1; ++n) push_one(a, n, rec, fin, c);
-  }
-}
-
 // ----------------------------------------------------------------------
 // AdHoc: VPIC 1.2 style — the per-ISA v4 intrinsics library, 4-particle
 // blocks, two 4x4 register transposes per load straight from the packed
 // records. AdHoc exists as the paper's legacy baseline: it is generic
-// only, and runs into the shared array only: a tile runs the scalar body.
+// only.
 // ----------------------------------------------------------------------
 template <class Fin>
 inline void push_adhoc_block(const ParticleAccessor& a, GatheredRecord rec,
@@ -449,10 +465,38 @@ inline void push_adhoc_block(const ParticleAccessor& a, GatheredRecord rec,
   }
 }
 
+/// Strategy S over particles [n0, n1): Auto one particle at a time;
+/// Guided in kPushBlock blocks from n0; Manual and AdHoc in W-wide blocks
+/// from n0, then the scalar body for the sub-W tail. A generic chunk
+/// pushes its slice this way, and the run-aware path each run (AdHoc has
+/// no run-aware path).
+template <VectorStrategy S, class Rec, class Fin>
+inline void push_span(const ParticleAccessor& a, Rec rec, const Fin& fin,
+                      const PushConsts& c, index_t n0, index_t n1) {
+  if constexpr (S == VectorStrategy::Guided) {
+    for (index_t b = n0; b < n1; b += kPushBlock)
+      push_guided_block(a, rec, fin, c, b, std::min(n1, b + kPushBlock));
+  } else if constexpr (S == VectorStrategy::Manual ||
+                       S == VectorStrategy::AdHoc) {
+    constexpr int W = S == VectorStrategy::Manual ? kManualVecWidth
+                                                  : kAdHocVecWidth;
+    const index_t nfull = n0 + ((n1 - n0) / W) * W;
+    for (index_t b = n0; b < nfull; b += W) {
+      if constexpr (S == VectorStrategy::Manual)
+        push_manual_block(a, rec, fin, c, b);
+      else
+        push_adhoc_block(a, rec, fin, c, b);
+    }
+    for (index_t n = nfull; n < n1; ++n) push_one(a, n, rec, fin, c);
+  } else {
+    for (index_t n = n0; n < n1; ++n) push_one(a, n, rec, fin, c);
+  }
+}
+
 // ----------------------------------------------------------------------
-// Launches on an execution space. pk::DefaultExecSpace runs the untiled
-// step's static RangePolicy kernels; pk::Serial runs one tile inside its
-// stealing task, never a nested OpenMP team.
+// Launches on an execution space: one chunk per member. pk::DefaultExecSpace
+// runs the team push's chunks on the OpenMP team; pk::Serial runs one
+// tile inside its stealing task as one chunk, never a nested team.
 // ----------------------------------------------------------------------
 
 constexpr const char* kGenericKernel[] = {
@@ -462,93 +506,109 @@ constexpr const char* kRunKernel[] = {
     "advance_p[auto_runs]", "advance_p[guided_runs]", "advance_p[manual_runs]",
     nullptr};
 
-/// Generic path over [n0, n1): Auto launches one particle per iteration
-/// and Guided one kPushBlock block; Manual and AdHoc launch their full
-/// W-wide blocks, then push the sub-W tail with the scalar body on the
-/// calling thread.
-template <class Space, VectorStrategy S, class Fin>
-void push_generic(const ParticleAccessor& a, GatheredRecord rec,
-                  const Fin& fin, const PushConsts& c, index_t n0,
-                  index_t n1) {
-  constexpr index_t G = S == VectorStrategy::Auto     ? 1
-                        : S == VectorStrategy::Guided ? kPushBlock
-                        : S == VectorStrategy::Manual ? kManualVecWidth
-                                                      : kAdHocVecWidth;
-  constexpr bool kBlocked =
-      S == VectorStrategy::Manual || S == VectorStrategy::AdHoc;
-  const index_t nchunks = kBlocked ? (n1 - n0) / G : (n1 - n0 + G - 1) / G;
-  pk::parallel_for(
-      kGenericKernel[static_cast<int>(S)], pk::RangePolicy<Space>(nchunks),
-      [&](index_t k) {
-        const index_t b = n0 + k * G;
-        if constexpr (S == VectorStrategy::Auto)
-          push_one(a, b, rec, fin, c);
-        else if constexpr (S == VectorStrategy::Guided)
-          push_guided_block(a, rec, fin, c, b, std::min(n1, b + G));
-        else if constexpr (S == VectorStrategy::Manual)
-          push_manual_block(a, rec, fin, c, b);
-        else
-          push_adhoc_block(a, rec, fin, c, b);
-      });
-  if constexpr (kBlocked)
-    push_span<VectorStrategy::Auto>(a, rec, fin, c, n0 + nchunks * G, n1);
+/// Particles per block of each strategy's generic body.
+constexpr index_t kBlockOf[] = {1, kPushBlock, kManualVecWidth,
+                                kAdHocVecWidth};
+
+/// Most chunks a launch splits its range into: one per member of the
+/// execution space, up to this many.
+constexpr int kMaxChunks = 256;
+
+/// The slices of one launch: chunk k pushes [start[k], start[k + 1]).
+struct Chunks {
+  int count = 1;
+  index_t start[kMaxChunks + 1];
+};
+
+/// One chunk per member of Space over [n0, n1). On the generic path every
+/// boundary lies on a multiple of the block G from n0, so each particle
+/// goes through the kernel it would in one chunk. On the run-aware path
+/// each boundary moves forward to the next run start (a slot whose cell
+/// differs from the slot before), so no run straddles two chunks.
+template <class Space>
+Chunks split_range(const ParticleAccessor& a, bool runs, index_t G,
+                   index_t n0, index_t n1) {
+  Chunks ch;
+  const index_t n = n1 - n0;
+  ch.count = static_cast<int>(std::clamp<index_t>(
+      std::min<index_t>(Space::concurrency(), kMaxChunks), 1,
+      std::max<index_t>(n, 1)));
+  ch.start[0] = n0;
+  for (int k = 1; k < ch.count; ++k) {
+    index_t b = n0 + n * k / ch.count;
+    if (runs) {
+      b = std::max(ch.start[k - 1], b);
+      while (b > n0 && b < n1 && a.cell(b) == a.cell(b - 1)) ++b;
+    } else {
+      b = n0 + (b - n0) / G * G;
+    }
+    ch.start[k] = b;
+  }
+  ch.start[ch.count] = n1;
+  return ch;
 }
 
 /// One run [b, e) of `cell`: pushed with the cell's hoisted record, its
-/// stay-in-cell current flushed once.
-template <VectorStrategy S, class AccA>
+/// stay-in-cell current flushed once. A run of a cell the chunk does not
+/// own (in a tile whose range is not in cell order) deposits every
+/// segment through the sink instead.
+template <VectorStrategy S, class Sink>
 PK_FORCEINLINE void push_run(const ParticleAccessor& a,
-                             const InterpolatorArray& interp, AccA& acc,
-                             const Grid& g, const MoverOptions& opts,
+                             const InterpolatorArray& interp,
+                             const Sink& sink, const Grid& g,
+                             const MoverOptions& opts,
+                             std::vector<ExitRecord>* exits,
                              const PushConsts& c, std::int32_t cell,
                              index_t b, index_t e) {
+  const HoistedRecord rec{interp(cell)};
+  if (!sink.owns(cell)) {
+    push_span<S>(a, rec, MoveFinish<Sink>{sink, g, opts, exits}, c, b, e);
+    return;
+  }
   Accumulator local{};
-  push_span<S>(a, HoistedRecord{interp(cell)},
-               RunFinish<AccA>{local, acc, g, opts}, c, b, e);
-  flush_run_accumulator(local, acc.a(cell), kAtomicDeposit<AccA>);
+  push_span<S>(a, rec,
+               RunFinish<Sink>{{&local, cell, crossers_of(sink)}, g, opts,
+                               exits},
+               c, b, e);
+  flush(sink, cell, local);
 }
 
-/// Most chunks a run-aware launch splits its range into: one per member
-/// of the execution space, up to this many.
-constexpr int kMaxRunChunks = 256;
-
-/// Run-aware path over [n0, n1), finding the runs while it pushes. The
-/// range splits into one chunk per member of Space, and each chunk's
-/// nominal start moves forward, before the launch, to the next run start
-/// (a slot whose cell differs from the slot before), so no run straddles
-/// two chunks. Each chunk then walks its maximal same-cell runs in slot
-/// order: it scans a run's end before pushing it (the push moves crossers
-/// to other cells) and reads no slot outside the chunk, which another
-/// member may be pushing. The runs, and the order each chunk pushes and
-/// flushes them in, are those of sort::segment_runs over the range.
-template <class Space, VectorStrategy S, class AccA>
-void push_runs_found(const ParticleAccessor& a,
-                     const InterpolatorArray& interp, AccA& acc,
-                     const Grid& g, const MoverOptions& opts,
-                     const PushConsts& c, index_t n0, index_t n1) {
-  const index_t n = n1 - n0;
-  const int chunks = static_cast<int>(std::clamp<index_t>(
-      std::min<index_t>(Space::concurrency(), kMaxRunChunks), 1,
-      std::max<index_t>(n, 1)));
-  index_t start[kMaxRunChunks + 1];
-  start[0] = n0;
-  for (int k = 1; k < chunks; ++k) {
-    index_t b = std::max(start[k - 1], n0 + n * k / chunks);
-    while (b > n0 && b < n1 && a.cell(b) == a.cell(b - 1)) ++b;
-    start[k] = b;
-  }
-  start[chunks] = n1;
-  pk::parallel_for(kRunKernel[static_cast<int>(S)],
-                   pk::RangePolicy<Space>(chunks), [&](index_t k) {
-                     const index_t end = start[k + 1];
-                     for (index_t b = start[k]; b < end;) {
-                       const std::int32_t cell = a.cell(b);
-                       index_t e = b + 1;
-                       while (e < end && a.cell(e) == cell) ++e;
-                       push_run<S>(a, interp, acc, g, opts, c, cell, b, e);
-                       b = e;
-                     }
-                   });
+/// Push the chunks of `ch` on Space: chunk k deposits through sink_of(k)
+/// and queues its exits on exits[k] (none when null). On the run-aware
+/// path each chunk walks its maximal same-cell runs in slot order: it
+/// scans a run's end before pushing it (the push moves crossers to other
+/// cells) and reads no slot outside the chunk, which another member may
+/// be pushing. The runs, and the order each chunk pushes and flushes them
+/// in, are those of sort::segment_runs over the range.
+template <class Space, VectorStrategy S, class SinkOf>
+void launch(const ParticleAccessor& a, const InterpolatorArray& interp,
+            const Grid& g, const MoverOptions& opts, const PushConsts& c,
+            bool runs, const Chunks& ch, SinkOf sink_of,
+            std::vector<ExitRecord>* exits) {
+  using Sink = decltype(sink_of(index_t{0}));
+  pk::parallel_for(
+      runs ? kRunKernel[static_cast<int>(S)]
+           : kGenericKernel[static_cast<int>(S)],
+      pk::RangePolicy<Space>(ch.count), [&](index_t k) {
+        const Sink sink = sink_of(k);
+        std::vector<ExitRecord>* const ex = exits ? exits + k : nullptr;
+        const index_t end = ch.start[k + 1];
+        if constexpr (S != VectorStrategy::AdHoc) {
+          if (runs) {
+            for (index_t b = ch.start[k]; b < end;) {
+              const std::int32_t cell = a.cell(b);
+              index_t e = b + 1;
+              while (e < end && a.cell(e) == cell) ++e;
+              push_run<S>(a, interp, sink, g, opts, ex, c, cell, b, e);
+              b = e;
+            }
+            return;
+          }
+        }
+        push_span<S>(a, GatheredRecord{&interp},
+                     MoveFinish<Sink>{sink, g, opts, ex}, c, ch.start[k],
+                     end);
+      });
 }
 
 template <VectorStrategy S>
@@ -570,44 +630,17 @@ void with_strategy(VectorStrategy s, F&& f) {
   }
 }
 
-/// The exit queue is a plain vector: concurrent mover lanes need its
-/// mutex. A serial launch (one tile) never races.
-template <class Space>
-void require_guarded_exits(const MoverOptions& opts) {
-  if (opts.exits != nullptr && opts.exits_mutex == nullptr &&
-      Space::concurrency() > 1)
-    throw std::logic_error(
-        "push: opts.exits requires opts.exits_mutex when the execution "
-        "space is concurrent (unlocked push_back from parallel mover lanes "
-        "is a data race)");
-}
-
-/// The gate (core/push_tuning.hpp): the species is in exact cell order,
-/// and [n0, n1) holds enough particles to pay for the per-run overhead
-/// (hoisted 18-float load + 12-atomic flush amortized over the run).
-bool run_aware_profitable_range(const Species& sp, index_t n0, index_t n1) {
-  return sp.exact_cell_order() && n1 - n0 >= kPushGates.min_particles;
-}
-
 /// The push-path decision: resolve `path` to Generic or RunAware for
-/// `strategy` on particles [n0, n1) from the species' order, and count
-/// the outcome as
-/// push.dispatch.run_aware or push.dispatch.generic. AdHoc has no
-/// run-aware variant, so it always resolves to Generic.
+/// `strategy` from the species' order, and count the outcome as
+/// push.dispatch.run_aware or push.dispatch.generic. AutoDetect takes the
+/// run-aware path exactly when the species is in exact cell order. AdHoc
+/// has no run-aware variant, so it always resolves to Generic.
 PushPath resolve_push_path(const Species& sp, VectorStrategy strategy,
-                           PushPath path, index_t n0, index_t n1) {
-  bool use_runs = false;
-  switch (path) {
-    case PushPath::Generic:
-      break;
-    case PushPath::RunAware:
-      use_runs = strategy != VectorStrategy::AdHoc;
-      break;
-    case PushPath::AutoDetect:
-      use_runs = strategy != VectorStrategy::AdHoc &&
-                 run_aware_profitable_range(sp, n0, n1);
-      break;
-  }
+                           PushPath path) {
+  const bool use_runs =
+      strategy != VectorStrategy::AdHoc &&
+      (path == PushPath::RunAware ||
+       (path == PushPath::AutoDetect && sp.exact_cell_order()));
   prof::counter_add(use_runs ? "push.dispatch.run_aware"
                              : "push.dispatch.generic");
   return use_runs ? PushPath::RunAware : PushPath::Generic;
@@ -620,26 +653,50 @@ PushPath push_on(Species& sp, const InterpolatorArray& interp, AccA& acc,
                  const Grid& g, VectorStrategy strategy,
                  const MoverOptions& opts, PushPath path, index_t n0,
                  index_t n1) {
-  require_guarded_exits<Space>(opts);
-  const PushPath taken = resolve_push_path(sp, strategy, path, n0, n1);
+  const PushPath taken = resolve_push_path(sp, strategy, path);
+  const bool runs = taken == PushPath::RunAware;
   const PushConsts c = make_consts(sp, g);
   const ParticleAccessor a = sp.p.accessor();
   with_strategy(strategy, [&](auto s) {
     constexpr VectorStrategy S = decltype(s)::value;
-    if constexpr (S != VectorStrategy::AdHoc) {
-      if (taken == PushPath::RunAware) {
-        push_runs_found<Space, S>(a, interp, acc, g, opts, c, n0, n1);
-        return;
+    const Chunks ch =
+        split_range<Space>(a, runs, kBlockOf[static_cast<int>(S)], n0, n1);
+    if constexpr (std::is_same_v<AccA, OwnerSink>) {
+      // One tile: one chunk into the tile's sink; the step applies its log.
+      launch<Space, S>(a, interp, g, opts, c, runs, ch,
+                       [&acc](index_t) { return acc; }, opts.exits);
+    } else {
+      const auto nc = static_cast<std::size_t>(ch.count);
+      SortScratch& scr = sp.sort_scratch();
+      std::vector<ExitRecord>* exits = nullptr;
+      if (opts.exits) {
+        if (scr.exit_chunks.size() < nc) scr.exit_chunks.resize(nc);
+        exits = scr.exit_chunks.data();
+      }
+      if (runs && sp.exact_cell_order()) {
+        // Each cell's particles form one run in one chunk: the chunk owns
+        // the cell's record and logs every other segment.
+        if (scr.deposit_logs.size() < nc) scr.deposit_logs.resize(nc);
+        DepositLog* const logs = scr.deposit_logs.data();
+        const index_t nv = acc.a.size();
+        launch<Space, S>(
+            a, interp, g, opts, c, runs, ch,
+            [&acc, logs, nv](index_t k) {
+              return OwnerSink{&acc, 0, nv, &logs[k].segments};
+            },
+            exits);
+        acc.apply(logs, nc);
+      } else {
+        launch<Space, S>(a, interp, g, opts, c, runs, ch,
+                         [&acc](index_t) { return AtomicSink{&acc}; },
+                         exits);
+      }
+      for (std::size_t k = 0; exits && k < nc; ++k) {
+        opts.exits->insert(opts.exits->end(), exits[k].begin(),
+                           exits[k].end());
+        exits[k].clear();
       }
     }
-    const GatheredRecord rec{&interp};
-    const MoveFinish<AccA> fin{acc, g, opts};
-    // AdHoc's v4 pipeline runs into the shared array only; a tile's
-    // block gets the scalar body.
-    if constexpr (S != VectorStrategy::AdHoc || kAtomicDeposit<AccA>)
-      push_generic<Space, S>(a, rec, fin, c, n0, n1);
-    else
-      push_generic<Space, VectorStrategy::Auto>(a, rec, fin, c, n0, n1);
   });
   return taken;
 }
@@ -648,7 +705,7 @@ template PushPath push_on<pk::DefaultExecSpace>(
     Species&, const InterpolatorArray&, AccumulatorArray&, const Grid&,
     VectorStrategy, const MoverOptions&, PushPath, index_t, index_t);
 template PushPath push_on<pk::Serial>(Species&, const InterpolatorArray&,
-                                      TileAccumulator&, const Grid&,
+                                      OwnerSink&, const Grid&,
                                       VectorStrategy, const MoverOptions&,
                                       PushPath, index_t, index_t);
 
@@ -656,22 +713,20 @@ PushPath advance_species(Species& sp, const InterpolatorArray& interp,
                          AccumulatorArray& acc, const Grid& g,
                          VectorStrategy strategy, const MoverOptions& opts,
                          PushPath path) {
+  if (opts.exits)
+    throw std::invalid_argument(
+        "advance_species: exits belong to push_on's callers, which compact "
+        "and ship them");
   prof::ScopedRegion region("advance_species");
-  const std::size_t exits0 = opts.exits ? opts.exits->size() : 0;
   const PushPath taken = push_on<pk::DefaultExecSpace>(
       sp, interp, acc, g, strategy, opts, path, 0, sp.np);
-  // Pushing moves particles across cells. A Standard-sorted species gets
-  // its exact cell order back, unless an exit left a tombstone.
-  const bool tombstones = opts.exits && opts.exits->size() != exits0;
-  if (sp.cell_sorted_hint && !tombstones)
+  // Pushing moves particles across cells: a Standard-sorted species gets
+  // its exact cell order back.
+  if (sp.cell_sorted_hint)
     sort_particles(sp, sort::SortOrder::Standard, 0, 0, g.nv());
   else
     sp.mark_order_degraded();
   return taken;
-}
-
-bool run_aware_profitable(const Species& sp) {
-  return run_aware_profitable_range(sp, 0, sp.np);
 }
 
 index_t compact_exited(Species& sp) {

@@ -23,12 +23,12 @@
 // strategies additionally have *run-aware* variants (docs/PUSH.md): the
 // push walks the array's maximal same-cell runs (sort/runs.hpp) as it
 // goes, each run broadcasts its cell's interpolator record once instead
-// of gathering it per lane, and accumulates its current into a
-// stack-local record that is deposited with one batch of atomics per run
-// instead of twelve per particle. Cell-crossing particles fall back to
-// the exact move_p path, so the run-aware variants are correct on any
-// particle order and merely fast on sorted ones. Each strategy has ONE
-// body, written against the path (generic: per-particle gather and
+// of gathering it per lane, and accumulates its cell's current into a
+// stack-local record that is flushed once per run instead of twelve adds
+// per particle. Segments a cell crosser deposits outside the run's cell
+// take the exact move_p path, so the run-aware variants are correct on
+// any particle order and merely fast on sorted ones. Each strategy has
+// ONE body, written against the path (generic: per-particle gather and
 // move_p; run-aware: hoisted record and run-local deposit), and push_on
 // is the one entry — the untiled step, the tile tasks and the ranks all
 // launch through it, on their own execution space. It auto-dispatches on
@@ -36,7 +36,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "core/accumulator.hpp"
@@ -64,9 +63,8 @@ inline const char* to_string(VectorStrategy s) noexcept {
 
 /// Which push pipeline advance_species runs.
 ///   AutoDetect — run-aware when the species is in exact cell order (a
-///                Standard sort since its last push) and the range is
-///                large enough to pay for the per-run overhead; generic
-///                otherwise.
+///                Standard sort since its last push), at any range size;
+///                generic otherwise.
 ///   Generic    — always the per-particle strategy kernels (the paper's
 ///                Fig. 4 baselines).
 ///   RunAware   — force the run-aware variant (AdHoc has none and stays
@@ -85,77 +83,65 @@ inline const char* to_string(PushPath p) noexcept {
   return "?";
 }
 
-/// A particle that crossed a non-periodic domain face mid-move: shipped to
-/// the neighbor rank together with its unfinished displacement (VPIC's
-/// mover record).
-struct ExitRecord {
-  Particle p;       // sitting in the ghost cell it crossed into
-  float rem[3];     // remaining cell-local displacement
-};
-
-/// Boundary behaviour of the mover within advance_species.
+/// Boundary behaviour of the mover within a push.
 struct MoverOptions {
   std::uint8_t periodic_mask = 0b111;        // wrap per axis (x,y,z bits)
   std::uint8_t reflect_mask = 0b000;         // reflecting walls per axis
                                              // (wins over periodic_mask)
-  std::vector<ExitRecord>* exits = nullptr;  // where exiting particles go
-  std::mutex* exits_mutex = nullptr;         // guards `exits` under OpenMP
+  std::vector<ExitRecord>* exits = nullptr;  // where exiting particles go,
+                                             // appended in slot order
 };
 
 /// Advance all particles of `sp` one step: gather fields from `interp`,
 /// Boris-rotate momenta, move with current deposition into `acc`.
-/// With default options all boundaries are periodic (single-rank mode);
-/// with a mask and an exit queue, exited particles are removed from `sp`
-/// (their slot is marked with i = -1 and compacted by compact_exited()).
+/// With default options all boundaries are periodic (single-rank mode).
 ///
 /// `path` selects the pipeline (see PushPath); the return value is the
 /// pipeline actually taken (Generic or RunAware), which AutoDetect
 /// resolves per call from the species' sortedness state. This is
-/// push_on over [0, np) on the default execution space, followed by the
-/// species' order upkeep: a species that has been Standard-sorted
-/// (cell_sorted_hint) is put back in exact cell order by sort_particles
-/// on the team, through its sort scratch, so it leaves with a fresh hint;
-/// a push that left exit tombstones (i = -1, which no cell sort can key)
-/// and a species never Standard-sorted only age the hint.
+/// push_on over [0, np) on the default execution space, which applies its
+/// deposit logs before it returns, followed by the species' order upkeep:
+/// a species that has been Standard-sorted (cell_sorted_hint) is put back
+/// in exact cell order by sort_particles on the team, through its sort
+/// scratch, so it leaves with a fresh hint; a species never
+/// Standard-sorted only ages the hint.
 ///
-/// Throws std::logic_error when opts.exits is set without opts.exits_mutex
-/// while the default execution space is concurrent: the unlocked
-/// push_back from parallel mover lanes would be a data race.
+/// Throws std::invalid_argument when opts.exits is set: exits belong to
+/// push_on's callers (the ranks), which compact and ship them.
 PushPath advance_species(Species& sp, const InterpolatorArray& interp,
                          AccumulatorArray& acc, const Grid& g,
                          VectorStrategy strategy,
                          const MoverOptions& opts = {},
                          PushPath path = PushPath::AutoDetect);
 
-/// The AutoDetect rule, exposed for tests and benches: true when the
-/// species is in exact cell order (Species::exact_cell_order) and holds
-/// at least kPushGates.min_particles. False for an empty species.
-[[nodiscard]] bool run_aware_profitable(const Species& sp);
-
 /// The one push entry (docs/PUSH.md): push particles [n0, n1) of `sp` on
-/// execution space `Space`, depositing into `acc`. It resolves `path`
-/// from the species' order and the size of [n0, n1) (AutoDetect) and
-/// launches the strategy's body — per particle or block on the generic
-/// path; on the run-aware path one chunk of the range per member of
-/// `Space`, each chunk starting on a run start and walking its
+/// execution space `Space`, depositing through `acc`. It resolves `path`
+/// from the species' order (AutoDetect) and launches the strategy's body
+/// over one chunk of the range per member of `Space`: on the generic
+/// path each chunk a slice on the strategy's block grid; on the
+/// run-aware path each chunk starting on a run start and walking its
 /// maximal same-cell runs in slot order, finding each run's end as it
-/// goes. Returns the path taken. It neither ages nor restores the
-/// sortedness hint; the step does that once per step.
+/// goes. Exits (opts.exits) are queued per chunk and appended in chunk
+/// order, which is slot order. Returns the path taken. It neither ages
+/// nor restores the sortedness hint; the step does that once per step.
 ///
 /// Two instantiations exist:
-///   * pk::DefaultExecSpace into the shared AccumulatorArray (atomic
-///     deposits): the untiled step (advance_species) and the ranks, which
-///     push a cell-sorted species as [0, k) then [k, np) around their
-///     halo wait (core/domain.hpp);
-///   * pk::Serial into a tile-private TileAccumulator block (plain adds):
-///     one tile task of the tiled step (core/tiles.hpp). A range that
-///     does not start on a multiple of the Manual width W is few-ulp from
-///     the untiled Manual push; Auto and Guided are bitwise. AdHoc runs
-///     its v4 pipeline into the shared array only, and the scalar body
-///     into a tile block.
-///
-/// Throws std::logic_error like advance_species for an unguarded exit
-/// queue on a concurrent space.
+///   * pk::DefaultExecSpace into the shared AccumulatorArray: the untiled
+///     step (advance_species) and the ranks, which push a cell-sorted
+///     species as [0, k) then [k, np) around their halo wait
+///     (core/domain.hpp). On the run-aware path of a species in exact
+///     cell order each chunk flushes its runs' records with plain adds
+///     and logs every segment outside a run's cell into its log in the
+///     species' sort scratch, and push_on applies the logs in chunk order
+///     before it returns: the currents are the same at any thread count.
+///     Any other team push deposits with atomic adds.
+///   * pk::Serial into a tile's OwnerSink: one tile task of the tiled step
+///     (core/tiles.hpp). Run records of owned cells are flushed directly
+///     and crossers' other segments logged as above; the generic path
+///     adds owned segments directly and logs the rest. The caller applies
+///     the log. A range that does not start on a multiple of the Manual
+///     width W is few-ulp from the untiled Manual generic push; Auto and
+///     Guided are bitwise.
 template <class Space, class AccA>
 PushPath push_on(Species& sp, const InterpolatorArray& interp, AccA& acc,
                  const Grid& g, VectorStrategy strategy,

@@ -78,9 +78,9 @@ PhysicsModule* Simulation::find_module(std::string_view id) {
 // graph runs level by level on the calling thread. Tiled (docs/TILES.md):
 // the domain is over-decomposed into z-slab tiles, each (phase x tile)
 // pair is a task, and every level of several tasks is one round of the
-// work-stealing pool; tile-private accumulator blocks merged in fixed
-// tile order keep results bit-deterministic run-to-run and across worker
-// counts.
+// work-stealing pool; each tile writes only its own planes of the
+// accumulator and logs the rest, and the logs applied in fixed tile order
+// keep results bit-deterministic run-to-run and across worker counts.
 void Simulation::step() {
   prof::ScopedRegion step_region("step");
   const bool tiled = cfg_.tiles.enabled;
@@ -123,55 +123,46 @@ int Simulation::tile_count() const {
 }
 
 void Simulation::ensure_tiles() {
-  const int workers = std::max(1, cfg_.tiles.workers);
   const int want = tile_count();
-  // One worker builds no pool: every level runs on the calling thread.
-  const bool pool_ok = (steal_pool_ ? steal_pool_->workers() : 1) == workers;
-  const bool blocks_ok =
-      tile_acc_.size() == species_.size() &&
-      (species_.empty() ||
-       static_cast<int>(tile_acc_.front().size()) == want);
-  if (!tiles_dirty_ && tile_map_.count() == want && pool_ok && blocks_ok)
-    return;
-
-  tile_map_ = TileMap(fields_.grid, want);
+  const auto nt = static_cast<std::size_t>(want);
+  if (tile_map_.count() != want) tile_map_ = TileMap(fields_.grid, want);
   // Ranges that still cover the live particles stay as they are: a
   // restore that adopted its checkpoint's ranges resumes the particle
-  // order the uninterrupted run has (docs/TILES.md).
-  for (auto& sp : species_)
-    if (!tiles_cover(sp, static_cast<std::size_t>(want)))
+  // order the uninterrupted run has (docs/TILES.md). Other restores, a
+  // hook that appended particles and a new species leave none that do.
+  // In a Standard deck their re-bucketing is a Standard sort: it reorders
+  // the array in one counting pass, as the bucketing does, and leaves the
+  // exact cell order the push keeps, so from the first tiled step on a
+  // tile logs only its cell crossers' segments, not those of particles
+  // drifting out of its planes until the first interval sort.
+  const bool standard = cfg_.sort_order == sort::SortOrder::Standard &&
+                        cfg_.sort_interval > 0;
+  for (auto& sp : species_) {
+    if (!tiles_cover(sp, nt)) {
+      if (standard && !sp.exact_cell_order())
+        sort_particles(sp, sort::SortOrder::Standard, 0, 0,
+                       fields_.grid.nv());
       bucket_by_tile(sp, tile_map_);
-  tile_acc_.clear();
-  tile_acc_.resize(species_.size());
-  for (auto& per_sp : tile_acc_) {
-    per_sp.reserve(static_cast<std::size_t>(want));
-    for (int t = 0; t < want; ++t)
-      per_sp.emplace_back(fields_.grid, tile_map_, t);
+    }
   }
-  if (!pool_ok)
+  // Tile t of species s logs in deposit_logs[s * nt + t]; every species
+  // after the first writes its planes of its staged accumulator.
+  auto& logs = sort_scratch_->deposit_logs;
+  if (logs.size() < species_.size() * nt)
+    logs.resize(species_.size() * nt);
+  if (!staged_acc_.empty() && staged_acc_.front().a.size() != acc_.a.size())
+    staged_acc_.clear();
+  while (staged_acc_.size() + 1 < species_.size())
+    staged_acc_.emplace_back(fields_.grid);
+  // One worker builds no pool: every level runs on the calling thread.
+  const int workers = std::max(1, cfg_.tiles.workers);
+  if ((steal_pool_ ? steal_pool_->workers() : 1) != workers)
     steal_pool_ = workers == 1 ? nullptr
                                : std::make_unique<pk::StealPool>(
                                      workers, cfg_.tiles.steal_seed);
-  tiles_dirty_ = false;
 }
 
 void Simulation::finish_tiled_step() {
-  // Resolve how per-tile AutoDetect dispatch went (bit per species, set
-  // by any tile that took the run-aware path).
-  if (tiled_runs_used_ && tiled_runs_used_->size() == species_.size())
-    for (std::size_t s = 0; s < species_.size(); ++s)
-      last_push_paths_[s] =
-          (*tiled_runs_used_)[s].load(std::memory_order_relaxed)
-              ? PushPath::RunAware
-              : PushPath::Generic;
-  // A hook that appended particles leaves them outside every tile range,
-  // and out of cell order: age the hint, so the re-bucket before the next
-  // step checks the order instead of trusting it.
-  for (auto& sp : species_)
-    if (!sp.tiles.empty() && sp.tiles.back().end != sp.np) {
-      sp.mark_order_degraded();
-      tiles_dirty_ = true;
-    }
   tile_stats_.tiles = tile_map_.count();
   double imb = 1.0;
   for (const auto& sp : species_) imb = std::max(imb, tile_imbalance(sp));

@@ -4,8 +4,9 @@
 //
 //   per step: load interpolator from fields
 //             clear accumulators
-//             advance particles (gather / Boris / move+deposit), then
-//               re-sort each Standard-sorted species
+//             advance particles (gather / Boris / move+deposit) and apply
+//               their deposit logs, then re-sort each Standard-sorted
+//               species
 //             reduce+unload accumulators into J
 //             advance B half, advance E, advance B half
 //             (every sort_interval steps) re-sort particles
@@ -14,7 +15,6 @@
 // benchmark harnesses sweep.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -227,7 +227,10 @@ class Simulation {
   [[nodiscard]] prof::Report profile_report() const { return prof::report(); }
 
   /// Per-step injection hook (e.g. a deck's laser antenna), called after
-  /// the field advance of each step.
+  /// the field advance of each step. A hook that changes a species'
+  /// particle count ages its order hint (core/particle.hpp); one that
+  /// moves particles to other cells in place must call
+  /// mark_order_degraded() on the species itself.
   void set_injection_hook(std::function<void(Simulation&)> hook) {
     injection_hook_ = std::move(hook);
   }
@@ -374,10 +377,9 @@ class Simulation {
   friend struct PipelineAccess;
 
   /// (Re)build the tile map, bucket every species whose tile ranges do
-  /// not cover its live particles, and size the per-(species, tile)
-  /// accumulator blocks + stealing pool (none for one worker).
-  /// Idempotent while clean; restore()/injection growth set
-  /// tiles_dirty_.
+  /// not cover its live particles, and size the tile deposit logs in the
+  /// sort scratch, the staged accumulators and the stealing pool (none
+  /// for one worker). Cheap when nothing changed.
   void ensure_tiles();
   /// Tiles the tiled step runs with: tiles.count clamped to nz, or the
   /// auto count for tiles.workers.
@@ -417,18 +419,13 @@ class Simulation {
   std::size_t last_concurrency_peak_ = 0;
   // ---- tile decomposition state (docs/TILES.md) ----------------------
   TileMap tile_map_;
-  // Tile-private deposit blocks, [species][tile] — each owned exclusively
-  // by its (species, tile) push task.
-  std::vector<std::vector<TileAccumulator>> tile_acc_;
+  // One per species after the first: the array its tile pushes write
+  // their planes of while the first species' write acc_'s, in the same
+  // round; acc_apply adds it into acc_ after the species before it.
+  std::vector<AccumulatorArray> staged_acc_;
   std::unique_ptr<pk::StealPool> steal_pool_;  // pool is non-movable
-  bool tiles_dirty_ = true;
   TileStepStats tile_stats_;
   std::function<void()> phase_poll_;
-  // Tiled-step "any tile took the run-aware path" bits (one atomic per
-  // species), reset by the push module's plan() each tiled step and read
-  // after execution to resolve last_push_paths_. Heap-shared because the
-  // phase closures outlive neither but Simulation must stay movable.
-  std::shared_ptr<std::vector<std::atomic<std::uint32_t>>> tiled_runs_used_;
   // ---- physics-module registry (docs/MODULES.md) ---------------------
   std::vector<std::unique_ptr<PhysicsModule>> modules_;
   std::vector<ModuleSectionSkip> last_restore_skips_;

@@ -11,11 +11,20 @@ namespace vpic::core {
 
 namespace {
 
+/// Two resources overlap when they are equal or one names a part of the
+/// other: "acc" covers "acc.t3", as "particles.e" covers "particles.e.t0".
+bool overlaps(const std::string& x, const std::string& y) {
+  const std::string& whole = x.size() <= y.size() ? x : y;
+  const std::string& part = x.size() <= y.size() ? y : x;
+  return part.compare(0, whole.size(), whole) == 0 &&
+         (part.size() == whole.size() || part[whole.size()] == '.');
+}
+
 bool intersects(const std::vector<std::string>& a,
                 const std::vector<std::string>& b, std::string* which) {
   for (const auto& x : a)
     for (const auto& y : b)
-      if (x == y) {
+      if (overlaps(x, y)) {
         if (which) *which = x;
         return true;
       }

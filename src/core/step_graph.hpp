@@ -11,7 +11,9 @@
 //   * every pair of phases whose declared sets conflict (write-write, or
 //     read-write in either direction) is ordered by some directed path —
 //     an undeclared race is a construction-time std::logic_error, not a
-//     nondeterministic result.
+//     nondeterministic result. A resource conflicts with its dotted
+//     parts: a phase declaring "acc" conflicts with a tile task
+//     declaring "acc.t3" (tile 3's planes of the accumulator).
 //
 // One executor runs a validated graph, level by level: a phase's level is
 // one more than its deepest predecessor's, so the phases of one level are

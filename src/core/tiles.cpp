@@ -1,7 +1,6 @@
 #include "core/tiles.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "prof/prof.hpp"
 #include "sort/counting.hpp"
@@ -35,37 +34,6 @@ TileMap::TileMap(const Grid& g, int tiles) {
 int TileMap::auto_count(const Grid& g, int workers) {
   // Clamp before scaling: 4 * workers overflows int above 2^29.
   return std::min(4 * std::clamp(workers, 1, g.nz), g.nz);
-}
-
-TileAccumulator::TileAccumulator(const Grid& g, const TileMap& tm, int t) {
-  // Window = the tile's planes plus one ghost plane each side. z_lo >= 1
-  // and z_hi <= nz, so [z_lo-1, z_hi+1] always lies inside [0, nz+1].
-  const index_t plane = tm.plane_voxels();
-  v_base_ = static_cast<index_t>(tm.z_lo(t) - 1) * plane;
-  win_size_ = static_cast<index_t>(tm.z_hi(t) + 1 - (tm.z_lo(t) - 1) + 1) *
-              plane;
-  win_.assign(static_cast<std::size_t>(win_size_), Accumulator{});
-  (void)g;
-}
-
-void TileAccumulator::clear() {
-  if (!win_.empty())
-    std::memset(win_.data(), 0, win_.size() * sizeof(Accumulator));
-  overflow_.clear();
-}
-
-void TileAccumulator::merge_into(AccumulatorArray& global) const {
-  auto add = [](Accumulator& dst, const Accumulator& src) {
-    for (int k = 0; k < 4; ++k) {
-      dst.jx[k] += src.jx[k];
-      dst.jy[k] += src.jy[k];
-      dst.jz[k] += src.jz[k];
-    }
-  };
-  for (index_t off = 0; off < win_size_; ++off)
-    add(global.a(v_base_ + off), win_[static_cast<std::size_t>(off)]);
-  // std::map iterates in ascending voxel order: deterministic merge.
-  for (const auto& [v, rec] : overflow_) add(global.a(v), rec);
 }
 
 void bucket_by_tile(Species& sp, const TileMap& tm) {

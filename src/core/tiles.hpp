@@ -15,21 +15,22 @@
 //     Standard-sorted species, after every push round, and carried
 //     through a checkpoint so a tiled restore resumes the same order),
 //   * each tile pushes its range with push_on<pk::Serial> (core/push.hpp),
-//     dispatched off the species' sortedness and the range's size, and
-//     deposits into a tile-private TileAccumulator block
-//     whose plane window covers the tile plus one ghost plane on each
-//     side (seam crossings land in the window; rare z-wrap / long-drift
-//     deposits go to a sorted overflow map),
-//   * the private blocks are merged into the global AccumulatorArray in
-//     ascending tile order by a single task, making the summed currents
-//     bit-deterministic across runs AND worker counts (the merge order is
-//     fixed; float addition order never depends on scheduling).
+//     dispatched off the species' sortedness, through an OwnerSink
+//     (core/accumulator.hpp) that owns the tile's interior planes
+//     [v_lo, v_hi) of the shared AccumulatorArray: it adds there directly
+//     and logs every other deposit segment (seam and z-wrap crossings,
+//     particles that drifted out of the tile since the last bucketing),
+//   * every species' tiles push in one pool round, the first species'
+//     into the accumulator and each later one's into a staged array of
+//     its own, and one apply then adds, species by species, the staged
+//     array and the tile logs in ascending tile order, so the summed
+//     currents are bit-deterministic across runs AND worker counts (no
+//     add order depends on scheduling) and, in exact cell order, equal to
+//     the untiled step's at any tile count.
 #pragma once
 
-#include <map>
 #include <vector>
 
-#include "core/accumulator.hpp"
 #include "core/grid.hpp"
 #include "core/particle.hpp"
 
@@ -77,43 +78,6 @@ class TileMap {
   int nz_ = 0;
   std::vector<int> z_lo_, z_hi_;
   std::vector<int> tile_of_plane_;  // [0, nz+1], clamped at the ghosts
-};
-
-/// Tile-private current deposit sink with the same `a(voxel)` interface
-/// the push/move_p kernels use on the global AccumulatorArray. Deposits
-/// into the tile's plane window [z_lo-1, z_hi+1] hit a dense block; any
-/// deposit outside it (periodic z-wrap at the domain faces, or particles
-/// that drifted multiple planes since the last re-bucket) lands in a
-/// key-sorted overflow map. merge_into() folds both into the global array
-/// with plain adds — window first, then overflow in ascending voxel
-/// order — so the merged sums are independent of task scheduling.
-class TileAccumulator {
- public:
-  TileAccumulator() = default;
-  TileAccumulator(const Grid& g, const TileMap& tm, int t);
-
-  /// Deposit target for voxel v (non-atomic: the owning tile task runs
-  /// serially and no other task touches this block).
-  Accumulator& a(index_t v) {
-    const index_t off = v - v_base_;
-    if (off >= 0 && off < win_size_) return win_[static_cast<std::size_t>(off)];
-    return overflow_[v];  // zero-initialized on first touch
-  }
-
-  void clear();
-  void merge_into(AccumulatorArray& global) const;
-
-  [[nodiscard]] std::size_t overflow_size() const noexcept {
-    return overflow_.size();
-  }
-  [[nodiscard]] index_t window_base() const noexcept { return v_base_; }
-  [[nodiscard]] index_t window_size() const noexcept { return win_size_; }
-
- private:
-  index_t v_base_ = 0;
-  index_t win_size_ = 0;
-  std::vector<Accumulator> win_;
-  std::map<index_t, Accumulator> overflow_;
 };
 
 /// Stable-partition sp's live particles by tile id and record each tile's

@@ -18,8 +18,8 @@ namespace {
 /// move_p deposit sink that drops the current: tracers are passive and
 /// never feed J.
 struct DiscardDeposits {
-  Accumulator scratch{};
-  Accumulator& a(index_t) { return scratch; }
+  void deposit(index_t, float, float, float, float, float, float,
+               float) const {}
 };
 
 }  // namespace
@@ -61,7 +61,7 @@ void TracerModule::run(Simulation& sim, std::int64_t next_step) {
           f.by, f.bz, qdt2m);
     const float rg =
         1.0f / std::sqrt(1.0f + p.ux * p.ux + p.uy * p.uy + p.uz * p.uz);
-    move_p<false>(p, cdtdx2 * p.ux * rg, cdtdy2 * p.uy * rg,
+    move_p(p, cdtdx2 * p.ux * rg, cdtdy2 * p.uy * rg,
                   cdtdz2 * p.uz * rg, 0.0f, sink, g);
 
     if (sample) {

@@ -28,9 +28,9 @@
 // seeded task has finished.
 //
 // Determinism note: the pool never promises an execution *order* — tiled
-// physics stays bit-deterministic because deposits go to tile-private
-// accumulator blocks merged in fixed tile order, not because of anything
-// the scheduler does. The untiled step runs without a pool
+// physics stays bit-deterministic because each tile writes only its own
+// accumulator planes and logs the rest, applied in fixed tile order after
+// the round, not because of anything the scheduler does. The untiled step runs without a pool
 // (StepGraph::execute).
 //
 // Every member runs under the caller's prof counter prefix and region

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <string_view>
 #include <unordered_map>
 
 #include "pk/prof_hooks.hpp"
@@ -43,6 +44,12 @@ struct TraceEvent {
 // rather than growing without bound in long runs.
 constexpr std::size_t kMaxTraceEvents = 1u << 20;
 
+/// Hashes std::string and const char* keys alike, so a counter lookup by
+/// name builds no std::string.
+struct NameHash : std::hash<std::string_view> {
+  using is_transparent = void;
+};
+
 struct State {
   std::mutex mu;
   Mode mode = Mode::Off;
@@ -58,7 +65,8 @@ struct State {
   std::unordered_map<const void*, std::uint64_t> live_allocs;
   AllocStats alloc;
 
-  std::unordered_map<std::string, std::uint64_t> counters;
+  std::unordered_map<std::string, std::uint64_t, NameHash, std::equal_to<>>
+      counters;
 
   std::atomic<int> next_tid{0};
 };
@@ -302,7 +310,11 @@ void counter_add(const char* name, std::uint64_t delta) noexcept {
   State& s = S();
   std::lock_guard lk(s.mu);
   if (t_counter_prefix.empty()) {
-    s.counters[name] += delta;
+    // Find first: the hot engine counters (push dispatch, sorts) are
+    // bumped every step and must not allocate their key each time.
+    auto it = s.counters.find(std::string_view(name));
+    if (it == s.counters.end()) it = s.counters.emplace(name, 0).first;
+    it->second += delta;
   } else {
     s.counters[t_counter_prefix + name] += delta;
   }

@@ -312,7 +312,22 @@ TEST(FarmScheduler, PreemptResumeBitIdentical) {
     spec.on_complete = [&farm_ckpt](core::Simulation& sim) {
       sim.checkpoint(farm_ckpt.string());
     };
+    // The first slice waits at its end until the first preempt is asked
+    // for, so the job parks at least once however fast the host steps.
+    std::promise<void> entered, release;
+    spec.on_slice = [&entered, released = release.get_future().share(),
+                     first = true](const core::Simulation&) mutable {
+      if (!std::exchange(first, false)) return;
+      entered.set_value();
+      released.wait();
+    };
     s.submit(spec);
+    const bool in_slice =
+        entered.get_future().wait_for(std::chrono::seconds(30)) ==
+        std::future_status::ready;
+    const bool preempted = in_slice && s.preempt("victim");
+    release.set_value();
+    ASSERT_TRUE(preempted);
     // Keep preempting until the job has been parked at least twice (each
     // park is a full checkpoint + engine teardown + factory rebuild +
     // ring restore on the next slice).

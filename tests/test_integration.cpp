@@ -6,6 +6,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <utility>
 
 #include "core/core.hpp"
 
@@ -205,33 +207,54 @@ TEST(PushTiming, AccumulatesAcrossSteps) {
 
 TEST(Determinism, FreshSameDeckRunsAreBitIdentical) {
   // The determinism baseline the checkpoint bit-identity guarantee
-  // (docs/CHECKPOINT.md, tests/test_ckpt.cpp) builds on: two fresh
-  // simulations from the same deck must agree to the last bit. Requires
-  // one kernel thread — the float-atomic current deposits are
-  // nondeterministic under OpenMP scheduling.
-  pk::initialize(1);
-  auto a = make_plasma(core::VectorStrategy::Auto,
-                       vpic::sort::SortOrder::Standard, /*sort_interval=*/3);
-  auto b = make_plasma(core::VectorStrategy::Auto,
-                       vpic::sort::SortOrder::Standard, /*sort_interval=*/3);
-  a.run(12);
-  b.run(12);
-  for (std::size_t s = 0; s < a.num_species(); ++s) {
-    ASSERT_EQ(a.species(s).np, b.species(s).np);
-    EXPECT_EQ(std::memcmp(a.species(s).p.data(), b.species(s).p.data(),
-                          static_cast<std::size_t>(a.species(s).np) *
-                              sizeof(core::Particle)),
-              0)
-        << "species " << s << " diverged";
+  // (docs/CHECKPOINT.md, tests/test_ckpt.cpp) builds on: fresh
+  // simulations from the same deck, Standard-sorted before the first step,
+  // agree to the last particle and field bit at 1, 2 and 4 OpenMP
+  // threads. Every push is then in exact cell order, where each chunk
+  // writes only the cells of its own runs and applies its other deposit
+  // segments in slot order (docs/ASYNC.md, "Determinism"). Energies are
+  // not compared: pk::parallel_reduce sums in a thread-count-dependent
+  // order.
+  const auto run = [](int threads) {
+    pk::initialize(threads);
+    auto sim = make_plasma(core::VectorStrategy::Auto,
+                           vpic::sort::SortOrder::Standard,
+                           /*sort_interval=*/3);
+    for (std::size_t s = 0; s < sim.num_species(); ++s)
+      core::sort_particles(sim.species(s), vpic::sort::SortOrder::Standard,
+                           0, 0, sim.grid().nv());
+    sim.run(12);
+    return sim;
+  };
+  const auto same = [](const pk::View<float, 1>& x,
+                       const pk::View<float, 1>& y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(),
+                       static_cast<std::size_t>(x.size()) * sizeof(float)) ==
+               0;
+  };
+  auto a = run(1);
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    auto b = run(threads);
+    for (std::size_t s = 0; s < a.num_species(); ++s) {
+      ASSERT_EQ(a.species(s).np, b.species(s).np);
+      EXPECT_EQ(std::memcmp(a.species(s).p.data(), b.species(s).p.data(),
+                            static_cast<std::size_t>(a.species(s).np) *
+                                sizeof(core::Particle)),
+                0)
+          << "species " << s << " diverged";
+    }
+    const auto& fa = a.fields();
+    const auto& fb = b.fields();
+    for (const auto& [va, vb] :
+         {std::pair{&fa.ex, &fb.ex}, std::pair{&fa.ey, &fb.ey},
+          std::pair{&fa.ez, &fb.ez}, std::pair{&fa.bx, &fb.bx},
+          std::pair{&fa.by, &fb.by}, std::pair{&fa.bz, &fb.bz},
+          std::pair{&fa.jx, &fb.jx}, std::pair{&fa.jy, &fb.jy},
+          std::pair{&fa.jz, &fb.jz}})
+      EXPECT_TRUE(same(*va, *vb));
   }
-  const auto& fa = a.fields();
-  const auto& fb = b.fields();
-  EXPECT_EQ(std::memcmp(fa.ex.data(), fb.ex.data(),
-                        static_cast<std::size_t>(fa.ex.size()) * sizeof(float)),
-            0);
-  EXPECT_EQ(std::memcmp(fa.bz.data(), fb.bz.data(),
-                        static_cast<std::size_t>(fa.bz.size()) * sizeof(float)),
-            0);
   pk::initialize();  // restore the default thread count
 }
 

@@ -314,7 +314,7 @@ TEST(ProfRegions, TiledStepNestsSinglePhaseLevelsUnderStep) {
   ProfSession session(prof::Mode::Summary);
   sim.step();
   const prof::Report r = prof::report();
-  for (const char* phase : {"step/acc_merge", "step/accumulate",
+  for (const char* phase : {"step/acc_apply", "step/accumulate",
                             "step/field_advance", "step/injection"})
     EXPECT_NE(find_region(r, phase), nullptr) << phase;
   EXPECT_EQ(find_region(r, "field_advance"), nullptr);

@@ -4,15 +4,19 @@
 // run-aware launch's runs found during the push against an explicit run
 // list, charge conservation through the fast path, the AutoDetect
 // dispatch rule plus Species sortedness tracking, the Standard order kept
-// every step in both step shapes, the Simulation-level plumbing, and the
-// exit-queue concurrency guard.
+// every step in both step shapes, the Simulation-level plumbing, the
+// exit queue's slot order at any thread count, and the steady-state push
+// allocating nothing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
-#include <mutex>
+#include <new>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "core/core.hpp"
@@ -33,8 +37,7 @@ std::vector<vs::CellRun> runs_of(const std::vector<std::uint32_t>& keys) {
   return out;
 }
 
-/// A small thermal plasma on a 6^3 grid; ppc 4 gives 864 particles, above
-/// the dispatch heuristic's minimum population.
+/// A small thermal plasma on a 6^3 grid; ppc 4 gives 864 particles.
 core::Simulation make_sim(core::VectorStrategy strat, int ppc = 4,
                           std::uint64_t seed = 7) {
   core::SimulationConfig cfg;
@@ -244,7 +247,10 @@ INSTANTIATE_TEST_SUITE_P(
 // in a tile, it pushes the same runs in the same order as a run-list
 // reference (one forced run-aware push_on per run of sort::segment_runs,
 // in slot order), so particles and currents are bit-identical to it on
-// any order.
+// any order. Where the push logs segments (a team push in exact cell
+// order, a tile), the reference pushes every run through one sink and
+// applies its log once after the last run, as the push does after its
+// launch.
 // ----------------------------------------------------------------------
 
 class RunsFoundDuringPush
@@ -271,10 +277,24 @@ TEST_P(RunsFoundDuringPush, MatchesRunListPushAtOneThread) {
   std::vector<vs::CellRun> runs;
   const auto& pp = sp.p;
   vs::segment_runs(sp.np, [&pp](index_t i) { return pp.cell(i); }, runs);
-  for (const vs::CellRun& run : runs)
-    core::push_on<pk::DefaultExecSpace>(
-        sp, sim.interpolator(), sim.accumulator(), sim.grid(), strat, {},
-        core::PushPath::RunAware, run.begin, run.begin + run.count);
+  // In exact cell order the team push's one chunk owns every cell: it
+  // flushes each run's record and logs the crossers' other segments,
+  // applied after the launch. Otherwise it adds everything atomically.
+  core::DepositLog log;
+  core::OwnerSink every_voxel{&sim.accumulator(), 0, sim.grid().nv(),
+                              &log.segments};
+  for (const vs::CellRun& run : runs) {
+    if (sp.exact_cell_order())
+      core::push_on<pk::Serial>(sp, sim.interpolator(), every_voxel,
+                                sim.grid(), strat, {},
+                                core::PushPath::RunAware, run.begin,
+                                run.begin + run.count);
+    else
+      core::push_on<pk::DefaultExecSpace>(
+          sp, sim.interpolator(), sim.accumulator(), sim.grid(), strat, {},
+          core::PushPath::RunAware, run.begin, run.begin + run.count);
+  }
+  sim.accumulator().apply(&log, 1);
   EXPECT_TRUE(same_bytes(found.particles, particles_of(sp)));
   EXPECT_TRUE(same_bytes(found.acc, flatten(sim.accumulator())));
 }
@@ -291,34 +311,35 @@ TEST_P(RunsFoundDuringPush, MatchesRunListPushInATile) {
   // A range that starts mid-run and off the Manual width.
   const index_t n0 = sp.np / 3 + 5, n1 = 2 * sp.np / 3 + 2;
 
-  // Each side deposits into its own tile block, merged into a cleared
-  // shared array.
-  const auto merged = [&](const core::TileAccumulator& blk) {
-    sim.accumulator().clear();
-    blk.merge_into(sim.accumulator());
+  // Each side pushes through tile 1's sink into a cleared shared array,
+  // then applies the tile's log.
+  core::DepositLog log;
+  core::OwnerSink sink{&sim.accumulator(), tm.v_lo(1), tm.v_hi(1),
+                       &log.segments};
+  const auto applied = [&] {
+    sim.accumulator().apply(&log, 1);
     return flatten(sim.accumulator());
   };
-  core::TileAccumulator blk(sim.grid(), tm, 1);
-  blk.clear();
-  ASSERT_EQ(core::push_on<pk::Serial>(sp, sim.interpolator(), blk,
+  sim.accumulator().clear();
+  ASSERT_EQ(core::push_on<pk::Serial>(sp, sim.interpolator(), sink,
                                       sim.grid(), strat, {},
                                       core::PushPath::RunAware, n0, n1),
             core::PushPath::RunAware);
   const std::vector<core::Particle> tiled = particles_of(sp);
-  const std::vector<float> tiled_acc = merged(blk);
+  const std::vector<float> tiled_acc = applied();
 
   std::copy_n(initial.data(), sp.np, sp.p.data());
-  blk.clear();
+  sim.accumulator().clear();
   std::vector<vs::CellRun> runs;
   const auto& pp = sp.p;
   vs::segment_runs(
       n1 - n0, [&pp, n0](index_t i) { return pp.cell(n0 + i); }, runs);
   for (const vs::CellRun& run : runs)
-    core::push_on<pk::Serial>(sp, sim.interpolator(), blk, sim.grid(), strat,
-                              {}, core::PushPath::RunAware, n0 + run.begin,
-                              n0 + run.begin + run.count);
+    core::push_on<pk::Serial>(sp, sim.interpolator(), sink, sim.grid(),
+                              strat, {}, core::PushPath::RunAware,
+                              n0 + run.begin, n0 + run.begin + run.count);
   EXPECT_TRUE(same_bytes(tiled, particles_of(sp)));
-  EXPECT_TRUE(same_bytes(tiled_acc, merged(blk)));
+  EXPECT_TRUE(same_bytes(tiled_acc, applied()));
 }
 
 namespace {
@@ -397,15 +418,16 @@ TEST(PushDispatch, SortednessTrackingFollowsSortOrder) {
   core::sort_particles(sp, vs::SortOrder::Standard, 0, 1, sim.grid().nv());
   EXPECT_TRUE(sp.cell_sorted_hint);
   EXPECT_EQ(sp.steps_since_sort, 0);
-  EXPECT_TRUE(core::run_aware_profitable(sp));
+  EXPECT_TRUE(sp.exact_cell_order());
 
   sp.mark_order_degraded();
   EXPECT_EQ(sp.steps_since_sort, 1);
+  EXPECT_FALSE(sp.exact_cell_order());
 
   core::sort_particles(sp, vs::SortOrder::Random, 0, 3);
   EXPECT_FALSE(sp.cell_sorted_hint);
   EXPECT_EQ(sp.steps_since_sort, -1);
-  EXPECT_FALSE(core::run_aware_profitable(sp));
+  EXPECT_FALSE(sp.exact_cell_order());
 }
 
 TEST(PushDispatch, AutoDetectTakesRunAwareOnFreshSort) {
@@ -455,21 +477,32 @@ TEST(PushDispatch, ForcedGenericAndAdHocStayGeneric) {
             core::PushPath::Generic);
 }
 
-TEST(PushDispatch, StaleOrTinyPopulationsFallBackToGeneric) {
+/// The path AutoDetect takes for particles [n0, n1) of `sim`'s species:
+/// the push itself, into a cleared accumulator.
+core::PushPath auto_path(core::Simulation& sim, index_t n0, index_t n1) {
+  auto& sp = sim.species(0);
+  sim.interpolator().load(sim.fields());
+  sim.accumulator().clear();
+  return core::push_on<pk::DefaultExecSpace>(
+      sp, sim.interpolator(), sim.accumulator(), sim.grid(),
+      sim.config().strategy, {}, core::PushPath::AutoDetect, n0, n1);
+}
+
+TEST(PushDispatch, StaleFallsBackToGenericExactRangeOfAnySizeRunsAware) {
   auto sim = make_sim(core::VectorStrategy::Auto);
   auto& sp = sim.species(0);
   core::sort_particles(sp, vs::SortOrder::Standard, 0, 1, sim.grid().nv());
 
   sp.steps_since_sort = 1000;  // long past its sort
-  EXPECT_FALSE(core::run_aware_profitable(sp));
+  EXPECT_EQ(auto_path(sim, 0, sp.np), core::PushPath::Generic);
 
-  sp.steps_since_sort = 0;
-  sp.np = 100;  // below the minimum population
-  EXPECT_FALSE(core::run_aware_profitable(sp));
-
-  // An empty species is generic, even freshly sorted.
-  sp.np = 0;
-  EXPECT_FALSE(core::run_aware_profitable(sp));
+  // No size gate: a range of a few particles, or none, in exact order
+  // takes the run-aware path the untiled step takes over the whole array,
+  // so a small tile or boundary-plane range adds its currents the same way.
+  core::sort_particles(sp, vs::SortOrder::Standard, 0, 1, sim.grid().nv());
+  EXPECT_EQ(auto_path(sim, 3, 10), core::PushPath::RunAware);
+  EXPECT_EQ(auto_path(sim, 5, 5), core::PushPath::RunAware);
+  EXPECT_EQ(auto_path(sim, 0, sp.np), core::PushPath::RunAware);
 }
 
 TEST(PushDispatch, StaleHintReprobesActualOrder) {
@@ -480,19 +513,18 @@ TEST(PushDispatch, StaleHintReprobesActualOrder) {
   auto& sp = sim.species(0);
   core::sort_particles(sp, vs::SortOrder::Standard, 0, 1, sim.grid().nv());
   sp.steps_since_sort = 10;
-  EXPECT_FALSE(core::run_aware_profitable(sp));
+  EXPECT_EQ(auto_path(sim, 0, sp.np), core::PushPath::Generic);
 
   adversarial_order(sp, sim.grid().nv());
   sp.cell_sorted_hint = true;
   sp.steps_since_sort = 10;
-  EXPECT_FALSE(core::run_aware_profitable(sp));
+  EXPECT_EQ(auto_path(sim, 0, sp.np), core::PushPath::Generic);
 }
 
 // ----------------------------------------------------------------------
 // The dispatch the benchmark decks get: bench/anatomy's lpi (and
 // lpi_ckpt), clumped_tiled and weibel_collide workloads at full size. The
-// constants in core/push_tuning.hpp and sort/dispatch_model.hpp must send
-// them down the fast paths.
+// constants in sort/dispatch_model.hpp must send them down the fast paths.
 // ----------------------------------------------------------------------
 
 core::decks::LpiParams anatomy_lpi() {
@@ -627,38 +659,92 @@ TEST(KeptSorted, TiledStepLeavesExactStandardOrderAndTileRanges) {
   expect_kept_sorted_for_100_steps(true);
 }
 
-TEST(KeptSorted, PushThatLeavesExitTombstonesIsNotResorted) {
+TEST(KeptSorted, AdvanceSpeciesRejectsAnExitQueue) {
+  // Exits belong to push_on's callers (the ranks), which compact and ship
+  // them: advance_species refuses a queue and leaves the species as it was.
   auto sim = make_sim(core::VectorStrategy::Auto);
   auto& sp = sim.species(0);
   core::sort_particles(sp, vs::SortOrder::Standard, 0, 1, sim.grid().nv());
   sim.interpolator().load(sim.fields());
   sim.accumulator().clear();
+  const std::vector<core::Particle> before = particles_of(sp);
   std::vector<core::ExitRecord> exits;
-  std::mutex m;
   core::MoverOptions opts;
   opts.periodic_mask = 0b011;  // the z faces are open
   opts.exits = &exits;
-  opts.exits_mutex = &m;
-  core::advance_species(sp, sim.interpolator(), sim.accumulator(),
-                        sim.grid(), core::VectorStrategy::Auto, opts);
-  ASSERT_FALSE(exits.empty());
-  // The tombstones stay where their particles were, and the hint ages.
-  std::size_t tombstones = 0;
-  for (index_t i = 0; i < sp.np; ++i) tombstones += sp.p.cell(i) < 0;
-  EXPECT_EQ(tombstones, exits.size());
-  EXPECT_TRUE(sp.cell_sorted_hint);
-  EXPECT_EQ(sp.steps_since_sort, 1);
-
-  // A push with an exit queue that exits nothing is re-sorted.
-  core::compact_exited(sp);
-  exits.clear();
-  opts.periodic_mask = 0b111;
-  sim.accumulator().clear();
-  core::advance_species(sp, sim.interpolator(), sim.accumulator(),
-                        sim.grid(), core::VectorStrategy::Auto, opts);
+  EXPECT_THROW(core::advance_species(sp, sim.interpolator(),
+                                     sim.accumulator(), sim.grid(),
+                                     core::VectorStrategy::Auto, opts),
+               std::invalid_argument);
   EXPECT_TRUE(exits.empty());
-  EXPECT_EQ(sp.steps_since_sort, 0);
-  EXPECT_TRUE(vs::cell_sorted_exact(sp.cell_keys()));
+  EXPECT_TRUE(same_bytes(before, particles_of(sp)));
+  EXPECT_TRUE(sp.exact_cell_order());
+  const std::vector<float> acc = flatten(sim.accumulator());
+  EXPECT_TRUE(std::all_of(acc.begin(), acc.end(),
+                          [](float v) { return v == 0.0f; }));
+}
+
+/// An injection hook that appends a copy of the lowest-cell particle at
+/// steps 3 and 10 (a sort step), past the runs of its cell: the step ages
+/// the species' hint, so no push or sort trusts an order the array lost.
+/// Whenever the hint claims exact order, the array is in it.
+void expect_append_ages_the_hint(bool tiled) {
+  pk::initialize(4);
+  core::decks::LpiParams p;
+  p.nx = 16;
+  p.ny = 8;
+  p.nz = 8;
+  p.ppc = 8;
+  p.sort_interval = 5;
+  auto sim = core::decks::make_lpi(p);
+  const index_t nv = sim.grid().nv();
+  for (std::size_t s = 0; s < sim.num_species(); ++s)
+    core::sort_particles(sim.species(s), vs::SortOrder::Standard, 0, 0, nv);
+  if (tiled) {
+    sim.config().tiles.enabled = true;
+    sim.config().tiles.count = 4;
+    sim.config().tiles.workers = 4;
+  }
+  sim.set_injection_hook([](core::Simulation& s) {
+    if (s.step_count() != 3 && s.step_count() != 10) return;
+    core::Species& e = s.species(0);
+    ASSERT_LT(e.np, e.capacity());
+    e.p.set(e.np, e.p.get(0));
+    ++e.np;
+  });
+  const index_t np0 = sim.species(0).np;
+  for (int step = 1; step <= 12; ++step) {
+    sim.step();
+    SCOPED_TRACE("step " + std::to_string(step));
+    for (std::size_t s = 0; s < sim.num_species(); ++s) {
+      const core::Species& sp = sim.species(s);
+      const bool appended = s == 0 && step == 3;
+      EXPECT_EQ(sp.exact_cell_order(), !appended) << sp.name;
+      if (sp.exact_cell_order()) {
+        EXPECT_TRUE(
+            same_bytes(particles_of(sp), standard_sorted_copy(sp, nv)))
+            << sp.name;
+      }
+    }
+    // The push after the append takes the generic path, and its re-sort
+    // (untiled) or re-bucketing (tiled) brings the order back; the sort at
+    // step 10 restores it the same step.
+    const core::PushPath want = step == 4 && !tiled
+                                    ? core::PushPath::Generic
+                                    : core::PushPath::RunAware;
+    EXPECT_EQ(sim.last_push_paths()[0], want);
+    EXPECT_EQ(sim.last_push_paths()[1], core::PushPath::RunAware);
+  }
+  EXPECT_EQ(sim.species(0).np, np0 + 2);
+  pk::initialize();
+}
+
+TEST(KeptSorted, UntiledHookThatAppendsAgesTheHint) {
+  expect_append_ages_the_hint(false);
+}
+
+TEST(KeptSorted, TiledHookThatAppendsAgesTheHint) {
+  expect_append_ages_the_hint(true);
 }
 
 // ----------------------------------------------------------------------
@@ -696,40 +782,154 @@ TEST(PushDispatch, SimulationConfigCanPinGeneric) {
 }
 
 // ----------------------------------------------------------------------
-// Exit-queue concurrency guard.
+// The exit queue: every chunk of a launch queues its own exits, and
+// push_on appends them in chunk order, which is slot order, so a team
+// push returns the same records in the same order at any thread count.
 // ----------------------------------------------------------------------
 
-TEST(ExitQueueGuard, RejectsUnguardedQueueUnderConcurrency) {
-  auto sim = make_sim(core::VectorStrategy::Auto);
-  auto& sp = sim.species(0);
-  sim.interpolator().load(sim.fields());
-  sim.accumulator().clear();
-
-  std::vector<core::ExitRecord> exits;
-  core::MoverOptions opts;
-  opts.periodic_mask = 0b011;  // z exits possible
-  opts.exits = &exits;
-  opts.exits_mutex = nullptr;  // the race the guard exists to catch
-
-  if (pk::DefaultExecSpace::concurrency() > 1) {
-    EXPECT_THROW(core::advance_species(sp, sim.interpolator(),
-                                       sim.accumulator(), sim.grid(),
-                                       core::VectorStrategy::Auto, opts),
-                 std::logic_error);
-  } else {
-    EXPECT_NO_THROW(core::advance_species(sp, sim.interpolator(),
-                                          sim.accumulator(), sim.grid(),
-                                          core::VectorStrategy::Auto, opts));
+TEST(ExitQueue, FourThreadPushQueuesTheOneThreadRecordsInOrder) {
+  const core::VectorStrategy strategies[] = {
+      core::VectorStrategy::Auto, core::VectorStrategy::Guided,
+      core::VectorStrategy::Manual, core::VectorStrategy::AdHoc};
+  for (const core::VectorStrategy strat : strategies) {
+    for (const int order : {0, 1}) {  // exact cell order, random
+      SCOPED_TRACE(std::string(core::to_string(strat)) +
+                   (order == 0 ? ", sorted" : ", random"));
+      auto sim = make_sim(strat, 4, 17);
+      auto& sp = sim.species(0);
+      apply_order(sp, order, sim.grid().nv());
+      const std::vector<core::Particle> initial = particles_of(sp);
+      const auto push = [&](int threads) {
+        pk::initialize(threads);
+        std::copy_n(initial.data(), sp.np, sp.p.data());
+        sim.interpolator().load(sim.fields());
+        sim.accumulator().clear();
+        std::vector<core::ExitRecord> exits;
+        core::MoverOptions opts;
+        opts.periodic_mask = 0b011;  // the z faces are open
+        opts.exits = &exits;
+        core::push_on<pk::DefaultExecSpace>(
+            sp, sim.interpolator(), sim.accumulator(), sim.grid(), strat,
+            opts, core::PushPath::AutoDetect, 0, sp.np);
+        return std::make_pair(exits, particles_of(sp));
+      };
+      const auto one = push(1);
+      const auto four = push(4);
+      pk::initialize();
+      ASSERT_FALSE(one.first.empty());
+      EXPECT_TRUE(same_bytes(one.first, four.first));
+      // Tombstones (i = -1) in the same slots, survivors bit-identical.
+      EXPECT_TRUE(same_bytes(one.second, four.second));
+    }
   }
+}
 
-  // With the mutex supplied the same call is always legal. Clear the
-  // tombstones the first (no-throw) path may have left before re-pushing.
-  core::compact_exited(sp);
-  exits.clear();
-  std::mutex m;
-  opts.exits_mutex = &m;
-  sim.accumulator().clear();
-  EXPECT_NO_THROW(core::advance_species(sp, sim.interpolator(),
-                                        sim.accumulator(), sim.grid(),
-                                        core::VectorStrategy::Auto, opts));
+// ----------------------------------------------------------------------
+// A steady-state push allocates nothing: the deposit logs and exit chunks
+// live in the species' sort scratch and keep their capacity, as do the
+// sort's buffers. Every operator new of this binary is counted while
+// g_count_news is set.
+// ----------------------------------------------------------------------
+
+namespace {
+std::atomic<bool> g_count_news{false};
+std::atomic<std::int64_t> g_news{0};
+
+void* counted_alloc(std::size_t n, std::size_t align) {
+  if (g_count_news.load(std::memory_order_relaxed))
+    g_news.fetch_add(1, std::memory_order_relaxed);
+  if (n == 0) n = 1;
+  void* p = align > alignof(std::max_align_t)
+                ? std::aligned_alloc(align, (n + align - 1) / align * align)
+                : std::malloc(n);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n, 0); }
+void* operator new[](std::size_t n) { return counted_alloc(n, 0); }
+void* operator new(std::size_t n, std::align_val_t a) {
+  return counted_alloc(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+  return counted_alloc(n, static_cast<std::size_t>(a));
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+
+TEST(SteadyPush, AdvanceSpeciesAndTilePushesAllocateNothing) {
+  auto sim = core::decks::make_lpi(anatomy_lpi());
+  const core::Grid& g = sim.grid();
+  for (std::size_t s = 0; s < sim.num_species(); ++s)
+    core::sort_particles(sim.species(s), vs::SortOrder::Standard, 0, 0,
+                         g.nv());
+  sim.interpolator().load(sim.fields());
+  const auto counted = [](auto&& body) {
+    g_news = 0;
+    g_count_news = true;
+    body();
+    g_count_news = false;
+    return g_news.load();
+  };
+
+  // advance_species: push, apply the logs, re-sort.
+  const auto advance = [&](int calls) {
+    for (int n = 0; n < calls; ++n)
+      for (std::size_t s = 0; s < sim.num_species(); ++s)
+        EXPECT_EQ(core::advance_species(sim.species(s), sim.interpolator(),
+                                        sim.accumulator(), g,
+                                        sim.config().strategy),
+                  core::PushPath::RunAware);
+  };
+  advance(5);  // warm-up: the logs and the sort's buffers reach size
+  EXPECT_EQ(counted([&] { advance(50); }), 0);
+
+  // The tiled step's round: every species' tile pushes, the first into
+  // the accumulator's planes and the other into its staged array's, the
+  // applies of each species' logs (and the staged array), then the
+  // re-sorts and bucketing.
+  const core::TileMap tm(g, 6);
+  const auto nt = static_cast<std::size_t>(tm.count());
+  for (std::size_t s = 0; s < sim.num_species(); ++s)
+    core::bucket_by_tile(sim.species(s), tm);
+  auto& logs = sim.species(0).sort_scratch().deposit_logs;
+  logs.resize(sim.num_species() * nt);
+  core::AccumulatorArray staged(g);
+  const auto tiled = [&](int steps) {
+    for (int n = 0; n < steps; ++n) {
+      for (std::size_t s = 0; s < sim.num_species(); ++s) {
+        core::Species& sp = sim.species(s);
+        for (std::size_t t = 0; t < nt; ++t) {
+          const int ti = static_cast<int>(t);
+          core::OwnerSink sink{s == 0 ? &sim.accumulator() : &staged,
+                               tm.v_lo(ti), tm.v_hi(ti),
+                               &logs[s * nt + t].segments};
+          core::push_on<pk::Serial>(sp, sim.interpolator(), sink, g,
+                                    sim.config().strategy, {},
+                                    core::PushPath::AutoDetect,
+                                    sp.tiles[t].begin, sp.tiles[t].end);
+        }
+      }
+      sim.accumulator().apply(logs.data(), nt);
+      sim.accumulator().apply(logs.data() + nt, nt, &staged);
+      for (std::size_t s = 0; s < sim.num_species(); ++s) {
+        core::sort_particles(sim.species(s), vs::SortOrder::Standard, 0, 0,
+                             g.nv());
+        core::bucket_by_tile(sim.species(s), tm);
+      }
+    }
+  };
+  tiled(5);
+  EXPECT_EQ(counted([&] { tiled(50); }), 0);
 }

@@ -120,6 +120,29 @@ TEST(StepGraphValidate, TransitivePathOrdersConflict) {
   EXPECT_NO_THROW(g.validate());
 }
 
+TEST(StepGraphValidate, WholeResourceConflictsWithItsParts) {
+  // Tile tasks write their own parts of the accumulator; a phase that
+  // declares the whole array races every one of them unless ordered.
+  core::StepGraph g;
+  g.add_phase(phase("tile1", {}, {"acc.t1"}));
+  g.add_phase(phase("tile2", {}, {"acc.t2"}));
+  g.add_phase(phase("whole", {"acc"}, {}));
+  g.add_phase(phase("other", {}, {"accumulator"}));
+  g.add_edge("tile1", "whole");
+  try {
+    g.validate();
+    FAIL() << "unordered whole-part race accepted";
+  } catch (const std::logic_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("'tile2'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("'whole'"), std::string::npos) << msg;
+  }
+  // The parts are disjoint, and a name that only shares a prefix is not a
+  // part.
+  g.add_edge("tile2", "whole");
+  EXPECT_NO_THROW(g.validate());
+}
+
 TEST(StepGraphValidate, ConcurrentReadersAccepted) {
   core::StepGraph g;
   g.add_phase(phase("r1", {"interp"}, {}));

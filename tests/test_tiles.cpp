@@ -1,12 +1,13 @@
 // Tile-level task decomposition tests (core/tiles.hpp, pk/stealing.hpp,
 // docs/TILES.md): tile geometry, bucketing, the tiled sort phase against
-// a bucket + per-tile counting sort oracle, seam correctness of
-// tile-private accumulator blocks (boundary, corner, reflecting-wall
-// crossings vs the untiled reference),
-// the work-stealing pool, the level-by-level StepGraph executor, and the
-// tiled step's two guarantees — bit-deterministic across 1, 2 and 4
-// workers over 100 steps in every sort order, and within a stated
-// tolerance of the untiled step (docs/ASYNC.md, "Determinism").
+// a bucket + per-tile counting sort oracle, seam correctness of a tile's
+// deposit sink (boundary, corner, reflecting-wall and z-wrap crossings
+// vs the shared array), the work-stealing pool, the level-by-level
+// StepGraph executor, and the tiled step's guarantees — bit-deterministic
+// across 1, 2 and 4 workers over 100 steps in every sort order, within a
+// stated tolerance of the untiled step from an unsorted start, and, from
+// a Standard sort, bit-identical to the untiled step at any OpenMP thread,
+// worker and tile count (docs/ASYNC.md, "Determinism").
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <thread>
 #include <map>
 #include <mutex>
@@ -26,6 +28,7 @@
 #include <vector>
 
 #include "core/core.hpp"
+#include "core/collide.hpp"
 #include "core/decks.hpp"
 #include "core/simulation.hpp"
 #include "core/step_graph.hpp"
@@ -42,8 +45,9 @@ namespace {
 class PkEnv : public ::testing::Environment {
  public:
   // One kernel thread: with >1 OpenMP threads the float-atomic deposits of
-  // the *untiled* reference path are nondeterministic, which would mask
-  // what this suite is about — tile decomposition and task scheduling.
+  // the *untiled* step outside exact cell order are nondeterministic,
+  // which would mask what this suite is about — tile decomposition and
+  // task scheduling.
   // A pool round opens as many members as it has workers, whatever this
   // setting, so the stealing tests still exercise real parallelism.
   void SetUp() override { pk::initialize(1); }
@@ -81,24 +85,6 @@ void expect_bitwise_equal(core::Simulation& a, core::Simulation& b) {
       ASSERT_EQ(sa.p(i).w, sb.p(i).w) << sa.name << " particle " << i;
     }
   }
-}
-
-// 4-ulp comparison, not bitwise: this test TU inlines move_p twice (once
-// per accumulator type) and -ffp-contract=fast may fuse multiply-adds
-// differently in each expansion. The production push TU instantiates both
-// paths together; the end-to-end check is
-// TiledStep.MatchesUntiledWithinTolerance below. Here we verify the
-// *seam physics*
-// (deposits in the right voxels with the right values).
-void expect_acc_equal(const core::AccumulatorArray& x,
-                      const core::AccumulatorArray& y) {
-  ASSERT_EQ(x.a.size(), y.a.size());
-  for (index_t v = 0; v < x.a.size(); ++v)
-    for (int c = 0; c < 4; ++c) {
-      ASSERT_FLOAT_EQ(x.a(v).jx[c], y.a(v).jx[c]) << "jx voxel " << v;
-      ASSERT_FLOAT_EQ(x.a(v).jy[c], y.a(v).jy[c]) << "jy voxel " << v;
-      ASSERT_FLOAT_EQ(x.a(v).jz[c], y.a(v).jz[c]) << "jz voxel " << v;
-    }
 }
 
 }  // namespace
@@ -332,57 +318,73 @@ TEST(BucketByTile, SortedRangesMatchTheGeneralPartition) {
 }
 
 // ----------------------------------------------------------------------
-// Tile seam correctness: move_p into a tile-private block, merged, must
-// equal the untiled deposit — boundary, corner, and reflecting-wall
-// crossings included.
+// Tile seam correctness: move_p into a tile's sink, its log applied, must
+// equal move_p into the shared array bit for bit — boundary, corner,
+// reflecting-wall and z-wrap crossings included — and the segments
+// outside the tile's planes must be the ones in the log.
 // ----------------------------------------------------------------------
 
 namespace {
 
-// Run the same trajectory through a TileAccumulator (owned by the tile of
-// the particle's starting voxel) and the global array; compare deposits
-// and final particle state bit for bit.
-void check_seam_crossing(const core::Grid& g, const core::TileMap& tm,
-                         core::Particle start, float dx, float dy, float dz,
-                         std::uint8_t periodic_mask,
-                         std::uint8_t reflect_mask) {
+std::vector<float> acc_floats(const core::AccumulatorArray& acc) {
+  const float* f = reinterpret_cast<const float*>(acc.a.data());
+  return {f, f + 12 * acc.a.size()};
+}
+
+// Run the same trajectory through the sink of the tile owning the
+// particle's starting voxel, then its log, and straight into the shared
+// array with plain adds (a sink owning every voxel: the atomic adds of
+// AccumulatorArray::deposit may contract their multiply-adds differently
+// under -ffp-contract=fast); compare deposits and final particle state
+// bit for bit. Returns the voxels the tile logged.
+std::vector<std::int32_t> check_seam_crossing(
+    const core::Grid& g, const core::TileMap& tm, core::Particle start,
+    float dx, float dy, float dz, std::uint8_t periodic_mask,
+    std::uint8_t reflect_mask) {
   core::Particle p_tile = start, p_ref = start;
 
   core::AccumulatorArray ref(g);
   ref.clear();
-  const auto r_ref = core::move_p<false>(p_ref, dx, dy, dz, 1.0f, ref, g,
-                                         periodic_mask, nullptr, reflect_mask);
+  std::vector<core::DepositSegment> none;
+  const core::OwnerSink whole{&ref, 0, g.nv(), &none};
+  const auto r_ref = core::move_p(p_ref, dx, dy, dz, 1.0f, whole, g,
+                                  periodic_mask, nullptr, reflect_mask);
+  EXPECT_TRUE(none.empty());
 
   const int t = tm.tile_of_voxel(start.i);
-  core::TileAccumulator blk(g, tm, t);
-  blk.clear();
-  const auto r_tile = core::move_p<false>(p_tile, dx, dy, dz, 1.0f, blk, g,
-                                          periodic_mask, nullptr, reflect_mask);
-  core::AccumulatorArray merged(g);
-  merged.clear();
-  blk.merge_into(merged);
+  core::AccumulatorArray shared(g);
+  shared.clear();
+  core::DepositLog log;
+  const core::OwnerSink sink{&shared, tm.v_lo(t), tm.v_hi(t),
+                             &log.segments};
+  const auto r_tile = core::move_p(p_tile, dx, dy, dz, 1.0f, sink, g,
+                                   periodic_mask, nullptr, reflect_mask);
+  std::vector<std::int32_t> logged;
+  for (const core::DepositSegment& seg : log.segments) {
+    EXPECT_FALSE(sink.owns(seg.voxel)) << "voxel " << seg.voxel;
+    logged.push_back(seg.voxel);
+  }
+  shared.apply(&log, 1);
+  EXPECT_TRUE(log.segments.empty());
 
   EXPECT_EQ(r_tile, r_ref);
-  EXPECT_EQ(p_tile.i, p_ref.i);
-  EXPECT_FLOAT_EQ(p_tile.dx, p_ref.dx);
-  EXPECT_FLOAT_EQ(p_tile.dy, p_ref.dy);
-  EXPECT_FLOAT_EQ(p_tile.dz, p_ref.dz);
-  EXPECT_FLOAT_EQ(p_tile.ux, p_ref.ux);
-  EXPECT_FLOAT_EQ(p_tile.uy, p_ref.uy);
-  EXPECT_FLOAT_EQ(p_tile.uz, p_ref.uz);
-  expect_acc_equal(merged, ref);
+  EXPECT_EQ(std::memcmp(&p_tile, &p_ref, sizeof(core::Particle)), 0);
+  EXPECT_EQ(acc_floats(shared), acc_floats(ref));
+  return logged;
 }
 
 }  // namespace
 
-TEST(TileSeams, ZBoundaryCrossingDepositsIntoGhostPlaneWindow) {
+TEST(TileSeams, ZBoundaryCrossingLogsTheNeighborPlaneSegment) {
   const core::Grid g(4, 4, 8, 4, 4, 8, 0.1f);
   const core::TileMap tm(g, 2);  // seam between planes 4 and 5
   core::Particle p{};
   p.dz = 0.6f;
   p.i = static_cast<std::int32_t>(g.voxel(2, 2, tm.z_hi(0)));
   p.uz = 0.5f;
-  check_seam_crossing(g, tm, p, 0.0f, 0.0f, 0.8f, 0b111, 0);
+  EXPECT_EQ(check_seam_crossing(g, tm, p, 0.0f, 0.0f, 0.8f, 0b111, 0),
+            std::vector<std::int32_t>{
+                static_cast<std::int32_t>(g.voxel(2, 2, tm.z_lo(1)))});
 }
 
 TEST(TileSeams, CornerCrossingThroughSeamPlane) {
@@ -394,8 +396,11 @@ TEST(TileSeams, CornerCrossingThroughSeamPlane) {
   p.dz = 0.9f;
   p.i = static_cast<std::int32_t>(g.voxel(3, 3, tm.z_hi(0)));
   // Crosses +x, +y, and the +z seam in one move: four deposit segments,
-  // the last landing in the neighbor tile's first plane (our ghost plane).
-  check_seam_crossing(g, tm, p, 0.8f, 0.8f, 0.8f, 0b111, 0);
+  // the last landing in the neighbor tile's first plane, the only one
+  // logged.
+  EXPECT_EQ(check_seam_crossing(g, tm, p, 0.8f, 0.8f, 0.8f, 0b111, 0),
+            std::vector<std::int32_t>{
+                static_cast<std::int32_t>(g.voxel(4, 4, tm.z_lo(1)))});
 }
 
 TEST(TileSeams, ReflectingWallAtDomainFace) {
@@ -405,41 +410,21 @@ TEST(TileSeams, ReflectingWallAtDomainFace) {
   p.dz = 0.5f;
   p.i = static_cast<std::int32_t>(g.voxel(2, 2, g.nz));  // top plane, tile 1
   p.uz = 1.0f;
-  check_seam_crossing(g, tm, p, 0.0f, 0.0f, 0.9f, 0b011, 0b100);
+  // The bounce stays in the tile's top plane: nothing to log.
+  EXPECT_TRUE(
+      check_seam_crossing(g, tm, p, 0.0f, 0.0f, 0.9f, 0b011, 0b100).empty());
 }
 
-TEST(TileSeams, PeriodicZWrapLandsInOverflowAndMergesExactly) {
+TEST(TileSeams, PeriodicZWrapIsLoggedAndAppliedExactly) {
   const core::Grid g(4, 4, 8, 4, 4, 8, 0.1f);
   const core::TileMap tm(g, 2);
   core::Particle start{};
   start.dz = 0.9f;
   start.i = static_cast<std::int32_t>(g.voxel(2, 2, g.nz));
-  check_seam_crossing(g, tm, start, 0.0f, 0.0f, 0.4f, 0b111, 0);
-
-  // The wrapped deposit (plane 1) is outside tile 1's window (planes
-  // 3..9): confirm the overflow map actually caught it.
-  core::Particle p = start;
-  core::TileAccumulator blk(g, tm, 1);
-  blk.clear();
-  (void)core::move_p<false>(p, 0.0f, 0.0f, 0.4f, 1.0f, blk, g);
-  EXPECT_GE(blk.overflow_size(), 1u);
-}
-
-TEST(TileAccumulator, ClearResetsWindowAndOverflow) {
-  const core::Grid g(4, 4, 8, 4, 4, 8, 0.1f);
-  const core::TileMap tm(g, 2);
-  core::TileAccumulator blk(g, tm, 0);
-  blk.clear();
-  blk.a(g.voxel(2, 2, 2)).jx[0] = 1.0f;                // window
-  blk.a(g.voxel(2, 2, g.nz)).jy[1] = 2.0f;             // overflow
-  EXPECT_EQ(blk.overflow_size(), 1u);
-  blk.clear();
-  EXPECT_EQ(blk.overflow_size(), 0u);
-  core::AccumulatorArray merged(g);
-  merged.clear();
-  blk.merge_into(merged);
-  for (index_t v = 0; v < merged.a.size(); ++v)
-    for (int c = 0; c < 4; ++c) ASSERT_EQ(merged.a(v).jx[c], 0.0f);
+  // The wrapped deposit lands in plane 1, tile 0's: tile 1 logs it.
+  EXPECT_EQ(check_seam_crossing(g, tm, start, 0.0f, 0.0f, 0.4f, 0b111, 0),
+            std::vector<std::int32_t>{
+                static_cast<std::int32_t>(g.voxel(2, 2, 1))});
 }
 
 // ----------------------------------------------------------------------
@@ -808,9 +793,10 @@ TEST(TiledStep, OneWorkerRunsNoPoolRound) {
 }
 
 TEST(TiledStep, MatchesUntiledWithinTolerance) {
-  // Tile-private blocks add the deposits in another float grouping than
-  // the untiled step, so the shapes agree to a tolerance, not bit for bit
-  // (docs/ASYNC.md, "Determinism").
+  // From the decks' unsorted start the untiled step pushes generic with
+  // float atomics until the first Standard sort (step 20), and the tiles
+  // add those deposits in another grouping, so the shapes agree to a
+  // tolerance, not bit for bit (docs/ASYNC.md, "Determinism").
   const auto rel = [](double a, double b) {
     return std::abs(a - b) / std::abs(b);
   };
@@ -937,6 +923,83 @@ TEST(TiledStep, EverySortOrderBitDeterministicAcrossWorkerCounts) {
         EXPECT_EQ(ha.kinetic(i), hb.kinetic(i));
       }
     }
+  }
+  pk::initialize(1);
+}
+
+// ----------------------------------------------------------------------
+// Exact cell order: from a Standard sort, every push writes each cell's
+// run record from the one chunk or tile that owns the cell and applies
+// every other deposit segment in slot order, so the untiled step is
+// bit-identical at any OpenMP thread count and equal to the tiled step at
+// any worker and tile count (docs/ASYNC.md, "Determinism").
+// ----------------------------------------------------------------------
+
+namespace {
+
+struct ExactDeck {
+  const char* name;
+  std::function<core::Simulation()> make;
+  int tiles[2];
+};
+
+std::vector<ExactDeck> exact_decks() {
+  const std::vector<TiledDeck> lpi = tiled_decks();
+  core::decks::WeibelParams weibel;
+  weibel.nx = weibel.ny = weibel.nz = 6;
+  weibel.ppc = 4;
+  return {
+      {"lpi", [p = lpi[0].params] { return core::decks::make_lpi(p); },
+       {3, 6}},
+      {"clumped", [p = lpi[1].params] { return core::decks::make_lpi(p); },
+       {3, 8}},
+      {"weibel_collide",
+       [weibel] {
+         core::Simulation sim = core::decks::make_weibel(weibel);
+         sim.add_module<core::CollisionModule>();
+         return sim;
+       },
+       {2, 3}}};
+}
+
+/// 100 steps from a Standard sort of every species, on `threads` OpenMP
+/// threads, untiled (workers = 0) or tiled.
+core::Simulation run_exact(const ExactDeck& d, int threads, int workers,
+                           int tiles) {
+  pk::initialize(threads);
+  core::Simulation sim = d.make();
+  for (std::size_t s = 0; s < sim.num_species(); ++s)
+    core::sort_particles(sim.species(s), vpic::sort::SortOrder::Standard, 0,
+                         0, sim.grid().nv());
+  if (workers > 0) {
+    sim.config().tiles.enabled = true;
+    sim.config().tiles.count = tiles;
+    sim.config().tiles.workers = workers;
+  }
+  sim.run(100);
+  for (const core::PushPath taken : sim.last_push_paths())
+    EXPECT_EQ(taken, core::PushPath::RunAware);
+  return sim;
+}
+
+}  // namespace
+
+TEST(ExactOrder, UntiledAndTiledStepsAreBitIdenticalAtAnyThreadWorkerTileCount) {
+  for (const ExactDeck& d : exact_decks()) {
+    SCOPED_TRACE(d.name);
+    core::Simulation ref = run_exact(d, 1, 0, 0);
+    for (const int threads : {2, 4}) {
+      SCOPED_TRACE("untiled, " + std::to_string(threads) + " threads");
+      core::Simulation sim = run_exact(d, threads, 0, 0);
+      expect_bitwise_equal(ref, sim);
+    }
+    for (const int tiles : d.tiles)
+      for (const int workers : {1, 2, 4}) {
+        SCOPED_TRACE(std::to_string(tiles) + " tiles, " +
+                     std::to_string(workers) + " workers");
+        core::Simulation sim = run_exact(d, workers, workers, tiles);
+        expect_bitwise_equal(ref, sim);
+      }
   }
   pk::initialize(1);
 }
