@@ -17,6 +17,16 @@ namespace {
 using namespace vpic;
 using pk::index_t;
 
+/// move_p sink adding with plain adds: race-free only on one thread.
+struct PlainSink {
+  core::AccumulatorArray* acc;
+  void deposit(index_t v, float qw, float mx, float my, float mz, float ux,
+               float uy, float uz) const {
+    core::accumulate_j(acc->a(v), qw, mx, my, mz, ux, uy, uz,
+                       /*atomic=*/false);
+  }
+};
+
 double best_of(int reps, const std::function<double()>& run) {
   double best = 1e30;
   for (int r = 0; r < reps; ++r) best = std::min(best, run());
@@ -83,9 +93,7 @@ int main(int argc, char** argv) {
   auto& acc = sim.accumulator();
   interp.load(sim.fields());
 
-  // An OwnerSink owning every voxel adds with plain adds and logs nothing.
-  std::vector<core::DepositSegment> unused;
-  const core::OwnerSink plain{&acc, 0, acc.a.size(), &unused};
+  const PlainSink plain{&acc};
   for (const bool atomic : {true, false}) {
     const double secs = best_of(reps, [&] {
       acc.clear();

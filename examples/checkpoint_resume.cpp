@@ -3,10 +3,10 @@
 // kill the process, restart the binary, resume from the newest valid
 // generation, and land bit-identical to a run that never stopped.
 //
-//   ./checkpoint_resume run       <base> <total_steps> [every] [--tiles=T]
+//   ./checkpoint_resume run       <base> <total_steps> [every]
 //                                 [--incremental]
-//   ./checkpoint_resume resume    <base> <total_steps> [--tiles=T]
-//   ./checkpoint_resume roundtrip <base> <total_steps> [every] [--tiles=T]
+//   ./checkpoint_resume resume    <base> <total_steps>
+//   ./checkpoint_resume roundtrip <base> <total_steps> [every]
 //                                 [--incremental]
 //
 // `run` steps a fresh deck to total_steps, checkpointing every `every`
@@ -18,11 +18,16 @@
 //
 // is the kill-and-resume acceptance check CI runs. `roundtrip` does the
 // same comparison in-process and exits nonzero on any divergence.
-// --tiles=T runs the tiled step with T z-slab tiles on 2 workers
-// (docs/TILES.md); 0, the default, runs the untiled step. Pass the same
-// T to every invocation of one comparison. --incremental writes the ring
-// as DeltaPack chains with a full base every 3 generations
-// (docs/ELASTIC.md); a resume restores either kind of ring.
+// --incremental writes the ring as DeltaPack chains with a full base
+// every 3 generations (docs/ELASTIC.md); a resume restores either kind of
+// ring.
+//
+// Kernel threads come from OMP_NUM_THREADS when it is set, else one. The
+// deck deposits with float atomics until its first Standard sort (step
+// 10), and those repeat their bits only at one thread. From that sort on
+// every push is in exact cell order, whose bits do not depend on the
+// thread count, so a checkpoint taken past step 10 resumes bit-identically
+// at any count (docs/ASYNC.md, "Determinism").
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -38,7 +43,6 @@ namespace pk = vpic::pk;
 
 namespace {
 
-int g_tiles = 0;             // --tiles=T
 bool g_incremental = false;  // --incremental
 
 core::Simulation make_deck() {
@@ -50,9 +54,6 @@ core::Simulation make_deck() {
   p.sort_interval = 10;
   auto sim = core::decks::make_lpi(p);
   sim.config().energy_interval = 5;
-  sim.config().tiles.enabled = g_tiles > 0;
-  sim.config().tiles.count = g_tiles;
-  sim.config().tiles.workers = 2;
   sim.config().checkpoint_incremental = g_incremental;
   sim.config().checkpoint_codec = 1;  // DeltaPack
   sim.config().checkpoint_full_every = 3;
@@ -98,9 +99,7 @@ std::string history_string(core::Simulation& sim) {
 int main(int argc, char** argv) {
   std::vector<const char*> args;
   for (int i = 0; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--tiles=", 8) == 0) {
-      g_tiles = std::atoi(argv[i] + 8);
-    } else if (std::strcmp(argv[i], "--incremental") == 0) {
+    if (std::strcmp(argv[i], "--incremental") == 0) {
       g_incremental = true;
     } else {
       args.push_back(argv[i]);
@@ -109,7 +108,7 @@ int main(int argc, char** argv) {
   if (args.size() < 4) {
     std::fprintf(stderr,
                  "usage: %s run|resume|roundtrip <base> <total_steps> "
-                 "[every] [--tiles=T] [--incremental]\n",
+                 "[every] [--incremental]\n",
                  argv[0]);
     return 2;
   }
@@ -118,9 +117,10 @@ int main(int argc, char** argv) {
   const int total_steps = std::atoi(args[3]);
   const int every = args.size() > 4 ? std::atoi(args[4]) : 10;
 
-  // One kernel thread: cross-process bit-identity requires deterministic
-  // current deposits (see docs/CHECKPOINT.md).
-  pk::initialize(1);
+  if (std::getenv("OMP_NUM_THREADS") != nullptr)
+    pk::initialize();
+  else
+    pk::initialize(1);
 
   if (mode == "run") {
     auto sim = make_deck();

@@ -6,32 +6,31 @@
 
 namespace vpic::core {
 
-void AccumulatorArray::apply(DepositLog* logs, std::size_t count,
-                             AccumulatorArray* staged) {
+void AccumulatorArray::apply(DepositLog* logs, std::size_t count) {
   const index_t nv = a.size();
   const index_t members =
       std::clamp<index_t>(pk::DefaultExecSpace::concurrency(), 1, nv);
-  float* const dst = reinterpret_cast<float*>(a.data());
-  float* const src =
-      staged ? reinterpret_cast<float*>(staged->a.data()) : nullptr;
   pk::parallel_for(
       "accumulator/apply", pk::RangePolicy<>(0, members), [&](index_t k) {
         const index_t lo = nv * k / members, hi = nv * (k + 1) / members;
-        for (index_t i = 12 * lo; src && i < 12 * hi; ++i) {
-          dst[i] += src[i];
-          src[i] = 0.0f;
-        }
         for (std::size_t l = 0; l < count; ++l)
           for (const DepositSegment& s : logs[l].segments)
             if (s.voxel >= lo && s.voxel < hi)
               accumulate_j(a(s.voxel), s.qw, s.mx, s.my, s.mz, s.ux, s.uy,
                            s.uz, /*atomic=*/false);
       });
+  // Capacity for a quarter more than the peak. A log that grew past the
+  // band by doubling mid-push is trimmed back once; inside the band a
+  // steady push neither allocates nor holds much more than it uses.
   for (std::size_t l = 0; l < count; ++l) {
-    std::vector<DepositSegment>& log = logs[l].segments;
-    const std::size_t n = log.size();
-    log.clear();
-    if (log.capacity() < n + n / 2) log.reserve(2 * n);
+    DepositLog& log = logs[l];
+    log.peak = std::max(log.peak, log.segments.size());
+    log.segments.clear();
+    const std::size_t cap = log.segments.capacity(), peak = log.peak;
+    if (cap < peak + peak / 8 || cap > peak + peak / 2) {
+      std::vector<DepositSegment>().swap(log.segments);
+      log.segments.reserve(peak + peak / 4);
+    }
   }
 }
 

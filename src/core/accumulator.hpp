@@ -76,9 +76,10 @@ struct DepositSegment {
 static_assert(sizeof(DepositSegment) == 32);
 
 /// One chunk's deposit log, on cache lines of its own: the chunks of a
-/// launch, and the tiles of a round, append to theirs concurrently.
+/// launch append to theirs concurrently.
 struct alignas(64) DepositLog {
   std::vector<DepositSegment> segments;
+  std::size_t peak = 0;  // most segments it has held at an apply
 };
 
 struct AccumulatorArray {
@@ -95,14 +96,14 @@ struct AccumulatorArray {
     accumulate_j(a(v), qw, mx, my, mz, ux, uy, uz, /*atomic=*/true);
   }
 
-  /// Add `staged` (when given), zeroing it, then logs[0, count) in order,
-  /// with plain adds, and empty the logs, keeping capacity for half again
-  /// as many segments so a steady push appends without allocating. The
-  /// team splits the voxels: each member adds every log's segments into
-  /// its own voxels, so each voxel sums in the same order at any team
-  /// size.
-  void apply(DepositLog* logs, std::size_t count,
-             AccumulatorArray* staged = nullptr);
+  /// Add logs[0, count) in order, with plain adds, and empty the logs,
+  /// leaving each with room for about a quarter more segments than the
+  /// most it has held, so a steady push appends without allocating. The
+  /// species of a simulation share the logs, so that is the most of any
+  /// species' push. The team splits
+  /// the voxels: each member adds every log's segments into its own
+  /// voxels, so each voxel sums in the same order at any team size.
+  void apply(DepositLog* logs, std::size_t count);
 
   void clear() {
     float* raw = reinterpret_cast<float*>(a.data());
@@ -132,28 +133,6 @@ struct AccumulatorArray {
   }
   void pack_z_plane(int iz, float* buf) const;
   void unpack_z_plane(int iz, const float* buf);
-};
-
-/// A push chunk's sink: a segment into a voxel of [own_lo, own_hi), which
-/// no other chunk of the launch writes, is added with plain adds; any
-/// other is appended to `log`, applied once every chunk is done. A tile
-/// owns its interior planes (core/tiles.hpp); an empty interval logs all.
-struct OwnerSink {
-  AccumulatorArray* acc = nullptr;
-  index_t own_lo = 0, own_hi = 0;
-  std::vector<DepositSegment>* log = nullptr;
-
-  [[nodiscard]] bool owns(index_t v) const {
-    return v >= own_lo && v < own_hi;
-  }
-  void deposit(index_t v, float qw, float mx, float my, float mz, float ux,
-               float uy, float uz) const {
-    if (owns(v))
-      accumulate_j(acc->a(v), qw, mx, my, mz, ux, uy, uz, /*atomic=*/false);
-    else
-      log->push_back({static_cast<std::int32_t>(v), qw, mx, my, mz, ux, uy,
-                      uz});
-  }
 };
 
 }  // namespace vpic::core

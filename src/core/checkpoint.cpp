@@ -5,10 +5,11 @@
 //
 // What a checkpoint holds: the nine Yee field components, the
 // interpolator and accumulator arrays, every species' live particle
-// records (prefix-encoded to np) plus its sortedness metadata and, when
-// tiled, its tile ranges, the energy-history diagnostics, and the step
-// count — everything needed for a restored run to continue
-// bit-identically to one that never stopped.
+// records (prefix-encoded to np) plus its sortedness metadata, the
+// energy-history diagnostics, and the step count — everything needed for
+// a restored run to continue bit-identically to one that never stopped.
+// Files of the retired tiled step also hold each species' tile ranges
+// ("sp<i>.tiles"); a restore ignores them.
 // Interpolators/accumulators are recomputed at the top of every step, so
 // serializing them is belt-and-braces for mid-phase captures rather than
 // a bit-identity requirement.
@@ -73,22 +74,15 @@ std::string species_prefix(std::size_t i) {
   return "sp" + std::to_string(i) + ".";
 }
 
-/// Fixed fallback chunk size of the incremental particle layout
-/// (docs/ELASTIC.md) when a species has no usable tile partition.
+/// Chunk size of the incremental particle layout (docs/ELASTIC.md): a
+/// delta stores only the chunks whose payload hash moved.
 constexpr index_t kChunkParticles = 16384;
 
-/// Chunk ranges over [0, np) for the incremental particle layout: the
-/// species' tile slots when they exactly partition the live range
-/// (tile-granular dirty tracking — a delta stores only the tiles whose
-/// payload hash moved), fixed kChunkParticles blocks otherwise. Always at
-/// least one (possibly empty) chunk, so the reassembled section keeps its
-/// element size.
+/// Chunk ranges over [0, np) for the incremental particle layout, fixed
+/// kChunkParticles blocks. Always at least one (possibly empty) chunk, so
+/// the reassembled section keeps its element size.
 std::vector<std::pair<index_t, index_t>> particle_chunks(const Species& sp) {
   std::vector<std::pair<index_t, index_t>> r;
-  if (tiles_cover(sp, sp.tiles.size())) {
-    for (const TileSlot& t : sp.tiles) r.emplace_back(t.begin, t.end);
-    return r;
-  }
   for (index_t at = 0; at < sp.np; at += kChunkParticles)
     r.emplace_back(at, std::min(sp.np, at + kChunkParticles));
   if (r.empty()) r.emplace_back(0, 0);
@@ -115,8 +109,7 @@ void add_particles(ckpt::FileWriter& w, std::string name, const Species& sp,
 
 // The engine-state section set is shared between the single-node and the
 // per-rank distributed checkpoints: fields, interpolator, accumulator,
-// and every species (particles + metadata + name, and "sp<i>.tiles", the
-// T + 1 tile range bounds, while its tile ranges cover it). With `chunked` set
+// and every species (particles + metadata + name). With `chunked` set
 // (the incremental path, docs/ELASTIC.md) each species' particle payload
 // is split into "sp<i>.c<k>.p" chunk sections plus an "sp<i>.nchunks"
 // count instead of the monolithic "sp<i>.p" — elastic::ChainReader
@@ -152,19 +145,13 @@ void add_engine_sections(ckpt::FileWriter& w, const FieldArray& f,
     meta.steps_since_sort = sp.steps_since_sort;
     meta.cell_sorted_hint = sp.cell_sorted_hint ? 1 : 0;
     w.add_pod(pfx + "meta", meta);
-    if (tiles_cover(sp, sp.tiles.size())) {
-      std::vector<std::int64_t> bounds{0};
-      for (const TileSlot& t : sp.tiles) bounds.push_back(t.end);
-      w.add_vector(pfx + "tiles", bounds);
-    }
     // Prefix-encode: only the np live records, not the slack capacity.
     if (!chunked) {
       add_particles(w, pfx + "p", sp, 0, sp.np);
       continue;
     }
     // Chunked layout: per-chunk copies of the particle stream in index
-    // order (chunk boundaries follow the tile partition, so the
-    // concatenation in k order IS the whole stream).
+    // order, so the concatenation in k order IS the whole stream.
     const auto chunks = particle_chunks(sp);
     w.add_pod(pfx + "nchunks", static_cast<std::uint64_t>(chunks.size()));
     for (std::size_t k = 0; k < chunks.size(); ++k)
@@ -173,15 +160,9 @@ void add_engine_sections(ckpt::FileWriter& w, const FieldArray& f,
   }
 }
 
-/// `adopt_tiles` > 0: the restoring simulation is tiled with that many
-/// tiles, and a species whose checkpoint holds exactly that many ranges
-/// covering its particles takes them as its tile ranges (docs/TILES.md).
-/// Every other species ends with no ranges, so the next tiled step
-/// re-buckets it.
 void read_engine_sections(ckpt::SectionSource& f, FieldArray& fld,
                           InterpolatorArray& interp, AccumulatorArray& acc,
-                          std::vector<Species>& species,
-                          std::size_t adopt_tiles = 0) {
+                          std::vector<Species>& species) {
   const auto nsp = f.pod<std::uint64_t>("nspecies");
   if (nsp != species.size())
     throw ckpt::RestoreError(
@@ -248,17 +229,6 @@ void read_engine_sections(ckpt::SectionSource& f, FieldArray& fld,
     sp.m = meta.m;
     sp.steps_since_sort = meta.steps_since_sort;
     sp.cell_sorted_hint = meta.cell_sorted_hint != 0;
-    sp.tiles.clear();
-    const std::string tiles = pfx + "tiles";
-    if (adopt_tiles == 0 || !f.has(tiles)) continue;
-    const auto bounds = f.vector<std::int64_t>(tiles);
-    if (bounds.size() != adopt_tiles + 1) continue;
-    sp.tiles.resize(adopt_tiles);
-    for (std::size_t t = 0; t < adopt_tiles; ++t) {
-      sp.tiles[t].begin = bounds[t];
-      sp.tiles[t].end = bounds[t + 1];
-    }
-    if (!tiles_cover(sp, adopt_tiles)) sp.tiles.clear();
   }
 }
 
@@ -721,9 +691,7 @@ void Simulation::restore(const std::string& path) {
   const auto apply = [this](ckpt::SectionSource& f) {
     f.require_fingerprint(config_fingerprint());
     const ModuleIndex module_index = parse_module_index(f);
-    read_engine_sections(
-        f, fields_, interp_, acc_, species_,
-        cfg_.tiles.enabled ? static_cast<std::size_t>(tile_count()) : 0);
+    read_engine_sections(f, fields_, interp_, acc_, species_);
     read_history_sections(f, energy_history_);
     read_module_sections(f, module_index, modules_, last_restore_skips_);
     step_count_ = f.step();

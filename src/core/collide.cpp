@@ -76,12 +76,9 @@ void shuffle(index_t* v, std::size_t n, std::uint64_t seed) {
 
 /// Flat cell index of the particle range [begin, end): a stable counting
 /// argsort of its voxels, read from the records and rebased to the
-/// range's lowest voxel so a tile's histogram spans only its own slab.
-/// Cell c (voxel base + c) is the slice idx[first(c), last(c)) of
-/// range-local indices, ascending — the index-order scan — and cells
-/// ascend by voxel. Scratch is per call:
-/// concurrent tile tasks of one species each build their own.
-template <class Space>
+/// range's lowest voxel. Cell c (voxel base + c) is the slice
+/// idx[first(c), last(c)) of range-local indices, ascending — the
+/// index-order scan — and cells ascend by voxel.
 struct CellIndex {
   index_t begin = 0;
   std::int32_t base = 0;
@@ -94,11 +91,11 @@ struct CellIndex {
   CellIndex(const Species& sp, index_t b, index_t e) : begin(b) {
     const index_t n = e - b;
     if (n <= 0) return;
-    nthreads = Space::concurrency();
+    nthreads = pk::DefaultExecSpace::concurrency();
     const ParticleAccessor a = sp.p.accessor();
     pk::MinMaxValue<std::int32_t> mm{};
     pk::parallel_reduce<pk::MinMax<std::int32_t>>(
-        "collide/cell_span", pk::RangePolicy<Space>(n),
+        "collide/cell_span", pk::RangePolicy<>(n),
         [=](index_t i, pk::MinMaxValue<std::int32_t>& r) {
           const std::int32_t v = a.cell(b + i);
           if (v < r.min_val) r.min_val = v;
@@ -141,21 +138,21 @@ struct CellIndex {
 /// demand rather than split statically.
 constexpr index_t kCellChunk = 64;
 
-/// collide_range on `Space`: the cells of [a_begin, a_end) are independent
-/// (disjoint particles, voxel-keyed streams), so they run in parallel with
-/// bit-identical results at any thread count. Tile tasks pass pk::Serial —
-/// never a nested OpenMP team inside a stealing worker.
-template <class Space>
-CollisionStats collide_on(Species& sa, Species& sb, const Grid& g,
-                          const CollisionParams& prm, index_t a_begin,
-                          index_t a_end, index_t b_begin, index_t b_end,
-                          std::uint64_t step, std::uint64_t pair_key,
-                          const ModuleRng& rng) {
+}  // namespace
+
+// The cells of [a_begin, a_end) are independent (disjoint particles,
+// voxel-keyed streams), so they run in parallel with bit-identical
+// results at any thread count.
+CollisionStats collide_range(Species& sa, Species& sb, const Grid& g,
+                             const CollisionParams& prm, index_t a_begin,
+                             index_t a_end, index_t b_begin, index_t b_end,
+                             std::uint64_t step, std::uint64_t pair_key,
+                             const ModuleRng& rng) {
   const bool self = &sa == &sb;
   const double nu0_dt = prm.nu0 * static_cast<double>(g.dt);
-  CellIndex<Space> ca(sa, a_begin, a_end);
-  CellIndex<Space> cb;
-  if (!self) cb = CellIndex<Space>(sb, b_begin, b_end);
+  CellIndex ca(sa, a_begin, a_end);
+  CellIndex cb;
+  if (!self) cb = CellIndex(sb, b_begin, b_end);
   const index_t nchunks = (ca.ncells + kCellChunk - 1) / kCellChunk;
   std::vector<CollisionStats> chunk_st(static_cast<std::size_t>(nchunks));
 
@@ -217,7 +214,7 @@ CollisionStats collide_on(Species& sa, Species& sb, const Grid& g,
     ++st.cells;
   };
   pk::parallel_for(
-      "collide/cells", pk::TeamPolicy<Space>(nchunks, 1),
+      "collide/cells", pk::TeamPolicy<>(nchunks, 1),
       [&](const pk::TeamMember& m) {
         const index_t c0 = m.league_rank() * kCellChunk;
         const index_t c1 = std::min(ca.ncells, c0 + kCellChunk);
@@ -232,18 +229,6 @@ CollisionStats collide_on(Species& sa, Species& sb, const Grid& g,
     st.cells += s.cells;
   }
   return st;
-}
-
-}  // namespace
-
-CollisionStats collide_range(Species& sa, Species& sb, const Grid& g,
-                             const CollisionParams& prm, index_t a_begin,
-                             index_t a_end, index_t b_begin, index_t b_end,
-                             std::uint64_t step, std::uint64_t pair_key,
-                             const ModuleRng& rng) {
-  return collide_on<pk::DefaultExecSpace>(sa, sb, g, prm, a_begin, a_end,
-                                          b_begin, b_end, step, pair_key,
-                                          rng);
 }
 
 void CollisionModule::attach(Simulation& sim) {
@@ -265,107 +250,44 @@ void CollisionModule::plan(Simulation& sim, const ModuleStepContext& ctx,
     for (std::size_t a = 0; a < ns; ++a)
       for (std::size_t b = a; b < ns; ++b) pairs.emplace_back(a, b);
 
-  const auto phase_body = [this, &sim](std::size_t a, std::size_t b, int t,
-                                       std::int64_t next_step) {
-    Species& sa = sim.species(a);
-    Species& sb = sim.species(b);
-    index_t ab = 0, ae = sa.np, bb = 0, be = sb.np;
-    if (t >= 0) {
-      const auto& slot_a = sa.tiles[static_cast<std::size_t>(t)];
-      ab = slot_a.begin;
-      ae = slot_a.end;
-      const auto& slot_b = sb.tiles[static_cast<std::size_t>(t)];
-      bb = slot_b.begin;
-      be = slot_b.end;
-    }
-    const std::uint64_t pair_key = a * 1024 + b;
-    const auto step = static_cast<std::uint64_t>(next_step);
-    // Tile tasks already run in parallel on the stealing pool: their cells
-    // run serially on the worker.
-    const CollisionStats st =
-        t >= 0 ? collide_on<pk::Serial>(sa, sb, sim.grid(), prm_, ab, ae, bb,
-                                        be, step, pair_key, rng_)
-               : collide_range(sa, sb, sim.grid(), prm_, ab, ae, bb, be,
-                               step, pair_key, rng_);
-    pairs_.fetch_add(st.pairs, std::memory_order_relaxed);
-    cells_.fetch_add(st.cells, std::memory_order_relaxed);
-    prof::counter_add("collide.pairs", st.pairs);
-  };
-
-  // Both species' particles: all of them untiled, tile t's range tiled.
-  auto writes = [&sim, &ctx](std::size_t a, std::size_t b, int t) {
-    std::vector<std::string> wr = ctx.particles(sim.species(a).name, t);
-    if (b != a)
-      for (std::string& r : ctx.particles(sim.species(b).name, t))
-        wr.push_back(std::move(r));
-    return wr;
-  };
-
-  if (!ctx.tiled) {
-    for (const auto& [a, b] : pairs) {
-      c.add_spine({"collide[" + sim.species(a).name + ":" +
-                       sim.species(b).name + "]",
-                   {},
-                   writes(a, b, -1),
-                   [phase_body, a = a, b = b, ns = ctx.next_step] {
-                     phase_body(a, b, -1, ns);
-                   }});
-    }
-  } else {
-    // One task per tile, running the tile's pairs in pair order. Tiles are
-    // independent (their particle index ranges are disjoint and cell
-    // streams are voxel-keyed), so no tile task joins before all are
-    // added: they stay mutually unordered, one pool round. The tile's
-    // population over its pairs scales the LPT cost hint.
-    const int nt = ctx.tiles->count();
-    const auto poll = ctx.poll;
-    const auto tile_name = [](int t) {
-      return "collide[t" + std::to_string(t) + "]";
-    };
-    for (int t = 0; t < nt; ++t) {
-      std::vector<std::string> wr;
-      double cost = 0;
-      for (const auto& [a, b] : pairs) {
-        for (std::string& r : writes(a, b, t))
-          if (std::find(wr.begin(), wr.end(), r) == wr.end())
-            wr.push_back(std::move(r));
-        cost += static_cast<double>(
-                    sim.species(a).tiles[static_cast<std::size_t>(t)].count() +
-                    sim.species(b).tiles[static_cast<std::size_t>(t)].count()) *
-                2e-8;
-      }
-      c.add_branch({tile_name(t),
-                    {},
-                    std::move(wr),
-                    [phase_body, poll, pairs, t, ns = ctx.next_step] {
-                      poll();
-                      for (const auto& [a, b] : pairs) phase_body(a, b, t, ns);
-                    },
-                    cost});
-    }
-    // Later spine phases (diagnostics, ckpt) order after every tile task.
-    for (int t = 0; t < nt; ++t) c.join(tile_name(t));
+  for (const auto& [a, b] : pairs) {
+    std::vector<std::string> wr{ctx.particles(sim.species(a).name)};
+    if (b != a) wr.push_back(ctx.particles(sim.species(b).name));
+    c.add_spine({"collide[" + sim.species(a).name + ":" +
+                     sim.species(b).name + "]",
+                 {},
+                 std::move(wr),
+                 [this, &sim, a = a, b = b, step = ctx.next_step] {
+                   Species& sa = sim.species(a);
+                   Species& sb = sim.species(b);
+                   const CollisionStats st = collide_range(
+                       sa, sb, sim.grid(), prm_, 0, sa.np, 0, sb.np,
+                       static_cast<std::uint64_t>(step), a * 1024 + b, rng_);
+                   pairs_ += st.pairs;
+                   cells_ += st.cells;
+                   prof::counter_add("collide.pairs", st.pairs);
+                 }});
   }
-  steps_.fetch_add(1, std::memory_order_relaxed);
+  ++steps_;
 }
 
 void CollisionModule::save_state(ModuleStateWriter& w) const {
-  w.add_pod("steps", steps_.load(std::memory_order_relaxed));
-  w.add_pod("pairs", pairs_.load(std::memory_order_relaxed));
-  w.add_pod("cells", cells_.load(std::memory_order_relaxed));
+  w.add_pod("steps", steps_);
+  w.add_pod("pairs", pairs_);
+  w.add_pod("cells", cells_);
 }
 
 void CollisionModule::load_state(ModuleStateReader& r,
                                  std::uint32_t /*version*/) {
-  steps_.store(r.pod<std::uint64_t>("steps"), std::memory_order_relaxed);
-  pairs_.store(r.pod<std::uint64_t>("pairs"), std::memory_order_relaxed);
-  cells_.store(r.pod<std::uint64_t>("cells"), std::memory_order_relaxed);
+  steps_ = r.pod<std::uint64_t>("steps");
+  pairs_ = r.pod<std::uint64_t>("pairs");
+  cells_ = r.pod<std::uint64_t>("cells");
 }
 
 void CollisionModule::clear_state() {
-  steps_.store(0, std::memory_order_relaxed);
-  pairs_.store(0, std::memory_order_relaxed);
-  cells_.store(0, std::memory_order_relaxed);
+  steps_ = 0;
+  pairs_ = 0;
+  cells_ = 0;
 }
 
 }  // namespace vpic::core

@@ -13,15 +13,10 @@
 // from a counter-based stream keyed by (step, species-pair, voxel) under
 // the module's RNG domain, and each cell pairs its particles in index
 // order — never in schedule or thread order. Cells touch disjoint
-// particles, so the untiled phase runs them in parallel on the OpenMP
-// kernel team, while each tile task runs its cells serially on its
-// stealing worker. Results are therefore bit-identical across OpenMP
-// thread counts, worker counts and tile schedules; only the tile count
-// (which fixes how stray particles are partitioned into cell lists
-// between sorts) is part of the answer.
+// particles, so a phase runs them in parallel on the OpenMP kernel team,
+// and results are bit-identical across OpenMP thread counts.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -60,9 +55,9 @@ CollisionStats collide_range(Species& sa, Species& sb, const Grid& g,
                              std::uint64_t step, std::uint64_t pair_key,
                              const ModuleRng& rng);
 
-/// The registry module: plans one phase per species pair (per tile when
-/// tiled), ordered into the step at StepStage::Collide — after injection,
-/// before diagnostics/sort — and checkpoints its cumulative counters.
+/// The registry module: plans one phase per species pair, ordered into
+/// the step at StepStage::Collide — after injection, before
+/// diagnostics/sort — and checkpoints its cumulative counters.
 /// plan() throws std::invalid_argument for a pair naming a species the
 /// simulation does not have.
 class CollisionModule final : public PhysicsModule {
@@ -85,21 +80,15 @@ class CollisionModule final : public PhysicsModule {
 
   [[nodiscard]] const CollisionParams& params() const { return prm_; }
   /// Cumulative across the run (checkpointed).
-  [[nodiscard]] std::uint64_t steps_applied() const {
-    return steps_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t pairs_scattered() const {
-    return pairs_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t steps_applied() const { return steps_; }
+  [[nodiscard]] std::uint64_t pairs_scattered() const { return pairs_; }
 
  private:
   CollisionParams prm_;
   ModuleRng rng_;
-  // Tile tasks of one step run concurrently under Stealing; the physics
-  // is made deterministic by keyed streams, the bookkeeping by atomics.
-  std::atomic<std::uint64_t> steps_{0};
-  std::atomic<std::uint64_t> pairs_{0};
-  std::atomic<std::uint64_t> cells_{0};
+  std::uint64_t steps_ = 0;
+  std::uint64_t pairs_ = 0;
+  std::uint64_t cells_ = 0;
 };
 
 }  // namespace vpic::core

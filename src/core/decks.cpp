@@ -64,8 +64,9 @@ Simulation make_lpi(const LpiParams& p) {
   // The clump is a Gaussian pileup *plane* at the slab mid-plane (sigma =
   // an eighth of nz), uniform in x/y — the shape of a compression front
   // at the critical surface. Concentrating along z only is deliberate:
-  // it's the axis the tile decomposition slabs, so the knob dials in a
-  // reproducible tile load imbalance without changing the x/y profile.
+  // z is the slowest axis of the voxel numbering, so the knob dials in a
+  // reproducible imbalance between contiguous cell ranges without
+  // changing the x/y profile.
   const double sz = std::max(1.0, p.nz / 8.0);
   auto cell_ppc = [&](int, int, int iz) {
     if (p.clump_factor <= 0) return p.ppc;

@@ -27,15 +27,14 @@ struct LpiParams {
   sort::SortOrder sort_order = sort::SortOrder::Standard;
   int sort_interval = 20;
   std::uint64_t seed = 42;
-  // Gaussian particle clumping (docs/TILES.md): scale the per-cell count
-  // by 1 + clump_factor * exp(-z~^2 / 2), z~ = distance (in cells) of the
+  // Gaussian particle clumping: scale the per-cell count by
+  // 1 + clump_factor * exp(-z~^2 / 2), z~ = distance (in cells) of the
   // cell's z-plane from the slab mid-plane over sigma = an eighth of nz —
   // a pileup plane like a compression front at the critical surface,
-  // uniform in x/y. z is the axis the tile decomposition slabs, so the
-  // knob dials in a reproducible tile load imbalance.
-  // Per-cell weights are divided by the same factor so the *physical*
-  // density profile is unchanged — only the computational load clumps,
-  // which is what the tile load-balance benches/tests need reproducibly.
+  // uniform in x/y. Per-cell weights are divided by the same factor so
+  // the *physical* density profile is unchanged — only the computational
+  // load clumps, which is what the load-balance benches/tests need
+  // reproducibly (long same-cell runs, uneven chunks of cells).
   // 0 (default) leaves the deck bitwise identical to before the knob.
   float clump_factor = 0;
 };

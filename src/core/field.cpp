@@ -1,5 +1,7 @@
 #include "core/field.hpp"
 
+#include <vector>
+
 namespace vpic::core {
 
 namespace {
@@ -115,10 +117,13 @@ void FieldArray::unpack_z_plane(int iz, const float* buf) {
 double FieldArray::field_energy() const {
   const Grid& g = grid;
   const double dv = static_cast<double>(g.dx) * g.dy * g.dz;
-  double total = 0;
-  pk::parallel_reduce(
-      "field/energy", pk::RangePolicy<>(1, g.nz + 1),
-      [&, g](index_t iz, double& acc) {
+  // One sum per z-plane, then the planes in order: the bits do not depend
+  // on the thread count.
+  std::vector<double> plane(static_cast<std::size_t>(g.nz));
+  double* const out = plane.data();
+  pk::parallel_for(
+      "field/energy", pk::RangePolicy<>(1, g.nz + 1), [&, g](index_t iz) {
+        double acc = 0;
         for (int iy = 1; iy <= g.ny; ++iy)
           for (int ix = 1; ix <= g.nx; ++ix) {
             const index_t v = g.voxel(ix, iy, static_cast<int>(iz));
@@ -130,8 +135,10 @@ double FieldArray::field_energy() const {
                               static_cast<double>(bz(v)) * bz(v);
             acc += 0.5 * (e2 + b2);
           }
-      },
-      total);
+        out[iz - 1] = acc;
+      });
+  double total = 0;
+  for (const double e : plane) total += e;
   return total * dv;
 }
 

@@ -2,29 +2,24 @@
 //
 // Composable physics-module registry (docs/MODULES.md): Simulation::step()
 // is no longer a hard-coded pipeline but a composition over registered
-// PhysicsModule objects. Each module declares its step phases — name,
-// read/write resource sets, cost hint, and (when the tiled step is active)
-// a tiled variant — plus its versioned checkpoint sections and its
-// counter-based RNG stream requirements. The core pipeline itself
+// PhysicsModule objects. Each module declares its step phases — name and
+// read/write resource sets — plus its versioned checkpoint sections and
+// its counter-based RNG stream requirements. The core pipeline itself
 // (interpolate, push, accumulate, field advance, injection, diagnostics,
 // sort, checkpoint) is registered through the same interface
-// (core/pipeline_modules.cpp), so Simulation::build_step_graph is generic
-// composition: one source of truth for both step shapes (untiled, run on
-// the calling thread; tiled, with its multi-phase levels on the
-// work-stealing pool).
+// (core/pipeline_modules.cpp), so Simulation::step() is generic
+// composition over the registry.
 //
 // This is the seam the plugin-registry PIC architectures (PIConGPU's
 // plugin system, chombo-discharge's physics layers) use to absorb new
 // physics without touching the scheduler: a new module — collisions
 // (core/collide.hpp), tracer particles (core/tracer.hpp) — composes with
-// the StepGraph validator, the StealPool tiling, checkpoint/restore and
-// farm preemption for free, because each of
-// those consumes the module's declarations instead of a hand-maintained
-// list.
+// the StepGraph validator, checkpoint/restore and farm preemption for
+// free, because each of those consumes the module's declarations instead
+// of a hand-maintained list.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -37,7 +32,6 @@
 namespace vpic::core {
 
 class Simulation;
-class TileMap;
 
 /// Canonical position of a module's phases in the step. Modules plan in
 /// ascending stage order (ties keep registration order), so the spine
@@ -70,7 +64,7 @@ inline std::uint64_t fnv1a64(std::string_view s) noexcept {
 /// (step, substream, site) — and draws from it with the counter-based
 /// generators in core/rng.hpp. Because a stream is a pure function of the
 /// key and never of execution order, results are bit-deterministic across
-/// worker counts, schedules, and particle layouts.
+/// thread counts, schedules, and particle layouts.
 struct ModuleRng {
   std::uint64_t domain = 0;
 
@@ -82,22 +76,15 @@ struct ModuleRng {
 };
 
 /// Build-time context handed to PhysicsModule::plan(): which step is being
-/// built and under which execution shape. `poll` is the tile-granular
-/// preemption hook (docs/FARM.md) — tiled phase bodies call it at entry so
-/// a farm yield request is observed within one tile task; it is empty in
-/// the untiled shape.
+/// built.
 struct ModuleStepContext {
   std::int64_t next_step = 0;  // step count once this step completes
-  bool tiled = false;
-  const TileMap* tiles = nullptr;    // valid when tiled
-  std::function<void()> poll;        // no-op when untiled
 
-  /// Particle resources a phase declares for `species`: tile `t`'s range
-  /// when tiled and t >= 0, else all of the species in this shape —
-  /// "particles.<species>" untiled, one "particles.<species>.t<k>" per
-  /// tile when tiled.
-  [[nodiscard]] std::vector<std::string> particles(const std::string& species,
-                                                   int t = -1) const;
+  /// The particle resource a phase declares for `species`:
+  /// "particles.<species>".
+  [[nodiscard]] static std::string particles(const std::string& species) {
+    return "particles." + species;
+  }
 };
 
 /// Prefix-scoped writer for a module's checkpoint sections: every section
@@ -187,8 +174,7 @@ class PhysicsModule {
   /// predecessors). Derive RNG domains, seed module-owned particles, etc.
   virtual void attach(Simulation&) {}
 
-  /// Contribute this step's phases. Called every step, in registry order,
-  /// under all execution shapes; `ctx` says which shape is being built.
+  /// Contribute this step's phases. Called every step, in registry order.
   /// A module that is idle this step simply adds nothing.
   virtual void plan(Simulation& sim, const ModuleStepContext& ctx,
                     StepComposer& c) = 0;
@@ -225,10 +211,8 @@ class PhysicsModule {
 ///    spine phase — and every later branch — to order after (how
 ///    per-species sorts chain and rejoin before the checkpoint, and how
 ///    side phases like tracers order before the next spine stage).
-///    Branches that must stay mutually unordered (the tiled collide
-///    tasks) are all added before any of them joins.
-///  * the Gather stage's "interpolate" and "acc_clear" phases are the
-///    same in both shapes, so later modules order against them by name.
+///  * later modules order against the Gather stage's "interpolate" and
+///    "acc_clear" phases by name.
 ///  * all_resources(): every resource declared by any phase so far — the
 ///    conservative write set of hooks that receive the whole Simulation&
 ///    (replaces the hand-rolled "everything" lists the pre-registry

@@ -31,9 +31,8 @@ enum class MoveResult : std::uint8_t {
 /// re-applies it after re-injection, exactly like VPIC's mover records).
 /// `Sink` is any deposit sink exposing `deposit(voxel, qw, mx, my, mz, ux,
 /// uy, uz)`, accumulate_j's arguments for one segment: the shared
-/// AccumulatorArray (atomic adds), an OwnerSink (plain adds into the
-/// voxels it owns, a log for the rest; core/accumulator.hpp), or one of
-/// the push's run sinks (core/push.cpp).
+/// AccumulatorArray (atomic adds), or one of the push's sinks
+/// (core/push.cpp).
 template <class Sink>
 MoveResult move_p(Particle& p, float dispx, float dispy, float dispz,
                   float qw, const Sink& sink, const Grid& g,

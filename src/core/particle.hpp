@@ -5,11 +5,8 @@
 // (core/particle_store.hpp).
 //
 // A Species also carries the one sortedness hint the push dispatches on
-// (docs/PUSH.md) — untiled over the whole array, tiled per tile range,
-// every tile reading the same hint — and, under the tiled step, the
-// tiles' index ranges (TileSlot, docs/TILES.md), which a tiled
-// checkpoint stores and a tiled restore adopts. Once Standard-sorted, a
-// species is put back in exact cell order after every push.
+// (docs/PUSH.md). Once Standard-sorted, a species is put back in exact
+// cell order after every push.
 //
 // The sort reorders a species through a SortScratch (its workspace and a
 // spare particle buffer to swap with `p`), which also holds the push's
@@ -19,6 +16,7 @@
 // on first use.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <limits>
@@ -33,16 +31,6 @@
 #include "sort/workspace.hpp"
 
 namespace vpic::core {
-
-/// Per-tile slice of a species under the tile decomposition
-/// (core/tiles.hpp): the contiguous index range the tile owns. A tile
-/// dispatches its push off the species' sortedness hint and its own
-/// range's size; it keeps no sortedness of its own.
-struct TileSlot {
-  index_t begin = 0, end = 0;  // [begin, end) into the particle array
-
-  [[nodiscard]] index_t count() const noexcept { return end - begin; }
-};
 
 /// A particle that crossed a non-periodic domain face mid-move: shipped to
 /// the neighbor rank together with its unfinished displacement (VPIC's
@@ -74,10 +62,9 @@ struct SortScratch {
 
   std::vector<ParticleStore> spares;
 
-  // Chunk k of a team push logs its deposit segments in deposit_logs[k]
-  // and its exits in exit_chunks[k], both consumed in chunk order after
-  // the launch (core/push.hpp). In the tiled step, tile t of species s
-  // logs in deposit_logs[s * tiles + t] (core/tiles.hpp).
+  // Chunk k of a push logs its deposit segments in deposit_logs[k] and
+  // its exits in exit_chunks[k], both consumed in chunk order after the
+  // launch (core/push.hpp).
   std::vector<DepositLog> deposit_logs;
   std::vector<std::vector<ExitRecord>> exit_chunks;
 };
@@ -96,23 +83,17 @@ struct Species {
 
   // Sortedness tracking for the run-aware push fast path (docs/PUSH.md):
   // sort_particles(Standard) marks the array cell-sorted, and from then on
-  // each step re-sorts the species after its push (advance_species, the
-  // tiled step's re-sort phase) or, on a rank, before it
-  // (core/domain.hpp), so the hint is fresh at every push. A push no sort
+  // each step re-sorts the species after its push (advance_species) or,
+  // on a rank, before it (core/domain.hpp), so the hint is fresh at every
+  // push. A push no sort
   // follows (one that left exit tombstones, a rank's, whose exchange
   // then appends) ages the hint instead, tracked by steps_since_sort.
   // The hint with steps_since_sort == 0 promises exact Standard order
   // (exact_cell_order): the push takes its run-aware path on that alone
-  // — untiled over the whole array, tiled per tile range (the tiles share
-  // this one hint), on a rank per side of the boundary plane — and the
-  // tiled re-bucket (core/tiles.hpp) and the ranks' boundary split take
-  // their ranges from it unchecked.
+  // — over the whole array, on a rank per side of the boundary plane —
+  // and the ranks' boundary split takes its ranges from it unchecked.
   bool cell_sorted_hint = false;
   int steps_since_sort = -1;  // -1: never cell-sorted
-
-  // Tile decomposition state (core/tiles.hpp): one slot per tile with the
-  // owned index range. Empty when untiled.
-  std::vector<TileSlot> tiles;
 
   /// Called by sort_particles after a reorder: Standard order is the
   /// cell-sorted order the run-aware push exploits; any other order
@@ -156,22 +137,34 @@ struct Species {
   /// buffers, each sized by the sort path that reads it.
   sort::SortWorkspace& sort_ws() { return sort_scratch().ws; }
 
-  /// Kinetic energy sum( w * m c^2 (gamma - 1) ).
+  /// Kinetic energy sum( w * m c^2 (gamma - 1) ), summed per fixed block
+  /// of particles and then block by block, so its bits do not depend on
+  /// the thread count.
   [[nodiscard]] double kinetic_energy() const {
-    double total = 0;
+    constexpr index_t kBlock = 4096;
+    const index_t n = np;
+    std::vector<double> block(static_cast<std::size_t>((n + kBlock - 1) /
+                                                       kBlock));
+    double* const out = block.data();
     const float mass = m;
     const ParticleAccessor a = p.accessor();
-    pk::parallel_reduce(
-        pk::RangePolicy<>(np),
-        [a, mass](index_t idx, double& acc) {
-          const Particle part = a.load(idx);
-          const double u2 = static_cast<double>(part.ux) * part.ux +
-                            static_cast<double>(part.uy) * part.uy +
-                            static_cast<double>(part.uz) * part.uz;
-          const double gamma = std::sqrt(1.0 + u2);
-          acc += static_cast<double>(part.w) * mass * (gamma - 1.0);
-        },
-        total);
+    pk::parallel_for(
+        pk::RangePolicy<>(static_cast<index_t>(block.size())),
+        [=](index_t b) {
+          double acc = 0;
+          for (index_t idx = b * kBlock; idx < std::min(n, (b + 1) * kBlock);
+               ++idx) {
+            const Particle part = a.load(idx);
+            const double u2 = static_cast<double>(part.ux) * part.ux +
+                              static_cast<double>(part.uy) * part.uy +
+                              static_cast<double>(part.uz) * part.uz;
+            const double gamma = std::sqrt(1.0 + u2);
+            acc += static_cast<double>(part.w) * mass * (gamma - 1.0);
+          }
+          out[b] = acc;
+        });
+    double total = 0;
+    for (const double e : block) total += e;
     return total;
   }
 

@@ -2,12 +2,8 @@
 //
 // The built-in step pipeline, expressed as registered PhysicsModules
 // (docs/MODULES.md): interpolate, push, accumulate, field advance,
-// injection, diagnostics, sort, checkpoint. Simulation::build_step_graph
-// is generic composition over these — one source of truth for the
-// untiled and the tiled step shapes, which differ only where tiling
-// changes the work: the push per tile, every species' tiles in one pool
-// round with their logs applied after it, and the re-sort after the
-// pushes.
+// injection, diagnostics, sort, checkpoint. Simulation::step()
+// is generic composition over these.
 
 #include "core/simulation.hpp"
 
@@ -30,10 +26,6 @@ struct PipelineAccess {
   }
   static EnergyHistory& history(Simulation& s) { return s.energy_history_; }
   static std::int64_t step_count(Simulation& s) { return s.step_count_; }
-  static TileMap& tile_map(Simulation& s) { return s.tile_map_; }
-  static std::vector<AccumulatorArray>& staged_acc(Simulation& s) {
-    return s.staged_acc_;
-  }
   static bool checkpoint_due(Simulation& s, std::int64_t at_step) {
     return s.checkpoint_due(at_step);
   }
@@ -44,83 +36,32 @@ namespace {
 
 using A = PipelineAccess;
 
-// Cost model of the tiled (phase x tile) tasks: generic-push seconds per
-// particle scales tile population into expected task cost; field/interp
-// work scales with voxels. Only relative magnitudes matter — LPT placement
-// ranks tasks, it doesn't time them. kPushCost is the generic Manual push
-// measured on the reference host (3.5-4.2e-8 s/particle on every layout).
-constexpr double kPushCost = 4e-8;
-constexpr double kVoxelCost = 1e-9;
-
-std::string tile_suffix(int t) { return ".t" + std::to_string(t); }
-
-/// Species s's deposits in tile t: the tile's planes of the array the
-/// species writes (the accumulator, or its staged one) and the tile's
-/// log. A phase declaring the whole "acc" conflicts with every part
-/// (core/step_graph.hpp).
-std::string acc_res(const Species& sp, int t) {
-  return "acc." + sp.name + tile_suffix(t);
-}
 std::string push_name(const Species& sp) { return "push[" + sp.name + "]"; }
-std::string push_name(const Species& sp, int t) {
-  return "push[" + sp.name + tile_suffix(t) + "]";
-}
 
 // ---------------------------------------------------------------------
-// Gather: interpolator load + accumulator clear, one phase each in both
-// shapes. A tile's particles may have drifted anywhere since the last
-// bucketing, so every tiled push reads the whole interpolator anyway.
-// The clear follows the load and precedes the pushes, so each is a level
-// of its own on the calling thread's whole team: in a pool round their
-// kernels would run on one member.
+// Gather: interpolator load + accumulator clear.
 // ---------------------------------------------------------------------
 class GatherModule final : public PhysicsModule {
  public:
   [[nodiscard]] std::string_view id() const override { return "interpolate"; }
   [[nodiscard]] StepStage stage() const override { return StepStage::Gather; }
 
-  void plan(Simulation& sim, const ModuleStepContext& ctx,
+  void plan(Simulation& sim, const ModuleStepContext&,
             StepComposer& c) override {
-    const auto poll = ctx.poll;
-    const double nv_cost =
-        static_cast<double>(A::fields(sim).grid.nv()) * kVoxelCost;
     c.add({"interpolate",
            {"fields.eb"},
            {"interp"},
-           [&sim, poll] {
-             if (poll) poll();
-             A::interp(sim).load(A::fields(sim));
-           },
-           nv_cost});
-    c.add({"acc_clear",
-           {},
-           {"acc"},
-           [&sim, poll] {
-             if (poll) poll();
-             A::acc(sim).clear();
-           },
-           nv_cost});
+           [&sim] { A::interp(sim).load(A::fields(sim)); }});
+    c.add({"acc_clear", {}, {"acc"}, [&sim] { A::acc(sim).clear(); }});
     c.edge("interpolate", "acc_clear");
   }
 };
 
 // ---------------------------------------------------------------------
-// Push: per-species particle advance, after which every Standard-sorted
-// species is back in exact cell order. Untiled: chained per-species
-// advance_species phases (they share the accumulator, and each applies
-// its deposit logs and may re-sort through the one sort scratch). Tiled:
-// one pool round of serial push_on tasks, one per (species, tile range),
-// dispatched off the species' sortedness, each writing its own planes and
-// logging the rest (core/tiles.hpp). The first species' tiles write the
-// accumulator's planes, every later species' its staged array's, so no
-// two tasks of the round share memory. Then "acc_apply" adds, species by
-// species, the staged array and the tile logs in tile order: each cell
-// sums what the untiled step's advance_species calls add, in their
-// order. Last, per Standard-sorted species, a re-sort phase
-// ("sort_after_push"): a team-wide sort_particles and bucket_by_tile's
-// binary-search ranges. The apply and the re-sorts chain, so each is a
-// level of its own on the calling thread's whole team, never a pool
-// round.
+// Push: chained per-species advance_species phases. They share the
+// accumulator, and each applies its deposit logs and may re-sort through
+// the one sort scratch, after which every Standard-sorted species is back
+// in exact cell order.
 // ---------------------------------------------------------------------
 class PushModule final : public PhysicsModule {
  public:
@@ -132,110 +73,27 @@ class PushModule final : public PhysicsModule {
     auto& species = A::species(sim);
     const std::size_t ns = species.size();
     A::last_push_paths(sim).resize(ns);
-    if (!ctx.tiled) {
-      std::string prev;
-      for (std::size_t s = 0; s < ns; ++s) {
-        const std::string name = push_name(species[s]);
-        std::vector<std::string> wr = ctx.particles(species[s].name);
-        wr.push_back("acc");
-        wr.emplace_back("sort.scratch");
-        c.add({name,
-               {"interp"},
-               std::move(wr),
-               [&sim, s] {
-                 auto& cfg = A::cfg(sim);
-                 A::last_push_paths(sim)[s] = advance_species(
-                     A::species(sim)[s], A::interp(sim), A::acc(sim),
-                     A::fields(sim).grid, cfg.strategy, {}, cfg.push_path);
-               }});
-        if (s == 0) {
-          c.edge("interpolate", name);
-          c.edge("acc_clear", name);
-        } else {
-          c.edge(prev, name);
-        }
-        prev = name;
-      }
-      c.set_tail(ns ? prev : "acc_clear");
-      return;
-    }
-
-    const int nt = ctx.tiles->count();
-    const auto poll = ctx.poll;
+    std::string prev;
     for (std::size_t s = 0; s < ns; ++s) {
-      for (int t = 0; t < nt; ++t) {
-        const std::string name = push_name(species[s], t);
-        const double cost =
-            static_cast<double>(
-                species[s].tiles[static_cast<std::size_t>(t)].count()) *
-            kPushCost;
-        std::vector<std::string> wr = ctx.particles(species[s].name, t);
-        wr.push_back(acc_res(species[s], t));
-        c.add({name,
-               {"interp"},
-               std::move(wr),
-               [&sim, s, t, nt, poll] {
-                 poll();
-                 auto& cfg = A::cfg(sim);
-                 Species& sp = A::species(sim)[s];
-                 const TileSlot& slot = sp.tiles[static_cast<std::size_t>(t)];
-                 const TileMap& tm = A::tile_map(sim);
-                 AccumulatorArray& dst =
-                     s == 0 ? A::acc(sim) : A::staged_acc(sim)[s - 1];
-                 const auto log = s * static_cast<std::size_t>(nt) +
-                                  static_cast<std::size_t>(t);
-                 OwnerSink sink{&dst, tm.v_lo(t), tm.v_hi(t),
-                                &sp.sort_scratch().deposit_logs[log].segments};
-                 const PushPath taken = push_on<pk::Serial>(
-                     sp, A::interp(sim), sink, A::fields(sim).grid,
-                     cfg.strategy, {}, cfg.push_path, slot.begin, slot.end);
-                 // Every tile of a species takes the same path: it
-                 // resolves off the species' order alone.
-                 if (t == 0) A::last_push_paths(sim)[s] = taken;
-               },
-               cost});
+      const std::string name = push_name(species[s]);
+      c.add({name,
+             {"interp"},
+             {ctx.particles(species[s].name), "acc", "sort.scratch"},
+             [&sim, s] {
+               auto& cfg = A::cfg(sim);
+               A::last_push_paths(sim)[s] = advance_species(
+                   A::species(sim)[s], A::interp(sim), A::acc(sim),
+                   A::fields(sim).grid, cfg.strategy, {}, cfg.push_path);
+             }});
+      if (s == 0) {
         c.edge("interpolate", name);
         c.edge("acc_clear", name);
+      } else {
+        c.edge(prev, name);
       }
-    }
-    c.add({"acc_apply",
-           {},
-           {"acc"},
-           [&sim, ns, nt, poll] {
-             poll();
-             auto& logs = A::species(sim)[0].sort_scratch().deposit_logs;
-             const auto per = static_cast<std::size_t>(nt);
-             for (std::size_t s = 0; s < ns; ++s)
-               A::acc(sim).apply(
-                   logs.data() + s * per, per,
-                   s == 0 ? nullptr : &A::staged_acc(sim)[s - 1]);
-           },
-           0.0});
-    c.edge("acc_clear", "acc_apply");
-    for (std::size_t s = 0; s < ns; ++s)
-      for (int t = 0; t < nt; ++t)
-        c.edge(push_name(species[s], t), "acc_apply");
-    std::string prev = "acc_apply";
-    for (std::size_t s = 0; s < ns; ++s) {
-      if (!species[s].cell_sorted_hint) continue;
-      const std::string name = "sort_after_push[" + species[s].name + "]";
-      std::vector<std::string> wr = ctx.particles(species[s].name);
-      wr.emplace_back("sort.scratch");
-      c.add({name,
-             {},
-             std::move(wr),
-             [&sim, s, poll] {
-               poll();
-               Species& sp = A::species(sim)[s];
-               sort_particles(sp, sort::SortOrder::Standard, 0, 0,
-                              A::fields(sim).grid.nv());
-               bucket_by_tile(sp, A::tile_map(sim));
-             },
-             static_cast<double>(species[s].np) * kVoxelCost});
-      c.edge(prev, name);
       prev = name;
     }
-    c.set_tail(prev);
+    c.set_tail(ns ? prev : "acc_clear");
   }
 };
 
@@ -250,20 +108,12 @@ class AccumulateModule final : public PhysicsModule {
     return StepStage::Deposit;
   }
 
-  void plan(Simulation& sim, const ModuleStepContext& ctx,
+  void plan(Simulation& sim, const ModuleStepContext&,
             StepComposer& c) override {
-    const auto poll = ctx.poll;
-    const double nv_cost =
-        static_cast<double>(A::fields(sim).grid.nv()) * kVoxelCost;
-    c.add_spine({"accumulate",
-                 {"acc"},
-                 {"fields.j"},
-                 [&sim, poll] {
-                   if (poll) poll();
+    c.add_spine({"accumulate", {"acc"}, {"fields.j"}, [&sim] {
                    A::acc(sim).reduce_ghosts_periodic();
                    A::acc(sim).unload(A::fields(sim));
-                 },
-                 nv_cost});
+                 }});
   }
 };
 
@@ -275,16 +125,9 @@ class FieldModule final : public PhysicsModule {
   [[nodiscard]] std::string_view id() const override { return "field"; }
   [[nodiscard]] StepStage stage() const override { return StepStage::Field; }
 
-  void plan(Simulation& sim, const ModuleStepContext& ctx,
+  void plan(Simulation& sim, const ModuleStepContext&,
             StepComposer& c) override {
-    const auto poll = ctx.poll;
-    const double cost =
-        static_cast<double>(A::fields(sim).grid.nv()) * 3 * kVoxelCost;
-    c.add_spine({"field_advance",
-                 {"fields.j"},
-                 {"fields.eb"},
-                 [&sim, poll] {
-                   if (poll) poll();
+    c.add_spine({"field_advance", {"fields.j"}, {"fields.eb"}, [&sim] {
                    FieldArray& f = A::fields(sim);
                    f.advance_b_half();
                    f.update_ghosts_periodic();
@@ -292,8 +135,7 @@ class FieldModule final : public PhysicsModule {
                    f.update_ghosts_periodic();
                    f.advance_b_half();
                    f.update_ghosts_periodic();
-                 },
-                 cost});
+                 }});
     // Orders the fields.eb read-write conflict against the interpolator
     // load directly; with species the push chain already implies it,
     // without species it is load-bearing.
@@ -306,23 +148,21 @@ class FieldModule final : public PhysicsModule {
 // it conservatively writes every resource declared so far. A species
 // whose particle count the hook changes is out of cell order: its hint
 // ages, so neither the sort phase nor the next push trusts it (an
-// exact-order push writes each cell from the one chunk or tile holding
-// the cell's run).
+// exact-order push writes each cell from the one chunk holding the
+// cell's run).
 // ---------------------------------------------------------------------
 class InjectionModule final : public PhysicsModule {
  public:
   [[nodiscard]] std::string_view id() const override { return "injection"; }
   [[nodiscard]] StepStage stage() const override { return StepStage::Inject; }
 
-  void plan(Simulation& sim, const ModuleStepContext& ctx,
+  void plan(Simulation& sim, const ModuleStepContext&,
             StepComposer& c) override {
     if (!A::injection_hook(sim)) return;
-    const auto poll = ctx.poll;
     c.add_spine({"injection",
                  {},
                  c.all_resources(),
-                 [&sim, poll] {
-                   if (poll) poll();
+                 [&sim] {
                    std::vector<index_t> np;
                    for (const Species& sp : A::species(sim))
                      np.push_back(sp.np);
@@ -331,8 +171,7 @@ class InjectionModule final : public PhysicsModule {
                    for (std::size_t s = 0; s < np.size(); ++s)
                      if (species[s].np != np[s])
                        species[s].mark_order_degraded();
-                 },
-                 0.0});
+                 }});
   }
 };
 
@@ -354,33 +193,23 @@ class DiagnosticsModule final : public PhysicsModule {
       return;
     auto& species = A::species(sim);
     std::vector<std::string> rd{"fields.eb"};
-    for (const auto& sp : species)
-      for (std::string& r : ctx.particles(sp.name)) rd.push_back(std::move(r));
-    const auto poll = ctx.poll;
-    c.add_spine({"diagnostics",
-                 std::move(rd),
-                 {"diag"},
-                 [&sim, poll] {
-                   if (poll) poll();
+    for (const auto& sp : species) rd.push_back(ctx.particles(sp.name));
+    c.add_spine({"diagnostics", std::move(rd), {"diag"}, [&sim] {
                    const auto e = sim.energies();
                    A::history(sim).record(A::step_count(sim), e.field,
                                           e.species);
-                 },
-                 0.0});
+                 }});
   }
 };
 
 // ---------------------------------------------------------------------
 // Sort: per-species re-sorts on the configured interval, one phase per
-// species in both shapes. Each writes its own species and the
-// simulation's one sort scratch ("sort.scratch": the workspace and the
-// spare buffer every species reorders through), and each joins, so the
-// next one's add_branch orders after it: the sorts run one after another,
-// each with the whole OpenMP team, and validate() rejects any schedule
-// that could run two at once. Tiled, the phase then re-buckets the
-// species by tile (a no-op after a Standard sort, which leaves the array
-// tile-major); the tiles dispatch off the freshness the sort just set.
-// After the first Standard sort the push stage keeps that order, so the
+// species. Each writes its own species and the simulation's one sort
+// scratch ("sort.scratch": the workspace and the spare buffer every
+// species reorders through), and each joins, so the next one's add_branch
+// orders after it: the sorts run one after another, each with the whole
+// OpenMP team, and validate() rejects any schedule that could run two at
+// once. After the first Standard sort the push stage keeps that order, so the
 // interval's Standard sort would be the identity: a species with a fresh
 // hint skips it.
 // ---------------------------------------------------------------------
@@ -397,22 +226,17 @@ class SortModule final : public PhysicsModule {
     std::uint32_t tile = cfg.sort_tile;
     if (tile == 0)
       tile = static_cast<std::uint32_t>(pk::DefaultExecSpace::concurrency());
-    const bool tiled = ctx.tiled;
-    const auto poll = ctx.poll;
     auto& species = A::species(sim);
     for (std::size_t s = 0; s < species.size(); ++s) {
       const std::string name = "sort[" + species[s].name + "]";
-      std::vector<std::string> writes = ctx.particles(species[s].name);
-      writes.emplace_back("sort.scratch");
       c.add_branch({name,
                     {},
-                    std::move(writes),
-                    [&sim, s, tile, tiled, poll] {
-                      if (poll) poll();
+                    {ctx.particles(species[s].name), "sort.scratch"},
+                    [&sim, s, tile] {
                       const auto& cfg2 = A::cfg(sim);
                       Species& sp = A::species(sim)[s];
-                      // Kept in Standard order by the push stage, tile
-                      // ranges included: the sort would be the identity.
+                      // Kept in Standard order by the push stage: the
+                      // sort would be the identity.
                       if (cfg2.sort_order == sort::SortOrder::Standard &&
                           sp.exact_cell_order())
                         return;
@@ -421,9 +245,7 @@ class SortModule final : public PhysicsModule {
                           cfg2.seed +
                               static_cast<std::uint64_t>(A::step_count(sim)),
                           A::fields(sim).grid.nv());
-                      if (tiled) bucket_by_tile(sp, A::tile_map(sim));
-                    },
-                    static_cast<double>(species[s].np) * kVoxelCost});
+                    }});
       c.join(name);
     }
   }
@@ -445,15 +267,8 @@ class CheckpointModule final : public PhysicsModule {
   void plan(Simulation& sim, const ModuleStepContext& ctx,
             StepComposer& c) override {
     if (!A::checkpoint_due(sim, ctx.next_step)) return;
-    const auto poll = ctx.poll;
-    c.add_spine({"ckpt",
-                 c.all_resources(),
-                 {"ckpt"},
-                 [&sim, poll] {
-                   if (poll) poll();
-                   A::checkpoint_to_ring(sim);
-                 },
-                 0.0});
+    c.add_spine({"ckpt", c.all_resources(), {"ckpt"},
+                 [&sim] { A::checkpoint_to_ring(sim); }});
   }
 };
 

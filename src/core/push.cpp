@@ -49,21 +49,37 @@ PushConsts make_consts(const Species& sp, const Grid& g) {
 
 // ----------------------------------------------------------------------
 // Deposit sinks (docs/PUSH.md, "Deposit sinks"). A chunk deposits through
-// an AtomicSink or an OwnerSink. The run-aware path also asks a sink
-// whether it owns a run's cell, flushes the run's record into it, and
-// sends the run's crossers' other segments to crossers_of(sink).
+// an AtomicSink or an OwnerSink; the run-aware path flushes each run's
+// record into it and sends the run's crossers' other segments to it.
 // ----------------------------------------------------------------------
 
-/// The shared array with atomic adds: a team push of a species not in
-/// exact cell order, whose chunks may all deposit into any cell.
+/// The shared array with atomic adds: a push of a species not in exact
+/// cell order, whose chunks may all deposit into any cell.
 struct AtomicSink {
   AccumulatorArray* acc;
 
-  [[nodiscard]] bool owns(index_t) const { return true; }
   PK_FORCEINLINE void deposit(index_t v, float qw, float mx, float my,
                               float mz, float ux, float uy,
                               float uz) const {
     acc->deposit(v, qw, mx, my, mz, ux, uy, uz);
+  }
+};
+
+/// A chunk of a run-aware push in exact cell order: each cell's particles
+/// form one run in one chunk, so the chunk owns its runs' cells and
+/// flushes their records with plain adds. Every other segment, a
+/// crosser's outside its run's cell, goes to the chunk's log, which
+/// push_on applies in chunk order once every chunk is done: a cell sums
+/// its run's record first and the logged segments after it in slot
+/// order, wherever chunks start.
+struct OwnerSink {
+  AccumulatorArray* acc;
+  std::vector<DepositSegment>* log;
+
+  void deposit(index_t v, float qw, float mx, float my, float mz, float ux,
+               float uy, float uz) const {
+    log->push_back(
+        {static_cast<std::int32_t>(v), qw, mx, my, mz, ux, uy, uz});
   }
 };
 
@@ -86,17 +102,8 @@ inline void flush(const OwnerSink& s, index_t v, const Accumulator& r) {
   add_record(s.acc->a(v), r, /*atomic=*/false);
 }
 
-/// An owner chunk logs its crossers' segments outside the run's cell even
-/// into a cell it owns: a cell then sums its run's record first and the
-/// logged segments after it in slot order, wherever chunks and tiles
-/// start.
-inline AtomicSink crossers_of(const AtomicSink& s) { return s; }
-inline OwnerSink crossers_of(const OwnerSink& s) {
-  return {s.acc, 0, 0, s.log};
-}
-
 /// A run's move_p sink: a segment in the run's cell goes to the run-local
-/// record, any other to the chunk's crossers sink.
+/// record, any other to the chunk's sink.
 template <class Sink>
 struct RunSink {
   Accumulator* local;
@@ -134,7 +141,7 @@ inline void finish_move(Particle& p, float dispx, float dispy, float dispz,
 
 /// A run's cell crosser, out of line: inlined, move_p and the sink's log
 /// append bloat the run loop every stayer goes through, which slowed the
-/// serial tile push per particle.
+/// push per particle.
 template <class Sink>
 [[gnu::noinline]] void finish_crosser(Particle& p, float dispx, float dispy,
                                       float dispz, float qw,
@@ -241,8 +248,8 @@ struct RunFinish {
 };
 
 // ----------------------------------------------------------------------
-// Scalar body: one particle. It is the Auto strategy, the scalar tail of
-// the blocked Manual and AdHoc strategies, and AdHoc in a tile.
+// Scalar body: one particle. It is the Auto strategy and the scalar tail
+// of the blocked Manual and AdHoc strategies.
 // ----------------------------------------------------------------------
 template <class Rec, class Fin>
 PK_FORCEINLINE void push_one(const ParticleAccessor& a, index_t n, Rec rec,
@@ -495,8 +502,7 @@ inline void push_span(const ParticleAccessor& a, Rec rec, const Fin& fin,
 
 // ----------------------------------------------------------------------
 // Launches on an execution space: one chunk per member. pk::DefaultExecSpace
-// runs the team push's chunks on the OpenMP team; pk::Serial runs one
-// tile inside its stealing task as one chunk, never a nested team.
+// runs the chunks on the OpenMP team; pk::Serial runs one chunk.
 // ----------------------------------------------------------------------
 
 constexpr const char* kGenericKernel[] = {
@@ -549,9 +555,7 @@ Chunks split_range(const ParticleAccessor& a, bool runs, index_t G,
 }
 
 /// One run [b, e) of `cell`: pushed with the cell's hoisted record, its
-/// stay-in-cell current flushed once. A run of a cell the chunk does not
-/// own (in a tile whose range is not in cell order) deposits every
-/// segment through the sink instead.
+/// stay-in-cell current flushed once.
 template <VectorStrategy S, class Sink>
 PK_FORCEINLINE void push_run(const ParticleAccessor& a,
                              const InterpolatorArray& interp,
@@ -561,14 +565,8 @@ PK_FORCEINLINE void push_run(const ParticleAccessor& a,
                              const PushConsts& c, std::int32_t cell,
                              index_t b, index_t e) {
   const HoistedRecord rec{interp(cell)};
-  if (!sink.owns(cell)) {
-    push_span<S>(a, rec, MoveFinish<Sink>{sink, g, opts, exits}, c, b, e);
-    return;
-  }
   Accumulator local{};
-  push_span<S>(a, rec,
-               RunFinish<Sink>{{&local, cell, crossers_of(sink)}, g, opts,
-                               exits},
+  push_span<S>(a, rec, RunFinish<Sink>{{&local, cell, sink}, g, opts, exits},
                c, b, e);
   flush(sink, cell, local);
 }
@@ -648,11 +646,11 @@ PushPath resolve_push_path(const Species& sp, VectorStrategy strategy,
 
 }  // namespace
 
-template <class Space, class AccA>
-PushPath push_on(Species& sp, const InterpolatorArray& interp, AccA& acc,
-                 const Grid& g, VectorStrategy strategy,
-                 const MoverOptions& opts, PushPath path, index_t n0,
-                 index_t n1) {
+template <class Space>
+PushPath push_on(Species& sp, const InterpolatorArray& interp,
+                 AccumulatorArray& acc, const Grid& g,
+                 VectorStrategy strategy, const MoverOptions& opts,
+                 PushPath path, index_t n0, index_t n1) {
   const PushPath taken = resolve_push_path(sp, strategy, path);
   const bool runs = taken == PushPath::RunAware;
   const PushConsts c = make_consts(sp, g);
@@ -661,51 +659,44 @@ PushPath push_on(Species& sp, const InterpolatorArray& interp, AccA& acc,
     constexpr VectorStrategy S = decltype(s)::value;
     const Chunks ch =
         split_range<Space>(a, runs, kBlockOf[static_cast<int>(S)], n0, n1);
-    if constexpr (std::is_same_v<AccA, OwnerSink>) {
-      // One tile: one chunk into the tile's sink; the step applies its log.
-      launch<Space, S>(a, interp, g, opts, c, runs, ch,
-                       [&acc](index_t) { return acc; }, opts.exits);
+    const auto nc = static_cast<std::size_t>(ch.count);
+    SortScratch& scr = sp.sort_scratch();
+    std::vector<ExitRecord>* exits = nullptr;
+    if (opts.exits) {
+      if (scr.exit_chunks.size() < nc) scr.exit_chunks.resize(nc);
+      exits = scr.exit_chunks.data();
+    }
+    if (runs && sp.exact_cell_order()) {
+      if (scr.deposit_logs.size() < nc) scr.deposit_logs.resize(nc);
+      DepositLog* const logs = scr.deposit_logs.data();
+      launch<Space, S>(
+          a, interp, g, opts, c, runs, ch,
+          [&acc, logs](index_t k) {
+            return OwnerSink{&acc, &logs[k].segments};
+          },
+          exits);
+      acc.apply(logs, nc);
     } else {
-      const auto nc = static_cast<std::size_t>(ch.count);
-      SortScratch& scr = sp.sort_scratch();
-      std::vector<ExitRecord>* exits = nullptr;
-      if (opts.exits) {
-        if (scr.exit_chunks.size() < nc) scr.exit_chunks.resize(nc);
-        exits = scr.exit_chunks.data();
-      }
-      if (runs && sp.exact_cell_order()) {
-        // Each cell's particles form one run in one chunk: the chunk owns
-        // the cell's record and logs every other segment.
-        if (scr.deposit_logs.size() < nc) scr.deposit_logs.resize(nc);
-        DepositLog* const logs = scr.deposit_logs.data();
-        const index_t nv = acc.a.size();
-        launch<Space, S>(
-            a, interp, g, opts, c, runs, ch,
-            [&acc, logs, nv](index_t k) {
-              return OwnerSink{&acc, 0, nv, &logs[k].segments};
-            },
-            exits);
-        acc.apply(logs, nc);
-      } else {
-        launch<Space, S>(a, interp, g, opts, c, runs, ch,
-                         [&acc](index_t) { return AtomicSink{&acc}; },
-                         exits);
-      }
-      for (std::size_t k = 0; exits && k < nc; ++k) {
-        opts.exits->insert(opts.exits->end(), exits[k].begin(),
-                           exits[k].end());
-        exits[k].clear();
-      }
+      launch<Space, S>(a, interp, g, opts, c, runs, ch,
+                       [&acc](index_t) { return AtomicSink{&acc}; }, exits);
+    }
+    for (std::size_t k = 0; exits && k < nc; ++k) {
+      opts.exits->insert(opts.exits->end(), exits[k].begin(),
+                         exits[k].end());
+      exits[k].clear();
     }
   });
   return taken;
 }
 
-template PushPath push_on<pk::DefaultExecSpace>(
-    Species&, const InterpolatorArray&, AccumulatorArray&, const Grid&,
-    VectorStrategy, const MoverOptions&, PushPath, index_t, index_t);
+// pk::DefaultExecSpace is pk::OpenMP in an OpenMP build, pk::Serial in
+// the others.
+template PushPath push_on<pk::OpenMP>(Species&, const InterpolatorArray&,
+                                      AccumulatorArray&, const Grid&,
+                                      VectorStrategy, const MoverOptions&,
+                                      PushPath, index_t, index_t);
 template PushPath push_on<pk::Serial>(Species&, const InterpolatorArray&,
-                                      OwnerSink&, const Grid&,
+                                      AccumulatorArray&, const Grid&,
                                       VectorStrategy, const MoverOptions&,
                                       PushPath, index_t, index_t);
 

@@ -30,9 +30,9 @@
 // any particle order and merely fast on sorted ones. Each strategy has
 // ONE body, written against the path (generic: per-particle gather and
 // move_p; run-aware: hoisted record and run-local deposit), and push_on
-// is the one entry — the untiled step, the tile tasks and the ranks all
-// launch through it, on their own execution space. It auto-dispatches on
-// one signal: whether the species is in exact cell order.
+// is the one entry — the step and the ranks both launch through it. It
+// auto-dispatches on one signal: whether the species is in exact cell
+// order.
 #pragma once
 
 #include <cstdint>
@@ -125,28 +125,20 @@ PushPath advance_species(Species& sp, const InterpolatorArray& interp,
 /// order, which is slot order. Returns the path taken. It neither ages
 /// nor restores the sortedness hint; the step does that once per step.
 ///
-/// Two instantiations exist:
-///   * pk::DefaultExecSpace into the shared AccumulatorArray: the untiled
-///     step (advance_species) and the ranks, which push a cell-sorted
-///     species as [0, k) then [k, np) around their halo wait
-///     (core/domain.hpp). On the run-aware path of a species in exact
-///     cell order each chunk flushes its runs' records with plain adds
-///     and logs every segment outside a run's cell into its log in the
-///     species' sort scratch, and push_on applies the logs in chunk order
-///     before it returns: the currents are the same at any thread count.
-///     Any other team push deposits with atomic adds.
-///   * pk::Serial into a tile's OwnerSink: one tile task of the tiled step
-///     (core/tiles.hpp). Run records of owned cells are flushed directly
-///     and crossers' other segments logged as above; the generic path
-///     adds owned segments directly and logs the rest. The caller applies
-///     the log. A range that does not start on a multiple of the Manual
-///     width W is few-ulp from the untiled Manual generic push; Auto and
-///     Guided are bitwise.
-template <class Space, class AccA>
-PushPath push_on(Species& sp, const InterpolatorArray& interp, AccA& acc,
-                 const Grid& g, VectorStrategy strategy,
-                 const MoverOptions& opts, PushPath path, index_t n0,
-                 index_t n1);
+/// On the run-aware path of a species in exact cell order each chunk
+/// flushes its runs' records with plain adds and logs every segment
+/// outside a run's cell into its log in the species' sort scratch, and
+/// push_on applies the logs in chunk order before it returns: the
+/// currents are the same at any thread count. Any other push deposits
+/// with atomic adds. The step (advance_species) and the ranks, which push
+/// a cell-sorted species as [0, k) then [k, np) around their halo wait
+/// (core/domain.hpp), launch on pk::DefaultExecSpace; pk::Serial is one
+/// chunk, the reference the tests compare team pushes with.
+template <class Space>
+PushPath push_on(Species& sp, const InterpolatorArray& interp,
+                 AccumulatorArray& acc, const Grid& g,
+                 VectorStrategy strategy, const MoverOptions& opts,
+                 PushPath path, index_t n0, index_t n1);
 
 /// Remove particles marked exited (i < 0), preserving order of survivors.
 /// Returns the number removed.

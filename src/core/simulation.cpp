@@ -74,102 +74,21 @@ PhysicsModule* Simulation::find_module(std::string_view id) {
 
 // ---- step execution --------------------------------------------------
 
-// Two step shapes, one executor. Untiled: the registry-composed phase
-// graph runs level by level on the calling thread. Tiled (docs/TILES.md):
-// the domain is over-decomposed into z-slab tiles, each (phase x tile)
-// pair is a task, and every level of several tasks is one round of the
-// work-stealing pool; each tile writes only its own planes of the
-// accumulator and logs the rest, and the logs applied in fixed tile order
-// keep results bit-deterministic run-to-run and across worker counts.
+// The one step shape: the phase graph composed from the registered
+// modules, run level by level on the calling thread, each phase's
+// kernels on its OpenMP team (docs/ASYNC.md).
 void Simulation::step() {
   prof::ScopedRegion step_region("step");
-  const bool tiled = cfg_.tiles.enabled;
-  if (tiled) ensure_tiles();
-  StepGraph g = build_step_graph(step_count_ + 1);
+  StepGraph g;
+  StepComposer c(g);
+  const ModuleStepContext ctx{step_count_ + 1};
+  for (const auto& m : modules_) m->plan(*this, ctx, c);
   g.validate();
   // Phase bodies' interval seeds and record timestamps read step_count_
   // post-increment.
   ++step_count_;
-  const pk::StealStats steal = g.execute(tiled ? steal_pool_.get() : nullptr);
+  g.execute();
   last_phase_stats_ = g.last_stats();
-  last_concurrency_peak_ = g.last_concurrency_peak();
-  if (tiled) {
-    tile_stats_.steal = steal;
-    finish_tiled_step();
-  }
-}
-
-StepGraph Simulation::build_step_graph(std::int64_t next_step) {
-  StepGraph g;
-  StepComposer c(g);
-  ModuleStepContext ctx;
-  ctx.next_step = next_step;
-  if (cfg_.tiles.enabled) {
-    ctx.tiled = true;
-    ctx.tiles = &tile_map_;
-    ctx.poll = [this] {
-      if (phase_poll_) phase_poll_();
-    };
-  }
-  for (const auto& m : modules_) m->plan(*this, ctx, c);
-  return g;
-}
-
-int Simulation::tile_count() const {
-  return cfg_.tiles.count > 0
-             ? std::clamp(cfg_.tiles.count, 1, fields_.grid.nz)
-             : TileMap::auto_count(fields_.grid,
-                                   std::max(1, cfg_.tiles.workers));
-}
-
-void Simulation::ensure_tiles() {
-  const int want = tile_count();
-  const auto nt = static_cast<std::size_t>(want);
-  if (tile_map_.count() != want) tile_map_ = TileMap(fields_.grid, want);
-  // Ranges that still cover the live particles stay as they are: a
-  // restore that adopted its checkpoint's ranges resumes the particle
-  // order the uninterrupted run has (docs/TILES.md). Other restores, a
-  // hook that appended particles and a new species leave none that do.
-  // In a Standard deck their re-bucketing is a Standard sort: it reorders
-  // the array in one counting pass, as the bucketing does, and leaves the
-  // exact cell order the push keeps, so from the first tiled step on a
-  // tile logs only its cell crossers' segments, not those of particles
-  // drifting out of its planes until the first interval sort.
-  const bool standard = cfg_.sort_order == sort::SortOrder::Standard &&
-                        cfg_.sort_interval > 0;
-  for (auto& sp : species_) {
-    if (!tiles_cover(sp, nt)) {
-      if (standard && !sp.exact_cell_order())
-        sort_particles(sp, sort::SortOrder::Standard, 0, 0,
-                       fields_.grid.nv());
-      bucket_by_tile(sp, tile_map_);
-    }
-  }
-  // Tile t of species s logs in deposit_logs[s * nt + t]; every species
-  // after the first writes its planes of its staged accumulator.
-  auto& logs = sort_scratch_->deposit_logs;
-  if (logs.size() < species_.size() * nt)
-    logs.resize(species_.size() * nt);
-  if (!staged_acc_.empty() && staged_acc_.front().a.size() != acc_.a.size())
-    staged_acc_.clear();
-  while (staged_acc_.size() + 1 < species_.size())
-    staged_acc_.emplace_back(fields_.grid);
-  // One worker builds no pool: every level runs on the calling thread.
-  const int workers = std::max(1, cfg_.tiles.workers);
-  if ((steal_pool_ ? steal_pool_->workers() : 1) != workers)
-    steal_pool_ = workers == 1 ? nullptr
-                               : std::make_unique<pk::StealPool>(
-                                     workers, cfg_.tiles.steal_seed);
-}
-
-void Simulation::finish_tiled_step() {
-  tile_stats_.tiles = tile_map_.count();
-  double imb = 1.0;
-  for (const auto& sp : species_) imb = std::max(imb, tile_imbalance(sp));
-  tile_stats_.imbalance = imb;
-  prof::counter_add("tiles.step");
-  prof::counter_add("tiles.imbalance_x100",
-                    static_cast<std::uint64_t>(imb * 100.0));
 }
 
 EnergyReport Simulation::energies() const {

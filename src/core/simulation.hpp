@@ -30,8 +30,6 @@
 #include "core/push.hpp"
 #include "core/sort_particles.hpp"
 #include "core/step_graph.hpp"
-#include "core/tiles.hpp"
-#include "pk/stealing.hpp"
 #include "prof/prof.hpp"
 
 namespace vpic::elastic {
@@ -41,28 +39,42 @@ namespace vpic::elastic {
 class DeltaTracker;
 }  // namespace vpic::elastic
 
+// ---- Shims for bench/anatomy/step_anatomy.cpp -------------------------
+// That benchmark stays unedited until ROADMAP item 1, which deletes this
+// block, the two config fields and the three accessors marked "bench
+// shim". It still assigns the retired scheduler and tiled-step settings
+// and reads the tiled step's telemetry. Nothing in the program reads them:
+// every step runs the one shape, so the telemetry stays at its defaults.
+namespace vpic::pk {
+struct StealStats {
+  std::uint64_t steal_attempts = 0, steal_hits = 0, tasks_stolen = 0,
+                idle_us = 0;
+};
+}  // namespace vpic::pk
+
 namespace vpic::core {
 
-// Single-valued and read by nothing: bench/anatomy/step_anatomy.cpp
-// assigns StepScheduler::Sequential, and that benchmark stays unedited.
 enum class StepScheduler : std::uint8_t { Sequential };
-
-// Single-valued and read by nothing: bench/anatomy/step_anatomy.cpp
-// assigns TileExec::Stealing, and that benchmark stays unedited.
 enum class TileExec : std::uint8_t { Stealing };
-
-/// Tile decomposition of the step (docs/TILES.md). Excluded from
-/// config_fingerprint(): tiling changes scheduling and memory grouping,
-/// not physics, so checkpoints move freely between tiled and untiled
-/// runs.
 struct TileConfig {
   bool enabled = false;
-  int count = 0;  // z-slab tiles; 0 = auto (4 x workers, clamped to nz)
-  // Unread; kept because bench/anatomy/step_anatomy.cpp assigns it.
   TileExec exec = TileExec::Stealing;
-  int workers = 2;             // members of each round (1: no round)
-  std::uint64_t steal_seed = 0x9e3779b97f4a7c15ull;  // victim RNG streams
+  int workers = 2;
+  std::uint64_t steal_seed = 0x9e3779b97f4a7c15ull;
 };
+/// What tile_map() returns: no tiles.
+struct NoTiles {
+  [[nodiscard]] int count() const noexcept { return 0; }
+};
+struct TileStepStats {
+  double imbalance = 1.0;
+  pk::StealStats steal;
+};
+
+}  // namespace vpic::core
+// ---- end of the shims --------------------------------------------------
+
+namespace vpic::core {
 
 struct SimulationConfig {
   Grid grid;
@@ -81,8 +93,7 @@ struct SimulationConfig {
   std::uint32_t sort_tile = 0; // tiled-strided tile size (0: pick default)
   int energy_interval = 0;     // record energies every N steps (0: off)
   std::uint64_t seed = 42;
-  // Unread; kept because bench/anatomy/step_anatomy.cpp assigns it.
-  StepScheduler scheduler = StepScheduler::Sequential;
+  StepScheduler scheduler = StepScheduler::Sequential;  // bench shim
   // Periodic checkpointing (docs/CHECKPOINT.md), off by default: every
   // `checkpoint_every` steps write a generation "<checkpoint_path>.g<N>"
   // keeping the newest `checkpoint_keep_last` files. With
@@ -93,9 +104,9 @@ struct SimulationConfig {
   int checkpoint_keep_last = 3;
   bool checkpoint_async = false;
   // Incremental delta-compressed generations (docs/ELASTIC.md): ring
-  // generations become VPICELA1 chains — a full base every
+  // generations become VPICELA2 chains — a full base every
   // `checkpoint_full_every` generations, then deltas storing only the
-  // sections whose payload hash changed (particles tracked per tile-sized
+  // sections whose payload hash changed (particles tracked per fixed-size
   // chunk), with `checkpoint_codec` (elastic::Codec: 0 none, 1 DeltaPack)
   // losslessly packing stored payloads. With incremental on, keep_last
   // counts whole chains, so every retained recovery point stays complete.
@@ -106,11 +117,7 @@ struct SimulationConfig {
   // every checkpoint and at module destruction; empty disables
   // (docs/MODULES.md, "Tracers").
   std::string tracer_csv_path;
-  // Tile-level task decomposition (docs/TILES.md). When enabled, step()
-  // runs each level of several tile tasks as one work-stealing round on
-  // the calling thread's OpenMP team; otherwise it runs the phase graph
-  // on the calling thread (docs/ASYNC.md).
-  TileConfig tiles;
+  TileConfig tiles;  // bench shim
 };
 
 /// Cumulative incremental-checkpoint telemetry (docs/ELASTIC.md),
@@ -128,14 +135,6 @@ struct ElasticCkptStats {
   std::uint64_t logical_bytes = 0;
   std::uint64_t stored_raw_bytes = 0;
   std::uint64_t stored_bytes = 0;
-};
-
-/// Telemetry of the most recent tiled step (docs/TILES.md).
-struct TileStepStats {
-  int tiles = 0;                    // tile count of the map
-  double imbalance = 1.0;           // max/mean particles per tile (worst
-                                    // species) at the last bucketing
-  pk::StealStats steal;             // summed over the step's pool rounds
 };
 
 struct EnergyReport {
@@ -240,44 +239,18 @@ class Simulation {
     return energy_history_;
   }
 
-  /// Per-phase timings/placements of the most recent step, tiled or not,
-  /// in phase insertion order. Summing the "push[" entries gives the
-  /// step's push time.
+  /// Per-phase timings of the most recent step, in phase insertion
+  /// order. Summing the "push[" entries gives the step's push time.
   [[nodiscard]] const std::vector<PhaseStats>& last_phase_stats() const {
     return last_phase_stats_;
   }
 
-  /// Most phases that could run at once during the most recent step: 1
-  /// untiled and with one tiled worker (every phase on the calling
-  /// thread), else the widest pool round capped at the worker count.
-  [[nodiscard]] std::size_t last_concurrency_peak() const {
-    return last_concurrency_peak_;
+  [[nodiscard]] NoTiles tile_map() const { return {}; }  // bench shim
+  [[nodiscard]] TileStepStats last_tile_stats() const {  // bench shim
+    return {};
   }
-
-  // ---- tile decomposition (docs/TILES.md) ----------------------------
-
-  /// Tile map of the tiled step; count() == 0 before the first tiled
-  /// step (or when tiling is disabled).
-  [[nodiscard]] const TileMap& tile_map() const { return tile_map_; }
-
-  /// Telemetry of the most recent tiled step: tile count, particle
-  /// imbalance, steal/idle counters (all zero with one worker, which
-  /// runs no pool). Also mirrored as prof counters
-  /// (tiles.imbalance_x100, steal.*) so profile_report() and the farm's
-  /// per-job status payload carry them.
-  [[nodiscard]] const TileStepStats& last_tile_stats() const {
-    return tile_stats_;
-  }
-
-  /// Tile-granular poll hook: invoked at the entry of every tiled phase,
-  /// on the calling thread or whichever member of a StealPool round runs
-  /// it (so it must be thread-safe); the untiled step never calls it. The farm
-  /// wires its preemption check here so a yield request is *observed*
-  /// within one tile task instead of one whole step; the step still
-  /// completes — a checkpointable boundary — before run_until()
-  /// actually yields (docs/FARM.md).
-  void set_phase_poll(std::function<void()> poll) {
-    phase_poll_ = std::move(poll);
+  [[nodiscard]] std::size_t last_concurrency_peak() const {  // bench shim
+    return 1;
   }
 
   // ---- physics-module registry (docs/MODULES.md) ---------------------
@@ -343,9 +316,8 @@ class Simulation {
   /// must be built from the same deck/config: the checkpoint's config
   /// fingerprint is verified first. Throws ckpt::RestoreError (typed,
   /// see ckpt/format.hpp) on any mismatch or corruption; the simulation
-  /// is only mutated after the file fully validates. A tiled simulation
-  /// with the checkpoint's tile count adopts its tile ranges, so a tiled
-  /// run resumes bit-identically (docs/TILES.md).
+  /// is only mutated after the file fully validates. The tile ranges a
+  /// file of the retired tiled step holds ("sp<i>.tiles") are ignored.
   void restore(const std::string& path);
 
   /// Restore from the newest valid generation of the ring at `base`
@@ -355,8 +327,7 @@ class Simulation {
 
   /// FNV-1a fingerprint of the physics-defining configuration (grid, dt,
   /// strategy, sort plan, seed, species identities). Execution details
-  /// (tiling, checkpoint knobs) are excluded so a restore may change
-  /// them.
+  /// (checkpoint knobs) are excluded so a restore may change them.
   [[nodiscard]] std::uint64_t config_fingerprint() const;
 
   /// Checkpoints committed by this simulation (sync + async) so far.
@@ -376,20 +347,6 @@ class Simulation {
   // use the public accessors instead.
   friend struct PipelineAccess;
 
-  /// (Re)build the tile map, bucket every species whose tile ranges do
-  /// not cover its live particles, and size the tile deposit logs in the
-  /// sort scratch, the staged accumulators and the stealing pool (none
-  /// for one worker). Cheap when nothing changed.
-  void ensure_tiles();
-  /// Tiles the tiled step runs with: tiles.count clamped to nz, or the
-  /// auto count for tiles.workers.
-  [[nodiscard]] int tile_count() const;
-  /// Compose this step's graph from the registered modules: per-phase
-  /// when untiled, per (phase x tile) when tiled.
-  [[nodiscard]] StepGraph build_step_graph(std::int64_t next_step);
-  /// Tiled-step bookkeeping after the graph ran: push paths, re-bucket
-  /// flag, tile telemetry.
-  void finish_tiled_step();
   /// Write the next ring generation per the config (sync or async).
   void checkpoint_to_ring();
   /// The state of one checkpoint, detached from the live simulation
@@ -416,16 +373,6 @@ class Simulation {
   EnergyHistory energy_history_;
   std::int64_t step_count_ = 0;
   std::vector<PhaseStats> last_phase_stats_;
-  std::size_t last_concurrency_peak_ = 0;
-  // ---- tile decomposition state (docs/TILES.md) ----------------------
-  TileMap tile_map_;
-  // One per species after the first: the array its tile pushes write
-  // their planes of while the first species' write acc_'s, in the same
-  // round; acc_apply adds it into acc_ after the species before it.
-  std::vector<AccumulatorArray> staged_acc_;
-  std::unique_ptr<pk::StealPool> steal_pool_;  // pool is non-movable
-  TileStepStats tile_stats_;
-  std::function<void()> phase_poll_;
   // ---- physics-module registry (docs/MODULES.md) ---------------------
   std::vector<std::unique_ptr<PhysicsModule>> modules_;
   std::vector<ModuleSectionSkip> last_restore_skips_;

@@ -11,20 +11,11 @@ namespace vpic::core {
 
 namespace {
 
-/// Two resources overlap when they are equal or one names a part of the
-/// other: "acc" covers "acc.t3", as "particles.e" covers "particles.e.t0".
-bool overlaps(const std::string& x, const std::string& y) {
-  const std::string& whole = x.size() <= y.size() ? x : y;
-  const std::string& part = x.size() <= y.size() ? y : x;
-  return part.compare(0, whole.size(), whole) == 0 &&
-         (part.size() == whole.size() || part[whole.size()] == '.');
-}
-
 bool intersects(const std::vector<std::string>& a,
                 const std::vector<std::string>& b, std::string* which) {
   for (const auto& x : a)
     for (const auto& y : b)
-      if (overlaps(x, y)) {
+      if (x == y) {
         if (which) *which = x;
         return true;
       }
@@ -142,50 +133,22 @@ void StepGraph::validate() const {
   validated_ = true;
 }
 
-pk::StealStats StepGraph::execute(pk::StealPool* pool) {
+void StepGraph::execute() {
   validate();
   stats_.assign(nodes_.size(), PhaseStats{});
   for (std::size_t i = 0; i < nodes_.size(); ++i)
     stats_[i].name = nodes_[i].phase.name;
-  concurrency_peak_ = 0;
-  pk::StealStats steal;
-  for (const std::vector<std::size_t>& level : levels_) {
-    if (!pool || level.size() == 1) {
-      for (const std::size_t id : level) run(id);
-      concurrency_peak_ = std::max<std::size_t>(concurrency_peak_, 1);
-      continue;
+  for (const std::vector<std::size_t>& level : levels_)
+    for (const std::size_t id : level) {
+      const auto t0 = std::chrono::steady_clock::now();
+      {
+        prof::ScopedRegion region(nodes_[id].phase.name.c_str());
+        nodes_[id].phase.fn();
+      }
+      stats_[id].seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
     }
-    // LPT: longest `cost` first onto the least-loaded worker; the id
-    // tiebreak keeps placement deterministic.
-    std::vector<std::size_t> order = level;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      const double ca = nodes_[a].phase.cost, cb = nodes_[b].phase.cost;
-      return ca != cb ? ca > cb : a < b;
-    });
-    std::vector<double> load(static_cast<std::size_t>(pool->workers()), 0.0);
-    for (const std::size_t id : order) {
-      const auto w = std::min_element(load.begin(), load.end()) - load.begin();
-      load[static_cast<std::size_t>(w)] += nodes_[id].phase.cost;
-      pool->seed(static_cast<int>(w), [this, id] { run(id); });
-    }
-    steal += pool->run();
-    concurrency_peak_ =
-        std::max(concurrency_peak_, std::min(level.size(), load.size()));
-  }
-  return steal;
-}
-
-void StepGraph::run(std::size_t id) {
-  const auto t0 = std::chrono::steady_clock::now();
-  {
-    prof::ScopedRegion region(nodes_[id].phase.name.c_str());
-    nodes_[id].phase.fn();
-  }
-  stats_[id].seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  stats_[id].worker = static_cast<std::uint32_t>(
-      std::max(0, pk::StealPool::current_worker()));
 }
 
 std::string StepGraph::dot() const {

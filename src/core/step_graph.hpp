@@ -9,56 +9,42 @@
 //
 //   * no cycles, and
 //   * every pair of phases whose declared sets conflict (write-write, or
-//     read-write in either direction) is ordered by some directed path —
-//     an undeclared race is a construction-time std::logic_error, not a
-//     nondeterministic result. A resource conflicts with its dotted
-//     parts: a phase declaring "acc" conflicts with a tile task
-//     declaring "acc.t3" (tile 3's planes of the accumulator).
+//     read-write in either direction, on an equal resource name) is
+//     ordered by some directed path — an undeclared race is a
+//     construction-time std::logic_error, not a nondeterministic result.
 //
-// One executor runs a validated graph, level by level: a phase's level is
-// one more than its deepest predecessor's, so the phases of one level are
-// mutually unordered. A level of one phase runs on the calling thread; a
-// level of several is one pk::StealPool round on the calling thread's
-// OpenMP team (the tiled step's push fan-out, docs/TILES.md). Without a
-// pool every level runs on the calling thread (the untiled step). Because
-// every conflicting pair is ordered, a pool round only overlaps phases
-// the declarations prove safe.
+// One executor runs a validated graph, level by level, on the calling
+// thread: a phase's level is one more than its deepest predecessor's, and
+// each level runs in phase insertion order. A phase's kernels run on the
+// calling thread's OpenMP team (docs/ASYNC.md).
 //
 // This is the shape the task-based PIC ports take (ZPIC on OmpSs-2
 // expresses the step loop as data-dependent tasks).
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "pk/stealing.hpp"
-
 namespace vpic::core {
 
 /// One schedulable unit of a step. `reads`/`writes` name abstract
 /// resources (any strings; conventionally "fields.eb", "fields.j",
 /// "interp", "acc", "particles.<species>"). The body runs exactly once
-/// per execution, on the calling thread or a member of a pool round.
+/// per execution, on the calling thread.
 struct StepPhase {
   std::string name;                 // unique, non-empty
   std::vector<std::string> reads;
   std::vector<std::string> writes;
   std::function<void()> fn;
-  // Relative expected wall time, in any consistent unit (the tiled step
-  // seeds it from measured s/particle * tile population). Only a pool
-  // round reads it, for LPT initial placement.
-  double cost = 1.0;
 };
 
 /// Per-phase record of the most recent execution.
 struct PhaseStats {
   std::string name;
-  double seconds = 0;          // wall time of the phase body
-  std::uint32_t worker = 0;    // member of the StealPool round (0: caller)
+  double seconds = 0;  // wall time of the phase body
 };
 
 class StepGraph {
@@ -78,29 +64,16 @@ class StepGraph {
   /// execute() calls it if it has not run since the last mutation.
   void validate() const;
 
-  /// Run every phase, level by level. A level of one phase, and every
-  /// level when `pool` is null, runs on the calling thread in insertion
-  /// order; a level of several phases is one round of `pool`
-  /// (pk/stealing.hpp), seeded LPT (longest `cost` first onto the
-  /// least-loaded worker) so the expected load starts balanced, with
-  /// idle workers stealing the rest. A phase that throws stops every
-  /// later level: on the calling thread at once, in a pool round once
-  /// the round drains. Returns the steal stats summed over the rounds.
-  pk::StealStats execute(pk::StealPool* pool);
+  /// Run every phase on the calling thread, level by level, each level
+  /// in insertion order. A phase that throws stops every later phase.
+  void execute();
 
   [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
 
-  /// Wall time + placement of each phase in the most recent execution,
-  /// in phase insertion order.
+  /// Wall time of each phase in the most recent execution, in phase
+  /// insertion order.
   [[nodiscard]] const std::vector<PhaseStats>& last_stats() const noexcept {
     return stats_;
-  }
-
-  /// Most phases that could run at once during the most recent
-  /// execution: the widest pool round, capped at the worker count, or 1
-  /// when every level ran on the calling thread.
-  [[nodiscard]] std::size_t last_concurrency_peak() const noexcept {
-    return concurrency_peak_;
   }
 
   /// GraphViz rendering of phases and edges (docs/ASYNC.md shows one).
@@ -116,13 +89,10 @@ class StepGraph {
   /// std::logic_error on a cycle.
   [[nodiscard]] std::vector<std::vector<std::size_t>> levels() const;
   [[nodiscard]] std::vector<std::vector<bool>> reachability() const;
-  /// Run phase `id` on this thread and record its PhaseStats.
-  void run(std::size_t id);
 
   std::vector<Node> nodes_;
   std::map<std::string, std::size_t, std::less<>> by_name_;
   std::vector<PhaseStats> stats_;
-  std::size_t concurrency_peak_ = 0;
   // Set by validate(); valid while validated_.
   mutable std::vector<std::vector<std::size_t>> levels_;
   mutable bool validated_ = false;

@@ -93,25 +93,11 @@ void TracerModule::plan(Simulation& sim, const ModuleStepContext& ctx,
   csv_path_ = sim.config().tracer_csv_path;
   if (prm_.species >= sim.num_species()) return;
   const Species& sp = sim.species(prm_.species);
-  std::vector<std::string> rd = ctx.particles(sp.name);
-  rd.push_back("interp");
-  const auto poll = ctx.poll;
   c.add_branch({"tracer",
-                std::move(rd),
+                {ctx.particles(sp.name), "interp"},
                 {"tracer", "diag"},
-                [this, &sim, poll, ns = ctx.next_step] {
-                  if (poll) poll();
-                  run(sim, ns);
-                },
-                0.0});
+                [this, &sim, step = ctx.next_step] { run(sim, step); }});
   c.edge("interpolate", "tracer");
-  if (ctx.tiled) {
-    // The tiled step has no spine tail yet at the Push stage: order the
-    // particle-read conflict against the source species' tile pushes
-    // explicitly.
-    for (int t = 0; t < ctx.tiles->count(); ++t)
-      c.edge("push[" + sp.name + ".t" + std::to_string(t) + "]", "tracer");
-  }
   c.join("tracer");
 }
 

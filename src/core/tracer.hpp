@@ -9,11 +9,10 @@
 // buffer — the in-memory diagnostic stream, flushed under the step's
 // "diag" resource so it composes with the diagnostics phase ordering.
 //
-// Tracers live in a module-owned vector of particle records, so
-// trajectories are bit-identical across the untiled/tiled execution
-// shapes (the module plans a single phase ordered after the interpolator
-// load). State (tracer particles,
-// ring, counters) round-trips through the module checkpoint sections.
+// Tracers live in a module-owned vector of particle records, moved by a
+// single phase ordered after the interpolator load and the source
+// species' push. State (tracer particles, ring, counters) round-trips
+// through the module checkpoint sections.
 //
 // CSV sink: when SimulationConfig::tracer_csv_path is set, new trajectory
 // samples stream to that file — appended on every checkpoint (the

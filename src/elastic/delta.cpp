@@ -527,7 +527,7 @@ const EncodedSection& ChainReader::section(std::string_view name) {
 
 void ChainReader::reassemble_particles() {
   // Incremental snapshots store particles as fixed-range chunks
-  // ("sp<i>.c<k>.p" + "sp<i>.nchunks") so a delta only carries the tiles
+  // ("sp<i>.c<k>.p" + "sp<i>.nchunks") so a delta only carries the chunks
   // whose payload hash moved. Core's restore reads the canonical
   // "sp<i>.p"; synthesize it by concatenating chunks in k order, dropping
   // each chunk once it is appended, so the resolved set holds one copy of

@@ -86,8 +86,7 @@ struct JobStatus {
   std::int64_t restores = 0;      // factory-rebuild + ring restores
   std::int64_t checkpoints = 0;   // ring generations written
   std::int64_t rescales = 0;      // Scheduler::rescale calls accepted
-  int rescale_workers = 0;        // active worker override (0: deck default)
-  int rescale_tiles = 0;          // active tile-count override (0: auto)
+  int rescale_workers = 0;        // active kernel-thread override (0: none)
   double vtime = 0;               // weighted fair-queueing virtual time
   double field_energy = 0;        // last slice-boundary sample
   std::vector<double> kinetic;    // per species, same sample

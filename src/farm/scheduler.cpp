@@ -19,6 +19,7 @@
 #include <stdexcept>
 
 #include "ckpt/ring.hpp"
+#include "pk/config.hpp"
 #include "prof/prof.hpp"
 
 namespace vpic::farm {
@@ -80,11 +81,10 @@ struct Scheduler::Job {
   bool preempt_req = false;
   bool drop_ckpt_on_cancel = false;
   bool has_ckpt = false;  // the ring holds at least one generation
-  // Elastic rescale overrides (docs/ELASTIC.md), guarded by mu_; 0 means
-  // "deck default". Snapshotted by the owning worker before the slice and
-  // applied to the freshly built engine's TileConfig ahead of restore.
-  int workers_override = 0;
-  int tiles_override = 0;
+  // Elastic rescale override (docs/ELASTIC.md), guarded by mu_: the
+  // kernel thread count of the job's slices, 0 for the process-wide one.
+  // Snapshotted by the owning worker before each slice.
+  int threads_override = 0;
   std::int64_t rescales = 0;
   std::optional<core::Simulation> sim;  // resident engine (may be parked)
   double field_energy = 0;
@@ -219,40 +219,23 @@ void Scheduler::park_to_ring(Job& j) {
 }
 
 SliceOutcome Scheduler::run_slice(Job& j, bool restore_from_ring,
-                                  int workers, int tiles) {
+                                  int threads) {
   SliceOutcome out;
   try {
     // Every engine counter fired during this slice (sort/push dispatch,
     // checkpoint events, ...) lands under the job's namespace.
     prof::CounterScope scope("job." + j.spec.name + ".");
+    // Elastic rescale: every kernel of the slice, the restore's included,
+    // runs on the job's own thread count (docs/ELASTIC.md).
+    const pk::ThreadConcurrency width(threads);
     if (!j.sim) {
       j.sim.emplace(j.spec.make());
-      // Elastic rescale: the override reshapes the fresh engine before the
-      // restore. Legal because TileConfig is excluded from the checkpoint
-      // fingerprint — the parked state is shape-agnostic (docs/ELASTIC.md).
-      if (workers > 0) {
-        auto& t = j.sim->config().tiles;
-        t.enabled = true;
-        t.workers = workers;
-        if (tiles > 0) t.count = tiles;
-        prof::counter_add("farm.rescale_applied");
-      }
+      if (threads > 0) prof::counter_add("farm.rescale_applied");
       if (restore_from_ring) {
         j.sim->restore_latest(j.ring_base);
         out.restores = 1;
         prof::counter_add("farm.restore");
       }
-      // Tile-granular preemption observation (docs/TILES.md): a tiled
-      // step polls between every (phase x tile) task, so a yield raised
-      // mid-step is noticed within one tile's worth of work instead of a
-      // whole step. The job still exits at the step boundary (the ckpt
-      // ring needs a quiescent engine); the counter's value is the number
-      // of phase polls that ran with a yield pending — a direct measure
-      // of how quickly a preempt is seen. Untiled sims ignore the poll.
-      j.sim->set_phase_poll([&j] {
-        if (j.yield.load(std::memory_order_relaxed))
-          prof::counter_add("farm.yield_seen_midstep");
-      });
     }
     prof::counter_add("farm.slice");
     const std::int64_t target = std::min(
@@ -292,10 +275,9 @@ void Scheduler::worker_loop() {
     j->yield.store(false, std::memory_order_relaxed);
     j->preempt_req = false;
     const bool restore_from_ring = j->has_ckpt && !j->sim;
-    const int workers = j->workers_override;
-    const int tiles = j->tiles_override;
+    const int threads = j->threads_override;
     lk.unlock();
-    SliceOutcome out = run_slice(*j, restore_from_ring, workers, tiles);
+    SliceOutcome out = run_slice(*j, restore_from_ring, threads);
     lk.lock();
     if (out.failed) {
       --running_;
@@ -491,26 +473,25 @@ bool Scheduler::set_priority(const std::string& name, int priority) {
   return false;
 }
 
-bool Scheduler::rescale(const std::string& name, int workers, int tiles) {
-  if (workers < 1 || workers > kMaxRescaleWorkers) return false;
+bool Scheduler::rescale(const std::string& name, int threads) {
+  if (threads < 1 || threads > kMaxRescaleWorkers) return false;
   std::lock_guard lk(mu_);
   for (const auto& jp : jobs_) {
     if (jp->spec.name != name) continue;
     Job& j = *jp;
     if (is_terminal(j.state)) return false;
-    j.workers_override = workers;
-    j.tiles_override = tiles;
+    j.threads_override = threads;
     ++j.rescales;
     if (j.state == JobState::Running) {
-      // Checkpoint-and-release at the next step boundary; the rebuild
-      // picks up the new shape before restoring.
+      // Checkpoint-and-release at the next step boundary; the next slice
+      // restores at the new width.
       j.preempt_req = true;
       j.yield.store(true, std::memory_order_relaxed);
       return true;
     }
     if (is_runnable(j.state) && j.sim) {
-      // Resident but not stepping: park inline so the next slice rebuilds
-      // at the new shape instead of continuing the warm engine.
+      // Resident but not stepping: park inline so the next slice restores
+      // at the new width instead of continuing the warm engine.
       try {
         park_to_ring(j);
       } catch (const std::exception& e) {
@@ -524,8 +505,8 @@ bool Scheduler::rescale(const std::string& name, int workers, int tiles) {
       cv_work_.notify_all();
       cv_state_.notify_all();
     }
-    // Paused or already-parked jobs: the override simply applies when the
-    // engine is next rebuilt.
+    // Paused or already-parked jobs: the override simply applies to the
+    // next slice.
     return true;
   }
   return false;
@@ -544,8 +525,7 @@ JobStatus Scheduler::status_of_locked(const Job& j) const {
   s.restores = j.restores;
   s.checkpoints = j.checkpoints;
   s.rescales = j.rescales;
-  s.rescale_workers = j.workers_override;
-  s.rescale_tiles = j.tiles_override;
+  s.rescale_workers = j.threads_override;
   s.vtime = j.vtime;
   s.field_energy = j.field_energy;
   s.kinetic = j.kinetic;

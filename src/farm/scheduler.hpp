@@ -91,20 +91,16 @@ class Scheduler {
   bool preempt(const std::string& name);
   /// Re-prioritize; may trigger a preemption of a lower-priority runner.
   bool set_priority(const std::string& name, int priority);
-  /// Elastic rescale (docs/ELASTIC.md): the next time the job's engine is
-  /// rebuilt its tiled step runs pool rounds of `workers` deques, each
-  /// round opening that many threads or the job's kernel team, whichever
-  /// is wider, and, when `tiles` > 0, that many z-slab tiles (TileConfig
-  /// — excluded from the checkpoint fingerprint, so the parked state
-  /// restores unchanged). A running job is preempted so the new shape
-  /// takes effect promptly; a resident queued job is parked. The override
-  /// persists across further preemptions until the next rescale.
-  /// `workers` outside [1, kMaxRescaleWorkers] or an unknown / terminal
-  /// job returns false.
-  bool rescale(const std::string& name, int workers, int tiles = 0);
-  /// Most members a rescaled job's pool rounds may ask for: the count
-  /// arrives over the StatusBus socket, and each round opens at least
-  /// that many threads.
+  /// Elastic rescale (docs/ELASTIC.md): from the job's next slice on,
+  /// its kernels run on `threads` OpenMP threads, whatever the process-wide
+  /// pk::initialize count (pk::ThreadConcurrency on the slice's worker
+  /// thread). A running job is preempted so the new width takes effect
+  /// promptly; a resident queued job is parked. The override persists
+  /// across further preemptions until the next rescale. `threads` outside
+  /// [1, kMaxRescaleWorkers] or an unknown / terminal job returns false.
+  bool rescale(const std::string& name, int threads);
+  /// Most kernel threads a rescale may ask for: the count arrives over
+  /// the StatusBus socket, and each kernel opens that many threads.
   static constexpr int kMaxRescaleWorkers = 256;
 
   /// Status of every job ever submitted, in submission order.
@@ -137,10 +133,9 @@ class Scheduler {
   /// One scheduling quantum, run with mu_ dropped: build/restore the
   /// engine if needed, step to the slice target or an early yield, sample
   /// energies. Returns what happened; the caller applies it under mu_.
-  /// `workers`/`tiles` are the job's rescale overrides, snapshotted under
-  /// mu_ by the caller (0 = deck default).
-  SliceOutcome run_slice(Job& j, bool restore_from_ring, int workers,
-                         int tiles);
+  /// `threads` is the job's rescale override, snapshotted under mu_ by
+  /// the caller (0 = the process-wide count).
+  SliceOutcome run_slice(Job& j, bool restore_from_ring, int threads);
   void finalize_locked(Job& j, JobState terminal, const std::string& error);
   [[nodiscard]] JobStatus status_of_locked(const Job& j) const;
 

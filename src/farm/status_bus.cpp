@@ -73,7 +73,6 @@ std::string status_record(
      << ",\"checkpoints\":" << s.checkpoints
      << ",\"rescales\":" << s.rescales
      << ",\"rescale_workers\":" << s.rescale_workers
-     << ",\"rescale_tiles\":" << s.rescale_tiles
      << ",\"vtime\":" << fmt_double(s.vtime)
      << ",\"field_energy\":" << fmt_double(s.field_energy)
      << ",\"kinetic\":[";
@@ -183,15 +182,15 @@ std::string StatusBus::handle_command(const std::string& request) {
     return os.str();
   }
   if (verb == "rescale") {
-    int workers = 0, tiles = 0;
-    if (!(is >> job >> workers))
-      return ok_json(false, "rescale: usage: rescale <job> <workers> [tiles]");
-    is >> tiles;  // optional; stays 0 (auto) when absent
-    return sched_.rescale(job, workers, tiles)
+    int threads = 0;
+    std::string extra;
+    if (!(is >> job >> threads) || (is >> extra))
+      return ok_json(false, "rescale: usage: rescale <job> <threads>");
+    return sched_.rescale(job, threads)
                ? ok_json(true)
                : ok_json(false,
                          "rescale: no such job, terminal state, or bad "
-                         "worker count: '" + job + "'");
+                         "thread count: '" + job + "'");
   }
   if (verb == "pause" || verb == "resume" || verb == "cancel" ||
       verb == "preempt" || verb == "prio") {

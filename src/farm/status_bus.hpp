@@ -11,9 +11,8 @@
 //   cancel <job> [drop]       Scheduler::cancel ("drop" purges the ring)
 //   preempt <job>             Scheduler::preempt
 //   prio <job> <int>          Scheduler::set_priority
-//   rescale <job> <workers> [tiles]
-//                             Scheduler::rescale — park the job and
-//                             resume it at a new tile-worker shape
+//   rescale <job> <threads>   Scheduler::rescale — park the job and
+//                             resume it at a new kernel thread count
 //                             (elastic rescale, docs/ELASTIC.md)
 //
 // Command responses are one JSON object: {"ok":true,...} or

@@ -9,9 +9,11 @@ namespace vpic::pk {
 
 namespace {
 std::atomic<int> g_threads{0};  // 0 = uninitialized
+thread_local int t_threads = 0;  // 0 = no ThreadConcurrency binding
 }
 
 int concurrency() noexcept {
+  if (t_threads > 0) return t_threads;
 #if PK_HAVE_OPENMP
   // An initialized count binds every thread's kernels, not only the
   // caller's: OpenMP keeps omp_set_num_threads per thread, so farm
@@ -42,5 +44,12 @@ void initialize(int num_threads) noexcept {
 }
 
 void finalize() noexcept { g_threads.store(0, std::memory_order_relaxed); }
+
+ThreadConcurrency::ThreadConcurrency(int num_threads) noexcept
+    : prev_(t_threads) {
+  if (num_threads > 0) t_threads = num_threads;
+}
+
+ThreadConcurrency::~ThreadConcurrency() { t_threads = prev_; }
 
 }  // namespace vpic::pk

@@ -54,10 +54,26 @@
 
 namespace vpic::pk {
 
-/// Number of threads each OpenMP host kernel uses: once initialized, the
-/// initialize() count on every thread that launches one; before that, the
-/// calling thread's omp_get_max_threads().
+/// Number of threads each OpenMP host kernel uses: the calling thread's
+/// ThreadConcurrency binding while one is live; else, once initialized,
+/// the initialize() count on every thread that launches one; before that,
+/// the calling thread's omp_get_max_threads().
 int concurrency() noexcept;
+
+/// Binds the kernel thread count of the calling thread alone, ahead of
+/// the initialize() count, for this object's lifetime; the previous
+/// binding comes back on destruction. A count of 0 or less leaves the
+/// binding as it is. The farm runs a rescaled job's slices this way.
+class ThreadConcurrency {
+ public:
+  explicit ThreadConcurrency(int num_threads) noexcept;
+  ~ThreadConcurrency();
+  ThreadConcurrency(const ThreadConcurrency&) = delete;
+  ThreadConcurrency& operator=(const ThreadConcurrency&) = delete;
+
+ private:
+  int prev_;
+};
 
 /// Runtime initialization (mirrors Kokkos::initialize; binds the kernel
 /// thread count of every thread). Safe to call multiple times.

@@ -93,10 +93,10 @@ class CounterScope {
 /// Thread-local region base, installed for this object's lifetime (the
 /// previous base is restored on destruction): a region opened on the
 /// calling thread with no region open nests under `base`
-/// ("<base>/<name>") instead of starting a top-level path. pk::StealPool
-/// gives every member of a round the caller's region_path(), so a round
-/// task records under one path whichever thread runs it. Empty (the
-/// default) means top level.
+/// ("<base>/<name>") instead of starting a top-level path. The async
+/// checkpoint writer installs the region_path() a snapshot was taken
+/// under, so its commit records under the step that asked for it. Empty
+/// (the default) means top level.
 class RegionBase {
  public:
   explicit RegionBase(std::string base);

@@ -11,7 +11,8 @@
 //     equals 100 uninterrupted steps on the LPI deck,
 //   * async snapshots: file bytes identical to a sync checkpoint taken at
 //     the same step, isolated from subsequent stepping,
-//   * config-driven periodic checkpointing under both step schedulers,
+//   * config-driven periodic checkpointing, resume at another thread
+//     count, and files of the retired tiled step (tests/data/tiled),
 //   * coordinated DistributedSimulation checkpoint/restore.
 #include <gtest/gtest.h>
 
@@ -26,6 +27,7 @@
 
 #include "ckpt/ckpt.hpp"
 #include "core/core.hpp"
+#include "elastic/elastic.hpp"
 #include "minimpi/minimpi.hpp"
 #include "prof/prof.hpp"
 
@@ -907,28 +909,22 @@ TEST(SimCkpt, AsyncWriteFailureSurfacesAtWait) {
   EXPECT_THROW(sim.checkpoint_wait(), ckpt::RestoreError);
 }
 
-TEST(SimCkpt, PeriodicRingUnderBothStepShapes) {
-  for (const bool tiled : {false, true}) {
-    const std::string shape = tiled ? "tiled" : "untiled";
-    SCOPED_TRACE(shape);
-    const auto dir = scratch("periodic_" + shape);
-    auto sim = make_lpi_small();
-    sim.config().tiles.enabled = tiled;
-    sim.config().checkpoint_every = 5;
-    sim.config().checkpoint_path = (dir / "ck").string();
-    sim.config().checkpoint_keep_last = 2;
-    sim.run(22);  // checkpoints at steps 5, 10, 15, 20
-    sim.checkpoint_wait();
-    EXPECT_EQ(sim.checkpoints_written(), 4);
-    ckpt::GenerationRing ring((dir / "ck").string(), 2);
-    EXPECT_EQ(ring.generations(), (std::vector<std::uint64_t>{2, 3}));
+TEST(SimCkpt, PeriodicRing) {
+  const auto dir = scratch("periodic");
+  auto sim = make_lpi_small();
+  sim.config().checkpoint_every = 5;
+  sim.config().checkpoint_path = (dir / "ck").string();
+  sim.config().checkpoint_keep_last = 2;
+  sim.run(22);  // checkpoints at steps 5, 10, 15, 20
+  sim.checkpoint_wait();
+  EXPECT_EQ(sim.checkpoints_written(), 4);
+  ckpt::GenerationRing ring((dir / "ck").string(), 2);
+  EXPECT_EQ(ring.generations(), (std::vector<std::uint64_t>{2, 3}));
 
-    auto fresh = make_lpi_small();
-    fresh.config().tiles.enabled = tiled;
-    const auto used = fresh.restore_latest((dir / "ck").string());
-    EXPECT_EQ(used, ring.path_for(3));
-    EXPECT_EQ(fresh.step_count(), 20);
-  }
+  auto fresh = make_lpi_small();
+  const auto used = fresh.restore_latest((dir / "ck").string());
+  EXPECT_EQ(used, ring.path_for(3));
+  EXPECT_EQ(fresh.step_count(), 20);
 }
 
 TEST(SimCkpt, PeriodicRingAsyncKeepsEveryGenerationDistinct) {
@@ -1065,53 +1061,71 @@ TEST(SimCkpt, CkptPhaseResumeIsBitIdentical) {
   expect_bit_identical(resumed, ref);
 }
 
-TEST(SimCkpt, TiledResumeIsBitIdentical) {
-  // A tiled run checkpointed three steps after a sort, so particles have
-  // crossed tile faces since the last bucketing: the restore adopts the
-  // checkpoint's tile ranges instead of re-bucketing, and the tiles
-  // dispatch off the restored species sortedness, so the resumed run
-  // lands bit-identical to the uninterrupted one at any worker and
-  // kernel thread count. A restore into another tile count re-buckets
-  // and still runs.
-  const auto dir = scratch("tiled_resume");
+TEST(SimCkpt, ResumeAtAnotherThreadCountIsBitIdentical) {
+  // Checkpointed at step 23, past the first Standard sort (step 10): every
+  // later push is in exact cell order, whose bits do not depend on the
+  // thread count, so a one-thread run resumed at four threads lands
+  // bit-identical to the uninterrupted one-thread run.
+  const auto dir = scratch("thread_resume");
   const std::string path = (dir / "t23.ckpt").string();
-  auto deck = [](int tiles, int workers) {
-    core::decks::LpiParams p;
-    p.nx = 16;
-    p.ny = 8;
-    p.nz = 8;
-    p.ppc = 16;
-    auto sim = core::decks::make_lpi(p);
-    sim.config().energy_interval = 5;
-    sim.config().tiles.enabled = true;
-    sim.config().tiles.count = tiles;
-    sim.config().tiles.workers = workers;
-    return sim;
-  };
-  for (const int threads : {1, 4}) {
-    pk::initialize(threads);
-    for (const int workers : {1, 4}) {
-      SCOPED_TRACE(std::to_string(threads) + " threads, " +
-                   std::to_string(workers) + " workers");
-      auto ref = deck(4, workers);
-      ref.run(30);
-      auto victim = deck(4, workers);
-      victim.run(23);
-      victim.checkpoint(path);
-      auto resumed = deck(4, workers);
-      resumed.restore(path);
-      resumed.run(7);
-      expect_bit_identical(resumed, ref);
-    }
-  }
+  auto ref = make_lpi_small();
+  ref.run(30);
+  auto victim = make_lpi_small();
+  victim.run(23);
+  victim.checkpoint(path);
+  pk::initialize(4);
+  auto resumed = make_lpi_small();
+  resumed.restore(path);
+  resumed.run(7);
   pk::initialize(1);
+  expect_bit_identical(resumed, ref);
+}
 
-  auto other = deck(3, 2);
-  other.restore(path);
-  other.run(7);
-  EXPECT_EQ(other.step_count(), 30);
-  EXPECT_EQ(other.tile_map().count(), 3);
-  EXPECT_TRUE(std::isfinite(other.energies().total()));
+TEST(SimCkpt, TiledFixturesRestoreIntoTheOneStep) {
+  // tests/data/tiled: make_lpi_small written by the retired tiled step (4
+  // tiles, 2 workers, one kernel thread): "plain", a plain file at step
+  // 6, and "chain.g0"/"chain.g1", an incremental ring (checkpoints every 4
+  // steps, DeltaPack, full base every 3) whose particles are chunked by
+  // tile. Each holds its species' tile ranges ("sp<i>.tiles"), which the
+  // restore ignores; the restored state holds exactly the files' field
+  // and particle bytes, and the one step runs on from it.
+  const fs::path data = fs::path(VPIC_TEST_DATA_DIR) / "tiled";
+  const auto dir = scratch("tiled_fixtures");
+  const std::string base = (dir / "chain").string();
+  ckpt::GenerationRing ring(base, 8);
+  for (const std::uint64_t g : {0, 1})
+    fs::copy_file(data / ("chain.g" + std::to_string(g)), ring.path_for(g));
+
+  const auto expect_restores = [](const std::string& path,
+                                  ckpt::SectionSource& file,
+                                  std::int64_t step) {
+    SCOPED_TRACE(path);
+    ASSERT_TRUE(file.has("sp0.tiles"));
+    auto sim = make_lpi_small();
+    sim.restore(path);
+    EXPECT_EQ(sim.step_count(), step);
+    EXPECT_EQ(view_bytes(sim.fields().ex), file.section("f.ex").payload);
+    EXPECT_EQ(view_bytes(sim.fields().by), file.section("f.by").payload);
+    EXPECT_EQ(view_bytes(sim.fields().jz), file.section("f.jz").payload);
+    for (std::size_t s = 0; s < sim.num_species(); ++s) {
+      const auto& sp = sim.species(s);
+      std::vector<std::byte> b(static_cast<std::size_t>(sp.np) *
+                               sizeof(core::Particle));
+      std::memcpy(b.data(), sp.p.data(), b.size());
+      EXPECT_EQ(b, file.section("sp" + std::to_string(s) + ".p").payload)
+          << sp.name;
+    }
+    sim.run(4);
+    EXPECT_EQ(sim.step_count(), step + 4);
+    EXPECT_TRUE(std::isfinite(sim.energies().total()));
+  };
+  const std::string plain = (data / "plain").string();
+  ckpt::FileReader plain_file(plain);
+  expect_restores(plain, plain_file, 6);
+  ckpt::FileReader g1(ring.path_for(1));
+  vpic::elastic::ChainReader chain(g1, ring.path_for(1));
+  EXPECT_EQ(chain.sources(), (std::vector<std::int64_t>{0, 1}));
+  expect_restores(ring.path_for(1), chain, 8);
 }
 
 // ---- DistributedSimulation ------------------------------------------

@@ -1,9 +1,9 @@
 // Tests for the Takizuka–Abe collision module (core/collide.hpp):
 // conservation laws and Maxwellianization of the collide_range operator
 // (driven directly, no field dynamics), bit-identity with a serial
-// std::map reference at 1 and 4 OpenMP threads, bit-determinism across
-// stealing worker counts, and checkpoint round-trips of a
-// collision-enabled run, including the module's counters.
+// std::map reference at 1 and 4 OpenMP threads, bit-determinism of the
+// collision-enabled step across thread counts, and checkpoint round-trips
+// of a collision-enabled run, including the module's counters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -444,34 +444,47 @@ TEST(CollisionModule, RejectsOutOfRangeSpeciesPair) {
   EXPECT_THROW(sim.step(), std::invalid_argument);
 }
 
-TEST(CollisionModule, BitDeterministicAcrossWorkerCounts) {
-  std::vector<core::Particle> ref_e, ref_i;
-  double ref_field = 0;
-  for (const int workers : {1, 2, 4, 8}) {
+TEST(CollisionModule, BitDeterministicAcrossThreadCounts) {
+  // From a Standard sort every push is in exact cell order and every cell
+  // pairs from voxel-keyed streams, so 30 steps give the same particle and
+  // field bytes at 1, 2 and 4 kernel threads.
+  const auto run = [](int threads) {
+    pk::initialize(threads);
     auto sim = make_colliding_lpi();
-    sim.config().tiles.enabled = true;
-    sim.config().tiles.workers = workers;
-    sim.config().tiles.count = 4;  // fixed: the tile cut is part of the key
+    for (std::size_t s = 0; s < sim.num_species(); ++s)
+      core::sort_particles(sim.species(s), vpic::sort::SortOrder::Standard,
+                           0, 0, sim.grid().nv());
     sim.run(30);
-    const auto e = canon(sim.species(0));
-    const auto i = canon(sim.species(1));
-    const double field = sim.energies().field;
-    if (workers == 1) {
-      ref_e = e;
-      ref_i = i;
-      ref_field = field;
-      continue;
+    return sim;
+  };
+  const auto bytes = [](const pk::View<float, 1>& v) {
+    std::vector<float> b(static_cast<std::size_t>(v.size()));
+    std::memcpy(b.data(), v.data(), b.size() * sizeof(float));
+    return b;
+  };
+  auto ref = run(1);
+  for (const int threads : {2, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    auto sim = run(threads);
+    for (std::size_t s = 0; s < sim.num_species(); ++s) {
+      const auto a = canon(ref.species(s));
+      const auto b = canon(sim.species(s));
+      ASSERT_EQ(a.size(), b.size());
+      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(core::Particle)),
+                0)
+          << sim.species(s).name;
     }
-    EXPECT_EQ(std::memcmp(e.data(), ref_e.data(),
-                          e.size() * sizeof(core::Particle)),
-              0)
-        << workers << " workers (electrons)";
-    EXPECT_EQ(std::memcmp(i.data(), ref_i.data(),
-                          i.size() * sizeof(core::Particle)),
-              0)
-        << workers << " workers (ions)";
-    EXPECT_EQ(field, ref_field) << workers << " workers";
+    const auto& fa = ref.fields();
+    const auto& fb = sim.fields();
+    for (const auto& [va, vb] :
+         {std::pair{&fa.ex, &fb.ex}, std::pair{&fa.ey, &fb.ey},
+          std::pair{&fa.ez, &fb.ez}, std::pair{&fa.bx, &fb.bx},
+          std::pair{&fa.by, &fb.by}, std::pair{&fa.bz, &fb.bz},
+          std::pair{&fa.jx, &fb.jx}, std::pair{&fa.jy, &fb.jy},
+          std::pair{&fa.jz, &fb.jz}})
+      EXPECT_EQ(bytes(*va), bytes(*vb));
   }
+  pk::initialize(1);
 }
 
 TEST(CollisionModule, UntiledStepPublishesCollidePhases) {

@@ -73,6 +73,16 @@ core::Simulation make_lpi_small(std::uint64_t seed = 42) {
   return sim;
 }
 
+/// make_lpi_small, Standard-sorted when built: every push is then in
+/// exact cell order, whose bits do not depend on the kernel thread count.
+core::Simulation make_lpi_small_sorted() {
+  auto sim = make_lpi_small();
+  for (std::size_t s = 0; s < sim.num_species(); ++s)
+    core::sort_particles(sim.species(s), vpic::sort::SortOrder::Standard, 0,
+                         0, sim.grid().nv());
+  return sim;
+}
+
 farm::JobSpec lpi_job(const std::string& name, std::int64_t steps,
                       std::uint64_t seed = 42) {
   farm::JobSpec spec;
@@ -479,10 +489,19 @@ TEST(FarmScheduler, RescaleMidRunResumesAtNewShape) {
 
   // The first slice waits at its end until the pause is asked for, so the
   // job parks at a step boundary mid-run however fast the host steps.
+  // Every slice records the kernel width it ran at.
   std::promise<void> entered, release;
+  std::mutex widths_mu;
+  std::vector<int> widths;
   farm::JobSpec spec = lpi_job("scale", kSteps);
-  spec.on_slice = [&entered, released = release.get_future().share(),
+  spec.make = [] { return make_lpi_small_sorted(); };
+  spec.on_slice = [&entered, &widths_mu, &widths,
+                   released = release.get_future().share(),
                    first = true](const core::Simulation&) mutable {
+    {
+      const std::lock_guard lk(widths_mu);
+      widths.push_back(pk::concurrency());
+    }
     if (!std::exchange(first, false)) return;
     entered.set_value();
     released.wait();
@@ -495,7 +514,7 @@ TEST(FarmScheduler, RescaleMidRunResumesAtNewShape) {
   s.submit(std::move(spec));
 
   EXPECT_FALSE(s.rescale("ghost", 2));  // unknown job
-  EXPECT_FALSE(s.rescale("scale", 0));  // bad worker count
+  EXPECT_FALSE(s.rescale("scale", 0));  // bad thread count
   EXPECT_FALSE(s.rescale("scale", 257));  // above kMaxRescaleWorkers
   const bool in_slice =
       entered.get_future().wait_for(std::chrono::seconds(30)) ==
@@ -507,13 +526,13 @@ TEST(FarmScheduler, RescaleMidRunResumesAtNewShape) {
     return st.state == farm::JobState::Paused;
   }));
 
-  // A rescale of the parked job only records the new shape; resume
-  // rebuilds the engine at that shape from the ring, at a step the test
-  // knows.
+  // A rescale of the parked job only records the new width; resume
+  // restores the engine from the ring, at a step the test knows, and runs
+  // its kernels on two threads.
   const std::int64_t at = s.status("scale")->step;
   ASSERT_GT(at, 0);
   ASSERT_LT(at, kSteps);
-  ASSERT_TRUE(s.rescale("scale", 2, 4));
+  ASSERT_TRUE(s.rescale("scale", 2));
   const auto parked = s.status("scale");
   EXPECT_EQ(parked->state, farm::JobState::Paused);
   EXPECT_EQ(parked->step, at);
@@ -526,30 +545,33 @@ TEST(FarmScheduler, RescaleMidRunResumesAtNewShape) {
   EXPECT_EQ(st->step, kSteps);
   EXPECT_EQ(st->rescales, 1);
   EXPECT_EQ(st->rescale_workers, 2);
-  EXPECT_EQ(st->rescale_tiles, 4);
   EXPECT_EQ(st->checkpoints, 1);
   EXPECT_EQ(st->restores, 1);
 
-  // Reference: the same deck run untiled to that step, checkpointed, and
-  // restored into a 2-worker, 4-tile deck that runs to the end. At one
-  // kernel thread both sides are deterministic: bit for bit.
+  // The new width took effect: the first slice ran at the process's
+  // kernel thread count, every slice after the rescale at two.
+  {
+    const std::lock_guard lk(widths_mu);
+    ASSERT_GE(widths.size(), 2u);
+    EXPECT_EQ(widths.front(), pk::concurrency());
+    for (std::size_t k = 1; k < widths.size(); ++k)
+      EXPECT_EQ(widths[k], 2) << "slice " << k;
+  }
+
+  // Reference: the same deck run to that step, checkpointed, and restored
+  // into a fresh deck that runs to the end, all at one kernel thread. The
+  // deck was Standard-sorted when built, so every push is in exact cell
+  // order and the energies are summed in fixed blocks: bit for bit.
   const std::string path = (dir / "ref.ckpt").string();
-  auto untiled = make_lpi_small();
-  untiled.run(static_cast<int>(at));
-  untiled.checkpoint(path);
-  auto tiled = make_lpi_small();
-  tiled.config().tiles.enabled = true;
-  tiled.config().tiles.workers = 2;
-  tiled.config().tiles.count = 4;
-  tiled.restore(path);
-  tiled.run(static_cast<int>(kSteps - at));
-  const auto ref = tiled.energies();
+  auto before = make_lpi_small_sorted();
+  before.run(static_cast<int>(at));
+  before.checkpoint(path);
+  auto after = make_lpi_small_sorted();
+  after.restore(path);
+  after.run(static_cast<int>(kSteps - at));
+  const auto ref = after.energies();
   EXPECT_EQ(st->field_energy, ref.field);
   EXPECT_EQ(st->kinetic, ref.species);
-
-  // The Stealing engine actually ran post-rescale: pool telemetry landed
-  // in the job's counter namespace.
-  EXPECT_GE(prof::counter_value("job.scale.steal.tasks_run"), 1u);
 
   // Terminal jobs refuse further rescales.
   EXPECT_FALSE(s.rescale("scale", 4));
@@ -574,13 +596,16 @@ TEST(FarmStatusBus, RescaleCommandSteersAndReports) {
   }));
   EXPECT_NE(bus.handle_command("rescale job 0").find("\"ok\":false"),
             std::string::npos);
-  // A round opens one thread per worker: the socket may not ask for a
+  // A kernel opens one thread per count: the socket may not ask for a
   // million.
   EXPECT_NE(bus.handle_command("rescale job 1000000").find("\"ok\":false"),
             std::string::npos);
-  EXPECT_EQ(bus.handle_command("rescale job 2 4"), "{\"ok\":true}");
-  // The running job parks at a step boundary and is rebuilt at the new
-  // shape from its ring.
+  // The retired tiles argument is a usage error.
+  EXPECT_NE(bus.handle_command("rescale job 2 4").find("usage"),
+            std::string::npos);
+  EXPECT_EQ(bus.handle_command("rescale job 2"), "{\"ok\":true}");
+  // The running job parks at a step boundary and is restored from its
+  // ring at the new width.
   ASSERT_TRUE(poll_status(s, "job", [](const farm::JobStatus& st) {
     return st.rescales >= 1 && st.restores >= 1;
   }));
@@ -588,7 +613,6 @@ TEST(FarmStatusBus, RescaleCommandSteersAndReports) {
   const std::string status = bus.handle_command("status");
   EXPECT_NE(status.find("\"rescales\":"), std::string::npos);
   EXPECT_NE(status.find("\"rescale_workers\":2"), std::string::npos);
-  EXPECT_NE(status.find("\"rescale_tiles\":4"), std::string::npos);
 
   ASSERT_TRUE(s.cancel("job"));
   ASSERT_TRUE(poll_status(s, "job", [](const farm::JobStatus& st) {
@@ -628,47 +652,28 @@ TEST(FarmProf, JobsRecordScopedSliceCounters) {
   ASSERT_EQ(st->state, farm::JobState::Completed);
   EXPECT_GE(prof::counter_value("job.ctrjob.farm.slice"),
             static_cast<std::uint64_t>(st->slices));
-  // The untiled step runs its phases on the job's worker thread, inside
+  // The step runs its phases on the job's worker thread, inside
   // the slice's CounterScope, so the push dispatch counters are the job's.
   EXPECT_GE(prof::counter_value("job.ctrjob.push.dispatch.generic") +
                 prof::counter_value("job.ctrjob.push.dispatch.run_aware"),
             1u);
 }
 
-TEST(FarmProf, TiledStealingJobExportsStealCountersInStatusPayload) {
-  const auto dir = scratch("tilectrs");
+TEST(FarmProf, StatusPayloadCarriesTheJobsCounters) {
+  const auto dir = scratch("jobctrs");
   farm::Scheduler::Options opt;
   opt.ring_dir = (dir / "rings").string();
   opt.slice_steps = 6;
   farm::Scheduler s(opt);
-  farm::JobSpec spec;
-  spec.name = "tiledjob";
-  spec.make = [] {
-    auto sim = make_lpi_small(7);
-    sim.config().tiles.enabled = true;
-    sim.config().tiles.count = 2;
-    sim.config().tiles.workers = 2;
-    return sim;
-  };
-  spec.total_steps = 12;
-  s.submit(spec);
-  const auto st = s.wait("tiledjob");
+  s.submit(lpi_job("ctrjob2", 12, 7));
+  const auto st = s.wait("ctrjob2");
   ASSERT_TRUE(st.has_value());
   ASSERT_EQ(st->state, farm::JobState::Completed) << st->error;
-  // StealPool::run() reports steal.* on the calling (stepping) thread,
-  // inside the slice's CounterScope, and runs its workers under the same
-  // prefix — so pool telemetry and the counters fired inside tile tasks
-  // land in the job's namespace without any farm-side plumbing.
-  EXPECT_GE(prof::counter_value("job.tiledjob.steal.tasks_run"), 1u);
-  EXPECT_GE(prof::counter_value("job.tiledjob.tiles.step"), 12u);
-  EXPECT_GE(prof::counter_value("job.tiledjob.push.dispatch.generic") +
-                prof::counter_value("job.tiledjob.push.dispatch.run_aware"),
-            1u);
-  // And the status envelope carries them per job (prefix stripped).
+  // The status envelope carries the job's counters, prefix stripped.
   farm::StatusBus bus(s, 0);
   const std::string payload = bus.handle_command("status");
-  EXPECT_NE(payload.find("\"steal.tasks_run\":"), std::string::npos);
-  EXPECT_NE(payload.find("\"tiles.step\":"), std::string::npos);
+  EXPECT_NE(payload.find("\"farm.slice\":"), std::string::npos);
+  EXPECT_NE(payload.find("\"push.dispatch."), std::string::npos);
 }
 
 // ---- status bus -----------------------------------------------------

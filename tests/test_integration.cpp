@@ -1,14 +1,23 @@
 // Integration tests: the four vectorization strategies must agree on the
 // physics; the decks must produce their signature behaviour (laser
-// injection, Weibel growth, reconnection onset); sorting must interact
-// correctly with a running simulation.
+// injection, Weibel growth, reconnection onset, the clumped deck's
+// density profile); sorting must interact correctly with a running
+// simulation; the step repeats its bits at any thread count in exact
+// cell order; and a stepping simulation holds one team and its
+// checkpoint writer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
+#include <functional>
+#include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "core/collide.hpp"
 #include "core/core.hpp"
 
 namespace core = vpic::core;
@@ -36,7 +45,74 @@ core::Simulation make_plasma(core::VectorStrategy strat,
   return sim;
 }
 
+void expect_bitwise_equal(core::Simulation& a, core::Simulation& b) {
+  const auto& fa = a.fields();
+  const auto& fb = b.fields();
+  const pk::View<float, 1>* va[] = {&fa.ex, &fa.ey, &fa.ez, &fa.bx, &fa.by,
+                                    &fa.bz, &fa.jx, &fa.jy, &fa.jz};
+  const pk::View<float, 1>* vb[] = {&fb.ex, &fb.ey, &fb.ez, &fb.bx, &fb.by,
+                                    &fb.bz, &fb.jx, &fb.jy, &fb.jz};
+  const char* names[] = {"ex", "ey", "ez", "bx", "by", "bz", "jx", "jy", "jz"};
+  for (int c = 0; c < 9; ++c) {
+    ASSERT_EQ(va[c]->size(), vb[c]->size());
+    EXPECT_EQ(std::memcmp(va[c]->data(), vb[c]->data(),
+                          static_cast<std::size_t>(va[c]->size()) *
+                              sizeof(float)),
+              0)
+        << names[c] << " diverges";
+  }
+  ASSERT_EQ(a.num_species(), b.num_species());
+  for (std::size_t s = 0; s < a.num_species(); ++s) {
+    const auto& sa = a.species(s);
+    const auto& sb = b.species(s);
+    ASSERT_EQ(sa.np, sb.np) << sa.name;
+    EXPECT_EQ(std::memcmp(sa.p.data(), sb.p.data(),
+                          static_cast<std::size_t>(sa.np) *
+                              sizeof(core::Particle)),
+              0)
+        << sa.name << " particles diverge";
+  }
+}
+
 }  // namespace
+
+#if defined(__linux__)
+TEST(ThreadCensus, StepsWithAnAsyncRingHoldOneTeamAndTheWriter) {
+  // Every phase runs on the stepping thread's OpenMP team and the async
+  // ring commits on one writer thread, so after 20 steps the process
+  // holds the team, this thread included, plus the writer (docs/ASYNC.md,
+  // "Threads"). First in this file: a wider team of an earlier test could
+  // leave idle OpenMP threads behind.
+  pk::finalize();
+  pk::initialize();  // the environment's thread count
+  const int team = pk::DefaultExecSpace::concurrency();
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "vpic_thread_census";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::size_t threads = 0;
+  {
+    core::decks::LpiParams p;
+    p.nx = 8;
+    p.ny = 4;
+    p.nz = 8;
+    p.ppc = 4;
+    p.clump_factor = 4.0f;
+    core::Simulation sim = core::decks::make_lpi(p);
+    sim.config().checkpoint_every = 5;
+    sim.config().checkpoint_path = (dir / "ck").string();
+    sim.config().checkpoint_async = true;
+    sim.run(20);
+    for ([[maybe_unused]] const auto& task :
+         std::filesystem::directory_iterator("/proc/self/task"))
+      ++threads;
+    EXPECT_NO_THROW(sim.checkpoint_wait());
+  }
+  std::filesystem::remove_all(dir);
+  EXPECT_LE(threads, static_cast<std::size_t>(team + 1))
+      << "team size " << team;
+}
+#endif
 
 TEST(StrategyEquivalence, SingleStepMomentaMatch) {
   auto ref = make_plasma(core::VectorStrategy::Auto);
@@ -165,6 +241,54 @@ TEST(Decks, ReconnectionHarrisEquilibriumRuns) {
   EXPECT_NEAR(e1, e0, 0.1 * e0);
 }
 
+// ----------------------------------------------------------------------
+// Clumped LPI deck (LpiParams::clump_factor).
+// ----------------------------------------------------------------------
+
+TEST(ClumpedDeck, ZeroFactorIsBitwiseIdenticalToBaseline) {
+  core::decks::LpiParams p;
+  p.nx = 8;
+  p.ny = 4;
+  p.nz = 6;
+  p.ppc = 4;
+  core::Simulation base = core::decks::make_lpi(p);
+  p.clump_factor = 0.0f;
+  core::Simulation zero = core::decks::make_lpi(p);
+  expect_bitwise_equal(base, zero);
+}
+
+TEST(ClumpedDeck, ClumpingConcentratesParticlesNotCharge) {
+  core::decks::LpiParams p;
+  p.nx = 8;
+  p.ny = 4;
+  p.nz = 12;
+  p.ppc = 4;
+  core::Simulation uni = core::decks::make_lpi(p);
+  p.clump_factor = 6.0f;
+  core::Simulation clump = core::decks::make_lpi(p);
+
+  const auto& su = uni.species(0);
+  const auto& sc = clump.species(0);
+  EXPECT_GT(sc.np, su.np);  // boosted cells carry extra particles
+
+  // Per-cell: particle count varies, summed weight stays 1 (the weight is
+  // divided by the same boost, so the physical density is unchanged).
+  std::map<std::int32_t, int> count;
+  std::map<std::int32_t, double> weight;
+  for (index_t i = 0; i < sc.np; ++i) {
+    count[sc.p(i).i]++;
+    weight[sc.p(i).i] += static_cast<double>(sc.p(i).w);
+  }
+  int min_c = 1 << 30, max_c = 0;
+  for (const auto& [v, c] : count) {
+    min_c = std::min(min_c, c);
+    max_c = std::max(max_c, c);
+  }
+  EXPECT_GT(max_c, p.ppc);       // center cells clumped
+  EXPECT_LE(min_c, p.ppc);       // edge cells at baseline
+  for (const auto& [v, w] : weight) EXPECT_NEAR(w, 1.0, 1e-5) << "voxel " << v;
+}
+
 TEST(SortIntegration, ParticlesSortedOnInterval) {
   auto sim = make_plasma(core::VectorStrategy::Auto,
                          vpic::sort::SortOrder::Standard,
@@ -257,6 +381,75 @@ TEST(Determinism, FreshSameDeckRunsAreBitIdentical) {
   }
   pk::initialize();  // restore the default thread count
 }
+
+// ----------------------------------------------------------------------
+// Exact cell order: from a Standard sort, every push writes each cell's
+// run record from the one chunk that owns the cell and applies every
+// other deposit segment in slot order, so the step is bit-identical at
+// any OpenMP thread count, collisions included (docs/ASYNC.md,
+// "Determinism").
+// ----------------------------------------------------------------------
+
+namespace {
+
+struct ExactDeck {
+  const char* name;
+  std::function<core::Simulation()> make;
+};
+
+std::vector<ExactDeck> exact_decks() {
+  core::decks::LpiParams lpi;
+  lpi.nx = 12;
+  lpi.ny = 6;
+  lpi.nz = 6;
+  lpi.ppc = 4;
+  core::decks::LpiParams clumped;
+  clumped.nx = 8;
+  clumped.ny = 4;
+  clumped.nz = 8;
+  clumped.ppc = 4;
+  clumped.clump_factor = 4.0f;
+  core::decks::WeibelParams weibel;
+  weibel.nx = weibel.ny = weibel.nz = 6;
+  weibel.ppc = 4;
+  return {{"lpi", [lpi] { return core::decks::make_lpi(lpi); }},
+          {"clumped", [clumped] { return core::decks::make_lpi(clumped); }},
+          {"weibel_collide", [weibel] {
+             core::Simulation sim = core::decks::make_weibel(weibel);
+             sim.add_module<core::CollisionModule>();
+             return sim;
+           }}};
+}
+
+/// 100 steps from a Standard sort of every species, on `threads` OpenMP
+/// threads.
+core::Simulation run_exact(const ExactDeck& d, int threads) {
+  pk::initialize(threads);
+  core::Simulation sim = d.make();
+  for (std::size_t s = 0; s < sim.num_species(); ++s)
+    core::sort_particles(sim.species(s), vpic::sort::SortOrder::Standard, 0,
+                         0, sim.grid().nv());
+  sim.run(100);
+  for (const core::PushPath taken : sim.last_push_paths())
+    EXPECT_EQ(taken, core::PushPath::RunAware);
+  return sim;
+}
+
+}  // namespace
+
+TEST(ExactOrder, StepIsBitIdenticalAtAnyThreadCount) {
+  for (const ExactDeck& d : exact_decks()) {
+    SCOPED_TRACE(d.name);
+    core::Simulation ref = run_exact(d, 1);
+    for (const int threads : {2, 4}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
+      core::Simulation sim = run_exact(d, threads);
+      expect_bitwise_equal(ref, sim);
+    }
+  }
+  pk::initialize();  // restore the default thread count
+}
+
 
 TEST(QuasiPlanar, SingleCellAxisRunsStable) {
   // nz = 1 degenerates to a quasi-2D run (periodic wrap onto the same

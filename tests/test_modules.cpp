@@ -1,9 +1,8 @@
 // Tests for the composable physics-module registry (core/module.hpp,
 // docs/MODULES.md): registration semantics (stage ordering, duplicate
-// rejection, lookup), the registry-composed tiled step's bit-determinism
-// across worker counts, the TracerModule plug-in (composition in both
-// step shapes, trajectory sampling, checkpoint round-trip) and
-// module-section forward
+// rejection, lookup), the registry-composed step's bit-determinism across
+// thread counts, the TracerModule plug-in (composition, trajectory
+// sampling, checkpoint round-trip) and module-section forward
 // compatibility (unknown sections skip with a typed report; files that
 // predate a module clear its state).
 #include <gtest/gtest.h>
@@ -29,8 +28,9 @@ namespace {
 
 class PkEnv : public ::testing::Environment {
  public:
-  // One kernel thread: bit-identity comparisons need a fixed particle
-  // visit order; multi-thread float-atomic deposits reorder sums.
+  // One kernel thread: bit-identity comparisons of decks that have not
+  // been Standard-sorted need it, as their float-atomic deposits reorder
+  // sums on wider teams.
   void SetUp() override { pk::initialize(1); }
 };
 [[maybe_unused]] const auto* const env =
@@ -53,6 +53,32 @@ std::vector<core::Particle> canon(const core::Species& sp) {
   std::vector<core::Particle> out(static_cast<std::size_t>(sp.np));
   std::copy_n(sp.p.data(), sp.np, out.data());
   return out;
+}
+
+/// make_lpi_small, Standard-sorted before its first step: every push is
+/// then in exact cell order, whose bits do not depend on the thread count.
+core::Simulation make_lpi_small_sorted() {
+  auto sim = make_lpi_small();
+  for (std::size_t s = 0; s < sim.num_species(); ++s)
+    core::sort_particles(sim.species(s), vpic::sort::SortOrder::Standard, 0,
+                         0, sim.grid().nv());
+  return sim;
+}
+
+bool same_fields(core::Simulation& a, core::Simulation& b) {
+  const auto& fa = a.fields();
+  const auto& fb = b.fields();
+  for (const auto& [va, vb] :
+       {std::pair{&fa.ex, &fb.ex}, std::pair{&fa.ey, &fb.ey},
+        std::pair{&fa.ez, &fb.ez}, std::pair{&fa.bx, &fb.bx},
+        std::pair{&fa.by, &fb.by}, std::pair{&fa.bz, &fb.bz},
+        std::pair{&fa.jx, &fb.jx}, std::pair{&fa.jy, &fb.jy},
+        std::pair{&fa.jz, &fb.jz}})
+    if (va->size() != vb->size() ||
+        std::memcmp(va->data(), vb->data(),
+                    static_cast<std::size_t>(va->size()) * sizeof(float)) != 0)
+      return false;
+  return true;
 }
 
 bool same_particles(const core::Simulation& a, const core::Simulation& b) {
@@ -150,9 +176,9 @@ TEST(ModuleRegistry, ModuleRngIsPerModuleAndSeeded) {
 }
 
 // ----------------------------------------------------------------------
-// The composition guarantee of the tiled shape: 100 registry-composed LPI
-// steps are bit-identical at 1, 2 and 4 stealing workers (energies +
-// particle bytes).
+// The composition guarantee: 100 registry-composed LPI steps from a
+// Standard sort are bit-identical at 1, 2 and 4 kernel threads (particle
+// and field bytes).
 // ----------------------------------------------------------------------
 
 TEST(ModuleStep, SortPhasesWriteTheSharedSortScratch) {
@@ -161,41 +187,33 @@ TEST(ModuleStep, SortPhasesWriteTheSharedSortScratch) {
   // ordered, and rejects another sort left unordered against them.
   auto sim = make_lpi_small();
   ASSERT_EQ(sim.num_species(), 2u);
-  for (const bool tiled : {false, true}) {
-    SCOPED_TRACE(tiled ? "tiled" : "untiled");
-    const core::TileMap tiles(sim.grid(), 2);
-    core::StepGraph g;
-    core::StepComposer c(g);
-    core::ModuleStepContext ctx;
-    ctx.next_step = sim.config().sort_interval;
-    ctx.tiled = tiled;
-    if (tiled) ctx.tiles = &tiles;
-    sim.find_module("sort")->plan(sim, ctx, c);
-    ASSERT_EQ(g.size(), sim.num_species());
-    const auto res = c.all_resources();
-    EXPECT_NE(std::find(res.begin(), res.end(), "sort.scratch"), res.end());
-    EXPECT_NO_THROW(g.validate());
-    c.add({"sort[other]", {}, {"sort.scratch"}, [] {}});
-    EXPECT_THROW(g.validate(), std::logic_error);
-  }
+  core::StepGraph g;
+  core::StepComposer c(g);
+  core::ModuleStepContext ctx;
+  ctx.next_step = sim.config().sort_interval;
+  sim.find_module("sort")->plan(sim, ctx, c);
+  ASSERT_EQ(g.size(), sim.num_species());
+  const auto res = c.all_resources();
+  EXPECT_NE(std::find(res.begin(), res.end(), "sort.scratch"), res.end());
+  EXPECT_NO_THROW(g.validate());
+  c.add({"sort[other]", {}, {"sort.scratch"}, [] {}});
+  EXPECT_THROW(g.validate(), std::logic_error);
 }
 
-TEST(ModuleStep, TiledStepBitIdenticalAcrossWorkerCounts100Steps) {
-  const auto run = [](int workers) {
-    auto sim = make_lpi_small();
-    sim.config().tiles.enabled = true;
-    sim.config().tiles.count = 4;
-    sim.config().tiles.workers = workers;
+TEST(ModuleStep, StepBitIdenticalAcrossThreadCounts100Steps) {
+  const auto run = [](int threads) {
+    pk::initialize(threads);
+    auto sim = make_lpi_small_sorted();
     sim.run(100);
     return sim;
   };
   auto ref = run(1);
-  for (const int workers : {2, 4}) {
-    auto sim = run(workers);
-    EXPECT_TRUE(same_particles(ref, sim)) << workers << " workers";
-    EXPECT_EQ(ref.energies().field, sim.energies().field)
-        << workers << " workers";
+  for (const int threads : {2, 4}) {
+    auto sim = run(threads);
+    EXPECT_TRUE(same_particles(ref, sim)) << threads << " threads";
+    EXPECT_TRUE(same_fields(ref, sim)) << threads << " threads";
   }
+  pk::initialize(1);
 }
 
 // ----------------------------------------------------------------------
@@ -240,44 +258,43 @@ TEST(TracerModule, RingBufferEvictsOldest) {
   EXPECT_EQ(traj.back().step, 10);
 }
 
-TEST(TracerModule, DeterministicInBothStepShapes) {
+TEST(TracerModule, DeterministicAcrossThreadCounts) {
   core::TracerParams tp;
   tp.stride = 8;
   tp.max_tracers = 16;
   tp.sample_interval = 1;
 
-  // Tiled: the tracers shadow a plasma that is bit-identical at every
-  // worker count, so their samples are too.
+  // From a Standard sort the tracers shadow a plasma that is
+  // bit-identical at every thread count, so their samples are too.
   std::vector<std::byte> ref;
-  for (const int workers : {1, 2, 4}) {
-    auto sim = make_lpi_small();
-    sim.config().tiles.enabled = true;
-    sim.config().tiles.count = 4;
-    sim.config().tiles.workers = workers;
+  for (const int threads : {1, 2, 4}) {
+    pk::initialize(threads);
+    auto sim = make_lpi_small_sorted();
     auto& tracer = sim.add_module<core::TracerModule>(tp);
     sim.run(40);
-    if (workers == 1) {
+    if (threads == 1) {
       ref = tracer_bytes(tracer);
     } else {
-      EXPECT_EQ(ref, tracer_bytes(tracer)) << workers << " workers";
+      EXPECT_EQ(ref, tracer_bytes(tracer)) << threads << " threads";
     }
   }
+  pk::initialize(1);
   EXPECT_FALSE(ref.empty());
 
-  // Untiled at one kernel thread: two runs sample bit-identically, as
-  // many samples as the tiled runs, and the plasma itself is untouched by
-  // passive tracers.
+  // Unsorted at one kernel thread: two runs sample bit-identically, as
+  // many samples as the sorted runs, and the plasma itself is untouched
+  // by passive tracers.
   auto with = make_lpi_small();
-  auto& t_untiled = with.add_module<core::TracerModule>(tp);
+  auto& t_unsorted = with.add_module<core::TracerModule>(tp);
   auto again = make_lpi_small();
   auto& t_again = again.add_module<core::TracerModule>(tp);
   auto without = make_lpi_small();
   with.run(40);
   again.run(40);
   without.run(40);
-  const auto untiled = tracer_bytes(t_untiled);
-  EXPECT_EQ(untiled.size(), ref.size());
-  EXPECT_EQ(untiled, tracer_bytes(t_again));
+  const auto unsorted = tracer_bytes(t_unsorted);
+  EXPECT_EQ(unsorted.size(), ref.size());
+  EXPECT_EQ(unsorted, tracer_bytes(t_again));
   EXPECT_TRUE(same_particles(with, without));
 }
 

@@ -4,7 +4,7 @@
 // well-formedness (parsed with a minimal JSON parser below), the <1%
 // disabled-dispatch overhead contract of pk/prof_hooks.hpp, and View
 // allocation event pairing / pk::view_alloc_count delegation, and the
-// untiled step's phase regions nesting under "step".
+// step's phase regions nesting under "step".
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -280,7 +280,7 @@ TEST(ProfRegions, OpenRegionsAreReported) {
 }
 
 TEST(ProfRegions, UntiledStepNestsPhasesUnderStep) {
-  // The untiled step runs its phases on the calling thread, so each phase
+  // The step runs its phases on the calling thread, so each phase
   // region nests under the "step" region that opened it.
   vpic::core::decks::LpiParams p;
   p.nx = 8;
@@ -295,37 +295,6 @@ TEST(ProfRegions, UntiledStepNestsPhasesUnderStep) {
   ASSERT_NE(push, nullptr);
   EXPECT_EQ(push->count, 1u);
   EXPECT_NE(find_region(r, "step/field_advance"), nullptr);
-}
-
-TEST(ProfRegions, TiledStepNestsSinglePhaseLevelsUnderStep) {
-  // The tiled step runs a level of one phase on the calling thread, so the
-  // global phases nest under "step"; every member of a pool round opens
-  // its tasks' regions under the caller's path, so each tile push records
-  // as "step/push[<species>.t<k>]" whichever member ran it.
-  vpic::core::decks::LpiParams p;
-  p.nx = 8;
-  p.ny = 4;
-  p.nz = 4;
-  p.ppc = 2;
-  vpic::core::Simulation sim = vpic::core::decks::make_lpi(p);
-  sim.config().tiles.enabled = true;
-  sim.config().tiles.count = 2;
-  sim.config().tiles.workers = 2;
-  ProfSession session(prof::Mode::Summary);
-  sim.step();
-  const prof::Report r = prof::report();
-  for (const char* phase : {"step/acc_apply", "step/accumulate",
-                            "step/field_advance", "step/injection"})
-    EXPECT_NE(find_region(r, phase), nullptr) << phase;
-  EXPECT_EQ(find_region(r, "field_advance"), nullptr);
-  for (std::size_t s = 0; s < sim.num_species(); ++s)
-    for (int t = 0; t < 2; ++t) {
-      const std::string tile =
-          "push[" + sim.species(s).name + ".t" + std::to_string(t) + "]";
-      EXPECT_NE(find_region(r, "step/" + tile), nullptr) << tile;
-    }
-  for (const auto& region : r.regions)
-    EXPECT_NE(region.path.rfind("push[", 0), 0u) << region.path;
 }
 
 TEST(ProfRegions, RegionTotalSecondsMatchesLastSegment) {

@@ -4,9 +4,9 @@
 // run-aware launch's runs found during the push against an explicit run
 // list, charge conservation through the fast path, the AutoDetect
 // dispatch rule plus Species sortedness tracking, the Standard order kept
-// every step in both step shapes, the Simulation-level plumbing, the
-// exit queue's slot order at any thread count, and the steady-state push
-// allocating nothing.
+// every step, the Simulation-level plumbing, the exact-order push and the
+// exit queue at any thread count, and the steady-state push allocating
+// nothing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -243,14 +243,14 @@ INSTANTIATE_TEST_SUITE_P(
     equivalence_name);
 
 // ----------------------------------------------------------------------
-// The run-aware launch finds its runs while it pushes. At one thread, and
-// in a tile, it pushes the same runs in the same order as a run-list
-// reference (one forced run-aware push_on per run of sort::segment_runs,
-// in slot order), so particles and currents are bit-identical to it on
-// any order. Where the push logs segments (a team push in exact cell
-// order, a tile), the reference pushes every run through one sink and
-// applies its log once after the last run, as the push does after its
-// launch.
+// The run-aware launch finds its runs while it pushes. At one thread it
+// pushes the same runs in the same order as a run-list reference (one
+// forced run-aware push_on per run of sort::segment_runs, in slot order),
+// so particles and currents are bit-identical to it on any order. Both
+// sides deposit with atomic adds: a sorted species' hint is aged first,
+// because in exact cell order each push_on applies its deposit logs when
+// it returns, after its last run, so a per-run reference would group a
+// cell's sums differently (the exact-order grouping is ExactOrderPush's).
 // ----------------------------------------------------------------------
 
 class RunsFoundDuringPush
@@ -266,6 +266,7 @@ TEST_P(RunsFoundDuringPush, MatchesRunListPushAtOneThread) {
   auto sim = make_sim(strat, 4, 11);
   auto& sp = sim.species(0);
   apply_order(sp, std::get<1>(GetParam()), sim.grid().nv());
+  sp.mark_order_degraded();
   const std::vector<core::Particle> initial = particles_of(sp);
 
   const PushOutcome found =
@@ -277,69 +278,12 @@ TEST_P(RunsFoundDuringPush, MatchesRunListPushAtOneThread) {
   std::vector<vs::CellRun> runs;
   const auto& pp = sp.p;
   vs::segment_runs(sp.np, [&pp](index_t i) { return pp.cell(i); }, runs);
-  // In exact cell order the team push's one chunk owns every cell: it
-  // flushes each run's record and logs the crossers' other segments,
-  // applied after the launch. Otherwise it adds everything atomically.
-  core::DepositLog log;
-  core::OwnerSink every_voxel{&sim.accumulator(), 0, sim.grid().nv(),
-                              &log.segments};
-  for (const vs::CellRun& run : runs) {
-    if (sp.exact_cell_order())
-      core::push_on<pk::Serial>(sp, sim.interpolator(), every_voxel,
-                                sim.grid(), strat, {},
-                                core::PushPath::RunAware, run.begin,
-                                run.begin + run.count);
-    else
-      core::push_on<pk::DefaultExecSpace>(
-          sp, sim.interpolator(), sim.accumulator(), sim.grid(), strat, {},
-          core::PushPath::RunAware, run.begin, run.begin + run.count);
-  }
-  sim.accumulator().apply(&log, 1);
+  for (const vs::CellRun& run : runs)
+    core::push_on<pk::DefaultExecSpace>(
+        sp, sim.interpolator(), sim.accumulator(), sim.grid(), strat, {},
+        core::PushPath::RunAware, run.begin, run.begin + run.count);
   EXPECT_TRUE(same_bytes(found.particles, particles_of(sp)));
   EXPECT_TRUE(same_bytes(found.acc, flatten(sim.accumulator())));
-}
-
-TEST_P(RunsFoundDuringPush, MatchesRunListPushInATile) {
-  const auto strat =
-      static_cast<core::VectorStrategy>(std::get<0>(GetParam()));
-  auto sim = make_sim(strat, 4, 13);
-  auto& sp = sim.species(0);
-  apply_order(sp, std::get<1>(GetParam()), sim.grid().nv());
-  const std::vector<core::Particle> initial = particles_of(sp);
-  sim.interpolator().load(sim.fields());
-  const core::TileMap tm(sim.grid(), 3);
-  // A range that starts mid-run and off the Manual width.
-  const index_t n0 = sp.np / 3 + 5, n1 = 2 * sp.np / 3 + 2;
-
-  // Each side pushes through tile 1's sink into a cleared shared array,
-  // then applies the tile's log.
-  core::DepositLog log;
-  core::OwnerSink sink{&sim.accumulator(), tm.v_lo(1), tm.v_hi(1),
-                       &log.segments};
-  const auto applied = [&] {
-    sim.accumulator().apply(&log, 1);
-    return flatten(sim.accumulator());
-  };
-  sim.accumulator().clear();
-  ASSERT_EQ(core::push_on<pk::Serial>(sp, sim.interpolator(), sink,
-                                      sim.grid(), strat, {},
-                                      core::PushPath::RunAware, n0, n1),
-            core::PushPath::RunAware);
-  const std::vector<core::Particle> tiled = particles_of(sp);
-  const std::vector<float> tiled_acc = applied();
-
-  std::copy_n(initial.data(), sp.np, sp.p.data());
-  sim.accumulator().clear();
-  std::vector<vs::CellRun> runs;
-  const auto& pp = sp.p;
-  vs::segment_runs(
-      n1 - n0, [&pp, n0](index_t i) { return pp.cell(n0 + i); }, runs);
-  for (const vs::CellRun& run : runs)
-    core::push_on<pk::Serial>(sp, sim.interpolator(), sink, sim.grid(),
-                              strat, {}, core::PushPath::RunAware,
-                              n0 + run.begin, n0 + run.begin + run.count);
-  EXPECT_TRUE(same_bytes(tiled, particles_of(sp)));
-  EXPECT_TRUE(same_bytes(tiled_acc, applied()));
 }
 
 namespace {
@@ -357,6 +301,41 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Range(0, 3),   // Auto, Guided, Manual
                        ::testing::Range(0, 3)),  // sorted/random/adversarial
     runs_found_name);
+
+// ----------------------------------------------------------------------
+// In exact cell order each chunk of a team push writes the cells of its
+// own runs and logs every other segment, and push_on applies the logs in
+// chunk order: a cell sums its run's record first and the logged segments
+// after it in slot order, as pk::Serial's one chunk does. A four-thread
+// push is bit-identical to it.
+// ----------------------------------------------------------------------
+
+TEST(ExactOrderPush, FourThreadChunksMatchTheOneChunkPush) {
+  for (const core::VectorStrategy strat :
+       {core::VectorStrategy::Auto, core::VectorStrategy::Guided,
+        core::VectorStrategy::Manual}) {
+    SCOPED_TRACE(core::to_string(strat));
+    auto sim = make_sim(strat, 8, 19);
+    auto& sp = sim.species(0);
+    apply_order(sp, 0, sim.grid().nv());
+    ASSERT_TRUE(sp.exact_cell_order());
+    const std::vector<core::Particle> initial = particles_of(sp);
+    pk::initialize(4);
+    const PushOutcome team =
+        push_once(sim, initial, strat, core::PushPath::AutoDetect);
+    pk::initialize();
+    ASSERT_EQ(team.path, core::PushPath::RunAware);
+    std::copy_n(initial.data(), sp.np, sp.p.data());
+    sim.accumulator().clear();
+    ASSERT_EQ(core::push_on<pk::Serial>(sp, sim.interpolator(),
+                                        sim.accumulator(), sim.grid(), strat,
+                                        {}, core::PushPath::AutoDetect, 0,
+                                        sp.np),
+              core::PushPath::RunAware);
+    EXPECT_TRUE(same_bytes(team.particles, particles_of(sp)));
+    EXPECT_TRUE(same_bytes(team.acc, flatten(sim.accumulator())));
+  }
+}
 
 // ----------------------------------------------------------------------
 // Charge conservation through the forced run-aware path.
@@ -497,8 +476,8 @@ TEST(PushDispatch, StaleFallsBackToGenericExactRangeOfAnySizeRunsAware) {
   EXPECT_EQ(auto_path(sim, 0, sp.np), core::PushPath::Generic);
 
   // No size gate: a range of a few particles, or none, in exact order
-  // takes the run-aware path the untiled step takes over the whole array,
-  // so a small tile or boundary-plane range adds its currents the same way.
+  // takes the run-aware path the step takes over the whole array, so a
+  // small boundary-plane range adds its currents the same way.
   core::sort_particles(sp, vs::SortOrder::Standard, 0, 1, sim.grid().nv());
   EXPECT_EQ(auto_path(sim, 3, 10), core::PushPath::RunAware);
   EXPECT_EQ(auto_path(sim, 5, 5), core::PushPath::RunAware);
@@ -599,9 +578,7 @@ TEST(BenchDeckDispatch, LpiRunAwareWhenSortedGenericWhenScrambled) {
 // ----------------------------------------------------------------------
 // The Standard order is kept every step (docs/SORTING.md): once the sort
 // interval has Standard-sorted a species, every step leaves it exactly in
-// cell order with a fresh hint — untiled through advance_species'
-// re-sort, tiled through the sort_after_push phase, whose tile ranges are
-// then exact.
+// cell order with a fresh hint, through advance_species' re-sort.
 // ----------------------------------------------------------------------
 
 /// sp's records as a stable Standard sort of a private copy leaves them.
@@ -615,18 +592,13 @@ std::vector<core::Particle> standard_sorted_copy(const core::Species& sp,
   return particles_of(copy);
 }
 
-void expect_kept_sorted_for_100_steps(bool tiled) {
+TEST(KeptSorted, UntiledStepLeavesExactStandardOrder) {
   core::decks::LpiParams p;
   p.nx = 16;
   p.ny = 8;
   p.nz = 8;
   p.ppc = 8;
   auto sim = core::decks::make_lpi(p);
-  if (tiled) {
-    sim.config().tiles.enabled = true;
-    sim.config().tiles.count = 4;
-    sim.config().tiles.workers = 2;
-  }
   const int first_sort = sim.config().sort_interval;
   ASSERT_GT(first_sort, 0);
   const index_t nv = sim.grid().nv();
@@ -639,24 +611,8 @@ void expect_kept_sorted_for_100_steps(bool tiled) {
       ASSERT_TRUE(sp.cell_sorted_hint);
       ASSERT_EQ(sp.steps_since_sort, 0);
       ASSERT_TRUE(same_bytes(particles_of(sp), standard_sorted_copy(sp, nv)));
-      if (!tiled) continue;
-      const core::TileMap& tm = sim.tile_map();
-      ASSERT_TRUE(core::tiles_cover(sp, static_cast<std::size_t>(tm.count())));
-      for (int t = 0; t < tm.count(); ++t) {
-        const core::TileSlot& slot = sp.tiles[static_cast<std::size_t>(t)];
-        for (index_t i = slot.begin; i < slot.end; ++i)
-          ASSERT_EQ(tm.tile_of_voxel(sp.p.cell(i)), t) << "slot " << i;
-      }
     }
   }
-}
-
-TEST(KeptSorted, UntiledStepLeavesExactStandardOrder) {
-  expect_kept_sorted_for_100_steps(false);
-}
-
-TEST(KeptSorted, TiledStepLeavesExactStandardOrderAndTileRanges) {
-  expect_kept_sorted_for_100_steps(true);
 }
 
 TEST(KeptSorted, AdvanceSpeciesRejectsAnExitQueue) {
@@ -688,7 +644,7 @@ TEST(KeptSorted, AdvanceSpeciesRejectsAnExitQueue) {
 /// steps 3 and 10 (a sort step), past the runs of its cell: the step ages
 /// the species' hint, so no push or sort trusts an order the array lost.
 /// Whenever the hint claims exact order, the array is in it.
-void expect_append_ages_the_hint(bool tiled) {
+TEST(KeptSorted, UntiledHookThatAppendsAgesTheHint) {
   pk::initialize(4);
   core::decks::LpiParams p;
   p.nx = 16;
@@ -700,11 +656,6 @@ void expect_append_ages_the_hint(bool tiled) {
   const index_t nv = sim.grid().nv();
   for (std::size_t s = 0; s < sim.num_species(); ++s)
     core::sort_particles(sim.species(s), vs::SortOrder::Standard, 0, 0, nv);
-  if (tiled) {
-    sim.config().tiles.enabled = true;
-    sim.config().tiles.count = 4;
-    sim.config().tiles.workers = 4;
-  }
   sim.set_injection_hook([](core::Simulation& s) {
     if (s.step_count() != 3 && s.step_count() != 10) return;
     core::Species& e = s.species(0);
@@ -727,24 +678,15 @@ void expect_append_ages_the_hint(bool tiled) {
       }
     }
     // The push after the append takes the generic path, and its re-sort
-    // (untiled) or re-bucketing (tiled) brings the order back; the sort at
-    // step 10 restores it the same step.
-    const core::PushPath want = step == 4 && !tiled
-                                    ? core::PushPath::Generic
-                                    : core::PushPath::RunAware;
+    // brings the order back; the sort at step 10 restores it the same
+    // step.
+    const core::PushPath want =
+        step == 4 ? core::PushPath::Generic : core::PushPath::RunAware;
     EXPECT_EQ(sim.last_push_paths()[0], want);
     EXPECT_EQ(sim.last_push_paths()[1], core::PushPath::RunAware);
   }
   EXPECT_EQ(sim.species(0).np, np0 + 2);
   pk::initialize();
-}
-
-TEST(KeptSorted, UntiledHookThatAppendsAgesTheHint) {
-  expect_append_ages_the_hint(false);
-}
-
-TEST(KeptSorted, TiledHookThatAppendsAgesTheHint) {
-  expect_append_ages_the_hint(true);
 }
 
 // ----------------------------------------------------------------------
@@ -868,7 +810,7 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
 
-TEST(SteadyPush, AdvanceSpeciesAndTilePushesAllocateNothing) {
+TEST(SteadyPush, AdvanceSpeciesAllocatesNothing) {
   auto sim = core::decks::make_lpi(anatomy_lpi());
   const core::Grid& g = sim.grid();
   for (std::size_t s = 0; s < sim.num_species(); ++s)
@@ -894,42 +836,4 @@ TEST(SteadyPush, AdvanceSpeciesAndTilePushesAllocateNothing) {
   };
   advance(5);  // warm-up: the logs and the sort's buffers reach size
   EXPECT_EQ(counted([&] { advance(50); }), 0);
-
-  // The tiled step's round: every species' tile pushes, the first into
-  // the accumulator's planes and the other into its staged array's, the
-  // applies of each species' logs (and the staged array), then the
-  // re-sorts and bucketing.
-  const core::TileMap tm(g, 6);
-  const auto nt = static_cast<std::size_t>(tm.count());
-  for (std::size_t s = 0; s < sim.num_species(); ++s)
-    core::bucket_by_tile(sim.species(s), tm);
-  auto& logs = sim.species(0).sort_scratch().deposit_logs;
-  logs.resize(sim.num_species() * nt);
-  core::AccumulatorArray staged(g);
-  const auto tiled = [&](int steps) {
-    for (int n = 0; n < steps; ++n) {
-      for (std::size_t s = 0; s < sim.num_species(); ++s) {
-        core::Species& sp = sim.species(s);
-        for (std::size_t t = 0; t < nt; ++t) {
-          const int ti = static_cast<int>(t);
-          core::OwnerSink sink{s == 0 ? &sim.accumulator() : &staged,
-                               tm.v_lo(ti), tm.v_hi(ti),
-                               &logs[s * nt + t].segments};
-          core::push_on<pk::Serial>(sp, sim.interpolator(), sink, g,
-                                    sim.config().strategy, {},
-                                    core::PushPath::AutoDetect,
-                                    sp.tiles[t].begin, sp.tiles[t].end);
-        }
-      }
-      sim.accumulator().apply(logs.data(), nt);
-      sim.accumulator().apply(logs.data() + nt, nt, &staged);
-      for (std::size_t s = 0; s < sim.num_species(); ++s) {
-        core::sort_particles(sim.species(s), vs::SortOrder::Standard, 0, 0,
-                             g.nv());
-        core::bucket_by_tile(sim.species(s), tm);
-      }
-    }
-  };
-  tiled(5);
-  EXPECT_EQ(counted([&] { tiled(50); }), 0);
 }

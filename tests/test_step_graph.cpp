@@ -1,11 +1,12 @@
 // Tests for the dependency-aware step graph (core/step_graph.hpp) and the
-// untiled step built on it (docs/ASYNC.md): construction-time validation
-// (cycles, undeclared races) and the untiled step's telemetry. The
-// executor itself is exercised in tests/test_tiles.cpp.
+// step built on it (docs/ASYNC.md): construction-time validation (cycles,
+// undeclared races), the level-by-level executor, and the step's
+// telemetry.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/decks.hpp"
@@ -120,26 +121,13 @@ TEST(StepGraphValidate, TransitivePathOrdersConflict) {
   EXPECT_NO_THROW(g.validate());
 }
 
-TEST(StepGraphValidate, WholeResourceConflictsWithItsParts) {
-  // Tile tasks write their own parts of the accumulator; a phase that
-  // declares the whole array races every one of them unless ordered.
+TEST(StepGraphValidate, OnlyEqualNamesConflict) {
+  // Resources are names, not paths: species "e" and "e.hot" declare
+  // "particles.e" and "particles.e.hot", which may run unordered.
   core::StepGraph g;
-  g.add_phase(phase("tile1", {}, {"acc.t1"}));
-  g.add_phase(phase("tile2", {}, {"acc.t2"}));
-  g.add_phase(phase("whole", {"acc"}, {}));
-  g.add_phase(phase("other", {}, {"accumulator"}));
-  g.add_edge("tile1", "whole");
-  try {
-    g.validate();
-    FAIL() << "unordered whole-part race accepted";
-  } catch (const std::logic_error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("'tile2'"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("'whole'"), std::string::npos) << msg;
-  }
-  // The parts are disjoint, and a name that only shares a prefix is not a
-  // part.
-  g.add_edge("tile2", "whole");
+  g.add_phase(phase("push_e", {}, {"particles.e"}));
+  g.add_phase(phase("push_e_hot", {}, {"particles.e.hot"}));
+  g.add_phase(phase("other", {}, {"particles"}));
   EXPECT_NO_THROW(g.validate());
 }
 
@@ -162,11 +150,46 @@ TEST(StepGraphValidate, DotNamesAllPhases) {
 }
 
 // ----------------------------------------------------------------------
-// The untiled step runs the validated graph on the calling thread, one
-// phase at a time, and publishes its phase stats.
+// The executor: level by level on the calling thread.
 // ----------------------------------------------------------------------
 
-TEST(StepGraphSimulation, UntiledStepPublishesPhaseStatsAtConcurrencyOne) {
+TEST(StepGraphExecute, RunsLevelsInInsertionOrderOnTheCallingThread) {
+  // x is added first but ordered after y, so it runs a level later; y and
+  // z share level 0 and keep their insertion order.
+  core::StepGraph g;
+  std::vector<std::string> order;
+  const auto caller = std::this_thread::get_id();
+  bool elsewhere = false;
+  for (const char* n : {"x", "y", "z"})
+    g.add_phase(phase(n, {}, {std::string("res.") + n}, [&, n] {
+      order.emplace_back(n);
+      elsewhere |= std::this_thread::get_id() != caller;
+    }));
+  g.add_edge("y", "x");
+  g.execute();
+  EXPECT_EQ(order, (std::vector<std::string>{"y", "z", "x"}));
+  EXPECT_FALSE(elsewhere);
+  ASSERT_EQ(g.last_stats().size(), 3u);
+  EXPECT_EQ(g.last_stats()[0].name, "x");
+}
+
+TEST(StepGraphExecute, PhaseExceptionStopsLaterLevels) {
+  core::StepGraph g;
+  int after = 0;
+  g.add_phase(
+      phase("boom", {}, {"x"}, [] { throw std::runtime_error("phase boom"); }));
+  g.add_phase(phase("after", {"x"}, {"y"}, [&after] { after++; }));
+  g.add_edge("boom", "after");
+  EXPECT_THROW(g.execute(), std::runtime_error);
+  EXPECT_EQ(after, 0);
+}
+
+// ----------------------------------------------------------------------
+// The step runs the validated graph on the calling thread, one phase at a
+// time, and publishes its phase stats.
+// ----------------------------------------------------------------------
+
+TEST(StepGraphSimulation, StepPublishesPhaseStats) {
   core::decks::LpiParams p;
   p.nx = 8;
   p.ny = 4;
@@ -184,10 +207,8 @@ TEST(StepGraphSimulation, UntiledStepPublishesPhaseStatsAtConcurrencyOne) {
     if (s.name == "field_advance") saw_field_advance = true;
     if (s.name.starts_with("push[")) ++pushes;
     EXPECT_GE(s.seconds, 0.0);
-    EXPECT_EQ(s.worker, 0u) << s.name;  // ran on this thread
   }
   EXPECT_TRUE(saw_interpolate);
   EXPECT_TRUE(saw_field_advance);
   EXPECT_EQ(pushes, sim.num_species());
-  EXPECT_EQ(sim.last_concurrency_peak(), 1u);
 }
